@@ -15,8 +15,8 @@ to an :class:`Outcome`.  The two implementations are
   :meth:`ReactorDatabase.submit` directly (the zero-overhead embedded
   path; ``db.submit`` itself remains public for embedded use);
 * :class:`~repro.client.tcp.TcpClient` — speaks the
-  :mod:`repro.serving` wire protocol to a remote server, as a
-  synchronous facade over asyncio.
+  :mod:`repro.serving` wire protocol to a remote server over one
+  blocking socket.
 
 Callers that accept "anything submittable" normalize with
 :func:`as_client`, which wraps a bare :class:`ReactorDatabase` in a
@@ -77,14 +77,17 @@ class Submission:
 
     Thread-safe: wire clients resolve it from their reader thread
     while the caller blocks in :meth:`wait`.  ``on_done`` callbacks
-    registered at submit time run on the resolving thread.
+    registered at submit time run on the resolving thread.  The wait
+    is a latch: a bare lock, held from creation until ``resolve``
+    releases it (one resolver; waiters pass it on to each other).
     """
 
-    __slots__ = ("_outcome", "_event", "_callbacks")
+    __slots__ = ("_outcome", "_latch", "_callbacks")
 
     def __init__(self) -> None:
         self._outcome: Outcome | None = None
-        self._event = threading.Event()
+        self._latch = threading.Lock()
+        self._latch.acquire()
         self._callbacks: list[Callable[[Outcome], None]] = []
 
     @property
@@ -106,7 +109,7 @@ class Submission:
         if self._outcome is not None:
             return
         self._outcome = outcome
-        self._event.set()
+        self._latch.release()
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             fn(outcome)
@@ -115,8 +118,12 @@ class Submission:
         """Block until resolved (wire clients) — the local client
         resolves during :meth:`LocalClient.drain` instead, so there
         waiting without draining raises rather than deadlocks."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("submission did not complete in time")
+        if self._outcome is None:
+            if not self._latch.acquire(
+                    timeout=-1 if timeout is None else timeout):
+                raise TimeoutError(
+                    "submission did not complete in time")
+            self._latch.release()
         return self._outcome
 
     def result(self, timeout: float | None = None) -> Any:

@@ -1,11 +1,18 @@
 """The wire path: a synchronous Client speaking the serving protocol.
 
-A :class:`TcpClient` owns a background event-loop thread holding one
-TCP connection.  ``connect()`` performs the JSON hello exchange and
-switches to the negotiated codec; ``submit()`` is callable from any
-thread, returns immediately with a :class:`Submission`, and the reader
-task resolves submissions as responses arrive — in whatever order the
-server completes them, matched by ``(session, request id)``.
+A :class:`TcpClient` owns one blocking TCP socket (``TCP_NODELAY``)
+and one reader thread.  ``connect()`` runs the JSON hello exchange and
+switches to the negotiated codec; ``submit()``, callable from any
+thread, encodes and ``sendall``s the request there and then and returns
+a :class:`Submission`.  The reader thread does ``recv`` ->
+``FrameDecoder.feed`` -> ``resolve`` as answers arrive — in the
+server's completion order, matched by ``(session, request id)`` — so
+``on_done`` callbacks run on it.  A full kernel send buffer blocks
+``submit``: a callback that submits without bound can stall its reader.
+
+A connection that fails or is closed, by either side, resolves every
+pending submission with ``Outcome(error_code="connection")``, and
+``submit()`` on it raises :class:`ConnectionError`.
 
 Sessions are logical: :meth:`TcpClient.session` mints a new session id
 multiplexed over the same connection; a session's requests carry its
@@ -18,7 +25,8 @@ resolves the submission with an ``overloaded`` outcome whose
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
+import socket
 import threading
 from typing import Any, Callable, Iterable
 
@@ -39,54 +47,92 @@ class TcpClient:
         #: Negotiated after connect().
         self.codec: str | None = None
         self.protocol_version: int | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._ready = threading.Event()
-        self._connect_error: BaseException | None = None
+        self._sock: socket.socket | None = None
+        self._reader: threading.Thread | None = None
+        #: Guards ``_pending``, ``_down`` and the id counters.  Never
+        #: held across a socket call: the reader needs it, and unread
+        #: answers are what blocks a ``sendall`` (see the server).
         self._lock = threading.Lock()
+        #: Serializes ``sendall`` so frames never interleave.
+        self._send_lock = threading.Lock()
         self._next_request = 0
         self._next_session = 1
         self._pending: dict[tuple[int, int], Submission] = {}
-        self._closed = False
+        #: Why submissions are refused (``None`` while connected).
+        self._down: str | None = "client is not connected"
 
     # ------------------------------------------------------------------
     # Client protocol
     # ------------------------------------------------------------------
 
     def connect(self) -> "TcpClient":
-        if self._thread is not None:
+        if self._sock is not None:
             return self
-        self._thread = threading.Thread(
-            target=self._run, name="repro-tcp-client", daemon=True)
-        self._thread.start()
-        if not self._ready.wait(self.timeout):
-            raise ConnectionError(
-                f"connect to {self.host}:{self.port} timed out")
-        if self._connect_error is not None:
-            raise self._connect_error
+        sock = socket.create_connection((self.host, self.port),
+                                        timeout=self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.sendall(protocol.encode_frame(
+                protocol.hello(codecs=self._offered), "json"))
+            hello_decoder = protocol.FrameDecoder("json")
+            openers: list[Any] = []
+            while not openers:
+                data = sock.recv(65536)
+                if not data:
+                    raise ConnectionError(
+                        "server closed during handshake")
+                openers = hello_decoder.feed(data, limit=1)
+            opener = openers[0]
+            if opener.get("type") != "hello_ok":
+                raise protocol.WireProtocolError(
+                    f"negotiation failed: {opener.get('detail')}"
+                    if opener.get("type") == "hello_error" else
+                    f"expected hello_ok, got {opener.get('type')!r}")
+            self.codec = opener["codec"]
+            self.protocol_version = opener["version"]
+            decoder = protocol.FrameDecoder(self.codec)
+            sock.settimeout(None)
+        except BaseException:
+            sock.close()
+            raise
+        self._sock = sock
+        self._down = None
+        # Any bytes behind the server's hello_ok already belong to the
+        # negotiated stream.
+        self._reader = threading.Thread(
+            target=self._read_loop,
+            args=(sock, decoder, hello_decoder.take_buffered()),
+            name="repro-tcp-client", daemon=True)
+        self._reader.start()
         return self
 
     def submit(self, reactor: str, proc: str, *args: Any,
                read_only: bool | None = None,
                on_done: Callable[[Outcome], None] | None = None,
                session: int = 0) -> Submission:
-        if self._writer is None:
-            raise ConnectionError("client is not connected")
         submission = Submission()
         if on_done is not None:
             submission.add_done_callback(on_done)
         with self._lock:
-            if self._closed:
-                raise ConnectionError("client is closed")
+            if self._down is not None:
+                raise ConnectionError(self._down)
             self._next_request += 1
-            request_id = self._next_request
-            self._pending[(session, request_id)] = submission
-        frame = protocol.encode_frame(
-            protocol.request(request_id, session, reactor, proc,
-                             tuple(args), read_only=read_only),
-            self.codec)
-        self._loop.call_soon_threadsafe(self._write, frame)
+            key = (session, self._next_request)
+            frame = protocol.encode_frame(
+                protocol.request(key[1], session, reactor, proc,
+                                 tuple(args), read_only=read_only),
+                self.codec)
+            self._pending[key] = submission
+        try:
+            with self._send_lock:
+                self._sock.sendall(frame)
+        except OSError as error:
+            # Withdraw the entry — unless the reader saw the connection
+            # die first and already resolved it as ``connection``.
+            with self._lock:
+                withdrawn = self._pending.pop(key, None)
+            if withdrawn is not None:
+                raise ConnectionError(f"send failed: {error}") from error
         return submission
 
     def submit_many(self, specs: Iterable[Spec],
@@ -103,15 +149,27 @@ class TcpClient:
                            session=session).result(self.timeout)
 
     def close(self) -> None:
+        """Idempotent and bounded: ``shutdown`` wakes the reader and any
+        blocked sender; pending submissions resolve as ``connection``."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        loop, thread = self._loop, self._thread
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._shutdown)
-        if thread is not None:
-            thread.join(timeout=self.timeout)
+            reader, self._reader = self._reader, None
+            if self._down is None:
+                self._down = "client is closed"
+        if reader is None:
+            return
+        sock = self._sock
+        with contextlib.suppress(OSError):  # a courtesy, never waited for
+            if self._send_lock.acquire(blocking=False):
+                try:
+                    sock.send(protocol.encode_frame(
+                        protocol.goodbye(), self.codec),
+                        socket.MSG_DONTWAIT)
+                finally:
+                    self._send_lock.release()
+        with contextlib.suppress(OSError):  # the peer is already gone
+            sock.shutdown(socket.SHUT_RDWR)
+        reader.join(timeout=self.timeout)
+        sock.close()
 
     # ------------------------------------------------------------------
     # Sessions
@@ -125,94 +183,43 @@ class TcpClient:
         return ClientSession(self, session_id)
 
     # ------------------------------------------------------------------
-    # Event-loop internals
+    # The reader thread
     # ------------------------------------------------------------------
 
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
+    def _read_loop(self, sock: socket.socket,
+                   decoder: protocol.FrameDecoder, data: bytes) -> None:
+        reason = "client reader failed"  # an on_done callback raised
         try:
-            reader, writer = await asyncio.open_connection(
-                self.host, self.port)
-            self._writer = writer
-            writer.write(protocol.encode_frame(
-                protocol.hello(codecs=self._offered), "json"))
-            await writer.drain()
-            decoder = protocol.FrameDecoder("json")
-            opener = None
-            while opener is None:
-                data = await reader.read(65536)
-                if not data:
-                    raise ConnectionError(
-                        "server closed during handshake")
-                messages = decoder.feed(data)
-                if messages:
-                    opener = messages[0]
-            if opener.get("type") == "hello_error":
-                raise protocol.WireProtocolError(
-                    f"negotiation failed: {opener.get('detail')}")
-            if opener.get("type") != "hello_ok":
-                raise protocol.WireProtocolError(
-                    f"expected hello_ok, got {opener.get('type')!r}")
-            self.codec = opener["codec"]
-            self.protocol_version = opener["version"]
-        except BaseException as error:  # noqa: BLE001
-            self._connect_error = error
-            self._ready.set()
-            return
-        self._ready.set()
-        # Any bytes behind the server's hello_ok already belong to the
-        # negotiated stream.
-        stream_decoder = protocol.FrameDecoder(self.codec)
-        leftover = bytes(decoder._buffer)
-        try:
-            if leftover:
-                for message in stream_decoder.feed(leftover):
-                    self._dispatch(message)
             while True:
-                data = await reader.read(65536)
-                if not data:
-                    stream_decoder.check_eof()
-                    break
-                for message in stream_decoder.feed(data):
+                for message in decoder.feed(data):
                     self._dispatch(message)
-        except (ConnectionError, protocol.WireProtocolError) as error:
-            self._fail_pending(str(error))
-        else:
-            self._fail_pending("connection closed by server")
+                data = sock.recv(65536)
+                if not data:
+                    decoder.check_eof()
+                    reason = "connection closed by server"
+                    break
+        except (OSError, protocol.WireProtocolError) as error:
+            reason = str(error)
         finally:
-            writer.close()
-
-    def _write(self, frame: bytes) -> None:
-        writer = self._writer
-        if writer is not None and not writer.is_closing():
-            writer.write(frame)
-
-    def _shutdown(self) -> None:
-        writer = self._writer
-        if writer is not None and not writer.is_closing():
-            try:
-                writer.write(protocol.encode_frame(
-                    protocol.goodbye(), self.codec or "json"))
-            except protocol.WireProtocolError:  # pragma: no cover
-                pass
-            writer.close()
+            with self._lock:
+                reason = self._down = self._down or reason
+                pending = list(self._pending.values())
+                self._pending.clear()
+            for submission in pending:
+                submission.resolve(Outcome(False, reason=reason,
+                                           error_code="connection"))
 
     def _dispatch(self, message: Any) -> None:
         if not isinstance(message, dict):
             return
         mtype = message.get("type")
         if mtype == "response":
-            outcome = Outcome(
-                bool(message.get("committed")),
-                reason=message.get("reason"),
-                result=message.get("result"))
+            outcome = Outcome(bool(message.get("committed")),
+                              reason=message.get("reason"),
+                              result=message.get("result"))
         elif mtype == "error":
             outcome = Outcome(
-                False,
-                reason=message.get("detail"),
+                False, reason=message.get("detail"),
                 error_code=message.get("code"),
                 retry_after_us=float(
                     message.get("retry_after_us") or 0.0))
@@ -223,14 +230,6 @@ class TcpClient:
             submission = self._pending.pop(key, None)
         if submission is not None:
             submission.resolve(outcome)
-
-    def _fail_pending(self, reason: str) -> None:
-        with self._lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for submission in pending:
-            submission.resolve(Outcome(False, reason=reason,
-                                       error_code="connection"))
 
 
 class ClientSession:

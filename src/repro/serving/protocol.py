@@ -108,8 +108,13 @@ class Overloaded(ReactorError):
 # Codecs
 # ----------------------------------------------------------------------
 
+#: One prebuilt encoder: ``json.dumps`` with non-default separators
+#: constructs a ``JSONEncoder`` on every call.
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _json_encode(obj: Any) -> bytes:
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    return _JSON_ENCODER.encode(obj).encode("utf-8")
 
 
 def _json_decode(data: bytes) -> Any:
@@ -209,13 +214,16 @@ class FrameDecoder:
         """Bytes held back waiting for the rest of a frame."""
         return len(self._buffer)
 
-    def feed(self, data: bytes) -> list[Any]:
-        """Absorb ``data``; return every now-complete message."""
+    def feed(self, data: bytes, limit: int | None = None) -> list[Any]:
+        """Absorb ``data``; return every now-complete message — at
+        most ``limit`` of them, the rest staying buffered (the hello
+        exchange decodes one frame; what follows it may be in another
+        codec)."""
         self._buffer.extend(data)
         __, decode = CODECS[self.codec]
         messages: list[Any] = []
         buffer = self._buffer
-        while True:
+        while limit is None or len(messages) < limit:
             if len(buffer) < _LEN.size:
                 break
             (length,) = _LEN.unpack_from(buffer)
@@ -230,6 +238,14 @@ class FrameDecoder:
             del buffer[:end]
             messages.append(decode(payload))
         return messages
+
+    def take_buffered(self) -> bytes:
+        """Hand over, and forget, the bytes held back: what a peer
+        pipelined behind its hello belongs to the negotiated stream's
+        decoder."""
+        held = bytes(self._buffer)
+        self._buffer.clear()
+        return held
 
     def check_eof(self) -> None:
         """The stream ended; reject a partially buffered frame."""

@@ -1,18 +1,26 @@
 """The asyncio TCP server fronting a :class:`ReactorDatabase`.
 
 One :class:`ReactorServer` serves one database on either execution
-backend:
+backend.  Every connection is an :class:`asyncio.Protocol`: its
+``data_received`` callback runs handshake -> decode -> submit inline on
+the event-loop thread — no task, stream or future per connection.
 
 * ``sim`` — the discrete-event scheduler has no thread of its own, so
-  the server runs a *pump* task: whenever requests have been submitted,
-  it drives ``scheduler.run()`` to quiescence on the event-loop thread.
-  Requests that arrive coalesced (one TCP segment, several frames) are
-  all submitted before the pump runs, so they genuinely overlap in
-  virtual time — a burst behaves like a burst, not like a sequence of
-  solo transactions.
+  a submitted request schedules one *pump* callback (``call_soon``,
+  guarded by a flag) that drives ``scheduler.run()`` to quiescence on
+  the event-loop thread.  The pump runs after every connection
+  readable in that loop iteration has decoded and submitted its whole
+  burst, so requests that arrive coalesced (one TCP segment, several
+  frames) genuinely overlap in virtual time — a burst behaves like a
+  burst, not like a sequence of solo transactions.
 * ``threads`` — the backend's own worker threads execute transactions;
-  completion callbacks hop back onto the event loop via
-  ``call_soon_threadsafe``.  No pump, no polling.
+  completions are queued on a deque and drained on the event loop, one
+  ``call_soon_threadsafe`` per burst.  No pump, no polling.
+
+Flow control: a peer that does not read its answers fills the
+transport's write buffer; past its high-water mark the server stops
+reading *that* connection until the buffer drains, so the bytes held
+for it stay bounded and other connections are unaffected.
 
 Admission control happens *at the wire*: the server bounds its
 in-flight request count (``max_inflight``) and answers excess load
@@ -39,6 +47,8 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from collections import deque
+from functools import partial
 from typing import Any
 
 from repro.core.database import ReactorDatabase
@@ -53,25 +63,78 @@ DEFAULT_MAX_INFLIGHT = 256
 DEFAULT_RETRY_AFTER_US = 1_000.0
 
 
-class _Connection:
-    """Per-connection state: negotiated codec, decoder, sessions."""
+class _Connection(asyncio.Protocol):
+    """One accepted socket: negotiated codec, decoder, sessions."""
 
-    __slots__ = ("reader", "writer", "codec", "decoder", "sessions",
-                 "closed")
+    __slots__ = ("server", "transport", "codec", "decoder", "sessions")
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.codec = "json"
-        self.decoder: protocol.FrameDecoder | None = None
+    def __init__(self, server: "ReactorServer") -> None:
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        #: ``None`` until the JSON hello exchange has picked one.
+        self.codec: str | None = None
+        self.decoder = protocol.FrameDecoder("json")
         self.sessions: set[int] = set()
-        self.closed = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        server = self.server
+        server.connections.add(self)
+        if server._connections_total is not None:
+            server._connections_total.inc()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server.connections.discard(self)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()  # the peer is not reading
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
 
     def send(self, message: dict[str, Any]) -> None:
-        if self.closed or self.writer.is_closing():
+        if not self.transport.is_closing():
+            self.transport.write(
+                protocol.encode_frame(message, self.codec or "json"))
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            if self.codec is None:
+                data = self._handshake(data)
+            messages = self.decoder.feed(data)
+        except protocol.WireProtocolError as err:
+            self.send(protocol.hello_error(str(err))
+                      if self.codec is None else protocol.error(
+                          None, None, protocol.ERR_BAD_REQUEST, str(err)))
+            self.transport.close()  # flushes the answer first
             return
-        self.writer.write(protocol.encode_frame(message, self.codec))
+        handle = self.server._handle_message
+        for message in messages:
+            if isinstance(message, dict) and \
+                    message.get("type") == "goodbye":
+                self.transport.close()
+                return
+            handle(self, message)
+
+    def _handshake(self, data: bytes) -> bytes:
+        """The JSON hello exchange: pick version and codec.  Returns
+        the bytes the client pipelined behind its hello frame, which
+        belong to the negotiated stream."""
+        openers = self.decoder.feed(data, limit=1)
+        if not openers:
+            return b""
+        opener = openers[0]
+        if not isinstance(opener, dict) or \
+                opener.get("type") != "hello":
+            raise protocol.WireProtocolError(
+                "expected a hello message first")
+        version, codec = protocol.negotiate(
+            opener.get("versions"), opener.get("codecs"))
+        self.send(protocol.hello_ok(version, codec))
+        self.codec = codec
+        pipelined = self.decoder.take_buffered()
+        self.decoder = protocol.FrameDecoder(codec)
+        return pipelined
 
 
 class ReactorServer:
@@ -90,25 +153,33 @@ class ReactorServer:
         self.inflight = 0
         #: (host, port) actually bound, known after :meth:`start`.
         self.address: tuple[str, int] | None = None
+        #: Live connections (event-loop thread only).
+        self.connections: set[_Connection] = set()
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._pump_task: asyncio.Task | None = None
-        self._work = asyncio.Event()
-        self._stopping = False
         self._is_sim = getattr(database.scheduler, "is_virtual", True)
+        #: What a root's ``on_done`` calls, on whichever thread ran it.
+        self._finish = self._complete if self._is_sim \
+            else self._on_worker_done
+        #: sim: is a ``_pump_once`` already scheduled?
+        self._pump_scheduled = False
+        #: threads: completions waiting for the event loop, and whether
+        #: a ``_drain_completions`` wake-up is already on its way.
+        self._completions: deque[tuple] = deque()
+        self._drain_scheduled = False
         telemetry = database.telemetry
         registry = telemetry.registry if telemetry.enabled else None
         if registry is not None:
             self._accepted = registry.counter("serving_accepted_total")
             self._shed = registry.counter("serving_shed_total")
-            self._connections = registry.counter(
+            self._connections_total = registry.counter(
                 "serving_connections_total")
             self._sessions = registry.counter("serving_sessions_total")
             registry.gauge_fn("serving_inflight",
                               lambda: self.inflight)
         else:
             self._accepted = self._shed = None
-            self._connections = self._sessions = None
+            self._connections_total = self._sessions = None
         self._wire_hist = telemetry.histogram("serving_wire_latency_us")
 
     # ------------------------------------------------------------------
@@ -118,124 +189,48 @@ class ReactorServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound address."""
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port)
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
-        if self._is_sim:
-            self._pump_task = asyncio.ensure_future(self._pump())
         return self.address
 
     async def stop(self) -> None:
-        """Stop accepting, close connections, cancel the pump."""
-        self._stopping = True
+        """Stop accepting and drop every live connection (unflushed
+        answers with them: a peer that never reads must not be able to
+        hold ``stop`` up)."""
         if self._server is not None:
             self._server.close()
+            for conn in list(self.connections):
+                conn.transport.abort()
             await self._server.wait_closed()
-        if self._pump_task is not None:
-            self._work.set()  # wake it so it observes _stopping
-            self._pump_task.cancel()
+
+    # ------------------------------------------------------------------
+    # Backend hand-offs
+    # ------------------------------------------------------------------
+
+    def _pump_once(self) -> None:
+        """sim: drive the virtual-time scheduler to quiescence."""
+        self._pump_scheduled = False
+        self.database.scheduler.run()
+
+    def _on_worker_done(self, *completion: Any) -> None:
+        """threads: runs on a container thread.  The flag is cleared
+        before the drain starts, so a completion appended after it was
+        last read sees it clear and schedules the next drain."""
+        self._completions.append(completion)
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
             try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
+                self._loop.call_soon_threadsafe(self._drain_completions)
+            except RuntimeError:
+                pass  # the loop closed under us: nobody left to tell
 
-    # ------------------------------------------------------------------
-    # The sim pump
-    # ------------------------------------------------------------------
-
-    async def _pump(self) -> None:
-        """Drive the virtual-time scheduler whenever work is pending.
-
-        The extra ``sleep(0)`` lets already-readable connections decode
-        and submit their whole burst first, so coalesced requests run
-        concurrently in virtual time instead of one pump each.
-        """
-        scheduler = self.database.scheduler
-        while not self._stopping:
-            await self._work.wait()
-            self._work.clear()
-            await asyncio.sleep(0)
-            scheduler.run()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(reader, writer)
-        if self._connections is not None:
-            self._connections.inc()
-        try:
-            if not await self._handshake(conn):
-                return
-            await self._read_loop(conn)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            conn.closed = True
-            writer.close()
-
-    async def _handshake(self, conn: _Connection) -> bool:
-        """Run the JSON hello exchange; pick version and codec."""
-        decoder = protocol.FrameDecoder("json")
-        opener: Any = None
-        while opener is None:
-            data = await conn.reader.read(65536)
-            if not data:
-                return False
-            messages = decoder.feed(data)
-            if messages:
-                opener = messages[0]
-        if not isinstance(opener, dict) or \
-                opener.get("type") != "hello":
-            conn.send(protocol.hello_error(
-                "expected a hello message first"))
-            await conn.writer.drain()
-            return False
-        try:
-            version, codec = protocol.negotiate(
-                opener.get("versions"), opener.get("codecs"))
-        except protocol.WireProtocolError as err:
-            conn.send(protocol.hello_error(str(err)))
-            await conn.writer.drain()
-            return False
-        conn.send(protocol.hello_ok(version, codec))
-        await conn.writer.drain()
-        conn.codec = codec
-        conn.decoder = protocol.FrameDecoder(codec)
-        # Bytes the client pipelined behind its hello frame belong to
-        # the negotiated stream.
-        leftover = bytes(decoder._buffer)
-        if leftover:
-            for message in conn.decoder.feed(leftover):
-                self._handle_message(conn, message)
-        return True
-
-    async def _read_loop(self, conn: _Connection) -> None:
-        while not self._stopping:
-            data = await conn.reader.read(65536)
-            if not data:
-                try:
-                    conn.decoder.check_eof()
-                except protocol.TornFrameError:
-                    pass  # peer died mid-frame; nothing to answer
-                return
-            try:
-                messages = conn.decoder.feed(data)
-            except protocol.WireProtocolError as err:
-                conn.send(protocol.error(
-                    None, None, protocol.ERR_BAD_REQUEST, str(err)))
-                await conn.writer.drain()
-                return
-            for message in messages:
-                if isinstance(message, dict) and \
-                        message.get("type") == "goodbye":
-                    await conn.writer.drain()
-                    return
-                self._handle_message(conn, message)
-            await conn.writer.drain()
+    def _drain_completions(self) -> None:
+        self._drain_scheduled = False
+        completions = self._completions
+        while completions:
+            self._complete(*completions.popleft())
 
     # ------------------------------------------------------------------
     # Requests
@@ -276,30 +271,20 @@ class ReactorServer:
             self._accepted.inc()
         t_submit = database.scheduler.now
         state = (conn, rid, session, t_wire, t_submit)
-
-        if self._is_sim:
-            def on_done(root, committed, reason, result,
-                        _state=state):
-                self._complete(_state, root, committed, reason, result)
-        else:
-            def on_done(root, committed, reason, result,
-                        _state=state):
-                loop.call_soon_threadsafe(
-                    self._complete, _state, root, committed, reason,
-                    result)
-
         try:
             database.submit(
                 message["reactor"], message["proc"], *message["args"],
-                read_only=message.get("read_only"), on_done=on_done)
+                read_only=message.get("read_only"),
+                on_done=partial(self._finish, state))
         except Exception as err:  # noqa: BLE001 - fault barrier: one
             # bad request must not tear down the connection.
             self.inflight -= 1
             conn.send(protocol.error(rid, session,
                                      protocol.ERR_INTERNAL, str(err)))
             return
-        if self._is_sim:
-            self._work.set()
+        if self._is_sim and not self._pump_scheduled:
+            self._pump_scheduled = True
+            loop.call_soon(self._pump_once)
 
     def _shed_request(self, conn: _Connection, rid: int,
                       session: int, detail: str) -> None:

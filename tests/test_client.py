@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.client import (
@@ -107,6 +109,29 @@ def test_late_callback_fires_immediately():
     seen = []
     sub.add_done_callback(seen.append)
     assert seen == [sub.outcome]
+
+
+def test_submission_wakes_every_waiter_across_threads():
+    """The latch is handed from waiter to waiter: each one blocked in
+    ``wait`` returns the one outcome, and so does a wait after it."""
+    sub = Submission()
+    seen = []
+    waiters = [threading.Thread(
+        target=lambda: seen.append(sub.wait(timeout=10.0)))
+        for __ in range(3)]
+    for waiter in waiters:
+        waiter.start()
+    with pytest.raises(TimeoutError):
+        sub.wait(timeout=0.01)  # a timed-out wait takes nothing away
+    outcome = Outcome(True, result=7)
+    sub.resolve(outcome)
+    for waiter in waiters:
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+    assert seen == [outcome] * 3
+    assert sub.wait(timeout=0) is outcome
+    assert sub.wait() is outcome
+    assert sub.result() == 7
 
 
 def test_shed_outcome_unwraps_to_overloaded():

@@ -66,6 +66,42 @@ def test_roundtrip_any_chunking(msgs, cuts):
     decoder.check_eof()  # stream fully consumed: no torn frame
 
 
+@pytest.mark.parametrize("codec", protocol.available_codecs())
+@settings(max_examples=100, deadline=None)
+@given(msgs=st.lists(messages, max_size=6),
+       cuts=st.lists(st.integers(min_value=0), max_size=12))
+def test_requests_pipelined_behind_hello_any_chunking(codec, msgs, cuts):
+    """A JSON hello with N frames of the negotiated codec behind it in
+    one segment, sliced anywhere: the hello decoder yields the hello
+    alone, and ``take_buffered`` carries everything it held back into
+    the stream decoder — nothing lost, nothing decoded as JSON."""
+    hello = protocol.hello(codecs=(codec,))
+    stream = encode_frame(hello) + b"".join(
+        encode_frame(m, codec) for m in msgs)
+    chunks = chop(stream, cuts)
+    hello_decoder = FrameDecoder("json")
+    opener = []
+    while not opener:
+        opener = hello_decoder.feed(chunks.pop(0), limit=1)
+    assert opener == [hello]
+    decoder = FrameDecoder(codec)
+    out = decoder.feed(hello_decoder.take_buffered())
+    assert hello_decoder.buffered == 0
+    for chunk in chunks:
+        out.extend(decoder.feed(chunk))
+    assert out == msgs
+    decoder.check_eof()
+
+
+def test_feed_limit_leaves_the_rest_buffered():
+    decoder = FrameDecoder("json")
+    stream = b"".join(encode_frame({"n": n}) for n in range(3))
+    assert decoder.feed(stream, limit=1) == [{"n": 0}]
+    assert decoder.feed(b"", limit=1) == [{"n": 1}]
+    assert decoder.feed(b"") == [{"n": 2}]
+    decoder.check_eof()
+
+
 @settings(max_examples=100, deadline=None)
 @given(msg=messages, keep=st.integers(min_value=1))
 def test_torn_frame_rejected(msg, keep):

@@ -27,6 +27,11 @@ N_CUSTOMERS = 8
 N_CONTAINERS = 2
 MAX_RETRIES = 50
 
+#: Every codec this process can speak is a tested path: JSON always,
+#: msgpack wherever it is installed (the CI serving-smoke msgpack leg).
+each_codec = pytest.mark.parametrize(
+    "codec", protocol.available_codecs())
+
 
 def make_database(backend: str = "sim") -> ReactorDatabase:
     deployment = shared_nothing(
@@ -98,7 +103,8 @@ def committed_state(database):
     }
 
 
-def test_local_vs_served_equivalence():
+@each_codec
+def test_local_vs_served_equivalence(codec):
     """Same seeded ops, embedded vs over-the-wire: identical committed
     state, certify_all green on both."""
     ops = seeded_ops()
@@ -114,7 +120,9 @@ def test_local_vs_served_equivalence():
     served_db = make_database()
     attach_recorder(served_db)
     server = serve_in_thread(served_db)
-    client = TcpClient(server.host, server.port).connect()
+    client = TcpClient(server.host, server.port,
+                       codecs=(codec,)).connect()
+    assert client.codec == codec
     run_to_commit(client, ops)
     client.close()
     server.stop()
@@ -129,12 +137,14 @@ def test_local_vs_served_equivalence():
     assert served_state == local_state
 
 
-def test_served_threads_backend_smoke():
+@each_codec
+def test_served_threads_backend_smoke(codec):
     """The server fronts the wall-clock threads backend natively (no
     pump): a round trip commits and is visible."""
     database = make_database(backend="threads")
     server = serve_in_thread(database)
-    client = TcpClient(server.host, server.port).connect()
+    client = TcpClient(server.host, server.port,
+                       codecs=(codec,)).connect()
     try:
         sub = client.submit(sb.reactor_name(0), "deposit_checking",
                             7.5)
@@ -145,12 +155,14 @@ def test_served_threads_backend_smoke():
         database.close()
 
 
-def test_session_multiplexing_out_of_order():
+@each_codec
+def test_session_multiplexing_out_of_order(codec):
     """Many logical sessions share one connection; responses match by
     (session, id) even when submitted interleaved."""
     database = make_database()
     server = serve_in_thread(database)
-    client = TcpClient(server.host, server.port).connect()
+    client = TcpClient(server.host, server.port,
+                       codecs=(codec,)).connect()
     try:
         sessions = [client.session() for _ in range(4)]
         subs = []
@@ -168,13 +180,15 @@ def test_session_multiplexing_out_of_order():
         database.close()
 
 
-def test_overload_shed_is_typed_with_retry_hint():
+@each_codec
+def test_overload_shed_is_typed_with_retry_hint(codec):
     """Past the admission bound, requests are refused with a typed
     overloaded error carrying a positive retry-after hint — and the
     admitted ones still commit."""
     database = make_database()
     server = serve_in_thread(database, max_inflight=4)
-    client = TcpClient(server.host, server.port).connect()
+    client = TcpClient(server.host, server.port,
+                       codecs=(codec,)).connect()
     try:
         subs = client.submit_many(
             [(sb.reactor_name(i % N_CUSTOMERS), "transact_saving",
