@@ -213,6 +213,20 @@ class CCSession:
                  "_writes", "_node_checks", "_locked", "_placeholders",
                  "finished", "_sorted_intents")
 
+    #: Does this session class override :meth:`_begin_op` /
+    #: :meth:`_register_read`?  Decided once per class: the point and
+    #: scan paths skip the dispatch to hooks that are the base no-op /
+    #: the base bookkeeping (OCC, MVCC, passthrough) and keep it for
+    #: schemes that hook them (2PL: wound check, lock acquisition).
+    _hooks_begin_op = False
+    _hooks_register_read = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._hooks_begin_op = cls._begin_op is not CCSession._begin_op
+        cls._hooks_register_read = \
+            cls._register_read is not CCSession._register_read
+
     def __init__(self, txn_id: int, container_id: int) -> None:
         self.txn_id = txn_id
         self.container_id = container_id
@@ -317,20 +331,28 @@ class CCSession:
 
     def read(self, table: Table, pk: tuple) -> tuple[Row | None, int]:
         """Point read by primary key; returns (row or None, examined)."""
-        self._begin_op()
-        intent = self._writes.get((id(table), pk))
-        if intent is not None:
-            if intent.kind == DELETE:
-                return None, 1
-            assert intent.new_value is not None
-            return dict(intent.new_value), 1
-        record = table.store.get(pk)
-        if record is None:
+        if self._hooks_begin_op:
+            self._begin_op()
+        writes = self._writes
+        if writes:
+            intent = writes.get((id(table), pk))
+            if intent is not None:
+                if intent.kind == DELETE:
+                    return None, 1
+                assert intent.new_value is not None
+                return dict(intent.new_value), 1
+        records = table.records
+        record = table.store.get(pk) if records is None \
+            else records.get(pk)
+        if record is None or record.deleted:
             # A miss is also a predicate read: guard against a phantom
             # insert of this key by validating the table structure.
             self._register_node(table)
             return None, 1
-        self._register_read(record)
+        if self._hooks_register_read:
+            self._register_read(record)
+        elif record not in self._reads:
+            self._reads[record] = record.tid
         return dict(record.value), 1
 
     def multi_read(self, table: Table,
@@ -344,20 +366,19 @@ class CCSession:
         Returns ``(rows aligned with pks, examined)``; missing keys
         yield ``None`` in place.
         """
-        self._begin_op()
+        if self._hooks_begin_op:
+            self._begin_op()
         pks = list(pks)
         out: list[Row | None] = [None] * len(pks)
         writes = self._writes
         table_id = id(table)
-        recmap = table.store.record_map()
+        recmap = table.records
         get_record = table.store.get if recmap is None else recmap.get
         register_read = self._register_read
         # Footprint registration inlined when the scheme uses the base
         # implementation (OCC/MVCC); locking schemes hook per-read lock
         # acquisition into _register_read and keep the dispatch.
-        reads = self._reads \
-            if type(self)._register_read is CCSession._register_read \
-            else None
+        reads = None if self._hooks_register_read else self._reads
         if writes:
             for i, pk in enumerate(pks):
                 intent = writes.get((table_id, pk))
@@ -392,7 +413,8 @@ class CCSession:
     def insert(self, table: Table, row: Mapping[str, Any]) -> int:
         """Buffer an insert; duplicate keys visible to this transaction
         raise immediately (concurrent duplicates surface at commit)."""
-        self._begin_op()
+        if self._hooks_begin_op:
+            self._begin_op()
         self._check_writable()
         validated = table.schema.validate_row(row)
         pk = table.schema.primary_key_of(validated)
@@ -417,44 +439,57 @@ class CCSession:
                assignments: Mapping[str, Any]) -> tuple[Row, int]:
         """Read-modify-write one row; returns (new image, examined).
 
-        The read is inlined (copy-free intent merging): the overlay or
-        committed image is copied exactly once into the new intent
-        instead of read() copying it and the merge copying it again.
-        The footprint registered is identical to read-then-write.
+        The read is inlined: the overlay or committed image is copied
+        once into the new intent (which owns that dict until it is
+        installed as the committed image) and once more for the
+        caller.  The footprint registered is identical to
+        read-then-write.
         """
-        self._begin_op()
+        if self._hooks_begin_op:
+            self._begin_op()
         self._check_writable()
         table.schema.validate_assignments(assignments)
-        intent = self._writes.get((id(table), pk))
-        if intent is not None:
-            if intent.kind == DELETE:
-                raise RecordNotFound(
-                    f"update of missing key {pk!r} in {table.name!r}"
-                )
-            # Merge into the existing insert/update intent.
-            assert intent.new_value is not None
-            new_value = dict(intent.new_value)
-            new_value.update(assignments)
-            self._set_intent(WriteIntent(
-                intent.kind, table, pk, intent.record, new_value))
-            return new_value, 1
-        record = table.get_record(pk)
-        if record is None:
+        writes = self._writes
+        if writes:
+            intent = writes.get((id(table), pk))
+            if intent is not None:
+                if intent.kind == DELETE:
+                    raise RecordNotFound(
+                        f"update of missing key {pk!r} in "
+                        f"{table.name!r}"
+                    )
+                # Merge into the existing insert/update intent.
+                assert intent.new_value is not None
+                new_value = dict(intent.new_value)
+                new_value.update(assignments)
+                self._set_intent(WriteIntent(
+                    intent.kind, table, pk, intent.record, new_value))
+                return dict(new_value), 1
+        records = table.records
+        record = table.store.get(pk) if records is None \
+            else records.get(pk)
+        if record is None or record.deleted:
             # Same phantom guard a read miss registers.
             self._register_node(table)
             raise RecordNotFound(
                 f"update of missing key {pk!r} in {table.name!r}"
             )
-        self._register_read(record)
+        if self._hooks_register_read:
+            self._register_read(record)
+        elif record not in self._reads:
+            self._reads[record] = record.tid
         new_value = dict(record.value)
         new_value.update(assignments)
         self._set_intent(WriteIntent(
             UPDATE, table, pk, record, new_value))
-        return new_value, 1
+        # The intent owns ``new_value`` from here to installation (it
+        # becomes the committed image as is); the caller gets a copy.
+        return dict(new_value), 1
 
     def delete(self, table: Table, pk: tuple) -> int:
         """Buffer a delete; returns records examined."""
-        self._begin_op()
+        if self._hooks_begin_op:
+            self._begin_op()
         self._check_writable()
         intent = self._intent_for(table, pk)
         if intent is not None:
@@ -489,7 +524,8 @@ class CCSession:
         guarded against phantom inserts/deletes (version check for OCC,
         structure lock for 2PL).
         """
-        self._begin_op()
+        if self._hooks_begin_op:
+            self._begin_op()
         candidates, sort_keys, examined, out_order = \
             self._collect_candidates(table, predicate, index, low, high)
         writes = self._writes
@@ -498,9 +534,7 @@ class CCSession:
         # Footprint registration inlined when the scheme uses the base
         # implementation (OCC/MVCC); locking schemes hook per-read lock
         # acquisition into _register_read and keep the dispatch.
-        reads = self._reads \
-            if type(self)._register_read is CCSession._register_read \
-            else None
+        reads = None if self._hooks_register_read else self._reads
         if not writes and out_order is not None:
             # The result order is already known without computing a
             # per-row sort key: committed images agree with their
@@ -646,15 +680,11 @@ class CCSession:
         """
         cached = self._sorted_intents
         if cached is None:
-            cached = self._sorted_intents = sorted(
-                self._writes.values(), key=_intent_order_key)
+            cached = list(self._writes.values())
+            if len(cached) > 1:
+                cached.sort(key=_intent_order_key)
+            self._sorted_intents = cached
         return cached
-
-    def read_entries(self) -> Iterable[tuple[VersionedRecord, int]]:
-        return self._reads.items()
-
-    def node_entries(self) -> Iterable[tuple[Any, int]]:
-        return self._node_checks.values()
 
     def remember_lock(self, record: VersionedRecord) -> None:
         self._locked.append(record)

@@ -9,7 +9,7 @@ side: a sealed batch that one engine walks in flattened loops, instead
 of each participant re-resolving its own method chain, re-sorting its
 own intents, and re-deciding redo-batching per write.
 
-:class:`CommitEpoch` replaces the per-participant churn of the
+:func:`run_epoch` replaces the per-participant churn of the
 reference coordinator path with:
 
 * a **single-participant fast path** (the overwhelmingly common case)
@@ -40,7 +40,11 @@ from __future__ import annotations
 
 import os
 
-from repro.concurrency.base import CCSession, ConcurrencyControl
+from repro.concurrency.base import (
+    CCSession,
+    ConcurrencyControl,
+    make_redo_entry,
+)
 from repro.errors import CCAbort
 
 Participant = tuple[ConcurrencyControl, CCSession]
@@ -67,41 +71,31 @@ def set_batched(flag: bool) -> None:
     _BATCHED = bool(flag)
 
 
-class CommitEpoch:
-    """One root transaction's closed set of commit participants.
+def run_epoch(participants: list[Participant],
+              now_us: float) -> tuple[int, int]:
+    """Validate and install one root transaction's closed set of
+    commit participants; returns ``(commit_tid, writes_installed)``.
 
     ``participants`` must already be ordered by container id — the
     deterministic global validation order that avoids distributed
     deadlock (``RootTransaction.participants()`` guarantees it; manual
     callers sort first).
+
+    On a validation conflict every participant is rolled back (in
+    participant order, matching the reference path) and the
+    :class:`~repro.errors.CCAbort` propagates to the caller.
     """
-
-    __slots__ = ("participants",)
-
-    def __init__(self, participants: list[Participant]) -> None:
-        self.participants = participants
-
-    def run(self, now_us: float) -> tuple[int, int]:
-        """Validate and install the whole epoch; returns
-        ``(commit_tid, writes_installed)``.
-
-        On a validation conflict every participant is rolled back (in
-        participant order, matching the reference path) and the
-        :class:`~repro.errors.CCAbort` propagates to the caller.
-        """
-        participants = self.participants
-        if len(participants) == 1:
-            manager, session = participants[0]
-            try:
-                floor = manager.validate(session)
-            except CCAbort:
-                # validate() released its own locks and counted the
-                # abort; roll back without re-attributing a reason.
-                manager.abort(session, reason=None)
-                raise
-            commit_tid = manager.tids.next_tid(now_us, at_least=floor)
-            return commit_tid, self._install_all(commit_tid)
-
+    if len(participants) == 1:
+        manager, session = participants[0]
+        try:
+            floor = manager.validate(session)
+        except CCAbort:
+            # validate() released its own locks and counted the
+            # abort; roll back without re-attributing a reason.
+            manager.abort(session, reason=None)
+            raise
+        commit_tid = manager.tids.next_tid(now_us, at_least=floor)
+    else:
         floor = 0
         try:
             for manager, session in participants:
@@ -121,42 +115,36 @@ class CommitEpoch:
             tid = manager.tids.next_tid(now_us, at_least=floor)
             if tid > commit_tid:
                 commit_tid = tid
-        return commit_tid, self._install_all(commit_tid)
 
-    def _install_all(self, commit_tid: int) -> int:
-        """Phase 2, flattened: one loop over every intent of the epoch.
-
-        Sessions were sorted by :meth:`CCSession.sorted_intents` during
-        validation (OCC) or are sorted here once (2PL/passthrough); the
-        memoized list is walked directly with the per-intent and redo
-        machinery hoisted out of the loop.  A manager whose class
-        overrides ``install`` keeps its override (the flattening only
-        assumes the generic phase-2 semantics).
-        """
-        from repro.concurrency.base import make_redo_entry
-
-        writes = 0
-        for manager, session in self.participants:
-            if type(manager).install is not _GENERIC_INSTALL:
-                writes += manager.install(session, commit_tid)
-                continue
-            install_intent = manager._install_intent
-            redo_log = manager.redo_log
-            if redo_log is None:
-                for intent in session.sorted_intents():
-                    if install_intent(intent, commit_tid):
-                        writes += 1
-            else:
-                entries = []
-                for intent in session.sorted_intents():
-                    if not install_intent(intent, commit_tid):
-                        continue
+    # Phase 2, flattened: one loop over every intent of the epoch.
+    # Sessions were sorted by CCSession.sorted_intents during
+    # validation (OCC) or are sorted here once (2PL/passthrough); the
+    # memoized list is walked directly with the per-intent and redo
+    # machinery hoisted out of the loop.  A manager whose class
+    # overrides ``install`` keeps its override (the flattening only
+    # assumes the generic phase-2 semantics).
+    writes = 0
+    for manager, session in participants:
+        if type(manager).install is not _GENERIC_INSTALL:
+            writes += manager.install(session, commit_tid)
+            continue
+        install_intent = manager._install_intent
+        redo_log = manager.redo_log
+        if redo_log is None:
+            for intent in session.sorted_intents():
+                if install_intent(intent, commit_tid):
                     writes += 1
-                    entries.append(make_redo_entry(intent, commit_tid))
-                if entries:
-                    redo_log.append(commit_tid, entries)
-            session.release_locks()
-            session.reclaim_placeholders()
-            session.finished = True
-            manager.tids.advance_to(commit_tid)
-        return writes
+        else:
+            entries = []
+            for intent in session.sorted_intents():
+                if not install_intent(intent, commit_tid):
+                    continue
+                writes += 1
+                entries.append(make_redo_entry(intent, commit_tid))
+            if entries:
+                redo_log.append(commit_tid, entries)
+        session.release_locks()
+        session.reclaim_placeholders()
+        session.finished = True
+        manager.tids.advance_to(commit_tid)
+    return commit_tid, writes

@@ -83,8 +83,8 @@ class TwoPhaseCommit:
             if len(participants) > 1:
                 participants = sorted(participants, key=_by_container)
             try:
-                commit_tid, writes = batch.CommitEpoch(
-                    participants).run(now_us)
+                commit_tid, writes = batch.run_epoch(
+                    participants, now_us)
             except CCAbort as abort:
                 return CommitOutcome(False, 0, len(participants), 0,
                                      reason=str(abort))

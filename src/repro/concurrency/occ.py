@@ -84,7 +84,7 @@ class ConcurrencyManager(ConcurrencyControl):
             for intent in session.sorted_intents():
                 self._lock_intent(session, intent)
             txn_id = session.txn_id
-            for record, tid_seen in session.read_entries():
+            for record, tid_seen in session._reads.items():
                 if record.tid != tid_seen:
                     raise ValidationAbort(
                         f"stale read of {record.key!r} in txn "
@@ -96,7 +96,7 @@ class ConcurrencyManager(ConcurrencyControl):
                         f"read of {record.key!r} locked by concurrent "
                         f"committer"
                     )
-            for node, version_seen in session.node_entries():
+            for node, version_seen in session._node_checks.values():
                 if node.structure_version != version_seen:
                     raise ValidationAbort(
                         "phantom: index/table structure changed under a "

@@ -76,11 +76,18 @@ class TidGenerator:
         return self._last
 
     def next_tid(self, now_us: float, at_least: int = 0) -> int:
-        epoch = self._epochs.observe_time(now_us)
-        floor = max(self._last, at_least, make_tid(epoch, 0))
-        tid = make_tid(max(tid_epoch(floor), epoch),
-                       tid_seq(floor) + 1)
-        self._last = tid
+        # make_tid(max(epoch(floor), epoch), seq(floor) + 1) over
+        # floor = max(last, at_least, make_tid(epoch, 0)), as integer
+        # arithmetic: the epoch floor is already folded into ``floor``,
+        # so the next TID is simply its successor.
+        floor = self._epochs.observe_time(now_us) << SEQ_BITS
+        if self._last > floor:
+            floor = self._last
+        if at_least > floor:
+            floor = at_least
+        if floor & SEQ_MASK == SEQ_MASK:
+            raise OverflowError("sequence number overflow within epoch")
+        self._last = tid = floor + 1
         return tid
 
     def advance_to(self, tid: int) -> None:

@@ -34,18 +34,11 @@ from repro.runtime.effects import CallEffect, ChargeEffect, GetEffect
 from repro.runtime.futures import SimFuture
 
 
-def _as_pk(pk: Any) -> tuple:
-    """Normalize a primary key argument to a tuple."""
-    if isinstance(pk, tuple):
-        return pk
-    return (pk,)
-
-
 class ReactorContext:
     """Procedure-facing API bound to one reactor within one frame."""
 
     __slots__ = ("_reactor", "_root", "_task", "_costs", "_rng",
-                 "_session_cache")
+                 "_session_cache", "_tables", "_factor")
 
     def __init__(self, reactor: Any, root: Any, task: Any,
                  costs: Any) -> None:
@@ -55,6 +48,14 @@ class ReactorContext:
         self._costs = costs
         self._rng: random.Random | None = None
         self._session_cache: Any = None
+        #: The reactor's own relations by name: what every data
+        #: operation resolves its table through.
+        self._tables = reactor.catalog.tables
+        #: Data-operation cost multiplier of this frame.  The executor
+        #: fixes it at the transaction's first touch of the reactor
+        #: (cache-affinity model), always before it builds a context
+        #: there, and it never changes afterwards.
+        self._factor = root.touched_reactors.get(reactor.name, 1.0)
 
     # ------------------------------------------------------------------
     # Identity and environment
@@ -130,15 +131,18 @@ class ReactorContext:
     # Declarative queries on the encapsulated relations
     # ------------------------------------------------------------------
 
-    @property
-    def _session(self) -> Any:
+    # Every operation below is one call into the session: the table
+    # is one probe of the reactor's own relations (a miss raises the
+    # catalog's typed error), the session is the frame's, scalar keys
+    # are wrapped in place, and the simulated CPU
+    # (unit cost x records examined x the frame's cold-access factor)
+    # accrues on the task for the executor to charge at the next
+    # suspension point.
+
+    def _open_session(self) -> Any:
         # Cached for the context's lifetime (one frame): the session
         # is fixed per (root, container) and recorders attach between
-        # runs, never mid-frame — resolving it once per data op was
-        # pure interpreter overhead on the hottest path there is.
-        session = self._session_cache
-        if session is not None:
-            return session
+        # runs, never mid-frame.
         session = self._root.session_for(self._reactor.container)
         recorder = self._reactor.container.database.history_recorder
         if recorder is not None:
@@ -146,16 +150,14 @@ class ReactorContext:
         self._session_cache = session
         return session
 
-    def _charge_ops(self, unit_cost: float, count: int = 1) -> None:
-        factor = self._root.touched_reactors.get(
-            self._reactor.name, 1.0)
-        self._task.pending_charge += unit_cost * count * factor
-
     def lookup(self, table_name: str, pk: Any) -> Row | None:
         """Point read by primary key; ``None`` when absent."""
-        table = self._reactor.table(table_name)
-        row, examined = self._session.read(table, _as_pk(pk))
-        self._charge_ops(self._costs.read_cost, max(examined, 1))
+        table = self._tables[table_name]
+        session = self._session_cache or self._open_session()
+        row, examined = session.read(
+            table, pk if isinstance(pk, tuple) else (pk,))
+        self._task.pending_charge += self._costs.read_cost * \
+            (examined if examined > 1 else 1) * self._factor
         return row
 
     def multi_lookup(self, table_name: str,
@@ -168,10 +170,12 @@ class ReactorContext:
         identical total CPU charge — but served by the session's
         single-pass :meth:`~repro.concurrency.base.CCSession.multi_read`.
         """
-        table = self._reactor.table(table_name)
+        table = self._tables[table_name]
+        session = self._session_cache or self._open_session()
         keys = [pk if isinstance(pk, tuple) else (pk,) for pk in pks]
-        rows, examined = self._session.multi_read(table, keys)
-        self._charge_ops(self._costs.read_cost, max(examined, 1))
+        rows, examined = session.multi_read(table, keys)
+        self._task.pending_charge += self._costs.read_cost * \
+            (examined if examined > 1 else 1) * self._factor
         return rows
 
     def select(self, table_name: str, where: Predicate = ALWAYS,
@@ -179,12 +183,14 @@ class ReactorContext:
                high: tuple | None = None, reverse: bool = False,
                limit: int | None = None) -> list[Row]:
         """Predicate/range scan over one relation of this reactor."""
-        table = self._reactor.table(table_name)
-        result = self._session.scan(
+        table = self._tables[table_name]
+        session = self._session_cache or self._open_session()
+        result = session.scan(
             table, where, index=index, low=low, high=high,
             reverse=reverse, limit=limit)
-        self._charge_ops(self._costs.scan_row_cost,
-                         max(result.examined, 1))
+        examined = result.examined
+        self._task.pending_charge += self._costs.scan_row_cost * \
+            (examined if examined > 1 else 1) * self._factor
         return result.rows
 
     def select_one(self, table_name: str, where: Predicate = ALWAYS,
@@ -201,44 +207,54 @@ class ReactorContext:
         return query.run(rows)
 
     def insert(self, table_name: str, row: Mapping[str, Any]) -> None:
-        table = self._reactor.table(table_name)
-        examined = self._session.insert(table, row)
-        self._charge_ops(self._costs.insert_cost, examined)
+        table = self._tables[table_name]
+        session = self._session_cache or self._open_session()
+        examined = session.insert(table, row)
+        self._task.pending_charge += \
+            self._costs.insert_cost * examined * self._factor
 
     def update(self, table_name: str, pk: Any,
                values: Mapping[str, Any]) -> Row:
         """Read-modify-write one row by primary key; returns the new
         image.  Raises :class:`~repro.errors.RecordNotFound` if absent."""
-        table = self._reactor.table(table_name)
-        new_row, examined = self._session.update(
-            table, _as_pk(pk), values)
-        self._charge_ops(self._costs.write_cost, max(examined, 1))
+        table = self._tables[table_name]
+        session = self._session_cache or self._open_session()
+        new_row, examined = session.update(
+            table, pk if isinstance(pk, tuple) else (pk,), values)
+        self._task.pending_charge += self._costs.write_cost * \
+            (examined if examined > 1 else 1) * self._factor
         return new_row
 
     def update_where(self, table_name: str, where: Predicate,
                      values: Mapping[str, Any]) -> int:
         """Update all rows matching a predicate; returns the count."""
-        table = self._reactor.table(table_name)
         rows = self.select(table_name, where)
+        table = self._tables[table_name]
+        session = self._session_cache
         for row in rows:
-            pk = table.schema.primary_key_of(row)
-            self._session.update(table, pk, values)
-        self._charge_ops(self._costs.write_cost, len(rows))
+            session.update(table, table.schema.primary_key_of(row),
+                           values)
+        self._task.pending_charge += \
+            self._costs.write_cost * len(rows) * self._factor
         return len(rows)
 
     def delete(self, table_name: str, pk: Any) -> None:
-        table = self._reactor.table(table_name)
-        examined = self._session.delete(table, _as_pk(pk))
-        self._charge_ops(self._costs.delete_cost, examined)
+        table = self._tables[table_name]
+        session = self._session_cache or self._open_session()
+        examined = session.delete(
+            table, pk if isinstance(pk, tuple) else (pk,))
+        self._task.pending_charge += \
+            self._costs.delete_cost * examined * self._factor
 
     def delete_where(self, table_name: str, where: Predicate) -> int:
         """Delete all rows matching a predicate; returns the count."""
-        table = self._reactor.table(table_name)
         rows = self.select(table_name, where)
+        table = self._tables[table_name]
+        session = self._session_cache
         for row in rows:
-            pk = table.schema.primary_key_of(row)
-            self._session.delete(table, pk)
-        self._charge_ops(self._costs.delete_cost, len(rows))
+            session.delete(table, table.schema.primary_key_of(row))
+        self._task.pending_charge += \
+            self._costs.delete_cost * len(rows) * self._factor
         return len(rows)
 
     def sql(self, text: str, *params: Any) -> Any:

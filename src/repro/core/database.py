@@ -217,24 +217,28 @@ class ReactorDatabase:
                 args: tuple, kwargs: dict[str, Any],
                 on_done: Callable[..., None] | None,
                 read_only: bool | None) -> RootTransaction:
-        reactor = self.reactor(reactor_name)
+        try:
+            reactor = self._reactors[reactor_name]
+        except KeyError:
+            reactor = self.reactor(reactor_name)  # raises the typed error
         if self.migration is not None:
             self.migration.note_submit(reactor_name)
         if read_only is None:
-            read_only = reactor.rtype.is_read_only(proc_name)
+            read_only = proc_name in reactor.rtype.read_only_procedures
         if read_only and self.replication is not None:
             shadow = self.replication.route_read(reactor)
             if shadow is not None:
                 reactor = shadow
         self._txn_counter += 1
+        now = self.scheduler.now
         root = RootTransaction(
             txn_id=self._txn_counter,
             procedure=proc_name,
             reactor_name=reactor_name,
-            start_time=self.scheduler.now,
+            start_time=now,
         )
         root.read_only = bool(read_only)
-        self.telemetry.trace_root(root, self.scheduler.now)
+        self.telemetry.trace_root(root, now)
         invocation = Invocation(root, reactor, proc_name, args, kwargs,
                                 subtxn_id=0, on_root_done=on_done)
         if reactor.migrating:

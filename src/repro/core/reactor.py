@@ -39,6 +39,9 @@ class ReactorType:
     def __init__(self, name: str, schema_fn: SchemaFn) -> None:
         self.name = name
         self.schema_fn = schema_fn
+        #: ``schema_fn()``'s (immutable) schemas, created at the first
+        #: instantiation and shared by every reactor of the type.
+        self._schemas: tuple[TableSchema, ...] | None = None
         self.procedures: dict[str, Procedure] = {}
         #: Procedures declared read-only: their root transactions are
         #: eligible for read-replica routing (repro.replication) and
@@ -83,7 +86,9 @@ class ReactorType:
 
     def build_catalog(self) -> Catalog:
         """Instantiate the private tables for one reactor instance."""
-        return Catalog(self.schema_fn())
+        if self._schemas is None:
+            self._schemas = tuple(self.schema_fn())
+        return Catalog(self._schemas)
 
     def __repr__(self) -> str:
         return f"ReactorType({self.name!r})"

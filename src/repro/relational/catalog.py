@@ -14,35 +14,44 @@ from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 
 
+class _Tables(dict):
+    """name -> :class:`Table`; subscripting a name that is not there
+    raises the typed error instead of ``KeyError``."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> Table:
+        known = ", ".join(sorted(self)) or "<none>"
+        raise SchemaError(
+            f"no table {name!r} in this reactor; known tables: {known}"
+        )
+
+
 class Catalog:
     """The private tables of one reactor instance."""
 
     def __init__(self, schemas: Iterable[TableSchema] = ()) -> None:
-        self._tables: dict[str, Table] = {}
+        #: Execution contexts subscript it directly (one probe per
+        #: data operation); only :meth:`create_table` adds to it.
+        self.tables = _Tables()
         for schema in schemas:
             self.create_table(schema)
 
     def create_table(self, schema: TableSchema) -> Table:
-        if schema.name in self._tables:
+        if schema.name in self.tables:
             raise SchemaError(f"table {schema.name!r} already exists")
         table = Table(schema)
-        self._tables[schema.name] = table
+        self.tables[schema.name] = table
         return table
 
     def table(self, name: str) -> Table:
-        try:
-            return self._tables[name]
-        except KeyError:
-            known = ", ".join(sorted(self._tables)) or "<none>"
-            raise SchemaError(
-                f"no table {name!r} in this reactor; known tables: {known}"
-            ) from None
+        return self.tables[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._tables
+        return name in self.tables
 
     def __iter__(self) -> Iterator[Table]:
-        return iter(self._tables.values())
+        return iter(self.tables.values())
 
     def table_names(self) -> list[str]:
-        return sorted(self._tables)
+        return sorted(self.tables)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
 from repro.errors import SchemaError
@@ -27,15 +28,29 @@ class ColumnType(Enum):
     def accepts(self, value: Any) -> bool:
         if value is None:
             return True  # nullability checked separately
-        if self is ColumnType.INT:
-            return isinstance(value, int) and not isinstance(value, bool)
-        if self is ColumnType.FLOAT:
-            return isinstance(value, (int, float)) and not isinstance(
-                value, bool
-            )
-        if self is ColumnType.STR:
-            return isinstance(value, str)
-        return isinstance(value, bool)
+        if self is ColumnType.BOOL:
+            return isinstance(value, bool)
+        return isinstance(value, _PYTHON_TYPES[self]) and \
+            not isinstance(value, bool)
+
+
+#: The Python classes a column type stores (``bool`` is an ``int``
+#: subclass but is only ever accepted by BOOL columns).
+_PYTHON_TYPES: dict[ColumnType, tuple[type, ...]] = {
+    ColumnType.INT: (int,),
+    ColumnType.FLOAT: (int, float),
+    ColumnType.STR: (str,),
+    ColumnType.BOOL: (bool,),
+}
+
+#: (column type, nullable) -> the exact value classes such a column
+#: accepts on sight; shared by every column of that shape.
+_FAST_TYPES: dict[tuple[ColumnType, bool], frozenset] = {
+    (ctype, nullable): frozenset(
+        classes + ((type(None),) if nullable else ()))
+    for ctype, classes in _PYTHON_TYPES.items()
+    for nullable in (False, True)
+}
 
 
 @dataclass(frozen=True)
@@ -45,6 +60,17 @@ class Column:
     name: str
     type: ColumnType
     nullable: bool = False
+    #: Exact value classes accepted on sight, chosen once at
+    #: declaration (``NoneType`` included when nullable).  Row
+    #: validation tests ``type(value) in fast_types`` per value and
+    #: only takes anything else — subclasses, mismatches, a ``None``
+    #: in a non-nullable column — through :meth:`validate`.
+    fast_types: frozenset = field(init=False, repr=False,
+                                  compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fast_types",
+                           _FAST_TYPES[self.type, bool(self.nullable)])
 
     def validate(self, value: Any) -> None:
         if value is None:
@@ -81,6 +107,13 @@ class TableSchema:
     columns: tuple[Column, ...]
     primary_key: tuple[str, ...]
     indexes: tuple[IndexSpec, ...] = field(default_factory=tuple)
+    # Compiled once, here, from the declaration above: everything row
+    # and assignment validation would otherwise re-derive per call.
+    column_names: tuple[str, ...] = field(init=False, repr=False,
+                                          compare=False)
+    _by_name: dict[str, Column] = field(init=False, repr=False,
+                                        compare=False)
+    _pk_of: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
@@ -106,16 +139,17 @@ class TableSchema:
                         f"index {spec.name!r} references unknown column "
                         f"{col!r}"
                     )
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
+        compiled = object.__setattr__
+        compiled(self, "column_names", tuple(names))
+        compiled(self, "_by_name", {c.name: c for c in self.columns})
+        compiled(self, "_pk_of", itemgetter(*self.primary_key))
 
     def column(self, name: str) -> Column:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise SchemaError(f"no column {name!r} in table {self.name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(
+                f"no column {name!r} in table {self.name!r}") from None
 
     def validate_row(self, row: Mapping[str, Any]) -> dict[str, Any]:
         """Validate and normalize a full row; returns a fresh dict.
@@ -124,15 +158,19 @@ class TableSchema:
         non-nullable columns are an error, as are unknown keys.
         """
         out: dict[str, Any] = {}
+        present = 0
         for col in self.columns:
-            if col.name in row:
-                value = row[col.name]
+            name = col.name
+            if name in row:
+                value = row[name]
+                present += 1
             else:
                 value = None
-            col.validate(value)
-            out[col.name] = value
-        unknown = set(row) - set(out)
-        if unknown:
+            if type(value) not in col.fast_types:
+                col.validate(value)
+            out[name] = value
+        if present != len(row):
+            unknown = set(row) - set(out)
             raise SchemaError(
                 f"unknown columns {sorted(unknown)} for table {self.name!r}"
             )
@@ -140,23 +178,29 @@ class TableSchema:
 
     def validate_assignments(self, assignments: Mapping[str, Any]) -> None:
         """Validate a partial update (column -> new value)."""
+        by_name = self._by_name
         for name, value in assignments.items():
-            col = self.column(name)
+            try:
+                col = by_name[name]
+            except KeyError:
+                col = self.column(name)  # raises the typed error
             if name in self.primary_key:
                 raise SchemaError(
                     f"cannot update primary key column {name!r}"
                 )
-            col.validate(value)
+            if type(value) not in col.fast_types:
+                col.validate(value)
 
     def primary_key_of(self, row: Mapping[str, Any]) -> tuple:
         """Extract the primary-key tuple from a row."""
         try:
-            return tuple(row[c] for c in self.primary_key)
+            key = self._pk_of(row)
         except KeyError as exc:
             raise SchemaError(
                 f"row missing primary key column {exc.args[0]!r} "
                 f"for table {self.name!r}"
             ) from exc
+        return key if len(self.primary_key) > 1 else (key,)
 
 
 def column(name: str, type_: ColumnType | str,

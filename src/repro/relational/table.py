@@ -37,7 +37,7 @@ from repro.storage.store import create_store
 class Table:
     """Committed storage for one relation of one reactor."""
 
-    __slots__ = ("schema", "owner", "store", "versioning",
+    __slots__ = ("schema", "owner", "store", "records", "versioning",
                  "versioning_scope", "structure_version", "indexes")
 
     def __init__(self, schema: TableSchema,
@@ -48,6 +48,11 @@ class Table:
         self.owner: str | None = None
         #: The pluggable committed record map (per-key version chains).
         self.store = create_store(store_kind)
+        #: ``store.record_map()``, resolved once: the raw pk → head
+        #: mapping of a dict-backed store (tombstoned heads included —
+        #: readers skip ``record.deleted`` as :meth:`Store.get` does),
+        #: or ``None`` when the store must be asked per key.
+        self.records = self.store.record_map()
         #: The owning database's storage coordinator, wired at
         #: bootstrap/adoption; ``None`` for standalone tables (no
         #: snapshot readers, no version bookkeeping).
@@ -120,7 +125,7 @@ class Table:
 
     def records_for_pks(self, pks: Any) -> list[VersionedRecord]:
         """Live records for an iterable of primary keys (sorted)."""
-        records = self.store.record_map()
+        records = self.records
         if records is None:
             get = self.store.get
             return [record for pk in sorted(pks)
@@ -171,65 +176,76 @@ class Table:
     # Write-phase installation (called by the CC layer at commit only).
     # ------------------------------------------------------------------
 
-    def install_insert(self, row: Mapping[str, Any],
+    # The install paths take ownership of the image they are handed
+    # and install it as is — no re-validation, no copy.  Every image
+    # that reaches them was born validated: write intents are built by
+    # the record manager from a committed image plus
+    # ``validate_assignments``-checked values (updates) or from
+    # ``validate_row`` output (inserts), and log replay feeds back
+    # images that were installed once already.  :meth:`load_row` is the
+    # one entry that accepts unvalidated input, and validates it.
+
+    def install_insert(self, row: dict[str, Any],
                        tid: int) -> VersionedRecord:
         """Create a new committed record (or revive a tombstone).
 
         All-or-nothing: uniqueness (primary key and unique secondary
-        indexes) is validated before any structure is mutated, so a
+        indexes) is checked before any structure is mutated, so a
         refused insert leaves the table exactly as it was.
         """
-        validated = self.schema.validate_row(row)
-        pk = self.schema.primary_key_of(validated)
+        pk = self.schema.primary_key_of(row)
         existing = self.store.peek(pk)
         if existing is not None and not existing.deleted:
             raise DuplicateKeyError(
                 f"duplicate primary key {pk!r} in table {self.name!r}"
             )
         for index in self.indexes.values():
-            index.check_insert(index.key_of(validated))
+            index.check_insert(index.key_of(row))
         if existing is not None:
             created, pruned = existing.install(
-                validated, tid, self._keep_watermark())
-            self._note_versions(existing, created, pruned)
+                row, tid, self._keep_watermark())
+            if created or pruned:
+                self._note_versions(existing, created, pruned)
             record = existing
         else:
-            record = VersionedRecord(pk, validated, tid)
+            record = VersionedRecord(pk, row, tid)
             self.store.put(pk, record)
         self.structure_version += 1
         for index in self.indexes.values():
-            index.insert(index.key_of(validated), pk)
+            index.insert(index.key_of(row), pk)
         return record
 
     def install_update(self, record: VersionedRecord,
-                       new_value: Mapping[str, Any], tid: int) -> None:
+                       new_value: dict[str, Any], tid: int) -> None:
         """Install a new committed version of a record, maintaining
         indexes.
 
         All-or-nothing, like :meth:`install_insert`: unique-index
         violations are detected before any index is touched.
         """
-        validated = self.schema.validate_row(new_value)
-        rekeyed = []
-        for index in self.indexes.values():
-            old_key = index.key_of(record.value)
-            new_key = index.key_of(validated)
-            if old_key != new_key:
-                index.check_insert(new_key)
-                rekeyed.append((index, old_key, new_key))
-        for index, old_key, new_key in rekeyed:
-            index.remove(old_key, record.key)
-            index.insert(new_key, record.key)
-        created, pruned = record.install(validated, tid,
+        if self.indexes:
+            rekeyed = []
+            for index in self.indexes.values():
+                old_key = index.key_of(record.value)
+                new_key = index.key_of(new_value)
+                if old_key != new_key:
+                    index.check_insert(new_key)
+                    rekeyed.append((index, old_key, new_key))
+            for index, old_key, new_key in rekeyed:
+                index.remove(old_key, record.key)
+                index.insert(new_key, record.key)
+        created, pruned = record.install(new_value, tid,
                                          self._keep_watermark())
-        self._note_versions(record, created, pruned)
+        if created or pruned:
+            self._note_versions(record, created, pruned)
 
     def install_delete(self, record: VersionedRecord, tid: int) -> None:
         """Tombstone a record and remove it from indexes."""
         for index in self.indexes.values():
             index.remove(index.key_of(record.value), record.key)
         created, pruned = record.mark_deleted(tid, self._keep_watermark())
-        self._note_versions(record, created, pruned)
+        if created or pruned:
+            self._note_versions(record, created, pruned)
         self.structure_version += 1
 
     def ensure_placeholder(self, pk: tuple) -> VersionedRecord:
@@ -263,8 +279,11 @@ class Table:
     # ------------------------------------------------------------------
 
     def load_row(self, row: Mapping[str, Any], tid: int = 0) -> None:
-        """Insert without concurrency control; for initial data loads."""
-        self.install_insert(row, tid)
+        """Insert without concurrency control; for initial data loads.
+
+        Validates (and thereby copies) ``row``: bulk loading is the
+        one path that hands the table input nobody has checked."""
+        self.install_insert(self.schema.validate_row(row), tid)
 
     def rows(self) -> list[dict[str, Any]]:
         """Snapshot of all committed rows (testing/inspection)."""

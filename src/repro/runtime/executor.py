@@ -27,8 +27,8 @@ categories as charges and waits are attributed (see
 
 from __future__ import annotations
 
-import inspect
 from collections import deque
+from types import GeneratorType
 from typing import Any, Callable
 
 from repro.concurrency.coordinator import TwoPhaseCommit
@@ -51,12 +51,6 @@ _READY = "ready"
 _RUNNING = "running"
 _BLOCKED = "blocked"
 _DONE = "done"
-
-#: Lazily-cached :class:`repro.core.context.ReactorContext`.  The
-#: import is deferred (core.context yields runtime effect objects, so a
-#: module-scope import would be circular) but resolving it once instead
-#: of per frame keeps ``_push_frame`` off the import machinery.
-_ReactorContext: type | None = None
 
 
 class Invocation:
@@ -138,7 +132,10 @@ def _frame_body(proc: Callable, ctx: Any, args: tuple,
     """
     try:
         result = proc(ctx, *args, **kwargs)
-        if inspect.isgenerator(result):
+        # Generator procedures — and plain ones that *return* a
+        # generator — are driven to completion; GeneratorType cannot
+        # be subclassed, so the identity test is isinstance exactly.
+        if type(result) is GeneratorType:
             result = yield from result
     except Exception:
         # Even on abort, outstanding sub-transactions must finish
@@ -164,7 +161,7 @@ class TransactionExecutor:
     __slots__ = ("executor_id", "core_id", "container", "scheduler",
                  "costs", "mpl", "queue", "ready", "running",
                  "_dispatch_scheduled", "busy_time", "requests_served",
-                 "_shadow_of", "_cid", "_future_cls")
+                 "_shadow_of", "_cid", "_future_cls", "_context_cls")
 
     def __init__(self, executor_id: int, core_id: int, container: Any,
                  scheduler: Any, costs: Any, mpl: int = 1) -> None:
@@ -181,6 +178,11 @@ class TransactionExecutor:
         self._future_cls = getattr(scheduler, "future_class", None) \
             or SimFuture
         self._cid = container.container_id
+        # Deferred import (core.context yields runtime effect objects,
+        # so a module-scope import would be circular), resolved once
+        # per executor rather than guarded per frame.
+        from repro.core.context import ReactorContext
+        self._context_cls = ReactorContext
         self.costs = costs
         self.mpl = mpl
         self.queue: deque[Invocation] = deque()
@@ -232,15 +234,12 @@ class TransactionExecutor:
             task = self.ready.popleft()
             self._resume_woken(task)
             return
-        if self.queue and self._admitted_nonblocked() < self.mpl:
+        # The MPL bounds admitted *non-blocked* tasks; with nothing
+        # running and nothing ready that count is zero, so (mpl >= 1)
+        # there is always room for the next request.
+        if self.queue:
             invocation = self.queue.popleft()
             self._start_invocation(invocation)
-
-    def _admitted_nonblocked(self) -> int:
-        count = len(self.ready)
-        if self.running is not None:
-            count += 1
-        return count
 
     # ------------------------------------------------------------------
     # Task lifecycle
@@ -324,15 +323,13 @@ class TransactionExecutor:
     def _push_frame(self, task: Task, reactor: Any, subtxn_id: int,
                     entered: bool, proc_name: str, args: tuple,
                     kwargs: dict) -> Frame:
-        global _ReactorContext
-        context_cls = _ReactorContext
-        if context_cls is None:
-            from repro.core.context import ReactorContext
-            context_cls = _ReactorContext = ReactorContext
-
-        proc = reactor.rtype.get_procedure(proc_name)
+        try:
+            proc = reactor.rtype.procedures[proc_name]
+        except KeyError:
+            # Raises the typed error naming the known procedures.
+            proc = reactor.rtype.get_procedure(proc_name)
         frame = Frame(None, reactor, subtxn_id, entered)
-        ctx = context_cls(reactor, task.root, task, self.costs)
+        ctx = self._context_cls(reactor, task.root, task, self.costs)
         frame.gen = _frame_body(proc, ctx, args, kwargs, frame)
         task.frames.append(frame)
         task.pending_charge += self.costs.proc_base_cost
@@ -370,8 +367,7 @@ class TransactionExecutor:
             else:
                 effect = gen.send(send_value)
         except StopIteration as stop:
-            self._after_charge(task, self._frame_done, task, stop.value)
-            return
+            fn, outcome = self._frame_done, stop.value
         except SimulationError:
             raise  # a runtime bug, not an application condition
         except ReactorError as error:
@@ -379,27 +375,22 @@ class TransactionExecutor:
             # duplicate keys, unknown reactors...) abort the root
             # transaction; anything else is a bug and propagates.
             if isinstance(error, TransactionAbort):
-                exc: TransactionAbort = error
+                outcome = error
             else:
-                exc = UserAbort(f"{type(error).__name__}: {error}")
-            self._after_charge(task, self._frame_aborted, task, exc)
-            return
-        self._after_charge(task, self._process_effect, task, effect)
-
-    def _after_charge(self, task: Task, fn: Callable[..., None],
-                      *args: Any) -> None:
-        """Convert accrued data-operation cost into busy time first.
-
-        Continuations are ``(fn, *args)`` pairs, never closures: the
-        trampoline runs once per effect, and allocating a lambda per
-        hop dominated its profile.
-        """
+                outcome = UserAbort(f"{type(error).__name__}: {error}")
+            fn = self._frame_aborted
+        else:
+            fn, outcome = self._process_effect, effect
+        # Convert accrued data-operation cost into busy time first.
+        # Continuations are ``(fn, *args)`` pairs, never closures: the
+        # trampoline runs once per effect, and allocating a lambda per
+        # hop dominated its profile.
         pending = task.pending_charge
         if pending > 0.0:
             task.pending_charge = 0.0
-            self._busy(task, pending, "exec", fn, *args)
+            self._busy(task, pending, "exec", fn, task, outcome)
         else:
-            fn(*args)
+            fn(task, outcome)
 
     def _busy(self, task: Task, micros: float, category: str,
               fn: Callable[..., None], *args: Any) -> None:
@@ -407,7 +398,9 @@ class TransactionExecutor:
         with ``fn(*args)``."""
         self.busy_time += micros
         if task.invocation.subtxn_id == 0:
-            task.root.charge(_BREAKDOWN[category], micros)
+            # RootTransaction.charge(), spelled out: this runs on
+            # every hop of every root.
+            task.root.breakdown[_BREAKDOWN[category]] += micros
         if micros > 0.0:
             # Backend hook: a virtual sleep on sim (byte-identical to
             # the historical after()), an inline continuation on the
@@ -699,6 +692,9 @@ class TransactionExecutor:
 
     def _commit_root(self, task: Task, result: Any) -> None:
         root = task.root
+        # The participant set is final from here on (every frame has
+        # returned): walk it once for pricing and hand the same list
+        # to the commit itself.
         participants = root.participants()
         trace = root.trace
         if trace is not None:
@@ -711,33 +707,40 @@ class TransactionExecutor:
         # Snapshot sessions report zero validation reads — their reads
         # pin versions and are never re-checked, so a snapshot-served
         # read-only commit pays only the base fee.
+        reads = writes = 0
+        for __, session in participants:
+            reads += session.validation_read_count
+            writes += session.write_count
         cost = self.container.concurrency.commit_cost(
-            self.costs, root.total_validation_reads(),
-            root.total_writes())
+            self.costs, reads, writes)
         if len(participants) > 1:
             cost += self.costs.tpc_prepare_per_container * \
                 len(participants)
-        self._busy(task, cost, "commit", self._do_commit, task, result)
+        self._busy(task, cost, "commit", self._do_commit, task, result,
+                   participants)
 
-    def _do_commit(self, task: Task, result: Any) -> None:
+    def _do_commit(self, task: Task, result: Any,
+                   participants: list) -> None:
         root = task.root
-        participants = root.participants()
         if not participants:
             # A transaction that touched no data commits trivially
             # (e.g. pure-compute procedures, empty transactions).
             self._complete_root(task, True, None, result)
             return
         database = self.container.database
-        if any(manager.failed for manager, __ in participants):
-            # A participant container crashed under this transaction
-            # (replication failover): its writes would land in dead
-            # storage, so the commit must not be reported.
-            with self.scheduler.commit_guard(root.sessions):
-                TwoPhaseCommit(participants).abort(reason=None)
-            if database.replication is not None:
-                database.replication.stats.failover_aborts += 1
-            self._complete_root(task, False, "container failed", None)
-            return
+        for manager, __ in participants:
+            if manager.failed:
+                # A participant container crashed under this
+                # transaction (replication failover): its writes would
+                # land in dead storage, so the commit must not be
+                # reported.
+                with self.scheduler.commit_guard(root.sessions):
+                    TwoPhaseCommit(participants).abort(reason=None)
+                if database.replication is not None:
+                    database.replication.stats.failover_aborts += 1
+                self._complete_root(task, False, "container failed",
+                                    None)
+                return
         # Backend hook: a no-op guard on sim; under threads it holds
         # the state lock plus every participant container's lock, so
         # validate+install (and the flusher appends / replication ship

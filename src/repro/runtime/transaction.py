@@ -32,6 +32,8 @@ CATEGORIES = (
     "commit_input_gen",
 )
 
+_NO_CHARGES = dict.fromkeys(CATEGORIES, 0.0)
+
 
 @dataclass(slots=True)
 class TxnStats:
@@ -88,7 +90,7 @@ class RootTransaction:
         #: migration drains on per-instance in-flight root sets, which
         #: the executor clears through these references at completion.
         self.reactor_refs: list[Any] = []
-        self.breakdown: dict[str, float] = {c: 0.0 for c in CATEGORIES}
+        self.breakdown: dict[str, float] = dict(_NO_CHARGES)
         self.remote_calls = 0
         self.on_complete = on_complete
         self.finished = False
@@ -144,20 +146,22 @@ class RootTransaction:
         return entry[1]
 
     def participants(self) -> list[tuple[ConcurrencyControl, CCSession]]:
+        """The ``(manager, session)`` pairs in container-id order (the
+        deterministic global validation order)."""
         return [self.sessions[cid] for cid in sorted(self.sessions)]
 
     def charge(self, category: str, micros: float) -> None:
-        self.breakdown[category] = self.breakdown.get(category, 0.0) \
-            + micros
+        """Add ``micros`` to one latency-breakdown category.
+
+        ``breakdown`` is pre-seeded with every entry of
+        :data:`CATEGORIES`, so a misspelt category raises ``KeyError``
+        here instead of minting a key that leaks into
+        :attr:`TxnStats.breakdown`.
+        """
+        self.breakdown[category] += micros
 
     def total_reads(self) -> int:
         return sum(s.read_count for __, s in self.sessions.values())
-
-    def total_validation_reads(self) -> int:
-        """Reads the commit phase must re-validate (0 per snapshot
-        session — the pricing behind mvocc's cheap read-only commit)."""
-        return sum(s.validation_read_count
-                   for __, s in self.sessions.values())
 
     def total_writes(self) -> int:
         return sum(s.write_count for __, s in self.sessions.values())

@@ -27,19 +27,30 @@ _NULL_GUARD = nullcontext()
 
 
 class Event:
-    """A scheduled callback; cancellable."""
+    """A scheduled callback; cancellable.
+
+    Constructing an event enqueues it: every scheduling entry point
+    (``at``/``after``/``soon`` and the ``post``/``busy`` backend
+    hooks) is one call that stamps a time plus this constructor, which
+    takes the scheduler's next sequence number and pushes itself.
+    """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_scheduler")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any],
-                 args: tuple,
-                 scheduler: "SimScheduler | None" = None) -> None:
+    def __init__(self, scheduler: "SimScheduler", time: float,
+                 fn: Callable[..., Any], args: tuple) -> None:
+        seq = scheduler._seq
+        scheduler._seq = seq + 1
         self.time = time
         self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._scheduler = scheduler
+        #: Cleared at dispatch: a later cancel() must not touch the
+        #: scheduler's live counter again.
+        self._scheduler: "SimScheduler | None" = scheduler
+        heappush(scheduler._queue, (time, seq, self))
+        scheduler._live += 1
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when popped."""
@@ -119,25 +130,25 @@ class SimScheduler:
                     f"requested={timestamp}"
                 )
             timestamp = now
-        event = Event(timestamp, self._seq, fn, args, scheduler=self)
-        self._seq += 1
-        heappush(self._queue, (timestamp, event.seq, event))
-        self._live += 1
-        return event
+        return Event(self, timestamp, fn, args)
 
     def _on_cancel(self, event: Event) -> None:
         self._live -= 1
+
+    # after/soon (and the post/busy backend hooks below) do not go
+    # through at(): ``now + non-negative`` needs none of its
+    # past-scheduling checks.
 
     def after(self, delay: float, fn: Callable[..., Any],
               *args: Any) -> Event:
         """Schedule ``fn(*args)`` after ``delay`` microseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.at(self.clock.now + delay, fn, *args)
+        return Event(self, self.clock.now + delay, fn, args)
 
     def soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current time (after this event)."""
-        return self.at(self.clock.now, fn, *args)
+        return Event(self, self.clock.now, fn, args)
 
     def run(self, until: float | None = None,
             max_events: int | None = None) -> None:
@@ -213,14 +224,16 @@ class SimScheduler:
         this is exactly :meth:`soon` — same timestamp, same sequence
         ordering as the pre-backend code.
         """
-        return self.at(self.clock.now, fn, *args)
+        return Event(self, self.clock.now, fn, args)
 
     def busy(self, micros: float, fn: Callable[..., Any],
              *args: Any) -> Event:
         """Model ``micros`` of executor CPU occupancy, then continue
         with ``fn(*args)`` — a virtual sleep here; real elapsed work
         on a wall-clock backend."""
-        return self.at(self.clock.now + micros, fn, *args)
+        if micros < 0:
+            raise SimulationError(f"negative delay: {micros}")
+        return Event(self, self.clock.now + micros, fn, args)
 
     def add_waiter(self, future: Any, callback: Callable[..., None],
                    *args: Any, container: int | None = None) -> None:

@@ -5,7 +5,7 @@ import pytest
 from repro.concurrency.coordinator import TwoPhaseCommit
 from repro.concurrency.occ import ConcurrencyManager
 from repro.concurrency.tid import EpochManager
-from repro.errors import DuplicateKeyError, RecordNotFound
+from repro.errors import DuplicateKeyError, RecordNotFound, SchemaError
 from repro.relational.predicate import col
 from repro.relational.schema import (
     IndexSpec,
@@ -34,6 +34,46 @@ def manager():
 
 def commit(manager, session, now=1.0):
     return TwoPhaseCommit([(manager, session)]).commit(now)
+
+
+class TestIntentImagesAreBornValidated:
+    """Installation trusts the intent's image (no re-validation, no
+    copy), so the record manager must be the gate — and must never
+    hand that image out."""
+
+    def test_invalid_writes_never_reach_the_write_set(self, table,
+                                                      manager):
+        s = manager.begin_session(1)
+        with pytest.raises(SchemaError):
+            s.insert(table, {"id": 100, "v": "not a float"})
+        with pytest.raises(SchemaError):
+            s.insert(table, {"id": 100, "v": 1.0, "extra": 1})
+        with pytest.raises(SchemaError):
+            s.update(table, (1,), {"v": "not a float"})
+        with pytest.raises(SchemaError):
+            s.update(table, (1,), {"id": 7})
+        with pytest.raises(SchemaError):
+            s.update(table, (1,), {"nope": 1.0})
+        assert s.write_count == 0
+
+    def test_update_returns_a_copy_of_the_intent_image(self, table,
+                                                       manager):
+        s = manager.begin_session(1)
+        returned, __ = s.update(table, (1,), {"v": 10.0})
+        returned["v"] = "scribbled on by the procedure"
+        merged, __ = s.update(table, (1,), {"v": 11.0})
+        merged["v"] = "and again"
+        assert commit(manager, s).committed
+        assert table.get_record((1,)).value == {"id": 1, "v": 11.0}
+
+    def test_committed_image_is_the_intent_image(self, table, manager):
+        s = manager.begin_session(1)
+        s.update(table, (2,), {"v": 20.0})
+        s.insert(table, {"id": 100, "v": 1.0})
+        images = {i.pk: i.new_value for i in s.sorted_intents()}
+        assert commit(manager, s).committed
+        for pk, image in images.items():
+            assert table.get_record(pk).value is image
 
 
 class TestReadYourWrites:

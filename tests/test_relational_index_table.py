@@ -177,11 +177,25 @@ class TestTable:
         keys = [r.key for r in table.iter_records()]
         assert keys == [(1, 1), (1, 3)]
 
-    def test_schema_validation_on_insert(self):
+    def test_schema_validation_on_load(self):
+        # load_row is the table's one entry for unvalidated input; the
+        # install_* paths take images the record manager already
+        # validated (next test).
         table = Table(order_schema())
         with pytest.raises(SchemaError):
-            table.install_insert({"d_id": 1, "o_id": 1,
-                                  "status": 7, "amount": 0.0}, tid=1)
+            table.load_row({"d_id": 1, "o_id": 1,
+                            "status": 7, "amount": 0.0}, tid=1)
+        assert len(table) == 0
+
+    def test_load_copies_install_takes_ownership_of_the_image(self):
+        table = Table(order_schema())
+        row = {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0}
+        table.load_row(row, tid=1)
+        record = table.get_record((1, 1))
+        assert record.value == row and record.value is not row
+        image = dict(row, status="done")
+        table.install_update(record, image, tid=2)
+        assert record.value is image
 
     def test_placeholder_is_invisible_and_lockable(self):
         table = Table(order_schema())

@@ -12,6 +12,7 @@ from repro.core.deployment import (
 )
 from repro.durability import enable_durability, recover, take_checkpoint
 from repro.experiments import common
+from repro.runtime.transaction import CATEGORIES, RootTransaction
 from repro.sim.machine import OPTERON_6274
 from repro.workloads import tpcc
 from tests.conftest import ACCOUNT, account_name, make_bank
@@ -40,6 +41,49 @@ class TestContainerRouting:
         container = reactor.container
         for __ in range(3):
             assert container.route(reactor) is reactor.pinned_executor
+
+
+class TestLatencyBreakdownCategories:
+    """``RootTransaction.charge`` used to mint a key for any string it
+    was handed (``breakdown.get(category, 0.0)``), and the typo then
+    leaked into ``TxnStats.breakdown``."""
+
+    def test_unknown_category_raises_at_the_call_site(self):
+        root = RootTransaction(1, "proc", "reactor", 0.0)
+        with pytest.raises(KeyError):
+            root.charge("sync_excution", 1.0)
+        assert set(root.breakdown) == set(CATEGORIES)
+
+    def test_every_category_is_accepted_and_reported(self):
+        root = RootTransaction(1, "proc", "reactor", 0.0)
+        for index, category in enumerate(CATEGORIES):
+            root.charge(category, 1.0 + index)
+            root.charge(category, 0.5)
+        stats = root.make_stats(10.0, True, None)
+        assert list(stats.breakdown) == list(CATEGORIES)
+        assert stats.breakdown == {
+            category: 1.5 + index
+            for index, category in enumerate(CATEGORIES)}
+        # The stats own a copy: later charges do not reach them.
+        root.charge("cs", 100.0)
+        assert stats.breakdown["cs"] == 2.5
+
+    def test_executed_roots_report_exactly_the_categories(self):
+        database = make_bank(shared_nothing(3))
+        seen = []
+        for name, proc, args in (("acct0", "get_balance", ()),
+                                 ("acct1", "transfer", ("acct2", 1.0)),
+                                 ("acct2", "credit", (-1e9,))):
+            database.submit(
+                name, proc, *args,
+                on_done=lambda root, committed, reason, result:
+                seen.append(root.make_stats(0.0, committed, reason)))
+        database.scheduler.run()
+        # Two commits (one spanning containers) and one user abort.
+        assert sorted(stats.committed for stats in seen) == \
+            [False, True, True]
+        for stats in seen:
+            assert set(stats.breakdown) == set(CATEGORIES)
 
 
 class TestWorkerBehavior:

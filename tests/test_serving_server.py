@@ -270,7 +270,10 @@ def test_malformed_request_answered_with_typed_error():
     try:
         with socket.create_connection(
                 (server.host, server.port), timeout=10) as sock:
-            sock.sendall(protocol.encode_frame(protocol.hello()))
+            # These tests hand-frame JSON: offer only that codec, or a
+            # server that also has msgpack would pick it.
+            sock.sendall(protocol.encode_frame(
+                protocol.hello(codecs=("json",))))
             assert _recv_frame(sock)["type"] == "hello_ok"
             sock.sendall(protocol.encode_frame(
                 {"type": "request", "id": 1, "session": 0}))
@@ -303,7 +306,10 @@ def test_undecodable_frame_answered_then_closed():
     try:
         with socket.create_connection(
                 (server.host, server.port), timeout=10) as sock:
-            sock.sendall(protocol.encode_frame(protocol.hello()))
+            # These tests hand-frame JSON: offer only that codec, or a
+            # server that also has msgpack would pick it.
+            sock.sendall(protocol.encode_frame(
+                protocol.hello(codecs=("json",))))
             assert _recv_frame(sock)["type"] == "hello_ok"
             sock.sendall(struct.pack(">I", 8) + b"not json")
             answer = _recv_frame(sock)
