@@ -63,35 +63,6 @@ INSERT = "insert"
 UPDATE = "update"
 DELETE = "delete"
 
-#: Lazily-cached :class:`repro.durability.wal.RedoEntry` (the import is
-#: deferred — durability imports this module — but resolved once, not
-#: once per installed write).
-_RedoEntry: type | None = None
-
-
-def make_redo_entry(intent: "WriteIntent", commit_tid: int) -> Any:
-    """The redo-log record for one installed write intent.
-
-    Shared by the per-session install path below and the epoch-batched
-    engine in :mod:`repro.concurrency.batch` so both emit byte-identical
-    log entries.  ``commit_tid`` is unused today (the log keys entries
-    by TID at append time) but keeps the call shape stable.
-    """
-    global _RedoEntry
-    entry_cls = _RedoEntry
-    if entry_cls is None:
-        from repro.durability.wal import RedoEntry
-        entry_cls = _RedoEntry = RedoEntry
-    new_value = intent.new_value
-    return entry_cls(
-        reactor=intent.table.owner or "",
-        table=intent.table.name,
-        kind=intent.kind,
-        pk=intent.pk,
-        row=dict(new_value) if new_value is not None else None,
-    )
-
-
 def _intent_order_key(intent: "WriteIntent") -> tuple[str, str]:
     """Deterministic global lock order for write intents.
 
@@ -209,9 +180,9 @@ class CCSession:
     installation and abort.
     """
 
-    __slots__ = ("txn_id", "container_id", "owner", "_reads",
-                 "_writes", "_node_checks", "_locked", "_placeholders",
-                 "finished", "_sorted_intents")
+    __slots__ = ("txn_id", "container_id", "owner", "read_only",
+                 "_reads", "_writes", "_node_checks", "_locked",
+                 "_placeholders", "finished", "_sorted_intents")
 
     #: Does this session class override :meth:`_begin_op` /
     #: :meth:`_register_read`?  Decided once per class: the point and
@@ -230,11 +201,19 @@ class CCSession:
     def __init__(self, txn_id: int, container_id: int) -> None:
         self.txn_id = txn_id
         self.container_id = container_id
-        #: The owning RootTransaction when driven by the runtime
-        #: (``None`` for manually driven sessions).  Schemes use it
-        #: for transaction-wide state shared across that root's
-        #: per-container sessions — e.g. 2PL wound propagation.
+        #: The owning RootTransaction while the runtime drives this
+        #: session (``None`` when driven by hand, and again once the
+        #: manager finished it: a completed root is no reference
+        #: cycle).  For transaction-wide state shared across a root's
+        #: per-container sessions — 2PL wound propagation.
         self.owner: Any = None
+        #: Set once, when a read-only root opens the session.  Such a
+        #: root may have been routed to a read replica or be running
+        #: on a snapshot: its writes abort rather than mutate state
+        #: the reader was promised not to touch (on the primary too,
+        #: for symmetry) — insert, update and delete all raise the
+        #: typed :class:`~repro.errors.ReadOnlyViolation`.
+        self.read_only = False
         # record -> tid seen at first read (records hash by identity,
         # so this is the id(record)-keyed map without the id() calls)
         self._reads: dict[VersionedRecord, int] = {}
@@ -260,23 +239,9 @@ class CCSession:
     def _begin_op(self) -> None:
         """Runs before every public data operation (2PL: wound check)."""
 
-    def _check_writable(self) -> None:
-        """Refuse writes of read-only root transactions.
-
-        A root marked read-only may have been routed to a read replica
-        (see :mod:`repro.replication`) or be running on a multi-version
-        snapshot; its writes must abort rather than mutate state the
-        reader was promised not to touch — and for symmetry the same
-        contract holds when it ran on the primary.  Every mutation path
-        (insert, update, delete) raises the same typed
-        :class:`~repro.errors.ReadOnlyViolation`.
-        """
-        if self.owner is not None and \
-                getattr(self.owner, "read_only", False):
-            raise ReadOnlyViolation(
-                f"read-only transaction {self.txn_id} attempted a "
-                "write"
-            )
+    def _read_only_violation(self) -> ReadOnlyViolation:
+        return ReadOnlyViolation(
+            f"read-only transaction {self.txn_id} attempted a write")
 
     def _register_read(self, record: VersionedRecord) -> None:
         """A committed record joined the read footprint."""
@@ -415,7 +380,8 @@ class CCSession:
         raise immediately (concurrent duplicates surface at commit)."""
         if self._hooks_begin_op:
             self._begin_op()
-        self._check_writable()
+        if self.read_only:
+            raise self._read_only_violation()
         validated = table.schema.validate_row(row)
         pk = table.schema.primary_key_of(validated)
         intent = self._intent_for(table, pk)
@@ -447,7 +413,8 @@ class CCSession:
         """
         if self._hooks_begin_op:
             self._begin_op()
-        self._check_writable()
+        if self.read_only:
+            raise self._read_only_violation()
         table.schema.validate_assignments(assignments)
         writes = self._writes
         if writes:
@@ -490,7 +457,8 @@ class CCSession:
         """Buffer a delete; returns records examined."""
         if self._hooks_begin_op:
             self._begin_op()
-        self._check_writable()
+        if self.read_only:
+            raise self._read_only_violation()
         intent = self._intent_for(table, pk)
         if intent is not None:
             if intent.kind == INSERT:
@@ -710,8 +678,10 @@ class CCSession:
         return record.locked_by is not None
 
     def release_locks(self) -> None:
+        txn_id = self.txn_id
         for record in self._locked:
-            record.unlock(self.txn_id)
+            if record.locked_by == txn_id:  # record.unlock(), inline
+                record.locked_by = None
         self._locked.clear()
 
     def max_observed_tid(self) -> int:
@@ -736,6 +706,10 @@ class ConcurrencyControl:
     #: Registry name of the scheme (set by subclasses).
     scheme = "abstract"
 
+    #: Skip (instead of propagating) a write whose install is refused.
+    #: Only a scheme that neither validates nor locks can see one.
+    best_effort_install = False
+
     __slots__ = ("container_id", "tids", "stats", "redo_log", "failed")
 
     def __init__(self, container_id: int, epochs: EpochManager) -> None:
@@ -743,7 +717,8 @@ class ConcurrencyControl:
         self.tids = TidGenerator(epochs)
         self.stats = CCStats()
         #: Optional redo log (see repro.durability): when set, every
-        #: installed write is logged with its commit TID.
+        #: installed write is logged with its commit TID, through the
+        #: log's ``make_entry`` / ``append``.
         self.redo_log: Any = None
         #: Set when this manager's container failed (replication
         #: failover): sessions created here must abort at commit —
@@ -803,50 +778,60 @@ class ConcurrencyControl:
                 + costs.occ_install_per_write * writes)
 
     def install(self, session: CCSession, commit_tid: int) -> int:
-        """Phase-2 write installation; returns number of writes."""
-        count = 0
-        install_intent = self._install_intent
-        redo_log = self.redo_log
-        if redo_log is None:
-            for intent in session.sorted_intents():
-                if install_intent(intent, commit_tid):
-                    count += 1
-        else:
-            log_entries = []
-            for intent in session.sorted_intents():
-                if not install_intent(intent, commit_tid):
-                    continue
-                count += 1
-                log_entries.append(make_redo_entry(intent, commit_tid))
-            if log_entries:
-                redo_log.append(commit_tid, log_entries)
-        session.release_locks()
-        # Installed inserts revived their placeholders; any left over
-        # belong to cancelled insert+delete pairs.
-        session.reclaim_placeholders()
-        session.finished = True
-        self.tids.advance_to(commit_tid)
-        return count
+        """Phase-2 write installation; returns number of writes.
 
-    def _install_intent(self, intent: WriteIntent,
-                        commit_tid: int) -> bool:
-        """Apply one buffered write; returns whether it was applied.
-
-        Under a real scheme this can only succeed — validation/locking
+        One pass over the ordered write set, one call per write: each
+        intent goes straight to its table's install (the GC watermark
+        resolved per table, not per write) and, when a redo log is
+        attached, is logged as an entry *sharing* the image just
+        installed (:class:`repro.durability.wal.RedoEntry`).  Under a
+        real scheme an install can only succeed — validation/locking
         guarantees exclusivity — so failures propagate as bugs.
         """
-        if intent.kind == INSERT:
-            assert intent.new_value is not None
-            intent.table.install_insert(intent.new_value, commit_tid)
-        elif intent.kind == UPDATE:
-            assert intent.record is not None
-            assert intent.new_value is not None
-            intent.table.install_update(
-                intent.record, intent.new_value, commit_tid)
+        count = 0
+        redo_log = self.redo_log
+        if redo_log is None:
+            log_entries = make_entry = None
         else:
-            assert intent.record is not None
-            intent.table.install_delete(intent.record, commit_tid)
-        return True
+            log_entries, make_entry = [], redo_log.make_entry
+        table = None
+        for intent in session.sorted_intents():
+            if intent.table is not table:
+                table = intent.table
+                watermark = table.keep_watermark()
+                reactor, name = table.owner or "", table.name
+            kind = intent.kind
+            try:
+                if kind == UPDATE:
+                    table.install_update(intent.record, intent.new_value,
+                                         commit_tid, watermark)
+                elif kind == INSERT:
+                    table.install_insert(intent.new_value, commit_tid,
+                                         watermark)
+                else:
+                    table.install_delete(intent.record, commit_tid,
+                                         watermark)
+            except ReactorError:
+                if not self.best_effort_install:
+                    raise
+                continue
+            count += 1
+            if log_entries is not None:
+                log_entries.append(make_entry(
+                    (reactor, name, kind, intent.pk, intent.new_value)))
+        if log_entries:
+            redo_log.append(commit_tid, log_entries)
+        session.release_locks()
+        if session._placeholders:
+            # Installed inserts revived their placeholders; any left
+            # over belong to cancelled insert+delete pairs.
+            session.reclaim_placeholders()
+        session.finished = True
+        # The root keeps its sessions (stats are read after it
+        # completes); without the way back the pair dies by refcount.
+        session.owner = None
+        self.tids.advance_to(commit_tid)
+        return count
 
     def abort(self, session: CCSession,
               reason: str | None = "user") -> None:
@@ -862,8 +847,10 @@ class ConcurrencyControl:
         elif reason == "dangerous_structure":
             self.stats.dangerous_structure_aborts += 1
         session.release_locks()
-        session.reclaim_placeholders()
+        if session._placeholders:
+            session.reclaim_placeholders()
         session.finished = True
+        session.owner = None  # as in install(): no root <-> session cycle
 
 
 class PassthroughCC(ConcurrencyControl):
@@ -883,6 +870,12 @@ class PassthroughCC(ConcurrencyControl):
 
     scheme = "none"
 
+    #: Nothing validates or locks, so two transactions can race to
+    #: install conflicting writes (the same insert key); the loser's
+    #: is dropped rather than crashing the run — exactly the kind of
+    #: anomaly the ablation exists to expose.
+    best_effort_install = True
+
     __slots__ = ()
 
     def begin_session(self, txn_id: int) -> CCSession:
@@ -893,18 +886,6 @@ class PassthroughCC(ConcurrencyControl):
             return 0
         self.stats.validations += 1
         return 0
-
-    def _install_intent(self, intent: WriteIntent,
-                        commit_tid: int) -> bool:
-        """Best-effort installation: with no validation or locks, two
-        transactions can race to install conflicting writes (e.g. the
-        same insert key); the loser's write is dropped rather than
-        crashing the run — exactly the kind of anomaly the ablation
-        exists to expose."""
-        try:
-            return super()._install_intent(intent, commit_tid)
-        except ReactorError:
-            return False
 
 
 # ----------------------------------------------------------------------

@@ -19,13 +19,12 @@ reference coordinator path with:
   per-scheme ``validate`` hook untouched (OCC locks and checks, 2PL
   re-checks wounds, passthrough counts) so every scheme's semantics
   and stats are byte-identical;
-* one flattened install loop that walks each session's *cached*
+* installation through each manager's own
+  :meth:`~repro.concurrency.base.ConcurrencyControl.install` — the one
+  install loop there is: it walks the session's *cached*
   :meth:`~repro.concurrency.base.CCSession.sorted_intents` (validation
-  already sorted them), applies intents via the scheme's
-  ``_install_intent`` hook, and batches redo-log entries through the
-  shared :func:`~repro.concurrency.base.make_redo_entry` — managers
-  that override ``install`` itself (custom schemes) fall back to their
-  override.
+  already sorted them) and installs, logs and unlocks the write set in
+  one pass.
 
 Equivalence is the contract: for any fixed seed, the batched engine
 produces the same validation order, the same aborts, the same commit
@@ -40,18 +39,10 @@ from __future__ import annotations
 
 import os
 
-from repro.concurrency.base import (
-    CCSession,
-    ConcurrencyControl,
-    make_redo_entry,
-)
+from repro.concurrency.base import CCSession, ConcurrencyControl
 from repro.errors import CCAbort
 
 Participant = tuple[ConcurrencyControl, CCSession]
-
-#: The scheme-independent install, for detecting overrides: only
-#: managers using the generic phase-2 take the flattened loop.
-_GENERIC_INSTALL = ConcurrencyControl.install
 
 _BATCHED = os.environ.get("REPRO_HOTPATH", "batched") != "reference"
 
@@ -116,35 +107,8 @@ def run_epoch(participants: list[Participant],
             if tid > commit_tid:
                 commit_tid = tid
 
-    # Phase 2, flattened: one loop over every intent of the epoch.
-    # Sessions were sorted by CCSession.sorted_intents during
-    # validation (OCC) or are sorted here once (2PL/passthrough); the
-    # memoized list is walked directly with the per-intent and redo
-    # machinery hoisted out of the loop.  A manager whose class
-    # overrides ``install`` keeps its override (the flattening only
-    # assumes the generic phase-2 semantics).
+    # Phase 2: every participant installs with the one commit TID.
     writes = 0
     for manager, session in participants:
-        if type(manager).install is not _GENERIC_INSTALL:
-            writes += manager.install(session, commit_tid)
-            continue
-        install_intent = manager._install_intent
-        redo_log = manager.redo_log
-        if redo_log is None:
-            for intent in session.sorted_intents():
-                if install_intent(intent, commit_tid):
-                    writes += 1
-        else:
-            entries = []
-            for intent in session.sorted_intents():
-                if not install_intent(intent, commit_tid):
-                    continue
-                writes += 1
-                entries.append(make_redo_entry(intent, commit_tid))
-            if entries:
-                redo_log.append(commit_tid, entries)
-        session.release_locks()
-        session.reclaim_placeholders()
-        session.finished = True
-        manager.tids.advance_to(commit_tid)
+        writes += manager.install(session, commit_tid)
     return commit_tid, writes

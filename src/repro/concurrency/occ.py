@@ -80,10 +80,24 @@ class ConcurrencyManager(ConcurrencyControl):
         self.stats.validations += 1
         if not self.enabled:
             return 0
+        txn_id = session.txn_id
         try:
+            # The lock pass: record.lock() / remember_lock(), inline
+            # over the (memoized) ordered write set.
+            locked = session._locked
             for intent in session.sorted_intents():
-                self._lock_intent(session, intent)
-            txn_id = session.txn_id
+                if intent.kind == INSERT:
+                    self._lock_insert(session, intent)
+                    continue
+                record = intent.record
+                holder = record.locked_by
+                if holder is not None and holder != txn_id:
+                    raise ValidationAbort(
+                        f"write lock on {record.key!r} held by "
+                        "concurrent committer"
+                    )
+                record.locked_by = txn_id
+                locked.append(record)
             for record, tid_seen in session._reads.items():
                 if record.tid != tid_seen:
                     raise ValidationAbort(
@@ -108,30 +122,20 @@ class ConcurrencyManager(ConcurrencyControl):
             raise
         return session.max_observed_tid()
 
-    def _lock_intent(self, session: CCSession,
+    def _lock_insert(self, session: CCSession,
                      intent: WriteIntent) -> None:
-        if intent.kind == INSERT:
-            live = intent.table.get_record(intent.pk)
-            if live is not None:
-                raise ValidationAbort(
-                    f"concurrent insert won for key {intent.pk!r} in "
-                    f"{intent.table.name!r}"
-                )
-            placeholder = intent.table.ensure_placeholder(intent.pk)
-            session.remember_placeholder(intent.table, placeholder)
-            if not placeholder.lock(session.txn_id):
-                raise ValidationAbort(
-                    f"insert placeholder {intent.pk!r} locked by "
-                    "concurrent committer"
-                )
-            session.remember_lock(placeholder)
-            intent.record = placeholder
-        else:
-            record = intent.record
-            assert record is not None
-            if not record.lock(session.txn_id):
-                raise ValidationAbort(
-                    f"write lock on {record.key!r} held by concurrent "
-                    "committer"
-                )
-            session.remember_lock(record)
+        live = intent.table.get_record(intent.pk)
+        if live is not None:
+            raise ValidationAbort(
+                f"concurrent insert won for key {intent.pk!r} in "
+                f"{intent.table.name!r}"
+            )
+        placeholder = intent.table.ensure_placeholder(intent.pk)
+        session.remember_placeholder(intent.table, placeholder)
+        if not placeholder.lock(session.txn_id):
+            raise ValidationAbort(
+                f"insert placeholder {intent.pk!r} locked by "
+                "concurrent committer"
+            )
+        session.remember_lock(placeholder)
+        intent.record = placeholder

@@ -158,6 +158,8 @@ class LogFlusher:
         if epoch is self._open:
             self._open = None
         epoch.closed = True
+        # The event that brought us here holds the epoch in its args.
+        epoch.event = None
         # The serial log device: this flush starts when the disk frees.
         start = max(self.scheduler.now, self.disk_free_at)
         done = start + self.costs.fsync_cost

@@ -243,9 +243,13 @@ class DurabilityManager:
                        for txn, sites in self._sites.items()}
 
     def _note_dirty(self, record: RedoRecord) -> None:
-        for entry in record.entries:
-            self._dirty.setdefault(entry.reactor, {}) \
-                .setdefault(entry.table, set()).add(entry.pk)
+        dirty = self._dirty
+        for reactor, table, __, pk, __ in record.entries:
+            try:
+                dirty[reactor][table].add(pk)
+            except KeyError:  # first write there since the checkpoint
+                dirty.setdefault(reactor, {}) \
+                    .setdefault(table, set()).add(pk)
 
     def note_bulk_load(self, reactor_name: str, table_name: str,
                        pks: Iterable[tuple]) -> None:

@@ -18,16 +18,23 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 INSERT = "insert"
 UPDATE = "update"
 DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class RedoEntry:
-    """One logical write: reactor/table/pk plus the after-image."""
+class RedoEntry(NamedTuple):
+    """One logical write: reactor/table/pk plus the after-image.
+
+    ``row`` *is* the installed image, not a copy of it: an install
+    takes ownership of the image it is handed and nothing mutates an
+    installed image afterwards (a later write installs a new dict, and
+    reads hand out copies), so the entry, the committed record and any
+    replica that replayed the entry may all share one dict — and none
+    of them may ever change it.
+    """
 
     reactor: str
     table: str
@@ -36,23 +43,14 @@ class RedoEntry:
     row: dict[str, Any] | None  # None for deletes
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "reactor": self.reactor,
-            "table": self.table,
-            "kind": self.kind,
-            "pk": list(self.pk),
-            "row": self.row,
-        }
+        reactor, table, kind, pk, row = self
+        return {"reactor": reactor, "table": table, "kind": kind,
+                "pk": list(pk), "row": row}
 
     @staticmethod
     def from_json(data: dict[str, Any]) -> "RedoEntry":
-        return RedoEntry(
-            reactor=data["reactor"],
-            table=data["table"],
-            kind=data["kind"],
-            pk=tuple(data["pk"]),
-            row=data["row"],
-        )
+        return RedoEntry(data["reactor"], data["table"], data["kind"],
+                         tuple(data["pk"]), data["row"])
 
 
 @dataclass(frozen=True)
@@ -97,6 +95,10 @@ class RedoLog:
     bulk-restored records (recovery, promotion seeding) are assigned to
     ``records`` directly and are not re-shipped or re-flushed.
     """
+
+    #: Entry from its five fields, in order: what the commit's install
+    #: loop logs a write through (it cannot import this package).
+    make_entry = RedoEntry._make
 
     def __init__(self, container_id: int) -> None:
         self.container_id = container_id

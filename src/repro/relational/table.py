@@ -33,16 +33,22 @@ from repro.relational.schema import TableSchema
 from repro.storage.record import VersionedRecord
 from repro.storage.store import create_store
 
+#: ``watermark`` default of the install paths: "ask
+#: :meth:`Table.keep_watermark`" (``None`` is one of its answers).
+_RESOLVE: Any = object()
+
 
 class Table:
     """Committed storage for one relation of one reactor."""
 
-    __slots__ = ("schema", "owner", "store", "records", "versioning",
-                 "versioning_scope", "structure_version", "indexes")
+    __slots__ = ("schema", "name", "owner", "store", "records",
+                 "versioning", "versioning_scope", "structure_version",
+                 "indexes")
 
     def __init__(self, schema: TableSchema,
                  store_kind: str = "versioned") -> None:
         self.schema = schema
+        self.name = schema.name
         #: Name of the reactor owning this table (set at reactor
         #: construction; used by durability/recovery addressing).
         self.owner: str | None = None
@@ -68,16 +74,13 @@ class Table:
             spec.name: build_index(spec) for spec in schema.indexes
         }
 
-    @property
-    def name(self) -> str:
-        return self.schema.name
-
     def __len__(self) -> int:
         return len(self.store)
 
-    def _keep_watermark(self) -> int | None:
+    def keep_watermark(self) -> int | None:
         """The GC watermark installs retain history down to (``None``
-        when no snapshot reader is in flight)."""
+        when no snapshot reader is in flight).  A commit resolves it
+        once per table and hands it to every install there."""
         if self.versioning is None:
             return None
         return self.versioning.keep_watermark(self.versioning_scope)
@@ -184,9 +187,14 @@ class Table:
     # ``validate_row`` output (inserts), and log replay feeds back
     # images that were installed once already.  :meth:`load_row` is the
     # one entry that accepts unvalidated input, and validates it.
+    # ``watermark`` is :meth:`keep_watermark` where the caller already
+    # has it.  With no snapshot reader in flight (``None``) and no
+    # chain behind the head there is nothing to retain, prune or
+    # count: the head is overwritten here, with no call into it.
 
-    def install_insert(self, row: dict[str, Any],
-                       tid: int) -> VersionedRecord:
+    def install_insert(self, row: dict[str, Any], tid: int,
+                       watermark: int | None = _RESOLVE
+                       ) -> VersionedRecord:
         """Create a new committed record (or revive a tombstone).
 
         All-or-nothing: uniqueness (primary key and unique secondary
@@ -194,19 +202,26 @@ class Table:
         refused insert leaves the table exactly as it was.
         """
         pk = self.schema.primary_key_of(row)
-        existing = self.store.peek(pk)
-        if existing is not None and not existing.deleted:
+        records = self.records
+        record = self.store.peek(pk) if records is None \
+            else records.get(pk)
+        if record is not None and not record.deleted:
             raise DuplicateKeyError(
                 f"duplicate primary key {pk!r} in table {self.name!r}"
             )
         for index in self.indexes.values():
             index.check_insert(index.key_of(row))
-        if existing is not None:
-            created, pruned = existing.install(
-                row, tid, self._keep_watermark())
-            if created or pruned:
-                self._note_versions(existing, created, pruned)
-            record = existing
+        if record is not None:
+            if watermark is _RESOLVE:
+                watermark = self.keep_watermark()
+            if watermark is None and record.prev is None:
+                record.value = row
+                record.tid = tid
+                record.deleted = False
+            else:
+                created, pruned = record.install(row, tid, watermark)
+                if created or pruned:
+                    self._note_versions(record, created, pruned)
         else:
             record = VersionedRecord(pk, row, tid)
             self.store.put(pk, record)
@@ -216,7 +231,8 @@ class Table:
         return record
 
     def install_update(self, record: VersionedRecord,
-                       new_value: dict[str, Any], tid: int) -> None:
+                       new_value: dict[str, Any], tid: int,
+                       watermark: int | None = _RESOLVE) -> None:
         """Install a new committed version of a record, maintaining
         indexes.
 
@@ -234,16 +250,25 @@ class Table:
             for index, old_key, new_key in rekeyed:
                 index.remove(old_key, record.key)
                 index.insert(new_key, record.key)
-        created, pruned = record.install(new_value, tid,
-                                         self._keep_watermark())
-        if created or pruned:
-            self._note_versions(record, created, pruned)
+        if watermark is _RESOLVE:
+            watermark = self.keep_watermark()
+        if watermark is None and record.prev is None:
+            record.value = new_value
+            record.tid = tid
+            record.deleted = False
+        else:
+            created, pruned = record.install(new_value, tid, watermark)
+            if created or pruned:
+                self._note_versions(record, created, pruned)
 
-    def install_delete(self, record: VersionedRecord, tid: int) -> None:
+    def install_delete(self, record: VersionedRecord, tid: int,
+                       watermark: int | None = _RESOLVE) -> None:
         """Tombstone a record and remove it from indexes."""
         for index in self.indexes.values():
             index.remove(index.key_of(record.value), record.key)
-        created, pruned = record.mark_deleted(tid, self._keep_watermark())
+        if watermark is _RESOLVE:
+            watermark = self.keep_watermark()
+        created, pruned = record.mark_deleted(tid, watermark)
         if created or pruned:
             self._note_versions(record, created, pruned)
         self.structure_version += 1

@@ -376,11 +376,20 @@ class TransactionExecutor:
             # transaction; anything else is a bug and propagates.
             if isinstance(error, TransactionAbort):
                 outcome = error
+                # Only its message travels on; the traceback would pin
+                # this frame — which holds the abort: a cycle — and
+                # through it the task, the root and its sessions.
+                outcome.__traceback__ = None
             else:
                 outcome = UserAbort(f"{type(error).__name__}: {error}")
             fn = self._frame_aborted
         else:
             fn, outcome = self._process_effect, effect
+        if throw is not None:
+            # Likewise when the frame swallowed the abort thrown in:
+            # its traceback names that frame, whose locals reach the
+            # failed future holding the abort.
+            throw.__traceback__ = None
         # Convert accrued data-operation cost into busy time first.
         # Continuations are ``(fn, *args)`` pairs, never closures: the
         # trampoline runs once per effect, and allocating a lambda per
@@ -624,12 +633,15 @@ class TransactionExecutor:
         self._busy(task, cost, "cr", self._deliver, task, future)
 
     def _deliver(self, task: Task, future: SimFuture) -> None:
-        try:
-            value = future.result()
-        except TransactionAbort as abort:
+        # A failed sub-transaction's abort goes to the waiting frame
+        # as is: raised here first, its traceback would hold this
+        # frame, and with it the future that holds the abort.
+        abort = future.error
+        if isinstance(abort, TransactionAbort):
+            future.consumed = True
             self._step(task, None, abort)
-            return
-        self._step(task, value, None)
+        else:
+            self._step(task, future.result(), None)
 
     # ------------------------------------------------------------------
     # Frame completion / abort

@@ -281,8 +281,10 @@ class ThreadsBackend:
     def at(self, timestamp: float, fn: Callable[..., Any],
            *args: Any) -> Any:
         """Schedule ``fn(*args)`` at an absolute wall timestamp
-        (microseconds on this backend's clock)."""
-        return self.after(timestamp - self.now, fn, *args)
+        (microseconds on this backend's clock).  The clock runs on
+        while the caller computes: one it has passed by then (a log
+        flush priced from a ``now`` read a thread switch ago) is due."""
+        return self.after(max(timestamp - self.now, 0.0), fn, *args)
 
     def after(self, delay: float, fn: Callable[..., Any],
               *args: Any) -> Any:

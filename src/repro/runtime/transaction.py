@@ -68,7 +68,7 @@ class RootTransaction:
         "breakdown", "remote_calls", "on_complete", "finished",
         "user_abort", "client_worker", "effect_seq", "commit_tid",
         "doomed", "read_only", "reactor_refs", "snapshot_tid",
-        "trace",
+        "trace", "__weakref__",
     )
 
     def __init__(self, txn_id: int, procedure: str, reactor_name: str,
@@ -140,6 +140,9 @@ class RootTransaction:
                         self, container)
             if session is None:
                 session = manager.begin_session(self.txn_id)
+            session.read_only = self.read_only
+            # Dropped again when the session finishes (install/abort),
+            # so a completed root is not a reference cycle.
             session.owner = self
             self.sessions[container.container_id] = (manager, session)
             return session

@@ -111,6 +111,17 @@ class TestThreadsScheduling:
         backend.after(INLINE_DELAY_US, seen.append, "inline")
         assert seen == ["inline"]  # before any run(): same thread
 
+    def test_at_a_timestamp_already_passed_is_due_now(self, backend):
+        # The wall clock runs on between a caller's ``now`` and its
+        # ``at(now + cost)`` (a log flush priced a thread switch ago):
+        # that is "due", not a scheduling error.  A negative *delay*
+        # stays the caller's bug.
+        seen = []
+        backend.at(backend.now - 80.0, seen.append, "due")
+        assert seen == ["due"]
+        with pytest.raises(SimulationError):
+            backend.after(-80.0, seen.append, "never")
+
     def test_long_delay_fires_via_timer(self, backend):
         seen = []
         backend.after(5_000.0, seen.append, "timer")

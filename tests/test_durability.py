@@ -1,5 +1,8 @@
 """Durability tests: logging, checkpoints, recovery equivalence."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.database import ReactorDatabase
@@ -7,15 +10,22 @@ from repro.core.deployment import (
     shared_everything_with_affinity,
     shared_nothing,
 )
+from repro.core.reactor import ReactorType
 from repro.durability import (
     Checkpoint,
+    DurabilityConfig,
+    RedoEntry,
     RedoLog,
+    RedoRecord,
     enable_durability,
     recover,
     take_checkpoint,
 )
 from repro.errors import SimulationError, TransactionAbort
+from repro.experiments.common import tpcc_deployment
+from repro.relational import float_col, make_schema, str_col
 from repro.workloads import smallbank as sb
+from repro.workloads import tpcc
 
 N = 8
 
@@ -235,3 +245,130 @@ class TestRecovery:
         recovered = recover(shared_nothing(1), [("r", KV)],
                             checkpoint, manager.logs.values())
         assert recovered.table_rows("r", "kv") == [{"k": 2, "v": 20}]
+
+
+# ----------------------------------------------------------------------
+# The shared image: a redo entry aliases the installed row
+# ----------------------------------------------------------------------
+
+SCRATCH = ReactorType("Scratch", lambda: [
+    make_schema("kv", [str_col("k"), float_col("v")], ["k"])])
+
+
+@SCRATCH.procedure
+def scribble(ctx, key):
+    """Writes 1.0 / 2.0, and defaces every dict the record manager
+    hands back or is handed — before commit."""
+    seen = ctx.lookup("kv", key)
+    seen["v"] = -1.0
+    written = ctx.update("kv", key, {"v": 1.0})
+    written["v"] = -2.0
+    fresh = {"k": key + "'", "v": 2.0}
+    ctx.insert("kv", fresh)
+    fresh["v"] = -3.0
+    reread = ctx.lookup("kv", key)  # own write, through the overlay
+    reread["v"] = -4.0
+    return seen, written, fresh, reread
+
+
+class TestSharedImage:
+    """Installs take ownership of an intent's image and the redo entry
+    shares it: nothing a procedure can reach may alias that dict."""
+
+    def _scribbled(self):
+        database = ReactorDatabase(shared_nothing(1),
+                                   [("s", SCRATCH)])
+        database.load("s", "kv", [{"k": "a", "v": 0.0}])
+        manager = enable_durability(database)
+        handed_out = database.run("s", "scribble", "a")
+        return database, manager, handed_out
+
+    def test_scribbling_changes_neither_row_nor_entry(self):
+        database, manager, handed_out = self._scribbled()
+        expected = [{"k": "a", "v": 1.0}, {"k": "a'", "v": 2.0}]
+        (record,) = manager.log_records()
+
+        def logged():
+            return sorted((e.row for e in record.entries),
+                          key=lambda row: row["k"])
+
+        assert database.table_rows("s", "kv") == expected
+        assert logged() == expected
+        # ... and after commit: the results, and a fresh read.
+        for row in handed_out:
+            row["v"] = -5.0
+            row["junk"] = True
+        database.table_rows("s", "kv")[0]["v"] = -6.0
+        assert database.table_rows("s", "kv") == expected
+        assert logged() == expected
+
+    def test_entry_aliases_the_installed_image(self):
+        # The contract docs/durability.md states: one dict, installed
+        # and logged — which is why neither side may mutate it.
+        database, manager, __ = self._scribbled()
+        (record,) = manager.log_records()
+        table = database.reactor("s").table("kv")
+        for entry in record.entries:
+            assert entry.row is table.get_record(entry.pk).value
+        # A later write installs a new image; the logged one stays.
+        database.run("s", "scribble", "a'")
+        (first,) = [e for e in record.entries if e.pk == ("a'",)]
+        assert first.row == {"k": "a'", "v": 2.0}
+        assert table.get_record(first.pk).value == {"k": "a'", "v": 1.0}
+
+    def test_entry_construction_and_round_trip(self):
+        positional = RedoEntry("s", "kv", "update", ("a",),
+                               {"k": "a", "v": 1.0})
+        keyword = RedoEntry(reactor="s", table="kv", kind="update",
+                            pk=("a",), row={"k": "a", "v": 1.0})
+        assert positional == keyword
+        assert (keyword.reactor, keyword.table, keyword.kind,
+                keyword.pk, keyword.row) == tuple(keyword)
+        tombstone = RedoEntry("s", "kv", "delete", ("a",), None)
+        for entry in (positional, tombstone):
+            assert RedoEntry.from_json(entry.to_json()) == entry
+            assert list(entry.to_json()) == [
+                "reactor", "table", "kind", "pk", "row"]
+        __, manager, __ = self._scribbled()
+        for record in manager.log_records():
+            for entry in record.entries:
+                assert RedoEntry.from_json(entry.to_json()) == entry
+            assert RedoRecord.from_json_line(
+                record.to_json_line()) == record
+
+    def test_tpcc_replay_equals_live_state(self):
+        scale = tpcc.TpccScale(districts=3, customers_per_district=20,
+                               items=50, orders_per_district=10,
+                               last_names=5)
+        deployment = tpcc_deployment(
+            "shared-nothing-async", 2, mpl=4,
+            durability=DurabilityConfig(enabled=True, mode="group"))
+        database = ReactorDatabase(deployment, tpcc.declarations(2))
+        tpcc.load(database, 2, scale)
+        loaded = take_checkpoint(database)
+        workload = tpcc.TpccWorkload(n_warehouses=2, scale=scale,
+                                     remote_item_prob=0.2, seed=3)
+        worker = SimpleNamespace(rng=random.Random("replay/tpcc"))
+        factories = [workload.factory_for(w) for w in range(2)]
+        outcomes = []
+        for i in range(120):
+            reactor, proc, args = factories[i % 2](worker)
+            database.submit(
+                reactor, proc, *args,
+                on_done=lambda root, ok, *rest: outcomes.append(ok))
+            if i % 8 == 7:
+                database.scheduler.run()
+        database.scheduler.run()
+        assert len(outcomes) == 120 and sum(outcomes) > 60
+        recovered = recover(deployment, tpcc.declarations(2), loaded,
+                            database.durability.logs.values())
+
+        def state(db):
+            return {(name, table.name): db.table_rows(name, table.name)
+                    for name in db.reactor_names()
+                    for table in db.reactor(name).catalog}
+
+        assert state(recovered) == state(database)
+        assert state(recovered) != state(
+            recover(deployment, tpcc.declarations(2), loaded, []))
+        tpcc.check_database(recovered, 2)

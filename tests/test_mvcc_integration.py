@@ -244,7 +244,7 @@ class TestReadOnlyEnforcement:
         table = database.reactor("a").table("kv")
         manager = database.containers[0].concurrency
         session = manager.begin_session(1)
-        session.owner = SimpleNamespace(read_only=True)
+        session.read_only = True  # what RootTransaction.session_for sets
         with pytest.raises(ReadOnlyViolation):
             session.insert(table, {"k": "x", "v": 0.0})
         with pytest.raises(ReadOnlyViolation):

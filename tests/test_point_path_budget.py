@@ -9,23 +9,26 @@ counts repeat exactly, so the ceilings cannot flake — and the next
 wrapper layer someone adds to the path fails loudly here instead of
 showing up as a few percent in a noisy wall-clock benchmark.
 
-Calls per transaction, before (PR 12) and after PR 13 bound the path
+Calls per transaction, before (PR 12), after PR 13 bound the path
 once (precompiled schemas and access paths, flat virtual-time hops,
-one-pass commit):
+one-pass commit), and after PR 16 made the write set's journey one
+pass (one install loop, one call per locked and per installed write,
+no per-write redo-entry call):
 
-=====================  ======  ======
-                       before   after
-=====================  ======  ======
-SmallBank (std mix)    228.66  142.50
-no-op                   84.25   62.26
-=====================  ======  ======
+=====================  ======  ======  ======
+                        PR 12   PR 13   PR 16
+=====================  ======  ======  ======
+SmallBank (std mix)    228.66  142.50  130.49
+no-op                   84.25   62.26   62.26
+=====================  ======  ======  ======
 
 (``cProfile``, which also counts builtins — ``dict.get``, ``heappush``,
-``isinstance`` ... — read 347.1 -> 221.5 and 128.4 -> 96.4 on the same
-runs.)  The ceilings sit ~10 % above what PR 13 reached.  Raise one
-only with the number that justifies it in the PR description;
-``python tests/test_point_path_budget.py 40`` prints the per-function
-table to find where new calls came from.
+``isinstance`` ... — read 347.1 -> 221.5 and 128.4 -> 96.4 on the PR 13
+runs.)  The ceilings are the exact counts of this tree on 3.11 (3.12+
+inlines one comprehension and reads 1.00 lower); they only ever go
+down.  Raise one only with the number that justifies it in the PR
+description; ``python tests/test_point_path_budget.py 40`` prints the
+per-function table to find where new calls came from.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ SRC_ROOT = str(Path(repro.__file__).resolve().parent)
 N_TXNS = 200
 CUSTOMERS = 100
 
-SMALLBANK_CEILING = 157.0
-NOOP_CEILING = 68.5
+SMALLBANK_CEILING = 130.49
+NOOP_CEILING = 62.26
 
 NOOP = ReactorType("BudgetNoop", lambda: [])
 
