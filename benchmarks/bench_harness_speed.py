@@ -25,26 +25,18 @@ Methodology:
   of the two adjacent samples normalizes that repeat) and the
   per-point ``txns_per_kop`` is the **best** repeat — the cleanest
   observation of what the code can do on this machine.  The
-  normalized metric is what the CI gate and the cross-commit speedup
-  assertion compare;
-* the committed pre-PR reference
-  (``results/baselines/BENCH_harness_speed_prepr.json``, captured with
-  ``--capture-prepr`` at the last commit before the hot-path overhaul)
-  anchors the acceptance assertion: the optimized harness must reach
-  >= 2x normalized throughput on at least one grid point.
+  normalized metric is what the CI gate compares.
 
-Run as a script: ``python bench_harness_speed.py [--tiny] [--json]
-[--no-assert] [--capture-prepr]``.  The CI job runs the tiny grid and
-gates it with ``tools/bench_compare.py harness_speed`` (the payload's
-``gate`` block widens the tolerance band — wall clock is noisy in a
-way virtual time is not).
+Run as a script: ``python bench_harness_speed.py [--tiny] [--json]``.
+The CI job runs the tiny grid and gates it with
+``tools/bench_compare.py harness_speed`` (the payload's ``gate`` block
+widens the tolerance band — wall clock is noisy in a way virtual time
+is not).
 """
 
-import json
 import statistics
 import sys
 import time
-from pathlib import Path
 
 from _util import emit_json, emit_report, json_enabled, summary_payload
 
@@ -59,12 +51,6 @@ from repro.core.deployment import (
 from repro.experiments.common import tpcc_database
 from repro.workloads import smallbank, tpcc, ycsb
 
-BASELINE_DIR = Path(__file__).parent / "results" / "baselines"
-PREPR_BASELINE = BASELINE_DIR / "BENCH_harness_speed_prepr.json"
-
-#: Acceptance target: normalized harness throughput must at least
-#: double versus the pre-overhaul reference on >= 1 grid point.
-SPEEDUP_TARGET = 2.0
 REPEATS = 3
 
 SB_CUSTOMERS = 40
@@ -102,7 +88,6 @@ CONFIG = {
     "ycsb_theta": YCSB_THETA,
     "ycsb_read_fraction": YCSB_READ_FRACTION,
     "tpcc_warehouses": TPCC_WAREHOUSES,
-    "speedup_target": SPEEDUP_TARGET,
 }
 
 
@@ -264,38 +249,6 @@ def run_grid(mode: str) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Speedup versus the committed pre-overhaul reference
-# ----------------------------------------------------------------------
-
-def speedup_vs_prepr(rows: list[dict]) -> dict | None:
-    """Per-point normalized speedup against the pre-PR reference, or
-    ``None`` when no reference is committed."""
-    if not PREPR_BASELINE.exists():
-        return None
-    reference = json.loads(PREPR_BASELINE.read_text())
-    ref_rows = {
-        (r["workload"], r["scheme"], r["mode"]): r
-        for r in reference.get("runs", [])
-    }
-    speedups = {}
-    for row in rows:
-        ref = ref_rows.get((row["workload"], row["scheme"],
-                            row["mode"]))
-        if ref is None or not ref.get("txns_per_kop"):
-            continue
-        key = f"{row['workload']}/{row['scheme']}/{row['mode']}"
-        speedups[key] = round(
-            row["txns_per_kop"] / ref["txns_per_kop"], 3)
-    if not speedups:
-        return None
-    return {
-        "per_point": speedups,
-        "max": max(speedups.values()),
-        "min": min(speedups.values()),
-    }
-
-
-# ----------------------------------------------------------------------
 # Reporting and entry points
 # ----------------------------------------------------------------------
 
@@ -324,68 +277,24 @@ def _report(payload):
         "workload x scheme (median of %d)" % REPEATS,
         HEADERS, _rows(payload))
     print(f"calibration: {payload['calibration_kops']:.1f} kops/s")
-    speedup = payload.get("speedup_vs_prepr")
-    if speedup:
-        print(f"speedup vs pre-overhaul reference: "
-              f"max {speedup['max']:.2f}x, min {speedup['min']:.2f}x "
-              f"(target >= {SPEEDUP_TARGET}x on one point)")
-        for key, value in sorted(speedup["per_point"].items()):
-            print(f"  {key}: {value:.2f}x")
 
 
 def build_payload(mode: str) -> dict:
     calib = calibration_kops()
     rows = run_grid(mode)
-    payload = {
+    return {
         "runs": rows,
         "calibration_kops": round(calib, 1),
         #: bench_compare reads this: gate the normalized wall metric
         #: with a band wide enough for scheduler noise on CI runners.
         "gate": {"metric": "txns_per_kop", "tolerance": 0.5},
     }
-    speedup = speedup_vs_prepr(rows)
-    if speedup is not None:
-        payload["speedup_vs_prepr"] = speedup
-    return payload
-
-
-def assert_speedup(payload: dict) -> None:
-    """The acceptance criterion, asserted in-bench: >= 2x normalized
-    harness throughput on at least one workload x scheme point versus
-    the committed pre-overhaul reference."""
-    speedup = payload.get("speedup_vs_prepr")
-    assert speedup is not None, (
-        "no pre-overhaul reference rows matched; cannot assert the "
-        f"speedup target (expected {PREPR_BASELINE})")
-    assert speedup["max"] >= SPEEDUP_TARGET, (
-        f"hot-path speedup regressed: best point is "
-        f"{speedup['max']:.2f}x vs the pre-overhaul reference, "
-        f"target is {SPEEDUP_TARGET}x; per-point: "
-        f"{speedup['per_point']}")
-
-
-def capture_prepr() -> Path:
-    """Capture the pre-overhaul reference (both modes, one file)."""
-    calib = calibration_kops()
-    rows = run_grid("full") + run_grid("tiny")
-    BASELINE_DIR.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "runs": rows,
-        "calibration_kops": round(calib, 1),
-        "note": "pre-overhaul reference for the >=2x harness-speed "
-                "acceptance assertion; captured with --capture-prepr",
-    }
-    PREPR_BASELINE.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return PREPR_BASELINE
 
 
 def test_harness_speed(benchmark):
     payload = build_payload("tiny")
     emit_report("harness_speed", lambda: _report(payload))
     assert all(r["committed"] > 0 for r in payload["runs"])
-    if PREPR_BASELINE.exists():
-        assert_speedup(payload)
     benchmark.pedantic(
         lambda: measure_point("smallbank", "occ", 10_000.0),
         rounds=1, iterations=1)
@@ -393,10 +302,6 @@ def test_harness_speed(benchmark):
 
 def main(argv: list[str] | None = None) -> None:
     argv = sys.argv[1:] if argv is None else argv
-    if "--capture-prepr" in argv:
-        path = capture_prepr()
-        print(f"wrote pre-overhaul reference {path}")
-        return
     mode = "tiny" if "--tiny" in argv else "full"
     payload = build_payload(mode)
     emit_report("harness_speed", lambda: _report(payload))
@@ -404,8 +309,6 @@ def main(argv: list[str] | None = None) -> None:
         path = emit_json("harness_speed", payload,
                          config={**CONFIG, "mode": mode})
         print(f"wrote {path}")
-    if "--no-assert" not in argv and PREPR_BASELINE.exists():
-        assert_speedup(payload)
 
 
 if __name__ == "__main__":

@@ -33,9 +33,10 @@ def percentile(values: Sequence[float], q: float) -> float:
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1,
-                      int(math.ceil(q / 100.0 * len(ordered))) - 1))
-    return ordered[rank]
+    # The epsilon keeps an exact rank exact: 99.9% of 1000 computes
+    # to 999.0000000000001 in floats, which must not ceil to 1000.
+    rank = math.ceil(q / 100.0 * len(ordered) - 1e-9)
+    return ordered[min(max(rank, 1), len(ordered)) - 1]
 
 
 @dataclass

@@ -8,20 +8,21 @@ locking with NO_WAIT or WAIT_DIE conflict resolution
 (:mod:`repro.concurrency.locking`), or the explicit no-CC passthrough
 (:class:`~repro.concurrency.base.PassthroughCC`).  All schemes
 implement the :class:`~repro.concurrency.base.ConcurrencyControl`
-protocol; transactions that span containers commit through
-:class:`~repro.concurrency.coordinator.TwoPhaseCommit` regardless of
-scheme.  Correctness rests on Theorem 2.7 of the paper: a serializable
-scheduler for the classic transactional model implements one for the
-reactor model (see :mod:`repro.formal` for the executable
-formalization).
+protocol; every transaction commits through
+:func:`repro.concurrency.coordinator.commit` — one two-phase protocol
+over the containers it touched, regardless of scheme.  Correctness
+rests on Theorem 2.7 of the paper: a serializable scheduler for the
+classic transactional model implements one for the reactor model (see
+:mod:`repro.formal` for the executable formalization).
 
 Public exports: the scheme protocol (:class:`ConcurrencyControl`,
 :class:`CCSession`, :class:`CCStats`, :class:`WriteIntent`,
 :class:`ScanResult`), the registry (``register_cc_scheme`` /
 ``create_cc_scheme`` / ``cc_scheme_names`` /
 :data:`BUILTIN_CC_SCHEMES`), the explicit no-CC
-:class:`PassthroughCC`, and the cross-container coordinator
-(:class:`TwoPhaseCommit`, :class:`CommitOutcome`).
+:class:`PassthroughCC`, and the coordinator's result
+(:class:`CommitOutcome`; the protocol itself is
+``coordinator.commit`` / ``coordinator.abort``).
 """
 
 from repro.concurrency.base import (
@@ -36,7 +37,7 @@ from repro.concurrency.base import (
     create_cc_scheme,
     register_cc_scheme,
 )
-from repro.concurrency.coordinator import CommitOutcome, TwoPhaseCommit
+from repro.concurrency.coordinator import CommitOutcome
 from repro.concurrency.locking import (
     LockingCC,
     LockingSession,
@@ -68,7 +69,6 @@ __all__ = [
     "LockManager",
     "ScanResult",
     "WriteIntent",
-    "TwoPhaseCommit",
     "CommitOutcome",
     "EpochManager",
     "TidGenerator",

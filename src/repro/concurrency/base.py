@@ -30,8 +30,8 @@ manager:
   :mod:`repro.concurrency.mvcc`), ``"2pl_nowait"`` and
   ``"2pl_waitdie"`` (two-phase locking,
   :mod:`repro.concurrency.locking`), and ``"none"``
-  (:class:`PassthroughCC`, the explicit no-concurrency-control scheme
-  that replaced the old ``cc_enabled`` bool).
+  (:class:`PassthroughCC`, the explicit no-concurrency-control
+  scheme).
 
 Every data operation returns the number of records *examined* along
 with its result, so the execution runtime can charge simulated CPU
@@ -724,16 +724,6 @@ class ConcurrencyControl:
         #: failover): sessions created here must abort at commit —
         #: their writes would land in dead storage.
         self.failed = False
-
-    # -- legacy counter aliases (pre-refactor API) ----------------------
-
-    @property
-    def validations(self) -> int:
-        return self.stats.validations
-
-    @property
-    def validation_failures(self) -> int:
-        return self.stats.validation_failures
 
     # -- protocol -------------------------------------------------------
 

@@ -42,7 +42,6 @@ from repro.concurrency.base import (
     require_hash_equality,
 )
 from repro.concurrency.occ import ConcurrencyManager
-from repro.concurrency.tid import EpochManager
 from repro.errors import ReadOnlyViolation
 from repro.relational.index import OrderedIndex
 from repro.relational.predicate import ALWAYS, Predicate
@@ -265,6 +264,3 @@ class MVConcurrencyManager(ConcurrencyManager):
     scheme = "mvocc"
 
     __slots__ = ()
-
-    def __init__(self, container_id: int, epochs: EpochManager) -> None:
-        super().__init__(container_id, epochs, enabled=True)

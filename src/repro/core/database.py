@@ -106,7 +106,7 @@ class ReactorDatabase:
                 deployment.cc_scheme, cid, self.epochs)
             container = Container(cid, self, concurrency)
             for __ in range(spec.executors):
-                executor = container.add_executor(core_id, spec.mpl)
+                executor = container.add_executor(core_id)
                 self.executors.append(executor)
                 core_id += 1
             self.containers.append(container)

@@ -124,7 +124,8 @@ BACKENDS = ("sim", "threads")
 
 @dataclass
 class ContainerSpec:
-    """Compute resources of one container."""
+    """Compute resources of one container (``mpl`` is recorded, not
+    enforced — see :func:`shared_nothing`)."""
 
     executors: int = 1
     mpl: int = 1
@@ -240,11 +241,6 @@ class DeploymentConfig:
         return sum(spec.executors for spec in self.containers)
 
     @property
-    def cc_enabled(self) -> bool:
-        """Legacy view of the scheme choice: is any CC active?"""
-        return self.cc_scheme != "none"
-
-    @property
     def snapshot_reads_effective(self) -> bool:
         """Are read-only roots served from multi-version snapshots?
         ``mvocc`` always snapshots; other schemes opt in via
@@ -257,10 +253,11 @@ class DeploymentConfig:
     #: infrastructure engineer should hear about, not a silent no-op.
     KNOWN_KEYS = frozenset({
         "name", "machine", "containers", "routing", "pin_reactors",
-        "placement", "cc_scheme", "cc_enabled", "snapshot_reads",
-        "replication", "migration", "durability", "telemetry",
-        "backend",
+        "placement", "cc_scheme", "snapshot_reads", "replication",
+        "migration", "durability", "telemetry", "backend",
     })
+    #: The same rule inside one entry of ``containers``.
+    CONTAINER_KEYS = frozenset({"executors", "mpl"})
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -284,29 +281,21 @@ class DeploymentConfig:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "DeploymentConfig":
-        for key in data:
-            if key not in DeploymentConfig.KNOWN_KEYS:
+        _reject_unknown_keys(data, DeploymentConfig.KNOWN_KEYS,
+                             "deployment")
+        for key in ("name", "containers"):
+            if key not in data:
                 raise DeploymentError(
-                    f"unknown deployment key {key!r}; expected one of "
-                    f"{', '.join(sorted(DeploymentConfig.KNOWN_KEYS))}"
-                )
-        scheme = data.get("cc_scheme")
-        if scheme is None:
-            # Legacy configs carried a bool instead of a scheme name.
-            scheme = "occ" if data.get("cc_enabled", True) else "none"
+                    f"missing required deployment key {key!r}")
         return DeploymentConfig(
             name=data["name"],
-            containers=[
-                ContainerSpec(executors=int(c.get("executors", 1)),
-                              mpl=int(c.get("mpl", 1)))
-                for c in data["containers"]
-            ],
+            containers=[_container_spec(c) for c in data["containers"]],
             routing=data.get("routing", AFFINITY),
             pin_reactors=bool(data.get("pin_reactors", False)),
             machine=get_profile(data.get("machine", XEON_E3_1276.name)),
             placement=Placement.from_dict(
                 data.get("placement", {"kind": "modulo"})),
-            cc_scheme=scheme,
+            cc_scheme=data.get("cc_scheme", "occ"),
             snapshot_reads=bool(data.get("snapshot_reads", False)),
             replication=ReplicationConfig.from_dict(
                 data.get("replication", {})),
@@ -327,22 +316,39 @@ class DeploymentConfig:
         return DeploymentConfig.from_dict(json.loads(text))
 
 
+def _reject_unknown_keys(data: dict[str, Any], known: frozenset[str],
+                         what: str) -> None:
+    for key in data:
+        if key not in known:
+            raise DeploymentError(
+                f"unknown {what} key {key!r}; expected one of "
+                f"{', '.join(sorted(known))}"
+            )
+
+
+def _container_spec(data: dict[str, Any]) -> ContainerSpec:
+    _reject_unknown_keys(data, DeploymentConfig.CONTAINER_KEYS,
+                         "container")
+    counts = {}
+    for key in ("executors", "mpl"):
+        try:
+            counts[key] = int(data.get(key, 1))
+        except (TypeError, ValueError):
+            raise DeploymentError(
+                f"container key {key!r} must be an integer, "
+                f"got {data[key]!r}"
+            ) from None
+    return ContainerSpec(**counts)
+
+
 # ----------------------------------------------------------------------
 # The paper's three deployment strategies (Section 3.3)
 # ----------------------------------------------------------------------
-
-def _resolve_scheme(cc_scheme: str, cc_enabled: bool | None) -> str:
-    """Factories accept the legacy ``cc_enabled`` bool as an alias."""
-    if cc_enabled is None:
-        return cc_scheme
-    return cc_scheme if cc_enabled else "none"
-
 
 def shared_everything_without_affinity(
         n_executors: int, machine: MachineProfile = XEON_E3_1276,
         placement: Placement | None = None,
         cc_scheme: str = "occ",
-        cc_enabled: bool | None = None,
         snapshot_reads: bool = False,
         replication: ReplicationConfig | None = None,
         durability: DurabilityConfig | None = None,
@@ -356,7 +362,7 @@ def shared_everything_without_affinity(
         pin_reactors=False,
         machine=machine,
         placement=placement or Placement(),
-        cc_scheme=_resolve_scheme(cc_scheme, cc_enabled),
+        cc_scheme=cc_scheme,
         snapshot_reads=snapshot_reads,
         replication=replication or NO_REPLICATION,
         durability=durability or NO_DURABILITY,
@@ -368,7 +374,6 @@ def shared_everything_with_affinity(
         n_executors: int, machine: MachineProfile = XEON_E3_1276,
         placement: Placement | None = None,
         cc_scheme: str = "occ",
-        cc_enabled: bool | None = None,
         snapshot_reads: bool = False,
         replication: ReplicationConfig | None = None,
         durability: DurabilityConfig | None = None,
@@ -382,7 +387,7 @@ def shared_everything_with_affinity(
         pin_reactors=False,
         machine=machine,
         placement=placement or Placement(),
-        cc_scheme=_resolve_scheme(cc_scheme, cc_enabled),
+        cc_scheme=cc_scheme,
         snapshot_reads=snapshot_reads,
         replication=replication or NO_REPLICATION,
         durability=durability or NO_DURABILITY,
@@ -394,7 +399,6 @@ def shared_nothing(n_containers: int,
                    machine: MachineProfile = XEON_E3_1276,
                    mpl: int = 4, placement: Placement | None = None,
                    cc_scheme: str = "occ",
-                   cc_enabled: bool | None = None,
                    snapshot_reads: bool = False,
                    replication: ReplicationConfig | None = None,
                    migration: MigrationConfig | None = None,
@@ -405,8 +409,12 @@ def shared_nothing(n_containers: int,
 
     The ``-sync`` / ``-async`` variants of the paper differ only in how
     application programs synchronize on futures, not in deployment.
-    A higher MPL lets the executor overlap transactions cooperatively
-    while some block on remote sub-transactions.
+    ``mpl`` is recorded on every :class:`ContainerSpec` (validated,
+    round-tripped through ``to_dict``) but **not enforced**: an
+    executor admits the next request whenever nothing is running or
+    ready, so transactions blocked on remote sub-transactions overlap
+    with new work at any value.  Whether to enforce it as the paper's
+    admission bound is a ROADMAP open question.
     """
     return DeploymentConfig(
         name="shared-nothing",
@@ -416,7 +424,7 @@ def shared_nothing(n_containers: int,
         pin_reactors=True,
         machine=machine,
         placement=placement or Placement(),
-        cc_scheme=_resolve_scheme(cc_scheme, cc_enabled),
+        cc_scheme=cc_scheme,
         snapshot_reads=snapshot_reads,
         replication=replication or NO_REPLICATION,
         migration=migration or DEFAULT_MIGRATION,

@@ -171,7 +171,7 @@ class ReplicationManager:
                     concurrency)
                 self._next_replica_id += 1
                 for ___ in range(spec.executors):
-                    replica.add_executor(core_id, spec.mpl)
+                    replica.add_executor(core_id)
                     core_id += 1
                 for reactor in primaries:
                     replica.add_shadow(reactor,

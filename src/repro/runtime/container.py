@@ -33,14 +33,13 @@ class Container:
         #: session here abort at commit instead of installing.
         self.failed = False
 
-    def add_executor(self, core_id: int, mpl: int) -> TransactionExecutor:
+    def add_executor(self, core_id: int) -> TransactionExecutor:
         executor = TransactionExecutor(
             executor_id=len(self.executors),
             core_id=core_id,
             container=self,
             scheduler=self.database.scheduler,
             costs=self.database.costs,
-            mpl=mpl,
         )
         self.executors.append(executor)
         return executor

@@ -10,11 +10,12 @@ discrete-event scheduler:
 
 * at most one task consumes CPU at any instant (the executor is pinned
   to one simulated hardware thread);
-* a configurable multiprogramming level (MPL) bounds how many
-  *non-blocked* tasks are admitted; a task that blocks on a remote
-  future releases its slot and the executor cooperatively switches to
-  the next ready task or admits a new request — exactly the paper's
-  cooperative multitasking with thread handoff (Section 3.2.3);
+* a task that blocks on a remote future releases the core and the
+  executor cooperatively switches to the next ready task or admits a
+  new request — the paper's cooperative multitasking with thread
+  handoff (Section 3.2.3).  Admission is unbounded: the deployment's
+  ``mpl`` is recorded in the config but not enforced here (ROADMAP
+  open question);
 * a call to a reactor served by this same executor is executed inline
   (synchronously), avoiding migration-of-control overhead; calls to
   reactors on other executors are dispatched with send cost ``Cs`` and
@@ -31,7 +32,7 @@ from collections import deque
 from types import GeneratorType
 from typing import Any, Callable
 
-from repro.concurrency.coordinator import TwoPhaseCommit
+from repro.concurrency import coordinator
 from repro.errors import (
     CCAbort,
     DangerousStructureAbort,
@@ -159,14 +160,12 @@ class TransactionExecutor:
     """One simulated core's worth of transaction processing."""
 
     __slots__ = ("executor_id", "core_id", "container", "scheduler",
-                 "costs", "mpl", "queue", "ready", "running",
+                 "costs", "queue", "ready", "running",
                  "_dispatch_scheduled", "busy_time", "requests_served",
                  "_shadow_of", "_cid", "_future_cls", "_context_cls")
 
     def __init__(self, executor_id: int, core_id: int, container: Any,
-                 scheduler: Any, costs: Any, mpl: int = 1) -> None:
-        if mpl < 1:
-            raise SimulationError("MPL must be at least 1")
+                 scheduler: Any, costs: Any) -> None:
         self.executor_id = executor_id
         self.core_id = core_id
         self.container = container
@@ -184,7 +183,6 @@ class TransactionExecutor:
         from repro.core.context import ReactorContext
         self._context_cls = ReactorContext
         self.costs = costs
-        self.mpl = mpl
         self.queue: deque[Invocation] = deque()
         self.ready: deque[Task] = deque()
         self.running: Task | None = None
@@ -234,9 +232,6 @@ class TransactionExecutor:
             task = self.ready.popleft()
             self._resume_woken(task)
             return
-        # The MPL bounds admitted *non-blocked* tasks; with nothing
-        # running and nothing ready that count is zero, so (mpl >= 1)
-        # there is always room for the next request.
         if self.queue:
             invocation = self.queue.popleft()
             self._start_invocation(invocation)
@@ -747,7 +742,7 @@ class TransactionExecutor:
                 # land in dead storage, so the commit must not be
                 # reported.
                 with self.scheduler.commit_guard(root.sessions):
-                    TwoPhaseCommit(participants).abort(reason=None)
+                    coordinator.abort(participants, reason=None)
                 if database.replication is not None:
                     database.replication.stats.failover_aborts += 1
                 self._complete_root(task, False, "container failed",
@@ -759,8 +754,8 @@ class TransactionExecutor:
         # it triggers) are atomic against the other containers'
         # executing transactions.
         with self.scheduler.commit_guard(root.sessions):
-            outcome = TwoPhaseCommit(participants).commit(
-                self.scheduler.now)
+            outcome = coordinator.commit(participants,
+                                         self.scheduler.now)
             root.commit_tid = outcome.commit_tid
             ack_delay = 0.0
             if outcome.committed and database.replication is not None:
@@ -774,11 +769,8 @@ class TransactionExecutor:
                     flush_wait = None
         trace = root.trace
         if trace is not None:
-            # Commit-phase markers synthesized from the engine-neutral
-            # outcome: the batched and reference commit engines return
-            # identical CommitOutcomes (the hot-path equivalence
-            # contract), so a seeded trace is byte-identical under
-            # both.
+            # Commit-phase markers: the coordinator is pure logic and
+            # emits none, so they are synthesized from its outcome.
             now = self.scheduler.now
             if outcome.containers > 1:
                 trace.instant("2pc:prepare", now,
@@ -889,7 +881,7 @@ class TransactionExecutor:
             else:
                 reason = "user"
             with self.scheduler.commit_guard(root.sessions):
-                TwoPhaseCommit(participants).abort(reason)
+                coordinator.abort(participants, reason)
         self._busy(task, self.costs.abort_cost, "commit",
                    self._complete_root, task, False, str(abort), None)
 

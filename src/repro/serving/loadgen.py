@@ -28,7 +28,6 @@ histogram bucketing error at the p999 tail.
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 import time
@@ -80,16 +79,6 @@ class ArrivalSchedule:
         return cls("poisson", rate_tps, offsets)
 
 
-def _nearest_rank(sorted_us: list[float], pct: float) -> float:
-    """Exact nearest-rank percentile of an ascending sample list."""
-    if not sorted_us:
-        return 0.0
-    # The epsilon keeps an exact rank exact: 99.9% of 1000 computes
-    # to 999.0000000000001 in floats, which must not ceil to 1000.
-    rank = math.ceil(pct / 100.0 * len(sorted_us) - 1e-9)
-    return sorted_us[min(max(rank, 1), len(sorted_us)) - 1]
-
-
 class OpenLoopResult:
     """What one open-loop run produced, percentiles included."""
 
@@ -114,7 +103,10 @@ class OpenLoopResult:
         self.max_send_lag_us = max_send_lag_us
 
     def percentile_us(self, pct: float) -> float:
-        return _nearest_rank(self.latencies_us, pct)
+        # Deferred import: repro.bench's workers import repro.client,
+        # which imports this package.
+        from repro.bench.metrics import percentile
+        return percentile(self.latencies_us, pct)
 
     @property
     def p50_us(self) -> float:

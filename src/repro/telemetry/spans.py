@@ -10,9 +10,7 @@ migration) emit spans on their own tracks when system tracing is on.
 Everything is deterministic: span ids are a per-tracer sequence,
 timestamps are the virtual clock, and no telemetry code ever schedules
 an event or consumes randomness — a given seed yields a byte-identical
-exported trace, including across the batched and reference commit
-engines (the commit-phase spans are synthesized from the same
-per-participant order both engines share).
+exported trace.
 
 Spans an aborted path never closes are simply not emitted (the trace
 stays a well-formed tree); a trace is *finished* exactly once, at the

@@ -9,7 +9,7 @@ from repro.concurrency.base import (
     cc_scheme_names,
     create_cc_scheme,
 )
-from repro.concurrency.coordinator import TwoPhaseCommit
+from repro.concurrency import coordinator
 from repro.concurrency.locking import LockingCC
 from repro.concurrency.tid import EpochManager
 from repro.errors import (
@@ -53,7 +53,7 @@ def waitdie():
 
 
 def commit(manager, session, now=1.0):
-    return TwoPhaseCommit([(manager, session)]).commit(now)
+    return coordinator.commit([(manager, session)], now)
 
 
 class TestRegistry:
@@ -117,7 +117,7 @@ class TestSharedExclusive:
     def test_locks_released_after_abort(self, table, nowait):
         s1 = nowait.begin_session(1)
         s1.update(table, (1,), {"v": 10.0})
-        TwoPhaseCommit([(nowait, s1)]).abort()
+        coordinator.abort([(nowait, s1)])
         assert nowait.locks.held_count() == 0
         assert table.get_record((1,)).value["v"] == 1.0
 
@@ -253,13 +253,13 @@ class TestStatsAndValidation:
         s1 = nowait.begin_session(1)
         s1.update(table, (1,), {"v": 10.0})
         commit(nowait, s1)
-        assert nowait.validations == 1
-        assert nowait.validation_failures == 0
+        assert nowait.stats.validations == 1
+        assert nowait.stats.validation_failures == 0
 
     def test_user_abort_counted(self, table, nowait):
         s1 = nowait.begin_session(1)
         s1.update(table, (1,), {"v": 10.0})
-        TwoPhaseCommit([(nowait, s1)]).abort("user")
+        coordinator.abort([(nowait, s1)], "user")
         assert nowait.stats.user_aborts == 1
 
     def test_read_your_writes_under_2pl(self, table, nowait):
@@ -290,7 +290,7 @@ class TestPlaceholderReclamation:
         for i in range(50):
             s = nowait.begin_session(i + 1)
             s.insert(table, {"id": 1000 + i, "v": 1.0, "w": 0.0})
-            TwoPhaseCommit([(nowait, s)]).abort()
+            coordinator.abort([(nowait, s)])
         assert len(table) == before
         assert nowait.locks.held_count() == 0
 
@@ -339,8 +339,8 @@ class TestPassthroughBestEffortInstall:
         s1, s2 = cc.begin_session(1), cc.begin_session(2)
         s1.insert(table, {"id": 5, "x": 1.0})
         s2.insert(table, {"id": 6, "x": 1.0})  # same unique key
-        assert TwoPhaseCommit([(cc, s1)]).commit(1.0).committed
-        out2 = TwoPhaseCommit([(cc, s2)]).commit(2.0)
+        assert coordinator.commit([(cc, s1)], 1.0).committed
+        out2 = coordinator.commit([(cc, s2)], 2.0)
         assert out2.committed  # "none" commits; the write is dropped
         assert out2.writes == 0
 
@@ -367,9 +367,9 @@ class TestMultiContainer2PL:
         # container 1 before it commits.
         s_old = m1.begin_session(1)
         s_old.update(t1, (1,), {"v": 99.0})
-        assert TwoPhaseCommit([(m1, s_old)]).commit(1.0).committed
+        assert coordinator.commit([(m1, s_old)], 1.0).committed
 
-        outcome = TwoPhaseCommit([(m0, s0), (m1, s1)]).commit(2.0)
+        outcome = coordinator.commit([(m0, s0), (m1, s1)], 2.0)
         assert not outcome.committed
         # Atomicity: neither container applied the wounded writes.
         assert t0.get_record((1,)).value["v"] == 1.0

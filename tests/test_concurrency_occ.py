@@ -1,11 +1,19 @@
-"""Silo-style OCC: read-your-writes, validation, phantoms, 2PC."""
+"""Silo-style OCC: read-your-writes, validation, phantoms, 2PC,
+and multi-key reads against scalar reads."""
 
 import pytest
 
-from repro.concurrency.coordinator import TwoPhaseCommit
+from repro.concurrency import coordinator
+from repro.concurrency.base import create_cc_scheme
+from repro.concurrency.mvcc import SnapshotSession
 from repro.concurrency.occ import ConcurrencyManager
 from repro.concurrency.tid import EpochManager
-from repro.errors import DuplicateKeyError, RecordNotFound, SchemaError
+from repro.errors import (
+    CCAbort,
+    DuplicateKeyError,
+    RecordNotFound,
+    SchemaError,
+)
 from repro.relational.predicate import col
 from repro.relational.schema import (
     IndexSpec,
@@ -14,10 +22,10 @@ from repro.relational.schema import (
     make_schema,
 )
 from repro.relational.table import Table
+from repro.storage.store import StorageCoordinator
 
 
-@pytest.fixture
-def table():
+def _table():
     schema = make_schema(
         "t", [int_col("id"), float_col("v")], ["id"],
         [IndexSpec("by_v", ("v",), ordered=True)])
@@ -28,12 +36,17 @@ def table():
 
 
 @pytest.fixture
+def table():
+    return _table()
+
+
+@pytest.fixture
 def manager():
     return ConcurrencyManager(0, EpochManager())
 
 
 def commit(manager, session, now=1.0):
-    return TwoPhaseCommit([(manager, session)]).commit(now)
+    return coordinator.commit([(manager, session)], now)
 
 
 class TestIntentImagesAreBornValidated:
@@ -234,18 +247,8 @@ class TestValidation:
         out2 = commit(manager, s2)
         assert out2.commit_tid > out1.commit_tid
 
-    def test_disabled_cc_skips_validation(self, table):
-        manager = ConcurrencyManager(0, EpochManager(), enabled=False)
-        s1 = manager.begin_session(1)
-        s1.read(table, (1,))
-        s1.update(table, (1,), {"v": 10.0})
-        s2 = manager.begin_session(2)
-        s2.update(table, (1,), {"v": 20.0})
-        assert commit(manager, s2).committed
-        assert commit(manager, s1).committed  # no validation
 
-
-class TestTwoPhaseCommit:
+class TestCoordinator:
     def test_multi_container_atomic_abort(self, manager):
         schema = make_schema("t", [int_col("id"), float_col("v")],
                              ["id"])
@@ -263,10 +266,10 @@ class TestTwoPhaseCommit:
         # A competing single-container commit invalidates container 1.
         s_other = m1.begin_session(2)
         s_other.update(t1, (1,), {"v": 99.0})
-        assert TwoPhaseCommit([(m1, s_other)]).commit(1.0).committed
+        assert coordinator.commit([(m1, s_other)], 1.0).committed
 
-        outcome = TwoPhaseCommit(
-            [(m0, s_multi0), (m1, s_multi1)]).commit(2.0)
+        outcome = coordinator.commit(
+            [(m0, s_multi0), (m1, s_multi1)], 2.0)
         assert not outcome.committed
         # Atomicity: neither container applied the multi-write.
         assert t0.get_record((1,)).value["v"] == 1.0
@@ -283,7 +286,7 @@ class TestTwoPhaseCommit:
         s0, s1 = m0.begin_session(1), m1.begin_session(1)
         s0.update(t0, (1,), {"v": 7.0})
         s1.update(t1, (1,), {"v": 8.0})
-        outcome = TwoPhaseCommit([(m0, s0), (m1, s1)]).commit(1.0)
+        outcome = coordinator.commit([(m0, s0), (m1, s1)], 1.0)
         assert outcome.committed
         assert outcome.containers == 2
         assert t0.get_record((1,)).value["v"] == 7.0
@@ -292,12 +295,69 @@ class TestTwoPhaseCommit:
     def test_explicit_abort_discards_writes(self, table, manager):
         s = manager.begin_session(1)
         s.update(table, (1,), {"v": 10.0})
-        TwoPhaseCommit([(manager, s)]).abort()
+        coordinator.abort([(manager, s)])
         assert table.get_record((1,)).value["v"] == 1.0
 
     def test_needs_participants(self):
         with pytest.raises(ValueError):
-            TwoPhaseCommit([])
+            coordinator.commit([], 1.0)
+
+    @pytest.mark.parametrize("failing", [0, 1, 2],
+                             ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("scheme", ["occ", "2pl_nowait"])
+    def test_failed_validation_rolls_back_every_participant(
+            self, scheme, failing):
+        """One rollback loop serves the validated prefix, the failing
+        participant and the unvalidated rest: whichever of three
+        containers refuses, none keeps a lock, a placeholder or a
+        write, and only the refusing one counts an abort."""
+        epochs = EpochManager()
+        managers = [create_cc_scheme(scheme, cid, epochs)
+                    for cid in range(3)]
+        tables = [_table() for __ in managers]
+
+        def writer(txn_id):
+            sessions = [m.begin_session(txn_id) for m in managers]
+            for session, table in zip(sessions, tables):
+                session.read(table, (2,))
+                session.update(table, (1,), {"v": 10.0 * txn_id})
+                session.insert(table, {"id": 100, "v": 1.0 * txn_id})
+            return list(zip(managers, sessions))
+
+        participants = writer(1)
+        manager, table = managers[failing], tables[failing]
+        if scheme == "occ":
+            # A rival installs over the victim's read.
+            rival = manager.begin_session(9)
+            rival.update(table, (2,), {"v": -1.0})
+            assert coordinator.commit([(manager, rival)], 1.0).committed
+        else:
+            # 2PL validation re-checks only the doom flag.
+            manager.locks.wound(participants[failing][1])
+
+        outcome = coordinator.commit(participants, 2.0)
+        assert not outcome.committed
+        assert (outcome.commit_tid, outcome.containers,
+                outcome.writes) == (0, 3, 0)
+        for cid, (manager, table) in enumerate(zip(managers, tables)):
+            assert all(record.locked_by is None
+                       for record in table.all_records())
+            if scheme != "occ":
+                assert manager.locks.held_count() == 0
+            assert table.peek_record((100,)) is None
+            assert table.get_record((1,)).value["v"] == 1.0
+            # Validation stopped at the refusal, which is counted
+            # there and nowhere else.
+            rivals = 1 if scheme == "occ" and cid == failing else 0
+            assert manager.stats.validations == \
+                rivals + (1 if cid <= failing else 0)
+            assert sum(manager.stats.abort_reasons().values()) == \
+                (1 if cid == failing else 0)
+
+        assert coordinator.commit(writer(2), 3.0).committed
+        for table in tables:
+            assert table.get_record((1,)).value["v"] == 20.0
+            assert table.get_record((100,)).value["v"] == 2.0
 
     def test_validation_stats_counted(self, table, manager):
         s1 = manager.begin_session(1)
@@ -307,5 +367,91 @@ class TestTwoPhaseCommit:
         s2.update(table, (1,), {"v": 2.5})
         commit(manager, s2)
         commit(manager, s1)
-        assert manager.validations == 2
-        assert manager.validation_failures == 1
+        assert manager.stats.validations == 2
+        assert manager.stats.validation_failures == 1
+
+
+# ----------------------------------------------------------------------
+# multi_read vs scalar reads on the session surface
+# ----------------------------------------------------------------------
+
+
+class TestMultiReadEquivalence:
+    def test_matches_scalar_reads_including_overlay(self, table):
+        manager = ConcurrencyManager(0, EpochManager())
+        pks = [(1,), (99,), (3,), (4,), (100,), (0,)]
+
+        scalar = manager.begin_session(1)
+        scalar.update(table, (3,), {"v": 33.0})
+        scalar.delete(table, (4,))
+        scalar.insert(table, {"id": 100, "v": 50.0})
+        scalar_rows = [scalar.read(table, pk)[0] for pk in pks]
+
+        vector = manager.begin_session(2)
+        vector.update(table, (3,), {"v": 33.0})
+        vector.delete(table, (4,))
+        vector.insert(table, {"id": 100, "v": 50.0})
+        vector_rows, examined = vector.multi_read(table, pks)
+
+        assert vector_rows == scalar_rows
+        assert examined == len(pks)
+        # Identical validation footprint: same observed records, same
+        # node checks for the misses.
+        assert set(vector._reads) == set(scalar._reads)
+        assert vector._node_checks.keys() == scalar._node_checks.keys()
+
+    def test_footprint_validates_like_scalar_reads(self, table):
+        manager = ConcurrencyManager(0, EpochManager())
+        session = manager.begin_session(1)
+        rows, __ = session.multi_read(table, [(0,), (1,), (2,)])
+        assert [r["v"] for r in rows] == [0.0, 1.0, 2.0]
+
+        # A conflicting install invalidates the batched read set just
+        # as it would invalidate scalar reads.
+        writer = manager.begin_session(2)
+        writer.update(table, (1,), {"v": 9.0})
+        floor = manager.validate(writer)
+        manager.install(writer, manager.tids.next_tid(1.0,
+                                                      at_least=floor))
+
+        with pytest.raises(CCAbort):
+            manager.validate(session)
+
+    def test_snapshot_session_matches_scalar_reads(self, table):
+        manager = ConcurrencyManager(0, EpochManager())
+        writer = manager.begin_session(1)
+        writer.update(table, (2,), {"v": 77.0})
+        floor = manager.validate(writer)
+        tid = manager.tids.next_tid(1.0, at_least=floor)
+        manager.install(writer, tid)
+
+        pks = [(0,), (2,), (99,)]
+        scalar = SnapshotSession(10, 0, snapshot_tid=tid)
+        scalar_rows = [scalar.read(table, pk)[0] for pk in pks]
+
+        vector = SnapshotSession(11, 0, snapshot_tid=tid)
+        vector_rows, examined = vector.multi_read(table, pks)
+
+        assert vector_rows == scalar_rows
+        assert vector_rows[1]["v"] == 77.0
+        assert examined == len(pks)
+        assert vector.snapshot_read_count == scalar.snapshot_read_count
+
+    def test_stale_snapshot_ignores_newer_versions_batched(self, table):
+        manager = ConcurrencyManager(0, EpochManager())
+        old_tid = manager.tids.next_tid(1.0)
+        # Pin the old snapshot so the install retains the superseded
+        # version instead of GC-ing it.
+        storage = StorageCoordinator()
+        table.versioning = storage
+        storage.pin(12, old_tid)
+
+        writer = manager.begin_session(1)
+        writer.update(table, (2,), {"v": 77.0})
+        floor = manager.validate(writer)
+        manager.install(writer, manager.tids.next_tid(2.0,
+                                                      at_least=floor))
+
+        stale = SnapshotSession(12, 0, snapshot_tid=old_tid)
+        rows, __ = stale.multi_read(table, [(2,)])
+        assert rows[0]["v"] == 2.0

@@ -124,7 +124,6 @@ class TestSerialization:
         })
         assert config.routing == AFFINITY
         assert config.machine is XEON_E3_1276
-        assert config.cc_enabled
         assert config.cc_scheme == "occ"
 
     @pytest.mark.parametrize(
@@ -136,32 +135,34 @@ class TestSerialization:
         assert via_dict.to_dict() == config.to_dict()
         via_json = DeploymentConfig.from_json(config.to_json())
         assert via_json.cc_scheme == scheme
-        assert via_json.cc_enabled == (scheme != "none")
-
-    def test_legacy_cc_enabled_dict_still_loads(self):
-        data = shared_nothing(2).to_dict()
-        del data["cc_scheme"]
-        data["cc_enabled"] = False
-        assert DeploymentConfig.from_dict(data).cc_scheme == "none"
-        data["cc_enabled"] = True
-        assert DeploymentConfig.from_dict(data).cc_scheme == "occ"
 
     def test_unknown_cc_scheme_rejected(self):
         with pytest.raises(DeploymentError):
             shared_nothing(2, cc_scheme="psychic")
 
-    def test_unknown_top_level_key_rejected(self):
+    @pytest.mark.parametrize("data, key", [
+        ({**shared_nothing(2).to_dict(), "cc_schema": "2pl_nowait"},
+         "cc_schema"),
+        ({}, "name"),
+        ({"name": "x"}, "containers"),
+        ({"name": "x", "containers": [{"executors": "a"}]},
+         "executors"),
+        ({"name": "x", "containers": [{"executers": 4}]}, "executers"),
+    ])
+    def test_malformed_config_rejected_naming_the_key(self, data, key):
         """Typos in config files must fail loudly, naming the key —
-        a silently ignored ``cc_schema`` would run the wrong scheme."""
-        data = shared_nothing(2).to_dict()
-        data["cc_schema"] = "2pl_nowait"
-        with pytest.raises(DeploymentError, match="cc_schema"):
+        a silently ignored ``cc_schema`` would run the wrong scheme,
+        a silently ignored ``executers`` the wrong core count."""
+        with pytest.raises(DeploymentError, match=key):
             DeploymentConfig.from_dict(data)
 
-    def test_legacy_cc_enabled_key_still_accepted(self):
+    def test_accepted_keys_are_exactly_the_serialized_ones(self):
+        """One spelling per option: ``from_dict`` knows no alias that
+        ``to_dict`` does not write, so a retired key is a typo."""
         data = shared_nothing(2).to_dict()
-        data["cc_enabled"] = True
-        DeploymentConfig.from_dict(data)  # not an unknown key
+        assert DeploymentConfig.KNOWN_KEYS == set(data)
+        assert DeploymentConfig.CONTAINER_KEYS == \
+            set(data["containers"][0])
 
     def test_replication_round_trips(self):
         from repro.replication import ReplicationConfig
@@ -178,11 +179,6 @@ class TestSerialization:
         config = DeploymentConfig.from_dict({
             "name": "minimal", "containers": [{}]})
         assert not config.replication.enabled
-
-    def test_factories_accept_legacy_cc_enabled(self):
-        assert shared_nothing(2, cc_enabled=False).cc_scheme == "none"
-        assert shared_everything_with_affinity(
-            2, cc_enabled=True).cc_scheme == "occ"
 
     def test_architecture_change_is_config_only(self):
         """The paper's claim: architecture changes are config edits."""

@@ -1,8 +1,8 @@
 """Golden seeded-history digests: one tree against a committed file.
 
-``tests/test_hotpath_equivalence.py`` compares two commit engines
-*inside one tree*, so a change that moves both goes unseen.  This file
-pins the observable history of three seeded workloads — a contended
+There is one commit path and no second implementation to compare it
+with, so the oracle is black-box: this file pins the observable
+history of three seeded workloads — a contended
 SmallBank mix, a tiny TPC-C standard mix over a group-commit WAL, and
 a skewed YCSB mix — under every built-in CC scheme and two seeds
 against sha256 digests committed in ``tests/golden/histories.json``.

@@ -15,7 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concurrency.coordinator import TwoPhaseCommit
+from repro.concurrency import coordinator
 from repro.concurrency.occ import ConcurrencyManager
 from repro.concurrency.tid import EpochManager
 from repro.relational.index import OrderedIndex, make_spec
@@ -146,8 +146,7 @@ def test_occ_interleavings_are_serializable(programs, rng):
     for t, session in enumerate(sessions):
         if session.finished:
             continue
-        outcome = TwoPhaseCommit([(manager, session)]).commit(
-            float(t + 1))
+        outcome = coordinator.commit([(manager, session)], float(t + 1))
         if outcome.committed:
             committed.append((outcome.commit_tid, t))
     committed.sort()
@@ -166,8 +165,8 @@ def test_occ_interleavings_are_serializable(programs, rng):
                 session.read(replay_table, (key,))
             else:
                 session.update(replay_table, (key,), {"v": t})
-        outcome = TwoPhaseCommit(
-            [(replay_manager, session)]).commit(float(order + 1))
+        outcome = coordinator.commit(
+            [(replay_manager, session)], float(order + 1))
         assert outcome.committed  # serial execution cannot conflict
 
     replay_final = {r.key[0]: r.value["v"]
@@ -192,6 +191,5 @@ def test_serial_occ_never_aborts(programs):
                 session.read(table, (key,))
             else:
                 session.update(table, (key,), {"v": t})
-        outcome = TwoPhaseCommit([(manager, session)]).commit(
-            float(t + 1))
+        outcome = coordinator.commit([(manager, session)], float(t + 1))
         assert outcome.committed

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.bench.metrics import percentile
 from repro.client.base import Outcome, Submission
 from repro.serving.loadgen import (
     ArrivalSchedule,
@@ -54,11 +55,17 @@ def _result(latencies_us, **kwargs):
 
 
 def test_percentiles_are_exact_nearest_rank():
-    result = _result([float(i) for i in range(1, 1001)])
+    samples = [float(i) for i in range(1, 1001)]
+    result = _result(samples)
     assert result.p50_us == 500.0
     assert result.p99_us == 990.0
     assert result.p999_us == 999.0
     assert result.percentile_us(100.0) == 1000.0
+    # The one shared function, on unsorted input and at the ranks
+    # where a float product lands just above an integer.
+    assert percentile(samples[::-1], 99.9) == 999.0
+    assert percentile(samples, 0.0) == 1.0
+    assert percentile(range(1, 3001), 99.9) == 2997
 
 
 def test_percentiles_of_tiny_samples():

@@ -2,8 +2,7 @@
 
 Covers the metrics registry (catalog enforcement, histogram
 percentiles, label rendering, Prometheus text), the deterministic
-tracer (same seed => byte-identical Chrome export, across runs and
-across the batched/reference commit engines), the disabled path
+tracer (same seed => byte-identical Chrome export), the disabled path
 (no spans allocated, legacy stats shapes intact), the bench-summary
 embedding, and the trace validator (tools/check_trace.py).
 """
@@ -17,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import drain_telemetry_summaries, run_measurement
-from repro.concurrency import batch
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
 from repro.durability.config import DurabilityConfig
@@ -214,19 +212,6 @@ class TestTraceDeterminism:
             exports.append(database.telemetry.export_chrome_json())
         assert exports[0] == exports[1]
         assert '"ph": "X"' in exports[0]
-
-    def test_engines_byte_identical(self):
-        database = build_db(telemetry=full_tracing())
-        drive(database, seed=7)
-        batched = database.telemetry.export_chrome_json()
-        batch.set_batched(False)
-        try:
-            database = build_db(telemetry=full_tracing())
-            drive(database, seed=7)
-            reference = database.telemetry.export_chrome_json()
-        finally:
-            batch.set_batched(True)
-        assert batched == reference
 
     def test_sampling_is_by_txn_id(self):
         database = build_db(telemetry=TelemetryConfig(trace_sample=4))

@@ -9,8 +9,7 @@ trace-event JSON — loadable in Perfetto (https://ui.perfetto.dev) or
 
 The simulation runs entirely on the virtual clock and the tracer adds
 no scheduler events and consumes no randomness, so the same seed
-yields a *byte-identical* file on every run and under either hot-path
-engine (``REPRO_HOTPATH=reference`` vs batched) — CI exports twice and
+yields a *byte-identical* file on every run — CI exports twice and
 ``cmp``s the bytes, then validates the structure with
 ``tools/check_trace.py``.
 
