@@ -123,7 +123,7 @@ def run_measurement(database: "ReactorDatabase | Any", n_workers: int,
         core_busy=core_busy,
         window_us=measure_us,
         telemetry=_note_telemetry(database),
-        backend=getattr(scheduler, "name", "sim"),
+        backend=scheduler.name,
     )
 
 
@@ -168,5 +168,5 @@ def single_worker_latency(database: "ReactorDatabase | Any",
         core_busy={e.core_id: e.busy_time for e in database.executors},
         window_us=window_end - window_start,
         telemetry=_note_telemetry(database),
-        backend=getattr(database.scheduler, "name", "sim"),
+        backend=database.scheduler.name,
     )

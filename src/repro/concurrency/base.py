@@ -306,9 +306,7 @@ class CCSession:
                     return None, 1
                 assert intent.new_value is not None
                 return dict(intent.new_value), 1
-        records = table.records
-        record = table.store.get(pk) if records is None \
-            else records.get(pk)
+        record = table.records.get(pk)
         if record is None or record.deleted:
             # A miss is also a predicate read: guard against a phantom
             # insert of this key by validating the table structure.
@@ -337,8 +335,7 @@ class CCSession:
         out: list[Row | None] = [None] * len(pks)
         writes = self._writes
         table_id = id(table)
-        recmap = table.records
-        get_record = table.store.get if recmap is None else recmap.get
+        get_record = table.records.get
         register_read = self._register_read
         # Footprint registration inlined when the scheme uses the base
         # implementation (OCC/MVCC); locking schemes hook per-read lock
@@ -432,9 +429,7 @@ class CCSession:
                 self._set_intent(WriteIntent(
                     intent.kind, table, pk, intent.record, new_value))
                 return dict(new_value), 1
-        records = table.records
-        record = table.store.get(pk) if records is None \
-            else records.get(pk)
+        record = table.records.get(pk)
         if record is None or record.deleted:
             # Same phantom guard a read miss registers.
             self._register_node(table)
@@ -760,12 +755,6 @@ class ConcurrencyControl:
         (after releasing any commit-time locks it took itself).
         """
         raise NotImplementedError
-
-    def commit_cost(self, costs: Any, reads: int, writes: int) -> float:
-        """Simulated CPU charged by the executor for the commit phase."""
-        return (costs.occ_commit_base
-                + costs.occ_validate_per_read * reads
-                + costs.occ_install_per_write * writes)
 
     def install(self, session: CCSession, commit_tid: int) -> int:
         """Phase-2 write installation; returns number of writes.

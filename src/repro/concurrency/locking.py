@@ -336,13 +336,13 @@ class LockingCC(ConcurrencyControl):
             )
         return session.max_observed_tid()
 
-    # Commit-phase pricing deliberately inherits the base (OCC-shaped)
-    # formula: the simulator charges no per-lock fee during execution,
-    # so 2PL's shrinking-phase walk over the read/write footprint is
-    # priced like OCC's validation walk.  Pricing it cheaper would
-    # hand 2PL a free-locking artifact in scheme ablations; this way
-    # benchmark differences come from aborts and conflicts, not from
-    # the cost model.
+    # Commit-phase pricing is deliberately the one (OCC-shaped) formula
+    # of ``TransactionExecutor._commit_root``: the simulator charges no
+    # per-lock fee during execution, so 2PL's shrinking-phase walk over
+    # the read/write footprint is priced like OCC's validation walk.
+    # Pricing it cheaper would hand 2PL a free-locking artifact in
+    # scheme ablations; this way benchmark differences come from aborts
+    # and conflicts, not from the cost model.
 
 
 def _make(policy: str, scheme: str):

@@ -110,23 +110,15 @@ class SnapshotSession(CCSession):
         out: list[Any] = [None] * len(pks)
         snapshot_tid = self.snapshot_tid
         note = self._note
-        recmap = table.store.record_map()
-        if recmap is not None:
-            get = recmap.get
-            for i, pk in enumerate(pks):
-                record = get(pk)
-                if record is None:
-                    image, observed_tid = None, 0
-                else:
-                    image, observed_tid = record.version_at(snapshot_tid)
-                note(table, pk, image, observed_tid)
-                out[i] = image
-        else:
-            version_at = table.store.version_at
-            for i, pk in enumerate(pks):
-                image, observed_tid = version_at(pk, snapshot_tid)
-                note(table, pk, image, observed_tid)
-                out[i] = image
+        get = table.records.get
+        for i, pk in enumerate(pks):
+            record = get(pk)
+            if record is None:
+                image, observed_tid = None, 0
+            else:
+                image, observed_tid = record.version_at(snapshot_tid)
+            note(table, pk, image, observed_tid)
+            out[i] = image
         return out, len(pks)
 
     def scan(self, table: Table, predicate: Predicate = ALWAYS,
@@ -203,12 +195,12 @@ class SnapshotSession(CCSession):
         record still retaining chain versions (the only ones whose
         snapshot image can differ from — or outlive — its head)."""
         picked: dict[tuple, Any] = {}
-        peek = table.store.peek
+        peek = table.records.get
         for pk in pks:
             record = peek(pk)
             if record is not None:
                 picked[pk] = record
-        for record in table.store.iter_chained():
+        for record in table.iter_chained():
             picked.setdefault(record.key, record)
         return picked.values()
 

@@ -53,7 +53,7 @@ class ReactorDatabase:
         #: ``deployment.backend`` selects it; passing an explicit
         #: ``scheduler`` (tests, shared-clock experiments) overrides.
         self.scheduler = scheduler or create_backend(deployment)
-        self.backend_name = getattr(self.scheduler, "name", "sim")
+        self.backend_name = self.scheduler.name
         self.costs = deployment.machine.costs
         self.epochs = EpochManager()
         #: The multi-version storage engine state: pinned snapshots of
@@ -553,7 +553,7 @@ class ReactorDatabase:
         return self.migration.stats_dict()
 
     def _require_virtual(self, feature: str) -> None:
-        if not getattr(self.scheduler, "is_virtual", True):
+        if not self.scheduler.is_virtual:
             raise DeploymentError(
                 f"{feature} requires the virtual-time 'sim' backend; "
                 f"the {self.backend_name!r} backend does not support "

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.durability.config import NO_DURABILITY, DurabilityConfig
-from repro.errors import DeploymentError
+from repro.errors import DeploymentError, read_config_keys
 from repro.migration.config import DEFAULT_MIGRATION, MigrationConfig
 from repro.replication.config import NO_REPLICATION, ReplicationConfig
 from repro.telemetry.config import TelemetryConfig
@@ -60,14 +60,19 @@ class Placement:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "Placement":
-        kind = data.get("kind", "modulo")
-        if kind == "modulo":
-            return Placement()
-        if kind == "range":
-            return RangePlacement(int(data["block_size"]))
-        if kind == "explicit":
-            return ExplicitPlacement(dict(data["mapping"]))
-        raise DeploymentError(f"unknown placement kind {kind!r}")
+        kind = data.get("kind", Placement.kind)
+        if kind == Placement.kind:
+            cls, keys = Placement, {}
+        elif kind == RangePlacement.kind:
+            cls, keys = RangePlacement, {"block_size": int}
+        elif kind == ExplicitPlacement.kind:
+            cls, keys = ExplicitPlacement, {"mapping": dict}
+        else:
+            raise DeploymentError(f"unknown placement kind {kind!r}")
+        fields = read_config_keys(data, f"{kind} placement",
+                                  {"kind": str, **keys}, required=keys)
+        fields.pop("kind", None)
+        return cls(**fields)
 
 
 class RangePlacement(Placement):
@@ -116,9 +121,9 @@ class ExplicitPlacement(Placement):
 ROUND_ROBIN = "round_robin"
 AFFINITY = "affinity"
 
-#: Execution backends a deployment may select (kept as a local tuple —
-#: the backend registry lives in :mod:`repro.runtime.backend`, which
-#: this module must not import at module scope).
+#: Execution backends a deployment may select
+#: (:func:`repro.runtime.backend.create_backend` maps the name to an
+#: instance; that module cannot be imported here at module scope).
 BACKENDS = ("sim", "threads")
 
 
@@ -183,9 +188,7 @@ class DeploymentConfig:
     replication: ReplicationConfig = NO_REPLICATION
     migration: MigrationConfig = DEFAULT_MIGRATION
     durability: DurabilityConfig = NO_DURABILITY
-    #: Observability switches (metrics on/off, root-trace sampling);
-    #: the default reads the ``REPRO_TELEMETRY``/``REPRO_TRACE``
-    #: environment overrides.
+    #: Observability switches (metrics on/off, root-trace sampling).
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     #: Execution backend: ``"sim"`` (virtual-time discrete-event
     #: simulation, the certification oracle) or ``"threads"`` (one OS
@@ -249,15 +252,19 @@ class DeploymentConfig:
 
     # -- serialization --------------------------------------------------
 
-    #: Every key ``from_dict`` understands; anything else is a typo an
-    #: infrastructure engineer should hear about, not a silent no-op.
-    KNOWN_KEYS = frozenset({
-        "name", "machine", "containers", "routing", "pin_reactors",
-        "placement", "cc_scheme", "snapshot_reads", "replication",
-        "migration", "durability", "telemetry", "backend",
-    })
+    #: Every key ``from_dict`` understands (exactly what ``to_dict``
+    #: writes), with the type its value must have; anything else is a
+    #: typo an infrastructure engineer should hear about, not a silent
+    #: no-op.
+    KEYS = {
+        "name": str, "machine": str, "containers": list,
+        "routing": str, "pin_reactors": bool, "placement": dict,
+        "cc_scheme": str, "snapshot_reads": bool, "replication": dict,
+        "migration": dict, "durability": dict, "telemetry": dict,
+        "backend": str,
+    }
     #: The same rule inside one entry of ``containers``.
-    CONTAINER_KEYS = frozenset({"executors", "mpl"})
+    CONTAINER_KEYS = {"executors": int, "mpl": int}
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -281,32 +288,28 @@ class DeploymentConfig:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "DeploymentConfig":
-        _reject_unknown_keys(data, DeploymentConfig.KNOWN_KEYS,
-                             "deployment")
-        for key in ("name", "containers"):
-            if key not in data:
+        fields = read_config_keys(data, "deployment",
+                                  DeploymentConfig.KEYS,
+                                  required=("name", "containers"))
+        fields["containers"] = [
+            ContainerSpec(**read_config_keys(
+                spec, "container", DeploymentConfig.CONTAINER_KEYS))
+            for spec in fields["containers"]]
+        if "machine" in fields:
+            try:
+                fields["machine"] = get_profile(fields["machine"])
+            except KeyError as exc:
                 raise DeploymentError(
-                    f"missing required deployment key {key!r}")
-        return DeploymentConfig(
-            name=data["name"],
-            containers=[_container_spec(c) for c in data["containers"]],
-            routing=data.get("routing", AFFINITY),
-            pin_reactors=bool(data.get("pin_reactors", False)),
-            machine=get_profile(data.get("machine", XEON_E3_1276.name)),
-            placement=Placement.from_dict(
-                data.get("placement", {"kind": "modulo"})),
-            cc_scheme=data.get("cc_scheme", "occ"),
-            snapshot_reads=bool(data.get("snapshot_reads", False)),
-            replication=ReplicationConfig.from_dict(
-                data.get("replication", {})),
-            migration=MigrationConfig.from_dict(
-                data.get("migration", {})),
-            durability=DurabilityConfig.from_dict(
-                data.get("durability", {})),
-            telemetry=TelemetryConfig.from_dict(
-                data.get("telemetry", {})),
-            backend=str(data.get("backend", "sim")),
-        )
+                    f"deployment key 'machine': {exc.args[0]}"
+                ) from None
+        for key, reader in (("placement", Placement),
+                            ("replication", ReplicationConfig),
+                            ("migration", MigrationConfig),
+                            ("durability", DurabilityConfig),
+                            ("telemetry", TelemetryConfig)):
+            if key in fields:
+                fields[key] = reader.from_dict(fields[key])
+        return DeploymentConfig(**fields)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -314,31 +317,6 @@ class DeploymentConfig:
     @staticmethod
     def from_json(text: str) -> "DeploymentConfig":
         return DeploymentConfig.from_dict(json.loads(text))
-
-
-def _reject_unknown_keys(data: dict[str, Any], known: frozenset[str],
-                         what: str) -> None:
-    for key in data:
-        if key not in known:
-            raise DeploymentError(
-                f"unknown {what} key {key!r}; expected one of "
-                f"{', '.join(sorted(known))}"
-            )
-
-
-def _container_spec(data: dict[str, Any]) -> ContainerSpec:
-    _reject_unknown_keys(data, DeploymentConfig.CONTAINER_KEYS,
-                         "container")
-    counts = {}
-    for key in ("executors", "mpl"):
-        try:
-            counts[key] = int(data.get(key, 1))
-        except (TypeError, ValueError):
-            raise DeploymentError(
-                f"container key {key!r} must be an integer, "
-                f"got {data[key]!r}"
-            ) from None
-    return ContainerSpec(**counts)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import DeploymentError
+from repro.errors import DeploymentError, read_config_keys
 
 SYNC = "sync"
 GROUP = "group"
@@ -66,6 +66,10 @@ class DurabilityConfig:
 
     # -- serialization --------------------------------------------------
 
+    #: Every key ``from_dict`` accepts (exactly what ``to_dict``
+    #: writes), with the type its value must have.
+    KEYS = {"enabled": bool, "durability_mode": str}
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "enabled": self.enabled,
@@ -74,18 +78,11 @@ class DurabilityConfig:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "DurabilityConfig":
-        known = {"enabled", "durability_mode", "mode"}
-        for key in data:
-            if key not in known:
-                raise DeploymentError(
-                    f"unknown durability key {key!r}; expected one of "
-                    f"{', '.join(sorted(known))}"
-                )
-        mode = data.get("durability_mode", data.get("mode", GROUP))
-        return DurabilityConfig(
-            enabled=bool(data.get("enabled", False)),
-            mode=mode,
-        )
+        fields = read_config_keys(data, "durability",
+                                  DurabilityConfig.KEYS)
+        if "durability_mode" in fields:
+            fields["mode"] = fields.pop("durability_mode")
+        return DurabilityConfig(**fields)
 
 
 #: The in-memory default every deployment starts from.

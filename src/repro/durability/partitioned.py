@@ -31,7 +31,7 @@ from typing import Any, Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.durability.checkpoint import Checkpoint, CheckpointManifest
-from repro.durability.recovery import CrashImage, _finish_recovery
+from repro.durability.recovery import CrashImage
 from repro.durability.wal import RedoEntry, RedoLog, apply_entry_to
 
 if TYPE_CHECKING:  # runtime import deferred (see recovery.py)
@@ -137,6 +137,31 @@ def recover_partitioned(
         parallel=parallel,
         per_executor_us=busy,
     )
+
+
+def _finish_recovery(database: ReactorDatabase, checkpoint: Checkpoint,
+                     max_tid: int) -> None:
+    """Recovery epilogue: TID watermarks and replica seeding."""
+    # Restore TID watermarks so post-recovery commits continue above
+    # everything replayed.
+    for container in database.containers:
+        watermark = max(
+            checkpoint.tid_watermarks.get(container.container_id, 0),
+            max_tid)
+        container.concurrency.tids.advance_to(watermark)
+
+    # A replication-enabled target deployment: seed the replicas with
+    # the recovered state (checkpoint restore and replay wrote primary
+    # tables directly, bypassing the bulk-load mirror).  The recovered
+    # image is the replicas' new base; subsequent commits ship on top.
+    if database.replication is not None:
+        for name in database.reactor_names():
+            reactor = database.reactor(name)
+            for table in reactor.catalog:
+                table_rows = table.rows()
+                if table_rows:
+                    database.replication.on_bulk_load(
+                        name, table.name, table_rows)
 
 
 def recover_image_partitioned(

@@ -26,11 +26,12 @@ The :class:`DurabilityManager` owns one database's durability state:
 Recovery rebuilds a fresh database (same reactor declarations, any
 deployment — architecture virtualization extends to recovery) from a
 checkpoint, then replays redo records with commit TIDs above the
-checkpoint watermark in global TID order.  Replay is idempotent on
-after-images, so replaying from an older checkpoint with a longer log
-yields the same state.  :mod:`repro.durability.partitioned` adds the
-parallel SiloR-style variant (per-reactor partitions replayed
-concurrently on the sim scheduler, priced in virtual time).
+checkpoint watermark in per-reactor TID order.  Replay is idempotent
+on after-images, so replaying from an older checkpoint with a longer
+log yields the same state.  There is one replay engine,
+:func:`repro.durability.partitioned.recover_partitioned` (SiloR-style
+per-reactor partitions replayed on the target deployment's executors,
+priced in virtual time); :func:`recover` returns its database.
 
 Replay goes through the regular ``install_*`` paths of the recovered
 database's tables, i.e. through the multi-version storage engine: the
@@ -55,13 +56,13 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.config import ASYNC, DURABILITY_MODES
 from repro.durability.group_commit import LogFlusher
-from repro.durability.wal import RedoLog, RedoRecord, apply_record_to
+from repro.durability.wal import RedoLog, RedoRecord
 from repro.errors import SimulationError
 from repro.runtime.futures import SimFuture
 
 if TYPE_CHECKING:  # deployment.py imports this package's config at
     # module scope, so the runtime import of core.database is deferred
-    # into recover() to keep the bootstrap acyclic.
+    # into recover_partitioned() to keep the bootstrap acyclic.
     from repro.core.database import ReactorDatabase
     from repro.core.deployment import DeploymentConfig
 
@@ -163,9 +164,7 @@ class DurabilityManager:
         #: the classic ack-before-flush bug crash certification must
         #: catch as acked-commit loss.
         self.chaos_ack_bypass = False
-        telemetry = getattr(database, "telemetry", None)
-        if telemetry is not None:
-            telemetry.register_durability(self)
+        database.telemetry.register_durability(self)
         for container in database.containers:
             log = RedoLog(container.container_id)
             container.concurrency.redo_log = log
@@ -178,15 +177,14 @@ class DurabilityManager:
     def _attach_log(self, container_id: int, log: RedoLog) -> None:
         self.logs[container_id] = log
         self.installed.setdefault(container_id, [])
-        telemetry = getattr(self.database, "telemetry", None)
+        telemetry = self.database.telemetry
         flusher = LogFlusher(container_id, self.database.scheduler,
                              self.database.costs, self.mode,
                              telemetry=telemetry)
         self.flushers[container_id] = flusher
-        if telemetry is not None:
-            # Idempotent: a promotion re-attaches the same container
-            # label and the gauges re-point to the new flusher.
-            telemetry.register_flusher(flusher)
+        # Idempotent: a promotion re-attaches the same container
+        # label and the gauges re-point to the new flusher.
+        telemetry.register_flusher(flusher)
 
         def on_append(record: RedoRecord,
                       cid: int = container_id,
@@ -308,7 +306,7 @@ class DurabilityManager:
         # participant's epoch flushed — the property that keeps acked
         # commits atomic across kill-at-arbitrary-epoch crashes.
         scheduler = self.database.scheduler
-        future_cls = getattr(scheduler, "future_class", None) or SimFuture
+        future_cls = scheduler.future_class or SimFuture
         joint = future_cls(remote=False, subtxn_id=0,
                            target_reactor="log:join")
         remaining = {"n": len(futures)}
@@ -443,8 +441,8 @@ class DurabilityManager:
         """
         tid = checkpoint_tid
         database = self.database
-        storage = getattr(database, "storage", None)
-        if storage is not None and storage.pinned:
+        storage = database.storage
+        if storage.pinned:
             # Keep the record *at* the pin too: a stale read at the
             # snapshot is only caught if the write with commit TID in
             # (observed, snapshot] is still logged.  (At quiescence
@@ -452,18 +450,17 @@ class DurabilityManager:
             # held through the checkpoint by external consumers.)
             tid = min(tid, min(pin_tid for pin_tid, __
                                in storage.pinned.values()) - 1)
-        replication = getattr(database, "replication", None)
+        replication = database.replication
         if replication is not None:
             for replica in replication.replicas.get(container_id, []):
                 tid = min(tid, replica.applied_tid)
-        migration = getattr(database, "migration", None)
-        if migration is not None:
-            for event in migration.active.values():
-                if container_id in (event.src_cid, event.dst_cid):
-                    tid = min(tid, event.watermark)
-            for event in migration._last_completed.values():
-                if event.dst_cid == container_id:
-                    tid = min(tid, event.watermark)
+        migration = database.migration
+        for event in migration.active.values():
+            if container_id in (event.src_cid, event.dst_cid):
+                tid = min(tid, event.watermark)
+        for event in migration._last_completed.values():
+            if event.dst_cid == container_id:
+                tid = min(tid, event.watermark)
         return tid
 
     # ------------------------------------------------------------------
@@ -535,29 +532,15 @@ class DurabilityManager:
             yield from log.records
 
     def stats_dict(self) -> dict[str, Any]:
-        telemetry = getattr(self.database, "telemetry", None)
-        if telemetry is not None:
-            value = telemetry.registry.value
-            return {
-                "mode": self.mode,
-                "acked_commits":
-                    value("durability_acked_commits_total"),
-                "checkpoints_taken":
-                    value("durability_checkpoints_total"),
-                "checkpoint_segments":
-                    value("durability_checkpoint_segments"),
-                "records_truncated":
-                    value("durability_records_truncated_total"),
-                "flushers": {cid: flusher.stats_dict()
-                             for cid, flusher in
-                             sorted(self.flushers.items())},
-            }
+        value = self.database.telemetry.registry.value
         return {
             "mode": self.mode,
-            "acked_commits": self.acked_count,
-            "checkpoints_taken": self.checkpoints_taken,
-            "checkpoint_segments": len(self.manifest.segments),
-            "records_truncated": self.records_truncated,
+            "acked_commits": value("durability_acked_commits_total"),
+            "checkpoints_taken": value("durability_checkpoints_total"),
+            "checkpoint_segments":
+                value("durability_checkpoint_segments"),
+            "records_truncated":
+                value("durability_records_truncated_total"),
             "flushers": {cid: flusher.stats_dict()
                          for cid, flusher in
                          sorted(self.flushers.items())},
@@ -578,9 +561,8 @@ def enable_durability(database: Any,
     :func:`enable_durability` after replication attached must not
     detach the logs the replication manager is shipping from.
     """
-    existing = getattr(database, "durability", None)
-    if existing is not None:
-        return existing
+    if database.durability is not None:
+        return database.durability
     manager = DurabilityManager(database, mode=mode or ASYNC)
     database.durability = manager
     return manager
@@ -596,42 +578,15 @@ def recover(deployment: DeploymentConfig,
     :class:`CheckpointManifest` (materialized on the way in).  The
     recovered database may use a *different* deployment than the
     crashed one — reactor state is logical, architecture is physical.
-    For the priced, parallel variant see
-    :func:`repro.durability.partitioned.recover_partitioned`.
+    This is the database of
+    :func:`repro.durability.partitioned.recover_partitioned`, the one
+    replay engine; call that for the priced report.
     """
-    from repro.core.database import ReactorDatabase
+    # Deferred: partitioned.py imports this module's CrashImage.
+    from repro.durability.partitioned import recover_partitioned
 
-    if isinstance(checkpoint, CheckpointManifest):
-        checkpoint = checkpoint.materialize()
-    database = ReactorDatabase(deployment, declarations)
-
-    # Phase 1: restore the checkpoint image.
-    for reactor_name, tables in checkpoint.reactors.items():
-        for table_name, rows in tables.items():
-            table = database.reactor(reactor_name).table(table_name)
-            for row in rows:
-                table.load_row(row)
-
-    # Phase 2: replay redo records beyond the checkpoint, in global
-    # commit-TID order (Silo TIDs order conflicting transactions).
-    pending = []
-    for log in logs:
-        watermark = checkpoint.tid_watermarks.get(log.container_id, 0)
-        for record in log.records:
-            if record.commit_tid > watermark:
-                pending.append(record)
-    pending.sort(key=lambda record: record.commit_tid)
-
-    def table_for(reactor_name: str, table_name: str):
-        return database.reactor(reactor_name).table(table_name)
-
-    max_tid = 0
-    for record in pending:
-        max_tid = max(max_tid, record.commit_tid)
-        apply_record_to(table_for, record)
-
-    _finish_recovery(database, checkpoint, max_tid)
-    return database
+    return recover_partitioned(deployment, declarations, checkpoint,
+                               logs).database
 
 
 def recover_from_image(deployment: DeploymentConfig,
@@ -642,28 +597,3 @@ def recover_from_image(deployment: DeploymentConfig,
     :meth:`DurabilityManager.crash` sees."""
     return recover(deployment, declarations, image.manifest,
                    image.to_logs())
-
-
-def _finish_recovery(database: ReactorDatabase, checkpoint: Checkpoint,
-                     max_tid: int) -> None:
-    """Shared recovery epilogue: TID watermarks and replica seeding."""
-    # Restore TID watermarks so post-recovery commits continue above
-    # everything replayed.
-    for container in database.containers:
-        watermark = max(
-            checkpoint.tid_watermarks.get(container.container_id, 0),
-            max_tid)
-        container.concurrency.tids.advance_to(watermark)
-
-    # A replication-enabled target deployment: seed the replicas with
-    # the recovered state (checkpoint restore and replay wrote primary
-    # tables directly, bypassing the bulk-load mirror).  The recovered
-    # image is the replicas' new base; subsequent commits ship on top.
-    if database.replication is not None:
-        for name in database.reactor_names():
-            reactor = database.reactor(name)
-            for table in reactor.catalog:
-                table_rows = table.rows()
-                if table_rows:
-                    database.replication.on_bulk_load(
-                        name, table.name, table_rows)

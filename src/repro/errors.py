@@ -9,6 +9,9 @@ transaction and are reported as abort outcomes, not as bugs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
+from typing import Any
+
 
 class ReactorError(Exception):
     """Base class for all errors raised by this library."""
@@ -120,3 +123,44 @@ class RecordNotFound(ReactorError):
 
 class DuplicateKeyError(ReactorError):
     """An insert collided with an existing primary key."""
+
+
+def read_config_keys(data: Mapping[str, Any], what: str,
+                     keys: Mapping[str, type],
+                     required: Iterable[str] = ()) -> dict[str, Any]:
+    """The one strict reader behind every config ``from_dict``.
+
+    Returns the entries of ``data`` as keyword arguments for the config
+    class, so an absent key takes the class's own default (each default
+    is stated once).  A key outside ``keys``, a value that is not of
+    the type ``keys`` names (an ``int`` is accepted for ``float``; a
+    ``bool`` is never a number, and ``"false"`` is never a ``bool``) or
+    a missing ``required`` key raises :class:`DeploymentError` naming
+    the key: a typo in a config file must fail loudly, not run the
+    wrong deployment.  Lives here because every config module already
+    imports this one.
+    """
+    if not isinstance(data, Mapping):
+        raise DeploymentError(
+            f"{what} config must be a mapping of keys, got {data!r}")
+    for key in required:
+        if key not in data:
+            raise DeploymentError(f"missing required {what} key {key!r}")
+    fields = {}
+    for key, value in data.items():
+        if key not in keys:
+            raise DeploymentError(
+                f"unknown {what} key {key!r}; expected one of "
+                f"{', '.join(sorted(keys))}"
+            )
+        kind = keys[key]
+        if kind is float and type(value) is int:
+            value = float(value)
+        if not isinstance(value, kind) or \
+                (kind is not bool and isinstance(value, bool)):
+            raise DeploymentError(
+                f"{what} key {key!r} must be of type "
+                f"{kind.__name__}, got {value!r}"
+            )
+        fields[key] = value
+    return fields

@@ -397,14 +397,12 @@ def certify_migration(database: Any) -> dict[str, Any]:
     a destination failover replaced after the flip — is reported with
     ``log_checked: false`` instead of a spurious failure.
     """
-    manager = getattr(database, "migration", None)
+    manager = database.migration
     report: dict[str, Any] = {
-        "enabled": manager is not None and bool(manager.stats.events),
+        "enabled": bool(manager.stats.events),
         "ok": True,
         "migrations": [],
     }
-    if manager is None:
-        return report
     completed = [m for m in manager.stats.events if m.state == "done"]
     last_for = {m.reactor_name: m for m in completed}
 
@@ -530,10 +528,9 @@ def certify_snapshot_isolation(database: Any,
     ran — consumers asserting full certification must require both
     ``ok`` and ``log_checked``.
     """
-    storage = getattr(database, "storage", None)
     if events is None:
-        events = storage.audit if storage is not None else None
-    durability = getattr(database, "durability", None)
+        events = database.storage.audit
+    durability = database.durability
     report: dict[str, Any] = {
         "enabled": events is not None,
         "ok": True,
@@ -623,7 +620,7 @@ def certify_crash_recovery(database: Any, image: Any,
        same replay argument the replication and migration
        certificates rest on.
     """
-    manager = getattr(database, "durability", None)
+    manager = database.durability
     report: dict[str, Any] = {
         "enabled": manager is not None,
         "ok": True,
@@ -800,7 +797,7 @@ def certify_all(database: Any, recorder: Any = None,
     fail the aggregate, mirroring each certificate's own contract.
     """
     if recorder is None:
-        recorder = getattr(database, "history_recorder", None)
+        recorder = database.history_recorder
     serializability = {"enabled": recorder is not None, "ok": True}
     if recorder is not None:
         serializability["ok"] = recorder.is_serializable()

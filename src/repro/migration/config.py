@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import DeploymentError
+from repro.errors import DeploymentError, read_config_keys
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,12 @@ class MigrationConfig:
 
     # -- serialization --------------------------------------------------
 
+    #: Every key ``from_dict`` accepts (exactly what ``to_dict``
+    #: writes), with the type its value must have.
+    KEYS = {"drain_poll_us": float, "imbalance_threshold": float,
+            "max_moves_per_check": int, "check_interval_us": float,
+            "auto_rebalance_horizon_us": float}
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "drain_poll_us": self.drain_poll_us,
@@ -83,26 +89,8 @@ class MigrationConfig:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "MigrationConfig":
-        known = {"drain_poll_us", "imbalance_threshold",
-                 "max_moves_per_check", "check_interval_us",
-                 "auto_rebalance_horizon_us"}
-        for key in data:
-            if key not in known:
-                raise DeploymentError(
-                    f"unknown migration key {key!r}; expected one of "
-                    f"{', '.join(sorted(known))}"
-                )
-        return MigrationConfig(
-            drain_poll_us=float(data.get("drain_poll_us", 5.0)),
-            imbalance_threshold=float(
-                data.get("imbalance_threshold", 1.3)),
-            max_moves_per_check=int(
-                data.get("max_moves_per_check", 4)),
-            check_interval_us=float(
-                data.get("check_interval_us", 20_000.0)),
-            auto_rebalance_horizon_us=float(
-                data.get("auto_rebalance_horizon_us", 0.0)),
-        )
+        return MigrationConfig(**read_config_keys(
+            data, "migration", MigrationConfig.KEYS))
 
 
 #: The manual-migrations default every deployment starts from.

@@ -146,10 +146,8 @@ class MigrationManager:
         #: them — a lost-work bug the campaign's liveness check (every
         #: submitted root reports an outcome) must catch.
         self.chaos_drop_parked = False
-        telemetry = getattr(database, "telemetry", None)
-        self._telemetry = telemetry
-        if telemetry is not None:
-            telemetry.register_migration(self)
+        self._telemetry = database.telemetry
+        self._telemetry.register_migration(self)
         if config.auto_rebalance:
             self.policy.start(config.auto_rebalance_horizon_us)
 
@@ -347,8 +345,7 @@ class MigrationManager:
         # to them.  Copy the retained history at its true commit TIDs
         # too — replayed before the cut, the destination's own install
         # path rebuilds the chains.
-        storage = getattr(database, "storage", None)
-        keep = storage.keep_watermark() if storage is not None else None
+        keep = database.storage.keep_watermark()
         if keep is not None:
             migration.history_records = self._collect_history(
                 reactor, keep)
@@ -419,9 +416,7 @@ class MigrationManager:
 
         new = Reactor(old.name, old.rtype)
         new.container = dst
-        storage = getattr(database, "storage", None)
-        if storage is not None:
-            storage.adopt(new)
+        database.storage.adopt(new)
         executor = dst.route(new)
         new.affinity_executor = executor
         if database.deployment.pin_reactors:
@@ -444,7 +439,7 @@ class MigrationManager:
         dst.concurrency.tids.advance_to(watermark)
 
         recorder = database.history_recorder
-        if recorder is not None and hasattr(recorder, "alias_reactor"):
+        if recorder is not None:
             # The successor continues the same logical reactor: the
             # serializability audit must see one identity across the
             # migration, not two unrelated ones.
@@ -473,7 +468,7 @@ class MigrationManager:
         self.stats.rows_copied += migration.rows_copied
         self.stats.events.append(migration)
         telemetry = self._telemetry
-        if telemetry is not None and telemetry.system_tracing:
+        if telemetry.system_tracing:
             # The two phases on the migration track: the drain barrier
             # (request -> last in-flight root gone) and the copy+flip.
             telemetry.system_span(
@@ -693,44 +688,20 @@ class MigrationManager:
 
     def stats_dict(self) -> dict[str, Any]:
         stats = self.stats
-        telemetry = self._telemetry
-        if telemetry is not None:
-            value = telemetry.registry.value
-            scalars = {
-                "started": value("migration_started_total"),
-                "completed": value("migration_completed_total"),
-                "cancelled": value("migration_cancelled_total"),
-                "rows_copied": value("migration_rows_copied_total"),
-                "roots_parked":
-                    value("migration_roots_parked_total"),
-                "subcalls_parked":
-                    value("migration_subcalls_parked_total"),
-                "rebalance_checks":
-                    value("migration_rebalance_checks_total"),
-                "rebalance_moves":
-                    value("migration_rebalance_moves_total"),
-            }
-        else:
-            scalars = {
-                "started": stats.started,
-                "completed": stats.completed,
-                "cancelled": stats.cancelled,
-                "rows_copied": stats.rows_copied,
-                "roots_parked": stats.roots_parked,
-                "subcalls_parked": stats.subcalls_parked,
-                "rebalance_checks": stats.rebalance_checks,
-                "rebalance_moves": stats.rebalance_moves,
-            }
+        value = self._telemetry.registry.value
         return {
-            "started": scalars["started"],
-            "completed": scalars["completed"],
-            "cancelled": scalars["cancelled"],
+            "started": value("migration_started_total"),
+            "completed": value("migration_completed_total"),
+            "cancelled": value("migration_cancelled_total"),
             "active": sorted(self.active),
-            "rows_copied": scalars["rows_copied"],
-            "roots_parked": scalars["roots_parked"],
-            "subcalls_parked": scalars["subcalls_parked"],
-            "rebalance_checks": scalars["rebalance_checks"],
-            "rebalance_moves": scalars["rebalance_moves"],
+            "rows_copied": value("migration_rows_copied_total"),
+            "roots_parked": value("migration_roots_parked_total"),
+            "subcalls_parked":
+                value("migration_subcalls_parked_total"),
+            "rebalance_checks":
+                value("migration_rebalance_checks_total"),
+            "rebalance_moves":
+                value("migration_rebalance_moves_total"),
             "events": [
                 {
                     "reactor": m.reactor_name,

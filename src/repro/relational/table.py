@@ -1,8 +1,8 @@
 """In-memory tables of versioned records.
 
 A :class:`Table` holds the *committed* state of one relation inside one
-reactor: a pluggable :class:`~repro.storage.store.Store` of per-key
-:class:`~repro.storage.record.VersionedRecord` version chains plus
+reactor: ``records``, a primary-key dict of per-key
+:class:`~repro.storage.record.VersionedRecord` version chains, plus
 secondary indexes.  All mutation goes through the ``install_*``
 methods, which the concurrency-control layer calls during the write
 phase of a commit — application code never touches tables directly (it
@@ -31,7 +31,6 @@ from repro.errors import DuplicateKeyError, RecordNotFound
 from repro.relational.index import HashIndex, OrderedIndex, build_index
 from repro.relational.schema import TableSchema
 from repro.storage.record import VersionedRecord
-from repro.storage.store import create_store
 
 #: ``watermark`` default of the install paths: "ask
 #: :meth:`Table.keep_watermark`" (``None`` is one of its answers).
@@ -41,24 +40,25 @@ _RESOLVE: Any = object()
 class Table:
     """Committed storage for one relation of one reactor."""
 
-    __slots__ = ("schema", "name", "owner", "store", "records",
+    __slots__ = ("schema", "name", "owner", "records", "_chained",
                  "versioning", "versioning_scope", "structure_version",
                  "indexes")
 
-    def __init__(self, schema: TableSchema,
-                 store_kind: str = "versioned") -> None:
+    def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self.name = schema.name
         #: Name of the reactor owning this table (set at reactor
         #: construction; used by durability/recovery addressing).
         self.owner: str | None = None
-        #: The pluggable committed record map (per-key version chains).
-        self.store = create_store(store_kind)
-        #: ``store.record_map()``, resolved once: the raw pk → head
-        #: mapping of a dict-backed store (tombstoned heads included —
-        #: readers skip ``record.deleted`` as :meth:`Store.get` does),
-        #: or ``None`` when the store must be asked per key.
-        self.records = self.store.record_map()
+        #: The committed record map: primary key → version-chain head.
+        #: Tombstoned heads are included — readers that want live
+        #: records skip ``record.deleted``, as :meth:`get_record` does.
+        self.records: dict[tuple, VersionedRecord] = {}
+        #: Primary keys whose record has (or recently had) chain
+        #: versions; membership is validated lazily by
+        #: :meth:`iter_chained`, so pruned chains fall out without an
+        #: explicit unhook.
+        self._chained: set[tuple] = set()
         #: The owning database's storage coordinator, wired at
         #: bootstrap/adoption; ``None`` for standalone tables (no
         #: snapshot readers, no version bookkeeping).
@@ -75,7 +75,7 @@ class Table:
         }
 
     def __len__(self) -> int:
-        return len(self.store)
+        return len(self.records)
 
     def keep_watermark(self) -> int | None:
         """The GC watermark installs retain history down to (``None``
@@ -88,7 +88,7 @@ class Table:
     def _note_versions(self, record: VersionedRecord, created: int,
                        pruned: int) -> None:
         if created:
-            self.store.note_chained(record.key)
+            self._chained.add(record.key)
         if self.versioning is not None:
             self.versioning.note_versions(created, pruned)
 
@@ -98,16 +98,23 @@ class Table:
 
     def get_record(self, pk: tuple) -> VersionedRecord | None:
         """The live record for a primary key, or ``None``."""
-        return self.store.get(pk)
+        record = self.records.get(pk)
+        if record is None or record.deleted:
+            return None
+        return record
 
     def peek_record(self, pk: tuple) -> VersionedRecord | None:
         """The record for a primary key *including* tombstoned heads
         (snapshot readers resolve visibility themselves)."""
-        return self.store.peek(pk)
+        return self.records.get(pk)
 
     def iter_records(self) -> Iterator[VersionedRecord]:
         """All live records in primary-key order (deterministic scans)."""
-        return self.store.iter_live()
+        records = self.records
+        for pk in sorted(records):
+            record = records[pk]
+            if not record.deleted:
+                yield record
 
     def all_records(self) -> Iterator[VersionedRecord]:
         """All records — live *and* tombstoned — in primary-key order.
@@ -116,7 +123,23 @@ class Table:
         pinned is invisible to current readers but still resolves
         through its version chain.
         """
-        return self.store.iter_all()
+        records = self.records
+        for pk in sorted(records):
+            yield records[pk]
+
+    def iter_chained(self) -> Iterator[VersionedRecord]:
+        """Records that currently retain chain versions — the only
+        ones whose snapshot-visible image can differ from (or outlive)
+        their live head — in primary-key order.  Lets indexed snapshot
+        scans examine index candidates plus this (GC-bounded) set
+        instead of the whole table."""
+        records = self.records
+        for pk in sorted(self._chained):
+            record = records.get(pk)
+            if record is None or record.prev is None:
+                self._chained.discard(pk)
+                continue
+            yield record
 
     def index(self, name: str) -> HashIndex | OrderedIndex:
         try:
@@ -128,12 +151,7 @@ class Table:
 
     def records_for_pks(self, pks: Any) -> list[VersionedRecord]:
         """Live records for an iterable of primary keys (sorted)."""
-        records = self.records
-        if records is None:
-            get = self.store.get
-            return [record for pk in sorted(pks)
-                    if (record := get(pk)) is not None]
-        get = records.get
+        get = self.records.get
         return [record for pk in sorted(pks)
                 if (record := get(pk)) is not None
                 and not record.deleted]
@@ -149,16 +167,19 @@ class Table:
     def version_at(self, pk: tuple,
                    as_of_tid: int) -> tuple[dict[str, Any] | None, int]:
         """The snapshot point-read rule — one definition for every
-        caller: ``(visible image, resolving version TID)``.  The
-        runtime's snapshot sessions and the inspection surface both
-        route through here."""
-        return self.store.version_at(pk, as_of_tid)
+        caller: ``(visible image, resolving version TID)``, or
+        ``(None, 0)`` when nothing qualifies.  The runtime's snapshot
+        sessions and the inspection surface both route through here."""
+        record = self.records.get(pk)
+        if record is None:
+            return None, 0
+        return record.version_at(as_of_tid)
 
     def rows_as_of(self, as_of_tid: int) -> list[dict[str, Any]]:
         """Every row visible at snapshot ``as_of_tid``, in primary-key
         order — the consistent version cut migration copies read."""
         out = []
-        for record in self.store.iter_all():
+        for record in self.all_records():
             image = record.visible_at(as_of_tid)
             if image is not None:
                 out.append(image)
@@ -166,11 +187,13 @@ class Table:
 
     def live_version_count(self) -> int:
         """Superseded versions retained across this table's chains."""
-        return self.store.live_version_count()
+        return sum(r.chain_length() for r in self.records.values())
 
     def gc_versions(self, watermark: int | None) -> int:
-        """Prune all chains below ``watermark`` (explicit GC sweep)."""
-        dropped = self.store.gc(watermark)
+        """Prune all chains below ``watermark`` (explicit GC sweep;
+        ``None`` drops all history).  Returns the versions dropped."""
+        dropped = sum(r.prune_chain(watermark)
+                      for r in self.records.values())
         if dropped and self.versioning is not None:
             self.versioning.note_versions(0, dropped)
         return dropped
@@ -202,9 +225,7 @@ class Table:
         refused insert leaves the table exactly as it was.
         """
         pk = self.schema.primary_key_of(row)
-        records = self.records
-        record = self.store.peek(pk) if records is None \
-            else records.get(pk)
+        record = self.records.get(pk)
         if record is not None and not record.deleted:
             raise DuplicateKeyError(
                 f"duplicate primary key {pk!r} in table {self.name!r}"
@@ -224,7 +245,7 @@ class Table:
                     self._note_versions(record, created, pruned)
         else:
             record = VersionedRecord(pk, row, tid)
-            self.store.put(pk, record)
+            self.records[pk] = record
         self.structure_version += 1
         for index in self.indexes.values():
             index.insert(index.key_of(row), pk)
@@ -281,11 +302,11 @@ class Table:
         The placeholder is invisible to readers (``deleted`` is set) and
         is revived by :meth:`install_insert` on commit.
         """
-        record = self.store.peek(pk)
+        record = self.records.get(pk)
         if record is None:
             record = VersionedRecord(pk, {}, 0)
             record.deleted = True
-            self.store.put(pk, record)
+            self.records[pk] = record
         return record
 
     def discard_placeholder(self, record: VersionedRecord) -> None:
@@ -295,9 +316,9 @@ class Table:
         installed over, never a committed row) is removed; anything
         else is live state or a real tombstone and stays.
         """
-        existing = self.store.peek(record.key)
+        existing = self.records.get(record.key)
         if existing is record and record.deleted and record.tid == 0:
-            self.store.pop(record.key)
+            del self.records[record.key]
 
     # ------------------------------------------------------------------
     # Non-transactional bulk loading (benchmark setup only).

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import DeploymentError
+from repro.errors import DeploymentError, read_config_keys
 
 SYNC = "sync"
 ASYNC = "async"
@@ -96,6 +96,11 @@ class ReplicationConfig:
 
     # -- serialization --------------------------------------------------
 
+    #: Every key ``from_dict`` accepts (exactly what ``to_dict``
+    #: writes), with the type its value must have.
+    KEYS = {"replicas_per_container": int, "mode": str,
+            "read_from_replicas": bool, "async_lag_us": float}
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "replicas_per_container": self.replicas_per_container,
@@ -106,22 +111,8 @@ class ReplicationConfig:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "ReplicationConfig":
-        known = {"replicas_per_container", "mode", "read_from_replicas",
-                 "async_lag_us"}
-        for key in data:
-            if key not in known:
-                raise DeploymentError(
-                    f"unknown replication key {key!r}; expected one of "
-                    f"{', '.join(sorted(known))}"
-                )
-        return ReplicationConfig(
-            replicas_per_container=int(
-                data.get("replicas_per_container", 0)),
-            mode=data.get("mode", NONE),
-            read_from_replicas=bool(
-                data.get("read_from_replicas", False)),
-            async_lag_us=float(data.get("async_lag_us", 200.0)),
-        )
+        return ReplicationConfig(**read_config_keys(
+            data, "replication", ReplicationConfig.KEYS))
 
 
 #: The single-copy default every deployment starts from.

@@ -134,12 +134,10 @@ class ReplicationManager:
         from repro.durability.recovery import enable_durability
 
         self.durability = enable_durability(database)
-        telemetry = getattr(database, "telemetry", None)
-        self._telemetry = telemetry
-        self._lag_hist = (telemetry.histogram("replication_lag_us")
-                          if telemetry is not None else None)
-        if telemetry is not None:
-            telemetry.register_replication(self)
+        self._telemetry = database.telemetry
+        #: ``None`` when telemetry is disabled.
+        self._lag_hist = self._telemetry.histogram("replication_lag_us")
+        self._telemetry.register_replication(self)
         self._build_replicas()
 
     # ------------------------------------------------------------------
@@ -253,7 +251,7 @@ class ReplicationManager:
         if self._lag_hist is not None:
             self._lag_hist.observe(lag)
         telemetry = self._telemetry
-        if telemetry is not None and telemetry.system_tracing:
+        if telemetry.system_tracing:
             # Ship -> apply as one span on the replication track, one
             # per (record, replica); the ack ride-along is the
             # executor-side replication:ack_wait span.
@@ -428,10 +426,9 @@ class ReplicationManager:
                 else:
                     invocation.root.finished = True
                     self.stats.failover_aborts += 1
-                    if self._telemetry is not None:
-                        self._telemetry.note_root_done(
-                            invocation.root, False, str(abort),
-                            scheduler.now)
+                    self._telemetry.note_root_done(
+                        invocation.root, False, str(abort),
+                        scheduler.now)
                     if invocation.on_root_done is not None:
                         scheduler.soon(invocation.on_root_done,
                                        invocation.root, False,
@@ -614,44 +611,25 @@ class ReplicationManager:
 
     def stats_dict(self) -> dict[str, Any]:
         stats = self.stats
-        telemetry = self._telemetry
-        if telemetry is not None:
-            value = telemetry.registry.value
-            scalars = {
-                "records_shipped":
-                    value("replication_records_shipped_total"),
-                "records_applied":
-                    value("replication_records_applied_total"),
-                "acked_records":
-                    value("replication_acked_records_total"),
-                "sync_commit_waits":
-                    value("replication_sync_commit_waits_total"),
-                "sync_ack_wait_us":
-                    value("replication_sync_ack_wait_us"),
-                "max_lag_us": value("replication_max_lag_us"),
-                "reads_routed_to_replicas":
-                    value("replication_reads_routed_total"),
-                "failover_aborts":
-                    value("replication_failover_aborts_total"),
-            }
-        else:
-            scalars = {
-                "records_shipped": stats.records_shipped,
-                "records_applied": stats.records_applied,
-                "acked_records": stats.acked_records,
-                "sync_commit_waits": stats.sync_commit_waits,
-                "sync_ack_wait_us": round(stats.sync_ack_wait_us, 3),
-                "max_lag_us": round(stats.max_lag_us, 3),
-                "reads_routed_to_replicas":
-                    stats.reads_routed_to_replicas,
-                "failover_aborts": stats.failover_aborts,
-            }
+        value = self._telemetry.registry.value
         return {
             "mode": self.config.mode,
             "replicas_per_container":
                 self.config.replicas_per_container,
             "read_from_replicas": self.config.read_from_replicas,
-            **scalars,
+            "records_shipped":
+                value("replication_records_shipped_total"),
+            "records_applied":
+                value("replication_records_applied_total"),
+            "acked_records": value("replication_acked_records_total"),
+            "sync_commit_waits":
+                value("replication_sync_commit_waits_total"),
+            "sync_ack_wait_us": value("replication_sync_ack_wait_us"),
+            "max_lag_us": value("replication_max_lag_us"),
+            "reads_routed_to_replicas":
+                value("replication_reads_routed_total"),
+            "failover_aborts":
+                value("replication_failover_aborts_total"),
             "avg_lag_us": round(stats.avg_lag_us, 3),
             "failovers": [
                 {

@@ -75,12 +75,10 @@ class ReplicaContainer(Container):
         """
         shadow = Reactor(primary_reactor.name, primary_reactor.rtype)
         shadow.container = self
-        storage = getattr(self.database, "storage", None)
-        if storage is not None:
-            # Scoped to this replica: only reads pinned *here* (at the
-            # applied watermark) retain shadow history, and replica
-            # pins keep no unreachable history on primaries.
-            storage.adopt(shadow, scope=self)
+        # Scoped to this replica: only reads pinned *here* (at the
+        # applied watermark) retain shadow history, and replica pins
+        # keep no unreachable history on primaries.
+        self.database.storage.adopt(shadow, scope=self)
         executor = self.executors[
             primary_reactor.affinity_executor.executor_id
             % len(self.executors)]

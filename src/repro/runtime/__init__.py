@@ -12,12 +12,12 @@ its :class:`Invocation` request envelope, :class:`SimFuture` /
 :class:`ThreadSafeFuture`, the procedure effects (:class:`CallEffect`,
 :class:`GetEffect`, :class:`ChargeEffect`), the root-transaction
 bookkeeping (:class:`RootTransaction`, :class:`TxnStats`,
-:data:`CATEGORIES`), and the execution-backend registry
-(:func:`create_backend`, :func:`backend_names`, :class:`SimBackend`,
-:class:`ThreadsBackend`).
+:data:`CATEGORIES`), and the execution backends
+(:func:`create_backend`, :class:`ThreadsBackend`; the default backend
+is :class:`repro.sim.scheduler.SimScheduler` itself).
 """
 
-from repro.runtime.backend import SimBackend, backend_names, create_backend
+from repro.runtime.backend import create_backend
 from repro.runtime.container import Container
 from repro.runtime.effects import CallEffect, ChargeEffect, GetEffect
 from repro.runtime.executor import Invocation, TransactionExecutor
@@ -31,10 +31,8 @@ __all__ = [
     "Invocation",
     "SimFuture",
     "ThreadSafeFuture",
-    "SimBackend",
     "ThreadsBackend",
     "create_backend",
-    "backend_names",
     "CallEffect",
     "GetEffect",
     "ChargeEffect",

@@ -7,10 +7,11 @@ scheduling callbacks on ``database.scheduler``.  That object is the
 callbacks run, and what (if anything) must be locked.  Two backends
 exist:
 
-* ``sim`` (the default, :class:`SimBackend`): the discrete-event
-  scheduler of :mod:`repro.sim.scheduler`.  Virtual microseconds,
-  one serial event loop, full determinism — the certification oracle
-  every formal audit and chaos campaign runs against.
+* ``sim`` (the default): the discrete-event
+  :class:`~repro.sim.scheduler.SimScheduler`, which implements the
+  whole protocol itself.  Virtual microseconds, one serial event
+  loop, full determinism — the certification oracle every formal
+  audit and chaos campaign runs against.
 * ``threads`` (:class:`~repro.runtime.threads.ThreadsBackend`): one
   OS thread per container, ``time.monotonic_ns`` clocks, lock-based
   futures — the same deployments measured in wall-clock time on real
@@ -19,7 +20,8 @@ exist:
 
 The backend *protocol* is the event-loop surface plus a handful of
 hooks, duck-typed rather than ABC-enforced so the sim hot path pays
-zero indirection:
+zero indirection.  Both backends define every row (the identity rows
+as class attributes), so callers read them as plain attributes:
 
 ==================  ==================================================
 ``now``             current time in microseconds (virtual or wall)
@@ -58,55 +60,21 @@ from typing import Any
 from repro.errors import DeploymentError
 from repro.sim.scheduler import SimScheduler
 
-#: The backend registry: names accepted by ``DeploymentConfig.backend``.
-BACKEND_SIM = "sim"
-BACKEND_THREADS = "threads"
-
-
-def backend_names() -> tuple[str, ...]:
-    """Every backend name a deployment config may select."""
-    return (BACKEND_SIM, BACKEND_THREADS)
-
-
-class SimBackend(SimScheduler):
-    """The virtual-time execution backend (the default).
-
-    :class:`~repro.sim.scheduler.SimScheduler` already implements the
-    whole backend protocol — its hook methods are exact restatements
-    of the pre-backend call sites, so histories are byte-identical and
-    the ``harness_speed`` gate sees no new hot-path work.  This
-    subclass exists to give the default backend its protocol name in
-    the registry; constructing a plain ``SimScheduler`` remains
-    equivalent (tests and tools that predate the backend split do).
-    """
-
-    __slots__ = ()
-
 
 def create_backend(deployment: Any) -> SimScheduler:
-    """Instantiate the execution backend a deployment selects.
-
-    ``deployment`` only needs a ``backend`` attribute (absent means
-    ``sim``), so callers can pass a full ``DeploymentConfig`` or any
-    config-shaped stand-in.
-    """
-    name = getattr(deployment, "backend", BACKEND_SIM)
-    if name == BACKEND_SIM:
-        return SimBackend()
-    if name == BACKEND_THREADS:
+    """Instantiate the execution backend ``deployment.backend`` names
+    (a full ``DeploymentConfig`` or any config-shaped stand-in)."""
+    name = deployment.backend
+    if name == "sim":
+        return SimScheduler()
+    if name == "threads":
         from repro.runtime.threads import ThreadsBackend
 
         return ThreadsBackend()
     raise DeploymentError(
         f"unknown execution backend {name!r}; expected one of "
-        f"{', '.join(backend_names())}"
+        "sim, threads"
     )
 
 
-__all__ = [
-    "BACKEND_SIM",
-    "BACKEND_THREADS",
-    "SimBackend",
-    "backend_names",
-    "create_backend",
-]
+__all__ = ["create_backend"]

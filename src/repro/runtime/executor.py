@@ -174,8 +174,7 @@ class TransactionExecutor:
         #: runtime schedules through it.
         self.scheduler = scheduler
         #: Backend-chosen future type (thread-safe under ``threads``).
-        self._future_cls = getattr(scheduler, "future_class", None) \
-            or SimFuture
+        self._future_cls = scheduler.future_class or SimFuture
         self._cid = container.container_id
         # Deferred import (core.context yields runtime effect objects,
         # so a module-scope import would be circular), resolved once
@@ -707,21 +706,22 @@ class TransactionExecutor:
         if trace is not None:
             trace.open_child("commit", "commit", self.scheduler.now,
                              {"participants": len(participants)})
-        # The container's CC manager prices the commit phase.  Every
-        # built-in scheme currently uses the same footprint-shaped
-        # formula (see the pricing note in repro.concurrency.locking),
-        # but the hook lets a scheme price its commit differently.
-        # Snapshot sessions report zero validation reads — their reads
-        # pin versions and are never re-checked, so a snapshot-served
-        # read-only commit pays only the base fee.
+        # Every scheme prices its commit phase by the same
+        # footprint-shaped formula (see the pricing note in
+        # repro.concurrency.locking).  Snapshot sessions report zero
+        # validation reads — their reads pin versions and are never
+        # re-checked, so a snapshot-served read-only commit pays only
+        # the base fee.
         reads = writes = 0
         for __, session in participants:
             reads += session.validation_read_count
             writes += session.write_count
-        cost = self.container.concurrency.commit_cost(
-            self.costs, reads, writes)
+        costs = self.costs
+        cost = (costs.occ_commit_base
+                + costs.occ_validate_per_read * reads
+                + costs.occ_install_per_write * writes)
         if len(participants) > 1:
-            cost += self.costs.tpc_prepare_per_container * \
+            cost += costs.tpc_prepare_per_container * \
                 len(participants)
         self._busy(task, cost, "commit", self._do_commit, task, result,
                    participants)

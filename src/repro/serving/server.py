@@ -157,7 +157,7 @@ class ReactorServer:
         self.connections: set[_Connection] = set()
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._is_sim = getattr(database.scheduler, "is_virtual", True)
+        self._is_sim = database.scheduler.is_virtual
         #: What a root's ``on_done`` calls, on whichever thread ran it.
         self._finish = self._complete if self._is_sim \
             else self._on_worker_done

@@ -5,15 +5,13 @@ procedures ... against a record manager interface") is realized by the
 CC sessions of :mod:`repro.concurrency`, which overlay uncommitted
 writes on the committed :class:`~repro.relational.table.Table` state.
 
-This package provides what those tables are made of:
+This package provides what those tables are made of (a table *is* its
+record map: ``Table.records``, a dict of primary key → chain head):
 
 * :class:`VersionedRecord` / :class:`RecordVersion` — per-key version
   chains carrying the Silo-style TID word and lock state every CC
   scheme operates on, with the snapshot visibility rule
   (``version_at``) and watermark-driven chain GC (``prune_chain``);
-* :class:`Store` / :class:`VersionedStore` and the
-  :func:`register_store` / :func:`create_store` registry — the
-  pluggable record map each table delegates to;
 * :class:`StorageCoordinator` / :class:`VersionStats` /
   :class:`SnapshotReadEvent` — the per-database engine state: pinned
   snapshots of in-flight read-only roots (the GC watermark source),
@@ -24,12 +22,7 @@ from repro.storage.record import RecordVersion, VersionedRecord
 from repro.storage.store import (
     SnapshotReadEvent,
     StorageCoordinator,
-    Store,
-    VersionedStore,
     VersionStats,
-    create_store,
-    register_store,
-    store_kinds,
 )
 
 __all__ = [
@@ -37,10 +30,5 @@ __all__ = [
     "VersionedRecord",
     "SnapshotReadEvent",
     "StorageCoordinator",
-    "Store",
-    "VersionedStore",
     "VersionStats",
-    "create_store",
-    "register_store",
-    "store_kinds",
 ]

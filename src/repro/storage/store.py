@@ -1,22 +1,13 @@
-"""The pluggable versioned store and the per-database storage engine.
+"""The per-database storage engine state.
 
-Two layers live here:
-
-* :class:`Store` — the per-table record-map interface every
-  :class:`~repro.relational.table.Table` delegates to, with the
-  built-in :class:`VersionedStore` implementation (a primary-key dict
-  of :class:`~repro.storage.record.VersionedRecord` version chains).
-  Stores expose the snapshot visibility rule (:meth:`Store.
-  latest_visible`) and watermark-driven GC (:meth:`Store.gc`); the
-  :func:`register_store` / :func:`create_store` registry makes the
-  engine a deployment-extensible choice, mirroring the CC scheme
-  registry.
-
-* :class:`StorageCoordinator` — one per database: the pinned-snapshot
-  set of in-flight read-only roots (the source of the GC watermark
-  install paths consult), the :class:`VersionStats` counters behind
-  ``database.version_stats()``, and the optional snapshot-read audit
-  log :func:`repro.formal.audit.certify_snapshot_isolation` certifies.
+:class:`StorageCoordinator` — one per database: the pinned-snapshot
+set of in-flight read-only roots (the source of the GC watermark
+install paths consult), the :class:`VersionStats` counters behind
+``database.version_stats()``, and the optional snapshot-read audit
+log (:class:`SnapshotReadEvent`) that
+:func:`repro.formal.audit.certify_snapshot_isolation` certifies.  The
+records themselves live in each
+:class:`~repro.relational.table.Table`'s ``records`` dict.
 
 The coordinator is deliberately dumb about *when* snapshots pin: the
 runtime pins at the first data operation of a snapshot-read root (see
@@ -28,193 +19,8 @@ completion, so ``keep_watermark()`` — the minimum pinned snapshot TID
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any
 
-from repro.storage.record import VersionedRecord
-
-Row = dict[str, Any]
-
-
-class Store:
-    """Interface of one table's committed record map.
-
-    Keys are primary-key tuples; values are the per-key version-chain
-    heads.  ``get`` resolves live records only; ``peek`` also returns
-    tombstoned heads (snapshot readers resolve visibility themselves).
-    """
-
-    kind = "abstract"
-
-    __slots__ = ()
-
-    def get(self, pk: tuple) -> VersionedRecord | None:
-        raise NotImplementedError
-
-    def peek(self, pk: tuple) -> VersionedRecord | None:
-        raise NotImplementedError
-
-    def record_map(self) -> "dict[tuple, VersionedRecord] | None":
-        """The raw pk → chain-head mapping when the store is
-        dict-backed, else ``None``.
-
-        An escape hatch for bulk read paths (vectorized point reads,
-        scan candidate collection): one C-level dict probe per key
-        instead of a Python :meth:`get` frame.  Entries include
-        tombstoned heads — callers must skip ``record.deleted``
-        themselves, exactly as :meth:`get` does.
-        """
-        return None
-
-    def put(self, pk: tuple, record: VersionedRecord) -> None:
-        raise NotImplementedError
-
-    def pop(self, pk: tuple) -> None:
-        raise NotImplementedError
-
-    def iter_live(self) -> Iterator[VersionedRecord]:
-        raise NotImplementedError
-
-    def iter_all(self) -> Iterator[VersionedRecord]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def note_chained(self, pk: tuple) -> None:
-        """A record of ``pk`` just gained a chain version.
-
-        Lets indexed snapshot scans examine only index candidates plus
-        the (GC-bounded) chained set instead of the whole table.
-        """
-
-    def iter_chained(self) -> Iterator[VersionedRecord]:
-        """Records that currently retain chain versions — the only
-        ones whose snapshot-visible image can differ from (or outlive)
-        their live head."""
-        for record in self.iter_all():
-            if record.prev is not None:
-                yield record
-
-    def version_at(self, pk: tuple,
-                   as_of_tid: int) -> tuple[Row | None, int]:
-        """The store-level visibility rule: the image of ``pk``
-        visible at snapshot ``as_of_tid`` plus the TID of the version
-        that resolved it (``(None, 0)`` when nothing qualifies)."""
-        record = self.peek(pk)
-        if record is None:
-            return None, 0
-        return record.version_at(as_of_tid)
-
-    def latest_visible(self, pk: tuple, as_of_tid: int) -> Row | None:
-        """Just the image part of :meth:`version_at`."""
-        return self.version_at(pk, as_of_tid)[0]
-
-    def gc(self, watermark: int | None) -> int:
-        """Prune every chain below ``watermark`` (``None``: drop all
-        history).  Returns the number of versions dropped."""
-        dropped = 0
-        for record in self.iter_all():
-            dropped += record.prune_chain(watermark)
-        return dropped
-
-    def live_version_count(self) -> int:
-        """Superseded versions currently retained across all chains."""
-        return sum(r.chain_length() for r in self.iter_all())
-
-
-class VersionedStore(Store):
-    """The built-in dict-backed version-chain store."""
-
-    kind = "versioned"
-
-    __slots__ = ("_records", "_chained")
-
-    def __init__(self) -> None:
-        self._records: dict[tuple, VersionedRecord] = {}
-        #: Primary keys whose record has (or recently had) chain
-        #: versions; membership is validated lazily on iteration, so
-        #: pruned chains fall out without an explicit unhook.
-        self._chained: set[tuple] = set()
-
-    def get(self, pk: tuple) -> VersionedRecord | None:
-        record = self._records.get(pk)
-        if record is None or record.deleted:
-            return None
-        return record
-
-    def peek(self, pk: tuple) -> VersionedRecord | None:
-        return self._records.get(pk)
-
-    def record_map(self) -> dict[tuple, VersionedRecord]:
-        return self._records
-
-    def put(self, pk: tuple, record: VersionedRecord) -> None:
-        self._records[pk] = record
-
-    def pop(self, pk: tuple) -> None:
-        self._records.pop(pk, None)
-
-    def iter_live(self) -> Iterator[VersionedRecord]:
-        for pk in sorted(self._records):
-            record = self._records[pk]
-            if not record.deleted:
-                yield record
-
-    def iter_all(self) -> Iterator[VersionedRecord]:
-        for pk in sorted(self._records):
-            yield self._records[pk]
-
-    def note_chained(self, pk: tuple) -> None:
-        self._chained.add(pk)
-
-    def iter_chained(self) -> Iterator[VersionedRecord]:
-        for pk in sorted(self._chained):
-            record = self._records.get(pk)
-            if record is None or record.prev is None:
-                self._chained.discard(pk)
-                continue
-            yield record
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-# ----------------------------------------------------------------------
-# Store registry (mirrors the CC scheme registry)
-# ----------------------------------------------------------------------
-
-_STORE_FACTORIES: dict[str, Callable[[], Store]] = {
-    "versioned": VersionedStore,
-}
-
-
-def register_store(name: str):
-    """Class/function decorator adding a store factory under ``name``."""
-    def decorate(factory: Callable[[], Store]):
-        _STORE_FACTORIES[name] = factory
-        return factory
-    return decorate
-
-
-def store_kinds() -> tuple[str, ...]:
-    return tuple(sorted(_STORE_FACTORIES))
-
-
-def create_store(kind: str = "versioned") -> Store:
-    """Instantiate the store ``kind`` for one table."""
-    try:
-        factory = _STORE_FACTORIES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown store kind {kind!r}; registered: "
-            f"{', '.join(sorted(_STORE_FACTORIES))}"
-        ) from None
-    return factory()
-
-
-# ----------------------------------------------------------------------
-# Per-database storage engine state
-# ----------------------------------------------------------------------
 
 @dataclass(slots=True)
 class VersionStats:

@@ -3,51 +3,23 @@
 Telemetry must never cost more than it informs: the metrics registry
 is cheap enough to stay on by default, while span tracing is *sampled*
 (one root in ``trace_sample``) so the wall-clock harness-speed gate
-keeps passing.  Diagnostics flip to full-fidelity tracing
-(``trace_sample=1`` plus the system tracks) without touching code.
-
-Environment overrides (read when a config is constructed, so a plain
-``DeploymentConfig()`` picks them up):
-
-* ``REPRO_TELEMETRY=0`` — master off switch: no spans are allocated
-  and every metric observation early-returns;
-* ``REPRO_TRACE=off`` / ``REPRO_TRACE=<N>`` / ``REPRO_TRACE=all`` —
-  root-trace sampling: disabled, one-in-N, or every root plus the
-  system tracks (log flushes, replication ships, migration phases).
+keeps passing.  A diagnostic run asks for full-fidelity tracing
+(``trace_sample=1`` plus the system tracks) in its deployment config —
+:func:`full_tracing` from code, the ``telemetry`` block of a config
+file — like every other deployment choice.  The process environment
+is never consulted: what a test or benchmark measures depends on its
+config alone.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
+
+from repro.errors import read_config_keys
 
 #: Default root-trace sampling: one traced root in this many.
 DEFAULT_TRACE_SAMPLE = 64
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_TELEMETRY", "1").strip().lower() \
-        not in ("0", "false", "no", "off")
-
-
-def _env_trace_sample() -> int:
-    raw = os.environ.get("REPRO_TRACE", "").strip().lower()
-    if raw in ("", "default"):
-        return DEFAULT_TRACE_SAMPLE
-    if raw in ("0", "off", "none", "no"):
-        return 0
-    if raw in ("all", "full", "1"):
-        return 1
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_TRACE_SAMPLE
-
-
-def _env_trace_system() -> bool:
-    return os.environ.get("REPRO_TRACE", "").strip().lower() \
-        in ("all", "full")
 
 
 @dataclass
@@ -56,14 +28,14 @@ class TelemetryConfig:
 
     #: Master switch: ``False`` turns the whole subsystem into no-ops
     #: (no spans allocated, histogram observes early-return).
-    enabled: bool = field(default_factory=_env_enabled)
+    enabled: bool = True
     #: Root-trace sampling: 0 = tracing off, 1 = every root, N = one
     #: root in N (selected deterministically by ``txn_id % N``).
-    trace_sample: int = field(default_factory=_env_trace_sample)
+    trace_sample: int = DEFAULT_TRACE_SAMPLE
     #: Record the system tracks too (per-container log flush epochs,
     #: replication ship→apply, migration phases).  Off by default:
     #: system spans accrue per *event*, not per sampled root.
-    trace_system: bool = field(default_factory=_env_trace_system)
+    trace_system: bool = False
 
     def __post_init__(self) -> None:
         self.trace_sample = max(0, int(self.trace_sample))
@@ -75,6 +47,10 @@ class TelemetryConfig:
 
     # -- serialization --------------------------------------------------
 
+    #: Every key ``from_dict`` accepts (exactly what ``to_dict``
+    #: writes), with the type its value must have.
+    KEYS = {"enabled": bool, "trace_sample": int, "trace_system": bool}
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "enabled": self.enabled,
@@ -84,14 +60,8 @@ class TelemetryConfig:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "TelemetryConfig":
-        config = TelemetryConfig()
-        if "enabled" in data:
-            config.enabled = bool(data["enabled"])
-        if "trace_sample" in data:
-            config.trace_sample = max(0, int(data["trace_sample"]))
-        if "trace_system" in data:
-            config.trace_system = bool(data["trace_system"])
-        return config
+        return TelemetryConfig(**read_config_keys(
+            data, "telemetry", TelemetryConfig.KEYS))
 
 
 def full_tracing() -> TelemetryConfig:

@@ -89,15 +89,13 @@ def chrome_payload(telemetry: Any) -> dict[str, Any]:
     """
     tracer = telemetry.tracer
     events = trace_events(tracer) if tracer is not None else []
-    scheduler = getattr(telemetry.database, "scheduler", None)
-    backend = getattr(scheduler, "name", "sim")
-    virtual = getattr(scheduler, "is_virtual", True)
+    scheduler = telemetry.database.scheduler
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "metadata": {
-            "backend": backend,
-            "clock": ("virtual-microseconds" if virtual
+            "backend": scheduler.name,
+            "clock": ("virtual-microseconds" if scheduler.is_virtual
                       else "wall-microseconds"),
             "dropped_spans": tracer.dropped if tracer else 0,
             "trace_sample": telemetry.config.trace_sample,

@@ -19,7 +19,7 @@ from repro.core.database import ReactorDatabase
 from repro.core.deployment import DeploymentConfig, shared_nothing
 from repro.errors import DeploymentError, SimulationError
 from repro.replication.config import ReplicationConfig
-from repro.runtime.backend import SimBackend, backend_names, create_backend
+from repro.runtime.backend import create_backend
 from repro.runtime.futures import SimFuture, ThreadSafeFuture
 from repro.runtime.threads import INLINE_DELAY_US, ThreadsBackend
 from repro.sim.scheduler import SimScheduler
@@ -31,16 +31,13 @@ from repro.workloads import smallbank as sb
 # ----------------------------------------------------------------------
 
 class TestBackendRegistry:
-    def test_names(self):
-        assert backend_names() == ("sim", "threads")
-
     def test_default_is_sim(self):
         deployment = shared_nothing(2)
         assert deployment.backend == "sim"
         backend = create_backend(deployment)
-        assert isinstance(backend, SimBackend)
-        assert isinstance(backend, SimScheduler)
+        assert type(backend) is SimScheduler
         assert backend.name == "sim"
+        assert backend.is_virtual is True
 
     def test_threads_selected_by_name(self):
         deployment = shared_nothing(2, backend="threads")

@@ -17,6 +17,9 @@ from repro.core.deployment import (
 from repro.errors import DeploymentError
 from repro.sim.machine import OPTERON_6274, XEON_E3_1276
 
+#: The smallest dict ``DeploymentConfig.from_dict`` accepts.
+_MINIMAL = {"name": "x", "containers": [{}]}
+
 
 class TestFactories:
     def test_s1(self):
@@ -125,6 +128,15 @@ class TestSerialization:
         assert config.routing == AFFINITY
         assert config.machine is XEON_E3_1276
         assert config.cc_scheme == "occ"
+        # An absent key — or an empty nested block — takes the config
+        # class's own default: ``from_dict`` carries no second copy.
+        defaults = DeploymentConfig(name="minimal",
+                                    containers=[ContainerSpec()])
+        assert config.to_dict() == defaults.to_dict()
+        assert DeploymentConfig.from_dict({
+            "name": "minimal", "containers": [{}], "placement": {},
+            "replication": {}, "migration": {}, "durability": {},
+            "telemetry": {}}).to_dict() == defaults.to_dict()
 
     @pytest.mark.parametrize(
         "scheme", ["occ", "2pl_nowait", "2pl_waitdie", "none"])
@@ -148,21 +160,59 @@ class TestSerialization:
         ({"name": "x", "containers": [{"executors": "a"}]},
          "executors"),
         ({"name": "x", "containers": [{"executers": 4}]}, "executers"),
+        ({"name": "x", "containers": [4]}, "container"),
+        # The sub-configs read as strictly as the top level: unknown
+        # keys (telemetry used to ignore them; ``mode`` was an alias
+        # ``to_dict`` never wrote) ...
+        ({**_MINIMAL, "telemetry": {"enabeld": False}}, "enabeld"),
+        ({**_MINIMAL, "durability": {"mode": "sync"}}, "mode"),
+        # ... values of the wrong type (``bool("false")`` is True) ...
+        ({**_MINIMAL, "durability": {"enabled": "false"}}, "enabled"),
+        ({**_MINIMAL, "pin_reactors": "false"}, "pin_reactors"),
+        ({**_MINIMAL, "snapshot_reads": "false"}, "snapshot_reads"),
+        ({**_MINIMAL, "replication": {
+            "replicas_per_container": 1, "mode": "sync",
+            "read_from_replicas": "false"}}, "read_from_replicas"),
+        ({**_MINIMAL, "telemetry": {"trace_system": "false"}},
+         "trace_system"),
+        ({**_MINIMAL, "telemetry": {"trace_sample": True}},
+         "trace_sample"),
+        ({**_MINIMAL, "replication": {"replicas_per_container": "two"}},
+         "replicas_per_container"),
+        ({**_MINIMAL, "migration": {"drain_poll_us": "fast"}},
+         "drain_poll_us"),
+        ({**_MINIMAL, "migration": 5}, "migration"),
+        # ... and what used to escape as a bare KeyError.
+        ({**_MINIMAL, "placement": {"kind": "range"}}, "block_size"),
+        ({**_MINIMAL, "placement": {"kind": "modulo", "block_size": 2}},
+         "block_size"),
+        ({**_MINIMAL, "machine": "cray"}, "machine"),
     ])
     def test_malformed_config_rejected_naming_the_key(self, data, key):
         """Typos in config files must fail loudly, naming the key —
         a silently ignored ``cc_schema`` would run the wrong scheme,
-        a silently ignored ``executers`` the wrong core count."""
+        a silently ignored ``executers`` the wrong core count, a
+        silently ignored ``enabeld: false`` leaves telemetry on."""
         with pytest.raises(DeploymentError, match=key):
             DeploymentConfig.from_dict(data)
+
+    def test_integers_are_accepted_where_floats_are_expected(self):
+        config = DeploymentConfig.from_dict(
+            {**_MINIMAL, "migration": {"drain_poll_us": 7}})
+        assert config.migration.drain_poll_us == 7.0
+        assert type(config.migration.drain_poll_us) is float
 
     def test_accepted_keys_are_exactly_the_serialized_ones(self):
         """One spelling per option: ``from_dict`` knows no alias that
         ``to_dict`` does not write, so a retired key is a typo."""
-        data = shared_nothing(2).to_dict()
-        assert DeploymentConfig.KNOWN_KEYS == set(data)
-        assert DeploymentConfig.CONTAINER_KEYS == \
+        config = shared_nothing(2)
+        data = config.to_dict()
+        assert set(DeploymentConfig.KEYS) == set(data)
+        assert set(DeploymentConfig.CONTAINER_KEYS) == \
             set(data["containers"][0])
+        for sub in (config.replication, config.migration,
+                    config.durability, config.telemetry):
+            assert set(type(sub).KEYS) == set(sub.to_dict())
 
     def test_replication_round_trips(self):
         from repro.replication import ReplicationConfig

@@ -13,16 +13,19 @@ Calls per transaction, before (PR 12), after PR 13 bound the path
 once (precompiled schemas and access paths, flat virtual-time hops,
 one-pass commit), after PR 16 made the write set's journey one
 pass (one install loop, one call per locked and per installed write,
-no per-write redo-entry call), and after PR 17 left one commit path
+no per-write redo-entry call), after PR 17 left one commit path
 (``coordinator.commit`` called directly: no coordinator object, no
-engine switch, no second participant sort):
+engine switch, no second participant sort), and after PR 18 priced the
+commit inline (the per-scheme pricing hook had one body; the rest of
+that PR's cut — the record-map interface under ``Table`` — was
+attribute forks, not calls):
 
-=====================  ======  ======  ======  ======
-                        PR 12   PR 13   PR 16   PR 17
-=====================  ======  ======  ======  ======
-SmallBank (std mix)    228.66  142.50  130.49  126.28
-no-op                   84.25   62.26   62.26   62.26
-=====================  ======  ======  ======  ======
+=====================  ======  ======  ======  ======  ======
+                        PR 12   PR 13   PR 16   PR 17   PR 18
+=====================  ======  ======  ======  ======  ======
+SmallBank (std mix)    228.66  142.50  130.49  126.28  125.32
+no-op                   84.25   62.26   62.26   62.26   61.26
+=====================  ======  ======  ======  ======  ======
 
 (``cProfile``, which also counts builtins — ``dict.get``, ``heappush``,
 ``isinstance`` ... — read 347.1 -> 221.5 and 128.4 -> 96.4 on the PR 13
@@ -51,8 +54,8 @@ SRC_ROOT = str(Path(repro.__file__).resolve().parent)
 N_TXNS = 200
 CUSTOMERS = 100
 
-SMALLBANK_CEILING = 126.285
-NOOP_CEILING = 62.26
+SMALLBANK_CEILING = 125.32
+NOOP_CEILING = 61.255
 
 NOOP = ReactorType("BudgetNoop", lambda: [])
 

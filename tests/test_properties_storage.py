@@ -5,6 +5,10 @@ Invariants checked on randomized inputs:
 * ordered-index range scans agree with a naive filter over the rows;
 * tables and their secondary indexes stay mutually consistent through
   arbitrary insert/update/delete interleavings;
+* on a coordinated table, every pinned snapshot's indexed, equality
+  and full scans return exactly the rows committed when it was pinned,
+  whatever installs and GC sweeps follow, and the chained-key set the
+  indexed scans rely on names exactly the records retaining history;
 * randomly interleaved OCC sessions either abort or produce a final
   state equal to some serial execution (serializability), and
   committed effects are exactly the write sets of committed sessions.
@@ -16,15 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concurrency import coordinator
+from repro.concurrency.mvcc import SnapshotSession
 from repro.concurrency.occ import ConcurrencyManager
 from repro.concurrency.tid import EpochManager
 from repro.relational.index import OrderedIndex, make_spec
+from repro.relational.predicate import col
 from repro.relational.schema import (
     IndexSpec,
     int_col,
     make_schema,
 )
 from repro.relational.table import Table
+from repro.storage import StorageCoordinator
 
 keys = st.tuples(st.integers(0, 5), st.integers(0, 5))
 
@@ -102,6 +109,82 @@ def test_table_and_indexes_stay_consistent(operations):
     expected_order = sorted(shadow, key=lambda pk: (shadow[pk]["v"],
                                                     pk))
     assert list(by_v.range(None, None)) == expected_order
+
+
+# Snapshot scans over the chained-key set -------------------------------
+
+versioned_ops = st.lists(
+    st.tuples(st.sampled_from(["insert", "update", "update", "delete",
+                               "pin", "unpin", "gc"]),
+              st.integers(0, 7),   # id / pin slot
+              st.integers(0, 2),   # grp
+              st.integers(0, 5)),  # v
+    max_size=50)
+
+
+def _assert_snapshot_scans_match(table: Table, snapshot_tid: int,
+                                 expected: dict[tuple, dict]) -> None:
+    """Every scan shape of a snapshot session against ``expected``,
+    the model's copy of what was committed at ``snapshot_tid``."""
+    rows = [expected[pk] for pk in sorted(expected)]
+    assert table.rows_as_of(snapshot_tid) == rows
+    session = SnapshotSession(1, 0, snapshot_tid)
+    assert session.scan(table).rows == rows
+    for low, high in ((None, None), ((1,), (3,)), ((4,), None)):
+        got = session.scan(table, index="by_v", low=low, high=high)
+        assert got.rows == sorted(
+            (row for row in rows
+             if (low is None or (row["v"],) >= low)
+             and (high is None or (row["v"],) <= high)),
+            key=lambda row: (row["v"], row["id"]))
+    for grp in range(3):
+        matching = [row for row in rows if row["grp"] == grp]
+        assert session.scan(table, index="by_grp", low=(grp,),
+                            high=(grp,)).rows == matching
+        # No index named: the equality probe finds by_grp itself.
+        assert session.scan(table, col("grp") == grp).rows == matching
+
+
+@settings(max_examples=100, deadline=None)
+@given(versioned_ops)
+def test_snapshot_scans_see_their_pinned_cut(operations):
+    table = _indexed_table()
+    storage = StorageCoordinator()
+    table.versioning = storage
+    shadow: dict[tuple, dict] = {}
+    #: pin slot -> (snapshot TID, the model's rows at that TID)
+    pinned: dict[int, tuple[int, dict[tuple, dict]]] = {}
+    tid = 0
+    for op, id_, grp, v in operations:
+        pk = (id_,)
+        row = {"id": id_, "grp": grp, "v": v}
+        if op == "insert" and pk not in shadow:
+            tid += 1
+            table.install_insert(row, tid)
+            shadow[pk] = row
+        elif op == "update" and pk in shadow:
+            tid += 1  # re-keys both indexed columns
+            table.install_update(table.get_record(pk), row, tid)
+            shadow[pk] = row
+        elif op == "delete" and pk in shadow:
+            tid += 1
+            table.install_delete(table.get_record(pk), tid)
+            del shadow[pk]
+        elif op == "pin" and id_ not in pinned:
+            storage.pin(id_, tid)
+            pinned[id_] = (tid, dict(shadow))
+        elif op == "unpin" and id_ in pinned:
+            storage.unpin(id_)
+            del pinned[id_]
+        elif op == "gc":
+            table.gc_versions(table.keep_watermark())
+
+        for snapshot_tid, expected in pinned.values():
+            _assert_snapshot_scans_match(table, snapshot_tid, expected)
+        _assert_snapshot_scans_match(table, tid, shadow)
+        chained = [r.key for r in table.iter_chained()]
+        assert chained == sorted(
+            r.key for r in table.records.values() if r.prev is not None)
 
 
 # Random concurrent OCC schedules -------------------------------------

@@ -1,13 +1,11 @@
 """Unit tests of the multi-version storage engine.
 
-Version chains, the visibility rule, watermark-driven GC, the
-pluggable store registry, copy-free installation, and the table-level
-snapshot read surface — exercised directly, below the runtime.
+Version chains, the visibility rule, watermark-driven GC, copy-free
+installation, and the table-level snapshot read surface (a table owns
+its record map) — exercised directly, below the runtime.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.relational import IndexSpec, float_col, int_col, make_schema
 from repro.relational.table import Table
@@ -15,10 +13,6 @@ from repro.storage import (
     RecordVersion,
     StorageCoordinator,
     VersionedRecord,
-    VersionedStore,
-    create_store,
-    register_store,
-    store_kinds,
 )
 
 
@@ -95,47 +89,6 @@ class TestVersionChains:
         assert record.value is owned  # copy-free hot path
 
 
-class TestStoreRegistry:
-    def test_builtin_versioned_store(self):
-        assert "versioned" in store_kinds()
-        assert isinstance(create_store(), VersionedStore)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown store kind"):
-            create_store("btree-on-mars")
-
-    def test_custom_store_registers(self):
-        class TinyStore(VersionedStore):
-            kind = "tiny"
-
-        register_store("tiny")(TinyStore)
-        try:
-            assert isinstance(create_store("tiny"), TinyStore)
-        finally:
-            from repro.storage import store as store_module
-
-            del store_module._STORE_FACTORIES["tiny"]
-
-    def test_latest_visible_is_the_store_level_rule(self):
-        store = VersionedStore()
-        record = _record(1.0, 5)
-        store.put((1,), record)
-        record.install({"id": 1, "v": 2.0}, 10, keep_watermark=1)
-        assert store.latest_visible((1,), 7) == {"id": 1, "v": 1.0}
-        assert store.latest_visible((1,), 10) == {"id": 1, "v": 2.0}
-        assert store.latest_visible((2,), 10) is None
-
-    def test_store_gc_counts_drops(self):
-        store = VersionedStore()
-        for key in (1, 2):
-            record = VersionedRecord((key,), {"id": key, "v": 0.0}, 1)
-            store.put((key,), record)
-            record.install({"id": key, "v": 1.0}, 10, keep_watermark=1)
-        assert store.live_version_count() == 2
-        assert store.gc(None) == 2
-        assert store.live_version_count() == 0
-
-
 def _table() -> Table:
     schema = make_schema(
         "t", [int_col("id"), float_col("v")], ["id"],
@@ -144,6 +97,25 @@ def _table() -> Table:
 
 
 class TestTableVersioning:
+    def test_read_as_of_is_the_table_level_rule(self):
+        table = _table()
+        record = _record(1.0, 5)
+        table.records[(1,)] = record
+        record.install({"id": 1, "v": 2.0}, 10, keep_watermark=1)
+        assert table.read_as_of((1,), 7) == {"id": 1, "v": 1.0}
+        assert table.read_as_of((1,), 10) == {"id": 1, "v": 2.0}
+        assert table.read_as_of((2,), 10) is None
+
+    def test_table_gc_counts_drops(self):
+        table = _table()
+        for key in (1, 2):
+            record = VersionedRecord((key,), {"id": key, "v": 0.0}, 1)
+            table.records[(key,)] = record
+            record.install({"id": key, "v": 1.0}, 10, keep_watermark=1)
+        assert table.live_version_count() == 2
+        assert table.gc_versions(None) == 2
+        assert table.live_version_count() == 0
+
     def test_standalone_table_keeps_no_history(self):
         table = _table()
         table.load_row({"id": 1, "v": 1.0}, tid=5)

@@ -49,7 +49,7 @@ class TestYcsb:
         db = small_ycsb()
         keys = [ycsb.key_name(0), ycsb.key_name(1)]
         table = db.reactor(ycsb.key_name(1)).table("kv")
-        table.store.pop((ycsb.key_name(1),))
+        del table.records[(ycsb.key_name(1),)]
         from repro.errors import TransactionAbort
         with pytest.raises(TransactionAbort):
             db.run(ycsb.key_name(0), "multi_update", keys, "Q")
