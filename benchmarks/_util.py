@@ -1,33 +1,32 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the benchmark scripts.
 
-Each benchmark regenerates one paper table/figure.  Because pytest
-captures stdout by default, every report is also persisted under
-``benchmarks/results/`` so the regenerated series survive the run
-(EXPERIMENTS.md is written from those files).
-
-Benchmarks use *scaled-down* parameters (fewer epochs, shorter
-measurement windows, smaller tables) to keep the whole suite's
-wall-clock time reasonable; every experiment module accepts the
-paper-scale parameters for full runs.
+Every ``bench_*.py`` next to this file is a script with one entry
+point, ``main()``, and one shape: measure, print the report (persisted
+under ``benchmarks/results/`` as well), assert the script's acceptance
+conditions, and optionally write machine-readable JSON.
+:func:`bench_args` is the argument parser they share and
+:func:`finish` the report -> check -> JSON tail, so the acceptance
+conditions run in every mode: a ``--tiny`` CI run fails on a broken
+invariant, not only on a baseline delta.  (The paper's own figures and
+tables are not scripts here: ``python -m repro.experiments`` runs and
+checks them.)
 
 Machine-readable output: :func:`emit_json` writes a
 ``BENCH_<name>.json`` file next to the text report so CI jobs and
-downstream tooling can consume results without parsing tables;
-benchmarks that run as scripts gate it behind a ``--json`` flag via
-:func:`json_enabled` (the ``BENCH_JSON=1`` environment variable works
-too).  Every JSON file carries a ``meta`` block recording the git SHA
-the numbers were produced from and the benchmark's configuration dict,
-so archived results stay attributable.
+downstream tooling can consume results without parsing tables.  Every
+JSON file carries a ``meta`` block recording the git SHA the numbers
+were produced from and the benchmark's configuration dict, so archived
+results stay attributable.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import subprocess
-import sys
 from pathlib import Path
 from typing import Any
 
@@ -73,44 +72,45 @@ def git_sha() -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def emit_report(name: str, report_fn, *args) -> str:
-    """Run ``report_fn(*args)``, print its output, persist it."""
+def bench_args(description: str, argv: list[str] | None = None,
+               backends: tuple[str, ...] = ()) -> argparse.Namespace:
+    """Parse the flags of a bench script that has a CI-sized grid:
+    ``--tiny`` (the sizes the committed baselines were measured at),
+    ``--json`` (also write ``BENCH_<name>.json``) and, for a script
+    that runs on more than one execution backend, ``--backend`` (the
+    first of ``backends`` is the default)."""
+    parser = argparse.ArgumentParser(
+        description=description,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--tiny", action="store_true",
+                        help="the small grid CI runs and gates")
+    parser.add_argument("--json", action="store_true",
+                        help="also write results/BENCH_<name>.json")
+    if backends:
+        parser.add_argument("--backend", choices=backends,
+                            default=backends[0],
+                            help="execution backend to measure on")
+    return parser.parse_args(argv)
+
+
+def finish(name: str, payload: Any, report, check,
+           args: argparse.Namespace | None = None,
+           config: dict[str, Any] | None = None,
+           backend: str | None = None) -> None:
+    """The tail of every ``main()``: print ``report(payload)`` and
+    persist it as ``results/<name>.txt``, assert ``check(payload)``,
+    then — when ``args`` asked for ``--json`` — write the payload with
+    its ``config`` / ``backend`` provenance (see :func:`emit_json`)."""
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        report_fn(*args)
+        report(payload)
     text = buffer.getvalue()
     print(text)
     _ensure_results_dir()
     (RESULTS_DIR / f"{name}.txt").write_text(text)
-    return text
-
-
-def json_enabled(argv: list[str] | None = None) -> bool:
-    """Did the caller ask for machine-readable output?"""
-    argv = sys.argv if argv is None else argv
-    env = os.environ.get("BENCH_JSON", "").strip().lower()
-    return "--json" in argv or env not in ("", "0", "false", "no")
-
-
-def backend_arg(argv: list[str] | None = None,
-                default: str = "sim") -> str:
-    """The ``--backend <name>`` (or ``--backend=<name>``) selection.
-
-    Shared by every benchmark script that can run on more than one
-    execution backend; the chosen name also lands in the JSON ``meta``
-    block (pass it to :func:`emit_json` as ``backend=``) so archived
-    numbers say whether they are virtual-time or wall-clock.
-    """
-    argv = sys.argv if argv is None else argv
-    for i, arg in enumerate(argv):
-        if arg == "--backend":
-            if i + 1 >= len(argv):
-                raise SystemExit("--backend needs a value "
-                                 "(sim or threads)")
-            return argv[i + 1]
-        if arg.startswith("--backend="):
-            return arg.split("=", 1)[1]
-    return default
+    check(payload)
+    if args is not None and args.json:
+        print(f"wrote {emit_json(name, payload, config, backend)}")
 
 
 def emit_json(name: str, payload: Any,

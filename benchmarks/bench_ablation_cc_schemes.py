@@ -15,7 +15,7 @@ same SmallBank and TPC-C new-order applications run under every
   tests/test_integration_cc_schemes.py).
 """
 
-from _util import emit_report
+from _util import finish
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
@@ -76,7 +76,7 @@ HEADERS = ["workload/skew", "scheme", "tput [txn/s]", "lat [usec]",
            "abort %", "val fail", "lock conf", "die+wound"]
 
 
-def test_ablation_cc_schemes(benchmark):
+def run() -> dict:
     measurements = {}
     for hotspot in SKEWS:
         for scheme in SCHEMES:
@@ -86,12 +86,17 @@ def test_ablation_cc_schemes(benchmark):
         for scheme in SCHEMES:
             measurements[(f"tpcc-neworder r={remote}", scheme)] = \
                 _measure_tpcc(scheme, remote)
+    return measurements
 
-    emit_report("ablation_cc_schemes", lambda: print_table(
+
+def _report(measurements):
+    print_table(
         "Ablation: CC scheme x skew (SmallBank hotspot, TPC-C "
         "new-order remote-item probability)",
-        HEADERS, _rows(measurements)))
+        HEADERS, _rows(measurements))
 
+
+def check(measurements):
     # Every (workload, scheme) combination makes progress.
     assert all(s.committed > 0 for s, __ in measurements.values())
 
@@ -120,6 +125,10 @@ def test_ablation_cc_schemes(benchmark):
         hot = measurements[("smallbank h=0.9", scheme)][0]
         assert hot.abort_rate >= cold.abort_rate
 
-    benchmark.pedantic(
-        lambda: _measure_smallbank("2pl_waitdie", 0.9),
-        rounds=1, iterations=1)
+
+def main() -> None:
+    finish("ablation_cc_schemes", run(), _report, check)
+
+
+if __name__ == "__main__":
+    main()

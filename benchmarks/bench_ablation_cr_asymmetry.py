@@ -10,7 +10,7 @@ dramatically, confirming the causal story.
 
 import dataclasses
 
-from _util import emit_report
+from _util import finish
 
 from repro.bench.harness import single_worker_latency
 from repro.bench.report import print_table
@@ -37,34 +37,40 @@ def _latency(variant: str, machine) -> float:
         database, lambda w: spec, n_txns=50).summary.latency_us
 
 
-def test_ablation_cr_asymmetry(benchmark):
+def run() -> list[list]:
+    """Rows of [machine, partially-async, fully-async, gap]."""
     symmetric_machine = dataclasses.replace(
         XEON_E3_1276, name="xeon-symmetric",
         costs=XEON_E3_1276.costs.with_symmetric_communication())
 
     rows = []
-    gaps = {}
     for label, machine in (("asymmetric (paper)", XEON_E3_1276),
                            ("symmetric (Cr == Cs)", symmetric_machine)):
         partial = _latency("partially-async", machine)
         full = _latency("fully-async", machine)
-        gaps[label] = partial - full
         rows.append([label, partial, full, partial - full])
+    return rows
 
-    def report():
-        print_table(
-            "Ablation: partially-async vs fully-async gap under "
-            "symmetric communication (size 7)",
-            ["machine", "partially-async [us]", "fully-async [us]",
-             "gap [us]"], rows)
 
-    emit_report("ablation_cr_asymmetry", report)
+def _report(rows):
+    print_table(
+        "Ablation: partially-async vs fully-async gap under "
+        "symmetric communication (size 7)",
+        ["machine", "partially-async [us]", "fully-async [us]",
+         "gap [us]"], rows)
 
+
+def check(rows):
+    gaps = {label: gap for label, __, __, gap in rows}
     # The gap collapses when the receive path costs as little as the
     # send path — the paper's causal claim.
     assert gaps["symmetric (Cr == Cs)"] < \
         0.5 * gaps["asymmetric (paper)"]
 
-    benchmark.pedantic(
-        lambda: _latency("fully-async", XEON_E3_1276),
-        rounds=2, iterations=1)
+
+def main() -> None:
+    finish("ablation_cr_asymmetry", run(), _report, check)
+
+
+if __name__ == "__main__":
+    main()

@@ -25,10 +25,9 @@ script for the CI smoke job: ``python bench_ablation_durability.py
 --tiny --json``.
 """
 
-import sys
 from dataclasses import replace
 
-from _util import emit_json, emit_report, json_enabled, summary_payload
+from _util import bench_args, finish, summary_payload
 
 from repro import DurabilityConfig
 from repro.bench.harness import run_measurement
@@ -328,7 +327,9 @@ def _report(payload):
           f"tampered image rejected: {payload['tamper_rejected']}")
 
 
-def _assert_acceptance(payload):
+def check(payload):
+    """Acceptance conditions; they hold at the full and at the
+    ``--tiny`` sizes, so every mode asserts them."""
     # Every configuration makes progress.
     assert all(r["committed"] > 0 for r in payload["runs"])
     # Group commit amortizes: strictly fewer fsyncs than records on
@@ -360,31 +361,14 @@ def _assert_acceptance(payload):
     assert payload["tamper_rejected"]
 
 
-def test_ablation_durability(benchmark):
-    payload = run_ablation()
-    emit_report("ablation_durability", lambda: _report(payload))
-    emit_json("ablation_durability", payload, config=CONFIG)
-    _assert_acceptance(payload)
-    benchmark.pedantic(
-        lambda: _measure_smallbank("group", 10_000.0),
-        rounds=1, iterations=1)
-
-
 def main(argv: list[str] | None = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    tiny = "--tiny" in argv
-    measure_us = 10_000.0 if tiny else 60_000.0
-    curve_txns = 120 if tiny else 240
-    payload = run_ablation(measure_us=measure_us,
-                           curve_txns=curve_txns)
-    emit_report("ablation_durability", lambda: _report(payload))
-    _assert_acceptance(payload)
-    if json_enabled(argv):
-        path = emit_json("ablation_durability", payload,
-                         config={**CONFIG, "measure_us": measure_us,
-                                 "curve_txns": curve_txns,
-                                 "tiny": tiny})
-        print(f"wrote {path}")
+    args = bench_args(__doc__, argv)
+    measure_us = 10_000.0 if args.tiny else 60_000.0
+    curve_txns = 120 if args.tiny else 240
+    finish("ablation_durability", run_ablation(measure_us, curve_txns),
+           _report, check, args,
+           config={**CONFIG, "measure_us": measure_us,
+                   "curve_txns": curve_txns, "tiny": args.tiny})
 
 
 if __name__ == "__main__":

@@ -23,9 +23,7 @@ script for the CI smoke job: ``python bench_ablation_replication.py
 --tiny --json``.
 """
 
-import sys
-
-from _util import emit_json, emit_report, json_enabled, summary_payload
+from _util import bench_args, finish, summary_payload
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
@@ -208,11 +206,9 @@ def _report(payload):
           f"{payload['failover_zero_committed_loss']}")
 
 
-def test_ablation_replication(benchmark):
-    payload = run_ablation()
-    emit_report("ablation_replication", lambda: _report(payload))
-    emit_json("ablation_replication", payload, config=CONFIG)
-
+def check(payload):
+    """Acceptance conditions; they hold at the full and at the
+    ``--tiny`` sizes, so every mode asserts them."""
     by_key = {(r["workload"], r["mode"], r["skew"]): r
               for r in payload["runs"]}
 
@@ -238,23 +234,13 @@ def test_ablation_replication(benchmark):
     assert payload["failover_audit_ok"]
     assert payload["failover_zero_committed_loss"]
 
-    benchmark.pedantic(
-        lambda: _measure_smallbank("sync", 0.9,
-                                   measure_us=20_000.0),
-        rounds=1, iterations=1)
-
 
 def main(argv: list[str] | None = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    tiny = "--tiny" in argv
-    measure_us = 10_000.0 if tiny else 60_000.0
-    payload = run_ablation(measure_us=measure_us)
-    emit_report("ablation_replication", lambda: _report(payload))
-    if json_enabled(argv):
-        path = emit_json("ablation_replication", payload,
-                         config={**CONFIG, "measure_us": measure_us,
-                                 "tiny": tiny})
-        print(f"wrote {path}")
+    args = bench_args(__doc__, argv)
+    measure_us = 10_000.0 if args.tiny else 60_000.0
+    finish("ablation_replication", run_ablation(measure_us), _report,
+           check, args, config={**CONFIG, "measure_us": measure_us,
+                                "tiny": args.tiny})
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ execute fine (inlined, sequential) under shared-everything —
 demonstrating that the condition is dynamic, not static.
 """
 
-from _util import emit_report
+from _util import finish
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
@@ -56,53 +56,54 @@ def _danger_aborts(result) -> int:
                and "race on reactor" in s.abort_reason)
 
 
-def test_ablation_safety_condition(benchmark):
-    # (a) overhead question: safe fan-outs under shared-nothing never
-    # trip the condition (its bookkeeping is O(1) dict work per call);
-    # any aborts are ordinary OCC conflicts between the two workers.
-    sn = _bank(shared_nothing(3))
-    safe_result = run_measurement(sn, 2, _safe_factory,
-                                  warmup_us=5_000.0,
-                                  measure_us=40_000.0, n_epochs=4)
-    safe = safe_result.summary
-    assert _danger_aborts(safe_result) == 0
+def _measure(deployment, factory_for):
+    return run_measurement(_bank(deployment), 2, factory_for,
+                           warmup_us=5_000.0, measure_us=40_000.0,
+                           n_epochs=4)
 
-    # (b) dangerous program: aborts under shared-nothing...
-    sn_race = _bank(shared_nothing(3))
-    racing_result = run_measurement(sn_race, 2, _race_factory,
-                                    warmup_us=5_000.0,
-                                    measure_us=40_000.0, n_epochs=4)
-    racing = racing_result.summary
-    # ...but executes fine when calls inline under shared-everything.
-    se_race = _bank(shared_everything_with_affinity(3))
-    inlined_result = run_measurement(se_race, 2, _race_factory,
-                                     warmup_us=5_000.0,
-                                     measure_us=40_000.0, n_epochs=4)
-    inlined = inlined_result.summary
 
-    def report():
-        print_table(
-            "Ablation: dynamic safety condition",
-            ["scenario", "committed", "aborted", "abort %"],
-            [
-                ["safe fan-out, shared-nothing", safe.committed,
-                 safe.aborted, round(safe.abort_rate * 100, 2)],
-                ["same-reactor race, shared-nothing",
-                 racing.committed, racing.aborted,
-                 round(racing.abort_rate * 100, 2)],
-                ["same-reactor race, shared-everything",
-                 inlined.committed, inlined.aborted,
-                 round(inlined.abort_rate * 100, 2)],
-            ])
+SAFE = "safe fan-out, shared-nothing"
+RACING = "same-reactor race, shared-nothing"
+INLINED = "same-reactor race, shared-everything"
 
-    emit_report("ablation_safety", report)
 
+def run() -> dict:
+    """Scenario label -> MeasurementResult."""
+    return {
+        # (a) overhead question: safe fan-outs under shared-nothing
+        # never trip the condition (its bookkeeping is O(1) dict work
+        # per call); any aborts are ordinary OCC conflicts between the
+        # two workers.
+        SAFE: _measure(shared_nothing(3), _safe_factory),
+        # (b) dangerous program: aborts under shared-nothing...
+        RACING: _measure(shared_nothing(3), _race_factory),
+        # ...but executes fine when calls inline under
+        # shared-everything.
+        INLINED: _measure(shared_everything_with_affinity(3),
+                          _race_factory),
+    }
+
+
+def _report(results):
+    print_table(
+        "Ablation: dynamic safety condition",
+        ["scenario", "committed", "aborted", "abort %"],
+        [[label, r.summary.committed, r.summary.aborted,
+          round(r.summary.abort_rate * 100, 2)]
+         for label, r in results.items()])
+
+
+def check(results):
+    assert _danger_aborts(results[SAFE]) == 0
+    racing = results[RACING].summary
     assert racing.abort_rate > 0.9  # dangerous structure aborted
-    assert _danger_aborts(racing_result) > 0.9 * racing.aborted
-    assert _danger_aborts(inlined_result) == 0  # inlined is safe
+    assert _danger_aborts(results[RACING]) > 0.9 * racing.aborted
+    assert _danger_aborts(results[INLINED]) == 0  # inlined is safe
 
-    benchmark.pedantic(
-        lambda: run_measurement(_bank(shared_nothing(3)), 1,
-                                _safe_factory, warmup_us=2_000.0,
-                                measure_us=10_000.0, n_epochs=2),
-        rounds=2, iterations=1)
+
+def main() -> None:
+    finish("ablation_safety", run(), _report, check)
+
+
+if __name__ == "__main__":
+    main()

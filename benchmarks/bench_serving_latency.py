@@ -14,7 +14,7 @@ Two phases:
 * ``open_loop`` — one row per arrival rate with p50/p99/p999
   wall-clock latency, achieved throughput, and shed fraction.  At the
   lowest rate nothing may be shed (the server is unloaded; a shed
-  there is a bug, asserted unless ``--no-assert``).
+  there is a bug, and ``check`` asserts it).
 * ``saturate`` — a deliberately tiny admission bound (``max_inflight``)
   under a burst far above it: every refusal must be the *typed*
   ``Overloaded`` answer with a positive retry-after hint, never a
@@ -26,13 +26,12 @@ with the gate echoed as a notice, like ``backend_scaleup``); the
 ``arrival_rate`` key identifies rows.
 
 Run as a script: ``python bench_serving_latency.py [--tiny] [--json]
-[--backend sim|threads] [--no-assert]``.
+[--backend sim|threads]``.
 """
 
-import sys
 import time
 
-from _util import backend_arg, emit_json, emit_report, json_enabled
+from _util import bench_args, finish
 
 from repro.bench.report import print_table
 from repro.client import TcpClient
@@ -139,7 +138,7 @@ def build_payload(backend: str, mode: str) -> dict:
     }
 
 
-def assert_serving(payload: dict) -> None:
+def check(payload: dict) -> None:
     """Cross-machine invariants (the shape, not the numbers): an
     unloaded server sheds nothing; a saturated admission bound sheds
     with typed, hinted answers; percentiles are ordered."""
@@ -179,29 +178,12 @@ def _report(payload):
         HEADERS, rows)
 
 
-def test_serving_latency(benchmark):
-    backend = "sim"
-    payload = build_payload(backend, "tiny")
-    emit_report("serving_latency", lambda: _report(payload))
-    assert_serving(payload)
-    benchmark.pedantic(
-        lambda: measure_rate(backend, 200.0, "tiny"),
-        rounds=1, iterations=1)
-
-
 def main(argv: list[str] | None = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    mode = "tiny" if "--tiny" in argv else "full"
-    backend = backend_arg(argv)
-    payload = build_payload(backend, mode)
-    emit_report("serving_latency", lambda: _report(payload))
-    if json_enabled(argv):
-        path = emit_json("serving_latency", payload,
-                         config={**CONFIG, "mode": mode},
-                         backend=backend)
-        print(f"wrote {path}")
-    if "--no-assert" not in argv:
-        assert_serving(payload)
+    args = bench_args(__doc__, argv, backends=("sim", "threads"))
+    mode = "tiny" if args.tiny else "full"
+    finish("serving_latency", build_payload(args.backend, mode),
+           _report, check, args, config={**CONFIG, "mode": mode},
+           backend=args.backend)
 
 
 if __name__ == "__main__":

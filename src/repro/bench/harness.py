@@ -1,15 +1,12 @@
 """Experiment driver: load, warm up, measure, summarize.
 
 :func:`run_measurement` is the shared engine behind every figure/table
-reproduction: it takes a freshly built database — or a
-:class:`~repro.client.Client` wrapping one; either is normalized via
-:func:`~repro.client.as_client` — plus per-worker transaction
-factories, runs warmup + measurement in virtual time, and returns a
-:class:`~repro.bench.metrics.RunSummary` (plus raw stats for
+reproduction: it takes a freshly built database plus per-worker
+transaction factories, runs warmup + measurement in virtual time, and
+returns a :class:`~repro.bench.metrics.RunSummary` (plus raw stats for
 specialized analyses like the Figure 6 breakdown).  The closed-loop
-machinery requires the embedded path (a
-:class:`~repro.client.LocalClient`); served databases are measured
-open-loop by :mod:`repro.serving.loadgen` instead.
+machinery drives the database in-process; served databases are
+measured open-loop by :mod:`repro.serving.loadgen` instead.
 
 Every measurement also snapshots the database's telemetry summary
 (commit/abort latency percentiles from the metrics registry); the
@@ -20,11 +17,10 @@ embeds the blocks under a top-level ``telemetry`` key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.bench.metrics import RunSummary, summarize
 from repro.bench.worker import TxnFactory, Worker, spawn_workers
-from repro.client import as_client
 from repro.core.database import ReactorDatabase
 from repro.runtime.transaction import TxnStats
 
@@ -73,26 +69,23 @@ class MeasurementResult:
                 for core, busy in sorted(self.core_busy.items())}
 
 
-def run_measurement(database: "ReactorDatabase | Any", n_workers: int,
+def run_measurement(database: ReactorDatabase, n_workers: int,
                     txn_factory_for: Callable[[int], TxnFactory],
                     warmup_us: float = 20_000.0,
                     measure_us: float = 200_000.0,
                     n_epochs: int = 10,
                     seed: int = 42) -> MeasurementResult:
-    """Run a closed-loop measurement on a freshly loaded database
-    (or a client wrapping one — see the module docstring).
+    """Run a closed-loop measurement on a freshly loaded database.
 
     Workers issue transactions from virtual time 0; statistics are
     summarized over ``[warmup_us, warmup_us + measure_us)``, split into
     ``n_epochs`` epochs (the paper uses 50 epochs; benchmarks here
     default to fewer for tractable wall-clock times, configurable up).
     """
-    client = as_client(database)
-    database = client.database
     scheduler = database.scheduler
     start = scheduler.now
     deadline = start + warmup_us + measure_us
-    workers = spawn_workers(client, n_workers, txn_factory_for,
+    workers = spawn_workers(database, n_workers, txn_factory_for,
                             deadline, seed=seed)
 
     busy_before: dict[int, float] = {}
@@ -127,7 +120,7 @@ def run_measurement(database: "ReactorDatabase | Any", n_workers: int,
     )
 
 
-def single_worker_latency(database: "ReactorDatabase | Any",
+def single_worker_latency(database: ReactorDatabase,
                           txn_factory: TxnFactory,
                           n_txns: int = 200,
                           warmup_txns: int = 20,
@@ -138,8 +131,6 @@ def single_worker_latency(database: "ReactorDatabase | Any",
     The worker issues ``warmup_txns + n_txns`` transactions; the
     summary covers the completion window of the measured ones.
     """
-    client = as_client(database)
-    database = client.database
     remaining = {"count": warmup_txns + n_txns}
 
     def factory(worker: Worker):
@@ -148,7 +139,7 @@ def single_worker_latency(database: "ReactorDatabase | Any",
         remaining["count"] -= 1
         return txn_factory(worker)
 
-    worker = Worker(0, client, factory, deadline=float("inf"),
+    worker = Worker(0, database, factory, deadline=float("inf"),
                     seed=seed)
     worker.start()
     database.scheduler.run()

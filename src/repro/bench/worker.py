@@ -11,12 +11,11 @@ A workload supplies a ``txn_factory(worker) -> (reactor, proc, args)``
 callable (or ``None`` to stop early); experiment code decides how many
 workers to run and for how long.
 
-Workers accept either a bare :class:`ReactorDatabase` or a
-:class:`~repro.client.Client` (normalized via
-:func:`~repro.client.as_client`).  Being closed-loop *and* part of the
-cost model (they charge client-side overheads onto the root and read
-the virtual clock), they require the embedded path — a
-:class:`~repro.client.LocalClient`; open-loop load over the wire is
+Workers drive a :class:`ReactorDatabase` directly: being closed-loop
+*and* part of the cost model (they charge client-side overheads onto
+the root and read the virtual clock), they need the database's
+scheduler and cost profile, not a submission surface.  Open-loop load
+through a :class:`~repro.client.Client` is
 :mod:`repro.serving.loadgen`'s job.
 """
 
@@ -25,7 +24,6 @@ from __future__ import annotations
 import random
 from typing import Any, Callable
 
-from repro.client import as_client
 from repro.core.database import ReactorDatabase
 from repro.runtime.transaction import RootTransaction, TxnStats
 
@@ -36,17 +34,15 @@ TxnFactory = Callable[["Worker"], TxnSpec | None]
 class Worker:
     """One closed-loop load generator."""
 
-    __slots__ = ("worker_id", "client", "database", "txn_factory",
+    __slots__ = ("worker_id", "database", "txn_factory",
                  "deadline", "rng", "stats", "issued", "busy_time",
                  "_issue_start")
 
-    def __init__(self, worker_id: int,
-                 database: "ReactorDatabase | Any",
+    def __init__(self, worker_id: int, database: ReactorDatabase,
                  txn_factory: TxnFactory, deadline: float,
                  seed: int = 42) -> None:
         self.worker_id = worker_id
-        self.client = as_client(database)
-        self.database = self.client.database
+        self.database = database
         self.txn_factory = txn_factory
         #: Virtual time after which no new transactions are issued.
         self.deadline = deadline
@@ -84,7 +80,6 @@ class Worker:
         # sub-transaction cost model of Figure 3).
         root.charge("commit_input_gen",
                     costs.input_gen + costs.client_send)
-        root.client_worker = self
         self.issued += 1
 
     def _on_done(self, root: RootTransaction, committed: bool,
@@ -108,15 +103,13 @@ class Worker:
         self._issue()
 
 
-def spawn_workers(database: "ReactorDatabase | Any", n_workers: int,
+def spawn_workers(database: ReactorDatabase, n_workers: int,
                   txn_factory_for: Callable[[int], TxnFactory],
                   deadline: float, seed: int = 42) -> list[Worker]:
-    """Create and start ``n_workers`` closed-loop workers against a
-    database or client (see :class:`Worker` on which clients work)."""
-    client = as_client(database)
+    """Create and start ``n_workers`` closed-loop workers."""
     workers = []
     for i in range(n_workers):
-        worker = Worker(i, client, txn_factory_for(i), deadline,
+        worker = Worker(i, database, txn_factory_for(i), deadline,
                         seed=seed)
         worker.start()
         workers.append(worker)

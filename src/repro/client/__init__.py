@@ -3,19 +3,10 @@
 :class:`Client` is the protocol; :class:`LocalClient` wraps
 ``db.submit`` in-process (zero overhead, the embedded path stays
 public), :class:`TcpClient` speaks the :mod:`repro.serving` wire
-protocol to a served database.  :func:`as_client` normalizes a bare
-:class:`~repro.core.database.ReactorDatabase` into a
-:class:`LocalClient`, which is how the bench harness and experiments
-accept either.
+protocol to a served database.
 """
 
-from repro.client.base import (
-    Client,
-    Outcome,
-    Spec,
-    Submission,
-    as_client,
-)
+from repro.client.base import Client, Outcome, Spec, Submission
 from repro.client.local import LocalClient
 from repro.client.tcp import ClientSession, TcpClient
 
@@ -27,5 +18,4 @@ __all__ = [
     "Spec",
     "Submission",
     "TcpClient",
-    "as_client",
 ]

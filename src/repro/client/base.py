@@ -17,10 +17,6 @@ to an :class:`Outcome`.  The two implementations are
 * :class:`~repro.client.tcp.TcpClient` — speaks the
   :mod:`repro.serving` wire protocol to a remote server over one
   blocking socket.
-
-Callers that accept "anything submittable" normalize with
-:func:`as_client`, which wraps a bare :class:`ReactorDatabase` in a
-:class:`LocalClient` and passes clients through.
 """
 
 from __future__ import annotations
@@ -148,16 +144,4 @@ class Client(Protocol):
     def close(self) -> None: ...
 
 
-def as_client(target: Any) -> Any:
-    """Normalize: a bare database becomes a LocalClient; clients (or
-    anything already exposing ``submit``/``close``/``database``) pass
-    through unchanged."""
-    from repro.client.local import LocalClient
-    from repro.core.database import ReactorDatabase
-
-    if isinstance(target, ReactorDatabase):
-        return LocalClient(target)
-    return target
-
-
-__all__ = ["Client", "Outcome", "Spec", "Submission", "as_client"]
+__all__ = ["Client", "Outcome", "Spec", "Submission"]

@@ -1,11 +1,9 @@
 """The embedded path: a Client wrapping ``db.submit`` directly.
 
 Zero overhead by construction — :meth:`LocalClient.submit` is one
-attribute hop in front of :meth:`ReactorDatabase.submit`, and the
-closed-loop bench workers keep their historical behavior (and seeded
-histories) when handed one.  The database's scheduler, costs, and
-inspection surfaces stay reachable through the client, so harness code
-written against a client works identically for embedded runs.
+attribute hop in front of :meth:`ReactorDatabase.submit`.  The
+database itself (scheduler, costs, inspection surfaces) stays
+reachable as ``client.database``.
 """
 
 from __future__ import annotations
@@ -71,16 +69,6 @@ class LocalClient:
     def drain(self) -> None:
         """Drive the scheduler until every submission resolves."""
         self.database.scheduler.run()
-
-    # The scheduler/cost surfaces harness code reads through a client.
-
-    @property
-    def scheduler(self) -> Any:
-        return self.database.scheduler
-
-    @property
-    def costs(self) -> Any:
-        return self.database.costs
 
 
 __all__ = ["LocalClient"]

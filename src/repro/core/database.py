@@ -41,6 +41,13 @@ from repro.storage.store import StorageCoordinator
 from repro.telemetry import Telemetry
 from repro.telemetry.facade import ABORT_REASONS
 
+#: Handed to ``on_done`` as the *result* of a root the execution
+#: backend refused at admission (bounded intake): the root never ran
+#: and may be retried, unlike an abort.  Callers that answer the two
+#: differently — the server's typed ``overloaded`` shed — test for it
+#: by identity; the reason string is wording, not a contract.
+ROOT_REFUSED = object()
+
 
 class ReactorDatabase:
     """An instantiated reactor database on a simulated machine."""
@@ -193,7 +200,9 @@ class ReactorDatabase:
         """Send a root transaction into the system (asynchronous).
 
         ``on_done(root, committed, reason, result)`` fires (in virtual
-        time) when the transaction completes.
+        time) when the transaction completes; a root the backend
+        refused at admission completes uncommitted with
+        :data:`ROOT_REFUSED` as its result.
 
         ``read_only`` marks the root as read-only (writes abort); when
         omitted it is inferred from the procedure's declaration
@@ -271,7 +280,8 @@ class ReactorDatabase:
             self.telemetry.note_root_done(root, False, reason,
                                           self.scheduler.now)
             if on_done is not None:
-                self.scheduler.soon(on_done, root, False, reason, None)
+                self.scheduler.soon(on_done, root, False, reason,
+                                    ROOT_REFUSED)
             return root
         executor.submit(invocation)
         return root

@@ -100,7 +100,8 @@ class Reactor:
     Placement attributes (``container``, ``pinned_executor``) are
     assigned by the deployment at bootstrap; ``last_core`` tracks which
     simulated core most recently touched this reactor's data, driving
-    the cache-affinity cost model (DESIGN.md section 3).
+    the cache-affinity cost model (``docs/architecture.md``,
+    ``repro.sim``).
 
     Online migration (:mod:`repro.migration`) moves a reactor between
     containers mid-run by building a *successor* instance at the

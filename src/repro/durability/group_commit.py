@@ -79,21 +79,19 @@ class LogFlusher:
     """The flush pipeline of one container's redo log."""
 
     def __init__(self, container_id: int, scheduler: Any, costs: Any,
-                 mode: str, telemetry: Any = None) -> None:
+                 mode: str, telemetry: Any) -> None:
         self.container_id = container_id
         self.scheduler = scheduler
         self.costs = costs
         self.mode = mode
         self.stats = FlushStats()
-        #: Optional :class:`~repro.telemetry.facade.Telemetry`: flush
-        #: histograms plus ``log:epoch`` spans on the log track.
-        #: ``None`` (bare construction in unit tests) keeps the
-        #: pipeline fully functional on its direct counters.
+        #: The database's :class:`~repro.telemetry.facade.Telemetry`:
+        #: flush histograms plus ``log:epoch`` spans on the log track.
         self.telemetry = telemetry
         #: Future type matching the execution backend: thread-safe on
         #: wall-clock backends, the plain single-threaded future on sim.
         self._future_cls = scheduler.future_class or SimFuture
-        if telemetry is not None and telemetry.enabled:
+        if telemetry.enabled:
             self._records_hist = telemetry.registry.histogram(
                 "log_flush_records")
             self._bytes_hist = telemetry.registry.histogram(
@@ -172,21 +170,19 @@ class LogFlusher:
         self.flushed_records += len(epoch.records)
         self.stats.records_flushed += len(epoch.records)
         self.stats.bytes_flushed += epoch.bytes
-        telemetry = self.telemetry
-        if telemetry is not None:
-            if self._records_hist is not None:
-                self._records_hist.observe(len(epoch.records))
-                self._bytes_hist.observe(epoch.bytes)
-            if telemetry.system_tracing:
-                # Epoch membership -> flush -> ack as one span on the
-                # log track: opened at the first append, closed when
-                # the fsync lands and the waiters release.
-                telemetry.system_span(
-                    "log:epoch", TRACK_LOG, self.container_id,
-                    epoch.opened_at, self.scheduler.now,
-                    {"seq": epoch.seq, "records": len(epoch.records),
-                     "bytes": epoch.bytes,
-                     "waiters": len(epoch.waiters)})
+        if self._records_hist is not None:
+            self._records_hist.observe(len(epoch.records))
+            self._bytes_hist.observe(epoch.bytes)
+        if self.telemetry.system_tracing:
+            # Epoch membership -> flush -> ack as one span on the log
+            # track: opened at the first append, closed when the fsync
+            # lands and the waiters release.
+            self.telemetry.system_span(
+                "log:epoch", TRACK_LOG, self.container_id,
+                epoch.opened_at, self.scheduler.now,
+                {"seq": epoch.seq, "records": len(epoch.records),
+                 "bytes": epoch.bytes,
+                 "waiters": len(epoch.waiters)})
         for record in epoch.records:
             if record.commit_tid > self.durable_tid:
                 self.durable_tid = record.commit_tid
@@ -231,31 +227,6 @@ class LogFlusher:
                    set(self._record_epoch.values()) if not e.durable)
 
     def stats_dict(self) -> dict[str, Any]:
-        telemetry = self.telemetry
-        if telemetry is not None:
-            # Registry-backed view (the collector gauges registered by
-            # Telemetry.register_flusher read this flusher live); the
-            # legacy shape is preserved key for key.
-            value = telemetry.registry.value
-            cid = self.container_id
-            fsyncs = value("log_fsyncs_total", container=cid)
-            records = value("log_records_flushed_total", container=cid)
-            return {
-                "mode": self.mode,
-                "fsyncs": fsyncs,
-                "records_flushed": records,
-                "bytes_flushed":
-                    value("log_bytes_flushed_total", container=cid),
-                "early_flushes":
-                    value("log_early_flushes_total", container=cid),
-                "records_per_fsync":
-                    round(records / fsyncs, 3) if fsyncs else 0.0,
-                "device_busy_us":
-                    value("log_device_busy_us", container=cid),
-                "durable_tid": value("log_durable_tid", container=cid),
-                "unflushed_records":
-                    value("log_unflushed_records", container=cid),
-            }
         return {
             "mode": self.mode,
             "fsyncs": self.stats.fsyncs,

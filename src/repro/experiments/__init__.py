@@ -1,9 +1,13 @@
-"""One module per paper table/figure; see DESIGN.md for the index.
+"""One module per paper table/figure; ``docs/benchmarks.md`` has the
+index.
 
 Each module exposes ``run(...)`` (returns plain data, parameterized so
-benchmarks can trade precision for wall-clock time) and ``report(...)``
-(prints the same rows/series the paper's figure or table shows).
-Running a module as a script executes both with default parameters.
+callers can trade precision for wall-clock time), ``report(results)``
+(prints the same rows/series the paper's figure or table shows),
+``check(results)`` (asserts the paper's shape on what ``run``
+returned) and ``QUICK`` (the scaled-down ``run`` parameters the shape
+is checked at on every push).  ``python -m repro.experiments`` is the
+one way to run them.
 
 Public exports are the experiment submodules themselves (``fig05``
 through ``fig19``, ``table1``, ``appf2`` / ``appf3``) plus

@@ -25,6 +25,10 @@ class AffinityPoint:
     relative_pct: float
 
 
+QUICK = dict(executor_counts=(1, 2, 4, 8, 16), measure_us=50_000.0,
+             n_epochs=4)
+
+
 def run(executor_counts: tuple[int, ...] = (1, 2, 4, 8, 16),
         measure_us: float = 80_000.0,
         n_epochs: int = 5) -> list[AffinityPoint]:
@@ -59,5 +63,14 @@ def report(points: list[AffinityPoint]) -> None:
          for p in points])
 
 
-if __name__ == "__main__":
-    report(run())
+def check(points: list[AffinityPoint]) -> None:
+    """Paper shape: throughput falls to 86% with two executors and
+    progressively to ~40% with sixteen."""
+    relative = {p.executors: p.relative_pct for p in points}
+    assert relative[1] == 100.0
+    # Monotone degradation as routing spreads load thinner.
+    assert relative[2] < 100.0
+    assert relative[16] < relative[2]
+    # Magnitudes in the paper's neighbourhood (86% -> ~40%).
+    assert 60.0 < relative[2] < 99.0
+    assert 30.0 < relative[16] < 75.0

@@ -27,6 +27,9 @@ class OverheadPoint:
     overhead_pct_of_tpcc: float
 
 
+QUICK = dict(scale_factors=(1, 4, 8), measure_us=30_000.0, n_epochs=4)
+
+
 def run(scale_factors: tuple[int, ...] = (1, 4, 8, 16),
         measure_us: float = 50_000.0,
         n_epochs: int = 5) -> list[OverheadPoint]:
@@ -74,5 +77,15 @@ def report(points: list[OverheadPoint]) -> None:
           round(p.overhead_pct_of_tpcc, 1)] for p in points])
 
 
-if __name__ == "__main__":
-    report(run())
+def check(points: list[OverheadPoint]) -> None:
+    """Paper shape: a roughly constant ~22 usec per invocation across
+    scale factors, a modest fraction (~18%) of TPC-C latency."""
+    overheads = [p.overhead_us for p in points]
+    # Roughly constant across scale factors (within 25% of the mean).
+    mean = sum(overheads) / len(overheads)
+    assert all(abs(o - mean) / mean < 0.25 for o in overheads)
+    # Same order of magnitude as the paper's ~22 usec.
+    assert 10.0 < mean < 45.0
+    # A minor fraction of real transaction latency.
+    for p in points:
+        assert p.overhead_pct_of_tpcc < 50.0

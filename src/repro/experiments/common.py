@@ -4,18 +4,13 @@ Builders here encode the deployments of Section 4.1.3: the Smallbank
 latency rig (seven shared-nothing containers of contiguous customer
 ranges on the Xeon profile) and the TPC-C rig (one executor per
 warehouse on the Opteron profile, under any of the three architecture
-strategies).
-
-Each ``*_database`` builder has a ``*_client`` twin returning the same
-rig behind the unified :class:`~repro.client.Client` surface (a
-:class:`~repro.client.LocalClient`; reach the database via
-``client.database``).  The harness accepts either, so experiment
-drivers can migrate call site by call site.
+strategies).  The builders return a loaded
+:class:`~repro.core.database.ReactorDatabase`, which is what
+:mod:`repro.bench.harness` drives.
 """
 
 from __future__ import annotations
 
-from repro.client import LocalClient
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import (
     DeploymentConfig,
@@ -55,15 +50,6 @@ def smallbank_database(customers_per_container: int = 200,
                                smallbank.declarations(n_customers))
     smallbank.load(database, n_customers)
     return database
-
-
-def smallbank_client(customers_per_container: int = 200,
-                     n_containers: int = SMALLBANK_CONTAINERS,
-                     machine: MachineProfile = XEON_E3_1276,
-                     ) -> LocalClient:
-    """The Section 4.2 rig behind the unified client surface."""
-    return LocalClient(smallbank_database(
-        customers_per_container, n_containers, machine))
 
 
 def smallbank_destination(container: int, slot: int,
@@ -147,10 +133,3 @@ def tpcc_database(strategy: str, n_warehouses: int,
                                tpcc.declarations(n_warehouses))
     tpcc.load(database, n_warehouses, scale)
     return database
-
-
-def tpcc_client(strategy: str, n_warehouses: int,
-                **kwargs: object) -> LocalClient:
-    """A loaded TPC-C rig behind the unified client surface; keyword
-    arguments are those of :func:`tpcc_database`."""
-    return LocalClient(tpcc_database(strategy, n_warehouses, **kwargs))

@@ -19,6 +19,10 @@ from repro.experiments.common import (
 from repro.workloads import smallbank
 
 
+QUICK = dict(sizes=(1, 2, 3, 4, 5, 6, 7), n_txns=60,
+             customers_per_container=60)
+
+
 def run(sizes: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7),
         variants: tuple[str, ...] = smallbank.VARIANTS,
         n_txns: int = 100,
@@ -45,5 +49,17 @@ def report(results: dict[str, dict[int, float]]) -> None:
         "txn size", results, unit="usec")
 
 
-if __name__ == "__main__":
-    report(run())
+def check(results: dict[str, dict[int, float]]) -> None:
+    """Paper shape (Section 4.2.1): fully-sync slowest, latency drops
+    as asynchronicity increases, opt fastest (86 usec -> 25 usec at
+    size 7 in the paper)."""
+    for size in sorted(results["fully-sync"])[2:]:
+        assert results["fully-sync"][size] > \
+            results["partially-async"][size]
+        assert results["partially-async"][size] > \
+            results["fully-async"][size]
+        assert results["fully-async"][size] > results["opt"][size] * 0.9
+    # Linear growth of fully-sync; opt much flatter.
+    sync_growth = results["fully-sync"][7] - results["fully-sync"][1]
+    opt_growth = results["opt"][7] - results["opt"][1]
+    assert sync_growth > 2.5 * opt_growth

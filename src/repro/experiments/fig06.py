@@ -21,7 +21,7 @@ from repro.costmodel import (
     predict_observable_breakdown,
 )
 from repro.experiments.common import (
-    smallbank_client,
+    smallbank_database,
     spread_destinations,
 )
 from repro.workloads import smallbank
@@ -39,11 +39,11 @@ class BreakdownRow:
 
 def _observe(variant: str, size: int, n_txns: int,
              customers_per_container: int):
-    client = smallbank_client(customers_per_container)
+    database = smallbank_database(customers_per_container)
     src = smallbank.reactor_name(0)
     dsts = spread_destinations(size, customers_per_container)
     spec = smallbank.multi_transfer_spec(variant, src, dsts)
-    result = single_worker_latency(client, lambda worker: spec,
+    result = single_worker_latency(database, lambda worker: spec,
                                    n_txns=n_txns)
     summary = result.summary
     observed = dict(summary.breakdown)
@@ -57,6 +57,9 @@ def _comm_pairs(calibration: Calibration, size: int):
     flags = [(i % 7) != 0 for i in range(size)]
     return [(calibration.cs, calibration.cr) if remote else (0.0, 0.0)
             for remote in flags]
+
+
+QUICK = dict(sizes=(1, 4, 7), n_txns=60, customers_per_container=60)
 
 
 def run(sizes: tuple[int, ...] = (1, 4, 7),
@@ -120,5 +123,18 @@ def report(rows: list[BreakdownRow]) -> None:
                 "(usec)", headers, table)
 
 
-if __name__ == "__main__":
-    report(run())
+def check(rows: list[BreakdownRow]) -> None:
+    """Paper shape: the breakdown predicted from the size-1 profile
+    closely matches observation; the bulk of any residual sits in
+    commit+input-gen, which the Figure 3 equation excludes."""
+    by_label = {row.label: row for row in rows}
+    for label, row in by_label.items():
+        observed = row.observed["total"]
+        predicted = row.predicted["total"]
+        # Predictions within 35% of observation everywhere (the paper
+        # reports close fits with residuals in commit+input-gen).
+        assert abs(predicted - observed) / observed < 0.35, label
+    # Component-level agreement where it matters: communication.
+    row = by_label["fully-sync@7"]
+    assert abs(row.predicted["cs"] - row.observed["cs"]) < 2.0
+    assert abs(row.predicted["cr"] - row.observed["cr"]) < 6.0

@@ -38,6 +38,10 @@ class LoadPoint:
     utilization: dict[int, float]
 
 
+QUICK = dict(scale_factor=4, worker_counts=(1, 2, 4, 6, 8),
+             measure_us=60_000.0, n_epochs=5)
+
+
 def run(scale_factor: int = 4,
         worker_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8),
         measure_us: float = 100_000.0,
@@ -93,5 +97,32 @@ def report(points: list[LoadPoint]) -> None:
                   f"{text}")
 
 
-if __name__ == "__main__":
-    report(run())
+def check(points: list[LoadPoint]) -> None:
+    """Paper shape (Section 4.3.1): affinity wins, shared-nothing-async
+    close behind from 1 to 4 workers, round-robin clearly worst; abort
+    rates stay near zero for the affinity deployment while rising for
+    shared-nothing past 4 workers."""
+    def series(strategy, field):
+        return {p.workers: getattr(p, field) for p in points
+                if p.strategy == strategy}
+
+    se_aff = series("shared-everything-with-affinity",
+                    "throughput_ktps")
+    sn = series("shared-nothing-async", "throughput_ktps")
+    se_rr = series("shared-everything-without-affinity",
+                   "throughput_ktps")
+
+    for workers in se_aff:
+        assert se_aff[workers] > se_rr[workers]  # affinity matters
+    # S2 and S3 are close from 1 to 4 workers (< 20% apart).
+    for workers in (1, 2, 4):
+        assert abs(se_aff[workers] - sn[workers]) / se_aff[workers] \
+            < 0.2
+    # Throughput grows with load for the affinity deployment.
+    assert se_aff[8] > se_aff[1] * 2
+
+    # Abort behavior: affinity deployment resilient under overload.
+    aborts_aff = series("shared-everything-with-affinity",
+                        "abort_rate")
+    aborts_sn = series("shared-nothing-async", "abort_rate")
+    assert aborts_sn[8] > aborts_aff[8]

@@ -33,6 +33,10 @@ class DelayPoint:
     abort_rate: float
 
 
+QUICK = dict(scale_factor=8, worker_counts=(1, 2, 4, 6, 8),
+             measure_us=200_000.0, n_epochs=4)
+
+
 def run(scale_factor: int = 8,
         worker_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8),
         measure_us: float = 300_000.0,
@@ -75,5 +79,18 @@ def report(points: list[DelayPoint]) -> None:
                  "(scale factor 8)", "workers", lat, unit="msec")
 
 
-if __name__ == "__main__":
-    report(run())
+def check(points: list[DelayPoint]) -> None:
+    """Paper shape: the architectures cross over as load grows."""
+    def tput(strategy):
+        return {p.workers: p.throughput_tps for p in points
+                if p.strategy == strategy}
+
+    sn = tput("shared-nothing-async")
+    se = tput("shared-everything-with-affinity")
+
+    # Light load: asynchronicity wins big (paper: 2x at one worker).
+    assert sn[1] > se[1] * 1.5
+    # The advantage shrinks (or reverses) as workers saturate cores.
+    ratio_light = sn[1] / se[1]
+    ratio_heavy = sn[8] / se[8]
+    assert ratio_heavy < ratio_light * 0.7

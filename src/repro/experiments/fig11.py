@@ -34,6 +34,9 @@ def _remote_destinations(size: int, customers_per_container: int):
     ]
 
 
+QUICK = dict(sizes=(1, 3, 5, 7), n_txns=60, customers_per_container=60)
+
+
 def run(sizes: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7),
         n_txns: int = 100, customers_per_container: int = 200
         ) -> dict[str, dict[int, float]]:
@@ -63,5 +66,18 @@ def report(results: dict[str, dict[int, float]]) -> None:
                  "placement", "txn size", results, unit="usec")
 
 
-if __name__ == "__main__":
-    report(run())
+def check(results: dict[str, dict[int, float]]) -> None:
+    """Paper shape: the remote penalty (processing *and* per-transfer
+    communication) hits fully-sync far harder than opt, whose
+    communication overlaps."""
+    size = 7
+    sync_gap = results["fully-sync-remote"][size] - \
+        results["fully-sync-local"][size]
+    opt_gap = results["opt-remote"][size] - results["opt-local"][size]
+    assert sync_gap > 0
+    assert opt_gap >= 0
+    # The remote penalty hits fully-sync far harder than opt.
+    assert sync_gap > 2.0 * opt_gap
+    # Local variants still grow with size (processing cost).
+    assert results["fully-sync-local"][7] > \
+        results["fully-sync-local"][1]

@@ -56,6 +56,10 @@ def _random_spread(cpc: int, seed: int = 13) -> list[str]:
     return dsts
 
 
+QUICK = dict(executor_counts=(1, 2, 3, 4, 5, 6, 7), n_txns=60,
+             customers_per_container=60)
+
+
 def run(executor_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7),
         n_txns: int = 100, customers_per_container: int = 200
         ) -> dict[str, dict[int, float]]:
@@ -87,5 +91,16 @@ def report(results: dict[str, dict[int, float]]) -> None:
                  "executors spanned", results, unit="usec")
 
 
-if __name__ == "__main__":
-    report(run())
+def check(results: dict[str, dict[int, float]]) -> None:
+    """Paper shape: round-robin remote grows smoothly by one remote
+    call per executor spanned; random sits flat near the 6-7
+    remote-call level."""
+    rr_remote = results["round-robin remote"]
+    # Monotone growth: each spanned executor adds one remote call.
+    values = [rr_remote[k] for k in sorted(rr_remote)]
+    assert all(b >= a - 1.0 for a, b in zip(values, values[1:]))
+    assert values[-1] > values[0] * 1.5
+
+    # Random sits near the high end (expected ~6 remote calls).
+    random_latency = results["random"][7]
+    assert random_latency > rr_remote[4]

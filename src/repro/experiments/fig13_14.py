@@ -104,6 +104,11 @@ def _realized_shape(theta: float, scale_factor: int,
     return total_remote / samples, total_local / samples
 
 
+QUICK = dict(scale_factor=1, thetas=(0.01, 0.5, 0.99, 2.0, 5.0),
+             worker_counts=(1, 4), measure_us=40_000.0,
+             calibration_txns=60, n_epochs=4)
+
+
 def run(scale_factor: int = 4,
         thetas: tuple[float, ...] = THETAS,
         worker_counts: tuple[int, ...] = (1, 4),
@@ -156,5 +161,21 @@ def report(points: list[SkewPoint]) -> None:
                  "zipfian", tput, unit="Ktxn/sec")
 
 
-if __name__ == "__main__":
-    report(run())
+def check(points: list[SkewPoint]) -> None:
+    """Paper shape: one-worker latency *decreases* as skew rises and
+    the calibrated model plus measured commit/input-gen tracks it;
+    four workers queue, most visibly at high skew."""
+    one_worker = {p.theta: p for p in points if p.workers == 1}
+    four_workers = {p.theta: p for p in points if p.workers == 4}
+
+    # Latency decreases with skew for a single worker.
+    assert one_worker[0.01].latency_us > one_worker[2.0].latency_us
+    # Queueing: four workers never beat one worker on latency.
+    for theta in one_worker:
+        assert four_workers[theta].latency_us >= \
+            one_worker[theta].latency_us * 0.9
+    # Cost-model fit: pred + commit within 40% of observation.
+    for theta, p in one_worker.items():
+        assert p.predicted_with_commit_us is not None
+        assert abs(p.predicted_with_commit_us - p.latency_us) \
+            / p.latency_us < 0.4, theta

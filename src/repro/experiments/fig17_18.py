@@ -32,6 +32,10 @@ class ScalePoint:
     per_core_ktps: float
 
 
+QUICK = dict(scale_factors=(1, 2, 4, 8, 16), measure_us=40_000.0,
+             n_epochs=4)
+
+
 def run(scale_factors: tuple[int, ...] = (1, 2, 4, 8, 16),
         measure_us: float = 60_000.0,
         n_epochs: int = 5) -> list[ScalePoint]:
@@ -68,5 +72,22 @@ def report(points: list[ScalePoint]) -> None:
                  "scale factor", lat, unit="usec")
 
 
-if __name__ == "__main__":
-    report(run())
+def check(points: list[ScalePoint]) -> None:
+    """Paper shape: the two affinity-preserving deployments scale
+    near-linearly and track each other; round-robin scales worst."""
+    def tput(strategy):
+        return {p.scale_factor: p.throughput_ktps for p in points
+                if p.strategy == strategy}
+
+    se_aff = tput("shared-everything-with-affinity")
+    sn = tput("shared-nothing-async")
+    se_rr = tput("shared-everything-without-affinity")
+
+    # Near-linear scaling for the affinity-preserving deployments.
+    assert se_aff[16] > 10 * se_aff[1]
+    assert sn[16] > 9 * sn[1]
+    # The two track each other closely (within 15%).
+    for sf in se_aff:
+        assert abs(se_aff[sf] - sn[sf]) / se_aff[sf] < 0.15
+    # Round-robin scales clearly worse.
+    assert se_rr[16] < 0.75 * se_aff[16]

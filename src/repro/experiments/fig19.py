@@ -85,6 +85,10 @@ _BUILDERS = {
 }
 
 
+QUICK = dict(random_loads=(10, 1000, 100_000, 1_000_000), n_txns=10,
+             orders_per_provider=600, window=200)
+
+
 def run(random_loads: tuple[int, ...] = (10, 100, 1000, 10_000,
                                          100_000, 1_000_000),
         n_txns: int = 20,
@@ -119,5 +123,23 @@ def report(results: dict[str, dict[int, float]]) -> None:
                  "randoms/provider", results, unit="msec")
 
 
-if __name__ == "__main__":
-    report(run())
+def check(results: dict[str, dict[int, float]]) -> None:
+    """Paper shape: at 10^6 draws per provider procedure-parallelism
+    wins by roughly an order of magnitude (8.14x / 8.57x in the
+    paper)."""
+    heavy = 1_000_000
+    seq = results["sequential"][heavy]
+    query = results["query-parallelism"][heavy]
+    proc = results["procedure-parallelism"][heavy]
+    # Order-of-magnitude win for holistic procedure parallelization.
+    assert seq / proc > 5.0
+    assert query / proc > 5.0
+    # Query parallelism beats sequential when compute is light
+    # (the parallel scan; paper tunes this to ~4x).
+    light = 10
+    assert results["sequential"][light] > \
+        2.0 * results["query-parallelism"][light]
+    # Procedure-parallelism is the most resilient to load growth.
+    growth_proc = proc / results["procedure-parallelism"][light]
+    growth_seq = seq / results["sequential"][light]
+    assert growth_seq > 3.0 * growth_proc

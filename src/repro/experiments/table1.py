@@ -95,6 +95,9 @@ def _realized_batches(remote_prob: float, scale_factor: int,
     return avg_local, avg_batches
 
 
+QUICK = dict(scale_factor=4, measure_us=60_000.0, n_epochs=4)
+
+
 def run(scale_factor: int = 4, measure_us: float = 100_000.0,
         n_epochs: int = 5) -> list[Table1Row]:
     calibration = _calibrate(scale_factor, measure_us, n_epochs)
@@ -145,5 +148,26 @@ def report(rows: list[Table1Row]) -> None:
                 "factor 4", headers, table)
 
 
-if __name__ == "__main__":
-    report(run())
+def check(rows: list[Table1Row]) -> None:
+    """Paper shape: the one-worker prediction (plus measured commit
+    and input generation) fits at both 1% and 100% cross-reactor
+    access; overlap keeps the 100% penalty modest; four workers raise
+    throughput ~4x at 1%."""
+    by_key = {(r.cross_reactor_pct, r.workers): r for r in rows}
+    obs_1_local = by_key[(1, 1)]
+    obs_1_remote = by_key[(100, 1)]
+
+    # Prediction quality with one worker (paper: "excellent fit").
+    for row in (obs_1_local, obs_1_remote):
+        assert row.predicted_with_commit_ms is not None
+        error = abs(row.predicted_with_commit_ms -
+                    row.observed_latency_ms) / row.observed_latency_ms
+        assert error < 0.45
+
+    # Overlap keeps the 100% cross-reactor penalty modest (< 2.2x).
+    assert obs_1_remote.observed_latency_ms < \
+        2.2 * obs_1_local.observed_latency_ms
+
+    # More workers, more throughput.
+    assert by_key[(1, 4)].observed_tps > \
+        2.5 * by_key[(1, 1)].observed_tps

@@ -7,9 +7,9 @@ Two index kinds back declarative queries inside a reactor:
 * :class:`OrderedIndex` — range scans, a sorted list of
   ``(key_tuple, primary_key)`` pairs maintained with ``bisect``.  This
   stands in for the Masstree nodes of Silo; its ``structure_version``
-  counter provides the conservative phantom protection described in
-  DESIGN.md (scans validate that no insert/delete changed the index
-  since they ran).
+  counter provides conservative phantom protection (scans validate
+  that no insert/delete changed the index since they ran; see
+  ``docs/architecture.md``, ``repro.relational``).
 """
 
 from __future__ import annotations

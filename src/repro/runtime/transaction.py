@@ -20,7 +20,7 @@ Latency breakdown categories follow Figure 6 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.concurrency.base import CCSession, ConcurrencyControl
 
@@ -65,16 +65,14 @@ class RootTransaction:
     __slots__ = (
         "txn_id", "procedure", "reactor_name", "start_time",
         "sessions", "_subtxn_counter", "touched_reactors",
-        "breakdown", "remote_calls", "on_complete", "finished",
-        "user_abort", "client_worker", "effect_seq", "commit_tid",
+        "breakdown", "remote_calls", "finished",
+        "user_abort", "effect_seq", "commit_tid",
         "doomed", "read_only", "reactor_refs", "snapshot_tid",
         "trace", "__weakref__",
     )
 
     def __init__(self, txn_id: int, procedure: str, reactor_name: str,
-                 start_time: float,
-                 on_complete: Callable[["RootTransaction", TxnStats], None]
-                 | None = None) -> None:
+                 start_time: float) -> None:
         self.txn_id = txn_id
         self.procedure = procedure
         self.reactor_name = reactor_name
@@ -92,7 +90,6 @@ class RootTransaction:
         self.reactor_refs: list[Any] = []
         self.breakdown: dict[str, float] = dict(_NO_CHARGES)
         self.remote_calls = 0
-        self.on_complete = on_complete
         self.finished = False
         self.user_abort = False
         #: Set when a CC scheme condemned this transaction in *any*
@@ -108,7 +105,6 @@ class RootTransaction:
         #: else.
         self.snapshot_tid: int | None = None
         self.commit_tid = 0
-        self.client_worker: Any = None
         #: :class:`~repro.telemetry.spans.TraceHandle` when this root
         #: was sampled for tracing; ``None`` otherwise (the common
         #: case — every instrumentation site guards on it).

@@ -33,6 +33,8 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.bench.metrics import percentile
+
 #: A request factory: index -> (reactor, proc, args).
 SpecFor = Callable[[int], tuple[str, str, tuple]]
 
@@ -103,9 +105,6 @@ class OpenLoopResult:
         self.max_send_lag_us = max_send_lag_us
 
     def percentile_us(self, pct: float) -> float:
-        # Deferred import: repro.bench's workers import repro.client,
-        # which imports this package.
-        from repro.bench.metrics import percentile
         return percentile(self.latencies_us, pct)
 
     @property

@@ -27,9 +27,10 @@ in-flight request count (``max_inflight``) and answers excess load
 with a typed ``overloaded`` error carrying a ``retry_after_us`` hint
 instead of parking requests without bound.  The same typed response
 covers roots the execution backend itself refuses (the ``threads``
-backend's bounded per-container queues report "backpressure" — see
-:meth:`ReactorDatabase.submit`), so a client sees one shed surface
-regardless of which layer refused.
+backend's bounded per-container queues; the database marks them with
+:data:`~repro.core.database.ROOT_REFUSED`), so a client sees one shed
+surface regardless of which layer refused.  An *abort* is never a
+shed, whatever its message says.
 
 Sessions are purely logical: a request carries a ``session`` id, the
 response echoes it, and responses are written in *completion* order —
@@ -51,7 +52,7 @@ from collections import deque
 from functools import partial
 from typing import Any
 
-from repro.core.database import ReactorDatabase
+from repro.core.database import ROOT_REFUSED, ReactorDatabase
 from repro.serving import protocol
 from repro.telemetry.spans import TRACK_SERVING
 
@@ -309,7 +310,7 @@ class ReactorServer:
                 "wait:wire", TRACK_SERVING, root.txn_id, t_submit,
                 database.scheduler.now,
                 args={"session": session, "request": rid})
-        if not committed and reason and "backpressure" in reason:
+        if result is ROOT_REFUSED:
             # The execution backend's bounded per-container queue
             # refused the root: surface it as the same typed shed the
             # wire-level admission bound uses.

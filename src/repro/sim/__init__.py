@@ -7,9 +7,9 @@ testbeds, and the cost parameters that encode per-operation CPU work
 and the asymmetric cross-core communication costs (Cs/Cr) central to
 the paper's latency analysis.
 
-See DESIGN.md section 1 for why the reproduction simulates hardware
-instead of using OS threads (Python's GIL makes real multicore
-microsecond-scale measurements meaningless).
+See ``docs/architecture.md`` (``repro.sim``) for why the reproduction
+simulates hardware instead of using OS threads (Python's GIL makes
+real multicore microsecond-scale measurements meaningless).
 
 Public exports: :class:`SimScheduler` / :class:`Event`,
 :class:`VirtualClock`, :class:`CostParameters`,

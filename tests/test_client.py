@@ -1,4 +1,4 @@
-"""The unified Client surface: LocalClient, as_client, submissions."""
+"""The unified Client surface: LocalClient, TcpClient, submissions."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.client import (
     Outcome,
     Submission,
     TcpClient,
-    as_client,
 )
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
@@ -31,14 +30,6 @@ def database():
     sb.load(db, N_CUSTOMERS)
     yield db
     db.close()
-
-
-def test_as_client_wraps_database(database):
-    client = as_client(database)
-    assert isinstance(client, LocalClient)
-    assert client.database is database
-    # Idempotent: a client passes through unchanged.
-    assert as_client(client) is client
 
 
 def test_both_implementations_satisfy_protocol(database):
@@ -141,17 +132,3 @@ def test_shed_outcome_unwraps_to_overloaded():
     with pytest.raises(Overloaded) as info:
         outcome.unwrap()
     assert info.value.retry_after_us == 1500.0
-
-
-def test_harness_accepts_client(database):
-    """run_measurement takes a Client (the migrated signature) and
-    produces the same kind of summary it did for a bare database."""
-    from repro.bench.harness import run_measurement
-
-    client = LocalClient(database)
-    spec = (sb.reactor_name(0), "transact_saving", (1.0,))
-    result = run_measurement(client, n_workers=2,
-                             txn_factory_for=lambda i: lambda w: spec,
-                             warmup_us=5_000.0, measure_us=20_000.0,
-                             n_epochs=2)
-    assert result.summary.throughput_tps > 0

@@ -18,6 +18,7 @@ import pytest
 from repro.client import LocalClient, TcpClient
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
+from repro.core.reactor import ReactorType
 from repro.formal.audit import attach_recorder, certify_all
 from repro.serving import protocol, serve_in_thread
 from repro.serving.protocol import Overloaded
@@ -205,6 +206,54 @@ def test_overload_shed_is_typed_with_retry_hint(codec):
         client.close()
         server.stop()
         database.close()
+
+
+GRUMBLER = ReactorType("Grumbler", lambda: [])
+
+
+@GRUMBLER.procedure
+def grumble(ctx):
+    ctx.abort("downstream backpressure, try later")
+
+
+def test_abort_message_is_never_read_as_a_shed():
+    """A transaction that aborts is answered as an abort — with its
+    reason, uncounted as a shed — whatever words the reason contains:
+    telling a client to retry a deterministic abort is a wrong answer."""
+    database = ReactorDatabase(shared_nothing(1), [("g", GRUMBLER)])
+    server = serve_in_thread(database)
+    client = TcpClient(server.host, server.port).connect()
+    try:
+        outcome = client.submit("g", "grumble").wait(10.0)
+    finally:
+        client.close()
+        server.stop()
+    assert not outcome.committed
+    assert outcome.error_code is None and not outcome.shed
+    assert outcome.reason == "downstream backpressure, try later"
+    assert database.telemetry.metrics_snapshot()[
+        "serving_shed_total"] == 0
+    database.close()
+
+
+def test_backend_admission_refusal_is_a_typed_shed():
+    """A root the threads backend refuses at its own admission bound
+    comes back as the same typed ``overloaded`` answer the wire-level
+    bound gives."""
+    database = make_database(backend="threads")
+    database.scheduler.root_admission_bound = 0
+    server = serve_in_thread(database)
+    client = TcpClient(server.host, server.port).connect()
+    try:
+        outcome = client.submit(sb.reactor_name(0), "balance").wait(10.0)
+    finally:
+        client.close()
+        server.stop()
+    assert outcome.shed and outcome.retry_after_us > 0
+    assert database.scheduler.shed_roots == 1
+    assert database.telemetry.metrics_snapshot()[
+        "serving_shed_total"] == 1
+    database.close()
 
 
 def test_serving_metrics_registered():
