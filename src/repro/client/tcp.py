@@ -4,9 +4,11 @@ A :class:`TcpClient` owns one blocking TCP socket (``TCP_NODELAY``)
 and one reader thread.  ``connect()`` runs the JSON hello exchange and
 switches to the negotiated codec; ``submit()``, callable from any
 thread, encodes and ``sendall``s the request there and then and returns
-a :class:`Submission`.  The reader thread does ``recv`` ->
-``FrameDecoder.feed`` -> ``resolve`` as answers arrive — in the
-server's completion order, matched by ``(session, request id)`` — so
+a :class:`Submission`; ``submit_many()`` does the same for a whole list
+with one ``sendall``.  The reader thread does ``recv`` ->
+``FrameDecoder.feed`` -> ``resolve`` as answers arrive — everything one
+``recv`` returned is matched by ``(session, request id)`` under one
+lock acquisition, then resolved in the server's completion order — so
 ``on_done`` callbacks run on it.  A full kernel send buffer blocks
 ``submit``: a callback that submits without bound can stall its reader.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import socket
 import threading
+from collections import deque
 from typing import Any, Callable, Iterable
 
 from repro.client.base import Outcome, Spec, Submission
@@ -123,24 +126,46 @@ class TcpClient:
                                  tuple(args), read_only=read_only),
                 self.codec)
             self._pending[key] = submission
-        try:
-            with self._send_lock:
-                self._sock.sendall(frame)
-        except OSError as error:
-            # Withdraw the entry — unless the reader saw the connection
-            # die first and already resolved it as ``connection``.
-            with self._lock:
-                withdrawn = self._pending.pop(key, None)
-            if withdrawn is not None:
-                raise ConnectionError(f"send failed: {error}") from error
+        self._send(frame, (key,))
         return submission
 
     def submit_many(self, specs: Iterable[Spec],
                     read_only: bool | None = None,
                     session: int = 0) -> list[Submission]:
-        return [self.submit(reactor, proc, *args,
-                            read_only=read_only, session=session)
-                for reactor, proc, args in specs]
+        """One burst: contiguous request ids, one ``sendall``.  Nothing
+        is registered unless every spec encodes."""
+        with self._lock:
+            if self._down is not None:
+                raise ConnectionError(self._down)
+            first = self._next_request + 1
+            frames = [
+                protocol.encode_frame(
+                    protocol.request(rid, session, reactor, proc,
+                                     tuple(args), read_only=read_only),
+                    self.codec)
+                for rid, (reactor, proc, args) in enumerate(specs, first)]
+            self._next_request += len(frames)
+            keys = [(session, rid)
+                    for rid in range(first, first + len(frames))]
+            submissions = [Submission() for __ in keys]
+            self._pending.update(zip(keys, submissions))
+        self._send(b"".join(frames), keys)
+        return submissions
+
+    def _send(self, data: bytes, keys: Iterable[tuple[int, int]]
+              ) -> None:
+        try:
+            with self._send_lock:
+                self._sock.sendall(data)
+        except OSError as error:
+            # Withdraw the entries — unless the reader saw the
+            # connection die first and already resolved them as
+            # ``connection`` (it takes all of ``_pending`` at once).
+            with self._lock:
+                withdrawn = [self._pending.pop(key, None)
+                             for key in keys]
+            if any(withdrawn):
+                raise ConnectionError(f"send failed: {error}") from error
 
     def call(self, reactor: str, proc: str, *args: Any,
              read_only: bool | None = None, session: int = 0) -> Any:
@@ -189,10 +214,22 @@ class TcpClient:
     def _read_loop(self, sock: socket.socket,
                    decoder: protocol.FrameDecoder, data: bytes) -> None:
         reason = "client reader failed"  # an on_done callback raised
+        #: Taken out of ``_pending`` and not yet resolved.
+        matched: deque[tuple[Submission | None, Outcome]] = deque()
         try:
             while True:
-                for message in decoder.feed(data):
-                    self._dispatch(message)
+                # One receive burst: decode it whole, take the lock
+                # once for all of it, then resolve in wire order.
+                answers = list(filter(None, map(
+                    _answer, decoder.feed(data))))
+                with self._lock:
+                    pop = self._pending.pop
+                    matched.extend((pop(key, None), outcome)
+                                   for key, outcome in answers)
+                while matched:
+                    submission, outcome = matched.popleft()
+                    if submission is not None:
+                        submission.resolve(outcome)
                 data = sock.recv(65536)
                 if not data:
                     decoder.check_eof()
@@ -203,33 +240,33 @@ class TcpClient:
         finally:
             with self._lock:
                 reason = self._down = self._down or reason
-                pending = list(self._pending.values())
+                pending = [submission for submission, __ in matched
+                           if submission is not None]
+                pending.extend(self._pending.values())
                 self._pending.clear()
             for submission in pending:
                 submission.resolve(Outcome(False, reason=reason,
                                            error_code="connection"))
 
-    def _dispatch(self, message: Any) -> None:
-        if not isinstance(message, dict):
-            return
-        mtype = message.get("type")
-        if mtype == "response":
-            outcome = Outcome(bool(message.get("committed")),
-                              reason=message.get("reason"),
-                              result=message.get("result"))
-        elif mtype == "error":
-            outcome = Outcome(
-                False, reason=message.get("detail"),
-                error_code=message.get("code"),
-                retry_after_us=float(
-                    message.get("retry_after_us") or 0.0))
-        else:
-            return
-        key = (message.get("session"), message.get("id"))
-        with self._lock:
-            submission = self._pending.pop(key, None)
-        if submission is not None:
-            submission.resolve(outcome)
+
+def _answer(message: Any) -> tuple[tuple[Any, Any], Outcome] | None:
+    """A terminal answer as ``((session, id), outcome)``; ``None`` for
+    anything else the server may say."""
+    if not isinstance(message, dict):
+        return None
+    mtype = message.get("type")
+    if mtype == "response":
+        outcome = Outcome(bool(message.get("committed")),
+                          reason=message.get("reason"),
+                          result=message.get("result"))
+    elif mtype == "error":
+        outcome = Outcome(
+            False, reason=message.get("detail"),
+            error_code=message.get("code"),
+            retry_after_us=float(message.get("retry_after_us") or 0.0))
+    else:
+        return None
+    return (message.get("session"), message.get("id")), outcome
 
 
 class ClientSession:

@@ -28,7 +28,10 @@ picks the highest common version and the first offered codec it has,
 or answers ``hello_error`` and closes.  ``json`` is always available;
 ``msgpack`` is offered only when the optional dependency is importable
 (the container image may not ship it — nothing here imports it
-unconditionally).
+unconditionally).  A value a codec cannot carry — a ``set``, a
+tuple-keyed dict, a cycle — raises :class:`WireProtocolError` at the
+sender, before any byte is written; too deep a nesting raises it at the
+receiver, like any other undecodable payload.
 
 Messages
 --------
@@ -108,19 +111,46 @@ class Overloaded(ReactorError):
 # Codecs
 # ----------------------------------------------------------------------
 
-#: One prebuilt encoder: ``json.dumps`` with non-default separators
-#: constructs a ``JSONEncoder`` on every call.
-_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: The C encoder and scanner, built once per process: ``json.dumps`` /
+#: ``JSONEncoder.encode`` construct a ``c_make_encoder`` on every call
+#: and ``json.loads`` re-detects the payload's encoding on every call.
+#: No ``markers`` dict (the circular-reference check): a shared one
+#: keeps every container an encode failed inside, and a cycle is still
+#: caught, as the ``RecursionError`` the encoder's depth guard raises.
+_JSON_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default,
+    json.encoder.encode_basestring_ascii, None, ":", ",",
+    False, False, True)
+_JSON_SCAN = json.JSONDecoder().scan_once
 
 
 def _json_encode(obj: Any) -> bytes:
-    return _JSON_ENCODER.encode(obj).encode("utf-8")
+    try:
+        return "".join(_JSON_ENCODE(obj, 0)).encode("utf-8")
+    except (TypeError, ValueError, RecursionError) as error:
+        # An unsupported type or key, an int past the str-conversion
+        # limit, a cycle or too deep a nesting: the caller's value,
+        # not the peer's fault, but one typed error for both.
+        raise WireProtocolError(
+            f"unencodable json payload: {error}") from None
 
 
 def _json_decode(data: bytes) -> Any:
+    """One whole JSON value.  The fast path is what ``json.loads``
+    does after it has detected the encoding and skipped whitespace;
+    anything it does not consume exactly (padding, a BOM, UTF-16,
+    trailing garbage, a syntax error) is ``json.loads``'s to accept or
+    reject, so both paths agree on every input."""
     try:
+        try:
+            text = data.decode("utf-8")
+            value, end = _JSON_SCAN(text, 0)
+            if end == len(text):
+                return value
+        except (StopIteration, ValueError):
+            pass
         return json.loads(data)
-    except (ValueError, UnicodeDecodeError) as error:
+    except (ValueError, RecursionError) as error:
         raise WireProtocolError(
             f"undecodable json payload: {error}") from None
 
@@ -133,6 +163,13 @@ CODECS: dict[str, tuple[Callable[[Any], bytes],
 }
 
 if _msgpack is not None:  # pragma: no cover - absent in the CI image
+    def _msgpack_encode(obj: Any) -> bytes:
+        try:
+            return _msgpack.packb(obj, use_bin_type=True)
+        except Exception as error:  # noqa: BLE001 - lib-specific roots
+            raise WireProtocolError(
+                f"unencodable msgpack payload: {error}") from None
+
     def _msgpack_decode(data: bytes) -> Any:
         try:
             return _msgpack.unpackb(data, raw=False)
@@ -140,10 +177,7 @@ if _msgpack is not None:  # pragma: no cover - absent in the CI image
             raise WireProtocolError(
                 f"undecodable msgpack payload: {error}") from None
 
-    CODECS["msgpack"] = (
-        lambda obj: _msgpack.packb(obj, use_bin_type=True),
-        _msgpack_decode,
-    )
+    CODECS["msgpack"] = (_msgpack_encode, _msgpack_decode)
 
 
 def available_codecs() -> tuple[str, ...]:
@@ -219,24 +253,31 @@ class FrameDecoder:
         most ``limit`` of them, the rest staying buffered (the hello
         exchange decodes one frame; what follows it may be in another
         codec)."""
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer.extend(data)
         __, decode = CODECS[self.codec]
         messages: list[Any] = []
-        buffer = self._buffer
-        while limit is None or len(messages) < limit:
-            if len(buffer) < _LEN.size:
-                break
-            (length,) = _LEN.unpack_from(buffer)
-            if length > self.max_frame_bytes:
-                raise WireProtocolError(
-                    f"declared frame length {length} exceeds the "
-                    f"{self.max_frame_bytes}-byte bound")
-            end = _LEN.size + length
-            if len(buffer) < end:
-                break
-            payload = bytes(buffer[_LEN.size:end])
-            del buffer[:end]
-            messages.append(decode(payload))
+        size = len(buffer)
+        offset = 0  # consumed so far; the buffer is trimmed once
+        try:
+            while limit is None or len(messages) < limit:
+                start = offset + _LEN.size
+                if size < start:
+                    break
+                (length,) = _LEN.unpack_from(buffer, offset)
+                if length > self.max_frame_bytes:
+                    raise WireProtocolError(
+                        f"declared frame length {length} exceeds the "
+                        f"{self.max_frame_bytes}-byte bound")
+                end = start + length
+                if size < end:
+                    break
+                offset = end  # an undecodable frame is consumed too
+                # One copy per frame: the slice is a ``bytearray``,
+                # which both codecs take as they take ``bytes``.
+                messages.append(decode(buffer[start:end]))
+        finally:
+            del buffer[:offset]
         return messages
 
     def take_buffered(self) -> bytes:

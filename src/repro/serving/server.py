@@ -17,6 +17,14 @@ the event-loop thread — no task, stream or future per connection.
   completions are queued on a deque and drained on the event loop, one
   ``call_soon_threadsafe`` per burst.  No pump, no polling.
 
+Answers are written per *burst*, not per message: ``_Connection.send``
+encodes a frame into the connection's outbox, and every event-loop
+callback that can answer — ``data_received`` (refusals, ``hello_ok``),
+the sim pump, the threads drain — ends by writing each answered
+connection once (``ReactorServer._flush``), as does anything that
+closes a connection, before it closes.  Between callbacks every outbox
+is empty; per connection, bytes leave in the order they were sent.
+
 Flow control: a peer that does not read its answers fills the
 transport's write buffer; past its high-water mark the server stops
 reading *that* connection until the buffer drains, so the bytes held
@@ -67,7 +75,8 @@ DEFAULT_RETRY_AFTER_US = 1_000.0
 class _Connection(asyncio.Protocol):
     """One accepted socket: negotiated codec, decoder, sessions."""
 
-    __slots__ = ("server", "transport", "codec", "decoder", "sessions")
+    __slots__ = ("server", "transport", "codec", "decoder", "sessions",
+                 "outbox")
 
     def __init__(self, server: "ReactorServer") -> None:
         self.server = server
@@ -76,6 +85,8 @@ class _Connection(asyncio.Protocol):
         self.codec: str | None = None
         self.decoder = protocol.FrameDecoder("json")
         self.sessions: set[int] = set()
+        #: Encoded answers since the last flush point, in send order.
+        self.outbox: list[bytes] = []
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
@@ -86,6 +97,7 @@ class _Connection(asyncio.Protocol):
 
     def connection_lost(self, exc: Exception | None) -> None:
         self.server.connections.discard(self)
+        self.outbox.clear()  # nobody left to read them
 
     def pause_writing(self) -> None:
         self.transport.pause_reading()  # the peer is not reading
@@ -94,9 +106,22 @@ class _Connection(asyncio.Protocol):
         self.transport.resume_reading()
 
     def send(self, message: dict[str, Any]) -> None:
-        if not self.transport.is_closing():
-            self.transport.write(
-                protocol.encode_frame(message, self.codec or "json"))
+        """Encode now, write at the next flush point (see the module
+        docstring): a burst of answers is one write — one
+        ``send(2)``, one wake-up of the peer's reader — however many
+        it holds.  Raises before anything is queued if the codec
+        cannot carry ``message``."""
+        if self.transport.is_closing():
+            return
+        frame = protocol.encode_frame(message, self.codec or "json")
+        if not self.outbox:
+            self.server._unflushed.append(self)
+        self.outbox.append(frame)
+
+    def close(self) -> None:
+        """What was already answered goes out ahead of the FIN."""
+        self.server._flush()
+        self.transport.close()
 
     def data_received(self, data: bytes) -> None:
         try:
@@ -107,15 +132,16 @@ class _Connection(asyncio.Protocol):
             self.send(protocol.hello_error(str(err))
                       if self.codec is None else protocol.error(
                           None, None, protocol.ERR_BAD_REQUEST, str(err)))
-            self.transport.close()  # flushes the answer first
+            self.close()
             return
         handle = self.server._handle_message
         for message in messages:
             if isinstance(message, dict) and \
                     message.get("type") == "goodbye":
-                self.transport.close()
+                self.close()
                 return
             handle(self, message)
+        self.server._flush()
 
     def _handshake(self, data: bytes) -> bytes:
         """The JSON hello exchange: pick version and codec.  Returns
@@ -168,6 +194,9 @@ class ReactorServer:
         #: a ``_drain_completions`` wake-up is already on its way.
         self._completions: deque[tuple] = deque()
         self._drain_scheduled = False
+        #: Connections with a non-empty outbox; empty between
+        #: event-loop callbacks (see :meth:`_flush`).
+        self._unflushed: list[_Connection] = []
         telemetry = database.telemetry
         registry = telemetry.registry if telemetry.enabled else None
         if registry is not None:
@@ -214,6 +243,7 @@ class ReactorServer:
         """sim: drive the virtual-time scheduler to quiescence."""
         self._pump_scheduled = False
         self.database.scheduler.run()
+        self._flush()
 
     def _on_worker_done(self, *completion: Any) -> None:
         """threads: runs on a container thread.  The flag is cleared
@@ -232,6 +262,16 @@ class ReactorServer:
         completions = self._completions
         while completions:
             self._complete(*completions.popleft())
+        self._flush()
+
+    def _flush(self) -> None:
+        """Write every connection that was answered since the last
+        flush point, once each, in the order it was first answered."""
+        unflushed = self._unflushed
+        for conn in unflushed:
+            conn.transport.write(b"".join(conn.outbox))
+            conn.outbox.clear()
+        unflushed.clear()
 
     # ------------------------------------------------------------------
     # Requests

@@ -9,6 +9,8 @@ once — and a stream that ends mid-frame is rejected with the typed
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +145,117 @@ def test_undecodable_payload_rejected():
     frame = len(b"not json").to_bytes(4, "big") + b"not json"
     with pytest.raises(WireProtocolError, match="undecodable"):
         FrameDecoder("json").feed(frame)
+
+
+def test_deeply_nested_payload_is_a_typed_error():
+    """The scanner's depth guard raises ``RecursionError``, not a
+    ``ValueError``: still an undecodable frame, never an escape."""
+    payload = b"[" * 100_000
+    frame = len(payload).to_bytes(4, "big") + payload
+    decoder = FrameDecoder("json")
+    with pytest.raises(WireProtocolError, match="undecodable json"):
+        decoder.feed(frame)
+    assert decoder.buffered == 0  # the bad frame was consumed
+
+
+# ----------------------------------------------------------------------
+# The process-wide JSON codec against the stdlib entry points
+# ----------------------------------------------------------------------
+
+json_encode, json_decode = protocol.CODECS["json"]
+whitespace = st.text(alphabet=" \t\r\n", max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=payloads, indent=st.sampled_from([None, 0, 2]),
+       before=whitespace, after=whitespace)
+def test_decode_agrees_with_json_loads(value, indent, before, after):
+    """Compact (the scanner consumes it exactly), padded inside and
+    padded around (``json.loads`` takes over): one answer."""
+    text = before + json.dumps(value, indent=indent) + after
+    assert json_decode(text.encode()) == json.loads(text) == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=payloads, other=payloads)
+def test_trailing_garbage_is_rejected(value, other):
+    compact = json_encode(value)
+    for tail in (b"x", b" x", json_encode(other)):
+        with pytest.raises(WireProtocolError, match="undecodable"):
+            json_decode(compact + tail)
+
+
+def test_decode_accepts_what_json_loads_accepts():
+    """Not only compact UTF-8: a BOM and UTF-16 were decodable before
+    the fast path existed and still are."""
+    for data in (b"\xef\xbb\xbf[1]", "[1]".encode("utf-16")):
+        assert json_decode(data) == json.loads(data) == [1]
+    for data in (b"", b" ", b"\xff", b"[1,]", b'{"a":1}x'):
+        with pytest.raises(WireProtocolError, match="undecodable"):
+            json_decode(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=payloads)
+def test_encode_is_byte_identical_to_json_dumps(value):
+    assert json_encode(value) == json.dumps(
+        value, separators=(",", ":")).encode()
+
+
+def cyclic() -> list:
+    loop: list = []
+    loop.append(loop)
+    return loop
+
+
+#: What no codec can carry, then what only JSON cannot (msgpack packs
+#: a tuple key as an array).
+UNENCODABLE = [
+    pytest.param(codec, value, id=f"{name}-{codec}")
+    for codec in protocol.available_codecs()
+    for name, value in (("set", {1, 2}), ("object", object()),
+                        ("cycle", cyclic()))
+] + [pytest.param("json", {(1, 2): 3}, id="tuple-key-json"),
+     pytest.param("json", 10 ** 5000, id="huge-int-json")]
+
+
+@pytest.mark.parametrize("codec,value", UNENCODABLE)
+def test_unencodable_value_is_a_typed_error(codec, value):
+    with pytest.raises(WireProtocolError, match="unencodable"):
+        encode_frame({"result": value}, codec)
+    # ... and the codec is as good as new afterwards.
+    (message,) = FrameDecoder(codec).feed(
+        encode_frame({"result": [1]}, codec))
+    assert message == {"result": [1]}
+
+
+def test_decoder_hands_each_codec_a_bytes_like_payload(monkeypatch):
+    """``FrameDecoder`` slices its buffer once per frame and passes the
+    slice on: whatever a codec's ``decode`` is (``msgpack.unpackb``
+    included), a ``bytes`` or ``bytearray`` is what it must take."""
+    seen = []
+
+    def decode(data):
+        seen.append(type(data))
+        return json.loads(bytes(data))
+
+    monkeypatch.setitem(protocol.CODECS, "probe", (json_encode, decode))
+    stream = b"".join(encode_frame({"n": n}, "probe") for n in range(3))
+    decoder = FrameDecoder("probe")
+    out = decoder.feed(stream[:7]) + decoder.feed(stream[7:])
+    assert out == [{"n": 0}, {"n": 1}, {"n": 2}]
+    assert set(seen) <= {bytes, bytearray}
+
+
+def test_msgpack_decodes_what_the_decoder_hands_it():
+    msgpack = pytest.importorskip("msgpack")
+    message = {"id": 7, "blob": b"\x00\xff", "text": "\u00e9"}
+    packed = msgpack.packb(message, use_bin_type=True)
+    __, decode = protocol.CODECS["msgpack"]
+    assert decode(bytearray(packed)) == decode(packed) == message
+    (out,) = FrameDecoder("msgpack").feed(
+        encode_frame(message, "msgpack"))
+    assert out == message
 
 
 def test_unknown_codec_rejected():

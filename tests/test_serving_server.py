@@ -10,6 +10,7 @@ originate, not what they do.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import struct
 
@@ -236,6 +237,82 @@ def test_abort_message_is_never_read_as_a_shed():
     database.close()
 
 
+AWKWARD = ReactorType("Awkward", lambda: [])
+
+
+@AWKWARD.procedure
+def a_set(ctx):
+    return {1, 2}
+
+
+@AWKWARD.procedure
+def a_tuple_keyed_dict(ctx):
+    return {(1, 2): "x"}
+
+
+@AWKWARD.procedure
+def a_cycle(ctx):
+    loop = []
+    loop.append(loop)
+    return loop
+
+
+@AWKWARD.procedure
+def fine(ctx):
+    return [1, 2]
+
+
+@pytest.mark.parametrize("backend", ["sim", "threads"])
+def test_unencodable_result_is_answered_committed_without_it(
+        backend, caplog):
+    """A procedure that commits and returns what the codec cannot
+    carry: every request of the burst is still answered — ``committed``
+    with ``result=None`` — and nothing escapes into the event loop."""
+    database = ReactorDatabase(shared_nothing(1, backend=backend),
+                               [("a", AWKWARD)])
+    server = serve_in_thread(database)
+    client = TcpClient(server.host, server.port,
+                       codecs=("json",)).connect()
+    procs = ["fine", "a_set", "a_tuple_keyed_dict", "a_cycle", "fine"]
+    try:
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            outcomes = [s.wait(10.0) for s in client.submit_many(
+                [("a", proc, ()) for proc in procs])]
+    finally:
+        client.close()
+        server.stop()
+        database.close()
+    assert [r for r in caplog.records if r.name == "asyncio"] == []
+    assert all(o.committed for o in outcomes), outcomes
+    assert [o.result for o in outcomes] == \
+        [[1, 2], None, None, None, [1, 2]]
+    assert server.server.inflight == 0
+
+
+def test_unencodable_args_are_refused_before_anything_is_pending():
+    database = make_database()
+    server = serve_in_thread(database)
+    client = TcpClient(server.host, server.port).connect()
+    try:
+        with pytest.raises(protocol.WireProtocolError,
+                           match="unencodable"):
+            client.submit(sb.reactor_name(0), "deposit_checking",
+                          {1.0})
+        with pytest.raises(protocol.WireProtocolError,
+                           match="unencodable"):
+            client.submit_many([
+                (sb.reactor_name(0), "deposit_checking", (1.0,)),
+                (sb.reactor_name(1), "deposit_checking", ({1.0},))])
+        assert not client._pending
+        # The connection is as good as new.
+        assert client.submit(sb.reactor_name(0), "balance") \
+            .wait(10.0).committed
+    finally:
+        client.close()
+        server.stop()
+        database.close()
+
+
 def test_backend_admission_refusal_is_a_typed_shed():
     """A root the threads backend refuses at its own admission bound
     comes back as the same typed ``overloaded`` answer the wire-level
@@ -285,15 +362,18 @@ def test_serving_metrics_registered():
 # Raw-socket behaviors a well-behaved TcpClient never triggers.
 # ----------------------------------------------------------------------
 
+def _recv_exactly(sock: socket.socket, count: int) -> bytes:
+    data = b""
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
+        assert chunk, "server closed the connection without answering"
+        data += chunk
+    return data
+
+
 def _recv_frame(sock: socket.socket) -> dict:
-    header = b""
-    while len(header) < 4:
-        header += sock.recv(4 - len(header))
-    (length,) = struct.unpack(">I", header)
-    payload = b""
-    while len(payload) < length:
-        payload += sock.recv(length - len(payload))
-    return json.loads(payload)
+    (length,) = struct.unpack(">I", _recv_exactly(sock, 4))
+    return json.loads(_recv_exactly(sock, length))
 
 
 def test_version_mismatch_answered_with_hello_error():
@@ -349,7 +429,9 @@ def test_unknown_reactor_answered_with_typed_error():
         database.close()
 
 
-def test_undecodable_frame_answered_then_closed():
+def _answer_to_undecodable(payload: bytes) -> dict:
+    """Handshake, send ``payload`` as one frame, return the server's
+    answer — after which it must have closed the connection."""
     database = make_database()
     server = serve_in_thread(database)
     try:
@@ -360,12 +442,29 @@ def test_undecodable_frame_answered_then_closed():
             sock.sendall(protocol.encode_frame(
                 protocol.hello(codecs=("json",))))
             assert _recv_frame(sock)["type"] == "hello_ok"
-            sock.sendall(struct.pack(">I", 8) + b"not json")
+            sock.sendall(struct.pack(">I", len(payload)) + payload)
             answer = _recv_frame(sock)
-            assert answer["type"] == "error"
-            assert answer["code"] == protocol.ERR_BAD_REQUEST
             # The server closes after a framing violation.
             assert sock.recv(4096) == b""
+            return answer
     finally:
         server.stop()
         database.close()
+
+
+def test_undecodable_frame_answered_then_closed():
+    answer = _answer_to_undecodable(b"not json")
+    assert answer["type"] == "error"
+    assert answer["code"] == protocol.ERR_BAD_REQUEST
+
+
+def test_deeply_nested_frame_answered_then_closed(caplog):
+    """Nesting past the scanner's depth guard is one more undecodable
+    frame — a typed answer and a clean close — not a ``RecursionError``
+    for asyncio to log as a fatal protocol error."""
+    with caplog.at_level(logging.WARNING, logger="asyncio"):
+        answer = _answer_to_undecodable(b"[" * 100_000)
+    assert answer["type"] == "error"
+    assert answer["code"] == protocol.ERR_BAD_REQUEST
+    assert "undecodable json payload" in answer["detail"]
+    assert [r for r in caplog.records if r.name == "asyncio"] == []

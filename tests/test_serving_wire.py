@@ -21,6 +21,7 @@ from repro.client import TcpClient
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
 from repro.serving import protocol, serve_in_thread
+from repro.serving.server import ReactorServer
 from repro.sim.scheduler import SimScheduler
 from repro.telemetry.config import full_tracing
 from repro.workloads import smallbank as sb
@@ -72,6 +73,20 @@ def recv_messages(sock: socket.socket, count: int) -> list[dict]:
     return messages
 
 
+def record_inflight_at_run(monkeypatch, server) -> list[int]:
+    """The server's in-flight count at every ``SimScheduler.run``,
+    appended as the runs happen."""
+    inflight_at_run: list[int] = []
+    run = SimScheduler.run
+
+    def counting_run(scheduler, *args, **kwargs):
+        inflight_at_run.append(server.server.inflight)
+        return run(scheduler, *args, **kwargs)
+
+    monkeypatch.setattr(SimScheduler, "run", counting_run)
+    return inflight_at_run
+
+
 def elapsed(fn) -> float:
     start = time.perf_counter()
     fn()
@@ -88,14 +103,7 @@ def test_coalesced_burst_is_submitted_whole_before_the_pump(monkeypatch):
     n = 8
     database = make_database(telemetry=full_tracing())
     server = serve_in_thread(database)
-    inflight_at_run = []
-    run = SimScheduler.run
-
-    def counting_run(scheduler, *args, **kwargs):
-        inflight_at_run.append(server.server.inflight)
-        return run(scheduler, *args, **kwargs)
-
-    monkeypatch.setattr(SimScheduler, "run", counting_run)
+    inflight_at_run = record_inflight_at_run(monkeypatch, server)
     try:
         with raw_connection(server) as sock:
             sock.sendall(b"".join(
@@ -116,6 +124,71 @@ def test_coalesced_burst_is_submitted_whole_before_the_pump(monkeypatch):
     database.close()
 
 
+class SocketSpy:
+    """A socket that remembers what ``sendall`` was given."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self.sends: list[bytes] = []
+
+    def sendall(self, data: bytes) -> None:
+        self.sends.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name: str):
+        return getattr(self._sock, name)
+
+
+def test_submit_many_is_one_burst(monkeypatch):
+    """``submit_many`` is one ``sendall`` of contiguous ids, so the sim
+    server sees the whole list before its pump runs — once."""
+    n = 12
+    database = make_database()
+    server = serve_in_thread(database)
+    inflight_at_run = record_inflight_at_run(monkeypatch, server)
+    client = TcpClient(server.host, server.port).connect()
+    spy = SocketSpy(client._sock)
+    monkeypatch.setattr(client, "_sock", spy)
+    try:
+        session = client.session()
+        submissions = session.submit_many(
+            [(sb.reactor_name(i % N_CUSTOMERS), "deposit_checking",
+              (1.0,)) for i in range(n)])
+        outcomes = [s.wait(BOUND_S) for s in submissions]
+    finally:
+        monkeypatch.undo()
+        client.close()
+        server.stop()
+        database.close()
+    assert all(o.committed for o in outcomes), outcomes
+    assert not client._pending
+    assert len(spy.sends) == 1
+    requests = protocol.FrameDecoder(client.codec).feed(spy.sends[0])
+    first = requests[0]["id"]
+    assert [r["id"] for r in requests] == list(range(first, first + n))
+    assert {r["session"] for r in requests} == {session.session_id}
+    assert [count for count in inflight_at_run if count] == [n]
+
+
+def test_submit_many_withdraws_the_whole_burst_when_the_send_fails(
+        served, monkeypatch):
+    client = TcpClient(served.host, served.port).connect()
+
+    class Broken(SocketSpy):
+        def sendall(self, data: bytes) -> None:
+            raise BrokenPipeError("peer went away")
+
+    monkeypatch.setattr(client, "_sock", Broken(client._sock))
+    try:
+        with pytest.raises(ConnectionError, match="send failed"):
+            client.submit_many(
+                [(sb.reactor_name(i), "balance", ()) for i in range(4)])
+        assert not client._pending
+    finally:
+        monkeypatch.undo()
+        client.close()
+
+
 def test_requests_pipelined_behind_the_hello_are_answered(served):
     """hello + N requests in one segment: none is lost to the hello
     decoder."""
@@ -133,10 +206,23 @@ def test_requests_pipelined_behind_the_hello_are_answered(served):
     assert all(a["committed"] for a in answers[1:])
 
 
-def test_slow_reader_is_paused_and_others_still_served(served):
+def test_slow_reader_is_paused_and_others_still_served(
+        served, monkeypatch):
     """A peer that sends and never reads: the server stops reading it,
-    holds a bounded number of answer bytes for it, and keeps answering
-    a second connection."""
+    holds a bounded number of answer bytes for it — written or waiting
+    in its outbox — and keeps answering a second connection.  Every
+    flush point leaves every outbox empty, and a lost connection's
+    outbox stays that way."""
+    leftovers = []
+    flush = ReactorServer._flush
+
+    def checked_flush(server):
+        flush(server)
+        leftovers.extend(conn for conn in server.connections
+                         if conn.outbox)
+        leftovers.extend(server._unflushed)
+
+    monkeypatch.setattr(ReactorServer, "_flush", checked_flush)
     big = "x" * 4096  # echoed back in every unknown-reactor answer
     frame = protocol.encode_frame(protocol.request(1, 0, big, "p", ()))
     with raw_connection(served, rcvbuf=4096) as sock:
@@ -148,6 +234,7 @@ def test_slow_reader_is_paused_and_others_still_served(served):
                 sent += len(frame)
         (conn,) = served.server.connections
         assert not conn.transport.is_reading()
+        assert conn.outbox == []
         held = conn.transport.get_write_buffer_size()
         assert 0 < held < 1024 * 1024 < sent
         client = TcpClient(served.host, served.port).connect()
@@ -156,6 +243,13 @@ def test_slow_reader_is_paused_and_others_still_served(served):
                 .wait(BOUND_S).committed
         finally:
             client.close()
+    deadline = time.monotonic() + BOUND_S
+    while served.server.connections:  # until the loop saw both go
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    conn.send(protocol.error(1, 0, protocol.ERR_INTERNAL, "too late"))
+    assert conn.outbox == [] and not served.server._unflushed
+    assert leftovers == []
 
 
 def test_concurrent_submitters_never_interleave_frames(served):
@@ -319,3 +413,50 @@ def test_close_does_not_wait_for_a_silent_server():
         thread.join(timeout=BOUND_S)
         for sock in (*accepted, listener):
             sock.close()
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_a_raising_callback_does_not_strand_the_rest_of_its_burst():
+    """Two answers in one segment, the first one's ``on_done`` raises:
+    the reader dies, and the second submission — already matched, no
+    longer pending — still resolves, typed, instead of hanging."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    accepted = []
+
+    def answer_both_at_once() -> None:
+        peer, __ = listener.accept()
+        accepted.append(peer)
+        peer.recv(65536)  # the hello
+        peer.sendall(protocol.encode_frame(
+            protocol.hello_ok(protocol.PROTOCOL_VERSION, "json")))
+        decoder = protocol.FrameDecoder("json")
+        requests: list[dict] = []
+        while len(requests) < 2:
+            requests.extend(decoder.feed(peer.recv(65536)))
+        peer.sendall(b"".join(
+            protocol.encode_frame(protocol.response(
+                r["id"], r["session"], True, result=r["id"]))
+            for r in requests))
+
+    thread = threading.Thread(target=answer_both_at_once, daemon=True)
+    thread.start()
+
+    def boom(outcome) -> None:
+        raise RuntimeError("callback bug")
+
+    try:
+        client = TcpClient(*listener.getsockname()[:2]).connect()
+        first = client.submit("anyone", "anything", on_done=boom)
+        second = client.submit("anyone", "anything")
+        assert first.wait(BOUND_S).committed
+        outcome = second.wait(BOUND_S)
+        assert outcome.error_code == "connection"
+        assert outcome.reason == "client reader failed"
+        assert not client._pending
+        assert elapsed(client.close) < BOUND_S
+    finally:
+        thread.join(timeout=BOUND_S)
+        for sock in (*accepted, listener):
+            sock.close()
+
