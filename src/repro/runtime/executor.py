@@ -367,7 +367,7 @@ class TransactionExecutor:
         except ReactorError as error:
             # Application-level failures (user aborts, missing records,
             # duplicate keys, unknown reactors...) abort the root
-            # transaction; anything else is a bug and propagates.
+            # transaction.
             if isinstance(error, TransactionAbort):
                 outcome = error
                 # Only its message travels on; the traceback would pin
@@ -376,6 +376,13 @@ class TransactionExecutor:
                 outcome.__traceback__ = None
             else:
                 outcome = UserAbort(f"{type(error).__name__}: {error}")
+            fn = self._frame_aborted
+        except Exception as error:  # noqa: BLE001
+            # So does the procedure's own bug (``1 / 0``): let it out
+            # of here and this executor never clears ``running`` —
+            # this request and every later one go unanswered.
+            outcome = UserAbort(
+                f"procedure raised {type(error).__name__}: {error}")
             fn = self._frame_aborted
         else:
             fn, outcome = self._process_effect, effect

@@ -13,9 +13,9 @@ receive-path cost Cr (a thread switch) or only a flag check.
 :class:`SimFuture` is single-threaded (the simulation's event loop is
 serial); :class:`ThreadSafeFuture` is the drop-in used by the
 ``threads`` execution backend, where resolver and waiter live on
-different OS threads — state transitions run under a per-future
-condition variable and a blocking :meth:`ThreadSafeFuture.wait` is
-added for code that genuinely parks an OS thread.
+different OS threads — state transitions run under a per-future lock
+and a blocking :meth:`ThreadSafeFuture.wait` is added for code that
+genuinely parks an OS thread.
 """
 
 from __future__ import annotations
@@ -130,44 +130,51 @@ class ThreadSafeFuture(SimFuture):
     different OS threads (the ``threads`` execution backend).
 
     The state transition (pending → resolved/failed) and the waiter
-    handoff are serialized under a per-future condition variable; the
-    waiter callback itself is invoked *outside* the lock, so a
-    callback that re-enters the future (or takes backend locks) cannot
-    deadlock against a concurrent ``resolve``.
+    handoff are serialized under a per-future lock; the waiter
+    callback itself is invoked *outside* the lock, so a callback that
+    re-enters the future (or takes backend locks) cannot deadlock
+    against a concurrent ``resolve``.  Hardly any future is ever
+    waited on by a parked thread, so the event :meth:`wait` parks on
+    is made by the first caller that needs it.
     """
 
-    __slots__ = ("_cond",)
+    __slots__ = ("_lock", "_event")
 
     def __init__(self, remote: bool, subtxn_id: int,
                  target_reactor: str) -> None:
         super().__init__(remote, subtxn_id, target_reactor)
-        self._cond = threading.Condition(threading.Lock())
+        self._lock = threading.Lock()
+        self._event: threading.Event | None = None
 
     def resolve(self, value: Any, now: float) -> None:
-        with self._cond:
+        with self._lock:
             if self.state != _PENDING:
                 raise SimulationError("future resolved twice")
             self.state = _RESOLVED
             self.value = value
             self.resolved_at = now
             waiter, args = self._take_waiter()
-            self._cond.notify_all()
+            event = self._event
+        if event is not None:
+            event.set()
         self._invoke(waiter, args)
 
     def fail(self, error: BaseException, now: float) -> None:
-        with self._cond:
+        with self._lock:
             if self.state != _PENDING:
                 raise SimulationError("future resolved twice")
             self.state = _FAILED
             self.error = error
             self.resolved_at = now
             waiter, args = self._take_waiter()
-            self._cond.notify_all()
+            event = self._event
+        if event is not None:
+            event.set()
         self._invoke(waiter, args)
 
     def add_waiter(self, callback: Callable[..., None],
                    *args: Any) -> None:
-        with self._cond:
+        with self._lock:
             if self._waiter is not None:
                 raise SimulationError(
                     "two waiters on one future: a sub-transaction "
@@ -184,9 +191,15 @@ class ThreadSafeFuture(SimFuture):
     def wait(self, timeout: float | None = None) -> bool:
         """Block the calling OS thread until resolution; ``True`` when
         the future resolved within ``timeout`` seconds."""
-        with self._cond:
-            return self._cond.wait_for(
-                lambda: self.state != _PENDING, timeout)
+        with self._lock:
+            if self.state != _PENDING:
+                return True
+            event = self._event
+            if event is None:
+                # Made under the lock the resolver reads it under: it
+                # either sees this event or has already moved `state`.
+                event = self._event = threading.Event()
+        return event.wait(timeout)
 
     def _take_waiter(self) -> tuple[Callable[..., None] | None, tuple]:
         waiter = self._waiter

@@ -32,6 +32,19 @@ Threading model (see ``docs/backends.md`` for the full argument):
   (group-commit flush intervals, fsync completions, measurement
   warmup marks) go to the timer thread and fire on the client queue.
 
+Hand-off works per *wake-up*, not per callback.  A worker takes
+everything queued for it in one acquisition of a plain lock (it swaps
+the list out) and runs that burst, taking its container lock per
+callback; a callback the worker posts to *its own* queue is appended
+to the burst it is running — no lock, no wake-up, FIFO kept — for at
+most :data:`MAX_BURST` appends per burst, past which self-posts go
+through the queue so another thread's posts are never starved.  A
+``put`` wakes the worker only when the worker flagged itself asleep
+under the queue lock.  Quiescence is counted without a global lock:
+every queue counts what was ``posted`` under its own lock, its worker
+alone writes ``done``, and :meth:`ThreadsBackend.pending` reads every
+``done`` before any ``posted`` (see there for why that suffices).
+
 Work queues are bounded at *root admission*: :meth:`admit_root`
 refuses new root transactions when an executor's backlog exceeds
 ``root_admission_bound`` (load shedding, counted in ``shed_roots``).
@@ -50,7 +63,6 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable
 
@@ -69,7 +81,14 @@ INLINE_DELAY_US = 25.0
 #: one recursive inline chain).
 MAX_INLINE_DEPTH = 64
 
+#: Callbacks a worker may append to the burst it is running by posting
+#: to its own queue; the next self-post goes through the queue, behind
+#: whatever other threads posted meanwhile.
+MAX_BURST = 64
+
 _CLIENT = -1
+
+_SHUT_DOWN = "threads backend is shut down"
 
 
 def gil_enabled() -> bool:
@@ -122,36 +141,97 @@ class _TimerHandle:
             self.state = "cancelled"
             self.fn = None  # type: ignore[assignment]
             self.args = ()
+            backend._timers_done += 1
             backend._timer_cond.notify()
-        backend._retire()
+        backend._wake_run()
 
 
 class _WorkQueue:
-    """One thread's FIFO of posted callbacks."""
+    """One thread's FIFO of posted callbacks, handed over a burst at a
+    time.
 
-    __slots__ = ("items", "cond", "max_depth")
+    ``lock`` guards ``items``, ``posted`` and ``asleep``.  ``wake`` is
+    a binary semaphore (a plain lock, held while nobody has to wake
+    the worker): the worker flags itself ``asleep`` under ``lock``
+    when it finds nothing and then blocks acquiring ``wake``; the one
+    ``put`` that finds the flag set clears it and releases ``wake`` —
+    so a wake-up is neither lost (flag and emptiness are read under
+    one lock) nor doubled (the flag is cleared by the first).
+
+    ``done`` and ``ran`` are written by the worker alone.
+    """
+
+    __slots__ = ("items", "lock", "wake", "asleep", "posted", "done",
+                 "ran", "max_depth")
 
     def __init__(self) -> None:
-        self.items: deque[Any] = deque()
-        self.cond = threading.Condition(threading.Lock())
+        self.items: list[_QueueItem] = []
+        self.lock = threading.Lock()
+        self.wake = threading.Lock()
+        self.wake.acquire()
+        self.asleep = False
+        #: Callbacks ever put (under ``lock``).
+        self.posted = 0
+        #: Of those, how many are finished — run or found cancelled.
+        #: Advanced once a burst, after everything the burst's
+        #: callbacks posted has been counted on its own queue.
+        self.done = 0
+        #: Callbacks executed, self-posts included.
+        self.ran = 0
+        #: Most callbacks found waiting at one wake-up.
         self.max_depth = 0
 
-    def put(self, item: Any) -> None:
-        with self.cond:
+    def put(self, item: _QueueItem) -> None:
+        with self.lock:
             self.items.append(item)
-            depth = len(self.items)
-            if depth > self.max_depth:
-                self.max_depth = depth
-            self.cond.notify()
+            self.posted += 1
+            if self.asleep:
+                self.asleep = False
+                self.wake.release()
 
-    def take(self) -> Any:
-        with self.cond:
-            while not self.items:
-                self.cond.wait()
-            return self.items.popleft()
+    def take(self) -> list[_QueueItem] | None:
+        """Everything queued, or ``None`` having flagged the worker
+        asleep — the caller then blocks on ``wake``."""
+        with self.lock:
+            burst = self.items
+            if not burst:
+                self.asleep = True
+                return None
+            self.items = []
+        if len(burst) > self.max_depth:
+            self.max_depth = len(burst)
+        return burst
 
-    def __len__(self) -> int:
-        return len(self.items)
+    def rouse(self) -> None:
+        """Wake the worker without giving it work (shutdown)."""
+        with self.lock:
+            if self.asleep:
+                self.asleep = False
+                self.wake.release()
+
+
+class _ThreadState:
+    """What the backend knows about the calling thread, behind one
+    ``threading.local`` read."""
+
+    __slots__ = ("cid", "own_lock", "lock_held", "depth", "burst",
+                 "room")
+
+    def __init__(self, cid: int, own_lock: Any) -> None:
+        #: The queue ``soon`` posts to: the worker's own, the client
+        #: queue on any other thread.
+        self.cid = cid
+        #: A container worker's container lock — the one the guards
+        #: release before waiting for the state lock.  ``None`` on the
+        #: client worker (it runs under the state lock itself) and on
+        #: threads the backend did not start.
+        self.own_lock = own_lock
+        self.lock_held = False
+        self.depth = 0
+        #: The burst a worker is running, and how many more self-posts
+        #: it may take; ``room`` stays 0 on every other thread.
+        self.burst: list[_QueueItem] | None = None
+        self.room = 0
 
 
 class _Relay:
@@ -167,13 +247,6 @@ class _Relay:
 
     def __call__(self, *args: Any) -> None:
         self.backend.post(self.container, self.callback, *args)
-
-
-class _Stop:
-    pass
-
-
-_STOP = _Stop()
 
 
 class ThreadsBackend:
@@ -198,20 +271,22 @@ class ThreadsBackend:
             _CLIENT: _WorkQueue()}
         self._threads: list[threading.Thread] = []
         self._busy_ns: dict[int, int] = {_CLIENT: 0}
-        # Quiesce accounting: one unit per queued callback or armed
-        # timer, retired after execution/cancellation.  `_acct` is a
-        # leaf lock — never held while acquiring any other.
+        # Only run() waits on `_acct`.  It is notified — and only
+        # while someone is inside run() — by a worker going idle, a
+        # timer cancelled or handed to the client queue, and
+        # shutdown(); it also guards `_error`.
         self._acct = threading.Condition(threading.Lock())
-        self._outstanding = 0
-        self._dispatched = 0
         self._error: BaseException | None = None
         self._running = False
         self._stopping = False
         # Timer heap: (deadline_ns, seq, handle), guarded by its own
-        # condition; a dedicated thread sleeps until the head is due.
+        # condition — as are the armed / done counts; a dedicated
+        # thread sleeps until the head is due.
         self._timer_heap: list[tuple[int, int, _TimerHandle]] = []
         self._timer_cond = threading.Condition(threading.Lock())
         self._timer_seq = 0
+        self._timers_armed = 0
+        self._timers_done = 0
         self._started = False
 
     # ------------------------------------------------------------------
@@ -225,12 +300,43 @@ class ThreadsBackend:
 
     @property
     def events_dispatched(self) -> int:
-        return self._dispatched
+        return sum(queue.ran for queue in self._queues.values())
 
     def pending(self) -> int:
         """Outstanding scheduled work: queued callbacks plus armed
-        timers (in-flight callbacks count until they finish)."""
-        return self._outstanding
+        timers (a burst's callbacks count until the burst is over)."""
+        return self._outstanding(None)
+
+    def _outstanding(self, deadline_ns: int | None) -> int:
+        """Work posted and not finished, not counting timers armed for
+        later than ``deadline_ns``.
+
+        No lock covers the counters as a whole; the order of the reads
+        does.  Every ``done`` is read before any ``posted``, both only
+        grow, and a callback's (or fired timer's) ``done`` is written
+        after everything it posted was counted, so at the instant
+        between the two passes ``done <= posted`` held on the true
+        values, the ``done`` read is at most the true one and the
+        ``posted`` read at least.  A zero difference therefore means
+        the system was idle at that instant and nothing was posted
+        since.  The far timers are counted under the timer lock at
+        that same instant: each is armed and not done, so a zero left
+        over means they are all that is outstanding.
+        """
+        queues = self._queues.values()
+        done = self._timers_done
+        for queue in queues:
+            done += queue.done
+        later = 0
+        if deadline_ns is not None:
+            with self._timer_cond:
+                later = sum(1 for when, __, handle in self._timer_heap
+                            if when > deadline_ns
+                            and handle.state == "queued")
+        posted = self._timers_armed
+        for queue in queues:
+            posted += queue.posted
+        return posted - done - later
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -263,14 +369,16 @@ class ThreadsBackend:
 
     def shutdown(self) -> None:
         """Stop every backend thread (idempotent).  Pending work is
-        abandoned; call after :meth:`run` has quiesced."""
+        abandoned; call after :meth:`run` has quiesced.  Scheduling on
+        a backend that was shut down raises :class:`SimulationError`."""
         if not self._started or self._stopping:
             return
         self._stopping = True
         with self._timer_cond:
             self._timer_cond.notify()
         for queue in self._queues.values():
-            queue.put(_STOP)
+            queue.rouse()
+        self._wake_run()
         for thread in self._threads:
             thread.join(timeout=2.0)
 
@@ -290,12 +398,14 @@ class ThreadsBackend:
               *args: Any) -> Any:
         if delay < -1e-9:
             raise SimulationError(f"negative delay: {delay}")
+        if self._stopping:
+            raise SimulationError(_SHUT_DOWN)
         if delay <= INLINE_DELAY_US:
-            return self._inline(fn, args)
+            return self.busy(delay, fn, *args)
         handle = _TimerHandle(self, fn, args)
         deadline = time.monotonic_ns() + int(delay * 1_000)
-        self._admit()
         with self._timer_cond:
+            self._timers_armed += 1
             self._timer_seq += 1
             heappush(self._timer_heap,
                      (deadline, self._timer_seq, handle))
@@ -306,15 +416,26 @@ class ThreadsBackend:
         """Run ``fn(*args)`` on the calling thread's own context —
         the current container's queue on a worker thread, the client
         queue elsewhere."""
-        return self.post(getattr(self._tls, "container_id", _CLIENT),
-                         fn, *args)
+        return self.post(self._thread_state().cid, fn, *args)
 
     def post(self, container_id: int, fn: Callable[..., Any],
              *args: Any) -> _QueueItem:
         """Enqueue ``fn(*args)`` on ``container_id``'s worker thread
         (``-1``/client for non-container work).  Never blocks."""
         item = _QueueItem(fn, args)
-        self._admit()
+        try:
+            state = self._tls.state
+        except AttributeError:
+            state = self._thread_state()
+        if state.room and state.cid == container_id:
+            # The worker posting to itself: the item rides the burst
+            # being run.  Nothing to count either — the burst is not
+            # done before this item is.
+            state.room -= 1
+            state.burst.append(item)
+            return item
+        if self._stopping:
+            raise SimulationError(_SHUT_DOWN)
         self._queues[container_id].put(item)
         return item
 
@@ -323,21 +444,30 @@ class ThreadsBackend:
         """Continue with ``fn(*args)`` immediately: on real hardware
         the modeled occupancy is subsumed by actual CPU work (the
         caller still accounts the modeled microseconds)."""
-        return self._inline(fn, args)
-
-    def _inline(self, fn: Callable[..., Any], args: tuple) -> None:
-        tls = self._tls
-        depth = getattr(tls, "depth", 0)
+        try:
+            state = self._tls.state
+        except AttributeError:
+            state = self._thread_state()
+        depth = state.depth
         if depth >= MAX_INLINE_DEPTH:
-            self.post(getattr(tls, "container_id", _CLIENT),
-                      fn, *args)
+            self.post(state.cid, fn, *args)
             return None
-        tls.depth = depth + 1
+        state.depth = depth + 1
         try:
             fn(*args)
         finally:
-            tls.depth = depth
+            state.depth = depth
         return None
+
+    def _thread_state(self) -> _ThreadState:
+        """The calling thread's state; a thread the backend did not
+        start (a client, the server's loop) gets one on first use."""
+        tls = self._tls
+        try:
+            return tls.state
+        except AttributeError:
+            state = tls.state = _ThreadState(_CLIENT, None)
+            return state
 
     # ------------------------------------------------------------------
     # Backend hooks
@@ -352,10 +482,10 @@ class ThreadsBackend:
         future.add_waiter(_Relay(self, target, callback), *args)
 
     def state_guard(self) -> Any:
-        return _StateGuard(self)
+        return _Guard(self, ())
 
     def commit_guard(self, container_ids: Iterable[int]) -> Any:
-        return _CommitGuard(self, sorted(set(container_ids)))
+        return _Guard(self, sorted(set(container_ids)))
 
     def admit_root(self, executor: Any) -> bool:
         """Bounded intake: may this executor accept another root?"""
@@ -385,22 +515,26 @@ class ThreadsBackend:
         if not self._started:
             raise SimulationError(
                 "threads backend not attached to a database")
+        deadline_ns = None
+        if until is not None:
+            if until < 0:
+                raise SimulationError(
+                    f"cannot run until a negative timestamp: {until}")
+            deadline_ns = self._origin_ns + int(until * 1_000)
         self._running = True
         try:
-            deadline_ns = None
-            if until is not None:
-                self._origin_check(until)
-                deadline_ns = self._origin_ns + int(until * 1_000)
-            while True:
-                with self._acct:
+            # The idle test runs under `_acct` and so does a worker's
+            # notify: a worker that goes idle after the test finds
+            # this thread already waiting.  (Should a worker read a
+            # stale `_running`, the poll interval bounds the delay.)
+            with self._acct:
+                while True:
+                    if self._stopping:
+                        raise SimulationError(_SHUT_DOWN)
                     if self._error is not None:
                         error, self._error = self._error, None
                         raise error
-                    if self._outstanding == 0:
-                        break
-                    if deadline_ns is not None and \
-                            self._outstanding == self._timers_after(
-                                deadline_ns):
+                    if self._outstanding(deadline_ns) == 0:
                         break
                     self._acct.wait(timeout=0.05)
             if deadline_ns is not None:
@@ -410,29 +544,10 @@ class ThreadsBackend:
         finally:
             self._running = False
 
-    def _origin_check(self, until: float) -> None:
-        if until < 0:
-            raise SimulationError(
-                f"cannot run until a negative timestamp: {until}")
-
-    def _timers_after(self, deadline_ns: int) -> int:
-        """Armed timers strictly beyond ``deadline_ns`` — outstanding
-        work that must *not* hold up a bounded ``run(until=...)``."""
-        with self._timer_cond:
-            return sum(1 for when, __, handle in self._timer_heap
-                       if when > deadline_ns
-                       and handle.state == "queued")
-
-    def _admit(self) -> None:
-        with self._acct:
-            self._outstanding += 1
-
-    def _retire(self) -> None:
-        with self._acct:
-            self._outstanding -= 1
-            # Every retirement may complete quiescence — including the
-            # timers-only state a bounded run(until=...) waits on.
-            self._acct.notify_all()
+    def _wake_run(self) -> None:
+        if self._running:
+            with self._acct:
+                self._acct.notify_all()
 
     # ------------------------------------------------------------------
     # Threads
@@ -440,40 +555,50 @@ class ThreadsBackend:
 
     def _worker_loop(self, cid: int, queue: _WorkQueue,
                      lock: Any) -> None:
-        tls = self._tls
-        if cid != _CLIENT:
-            tls.container_id = cid
-            tls.container_lock = lock
-        tls.depth = 0
+        is_container = cid != _CLIENT
+        state = self._tls.state = _ThreadState(
+            cid, lock if is_container else None)
         busy_ns = self._busy_ns
-        while True:
-            item = queue.take()
-            if item is _STOP:
-                return
-            if item.cancelled:
-                self._retire()
+        while not self._stopping:
+            burst = queue.take()
+            if burst is None:
+                self._wake_run()
+                queue.wake.acquire()
                 continue
             start = time.monotonic_ns()
-            lock.acquire()
-            tls.lock_held = True
-            try:
-                item.fn(*item.args)
-            except BaseException as error:  # noqa: BLE001
-                with self._acct:
-                    if self._error is None:
-                        self._error = error
-            finally:
-                tls.lock_held = False
-                lock.release()
+            taken = len(burst)
+            state.burst = burst
+            state.room = MAX_BURST
+            ran = 0
+            # Self-posts grow `burst` while it is iterated; a list
+            # iterator yields what was appended.
+            for item in burst:
+                if item.cancelled:
+                    continue
+                lock.acquire()
+                state.lock_held = is_container
+                try:
+                    item.fn(*item.args)
+                except BaseException as error:  # noqa: BLE001
+                    with self._acct:
+                        if self._error is None:
+                            self._error = error
+                finally:
+                    state.lock_held = False
+                    lock.release()
+                ran += 1
+            # Asleep, a worker must not keep its last burst alive.
+            state.room = 0
+            state.burst = burst = item = None
+            queue.ran += ran
+            queue.done += taken
             busy_ns[cid] += time.monotonic_ns() - start
-            self._dispatched += 1
-            self._retire()
 
     def _timer_loop(self) -> None:
         heap = self._timer_heap
         cond = self._timer_cond
+        client = self._queues[_CLIENT]
         while True:
-            fire: _TimerHandle | None = None
             with cond:
                 if self._stopping:
                     return
@@ -490,19 +615,12 @@ class ThreadsBackend:
                     continue
                 heappop(heap)
                 handle.state = "fired"
-                fire = handle
-            # Outside the timer lock: enqueue on the client thread
-            # (admits a new unit), then retire the timer's own unit.
-            self._queues[_CLIENT].put(
-                _QueueItem(fire.fn, fire.args))
-            self._admit_transfer()
-
-    def _admit_transfer(self) -> None:
-        # A fired timer converts 1:1 into a queued callback; the
-        # outstanding count is unchanged but run(until=...) waiters
-        # must re-examine the timers-only condition.
-        with self._acct:
-            self._acct.notify_all()
+            # Done only once its callback is counted on the client
+            # queue, or run() could see neither.
+            client.put(_QueueItem(handle.fn, handle.args))
+            with cond:
+                self._timers_done += 1
+            self._wake_run()
 
     # ------------------------------------------------------------------
     # Measurement
@@ -521,62 +639,56 @@ class ThreadsBackend:
                 for cid, queue in sorted(self._queues.items())}
 
 
-class _StateGuard:
-    """Acquire the backend state lock; release the calling worker's
-    own container lock first (re-acquired on exit) so no thread ever
-    waits for the state lock while holding a container lock."""
+class _Guard:
+    """The backend state lock, then every participant's container
+    lock in sorted container-id order (none for a state guard).
 
-    __slots__ = ("backend", "_released")
+    The calling worker's own container lock is released first and
+    re-acquired on exit, so no thread ever waits for the state lock
+    while holding a container lock.  Only one guard is inside at a
+    time (the state lock is exclusive), so the per-guard sorted order
+    can never interleave into a cycle.
+    """
 
-    def __init__(self, backend: ThreadsBackend) -> None:
-        self.backend = backend
-        self._released: Any = None
-
-    def __enter__(self) -> "_StateGuard":
-        tls = self.backend._tls
-        own = getattr(tls, "container_lock", None)
-        if own is not None and getattr(tls, "lock_held", False):
-            own.release()
-            tls.lock_held = False
-            self._released = own
-        self.backend.lock.acquire()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.backend.lock.release()
-        own = self._released
-        if own is not None:
-            own.acquire()
-            self.backend._tls.lock_held = True
-
-
-class _CommitGuard(_StateGuard):
-    """State lock plus every participant's container lock, acquired
-    in sorted container-id order.  Only one commit/abort is in flight
-    at a time (the state lock is exclusive), so the per-guard sorted
-    order can never interleave into a cycle."""
-
-    __slots__ = ("container_ids",)
+    __slots__ = ("backend", "container_ids", "_released")
 
     def __init__(self, backend: ThreadsBackend,
-                 container_ids: list[int]) -> None:
-        super().__init__(backend)
+                 container_ids: Iterable[int]) -> None:
+        self.backend = backend
         self.container_ids = container_ids
+        self._released: _ThreadState | None = None
 
-    def __enter__(self) -> "_CommitGuard":
-        super().__enter__()
+    def __enter__(self) -> "_Guard":
+        backend = self.backend
+        try:
+            state = backend._tls.state
+        except AttributeError:
+            state = backend._thread_state()
+        if state.lock_held:
+            state.own_lock.release()
+            state.lock_held = False
+            self._released = state
+        backend.lock.acquire()
+        locks = backend._container_locks
         for cid in self.container_ids:
-            self.backend._container_locks[cid].acquire()
+            locks[cid].acquire()
         return self
 
     def __exit__(self, *exc: Any) -> None:
+        backend = self.backend
+        locks = backend._container_locks
         for cid in reversed(self.container_ids):
-            self.backend._container_locks[cid].release()
-        super().__exit__(*exc)
+            locks[cid].release()
+        backend.lock.release()
+        state = self._released
+        if state is not None:
+            state.own_lock.acquire()
+            state.lock_held = True
 
 
 __all__ = [
     "INLINE_DELAY_US",
+    "MAX_BURST",
     "MAX_INLINE_DEPTH",
     "ThreadsBackend",
     "gil_enabled",

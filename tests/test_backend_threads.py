@@ -3,9 +3,13 @@
 The integration story (same committed state as sim, certificates pass)
 lives in ``test_backend_equivalence.py``; these tests pin the backend
 primitives themselves: the registry, deployment-config validation,
-queue/timer scheduling, quiesce accounting, error propagation,
-thread-safe futures, lock guards, and the database-level intake and
-lifecycle behaviour.
+queue/timer scheduling, the burst hand-off (self-posts ride the
+running burst up to ``MAX_BURST``, a sleeping worker is woken exactly
+once), quiesce accounting, error propagation, typed errors after
+``shutdown()``, thread-safe futures, lock guards, and the
+database-level intake and lifecycle behaviour.  The quiescence
+counters have a property test of their own
+(``test_threads_quiescence.py``).
 """
 
 from __future__ import annotations
@@ -15,13 +19,20 @@ import time
 
 import pytest
 
+from repro.client import LocalClient, TcpClient
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import DeploymentConfig, shared_nothing
 from repro.errors import DeploymentError, SimulationError
 from repro.replication.config import ReplicationConfig
 from repro.runtime.backend import create_backend
 from repro.runtime.futures import SimFuture, ThreadSafeFuture
-from repro.runtime.threads import INLINE_DELAY_US, ThreadsBackend
+from repro.runtime.threads import (
+    INLINE_DELAY_US,
+    MAX_BURST,
+    ThreadsBackend,
+    _WorkQueue,
+)
+from repro.serving import serve_in_thread
 from repro.sim.scheduler import SimScheduler
 from repro.workloads import smallbank as sb
 
@@ -184,6 +195,242 @@ class TestThreadsScheduling:
         busy = backend.container_busy_us()
         assert busy[0] >= 1_000.0
         assert set(backend.queue_depths()) == {-1, 0, 1}
+
+
+class TestBurstHandOff:
+    """Deterministic guards on the hand-off: counts and orders, no
+    clock (the deadlines below only turn a hang into a failure)."""
+
+    @pytest.fixture
+    def puts(self, monkeypatch):
+        """Every ``_WorkQueue.put``, as the queue it went to."""
+        seen = []
+        real_put = _WorkQueue.put
+
+        def counting_put(queue, item):
+            seen.append(queue)
+            real_put(queue, item)
+
+        monkeypatch.setattr(_WorkQueue, "put", counting_put)
+        return seen
+
+    @staticmethod
+    def _chain(backend, ran, length):
+        """A callback on container 0 that re-posts itself until it
+        has run ``length`` + 1 times."""
+        def step(n):
+            ran.append(n)
+            if n < length:
+                backend.post(0, step, n + 1)
+        return step
+
+    def test_self_posts_ride_the_burst(self, backend, puts):
+        ran = []
+        backend.post(0, self._chain(backend, ran, MAX_BURST), 0)
+        backend.run()
+        assert ran == list(range(MAX_BURST + 1))
+        assert len(puts) == 1  # the first post, from this thread
+        assert backend.pending() == 0
+        assert backend.events_dispatched == MAX_BURST + 1
+
+    def test_the_self_post_past_the_bound_goes_through_the_queue(
+            self, backend, puts):
+        ran = []
+        backend.post(0, self._chain(backend, ran, 2 * MAX_BURST + 2), 0)
+        backend.run()
+        assert ran == list(range(2 * MAX_BURST + 3))
+        # One per burst: this thread's, then the worker's own once a
+        # burst has taken MAX_BURST self-posts.
+        assert puts == [backend._queues[0]] * 3
+
+    def test_a_foreign_post_is_not_starved_by_a_self_posting_chain(
+            self, backend):
+        ran = []
+        midway, posted = threading.Event(), threading.Event()
+        length = 4 * MAX_BURST
+
+        def step(n):
+            ran.append(n)
+            if n == 3:
+                midway.set()
+                assert posted.wait(5.0)
+            if n < length:
+                backend.post(0, step, n + 1)
+
+        backend.post(0, step, 0)
+        assert midway.wait(5.0)
+        backend.post(0, ran.append, "foreign")
+        posted.set()
+        backend.run()
+        # It waited out the burst it fell into — at most MAX_BURST
+        # self-posts — and not the chain.
+        assert ran.index("foreign") == MAX_BURST + 1
+        assert [n for n in ran if n != "foreign"] == \
+            list(range(length + 1))
+
+    def test_per_poster_fifo_across_the_burst_boundary(self, backend):
+        ran = []
+        inside, go = threading.Event(), threading.Event()
+        count = 2 * MAX_BURST + 10
+
+        def poster():
+            inside.set()
+            assert go.wait(5.0)
+            # The first MAX_BURST ride this burst, the rest queue up
+            # behind what the other thread posted meanwhile.
+            for n in range(count):
+                backend.post(0, ran.append, ("own", n))
+
+        backend.post(0, poster)
+        assert inside.wait(5.0)
+        for n in range(count):
+            backend.post(0, ran.append, ("foreign", n))
+        go.set()
+        backend.run()
+        assert len(ran) == 2 * count
+        for who in ("own", "foreign"):
+            assert [n for w, n in ran if w == who] == list(range(count))
+
+    def test_put_wakes_a_sleeping_worker_exactly_once(self, backend):
+        queue = backend._queues[1]
+
+        class CountingWake:
+            """``queue.wake`` with its releases counted; a release
+            too many raises, as on the lock itself."""
+            releases = 0
+
+            def __init__(self, lock):
+                self.acquire = lock.acquire
+                self._release = lock.release
+
+            def release(self):
+                CountingWake.releases += 1
+                self._release()
+
+        ran = []
+        for round_no in range(1, 101):
+            deadline = time.monotonic() + 5.0
+            while not queue.asleep:
+                assert time.monotonic() < deadline
+                time.sleep(0)
+            if round_no == 1:
+                queue.wake = CountingWake(queue.wake)
+            gate = threading.Event()
+            backend.post(1, gate.wait, 5.0)   # wakes the worker ...
+            for n in range(3):                # ... these must not
+                backend.post(1, ran.append, n)
+            gate.set()
+            backend.run()
+            assert CountingWake.releases == round_no
+        assert ran == [0, 1, 2] * 100
+
+
+class TestShutDown:
+    """Work handed to a stopped backend used to queue for a worker
+    that had exited: ``run()`` then waited forever."""
+
+    @staticmethod
+    def _bounded(fn, *args):
+        """``fn(*args)`` on a thread of its own: what it returned or
+        raised — or a failure, not a hang, if it did neither."""
+        box = []
+
+        def target():
+            try:
+                box.append(("returned", fn(*args)))
+            except BaseException as error:  # noqa: BLE001
+                box.append(("raised", error))
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive(), f"{fn} still blocked after 5 s"
+        return box[0]
+
+    @pytest.fixture
+    def stopped(self):
+        instance = ThreadsBackend()
+        instance.attach(2)
+        instance.run()
+        instance.shutdown()
+        return instance
+
+    @pytest.mark.parametrize("entry, args", [
+        ("post", (0, print)),
+        ("soon", (print,)),
+        ("after", (INLINE_DELAY_US, print)),
+        ("after", (5_000.0, print)),
+        ("at", (0.0, print)),
+        ("run", ()),
+    ])
+    def test_every_entry_point_raises(self, stopped, entry, args):
+        how, error = self._bounded(getattr(stopped, entry), *args)
+        assert how == "raised"
+        assert isinstance(error, SimulationError)
+        assert "shut down" in str(error)
+        assert stopped.pending() == 0
+        stopped.shutdown()  # still idempotent
+
+    def test_shutdown_releases_a_caller_inside_run(self):
+        instance = ThreadsBackend()
+        instance.attach(1)
+        gate = threading.Event()
+        instance.post(0, gate.wait, 5.0)
+        box = []
+
+        def runner():
+            try:
+                instance.run()
+            except SimulationError as error:
+                box.append(error)
+
+        thread = threading.Thread(target=runner, daemon=True)
+        thread.start()
+        while not instance._running:
+            time.sleep(0)
+        stopper = threading.Thread(target=instance.shutdown,
+                                   daemon=True)
+        stopper.start()
+        thread.join(timeout=5.0)
+        gate.set()
+        stopper.join(timeout=5.0)
+        assert not thread.is_alive() and not stopper.is_alive()
+        assert "shut down" in str(box[0])
+
+    def test_submit_after_close_raises_instead_of_hanging(self):
+        database = ReactorDatabase(
+            shared_nothing(2, backend="threads"), sb.declarations(4))
+        sb.load(database, 4)
+        client = LocalClient(database)
+        assert client.call(sb.reactor_name(0), "balance") is not None
+        database.close()
+
+        def submit_and_drain():
+            client.submit(sb.reactor_name(0), "balance")
+            client.drain()
+
+        how, error = self._bounded(submit_and_drain)
+        assert how == "raised" and isinstance(error, SimulationError)
+        how, error = self._bounded(client.drain)
+        assert how == "raised" and isinstance(error, SimulationError)
+
+    def test_served_request_after_close_is_answered_internal(self):
+        database = ReactorDatabase(
+            shared_nothing(2, backend="threads"), sb.declarations(4))
+        sb.load(database, 4)
+        server = serve_in_thread(database)
+        client = TcpClient(server.host, server.port).connect()
+        try:
+            name = sb.reactor_name(1)
+            assert client.submit(name, "balance").wait(5.0).committed
+            database.close()
+            outcome = client.submit(name, "balance").wait(5.0)
+            assert not outcome.committed
+            assert outcome.error_code == "internal"
+            assert "shut down" in outcome.reason
+        finally:
+            client.close()
+            server.stop()
 
 
 class TestGuards:

@@ -34,12 +34,25 @@ inlines one comprehension and reads 1.00 lower); they only ever go
 down.  Raise one only with the number that justifies it in the PR
 description; ``python tests/test_point_path_budget.py 40`` prints the
 per-function table to find where new calls came from.
+
+The third row is the ``threads`` backend's hand-off: ``call`` events
+under ``runtime/threads.py`` on the container worker threads
+(``threading.setprofile``) over the same 200 SmallBank transactions,
+each drained on its own.  33.91 per transaction before ISSUE 24
+(``_admit`` / ``put`` / ``take`` / ``_retire`` per callback, a guard
+class calling up to its base), 21.145 after (a burst per wake-up,
+self-posts appended to it, one guard class, ``busy`` inlining without
+a helper) — 0.62 of it; the profiler that also counts builtins (lock
+methods, ``getattr``) reads 103 -> 46 on the traced e2e run.  Both
+counts leave out what a worker does when it runs dry
+(``_WorkQueue.take``, ``_wake_run``): how often depends on timing.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -56,6 +69,7 @@ CUSTOMERS = 100
 
 SMALLBANK_CEILING = 125.32
 NOOP_CEILING = 61.255
+THREADS_HANDOFF_CEILING = 21.145
 
 NOOP = ReactorType("BudgetNoop", lambda: [])
 
@@ -117,6 +131,54 @@ def noop_calls() -> Counter:
     return count_calls(LocalClient(database), specs)
 
 
+def threads_handoff_calls() -> Counter:
+    """``call`` events under ``runtime/threads.py`` on the container
+    worker threads while the SmallBank specs run solo on a ``threads``
+    database.  ``run()``'s poll loop is on the caller's thread and is
+    not counted; neither are the two calls a worker makes when it
+    runs out of work (``_WorkQueue.take``, ``_wake_run``), whose
+    number depends on whether a reply from the other container finds
+    the worker already asleep and the caller already inside ``run()``.
+    """
+    calls: Counter = Counter()
+    handoff = SRC_ROOT + "/runtime/threads.py"
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename == handoff \
+                    and code.co_name not in ("take", "_wake_run") \
+                    and threading.current_thread().name.startswith(
+                        "repro-container-"):
+                calls[(code.co_firstlineno, code.co_name)] += 1
+
+    worker = _Worker(random.Random("budget/smallbank"))
+    next_txn = sb.SmallbankWorkload(CUSTOMERS).next_txn
+    specs = [next_txn(worker) for __ in range(N_TXNS)]
+    # Worker threads start when the database is built: the hook has
+    # to be in place by then.
+    threading.setprofile(profiler)
+    try:
+        database = ReactorDatabase(
+            shared_nothing(2, mpl=8, cc_scheme="occ",
+                           placement=RangePlacement(CUSTOMERS // 2),
+                           backend="threads"),
+            sb.declarations(CUSTOMERS))
+    finally:
+        threading.setprofile(None)
+    try:
+        sb.load(database, CUSTOMERS)
+        client = LocalClient(database)
+        calls.clear()
+        for reactor, proc, args in specs:
+            submission = client.submit(reactor, proc, *args)
+            client.drain()
+            assert submission.outcome is not None
+    finally:
+        database.close()
+    return calls
+
+
 def test_counts_repeat_exactly():
     assert smallbank_calls() == smallbank_calls()
 
@@ -131,12 +193,24 @@ def test_noop_floor_budget():
     assert per_txn <= NOOP_CEILING, per_txn
 
 
+def test_threads_handoff_budget():
+    first, second = threads_handoff_calls(), threads_handoff_calls()
+    assert first == second
+    per_txn = sum(first.values()) / N_TXNS
+    assert per_txn <= THREADS_HANDOFF_CEILING, per_txn
+
+
 if __name__ == "__main__":
     # The per-function table the ceilings were read from.
+    top = int(sys.argv[1]) if sys.argv[1:] else 25
     for title, calls in (("smallbank", smallbank_calls()),
                          ("noop", noop_calls())):
         print(f"== {title}: "
               f"{sum(calls.values()) / N_TXNS:.2f} calls/txn")
-        for (path, line, name), n in calls.most_common(
-                int(sys.argv[1]) if sys.argv[1:] else 25):
+        for (path, line, name), n in calls.most_common(top):
             print(f"{n / N_TXNS:8.3f}  {path}:{line}({name})")
+    calls = threads_handoff_calls()
+    print(f"== threads hand-off (smallbank, container workers): "
+          f"{sum(calls.values()) / N_TXNS:.2f} calls/txn")
+    for (line, name), n in calls.most_common(top):
+        print(f"{n / N_TXNS:8.3f}  runtime/threads.py:{line}({name})")
