@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.durability.config import ASYNC, GROUP, SYNC
+from repro.durability.config import ASYNC, SYNC
 from repro.durability.wal import RedoRecord
 from repro.runtime.futures import SimFuture
 from repro.telemetry.spans import TRACK_LOG
@@ -240,6 +240,4 @@ class LogFlusher:
         }
 
 
-MODES = (SYNC, GROUP, ASYNC)
-
-__all__ = ["LogFlusher", "FlushEpoch", "FlushStats", "MODES"]
+__all__ = ["LogFlusher", "FlushEpoch", "FlushStats"]

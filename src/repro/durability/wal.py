@@ -15,7 +15,6 @@ recovery can also be exercised across files.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple
@@ -23,6 +22,40 @@ from typing import Any, Callable, Iterable, NamedTuple
 INSERT = "insert"
 UPDATE = "update"
 DELETE = "delete"
+
+#: The C encoder ``json.dumps`` builds on every call, built once per
+#: process with ``json.dumps``'s own settings: ``", "`` / ``": "``
+#: separators, ASCII escapes, NaN and the infinities allowed.  No
+#: ``markers`` dict (the circular-reference check): an installed image
+#: holds no cycle, and one would still end in the encoder's
+#: ``RecursionError``.  The positional signature is CPython's, as the
+#: wire codec's in :mod:`repro.serving.protocol` is.
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default,
+    json.encoder.encode_basestring_ascii, None, ": ", ", ",
+    False, False, True)
+
+#: What a record's line adds to its values: ``{"reactor": R, "table":
+#: T, "kind": K, "pk": P, "row": W}`` is 41 characters longer than
+#: ``[R, T, K, P, W]``, and ``{"tid": N, "entries": [...]}`` is 22
+#: longer than ``N`` plus ``[...]``.
+_ENTRY_KEYS = 41
+_RECORD_KEYS = 22
+
+#: A row's column tuple -> sum of (JSON key + ``": "``) over its
+#: columns: what a row's keys add to the array of its values.  One entry
+#: per schema; two threads filling the same entry write the same value.
+_COLUMN_SIZES: dict[tuple, int] = {}
+
+
+def _columns_size(columns: tuple) -> int:
+    size = 0
+    for column in columns:
+        # ``{K: 0}`` is K's JSON key text plus ``{``, ``: 0`` and ``}``;
+        # the encoder turns a non-string key into text as json.dumps
+        # does.
+        size += sum(map(len, _ENCODE({column: 0}, 0))) - 3
+    return size
 
 
 class RedoEntry(NamedTuple):
@@ -61,10 +94,10 @@ class RedoRecord:
     entries: tuple[RedoEntry, ...]
 
     def to_json_line(self) -> str:
-        return json.dumps({
+        return "".join(_ENCODE({
             "tid": self.commit_tid,
             "entries": [e.to_json() for e in self.entries],
-        })
+        }, 0))
 
     @staticmethod
     def from_json_line(line: str) -> "RedoRecord":
@@ -75,13 +108,31 @@ class RedoRecord:
                           for e in data["entries"]),
         )
 
-    @functools.cached_property
+    @property
     def byte_size(self) -> int:
-        """Serialized size of this record — what the group-commit
-        batcher accumulates against ``flush_batch_bytes``.  Cached:
-        the flush pipeline asks on every append, and records are
-        immutable."""
-        return len(self.to_json_line())
+        """Serialized size of this record, ``len(self.to_json_line())``
+        without building the line — what the group-commit batcher
+        accumulates against ``flush_batch_bytes``, once per append.
+
+        One encoder pass over the entries as arrays ``[reactor, table,
+        kind, pk, row values | null]`` gives every value's JSON text;
+        the key names add constant lengths.  The line is ASCII, so
+        characters are bytes.
+        """
+        size = (_RECORD_KEYS + _ENTRY_KEYS * len(self.entries)
+                + len(str(self.commit_tid)))
+        arrays = []
+        for reactor, table, kind, pk, row in self.entries:
+            if row is not None:
+                columns = tuple(row)
+                try:
+                    size += _COLUMN_SIZES[columns]
+                except KeyError:
+                    size += _COLUMN_SIZES.setdefault(
+                        columns, _columns_size(columns))
+                row = list(row.values())
+            arrays.append((reactor, table, kind, pk, row))
+        return size + sum(map(len, _ENCODE(arrays, 0)))
 
 
 class RedoLog:
@@ -138,9 +189,6 @@ class RedoLog:
         if dropped and tid > self.truncated_through:
             self.truncated_through = tid
         return dropped
-
-    def max_tid(self) -> int:
-        return max((r.commit_tid for r in self.records), default=0)
 
     def dump_json_lines(self) -> str:
         return "\n".join(r.to_json_line() for r in self.records)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serving import protocol
@@ -178,9 +178,13 @@ def test_decode_agrees_with_json_loads(value, indent, before, after):
 
 @settings(max_examples=100, deadline=None)
 @given(value=payloads, other=payloads)
+@example(value=1, other=0).via("the number 10")
+@example(value=1.5, other=0).via("the number 1.50")
 def test_trailing_garbage_is_rejected(value, other):
+    # A second value after whitespace: bare, ``1`` then ``0`` would be
+    # the one number ``10``.
     compact = json_encode(value)
-    for tail in (b"x", b" x", json_encode(other)):
+    for tail in (b"x", b" x", b" " + json_encode(other)):
         with pytest.raises(WireProtocolError, match="undecodable"):
             json_decode(compact + tail)
 

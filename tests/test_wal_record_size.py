@@ -1,0 +1,118 @@
+"""A redo record's size is the length of its JSON line, to the byte.
+
+``RedoRecord.byte_size`` never builds the line: it encodes the record's
+values and adds the key names as constant lengths.  The property below
+holds it to ``len(record.to_json_line())`` on names and values chosen
+to break a size computed any other way — escapes, non-ASCII, lone
+surrogates, non-finite floats, big ints, deletes, empty keys — and
+holds ``to_json_line`` to what ``json.dumps`` prints.  The boundary
+test is the same statement seen from the group-commit flusher: a size
+one character off moves the early flush by one append.
+"""
+
+import json
+from dataclasses import replace
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import DurabilityConfig
+from repro.core.database import ReactorDatabase
+from repro.core.deployment import shared_nothing
+from repro.durability.wal import (
+    DELETE,
+    INSERT,
+    UPDATE,
+    RedoEntry,
+    RedoRecord,
+)
+from repro.sim.machine import XEON_E3_1276, MachineProfile
+from repro.workloads import smallbank as sb
+
+#: Every code point, lone surrogates included, plus the characters
+#: JSON escapes, drawn often.
+names = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\xe9 \U0001f600'
+                    '\ud800\udfff')), max_size=8)
+
+floats = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                     5e-324, 2.2250738585072014e-308, 1e308, -1e308]))
+
+values = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    floats, names)
+
+
+@st.composite
+def records(draw) -> RedoRecord:
+    # A few schemas per record, each row drawing its columns from one
+    # of them in some order: the same key set twice, in two orders.
+    schemas = draw(st.lists(st.lists(names, unique=True, max_size=5),
+                            min_size=1, max_size=3))
+    entries = []
+    for __ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from((INSERT, UPDATE, DELETE)))
+        row = None
+        if kind != DELETE:
+            schema = draw(st.sampled_from(schemas))
+            columns = draw(st.permutations(schema))
+            row = {column: draw(values) for column in columns}
+        pk = tuple(draw(st.lists(values, max_size=3)))
+        entries.append(RedoEntry(draw(names), draw(names), kind, pk, row))
+    tid = draw(st.integers(min_value=0, max_value=2 ** 64))
+    return RedoRecord(tid, tuple(entries))
+
+
+_FORWARD = RedoEntry("r", "t", UPDATE, ("k",),
+                     {"a\xe9": 1.5, 'q"': None, "": True})
+_BACKWARD = _FORWARD._replace(row=dict(reversed(_FORWARD.row.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=records())
+@example(record=RedoRecord(7, (_FORWARD, _BACKWARD, _FORWARD)))
+def test_byte_size_is_the_json_line_length(record):
+    line = record.to_json_line()
+    assert line == json.dumps({
+        "tid": record.commit_tid,
+        "entries": [e.to_json() for e in record.entries]})
+    # ASCII escapes only: characters are bytes.
+    assert line.isascii()
+    assert record.byte_size == len(line) == len(line.encode())
+    # Sized again with every key set already cached.
+    assert record.byte_size == len(line)
+
+
+def test_batch_bytes_threshold_is_exact():
+    """With records of size ``s`` and ``flush_batch_bytes = k * s``,
+    the epoch flushes early at the k-th append, not before or after.
+    ``k = s + 1`` makes both directions bite: a size one character
+    short reaches ``k * (s - 1) < k * s`` at the k-th append, one
+    character long reaches ``(k - 1) * (s + 1) >= k * s`` a step
+    early."""
+    row = {"cust_id": 0, "balance": -0.0, "note": 'café "\\\n'}
+    entry = RedoEntry(sb.reactor_name(0), "checking", UPDATE, (0,), row)
+    size = len(RedoRecord(1000, (entry,)).to_json_line())
+    appends = size + 1
+    machine = MachineProfile(
+        name="xeon-e3-1276", hardware_threads=8,
+        costs=replace(XEON_E3_1276.costs,
+                      flush_batch_bytes=appends * size))
+    database = ReactorDatabase(
+        shared_nothing(1, machine=machine,
+                       durability=DurabilityConfig(enabled=True,
+                                                   mode="group")),
+        sb.declarations(2))
+    log = database.durability.logs[0]
+    flusher = database.durability.flushers[0]
+    # Four-digit TIDs: every record is the same size.
+    for tid in range(1000, 1000 + appends - 1):
+        log.append(tid, [entry])
+    assert flusher.stats.early_flushes == 0
+    log.append(1000 + appends - 1, [entry])
+    assert flusher.stats.early_flushes == 1
+    database.close()
