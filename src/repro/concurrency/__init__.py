@@ -17,28 +17,27 @@ classic transactional model implements one for the reactor model (see
 
 Public exports: the scheme protocol (:class:`ConcurrencyControl`,
 :class:`CCSession`, :class:`CCStats`, :class:`WriteIntent`,
-:class:`ScanResult`), the registry (``register_cc_scheme`` /
-``create_cc_scheme`` / ``cc_scheme_names`` /
-:data:`BUILTIN_CC_SCHEMES`), the explicit no-CC
+:class:`ScanResult`), the scheme table (:func:`create_cc_scheme` and
+its names, :data:`BUILTIN_CC_SCHEMES`), the explicit no-CC
 :class:`PassthroughCC`, and the coordinator's result
 (:class:`CommitOutcome`; the protocol itself is
 ``coordinator.commit`` / ``coordinator.abort``).
 """
 
+from functools import partial
+
 from repro.concurrency.base import (
-    BUILTIN_CC_SCHEMES,
     CCSession,
     CCStats,
     ConcurrencyControl,
     PassthroughCC,
     ScanResult,
     WriteIntent,
-    cc_scheme_names,
-    create_cc_scheme,
-    register_cc_scheme,
 )
 from repro.concurrency.coordinator import CommitOutcome
 from repro.concurrency.locking import (
+    NO_WAIT,
+    WAIT_DIE,
     LockingCC,
     LockingSession,
     LockManager,
@@ -53,6 +52,36 @@ from repro.concurrency.tid import (
     tid_epoch,
     tid_seq,
 )
+from repro.errors import DeploymentError
+
+#: Every deployment-selectable scheme: its name, and the factory
+#: called as ``factory(container_id, epochs)`` once per container at
+#: database build time.
+_CC_SCHEMES = {
+    "occ": ConcurrencyManager,
+    "mvocc": MVConcurrencyManager,
+    "2pl_nowait": partial(LockingCC, policy=NO_WAIT, scheme="2pl_nowait"),
+    "2pl_waitdie": partial(LockingCC, policy=WAIT_DIE,
+                           scheme="2pl_waitdie"),
+    "none": PassthroughCC,
+}
+
+#: The scheme names ``DeploymentConfig.cc_scheme`` accepts.
+BUILTIN_CC_SCHEMES = tuple(_CC_SCHEMES)
+
+
+def create_cc_scheme(name: str, container_id: int,
+                     epochs: EpochManager) -> ConcurrencyControl:
+    """Instantiate the scheme ``name`` for one container."""
+    try:
+        factory = _CC_SCHEMES[name]
+    except KeyError:
+        raise DeploymentError(
+            f"unknown cc_scheme {name!r}; expected one of "
+            f"{', '.join(BUILTIN_CC_SCHEMES)}"
+        ) from None
+    return factory(container_id, epochs)
+
 
 __all__ = [
     "BUILTIN_CC_SCHEMES",
@@ -72,9 +101,7 @@ __all__ = [
     "CommitOutcome",
     "EpochManager",
     "TidGenerator",
-    "cc_scheme_names",
     "create_cc_scheme",
-    "register_cc_scheme",
     "make_tid",
     "tid_epoch",
     "tid_seq",

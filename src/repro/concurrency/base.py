@@ -2,9 +2,7 @@
 
 Database architecture is a deployment-time choice (the paper's central
 claim) — and so is the concurrency scheme.  This module defines the
-protocol every scheme implements, the machinery they share, and the
-registry that maps a ``cc_scheme`` deployment string to a per-container
-manager:
+protocol every scheme implements and the machinery they share:
 
 * :class:`CCSession` — the transactional record manager for one (root
   transaction, container) pair.  It owns the read-your-writes overlay:
@@ -23,15 +21,11 @@ manager:
   redo log, and drives ``validate`` / ``install`` / ``abort``.  The
   write-installation phase is scheme-independent and lives here.
 
-* :func:`register_cc_scheme` / :func:`create_cc_scheme` — the scheme
-  registry.  Built-in schemes: ``"occ"`` (Silo-style optimistic,
-  :mod:`repro.concurrency.occ`), ``"mvocc"`` (multi-version OCC:
-  Silo-OCC writers plus abort-free snapshot-isolated read-only roots,
-  :mod:`repro.concurrency.mvcc`), ``"2pl_nowait"`` and
-  ``"2pl_waitdie"`` (two-phase locking,
-  :mod:`repro.concurrency.locking`), and ``"none"``
-  (:class:`PassthroughCC`, the explicit no-concurrency-control
-  scheme).
+* :class:`PassthroughCC` — the explicit no-concurrency-control
+  scheme, ``"none"``.
+
+The table that maps a ``cc_scheme`` deployment string to a
+per-container manager is :func:`repro.concurrency.create_cc_scheme`'s.
 
 Every data operation returns the number of records *examined* along
 with its result, so the execution runtime can charge simulated CPU
@@ -41,10 +35,9 @@ proportional to real work done.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.errors import (
-    DeploymentError,
     DuplicateKeyError,
     QueryError,
     ReactorError,
@@ -675,7 +668,7 @@ class CCSession:
     def release_locks(self) -> None:
         txn_id = self.txn_id
         for record in self._locked:
-            if record.locked_by == txn_id:  # record.unlock(), inline
+            if record.locked_by == txn_id:
                 record.locked_by = None
         self._locked.clear()
 
@@ -698,7 +691,7 @@ class ConcurrencyControl:
     released through :meth:`CCSession.release_locks`).
     """
 
-    #: Registry name of the scheme (set by subclasses).
+    #: Table name of the scheme (set by subclasses).
     scheme = "abstract"
 
     #: Skip (instead of propagating) a write whose install is refused.
@@ -865,59 +858,3 @@ class PassthroughCC(ConcurrencyControl):
             return 0
         self.stats.validations += 1
         return 0
-
-
-# ----------------------------------------------------------------------
-# Scheme registry
-# ----------------------------------------------------------------------
-
-#: The deployment-selectable scheme names shipped with the system.
-BUILTIN_CC_SCHEMES = ("occ", "mvocc", "2pl_nowait", "2pl_waitdie",
-                      "none")
-
-_SCHEME_FACTORIES: dict[
-    str, Callable[[int, EpochManager], ConcurrencyControl]] = {}
-
-
-def register_cc_scheme(name: str):
-    """Class/function decorator adding a scheme factory under ``name``.
-
-    The factory is called as ``factory(container_id, epochs)`` once per
-    container at database build time.
-    """
-    def decorate(factory):
-        _SCHEME_FACTORIES[name] = factory
-        return factory
-    return decorate
-
-
-def _ensure_builtin_schemes() -> None:
-    # Deferred: occ/locking/mvcc import this module for the base
-    # classes.
-    import repro.concurrency.locking  # noqa: F401
-    import repro.concurrency.mvcc  # noqa: F401
-    import repro.concurrency.occ  # noqa: F401
-
-
-def cc_scheme_names() -> tuple[str, ...]:
-    """All registered scheme names (built-ins plus extensions)."""
-    _ensure_builtin_schemes()
-    return tuple(sorted(_SCHEME_FACTORIES))
-
-
-def create_cc_scheme(name: str, container_id: int,
-                     epochs: EpochManager) -> ConcurrencyControl:
-    """Instantiate the scheme ``name`` for one container."""
-    _ensure_builtin_schemes()
-    try:
-        factory = _SCHEME_FACTORIES[name]
-    except KeyError:
-        raise DeploymentError(
-            f"unknown cc_scheme {name!r}; registered schemes: "
-            f"{', '.join(sorted(_SCHEME_FACTORIES))}"
-        ) from None
-    return factory(container_id, epochs)
-
-
-register_cc_scheme("none")(
-    lambda container_id, epochs: PassthroughCC(container_id, epochs))

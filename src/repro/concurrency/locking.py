@@ -58,7 +58,6 @@ from repro.concurrency.base import (
     DELETE,
     INSERT,
     WriteIntent,
-    register_cc_scheme,
 )
 from repro.concurrency.tid import EpochManager
 from repro.relational.table import Table
@@ -304,7 +303,7 @@ class LockingCC(ConcurrencyControl):
     """Per-container 2PL engine parameterized by conflict policy."""
 
     #: ``scheme`` is an *instance* slot here (shadowing the base class
-    #: attribute): one class serves both registry names.
+    #: attribute): one class serves both 2PL table entries.
     __slots__ = ("policy", "scheme", "locks")
 
     def __init__(self, container_id: int, epochs: EpochManager,
@@ -312,7 +311,7 @@ class LockingCC(ConcurrencyControl):
                  scheme: str | None = None) -> None:
         super().__init__(container_id, epochs)
         self.policy = policy
-        #: Registry name when created through the scheme registry.
+        #: Table name when created through ``create_cc_scheme``.
         self.scheme = scheme if scheme is not None else f"2pl_{policy}"
         self.locks = LockManager(policy, self.stats)
 
@@ -343,18 +342,6 @@ class LockingCC(ConcurrencyControl):
     # Pricing it cheaper would hand 2PL a free-locking artifact in
     # scheme ablations; this way benchmark differences come from aborts
     # and conflicts, not from the cost model.
-
-
-def _make(policy: str, scheme: str):
-    def factory(container_id: int, epochs: EpochManager) -> LockingCC:
-        return LockingCC(container_id, epochs, policy=policy,
-                         scheme=scheme)
-    return factory
-
-
-for _scheme, _policy in (("2pl_nowait", NO_WAIT),
-                         ("2pl_waitdie", WAIT_DIE)):
-    register_cc_scheme(_scheme)(_make(_policy, _scheme))
 
 
 __all__ = [

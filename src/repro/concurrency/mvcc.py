@@ -38,7 +38,6 @@ from typing import Any, Mapping
 from repro.concurrency.base import (
     CCSession,
     ScanResult,
-    register_cc_scheme,
     require_hash_equality,
 )
 from repro.concurrency.occ import ConcurrencyManager
@@ -241,7 +240,6 @@ class SnapshotSession(CCSession):
         raise AssertionError("unreachable")
 
 
-@register_cc_scheme("mvocc")
 class MVConcurrencyManager(ConcurrencyManager):
     """The ``"mvocc"`` scheme: Silo-OCC writers, snapshot readers.
 

@@ -24,7 +24,6 @@ from repro.concurrency.base import (
     Row,
     ScanResult,
     WriteIntent,
-    register_cc_scheme,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ class OCCSession(CCSession):
     __slots__ = ()
 
 
-@register_cc_scheme("occ")
 class ConcurrencyManager(ConcurrencyControl):
     """Per-container OCC engine: validation, installation, TIDs."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.concurrency.base import create_cc_scheme
+from repro.concurrency import create_cc_scheme
 from repro.concurrency.tid import EpochManager
 from repro.core.deployment import ROUND_ROBIN, DeploymentConfig
 from repro.core.reactor import Reactor, ReactorType
@@ -258,33 +258,43 @@ class ReactorDatabase:
         if reactor.container.failed:
             # Failed primary with no promoted replacement yet: refuse
             # immediately rather than queueing on a dead executor.
-            root.finished = True
-            if self.replication is not None:
-                self.replication.stats.failover_aborts += 1
-            reason = (f"container {reactor.container.container_id} "
-                      "failed")
-            self.telemetry.note_root_done(root, False, reason,
-                                          self.scheduler.now)
-            if on_done is not None:
-                self.scheduler.soon(on_done, root, False, reason, None)
+            self.refuse_root(root, on_done, reactor.container)
             return root
         executor = self._route_root(reactor)
         if not self.scheduler.admit_root(executor):
             # Bounded intake (wall-clock backends): the target
             # executor's work queue is at its admission bound, so shed
             # the root at the door instead of growing the queue without
-            # limit.  Sheds count as refused roots, never as aborts.
-            root.finished = True
-            reason = (f"container {reactor.container.container_id} "
-                      "backpressure: admission queue full")
-            self.telemetry.note_root_done(root, False, reason,
-                                          self.scheduler.now)
-            if on_done is not None:
-                self.scheduler.soon(on_done, root, False, reason,
-                                    ROOT_REFUSED)
+            # limit.
+            self.refuse_root(root, on_done, reactor.container,
+                             ROOT_REFUSED)
             return root
         executor.submit(invocation)
         return root
+
+    def refuse_root(self, root: RootTransaction,
+                    on_done: Callable[..., None] | None,
+                    container: Container, result: Any = None) -> None:
+        """Report a root that never ran as done, uncommitted, once.
+
+        ``result`` is ``None`` when ``container`` has failed, which
+        counts as a failover abort, or :data:`ROOT_REFUSED` when its
+        executor shed the root at admission, which does not: the root
+        may be retried.  ``on_done`` is scheduled with ``soon``, at the
+        instant the refusal is decided.
+        """
+        root.finished = True
+        cid = container.container_id
+        if result is ROOT_REFUSED:
+            reason = f"container {cid} backpressure: admission queue full"
+        else:
+            reason = f"container {cid} failed"
+            if self.replication is not None:
+                self.replication.stats.failover_aborts += 1
+        self.telemetry.note_root_done(root, False, reason,
+                                      self.scheduler.now)
+        if on_done is not None:
+            self.scheduler.soon(on_done, root, False, reason, result)
 
     def _route_root(self, reactor: Reactor) -> TransactionExecutor:
         container = reactor.container

@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.concurrency import BUILTIN_CC_SCHEMES
 from repro.durability.config import NO_DURABILITY, DurabilityConfig
 from repro.errors import DeploymentError, read_config_keys
 from repro.migration.config import DEFAULT_MIGRATION, MigrationConfig
@@ -208,12 +209,10 @@ class DeploymentConfig:
                 "round-robin routing models a shared-everything "
                 "deployment; use a single container"
             )
-        from repro.concurrency.base import cc_scheme_names
-
-        if self.cc_scheme not in cc_scheme_names():
+        if self.cc_scheme not in BUILTIN_CC_SCHEMES:
             raise DeploymentError(
                 f"unknown cc_scheme {self.cc_scheme!r}; expected one "
-                f"of {', '.join(cc_scheme_names())}"
+                f"of {', '.join(BUILTIN_CC_SCHEMES)}"
             )
         if self.backend not in BACKENDS:
             raise DeploymentError(

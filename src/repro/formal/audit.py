@@ -17,7 +17,7 @@ only, never virtual time.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any
+from typing import Any, Iterable, Mapping
 
 from repro.concurrency.base import CCSession
 from repro.formal.history import ReactorHistory
@@ -34,8 +34,6 @@ class HistoryRecorder:
     def __init__(self) -> None:
         self.history = ReactorHistory()
         self._reactor_ids: dict[int, int] = {}
-        self._reactor_names: dict[int, str] = {}
-        self._current_sub: dict[int, int] = {}
 
     # -- identity bookkeeping -------------------------------------------
 
@@ -43,11 +41,7 @@ class HistoryRecorder:
         key = id(reactor)
         if key not in self._reactor_ids:
             self._reactor_ids[key] = len(self._reactor_ids)
-            self._reactor_names[self._reactor_ids[key]] = reactor.name
         return self._reactor_ids[key]
-
-    def reactor_name(self, reactor_id: int) -> str:
-        return self._reactor_names[reactor_id]
 
     def alias_reactor(self, old: Any, new: Any) -> None:
         """Register ``new`` as the continuation of ``old``.
@@ -189,29 +183,41 @@ class _RecordingSession:
 
 
 # ----------------------------------------------------------------------
-# Replica consistency certification (black-box, after Huang et al.)
+# State certificates (black-box, after Huang et al.): one replay
+# oracle, one live-table reader
 # ----------------------------------------------------------------------
 
-def _expected_state(manager: Any, cid: int, records: list,
-                    fences: dict[str, int] | None = None) \
-        -> dict[tuple[str, str], dict[tuple, dict]]:
-    """Replay base rows + a record sequence into a flat state map.
+#: A flat table state: ``(reactor, table) -> {primary key: row}``,
+#: with no empty bucket (an untouched table and an emptied one are the
+#: same "no rows" state).
+State = dict[tuple[str, str], dict[tuple, dict]]
 
-    ``fences`` (reactor name -> record index) reproduces the online-
-    migration skip rule: entries for a reactor re-homed into this
+
+def _replay(database: Any,
+            base_rows: Iterable[tuple[tuple[str, str], Iterable[dict]]],
+            records: Iterable[Any],
+            fences: Mapping[str, int] | None = None) -> State:
+    """The independent replay oracle every state certificate compares
+    live tables against: ``base_rows`` (``((reactor, table), rows)``
+    pairs, keyed through ``database``'s schemas) overwritten by the
+    entries of ``records``, in order.
+
+    ``fences`` (reactor name -> record index) reproduces replication's
+    online-migration skip rule: entries for a reactor re-homed into the
     container mid-run are ignored below the fence — the migration
     snapshot in the base rows supersedes history from any previous
     residence (see :class:`repro.replication.replica.ReplicaContainer`).
+
+    Rows are copied in, never shared: the oracle mutates neither a log
+    row nor a live one.
     """
-    state: dict[tuple[str, str], dict[tuple, dict]] = {}
+    state: State = {}
     fences = fences or {}
-    database = manager.database
-    for (reactor_name, table_name), rows in \
-            manager.base_rows.get(cid, {}).items():
-        table = database.reactor(reactor_name).table(table_name)
+    for (reactor_name, table_name), rows in base_rows:
+        schema = database.reactor(reactor_name).table(table_name).schema
         bucket = state.setdefault((reactor_name, table_name), {})
         for row in rows:
-            bucket[table.schema.primary_key_of(row)] = dict(row)
+            bucket[schema.primary_key_of(row)] = dict(row)
     for index, record in enumerate(records):
         for entry in record.entries:
             if index < fences.get(entry.reactor, 0):
@@ -220,56 +226,21 @@ def _expected_state(manager: Any, cid: int, records: list,
             if entry.kind == "delete":
                 bucket.pop(entry.pk, None)
             else:
-                assert entry.row is not None
                 bucket[entry.pk] = dict(entry.row)
-    # Normalize: an untouched table and an emptied one are the same
-    # "no rows" state (the live side never enumerates empty buckets).
     return {key: rows for key, rows in state.items() if rows}
 
 
-def _container_state(container: Any) \
-        -> dict[tuple[str, str], dict[tuple, dict]]:
-    """The live shadow-table state of a serving replica container."""
-    state: dict[tuple[str, str], dict[tuple, dict]] = {}
-    for name in container.shadow_names():
-        shadow = container.shadow(name)
-        for table in shadow.catalog:
-            rows = table.rows()
-            if not rows:
-                continue  # same normalization as _expected_state
-            bucket = state.setdefault((name, table.name), {})
-            for row in rows:
-                bucket[table.schema.primary_key_of(row)] = row
-    return state
-
-
-def _promoted_state(database: Any, container: Any) \
-        -> tuple[dict[tuple[str, str], dict[tuple, dict]], set[str]]:
-    """Live state of a *promoted* container, by routing registry.
-
-    A promoted replica is a primary: after promotion, reactors can
-    migrate onto it (live reactors, never entered into its shadow
-    table) or away from it (still in its shadow table, but retired),
-    so the container's real state is whatever the database currently
-    homes there — not its frozen shadow list.  Returns the state map
-    plus the resident reactor names, so the caller can scope the
-    replayed expectation to the same residents.
-    """
-    state: dict[tuple[str, str], dict[tuple, dict]] = {}
-    names: set[str] = set()
-    for name in database.reactor_names():
-        reactor = database.reactor(name)
-        if reactor.container is not container:
-            continue
-        names.add(name)
+def _live_state(reactors: Iterable[tuple[str, Any]]) -> State:
+    """The committed rows of ``(name, reactor)`` pairs, in the shape
+    :func:`_replay` returns (a table with no rows gets no bucket)."""
+    state: State = {}
+    for name, reactor in reactors:
         for table in reactor.catalog:
-            rows = table.rows()
-            if not rows:
-                continue  # same normalization as _expected_state
-            bucket = state.setdefault((name, table.name), {})
-            for row in rows:
-                bucket[table.schema.primary_key_of(row)] = row
-    return state, names
+            key = (name, table.name)
+            primary_key_of = table.schema.primary_key_of
+            for row in table.rows():
+                state.setdefault(key, {})[primary_key_of(row)] = row
+    return state
 
 
 def certify_replication(database: Any) -> dict[str, Any]:
@@ -307,21 +278,26 @@ def certify_replication(database: Any) -> dict[str, Any]:
         prefix_ok = records == shipped[:len(records)]
         tids = [r.commit_tid for r in records]
         order_ok = all(a < b for a, b in zip(tids, tids[1:]))
-        replay_records = shipped if role == "primary" else records
-        expected = _expected_state(
-            manager, container_id, replay_records,
+        expected = _replay(
+            database, manager.base_rows.get(container_id, {}).items(),
+            shipped if role == "primary" else records,
             fences=getattr(container, "reactor_fences", None))
         if role == "primary":
-            # Post-promotion migrations re-home reactors in and out of
-            # the container; both sides of the equivalence are scoped
-            # to the reactors the database currently homes here (a
-            # migrated-away reactor's history legitimately stays in
-            # the shipped order).
-            actual, resident = _promoted_state(database, container)
+            # A promoted replica is a primary: reactors can migrate
+            # onto it (never entered into its shadow table) or away
+            # from it (still there, but retired), so both sides of the
+            # equivalence are scoped to the reactors the database
+            # currently homes here (a migrated-away reactor's history
+            # legitimately stays in the shipped order).
+            resident = {name for name in database.reactor_names()
+                        if database.reactor(name).container is container}
+            actual = _live_state((name, database.reactor(name))
+                                 for name in resident)
             expected = {key: rows for key, rows in expected.items()
                         if key[0] in resident}
         else:
-            actual = _container_state(container)
+            actual = _live_state((name, container.shadow(name))
+                                 for name in container.shadow_names())
         state_ok = actual == expected
         entry = {
             "container_id": container_id,
@@ -437,20 +413,6 @@ def certify_migration(database: Any) -> dict[str, Any]:
             for entry_ in record.entries
         )
 
-        # Replay: snapshot + destination records above the watermark.
-        expected: dict[str, dict[tuple, dict]] = {}
-
-        def apply(entries) -> None:
-            for e in entries:
-                bucket = expected.setdefault(e.table, {})
-                if e.kind == "delete":
-                    bucket.pop(e.pk, None)
-                else:
-                    assert e.row is not None
-                    bucket[e.pk] = dict(e.row)
-
-        for record in migration.snapshot_records:
-            apply(record.entries)
         dst_log = migration.dst_log
         dst_live_log = getattr(
             database.containers[migration.dst_cid].concurrency,
@@ -466,20 +428,15 @@ def certify_migration(database: Any) -> dict[str, Any]:
             and getattr(dst_log, "truncated_through", 0)
             <= migration.watermark)
         if log_checked:
-            for record in dst_log.records:
-                if record.commit_tid > migration.watermark:
-                    apply(e for e in record.entries
-                          if e.reactor == name)
-            actual: dict[str, dict[tuple, dict]] = {}
-            for table in live.catalog:
-                rows = table.rows()
-                if rows:
-                    actual[table.name] = {
-                        table.schema.primary_key_of(row): row
-                        for row in rows
-                    }
-            expected = {t: rows for t, rows in expected.items() if rows}
-            entry["state_ok"] = actual == expected
+            # Replay: snapshot + destination records above the
+            # watermark, scoped to the migrated reactor.
+            replayed = _replay(database, (), [
+                *migration.snapshot_records,
+                *(record for record in dst_log.records
+                  if record.commit_tid > migration.watermark)])
+            expected = {key: rows for key, rows in replayed.items()
+                        if key[0] == name}
+            entry["state_ok"] = _live_state([(name, live)]) == expected
         entry["log_checked"] = log_checked
         entry["ok"] = (entry["routing_ok"] and entry["src_quiet_ok"]
                        and entry.get("state_ok", True))
@@ -705,42 +662,21 @@ def certify_crash_recovery(database: Any, image: Any,
     # 3. State-replay equivalence.
     if recovered is not None:
         base = image.manifest.materialize()
-        expected_state: dict[tuple[str, str], dict[tuple, dict]] = {}
-        for reactor_name, tables in base.reactors.items():
-            for table_name, rows in tables.items():
-                schema = recovered.reactor(reactor_name) \
-                    .table(table_name).schema
-                bucket = expected_state.setdefault(
-                    (reactor_name, table_name), {})
-                for row in rows:
-                    bucket[schema.primary_key_of(row)] = dict(row)
         replayable = []
         for cid, records in image.logs.items():
             watermark = base.tid_watermarks.get(cid, 0)
             replayable.extend(r for r in records
                               if r.commit_tid > watermark)
         replayable.sort(key=lambda record: record.commit_tid)
-        for record in replayable:
-            for entry_ in record.entries:
-                bucket = expected_state.setdefault(
-                    (entry_.reactor, entry_.table), {})
-                if entry_.kind == "delete":
-                    bucket.pop(entry_.pk, None)
-                else:
-                    assert entry_.row is not None
-                    bucket[entry_.pk] = dict(entry_.row)
-        expected_state = {key: rows for key, rows
-                          in expected_state.items() if rows}
-        actual_state: dict[tuple[str, str], dict[tuple, dict]] = {}
-        for name in recovered.reactor_names():
-            for table in recovered.reactor(name).catalog:
-                rows = table.rows()
-                if not rows:
-                    continue
-                bucket = actual_state.setdefault((name, table.name), {})
-                for row in rows:
-                    bucket[table.schema.primary_key_of(row)] = row
-        report["state_ok"] = actual_state == expected_state
+        expected = _replay(
+            recovered,
+            (((reactor_name, table_name), rows)
+             for reactor_name, tables in base.reactors.items()
+             for table_name, rows in tables.items()),
+            replayable)
+        actual = _live_state((name, recovered.reactor(name))
+                             for name in recovered.reactor_names())
+        report["state_ok"] = actual == expected
         if not report["state_ok"]:
             report["ok"] = False
     return report

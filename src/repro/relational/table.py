@@ -103,11 +103,6 @@ class Table:
             return None
         return record
 
-    def peek_record(self, pk: tuple) -> VersionedRecord | None:
-        """The record for a primary key *including* tombstoned heads
-        (snapshot readers resolve visibility themselves)."""
-        return self.records.get(pk)
-
     def iter_records(self) -> Iterator[VersionedRecord]:
         """All live records in primary-key order (deterministic scans)."""
         records = self.records

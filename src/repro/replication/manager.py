@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.concurrency.base import create_cc_scheme
+from repro.concurrency import create_cc_scheme
 from repro.core.reactor import Reactor
 from repro.durability.wal import RedoLog, RedoRecord
 from repro.errors import ReplicationError, TransactionAbort
@@ -415,24 +415,18 @@ class ReplicationManager:
         # ship channel restarts empty for the next primary.
         self.ship_epoch[cid] += 1
         self._pipe[cid] = 0.0
-        scheduler = self.database.scheduler
+        database = self.database
         for executor in container.executors:
             while executor.queue:
                 invocation = executor.queue.popleft()
-                abort = TransactionAbort(
-                    f"container {cid} failed")
                 if invocation.result_future is not None:
-                    invocation.result_future.fail(abort, scheduler.now)
+                    invocation.result_future.fail(
+                        TransactionAbort(f"container {cid} failed"),
+                        database.scheduler.now)
                 else:
-                    invocation.root.finished = True
-                    self.stats.failover_aborts += 1
-                    self._telemetry.note_root_done(
-                        invocation.root, False, str(abort),
-                        scheduler.now)
-                    if invocation.on_root_done is not None:
-                        scheduler.soon(invocation.on_root_done,
-                                       invocation.root, False,
-                                       str(abort), None)
+                    database.refuse_root(invocation.root,
+                                         invocation.on_root_done,
+                                         container)
 
     def promote(self, cid: int) -> ReplicaContainer:
         """Promote the most advanced replica of container ``cid``.

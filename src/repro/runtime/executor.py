@@ -480,37 +480,16 @@ class TransactionExecutor:
                              entered=False)
             return
 
+        # A sub-call to a reactor mid-migration, from a transaction
+        # with no stake in the source copy (one that already touched it
+        # keeps running there and drains), is parked: it replays on the
+        # destination container after the routing flip, so the
+        # transaction spans the migration and commits through 2PC like
+        # any cross-container one.
         migration = database.migration
-        if migration is not None and reactor.migrating and \
-                root.txn_id not in reactor.inflight_roots:
-            # The callee is mid-migration and this transaction holds no
-            # stake in the source copy (a transaction that already
-            # touched it keeps running there and drains).  Park the
-            # sub-call: it replays on the destination container after
-            # the routing flip, so the transaction spans the migration
-            # and commits through 2PC like any cross-container one.
-            subtxn_id = root.next_subtxn_id()
-            future = self._future_cls(remote=True, subtxn_id=subtxn_id,
-                                      target_reactor=reactor.name)
-            future.birth_seq = root.effect_seq
-            task.frames[-1].pending.append(future)
-            root.remote_calls += 1
-            invocation = Invocation(root, reactor, call.proc_name,
-                                    call.args, call.kwargs,
-                                    subtxn_id=subtxn_id,
-                                    result_future=future)
-            trace = root.trace
-            if trace is not None:
-                trace.open_child(subtxn_id, f"subcall:{reactor.name}",
-                                 self.scheduler.now,
-                                 {"proc": call.proc_name,
-                                  "parked": True})
-            migration.park_subcall(reactor.name, invocation)
-            self._busy(task, self.costs.cs, "cs",
-                       self._step, task, future, None)
-            return
-
-        target = self._sub_call_target(reactor)
+        parked = migration is not None and reactor.migrating and \
+            root.txn_id not in reactor.inflight_roots
+        target = None if parked else self._sub_call_target(reactor)
         if target is self:
             subtxn_id = root.next_subtxn_id()
             if not reactor.try_enter(root.txn_id, subtxn_id):
@@ -523,15 +502,15 @@ class TransactionExecutor:
                              entered=True)
             return
 
-        # Remote dispatch: charge Cs, enqueue at the target executor,
-        # hand the (pending) future back to the caller immediately.
-        # The active set is entered *at invocation* (paper Section
+        # The sub-call leaves this executor: charge Cs and hand the
+        # (pending) future back to the caller immediately.  A remote
+        # call enters the active set *at invocation* (paper Section
         # 2.2.4: "invoked, but have not completed"), so a second
         # asynchronous sub-transaction racing the same reactor within
         # this root is refused even if their executions would not
-        # physically overlap.
+        # physically overlap; a parked one enters it when it replays.
         subtxn_id = root.next_subtxn_id()
-        if not reactor.try_enter(root.txn_id, subtxn_id):
+        if not parked and not reactor.try_enter(root.txn_id, subtxn_id):
             self._step(task, None, DangerousStructureAbort(
                 f"asynchronous sub-transactions of txn {root.txn_id} "
                 f"race on reactor {reactor.name!r}"
@@ -547,12 +526,17 @@ class TransactionExecutor:
                                 result_future=future)
         trace = root.trace
         if trace is not None:
+            span_args = {"proc": call.proc_name}
+            if parked:
+                span_args["parked"] = True
             trace.open_child(subtxn_id, f"subcall:{reactor.name}",
-                             self.scheduler.now,
-                             {"proc": call.proc_name})
-        self.scheduler.after(
-            self.costs.cs + self.costs.transport_delay,
-            target.submit, invocation)
+                             self.scheduler.now, span_args)
+        if parked:
+            migration.park_subcall(reactor.name, invocation)
+        else:
+            self.scheduler.after(
+                self.costs.cs + self.costs.transport_delay,
+                target.submit, invocation)
         self._busy(task, self.costs.cs, "cs",
                    self._step, task, future, None)
 

@@ -66,19 +66,12 @@ class VersionedRecord:
         #: reader could still need history).
         self.prev: RecordVersion | None = None
 
-    def is_locked_by_other(self, txn_id: int) -> bool:
-        return self.locked_by is not None and self.locked_by != txn_id
-
     def lock(self, txn_id: int) -> bool:
         """Try to take the write lock; idempotent for the same owner."""
         if self.locked_by is None or self.locked_by == txn_id:
             self.locked_by = txn_id
             return True
         return False
-
-    def unlock(self, txn_id: int) -> None:
-        if self.locked_by == txn_id:
-            self.locked_by = None
 
     def install(self, value: dict[str, Any], tid: int,
                 keep_watermark: int | None = None) -> tuple[int, int]:

@@ -74,9 +74,10 @@ class Telemetry:
 
     def note_root_done(self, root: Any, committed: bool,
                        reason: str | None, now: float) -> None:
-        """The single completion hook: every path that reports a root
-        done (normal completion, failed-container refusal, failover
-        drain, migration replay onto a dead container) lands here."""
+        """The single completion hook: both paths that report a root
+        done (the executor's completion, and
+        :meth:`~repro.core.database.ReactorDatabase.refuse_root` for a
+        root that never ran) land here."""
         if self.enabled:
             latency = now - root.start_time
             if committed:

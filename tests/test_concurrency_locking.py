@@ -1,16 +1,17 @@
 """Two-phase locking: lock modes, NO_WAIT/WAIT_DIE policies, wounds,
-phantom protection via structure locks, and the scheme registry."""
+phantom protection via structure locks, and the scheme table."""
 
 import pytest
 
-from repro.concurrency.base import (
+from repro.concurrency import (
     BUILTIN_CC_SCHEMES,
+    ConcurrencyManager,
+    MVConcurrencyManager,
     PassthroughCC,
-    cc_scheme_names,
+    coordinator,
     create_cc_scheme,
 )
-from repro.concurrency import coordinator
-from repro.concurrency.locking import LockingCC
+from repro.concurrency.locking import NO_WAIT, WAIT_DIE, LockingCC
 from repro.concurrency.tid import EpochManager
 from repro.errors import (
     DeadlockAvoidanceAbort,
@@ -56,18 +57,28 @@ def commit(manager, session, now=1.0):
     return coordinator.commit([(manager, session)], now)
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert set(BUILTIN_CC_SCHEMES) <= set(cc_scheme_names())
+#: What each scheme name must build: the exact manager class, and the
+#: conflict policy a 2PL entry binds.
+SCHEME_TABLE = {
+    "occ": (ConcurrencyManager, None),
+    "mvocc": (MVConcurrencyManager, None),
+    "2pl_nowait": (LockingCC, NO_WAIT),
+    "2pl_waitdie": (LockingCC, WAIT_DIE),
+    "none": (PassthroughCC, None),
+}
 
-    @pytest.mark.parametrize("name,cls", [
-        ("occ", None), ("none", PassthroughCC),
-        ("2pl_nowait", LockingCC), ("2pl_waitdie", LockingCC)])
-    def test_create(self, name, cls):
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", BUILTIN_CC_SCHEMES)
+    def test_create(self, name):
+        cls, policy = SCHEME_TABLE[name]
         manager = create_cc_scheme(name, 3, EpochManager())
+        assert type(manager) is cls
+        assert manager.scheme == name
         assert manager.container_id == 3
-        if cls is not None:
-            assert isinstance(manager, cls)
+        if policy is not None:
+            assert manager.policy == policy
+            assert manager.locks.policy == policy
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(DeploymentError):

@@ -3,8 +3,7 @@ and multi-key reads against scalar reads."""
 
 import pytest
 
-from repro.concurrency import coordinator
-from repro.concurrency.base import create_cc_scheme
+from repro.concurrency import coordinator, create_cc_scheme
 from repro.concurrency.mvcc import SnapshotSession
 from repro.concurrency.occ import ConcurrencyManager
 from repro.concurrency.tid import EpochManager
@@ -344,7 +343,7 @@ class TestCoordinator:
                        for record in table.all_records())
             if scheme != "occ":
                 assert manager.locks.held_count() == 0
-            assert table.peek_record((100,)) is None
+            assert (100,) not in table.records
             assert table.get_record((1,)).value["v"] == 1.0
             # Validation stopped at the refusal, which is counted
             # there and nowhere else.

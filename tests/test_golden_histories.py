@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.concurrency.base import BUILTIN_CC_SCHEMES
+from repro.concurrency import BUILTIN_CC_SCHEMES
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
 from repro.durability.config import DurabilityConfig

@@ -62,16 +62,7 @@ class TestVersionedRecord:
         assert record.lock(7)
         assert record.lock(7)
         assert not record.lock(8)
-        assert record.is_locked_by_other(8)
-        assert not record.is_locked_by_other(7)
-
-    def test_unlock_only_by_owner(self):
-        record = VersionedRecord((1,), {"a": 1}, tid=1)
-        record.lock(7)
-        record.unlock(8)  # no-op
         assert record.locked_by == 7
-        record.unlock(7)
-        assert record.locked_by is None
 
     def test_snapshot_is_defensive(self):
         record = VersionedRecord((1,), {"a": 1}, tid=1)
