@@ -131,6 +131,7 @@ def _frame_body(proc: Callable, ctx: Any, args: tuple,
     sub-transaction completes only when all its nested sub-transactions
     complete (paper Section 2.2.3).
     """
+    error = None
     try:
         result = proc(ctx, *args, **kwargs)
         # Generator procedures — and plain ones that *return* a
@@ -138,21 +139,27 @@ def _frame_body(proc: Callable, ctx: Any, args: tuple,
         # be subclassed, so the identity test is isinstance exactly.
         if type(result) is GeneratorType:
             result = yield from result
-    except Exception:
-        # Even on abort, outstanding sub-transactions must finish
-        # before this frame completes — otherwise orphaned executions
-        # would race the rollback.  Their own failures are subsumed by
-        # the abort already in flight.
-        for future in list(frame.pending):
-            if not future.consumed:
-                try:
-                    yield GetEffect(future, implicit=True)
-                except Exception:
-                    pass
-        raise
+    except Exception as exc:
+        error = exc
+    # Every outstanding sub-transaction finishes before this frame
+    # does, whether it returned, raised or met a failed sibling first
+    # — otherwise an orphaned execution would race the rollback, or
+    # open a session on a root that already completed.  The first
+    # error wins; later ones are subsumed by the abort it starts.
     for future in list(frame.pending):
         if not future.consumed:
-            yield GetEffect(future, implicit=True)
+            try:
+                yield GetEffect(future, implicit=True)
+            except Exception as exc:
+                if error is None:
+                    error = exc
+    if error is not None:
+        try:
+            raise error
+        finally:
+            # Its traceback holds this frame, so the frame must let go
+            # of the error: a cycle would pin the root until collected.
+            error = None
     return result
 
 

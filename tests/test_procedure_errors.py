@@ -13,12 +13,16 @@ the executor moves on.  Pinned embedded and served, on both backends.
 
 from __future__ import annotations
 
+import gc
+import time
+
 import pytest
 
 from repro.client import LocalClient, TcpClient
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import shared_nothing
 from repro.core.reactor import ReactorType
+from repro.errors import TransactionAbort
 from repro.relational import float_col, make_schema, str_col
 from repro.serving import serve_in_thread
 
@@ -55,7 +59,8 @@ def write_then_boom(ctx):
 
 @FAULTY.procedure
 def slow_add(ctx, amount):
-    yield ctx.compute(200.0)
+    yield ctx.compute(200.0)  # slow in virtual time (sim) ...
+    time.sleep(0.02)  # ... and on the wall clock (threads)
     return (yield ctx.call(ctx.my_name(), "add", amount))
 
 
@@ -66,6 +71,14 @@ def fan_out(ctx, bad, good):
     failing = yield ctx.call(bad, "boom")
     yield ctx.get(failing)
     return (yield ctx.get(slow))
+
+
+@FAULTY.procedure
+def fire_and_forget(ctx, bad, good):
+    """Returns with ``bad``'s failure and ``good``'s sibling both
+    outstanding: the implicit sync meets the failure first."""
+    yield ctx.call(bad, "boom")
+    yield ctx.call(good, "slow_add", 5.0)
 
 
 NAMES = ["f0", "f1", "f2"]
@@ -151,3 +164,43 @@ def test_a_raising_procedure_aborts_and_the_executor_moves_on(
     finally:
         driver.close()
         database.close()
+
+
+@pytest.mark.parametrize("backend", ["sim", "threads"])
+def test_a_failed_sibling_leaves_no_orphan(path, backend):
+    """ROADMAP 1(d): the implicit sync at a procedure's end waits for
+    every outstanding sub-transaction, not just up to the first failed
+    one.  Otherwise ``slow_add`` runs on after its root aborted, opens
+    a session nobody commits or aborts, and under 2PL holds its lock
+    for good."""
+    database = make_database(backend, "2pl_nowait")
+    driver = path(database)
+    try:
+        outcome = driver.call("f0", "fire_and_forget", "f1", "f2")
+        assert not outcome.committed
+        assert "procedure raised ZeroDivisionError" in outcome.reason
+        outcome = driver.call("f2", "ok")
+        assert outcome.committed, outcome.reason
+        assert outcome.result == 10.0
+        outcome = driver.call("f2", "add", 1.0)
+        assert outcome.committed, outcome.reason
+    finally:
+        driver.close()
+        database.close()
+
+
+def test_a_raising_procedure_leaves_no_cyclic_garbage():
+    """The implicit sync re-raises the procedure's error from a local:
+    a frame still holding it after the raise would pin the error, its
+    traceback and through them the root, in a cycle."""
+    database = make_database("sim", "occ")
+    gc.collect()
+    gc.disable()
+    try:
+        for proc in ("boom", "write_then_boom"):
+            with pytest.raises(TransactionAbort):
+                database.run("f0", proc)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0

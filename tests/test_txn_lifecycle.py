@@ -170,11 +170,10 @@ def test_aborts_inside_sub_transactions_leave_no_garbage(scheme, reason):
     assert len(outcomes) == len(specs)
     assert database.abort_counts()["by_reason"][reason] > 0
     assert unreachable <= GARBAGE_PER_TXN * len(outcomes)
-    # Not "every root is dead": a sub-transaction still queued when
-    # its root aborts on a sibling's failure runs afterwards, and the
-    # session it opens on the finished root is never closed (ROADMAP
-    # item 1(e)) — that root lives on in the lock table.
-    assert sum(1 for ref in roots if ref() is not None) <= 3
+    # Every root is dead: a root that aborts on a sibling's failure
+    # first waits for its other sub-transactions, so none of them
+    # opens a session on it afterwards (ROADMAP item 1(d)).
+    assert all(ref() is None for ref in roots)
 
 
 def test_root_dies_with_its_submission():
