@@ -190,13 +190,13 @@ class _RecordingSession:
 #: A flat table state: ``(reactor, table) -> {primary key: row}``,
 #: with no empty bucket (an untouched table and an emptied one are the
 #: same "no rows" state).
-State = dict[tuple[str, str], dict[tuple, dict]]
+_State = dict[tuple[str, str], dict[tuple, dict]]
 
 
 def _replay(database: Any,
             base_rows: Iterable[tuple[tuple[str, str], Iterable[dict]]],
             records: Iterable[Any],
-            fences: Mapping[str, int] | None = None) -> State:
+            fences: Mapping[str, int] | None = None) -> _State:
     """The independent replay oracle every state certificate compares
     live tables against: ``base_rows`` (``((reactor, table), rows)``
     pairs, keyed through ``database``'s schemas) overwritten by the
@@ -211,7 +211,7 @@ def _replay(database: Any,
     Rows are copied in, never shared: the oracle mutates neither a log
     row nor a live one.
     """
-    state: State = {}
+    state: _State = {}
     fences = fences or {}
     for (reactor_name, table_name), rows in base_rows:
         schema = database.reactor(reactor_name).table(table_name).schema
@@ -230,10 +230,10 @@ def _replay(database: Any,
     return {key: rows for key, rows in state.items() if rows}
 
 
-def _live_state(reactors: Iterable[tuple[str, Any]]) -> State:
+def _live_state(reactors: Iterable[tuple[str, Any]]) -> _State:
     """The committed rows of ``(name, reactor)`` pairs, in the shape
     :func:`_replay` returns (a table with no rows gets no bucket)."""
-    state: State = {}
+    state: _State = {}
     for name, reactor in reactors:
         for table in reactor.catalog:
             key = (name, table.name)

@@ -9,6 +9,10 @@ parked in an error slot only ``run()`` reads — and either way
 later one to the same executor* went unanswered.  Now the root aborts
 with a typed reason, its writes roll back, its locks are released and
 the executor moves on.  Pinned embedded and served, on both backends.
+
+A sub-transaction that fails while its siblings are outstanding
+aborts the root only once they have finished too: none of them runs on
+after the root and keeps a lock.
 """
 
 from __future__ import annotations
@@ -168,11 +172,11 @@ def test_a_raising_procedure_aborts_and_the_executor_moves_on(
 
 @pytest.mark.parametrize("backend", ["sim", "threads"])
 def test_a_failed_sibling_leaves_no_orphan(path, backend):
-    """ROADMAP 1(d): the implicit sync at a procedure's end waits for
-    every outstanding sub-transaction, not just up to the first failed
-    one.  Otherwise ``slow_add`` runs on after its root aborted, opens
-    a session nobody commits or aborts, and under 2PL holds its lock
-    for good."""
+    """The implicit sync at a procedure's end waits for every
+    outstanding sub-transaction, not just up to the first failed one.
+    Otherwise ``slow_add`` runs on after its root aborted, opens a
+    session nobody commits or aborts, and under 2PL holds its lock for
+    good."""
     database = make_database(backend, "2pl_nowait")
     driver = path(database)
     try:

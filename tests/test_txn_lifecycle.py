@@ -172,7 +172,7 @@ def test_aborts_inside_sub_transactions_leave_no_garbage(scheme, reason):
     assert unreachable <= GARBAGE_PER_TXN * len(outcomes)
     # Every root is dead: a root that aborts on a sibling's failure
     # first waits for its other sub-transactions, so none of them
-    # opens a session on it afterwards (ROADMAP item 1(d)).
+    # opens a session on it afterwards and pins it in the lock table.
     assert all(ref() is None for ref in roots)
 
 
