@@ -786,6 +786,8 @@ class ConcurrencyControl:
             except ReactorError:
                 if not self.best_effort_install:
                     raise
+                # Not installed, so no longer part of what committed.
+                session._drop_intent(table, intent.pk)
                 continue
             count += 1
             if log_entries is not None:
@@ -834,10 +836,7 @@ class PassthroughCC(ConcurrencyControl):
     non-serializable results (lost updates, broken invariants).
     Useful as the ablation baseline — contended runs violate
     application invariants, and overlapped interleavings fail the
-    :mod:`repro.formal` audit.  (The audit records writes at buffering
-    time, so without CC a sequentially-buffered lost update can still
-    *record* as a serial history; state invariants are the reliable
-    detector here, the audit a best-effort one.)
+    :mod:`repro.formal` audit.
     """
 
     scheme = "none"

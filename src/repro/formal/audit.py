@@ -2,16 +2,18 @@
 
 Bridges the execution engine and the formal model of Section 2.3: a
 :class:`HistoryRecorder` attached to a database observes every basic
-operation (read/write with its root transaction, sub-transaction and
-reactor identity, in global virtual-time order) plus commit/abort
-events, producing a :class:`~repro.formal.history.ReactorHistory`.
-The recorded history of any run can then be checked for conflict
+operation (with its root transaction, sub-transaction and reactor
+identity, in global virtual-time order) plus commit/abort events,
+producing a :class:`~repro.formal.history.ReactorHistory`.  The
+recorded history of any run can then be checked for conflict
 serializability with the Section 2.3 machinery — an operation-level
 audit complementing the state-equivalence integration tests.
 
-Recording works by wrapping the CC session methods (any scheme); it is strictly
-observational (no behavior change) and adds Python-level overhead
-only, never virtual time.
+Each operation is recorded where it takes effect: a read when the CC
+session serves it (a session wrapper, any scheme), a write when the
+commit installs it (:meth:`HistoryRecorder.record_install`, inside the
+commit guard).  Recording is strictly observational and adds
+Python-level overhead only, never virtual time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.concurrency.base import CCSession
 from repro.formal.history import ReactorHistory
-from repro.formal.ops import Op, abort, commit
+from repro.formal.ops import READ, WRITE, Op, abort, commit
 from repro.formal.serializability import (
     is_serializable_reactor,
     serialization_order,
@@ -29,19 +31,33 @@ from repro.formal.serializability import (
 
 
 class HistoryRecorder:
-    """Observes a database run and accumulates a reactor history."""
+    """Observes a database run and accumulates a reactor history.
+
+    :func:`attach_recorder` numbers every declared reactor up front, so
+    the ``threads`` backend's workers only read the numbering; the
+    instances numbered later (replica shadows, migration successors)
+    exist only on the sim backend.
+    """
 
     def __init__(self) -> None:
         self.history = ReactorHistory()
         self._reactor_ids: dict[int, int] = {}
+        #: id(table) -> the reactor id of the instance owning it.
+        self._table_reactors: dict[int, int] = {}
 
     # -- identity bookkeeping -------------------------------------------
 
     def _reactor_id(self, reactor: Any) -> int:
-        key = id(reactor)
-        if key not in self._reactor_ids:
-            self._reactor_ids[key] = len(self._reactor_ids)
-        return self._reactor_ids[key]
+        rid = self._reactor_ids.get(id(reactor))
+        if rid is None:
+            rid = len(self._reactor_ids)
+            self._number(reactor, rid)
+        return rid
+
+    def _number(self, reactor: Any, rid: int) -> None:
+        self._reactor_ids[id(reactor)] = rid
+        for table in reactor.catalog:
+            self._table_reactors[id(table)] = rid
 
     def alias_reactor(self, old: Any, new: Any) -> None:
         """Register ``new`` as the continuation of ``old``.
@@ -53,16 +69,26 @@ class HistoryRecorder:
         before and after a migration would be invisible to the
         serializability check.
         """
-        self._reactor_ids[id(new)] = self._reactor_id(old)
+        self._number(new, self._reactor_id(old))
 
     # -- event intake ------------------------------------------------------
 
-    def record_op(self, kind: str, txn_id: int, subtxn_id: int,
-                  reactor: Any, table_name: str, pk: tuple) -> None:
-        self.history.append(Op(
-            kind=kind, txn=txn_id, sub=subtxn_id,
-            reactor=self._reactor_id(reactor),
-            item=f"{table_name}:{pk!r}"))
+    def record_install(self, txn_id: int, participants: list) -> None:
+        """One ``w`` per write a commit just installed, in install
+        order: participant order, then ``sorted_intents()`` (a write
+        the ``none`` scheme skipped has left its session's write set).
+
+        A write belongs to the reactor owning its table, as that
+        table's reads do, and to sub-transaction 0: the root's commit
+        installs it, and every conflict edge projects to transactions.
+        """
+        append = self.history.append
+        reactors = self._table_reactors
+        for __, session in participants:
+            for intent in session.sorted_intents():
+                table = intent.table
+                append(Op(WRITE, txn_id, 0, reactors[id(table)],
+                          f"{table.name}:{intent.pk!r}"))
 
     def record_commit(self, txn_id: int) -> None:
         self.history.append(commit(txn_id))
@@ -80,12 +106,12 @@ class HistoryRecorder:
         ``None`` if the history is not serializable."""
         return serialization_order(
             self.history.committed_txns(),
-            self.history.subtxn_conflict_edges())
+            self.history.conflict_edges())
 
     def wrap(self, session: CCSession, reactor: Any,
              task: Any) -> Any:
-        """Wrap one frame's CC session so its operations are
-        observed (called by the execution context hook).
+        """Wrap one frame's CC session so its reads are observed
+        (called by the execution context hook).
 
         Snapshot sessions are *not* wrapped: a snapshot read of an old
         version is ordered at its snapshot point, not at its wall-time
@@ -102,48 +128,43 @@ class HistoryRecorder:
                 return task.frames[-1].subtxn_id
             return 0
 
-        return _RecordingSession(session, self, reactor, subtxn_of)
+        return _RecordingSession(session, self, self._reactor_id(reactor),
+                                 subtxn_of)
 
 
 class _RecordingSession:
-    """CC session proxy that reports basic operations.
-
-    Reads are recorded for point reads and for every row returned by a
-    scan; writes at buffering time.  (Write *installation* order is
-    governed by commit events, which the recorder also sees.)
+    """CC session proxy that records an ``r`` per row the engine reads:
+    a point read, each key of a multi-read, each row a scan returns,
+    and the row an update merges onto or a delete tombstones (both
+    join the read footprint).  Writes are recorded at install; inserts
+    and everything else pass straight through.
     """
 
     def __init__(self, session: CCSession, recorder: HistoryRecorder,
-                 reactor: Any, subtxn_of: Any) -> None:
+                 rid: int, subtxn_of: Any) -> None:
         self._session = session
-        self._recorder = recorder
-        self._reactor = reactor
+        self._history = recorder.history
+        self._rid = rid
         self._subtxn_of = subtxn_of
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._session, name)
 
-    def read(self, table, pk):
-        result = self._session.read(table, pk)
-        self._recorder.record_op(
-            "r", self._session.txn_id, self._subtxn_of(),
-            self._reactor, table.name, pk)
+    def _read(self, table, pk, result: Any = None) -> Any:
+        self._history.append(Op(READ, self._session.txn_id,
+                                self._subtxn_of(), self._rid,
+                                f"{table.name}:{pk!r}"))
         return result
 
+    def read(self, table, pk):
+        return self._read(table, pk, self._session.read(table, pk))
+
     def multi_read(self, table, pks):
-        """Vectorized point reads record one ``r`` op per key, in key
-        order — the same history a loop of :meth:`read` calls yields
-        (the per-key footprint registration the wrapped session does
-        internally was never observable here)."""
+        """One ``r`` per key, in key order, as a loop of reads."""
         pks = list(pks)
         result = self._session.multi_read(table, pks)
-        record_op = self._recorder.record_op
-        txn_id = self._session.txn_id
-        sub = self._subtxn_of()
-        table_name = table.name
-        reactor = self._reactor
         for pk in pks:
-            record_op("r", txn_id, sub, reactor, table_name, pk)
+            self._read(table, pk)
         return result
 
     def scan(self, table, predicate=None, **kwargs):
@@ -152,34 +173,17 @@ class _RecordingSession:
         result = self._session.scan(
             table, predicate if predicate is not None else ALWAYS,
             **kwargs)
+        primary_key_of = table.schema.primary_key_of
         for row in result.rows:
-            pk = table.schema.primary_key_of(row)
-            self._recorder.record_op(
-                "r", self._session.txn_id, self._subtxn_of(),
-                self._reactor, table.name, pk)
-        return result
-
-    def insert(self, table, row):
-        result = self._session.insert(table, row)
-        pk = table.schema.primary_key_of(table.schema.validate_row(row))
-        self._recorder.record_op(
-            "w", self._session.txn_id, self._subtxn_of(),
-            self._reactor, table.name, pk)
+            self._read(table, primary_key_of(row))
         return result
 
     def update(self, table, pk, assignments):
-        result = self._session.update(table, pk, assignments)
-        self._recorder.record_op(
-            "w", self._session.txn_id, self._subtxn_of(),
-            self._reactor, table.name, pk)
-        return result
+        return self._read(table, pk,
+                          self._session.update(table, pk, assignments))
 
     def delete(self, table, pk):
-        result = self._session.delete(table, pk)
-        self._recorder.record_op(
-            "w", self._session.txn_id, self._subtxn_of(),
-            self._reactor, table.name, pk)
-        return result
+        return self._read(table, pk, self._session.delete(table, pk))
 
 
 # ----------------------------------------------------------------------
@@ -685,12 +689,15 @@ def certify_crash_recovery(database: Any, image: Any,
 def attach_recorder(database: Any) -> HistoryRecorder:
     """Enable history recording on a database.
 
-    The runtime consults ``database.history_recorder`` at two explicit
-    hook points: the execution context wraps its OCC session so data
-    operations are observed, and the executor reports commit/abort
-    outcomes.  Recording is strictly observational.
+    The runtime consults ``database.history_recorder`` at three
+    explicit hook points: the execution context wraps its CC session
+    so reads are observed, the executor reports each commit's
+    installed writes, and it reports commit/abort outcomes.  Recording
+    is strictly observational.
     """
     recorder = HistoryRecorder()
+    for name in database.reactor_names():
+        recorder._reactor_id(database.reactor(name))
     database.history_recorder = recorder
     return recorder
 

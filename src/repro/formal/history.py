@@ -6,21 +6,49 @@ paper's partial orders: every total order is a valid completion, and
 conflict-serializability analysis only consults the order of
 conflicting pairs).
 
-The history exposes the two conflict views of Section 2.3:
-
-* leaf-level conflicts between basic operations (used after
-  projection to the classic model);
-* sub-transaction-level conflicts (Definition 2.2: two
-  sub-transactions conflict iff their basic operations contain a
-  conflicting pair on the same reactor) — the reactor-model notion.
+Section 2.3 gives two conflict views: leaf-level conflicts between
+basic operations (the classic model, after projection) and
+sub-transaction-level conflicts (Definition 2.2: two sub-transactions
+conflict iff their basic operations contain a conflicting pair on the
+same reactor).  Projected to transactions both yield the same edges —
+a sub-transaction conflict is witnessed by a conflicting operation
+pair — so :func:`conflict_edges` builds the one edge set both views
+use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import attrgetter
+from typing import Any, Callable, Hashable, Iterable
 
-from repro.formal.ops import ABORT, COMMIT, Op, Terminal
+from repro.formal.ops import ABORT, COMMIT, WRITE, Op, Terminal
+
+
+def conflict_edges(ops: Iterable[Any],
+                   item_of: Callable[[Any], Hashable]
+                   ) -> set[tuple[int, int]]:
+    """Edges Ti -> Tj of the serialization graph over ``ops``.
+
+    Exactly ``{(a.txn, b.txn) for a before b in ops if a.txn != b.txn
+    and a, b name the same item and one of them writes}``, built by
+    grouping the operations by ``item_of(op)``: a write follows every
+    earlier transaction on its item, a read every earlier writer.
+    """
+    # item -> (transactions that touched it so far, ... that wrote it)
+    seen: dict[Hashable, tuple[set[int], set[int]]] = {}
+    edges: set[tuple[int, int]] = set()
+    for op in ops:
+        touched, wrote = seen.setdefault(item_of(op), (set(), set()))
+        txn = op.txn
+        writes = op.kind == WRITE
+        for earlier in touched if writes else wrote:
+            if earlier != txn:
+                edges.add((earlier, txn))
+        touched.add(txn)
+        if writes:
+            wrote.add(txn)
+    return edges
 
 
 @dataclass
@@ -52,53 +80,11 @@ class ReactorHistory:
         return {op.txn for op in self.operations()} | {
             e.txn for e in self.events if isinstance(e, Terminal)}
 
-    def subtxns(self) -> set[tuple[int, int]]:
-        return {(op.txn, op.sub) for op in self.operations()}
-
-    # ------------------------------------------------------------------
-    # Conflict edges between committed transactions
-    # ------------------------------------------------------------------
-
-    def leaf_conflict_edges(self) -> set[tuple[int, int]]:
-        """Edges Ti -> Tj from ordered conflicting basic operations.
-
-        This is the classic-model conflict relation evaluated on the
-        (projected) items; Definition 2.3's name mapping is implicit
-        because :meth:`Op.conflicts_with` already requires equal
-        reactors.
-        """
-        ops = self.committed_operations()
-        edges: set[tuple[int, int]] = set()
-        for i, first in enumerate(ops):
-            for second in ops[i + 1:]:
-                if first.txn != second.txn and \
-                        first.conflicts_with(second):
-                    edges.add((first.txn, second.txn))
-        return edges
-
-    def subtxn_conflict_edges(self) -> set[tuple[int, int]]:
-        """Edges from the sub-transaction-level conflict relation.
-
-        Two sub-transactions conflict iff some pair of their basic
-        operations conflicts (Definition 2.2); the history orders the
-        conflicting sub-transactions by their first conflicting
-        operation pair.  Edges are projected to transactions.
-        """
-        ops = self.committed_operations()
-        edges: set[tuple[int, int]] = set()
-        seen_pairs: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-        for i, first in enumerate(ops):
-            for second in ops[i + 1:]:
-                if first.txn == second.txn:
-                    continue
-                if not first.conflicts_with(second):
-                    continue
-                pair = ((first.txn, first.sub), (second.txn, second.sub))
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                edges.add((first.txn, second.txn))
-        return edges
+    def conflict_edges(self) -> set[tuple[int, int]]:
+        """Conflict edges between committed transactions; items of
+        different reactors are disjoint."""
+        return conflict_edges(self.committed_operations(),
+                              attrgetter("reactor", "item"))
 
 
 def history_of(events: Iterable[Op | Terminal]) -> ReactorHistory:

@@ -10,8 +10,9 @@ operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from repro.formal.history import ReactorHistory
+from repro.formal.history import ReactorHistory, conflict_edges
 from repro.formal.ops import COMMIT, Op, Terminal
 
 
@@ -22,10 +23,6 @@ class ClassicOp:
     kind: str
     txn: int
     item: str  # "reactor::item" after the name mapping
-
-    def conflicts_with(self, other: "ClassicOp") -> bool:
-        return (self.item == other.item
-                and ("w" in (self.kind, other.kind)))
 
     def __repr__(self) -> str:
         return f"{self.kind}[{self.txn}:{self.item}]"
@@ -47,14 +44,8 @@ class ClassicHistory:
                 if isinstance(e, ClassicOp) and e.txn in committed]
 
     def conflict_edges(self) -> set[tuple[int, int]]:
-        ops = self.committed_operations()
-        edges: set[tuple[int, int]] = set()
-        for i, first in enumerate(ops):
-            for second in ops[i + 1:]:
-                if first.txn != second.txn and \
-                        first.conflicts_with(second):
-                    edges.add((first.txn, second.txn))
-        return edges
+        return conflict_edges(self.committed_operations(),
+                              attrgetter("item"))
 
 
 def project_op(op: Op) -> ClassicOp:

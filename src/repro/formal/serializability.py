@@ -2,9 +2,9 @@
 
 A history is conflict-serializable iff its serialization graph —
 nodes are committed transactions, edges order conflicting operation
-pairs — is acyclic.  :func:`is_serializable_reactor` uses the
-sub-transaction-level conflict notion of the reactor model;
-:func:`is_serializable_classic` the classic leaf-level notion.
+pairs — is acyclic.  :func:`is_serializable_reactor` judges a reactor
+history, :func:`is_serializable_classic` its projection; both take
+their edges from :func:`repro.formal.history.conflict_edges`.
 Theorem 2.7 states they agree through the projection — the property
 tests exercise exactly that equivalence on random histories.
 """
@@ -78,7 +78,7 @@ def serialization_order(nodes: Iterable[Hashable],
 def is_serializable_reactor(history: ReactorHistory) -> bool:
     """Serializability under the reactor model's conflict notion."""
     return not has_cycle(history.committed_txns(),
-                         history.subtxn_conflict_edges())
+                         history.conflict_edges())
 
 
 def is_serializable_classic(history: ClassicHistory) -> bool:

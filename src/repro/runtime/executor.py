@@ -754,6 +754,9 @@ class TransactionExecutor:
         with self.scheduler.commit_guard(root.sessions):
             outcome = coordinator.commit(participants,
                                          self.scheduler.now)
+            recorder = database.history_recorder
+            if recorder is not None and outcome.committed:
+                recorder.record_install(root.txn_id, participants)
             root.commit_tid = outcome.commit_tid
             ack_delay = 0.0
             if outcome.committed and database.replication is not None:

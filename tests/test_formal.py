@@ -1,5 +1,7 @@
 """Unit tests for the formal model (Section 2.3)."""
 
+from operator import attrgetter
+
 from repro.formal import (
     ClassicHistory,
     ReactorHistory,
@@ -16,6 +18,7 @@ from repro.formal import (
     theorem_2_7_holds,
     write,
 )
+from repro.formal.history import conflict_edges
 
 
 class TestOps:
@@ -108,8 +111,19 @@ class TestHistories:
             write(1, 1, 0, "x"), read(2, 5, 0, "x"),
             commit(1), commit(2),
         ])
-        assert history.subtxn_conflict_edges() == {(1, 2)}
-        assert history.leaf_conflict_edges() == {(1, 2)}
+        assert history.conflict_edges() == {(1, 2)}
+        assert conflict_edges(history.operations(),
+                              attrgetter("reactor", "item")) == {(1, 2)}
+
+    def test_edges_pair_only_within_one_item(self):
+        ops = [write(1, 1, 0, "x"), write(2, 1, 1, "x"),
+               read(3, 1, 0, "y"), write(1, 1, 0, "y"),
+               read(2, 1, 0, "x"), read(3, 1, 0, "x")]
+        assert conflict_edges(ops, attrgetter("reactor", "item")) == {
+            (3, 1), (1, 2), (1, 3)}
+        # Without the reactor in the key, "x" is one item again.
+        assert conflict_edges(ops, attrgetter("item")) == {
+            (3, 1), (1, 2), (1, 3), (2, 3)}
 
     def test_projection_preserves_event_count(self):
         events = [write(1, 1, 0, "x"), read(1, 2, 1, "y"), commit(1)]

@@ -52,31 +52,56 @@ def _run_contended(database, n_txns=40):
 
 
 DEPLOYMENTS = [
-    ("sn", lambda: shared_nothing(4, mpl=4)),
-    ("se-aff", lambda: shared_everything_with_affinity(4)),
-    ("se-rr", lambda: shared_everything_without_affinity(4)),
+    ("sn", lambda backend: shared_nothing(4, mpl=4, backend=backend)),
+    ("se-aff", lambda backend: shared_everything_with_affinity(
+        4, backend=backend)),
+    ("se-rr", lambda backend: shared_everything_without_affinity(
+        4, backend=backend)),
 ]
 
+#: On ``threads`` reads are recorded on the container workers and
+#: installs inside the commit guard, which holds every participant's
+#: container lock: a read and an install of one key cannot overlap.
+BACKENDS = ["sim", "threads"]
 
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("label,deployment_fn", DEPLOYMENTS)
-def test_recorded_history_is_serializable(label, deployment_fn):
-    database = _bank(deployment_fn())
+def test_recorded_history_is_serializable(label, deployment_fn, backend):
+    database = _bank(deployment_fn(backend))
     recorder = attach_recorder(database)
     tids = _run_contended(database)
+    database.close()
     assert recorder.is_serializable(), (
-        f"{label}: OCC admitted a non-serializable history")
+        f"{label}/{backend}: OCC admitted a non-serializable history")
     assert recorder.history.committed_txns() == set(tids)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("label,deployment_fn", DEPLOYMENTS)
 def test_witness_order_exists_and_covers_committed(label,
-                                                   deployment_fn):
-    database = _bank(deployment_fn())
+                                                   deployment_fn,
+                                                   backend):
+    database = _bank(deployment_fn(backend))
     recorder = attach_recorder(database)
     tids = _run_contended(database)
+    database.close()
     order = recorder.equivalent_serial_order()
     assert order is not None
     assert set(order) == set(tids)
+
+
+def test_reactor_ids_follow_declared_names():
+    """Every declared reactor is numbered at attach, in
+    ``reactor_names()`` order, however the run first touches them."""
+    database = _bank(shared_nothing(4))
+    recorder = attach_recorder(database)
+    names = database.reactor_names()
+    database.run(names[-1], "balance")
+    ops = recorder.history.operations()
+    assert ops and {op.reactor for op in ops} == {len(names) - 1}
+    assert [recorder._reactor_id(database.reactor(name))
+            for name in names] == list(range(len(names)))
 
 
 def test_recorded_ops_have_subtxn_identities():

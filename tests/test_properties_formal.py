@@ -4,10 +4,13 @@ Random reactor-model histories are generated with hypothesis; for
 every one of them, serializability under the reactor model's
 sub-transaction conflict notion must coincide with classic
 serializability of the projected history — the equivalence the paper
-proves (Section 2.3, Appendix A).
+proves (Section 2.3, Appendix A) — and the one conflict-edge builder
+must yield exactly the all-pairs definition of the conflict relation.
 """
 
-from hypothesis import given, settings
+from operator import attrgetter
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.formal import (
@@ -20,10 +23,32 @@ from repro.formal import (
     read,
     write,
 )
+from repro.formal.history import conflict_edges
 
 N_TXNS = 4
 N_REACTORS = 3
 ITEMS = ("x", "y")
+
+#: Two increments of x, both reading before either writes.
+LOST_UPDATE = history_of([
+    read(1, 1, 0, "x"), read(2, 1, 0, "x"),
+    write(1, 1, 0, "x"), write(2, 1, 0, "x"),
+    commit(1), commit(2),
+])
+#: Each reads both items and writes the one the other read.
+WRITE_SKEW = history_of([
+    read(1, 1, 0, "x"), read(1, 1, 0, "y"),
+    read(2, 1, 0, "x"), read(2, 1, 0, "y"),
+    write(1, 1, 0, "x"), write(2, 1, 0, "y"),
+    commit(1), commit(2),
+])
+#: T1 buffered x and y; T2 read both before T1's install, which is
+#: where T1's writes stand.  Serializable as T2, T1.
+READ_BEFORE_INSTALL = history_of([
+    read(1, 1, 0, "x"), read(1, 1, 0, "y"),
+    read(2, 1, 0, "x"), read(2, 1, 0, "y"), commit(2),
+    write(1, 0, 0, "x"), write(1, 0, 0, "y"), commit(1),
+])
 
 
 @st.composite
@@ -61,6 +86,9 @@ def reactor_histories(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(reactor_histories())
+@example(LOST_UPDATE)
+@example(WRITE_SKEW)
+@example(READ_BEFORE_INSTALL)
 def test_theorem_2_7(history):
     """Reactor-model serializability iff classic serializability of
     the projection (Theorem 2.7)."""
@@ -68,21 +96,34 @@ def test_theorem_2_7(history):
         is_serializable_classic(project(history))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(reactor_histories())
-def test_subtxn_edges_superset_relationship(history):
-    """Sub-transaction-level conflict edges and leaf-level edges agree
-    when projected to transactions (both order the same conflicting
-    basic-operation pairs)."""
-    assert history.subtxn_conflict_edges() == \
-        history.leaf_conflict_edges()
+@example(LOST_UPDATE)
+@example(WRITE_SKEW)
+@example(READ_BEFORE_INSTALL)
+def test_edge_builder_is_the_all_pairs_definition(history):
+    """Grouping by item loses and invents no edge: an ordered pair of
+    conflicting operations of two committed transactions, no more."""
+    ops = history.committed_operations()
+    expected = {(a.txn, b.txn)
+                for i, a in enumerate(ops) for b in ops[i + 1:]
+                if a.txn != b.txn and a.conflicts_with(b)}
+    assert history.conflict_edges() == expected
+    assert conflict_edges(ops, attrgetter("reactor", "item")) == expected
+    assert project(history).conflict_edges() == expected
+
+
+def test_the_examples_get_their_verdicts():
+    assert not is_serializable_reactor(LOST_UPDATE)
+    assert not is_serializable_reactor(WRITE_SKEW)
+    assert is_serializable_reactor(READ_BEFORE_INSTALL)
 
 
 @settings(max_examples=100, deadline=None)
 @given(reactor_histories())
 def test_aborted_transactions_never_appear_in_graph(history):
     committed = history.committed_txns()
-    for src, dst in history.subtxn_conflict_edges():
+    for src, dst in history.conflict_edges():
         assert src in committed
         assert dst in committed
 
