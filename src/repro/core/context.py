@@ -3,10 +3,11 @@
 A :class:`ReactorContext` is the first argument of every procedure.  It
 provides:
 
-* **declarative queries over the reactor's own relations** —
-  :meth:`select`, :meth:`lookup`, :meth:`insert`, :meth:`update`,
-  :meth:`delete`, :meth:`run_query` — executed under the root
-  transaction's OCC session (read-your-writes, validated at commit);
+* **the record-manager interface over the reactor's own relations**
+  (paper Section 3) — six verbs, each naming its table first:
+  :meth:`lookup`, :meth:`multi_lookup`, :meth:`select`,
+  :meth:`insert`, :meth:`update`, :meth:`delete` — executed under the
+  root transaction's CC session (read-your-writes, checked at commit);
 * **asynchronous procedure calls to other reactors** — ``yield
   ctx.call(name, proc, *args)`` returns a future, ``yield
   ctx.get(future)`` waits on it (paper syntax: ``proc(args) on reactor
@@ -27,9 +28,9 @@ from __future__ import annotations
 import random
 from typing import Any, Iterable, Mapping
 
+from repro.concurrency.base import Row
 from repro.errors import UserAbort
 from repro.relational.predicate import ALWAYS, Predicate
-from repro.relational.query import Query, Row
 from repro.runtime.effects import CallEffect, ChargeEffect, GetEffect
 from repro.runtime.futures import SimFuture
 
@@ -64,10 +65,6 @@ class ReactorContext:
     def my_name(self) -> str:
         """The name of the reactor this procedure executes on."""
         return self._reactor.name
-
-    @property
-    def reactor_type(self) -> str:
-        return self._reactor.rtype.name
 
     @property
     def now(self) -> float:
@@ -128,7 +125,7 @@ class ReactorContext:
         return ChargeEffect(n_randoms * self._costs.rand_cost, "exec")
 
     # ------------------------------------------------------------------
-    # Declarative queries on the encapsulated relations
+    # The record-manager interface on the encapsulated relations
     # ------------------------------------------------------------------
 
     # Every operation below is one call into the session: the table
@@ -193,19 +190,6 @@ class ReactorContext:
             (examined if examined > 1 else 1) * self._factor
         return result.rows
 
-    def select_one(self, table_name: str, where: Predicate = ALWAYS,
-                   **scan_kwargs: Any) -> Row | None:
-        """First matching row or ``None`` (SELECT ... INTO idiom)."""
-        rows = self.select(table_name, where, limit=1, **scan_kwargs)
-        return rows[0] if rows else None
-
-    def run_query(self, table_name: str, query: Query,
-                  where: Predicate = ALWAYS) -> list[Row]:
-        """Run a :class:`~repro.relational.query.Query` pipeline
-        (grouping, aggregates, ordering) over this reactor's rows."""
-        rows = self.select(table_name, where)
-        return query.run(rows)
-
     def insert(self, table_name: str, row: Mapping[str, Any]) -> None:
         table = self._tables[table_name]
         session = self._session_cache or self._open_session()
@@ -225,19 +209,6 @@ class ReactorContext:
             (examined if examined > 1 else 1) * self._factor
         return new_row
 
-    def update_where(self, table_name: str, where: Predicate,
-                     values: Mapping[str, Any]) -> int:
-        """Update all rows matching a predicate; returns the count."""
-        rows = self.select(table_name, where)
-        table = self._tables[table_name]
-        session = self._session_cache
-        for row in rows:
-            session.update(table, table.schema.primary_key_of(row),
-                           values)
-        self._task.pending_charge += \
-            self._costs.write_cost * len(rows) * self._factor
-        return len(rows)
-
     def delete(self, table_name: str, pk: Any) -> None:
         table = self._tables[table_name]
         session = self._session_cache or self._open_session()
@@ -245,33 +216,3 @@ class ReactorContext:
             table, pk if isinstance(pk, tuple) else (pk,))
         self._task.pending_charge += \
             self._costs.delete_cost * examined * self._factor
-
-    def delete_where(self, table_name: str, where: Predicate) -> int:
-        """Delete all rows matching a predicate; returns the count."""
-        rows = self.select(table_name, where)
-        table = self._tables[table_name]
-        session = self._session_cache
-        for row in rows:
-            session.delete(table, table.schema.primary_key_of(row))
-        self._task.pending_charge += \
-            self._costs.delete_cost * len(rows) * self._factor
-        return len(rows)
-
-    def sql(self, text: str, *params: Any) -> Any:
-        """Execute a SQL statement against this reactor's relations.
-
-        The stored-procedure surface of the paper's examples::
-
-            rows = ctx.sql("SELECT SUM(value) AS exposure FROM orders "
-                           "WHERE settled = 'N'")
-            ctx.sql("INSERT INTO orders (wallet, value, settled) "
-                    "VALUES (?, ?, 'N')", wallet, value)
-
-        SELECT returns rows; UPDATE/DELETE return affected counts.
-        """
-        from repro.relational.sql import execute
-
-        return execute(self, text, params)
-
-    def table_names(self) -> Iterable[str]:
-        return self._reactor.catalog.table_names()

@@ -25,10 +25,6 @@ class QueryError(ReactorError):
     """A query referenced unknown tables/columns or was malformed."""
 
 
-class SQLParseError(QueryError):
-    """The SQL text could not be parsed."""
-
-
 class UnknownReactorError(ReactorError):
     """A call referenced a reactor name that was never declared."""
 

@@ -1,19 +1,19 @@
-"""Relational substrate: schemas, tables, indexes, predicates, queries.
+"""Relational substrate: schemas, tables, indexes, predicates.
 
 Every reactor encapsulates a private :class:`~repro.relational.catalog.Catalog`
 of :class:`~repro.relational.table.Table` instances built from
 :class:`~repro.relational.schema.TableSchema` definitions.  Declarative
-queries are supported *only within* a reactor (paper Section 2.2.1);
-cross-reactor access is always an asynchronous procedure call.
+access works *only within* a reactor (paper Section 2.2.1), through the
+context's record-manager verbs (``ctx.lookup`` / ``multi_lookup`` /
+``select`` / ``insert`` / ``update`` / ``delete``); cross-reactor
+access is always an asynchronous procedure call.
 
 Public exports: schema builders (``make_schema``, the ``*_col``
 helpers, :class:`TableSchema`, :class:`IndexSpec`), the storage
-objects (:class:`Catalog`, :class:`Table`), the predicate algebra
+objects (:class:`Catalog`, :class:`Table`) and the predicate algebra
 (``col``, :class:`Comparison`, :class:`Between`, :class:`InSet`,
-:class:`Lambda`, :data:`ALWAYS`) and the query pipeline
-(:class:`Query` with its aggregates); the SQL front end stays in
-:mod:`repro.relational.sql` (``execute`` / ``parse``), reached through
-``ctx.sql(...)``.
+:class:`Lambda`, :data:`ALWAYS`) that ``ctx.select``'s ``where``
+argument takes.
 """
 
 from repro.relational.catalog import Catalog
@@ -25,16 +25,6 @@ from repro.relational.predicate import (
     Lambda,
     Predicate,
     col,
-)
-from repro.relational.query import (
-    Query,
-    agg_avg,
-    agg_count,
-    agg_count_distinct,
-    agg_max,
-    agg_min,
-    agg_sum,
-    scalar,
 )
 from repro.relational.schema import (
     Column,
@@ -70,12 +60,4 @@ __all__ = [
     "Lambda",
     "ALWAYS",
     "col",
-    "Query",
-    "agg_sum",
-    "agg_count",
-    "agg_count_distinct",
-    "agg_min",
-    "agg_max",
-    "agg_avg",
-    "scalar",
 ]

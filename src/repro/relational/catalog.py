@@ -52,6 +52,3 @@ class Catalog:
 
     def __iter__(self) -> Iterator[Table]:
         return iter(self.tables.values())
-
-    def table_names(self) -> list[str]:
-        return sorted(self.tables)

@@ -1,4 +1,4 @@
-"""Predicate expressions for declarative queries.
+"""Predicate expressions: the ``where`` argument of ``ctx.select``.
 
 Predicates are small composable objects evaluated against row dicts.
 The :func:`col` builder gives an expression syntax close to the paper's
@@ -9,8 +9,7 @@ pseudo-SQL::
     pred = (col("settled") == "N") & (col("value") > 100.0)
 
 Predicates expose their equality constraints (:meth:`equality_bindings`)
-so the query planner can route point lookups and scans through indexes
-instead of full scans.
+so a scan can probe a hash index instead of walking the whole table.
 """
 
 from __future__ import annotations

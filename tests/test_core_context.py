@@ -8,8 +8,6 @@ from repro.core.reactor import ReactorType
 from repro.errors import TransactionAbort
 from repro.relational import (
     IndexSpec,
-    Query,
-    agg_sum,
     col,
     float_col,
     int_col,
@@ -35,8 +33,6 @@ def probe(ctx, action, *args):
         return ctx.lookup("items", args[0])
     if action == "select":
         return ctx.select("items", *args)
-    if action == "select_one":
-        return ctx.select_one("items", *args)
     if action == "select_range":
         low, high, reverse, limit = args
         return ctx.select("items", index="by_price", low=low,
@@ -46,18 +42,11 @@ def probe(ctx, action, *args):
         return None
     if action == "update":
         return ctx.update("items", args[0], args[1])
-    if action == "update_where":
-        return ctx.update_where("items", args[0], args[1])
     if action == "delete":
         ctx.delete("items", args[0])
         return None
-    if action == "delete_where":
-        return ctx.delete_where("items", args[0])
-    if action == "run_query":
-        return ctx.run_query("items", args[0])
     if action == "meta":
-        return {"name": ctx.my_name(), "type": ctx.reactor_type,
-                "tables": list(ctx.table_names()), "now": ctx.now}
+        return {"name": ctx.my_name(), "now": ctx.now}
     if action == "rng":
         return [ctx.rng.random() for __ in range(3)]
     raise AssertionError(f"unknown action {action}")
@@ -89,15 +78,6 @@ class TestQueries:
                        col("category") == "tools")
         assert {r["id"] for r in rows} == {1, 2}
 
-    def test_select_one(self, inv):
-        row = inv.run("store", "probe", "select_one",
-                      col("price") > 15.0)
-        assert row["id"] == 2
-
-    def test_select_one_empty(self, inv):
-        assert inv.run("store", "probe", "select_one",
-                       col("price") > 100.0) is None
-
     def test_ordered_index_range(self, inv):
         rows = inv.run("store", "probe", "select_range",
                        (5.0,), (15.0,), False, None)
@@ -107,13 +87,6 @@ class TestQueries:
         rows = inv.run("store", "probe", "select_range",
                        None, None, True, 2)
         assert [r["id"] for r in rows] == [2, 4]
-
-    def test_run_query_pipeline(self, inv):
-        query = Query().group_by("category").aggregate(
-            total=agg_sum("stock"))
-        rows = inv.run("store", "probe", "run_query", query)
-        assert {r["category"]: r["total"] for r in rows} == \
-            {"tools": 3, "toys": 9}
 
 
 class TestMutations:
@@ -127,24 +100,9 @@ class TestMutations:
         row = inv.run("store", "probe", "update", 1, {"stock": 10})
         assert row["stock"] == 10
 
-    def test_update_where_counts(self, inv):
-        count = inv.run("store", "probe", "update_where",
-                        col("category") == "toys", {"stock": 0})
-        assert count == 2
-        rows = inv.run("store", "probe", "select",
-                       col("stock") == 0)
-        assert {r["id"] for r in rows} == {2, 3, 4}
-
     def test_delete(self, inv):
         inv.run("store", "probe", "delete", 1)
         assert inv.run("store", "probe", "lookup", 1) is None
-
-    def test_delete_where(self, inv):
-        count = inv.run("store", "probe", "delete_where",
-                        col("price") < 10.0)
-        assert count == 2
-        remaining = inv.run("store", "probe", "select")
-        assert {r["id"] for r in remaining} == {2, 4}
 
     def test_update_missing_aborts_txn(self, inv):
         with pytest.raises(TransactionAbort):
@@ -155,8 +113,6 @@ class TestUtilities:
     def test_meta(self, inv):
         meta = inv.run("store", "probe", "meta")
         assert meta["name"] == "store"
-        assert meta["type"] == "Inventory"
-        assert meta["tables"] == ["items"]
         assert meta["now"] >= 0.0
 
     def test_rng_deterministic_per_txn(self, inv):

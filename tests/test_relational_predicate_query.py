@@ -1,19 +1,6 @@
-"""Predicate expression and query pipeline tests."""
+"""Predicate expression tests."""
 
-import pytest
-
-from repro.errors import QueryError
 from repro.relational.predicate import ALWAYS, Lambda, col
-from repro.relational.query import (
-    Query,
-    agg_avg,
-    agg_count,
-    agg_count_distinct,
-    agg_max,
-    agg_min,
-    agg_sum,
-    scalar,
-)
 
 ROWS = [
     {"provider": "visa", "value": 10.0, "settled": "N"},
@@ -67,74 +54,3 @@ class TestPredicates:
         assert pred.matches(ROWS[0])
         assert not pred.matches(ROWS[2])
         assert pred.columns() == {"value"}
-
-
-class TestQueryPipeline:
-    def test_filter(self):
-        out = Query().where(col("settled") == "N").run(ROWS)
-        assert len(out) == 3
-
-    def test_where_composes_conjunctively(self):
-        q = Query().where(col("settled") == "N") \
-            .where(col("provider") == "mc")
-        assert len(q.run(ROWS)) == 2
-
-    def test_projection(self):
-        out = Query().project("provider").run(ROWS)
-        assert out[0] == {"provider": "visa"}
-
-    def test_projection_missing_column(self):
-        with pytest.raises(QueryError):
-            Query().project("nope").run(ROWS)
-
-    def test_order_by(self):
-        out = Query().order_by("value").run(ROWS)
-        assert [r["value"] for r in out] == [5.0, 7.0, 10.0, 20.0]
-
-    def test_order_by_descending(self):
-        out = Query().order_by("value", descending=True).run(ROWS)
-        assert out[0]["value"] == 20.0
-
-    def test_limit(self):
-        assert len(Query().limit(2).run(ROWS)) == 2
-        with pytest.raises(QueryError):
-            Query().limit(-1)
-
-    def test_global_aggregates(self):
-        out = Query().aggregate(
-            total=agg_sum("value"), n=agg_count(),
-            low=agg_min("value"), high=agg_max("value"),
-            mean=agg_avg("value"))
-        result = out.run(ROWS)[0]
-        assert result["total"] == 42.0
-        assert result["n"] == 4
-        assert result["low"] == 5.0
-        assert result["high"] == 20.0
-        assert result["mean"] == pytest.approx(10.5)
-
-    def test_group_by(self):
-        out = Query().group_by("provider").aggregate(
-            total=agg_sum("value")).run(ROWS)
-        by_provider = {r["provider"]: r["total"] for r in out}
-        assert by_provider == {"visa": 30.0, "mc": 12.0}
-
-    def test_group_by_without_aggregate_rejected(self):
-        with pytest.raises(QueryError):
-            Query().group_by("provider").run(ROWS)
-
-    def test_count_distinct(self):
-        out = Query().aggregate(
-            n=agg_count_distinct("provider")).run(ROWS)
-        assert out[0]["n"] == 2
-
-    def test_empty_input_aggregates(self):
-        out = Query().aggregate(total=agg_sum("value"),
-                                n=agg_count(), low=agg_min("value"))
-        result = out.run([])[0]
-        assert result["total"] == 0
-        assert result["n"] == 0
-        assert result["low"] is None
-
-    def test_scalar_helper(self):
-        assert scalar(ROWS, "value") == 10.0
-        assert scalar([], "value", default=-1) == -1
