@@ -168,9 +168,6 @@ class MigrationManager:
     # Parking (called from ReactorDatabase.submit and the executor)
     # ------------------------------------------------------------------
 
-    def is_migrating(self, reactor_name: str) -> bool:
-        return reactor_name in self.active
-
     def park_root(self, reactor_name: str, invocation: Any) -> None:
         migration = self.active[reactor_name]
         migration.parked_roots.append(invocation)

@@ -588,21 +588,6 @@ class ReplicationManager:
     # Introspection
     # ------------------------------------------------------------------
 
-    def lag_snapshot(self) -> dict[int, list[dict[str, Any]]]:
-        """Per-replica lag in records and applied TID watermark."""
-        out: dict[int, list[dict[str, Any]]] = {}
-        for cid, group in self.replicas.items():
-            out[cid] = [
-                {
-                    "replica_id": replica.replica_id,
-                    "lag_records": len(self.shipped[cid])
-                    - len(replica.applied_records),
-                    "applied_tid": replica.applied_tid,
-                }
-                for replica in group
-            ]
-        return out
-
     def stats_dict(self) -> dict[str, Any]:
         stats = self.stats
         value = self._telemetry.registry.value
