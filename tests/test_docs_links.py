@@ -1,8 +1,10 @@
 """The documentation tree stays internally consistent.
 
 Runs the same checker the CI ``docs-check`` job uses: every relative
-markdown link in the repository must resolve to an existing file, and
-the core documents the README promises must exist.
+markdown link in the repository must resolve to an existing file,
+every backticked ``repro.…`` name in the docs, the README and the
+source docstrings must import, and the core documents the README
+promises must exist.
 """
 
 from __future__ import annotations
@@ -50,3 +52,33 @@ def test_checker_detects_breakage(tmp_path):
     (tmp_path / "b.md").write_text("fine")
     broken = checker.broken_links(tmp_path)
     assert [(f.name, t) for f, t in broken] == [("a.md", "nowhere.md")]
+
+
+def test_every_backticked_repro_name_resolves():
+    checker = _load_checker()
+    stale = checker.unresolved_names(REPO_ROOT)
+    assert stale == [], (
+        "stale repro names: "
+        + ", ".join(f"{f.relative_to(REPO_ROOT)} -> {n}"
+                    for f, n in stale))
+
+
+def test_checker_detects_stale_names(tmp_path):
+    checker = _load_checker()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "a.md").write_text(
+        "`repro.relational.predicate.col`, `repro.relational.sql`, "
+        "`repro.core.context.ReactorContext.select()`")
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(
+        '"""See :class:`~repro.relational.query.Query`."""\n'
+        "# `repro.not_checked` (a comment, not a docstring)\n"
+        "def f():\n"
+        '    """Calls :meth:`repro.core.context.ReactorContext.sql`."""\n')
+    stale = checker.unresolved_names(tmp_path)
+    assert [(f.name, n) for f, n in stale] == [
+        ("a.md", "repro.relational.sql"),
+        ("m.py", "repro.relational.query.Query"),
+        ("m.py", "repro.core.context.ReactorContext.sql"),
+    ]

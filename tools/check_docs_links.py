@@ -1,22 +1,35 @@
 #!/usr/bin/env python3
-"""Fail on broken intra-repository markdown links.
+"""Fail on broken intra-repository markdown links and stale ``repro``
+names.
 
-Scans every ``*.md`` file in the repository (skipping ``.git`` and
-generated ``benchmarks/results``) for inline markdown links and
-reference definitions, and verifies that every relative target exists
-on disk.  External links (``http``/``https``/``mailto``) and pure
-in-page anchors are ignored; a ``#fragment`` suffix on a file link is
-stripped before the existence check.
+Two checks:
+
+* **Links.**  Scans every ``*.md`` file in the repository (skipping
+  ``.git`` and generated ``benchmarks/results``) for inline markdown
+  links and reference definitions, and verifies that every relative
+  target exists on disk.  External links (``http``/``https``/
+  ``mailto``) and pure in-page anchors are ignored; a ``#fragment``
+  suffix on a file link is stripped before the existence check.
+* **Names.**  Every backticked dotted name under the package —
+  ``repro.formal.audit``, ``:class:`~repro.core.context.ReactorContext```
+  — in ``docs/*.md``, ``README.md`` and the docstrings of
+  ``src/repro/**/*.py`` must resolve: the longest prefix that is a
+  module is imported, and the rest is looked up with ``getattr``.
+  Needs the package importable (``PYTHONPATH=src``).
 
 Used by the CI ``docs-check`` job and by ``tests/test_docs_links.py``,
-so a renamed or deleted file breaks the build instead of the docs.
+so a renamed or deleted file, module or attribute breaks the build
+instead of the docs.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 import sys
 from pathlib import Path
+from types import ModuleType
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SKIP_DIRS = {".git", "results", "__pycache__", ".pytest_cache"}
@@ -28,6 +41,10 @@ INLINE_LINK = re.compile(r"\[[^\]]*\]\(([^()\s]+)\)")
 REFERENCE_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+
+#: A backtick (optionally Sphinx's ``~``) followed by a dotted name
+#: rooted at the package.
+REPRO_NAME = re.compile(r"`~?(repro(?:\.\w+)+)")
 
 
 def markdown_files(root: Path) -> list[Path]:
@@ -61,15 +78,76 @@ def broken_links(root: Path) -> list[tuple[Path, str]]:
     return broken
 
 
+def docstrings(path: Path) -> list[str]:
+    """The module, class and function docstrings of one source file."""
+    nodes = ast.walk(ast.parse(path.read_text(), str(path)))
+    return [text for node in nodes
+            if isinstance(node, (ast.Module, ast.ClassDef,
+                                 ast.FunctionDef, ast.AsyncFunctionDef))
+            and (text := ast.get_docstring(node, clean=False))]
+
+
+def named_texts(root: Path) -> list[tuple[Path, str]]:
+    """Every (file, text) whose backticked ``repro`` names must
+    resolve."""
+    texts = [(path, path.read_text())
+             for path in sorted((root / "docs").glob("*.md"))]
+    readme = root / "README.md"
+    if readme.is_file():
+        texts.append((readme, readme.read_text()))
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        texts.extend((path, text) for text in docstrings(path))
+    return texts
+
+
+def resolves(name: str) -> bool:
+    """Import the longest module prefix of ``name``, ``getattr`` the
+    rest."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:split])
+        try:
+            target: ModuleType | object = \
+                importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            # Only "this prefix is not a module" moves on to a shorter
+            # one; a module that fails its own imports is broken.
+            if exc.name is None or not (
+                    module_name == exc.name
+                    or module_name.startswith(exc.name + ".")):
+                return False
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def unresolved_names(root: Path) -> list[tuple[Path, str]]:
+    """All (file, name) pairs whose backticked ``repro`` name does not
+    resolve."""
+    unresolved: list[tuple[Path, str]] = []
+    for path, text in named_texts(root):
+        for name in dict.fromkeys(REPRO_NAME.findall(text)):
+            if not resolves(name):
+                unresolved.append((path, name))
+    return unresolved
+
+
 def main() -> int:
     root = REPO_ROOT
     files = markdown_files(root)
     broken = broken_links(root)
     for md_file, target in broken:
         print(f"BROKEN: {md_file.relative_to(root)} -> {target}")
+    stale = unresolved_names(root)
+    for path, name in stale:
+        print(f"STALE: {path.relative_to(root)} -> {name}")
     print(f"checked {len(files)} markdown files, "
-          f"{len(broken)} broken links")
-    return 1 if broken else 0
+          f"{len(broken)} broken links, {len(stale)} stale names")
+    return 1 if broken or stale else 0
 
 
 if __name__ == "__main__":
