@@ -531,25 +531,29 @@ class CCSession:
         rows: list[tuple[Any, Row]] = []
         table_id = id(table)
         if writes:
+            # Candidates this transaction wrote are replaced by its own
+            # image (or absence) below.
+            overlaid = set()
             for record in candidates:
-                intent = writes.get((table_id, record.key))
-                if intent is not None:
-                    if intent.kind == DELETE:
-                        continue
-                    image: Row | None = dict(intent.new_value or {})
-                else:
-                    register_read(record)
-                    image = dict(record.value)
-                if image is not None and matches(image):
+                if (table_id, record.key) in writes:
+                    overlaid.add(record.key)
+                    continue
+                register_read(record)
+                image = dict(record.value)
+                if matches(image):
                     rows.append((sort_keys(image, record.key), image))
-            # Own inserts join the result set.
+            # Every own insert or update of this table is matched on
+            # its new image, against the predicate and the probed key
+            # or range: the index holds committed keys only, so an
+            # indexed column may have moved into or out of them.
             for intent in list(writes.values()):
-                if intent.table is table and intent.kind == INSERT:
+                if intent.table is table and intent.kind != DELETE:
                     image = dict(intent.new_value or {})
                     if matches(image) and self._in_range(
                             table, index, image, low, high):
                         rows.append((sort_keys(image, intent.pk), image))
-                        examined += 1
+                        if intent.pk not in overlaid:
+                            examined += 1
         else:
             for record in candidates:
                 register_read(record)

@@ -3,6 +3,10 @@
 Invariants checked on randomized inputs:
 
 * ordered-index range scans agree with a naive filter over the rows;
+* a session's predicate scan (random ``And`` / ``Or`` / ``Not`` /
+  ``Between`` / ``InSet`` trees, full walk or hash probe, with and
+  without the session's own writes) agrees with a naive filter over
+  the rows the session sees;
 * tables and their secondary indexes stay mutually consistent through
   arbitrary insert/update/delete interleavings;
 * on a coordinated table, every pinned snapshot's indexed, equality
@@ -16,15 +20,25 @@ Invariants checked on randomized inputs:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concurrency import coordinator
+from repro.concurrency.base import CCSession
 from repro.concurrency.mvcc import SnapshotSession
 from repro.concurrency.occ import ConcurrencyManager
 from repro.concurrency.tid import EpochManager
 from repro.relational.index import OrderedIndex, make_spec
-from repro.relational.predicate import col
+from repro.relational.predicate import (
+    Between,
+    Comparison,
+    InSet,
+    Not,
+    Or,
+    Predicate,
+    col,
+)
 from repro.relational.schema import (
     IndexSpec,
     int_col,
@@ -53,6 +67,118 @@ def test_ordered_index_range_matches_naive_filter(entries, low, high):
         if (low is None or k[: len(low)] >= low)
         and (high is None or k[: len(high)] <= high))
     assert got == expected
+
+
+# Predicate scans through the record manager -------------------------
+
+#: A small value domain, so equality predicates hit rows and the hash
+#: probe on ``a`` returns non-empty buckets.
+scan_values = st.integers(-3, 3)
+
+
+@st.composite
+def predicates(draw, depth=2) -> Predicate:
+    """Random predicate trees over columns ``a``/``b``/``c``: every
+    leaf kind (comparison, ``Between``, ``InSet``) under ``And``,
+    ``Or`` and ``Not``."""
+    if depth == 0 or draw(st.booleans()):
+        column = draw(st.sampled_from(("a", "b", "c")))
+        kind = draw(st.sampled_from(["cmp", "between", "in"]))
+        if kind == "cmp":
+            op = draw(st.sampled_from(
+                ["==", "!=", "<", "<=", ">", ">="]))
+            return Comparison(column, op, draw(scan_values))
+        if kind == "between":
+            return Between(column, draw(st.integers(-3, 0)),
+                           draw(st.integers(0, 3)))
+        return InSet(column, draw(st.lists(scan_values, min_size=1,
+                                           max_size=3)))
+    combo = draw(st.sampled_from(["and", "or", "not"]))
+    if combo == "not":
+        return Not(draw(predicates(depth=depth - 1)))
+    left = draw(predicates(depth=depth - 1))
+    right = draw(predicates(depth=depth - 1))
+    if combo == "and":
+        return left & right
+    return Or(left, right)
+
+
+#: Half the trees are conjoined with ``a == v``, so
+#: ``equality_bindings`` binds the hash index on ``a`` and the scan
+#: takes the hash-probe path instead of the full walk.
+scan_predicates = st.one_of(
+    predicates(),
+    st.builds(lambda v, p: (col("a") == v) & p, scan_values,
+              predicates()))
+
+scan_images = st.fixed_dictionaries(
+    {"a": scan_values, "b": scan_values, "c": scan_values})
+
+own_writes = st.lists(
+    st.tuples(st.sampled_from(["insert", "update", "delete"]),
+              st.integers(0, 11), scan_images),
+    max_size=8)
+
+
+def _scan_table() -> Table:
+    schema = make_schema(
+        "t", [int_col("id"), int_col("a"), int_col("b"), int_col("c")],
+        ["id"],
+        [IndexSpec("by_a", ("a",)),
+         IndexSpec("by_b", ("b",), ordered=True)])
+    return Table(schema)
+
+
+@pytest.mark.parametrize("overlay", [False, True],
+                         ids=["committed", "own-writes"])
+@settings(max_examples=150, deadline=None)
+@given(scan_predicates, st.lists(scan_images, max_size=10), own_writes)
+def test_scan_matches_naive_filter(overlay, predicate, images, writes):
+    """``CCSession.scan(table, p)`` returns exactly the rows ``p``
+    matches, in primary-key order, as the session sees them: committed
+    rows, or (``own-writes``) committed rows under the session's own
+    buffered inserts, updates and deletes."""
+    table = _scan_table()
+    visible: dict[tuple, dict] = {}
+    for i, image in enumerate(images):
+        row = {"id": i, **image}
+        table.load_row(row)
+        visible[(i,)] = row
+    session = CCSession(1, 0)
+    for op, id_, image in writes if overlay else ():
+        pk = (id_,)
+        if op == "insert" and pk not in visible:
+            row = {"id": id_, **image}
+            session.insert(table, row)
+            visible[pk] = row
+        elif op == "update" and pk in visible:
+            session.update(table, pk, image)
+            visible[pk] = {**visible[pk], **image}
+        elif op == "delete" and pk in visible:
+            session.delete(table, pk)
+            del visible[pk]
+    rows = [visible[pk] for pk in sorted(visible)]
+    assert session.scan(table, predicate).rows == \
+        [row for row in rows if predicate.matches(row)]
+
+
+def test_scan_sees_own_update_moved_into_probed_key():
+    """An own update that moves a row's indexed column into the key or
+    range an index scan probes is in the result, although the index
+    (which holds committed keys only) does not list it there."""
+    table = _scan_table()
+    table.load_row({"id": 0, "a": 0, "b": 0, "c": 0})
+    table.load_row({"id": 1, "a": 1, "b": 2, "c": 0})
+    session = CCSession(1, 0)
+    moved = session.update(table, (0,), {"a": 1, "b": 2})[0]
+    both = [moved, {"id": 1, "a": 1, "b": 2, "c": 0}]
+    assert session.scan(table, col("a") == 1).rows == both
+    assert session.scan(table, index="by_a", low=(1,),
+                        high=(1,)).rows == both
+    assert session.scan(table, index="by_b", low=(1,),
+                        high=(3,)).rows == both
+    assert session.scan(table, index="by_b", low=(0,),
+                        high=(0,)).rows == []
 
 
 def _indexed_table() -> Table:
