@@ -385,11 +385,14 @@ class CCSession:
                 f"duplicate key {pk!r} in {table.name!r} (own write)"
             )
         if table.get_record(pk) is not None:
-            raise DuplicateKeyError(
-                f"duplicate key {pk!r} in {table.name!r}"
-            )
+            raise self._committed_duplicate(table, pk)
         self._set_intent(WriteIntent(INSERT, table, pk, None, validated))
         return 1
+
+    def _committed_duplicate(self, table: Table,
+                             pk: tuple) -> ReactorError:
+        """What an insert raises when a committed row holds its key."""
+        return DuplicateKeyError(f"duplicate key {pk!r} in {table.name!r}")
 
     def update(self, table: Table, pk: tuple,
                assignments: Mapping[str, Any]) -> tuple[Row, int]:

@@ -16,7 +16,7 @@ optimistic read/node-version footprint on top and
 
 from __future__ import annotations
 
-from repro.errors import ValidationAbort
+from repro.errors import ReactorError, ValidationAbort
 from repro.concurrency.base import (
     CCSession,
     ConcurrencyControl,
@@ -25,6 +25,7 @@ from repro.concurrency.base import (
     ScanResult,
     WriteIntent,
 )
+from repro.relational.table import Table
 
 __all__ = [
     "ConcurrencyManager",
@@ -44,7 +45,26 @@ class OCCSession(CCSession):
     behaviour unchanged — validation interprets the footprint.
     """
 
-    __slots__ = ()
+    #: The manager's :class:`~repro.concurrency.base.CCStats`.
+    __slots__ = ("stats",)
+
+    def _committed_duplicate(self, table: Table,
+                             pk: tuple) -> ReactorError:
+        # A committed row holds the key while one of this
+        # transaction's reads is stale: the key came from state a
+        # concurrent committer has since moved (TPC-C's history key
+        # from ``w_h_count``, an order line's from ``d_next_o_id``).
+        # Validation would fail the transaction anyway, so it aborts
+        # now as the CC conflict it is, not as a user error.
+        for record, tid_seen in self._reads.items():
+            if record.tid != tid_seen:
+                self.stats.validation_failures += 1
+                return ValidationAbort(
+                    f"stale read of {record.key!r} in txn "
+                    f"{self.txn_id}: a committed row holds insert key "
+                    f"{pk!r} in {table.name!r}"
+                )
+        return super()._committed_duplicate(table, pk)
 
 
 class ConcurrencyManager(ConcurrencyControl):
@@ -55,7 +75,11 @@ class ConcurrencyManager(ConcurrencyControl):
     __slots__ = ()
 
     def begin_session(self, txn_id: int) -> OCCSession:
-        return OCCSession(txn_id, self.container_id)
+        # Set here, not in an __init__ override: no extra call per
+        # session on the point path.
+        session = OCCSession(txn_id, self.container_id)
+        session.stats = self.stats
+        return session
 
     def validate(self, session: CCSession) -> int:
         """Phase-1 validation; locks the write set.

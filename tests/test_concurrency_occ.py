@@ -12,6 +12,7 @@ from repro.errors import (
     DuplicateKeyError,
     RecordNotFound,
     SchemaError,
+    ValidationAbort,
 )
 from repro.relational.predicate import col
 from repro.relational.schema import (
@@ -185,6 +186,37 @@ class TestValidation:
         assert commit(manager, s1).committed
         assert not commit(manager, s2).committed
         assert table.get_record((100,)).value["v"] == 1.0
+
+    def test_committed_duplicate_behind_a_stale_read_is_cc_abort(
+            self, table, manager):
+        s1 = manager.begin_session(1)
+        s1.read(table, (1,))
+        s2 = manager.begin_session(2)
+        s2.update(table, (1,), {"v": 10.0})
+        s2.insert(table, {"id": 100, "v": 1.0})
+        assert commit(manager, s2).committed
+        with pytest.raises(ValidationAbort, match=r"stale read of \(1,\)"):
+            s1.insert(table, {"id": 100, "v": 2.0})
+        assert manager.stats.validation_failures == 1
+
+    def test_other_duplicates_stay_duplicate_key_errors(self, table,
+                                                        manager):
+        s1 = manager.begin_session(1)
+        s1.read(table, (2,))  # stays fresh
+        s2 = manager.begin_session(2)
+        s2.insert(table, {"id": 100, "v": 1.0})
+        assert commit(manager, s2).committed
+        with pytest.raises(DuplicateKeyError):
+            s1.insert(table, {"id": 100, "v": 2.0})
+        s3 = manager.begin_session(3)
+        s3.read(table, (1,))
+        s3.insert(table, {"id": 200, "v": 1.0})
+        s4 = manager.begin_session(4)
+        s4.update(table, (1,), {"v": 10.0})
+        assert commit(manager, s4).committed
+        with pytest.raises(DuplicateKeyError, match="own write"):
+            s3.insert(table, {"id": 200, "v": 2.0})
+        assert manager.stats.validation_failures == 0
 
     def test_phantom_insert_aborts_scan(self, table, manager):
         s1 = manager.begin_session(1)

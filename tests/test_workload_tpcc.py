@@ -188,6 +188,51 @@ class TestPayment:
         assert updated["c_data"].startswith(f"{customer['c_id']},")
 
 
+@pytest.mark.parametrize("scheme", ["occ", "mvocc", "2pl_nowait", "none"])
+def test_racing_payments_abort_as_cc_conflicts(scheme):
+    """Two payments on one warehouse read the same ``w_h_count``, so
+    both key their history row ``h_seq = 1``.  A delivery queued first
+    on the customers' warehouse keeps both payments waiting on their
+    remote customer update, so the second reads the warehouse before
+    the first commits and inserts after it did.
+
+    Under OCC that insert meets a committed row while its warehouse
+    read is stale: validation would fail it anyway, so it is a CC
+    abort (one validation failure), not a user abort the client cannot
+    retry.  2PL refuses the second warehouse read instead.  Under
+    ``none`` the duplicate key stays the user abort it is: nothing
+    else catches the race."""
+    database = ReactorDatabase(shared_nothing(W, cc_scheme=scheme),
+                               tpcc.declarations(W))
+    tpcc.load(database, W, SCALE)
+    outcomes = {}
+
+    def done(root, committed, reason, result):
+        outcomes[root.txn_id] = (committed, root.user_abort, reason)
+
+    database.submit(wh(2), "delivery", 2, 7, on_done=done)
+    for c_id in (1, 2):
+        database.submit(wh(1), "payment", 1, 1, 10.0, wh(2), 1, c_id,
+                        None, on_done=done)
+    database.scheduler.run()
+
+    assert outcomes[1][0] and outcomes[2][0]
+    committed, user_abort, reason = outcomes[3]
+    assert not committed
+    assert len(database.table_rows(wh(1), "history")) == 1
+    failures = database.abort_counts()["by_reason"]["validation_failure"]
+    if scheme in ("occ", "mvocc"):
+        assert not user_abort
+        assert reason.startswith("stale read of (1,) in txn 3")
+        assert failures == 1
+    elif scheme == "2pl_nowait":
+        assert not user_abort
+        assert "lock conflict" in reason
+    else:
+        assert user_abort
+        assert reason.startswith("DuplicateKeyError")
+
+
 class TestReadOnlyAndDelivery:
     def test_order_status_by_id(self, db):
         result = db.run(wh(1), "order_status", 1, 1, None)
