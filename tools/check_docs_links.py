@@ -29,7 +29,6 @@ import importlib
 import re
 import sys
 from pathlib import Path
-from types import ModuleType
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SKIP_DIRS = {".git", "results", "__pycache__", ".pytest_cache"}
@@ -107,8 +106,7 @@ def resolves(name: str) -> bool:
     for split in range(len(parts), 0, -1):
         module_name = ".".join(parts[:split])
         try:
-            target: ModuleType | object = \
-                importlib.import_module(module_name)
+            target: object = importlib.import_module(module_name)
         except ModuleNotFoundError as exc:
             # Only "this prefix is not a module" moves on to a shorter
             # one; a module that fails its own imports is broken.
