@@ -163,3 +163,11 @@ def summary_payload(summary) -> dict[str, Any]:
         "p50_us": round(summary.p50_us, 3),
         "p99_us": round(summary.p99_us, 3),
     }
+
+
+def cc_config(label: str) -> dict[str, Any]:
+    """A run row's ``scheme`` label as deployment keywords: a
+    ``cc_scheme`` name, optionally suffixed ``+snapshot_reads``."""
+    scheme, __, switch = label.partition("+")
+    return {"cc_scheme": scheme,
+            "snapshot_reads": switch == "snapshot_reads"}

@@ -1,4 +1,4 @@
-"""Ablation: multi-version snapshot reads (mvocc) vs validated reads.
+"""Ablation: multi-version snapshot reads vs validated reads.
 
 The storage-engine knob of the deployment spectrum, measured:
 
@@ -6,16 +6,18 @@ The storage-engine knob of the deployment spectrum, measured:
   zipfian keys on the paper's shared-nothing YCSB deployment (range-
   placed keys, pinned reactors).  Read-only roots span a wide hot-key
   read set, so under ``occ`` they validate long read sets against
-  concurrent writers and abort; under ``mvocc`` they pin a begin-TID
-  snapshot, never validate, and never abort.  The acceptance point is
-  the read-heavy high-skew cell: mvocc must beat occ by >= 1.3x with
-  zero read-only aborts.
+  concurrent writers and abort; under ``occ+snapshot_reads`` (OCC
+  with the deployment's ``snapshot_reads`` switch on) they pin a
+  begin-TID snapshot, never validate, and never abort.  The acceptance
+  point is the read-heavy high-skew cell: snapshot reads must beat
+  plain occ by >= 1.3x with zero read-only aborts.
 
 * **SmallBank balance-checks x skew** — the read-heavy Balance mix
-  with a hotspot, across occ / 2pl_nowait / mvocc (2PL included: its
-  readers pay lock conflicts that snapshots also remove).
+  with a hotspot, across occ / 2pl_nowait / occ+snapshot_reads (2PL
+  included: its readers pay lock conflicts that snapshots also
+  remove).
 
-* **certification** — every mvcc run in the grid records its snapshot
+* **certification** — every snapshot run in the grid records its snapshot
   reads and is certified by ``certify_snapshot_isolation`` (no future
   reads, newest-at-snapshot, one snapshot per root); an injected
   stale-read tamper must be rejected.
@@ -28,7 +30,7 @@ machine-readable, with ``version_stats`` per run —
 
 import dataclasses
 
-from _util import bench_args, finish, summary_payload
+from _util import bench_args, cc_config, finish, summary_payload
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
@@ -38,7 +40,10 @@ from repro.durability.recovery import enable_durability
 from repro.formal.audit import certify_snapshot_isolation
 from repro.workloads import smallbank, ycsb
 
-SCHEMES = ("occ", "2pl_nowait", "mvocc")
+#: Configuration labels: a ``cc_scheme`` name, optionally suffixed
+#: ``+snapshot_reads``.
+SNAPSHOT = "occ+snapshot_reads"
+SCHEMES = ("occ", "2pl_nowait", SNAPSHOT)
 YCSB_SKEWS = (0.6, 0.9)
 YCSB_KEYS = 64
 YCSB_CONTAINERS = 4
@@ -63,7 +68,7 @@ CONFIG = {
 def _measure_ycsb(scheme: str, theta: float,
                   measure_us: float, audit: bool = False):
     deployment = shared_nothing(
-        YCSB_CONTAINERS, mpl=4, cc_scheme=scheme,
+        YCSB_CONTAINERS, mpl=4, **cc_config(scheme),
         placement=RangePlacement(YCSB_KEYS // YCSB_CONTAINERS))
     decls = [(ycsb.key_name(i), ycsb.KEY_REACTOR)
              for i in range(YCSB_KEYS)]
@@ -87,7 +92,7 @@ def _measure_ycsb(scheme: str, theta: float,
 def _measure_smallbank(scheme: str, hotspot: float,
                        measure_us: float, audit: bool = False):
     database = ReactorDatabase(
-        shared_nothing(4, mpl=4, cc_scheme=scheme),
+        shared_nothing(4, mpl=4, **cc_config(scheme)),
         smallbank.declarations(SB_CUSTOMERS))
     if audit:
         enable_durability(database)
@@ -154,31 +159,31 @@ def run_ablation(measure_us: float = 40_000.0) -> dict:
         for scheme in SCHEMES:
             summary, database = _measure_ycsb(
                 scheme, theta, measure_us,
-                audit=scheme == "mvocc")
+                audit=scheme == SNAPSHOT)
             by_key[("ycsb", scheme, theta)] = record(
                 "ycsb-readheavy", scheme, theta, summary, database)
     for hotspot in SB_HOTSPOTS:
         for scheme in SCHEMES:
             summary, database = _measure_smallbank(
                 scheme, hotspot, measure_us,
-                audit=scheme == "mvocc")
+                audit=scheme == SNAPSHOT)
             by_key[("smallbank", scheme, hotspot)] = record(
                 "smallbank-balance", scheme, hotspot, summary,
                 database)
 
     high = max(YCSB_SKEWS)
-    speedup = (by_key[("ycsb", "mvocc", high)]["throughput_tps"]
+    speedup = (by_key[("ycsb", SNAPSHOT, high)]["throughput_tps"]
                / max(by_key[("ycsb", "occ", high)]["throughput_tps"],
                      1e-9))
-    mvocc_runs = [r for r in runs if r["scheme"] == "mvocc"]
+    snapshot_runs = [r for r in runs if r["scheme"] == SNAPSHOT]
     return {
         "runs": runs,
-        "mvocc_speedup_highskew": round(speedup, 4),
-        "mvocc_read_only_aborts": sum(
-            sum(r["version_stats"]["read_only_aborts"].values())
-            for r in mvocc_runs),
+        "snapshot_speedup_highskew": round(speedup, 4),
+        "snapshot_read_only_aborts": sum(
+            r["version_stats"]["read_only_aborts"]
+            for r in snapshot_runs),
         "snapshot_certificates_ok": all(
-            r["snapshot_certificate"]["ok"] for r in mvocc_runs),
+            r["snapshot_certificate"]["ok"] for r in snapshot_runs),
         "tamper_rejected": bool(tamper_rejections)
         and all(tamper_rejections),
     }
@@ -199,7 +204,7 @@ def _rows(payload):
             round(run["abort_rate"] * 100, 2),
             round(run["p99_us"], 1),
             stats["snapshot_roots"],
-            sum(stats["read_only_aborts"].values()),
+            stats["read_only_aborts"],
             stats["live_versions"],
             stats["gc_versions"],
         ])
@@ -209,12 +214,13 @@ def _rows(payload):
 def _report(payload):
     print_table(
         "Ablation: multi-version snapshot reads (read-heavy YCSB + "
-        "SmallBank balance-checks, mvocc vs occ/2pl across skew)",
+        "SmallBank balance-checks, snapshot reads vs occ/2pl across "
+        "skew)",
         HEADERS, _rows(payload))
-    print(f"mvocc speedup over occ (read-heavy, high skew): "
-          f"{payload['mvocc_speedup_highskew']:.3f}x")
-    print(f"mvocc read-only aborts: "
-          f"{payload['mvocc_read_only_aborts']}")
+    print(f"snapshot-read speedup over occ (read-heavy, high skew): "
+          f"{payload['snapshot_speedup_highskew']:.3f}x")
+    print(f"snapshot read-only aborts: "
+          f"{payload['snapshot_read_only_aborts']}")
     print(f"snapshot certificates ok: "
           f"{payload['snapshot_certificates_ok']}; stale-read tamper "
           f"rejected: {payload['tamper_rejected']}")
@@ -226,15 +232,15 @@ def check(payload):
     # Every configuration makes progress.
     assert all(r["committed"] > 0 for r in payload["runs"])
 
-    # Snapshot readers never abort, and every mvcc run certifies;
+    # Snapshot readers never abort, and every snapshot run certifies;
     # tampered histories are rejected.
-    assert payload["mvocc_read_only_aborts"] == 0
+    assert payload["snapshot_read_only_aborts"] == 0
     assert payload["snapshot_certificates_ok"]
     assert payload["tamper_rejected"]
 
     # Acceptance: abort-free snapshot reads beat validated reads on
     # the read-heavy high-skew YCSB point.
-    assert payload["mvocc_speedup_highskew"] >= 1.3
+    assert payload["snapshot_speedup_highskew"] >= 1.3
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -37,7 +37,7 @@ is not).
 import statistics
 import time
 
-from _util import bench_args, finish, summary_payload
+from _util import bench_args, cc_config, finish, summary_payload
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
@@ -47,7 +47,7 @@ from repro.core.deployment import (
     shared_everything_with_affinity,
     shared_nothing,
 )
-from repro.experiments.common import tpcc_database
+from repro.experiments.common import tpcc_deployment
 from repro.workloads import smallbank, tpcc, ycsb
 
 REPEATS = 3
@@ -62,20 +62,21 @@ YCSB_READ_FRACTION = 0.5
 TPCC_WAREHOUSES = 2
 TPCC_WORKERS = 4
 
-#: (workload, scheme) grid; measure_us per mode keeps the full run
+#: (workload, scheme) grid — a scheme label may carry a
+#: ``+snapshot_reads`` suffix; measure_us per mode keeps the full run
 #: meaningful and the tiny run CI-cheap.
 POINTS = (
     ("smallbank", "occ"),
     ("smallbank", "2pl_nowait"),
-    ("smallbank", "mvocc"),
+    ("smallbank", "occ+snapshot_reads"),
     ("ycsb", "occ"),
-    ("ycsb", "mvocc"),
+    ("ycsb", "occ+snapshot_reads"),
     ("tpcc-neworder", "occ"),
     # Scan-dominated: each stock-level reads ~100+ stock rows, so the
     # vectorized multi-key read path (vs a per-key lookup loop) is
     # what this point measures.
     ("tpcc-stocklevel", "occ"),
-    ("tpcc-stocklevel", "mvocc"),
+    ("tpcc-stocklevel", "occ+snapshot_reads"),
 )
 MEASURE_US = {"full": 60_000.0, "tiny": 15_000.0}
 
@@ -145,7 +146,7 @@ def calibration_kops(n: int = 200_000, passes: int = 3) -> float:
 # ----------------------------------------------------------------------
 
 def _run_smallbank(scheme: str, measure_us: float):
-    deployment = shared_everything_with_affinity(4, cc_scheme=scheme)
+    deployment = shared_everything_with_affinity(4, **cc_config(scheme))
     database = ReactorDatabase(
         deployment, smallbank.declarations(SB_CUSTOMERS))
     smallbank.load(database, SB_CUSTOMERS)
@@ -155,7 +156,7 @@ def _run_smallbank(scheme: str, measure_us: float):
 
 def _run_ycsb(scheme: str, measure_us: float):
     deployment = shared_nothing(
-        YCSB_CONTAINERS, mpl=4, cc_scheme=scheme,
+        YCSB_CONTAINERS, mpl=4, **cc_config(scheme),
         placement=RangePlacement(YCSB_KEYS // YCSB_CONTAINERS))
     decls = [(ycsb.key_name(i), ycsb.KEY_REACTOR)
              for i in range(YCSB_KEYS)]
@@ -170,9 +171,20 @@ def _run_ycsb(scheme: str, measure_us: float):
     return database, workload.factory_for, YCSB_WORKERS
 
 
+def _tpcc_database(scheme: str) -> ReactorDatabase:
+    cc = cc_config(scheme)
+    deployment = tpcc_deployment("shared-nothing-async",
+                                 TPCC_WAREHOUSES, mpl=4,
+                                 cc_scheme=cc["cc_scheme"])
+    deployment.snapshot_reads = cc["snapshot_reads"]
+    database = ReactorDatabase(deployment,
+                               tpcc.declarations(TPCC_WAREHOUSES))
+    tpcc.load(database, TPCC_WAREHOUSES)
+    return database
+
+
 def _run_tpcc(scheme: str, measure_us: float):
-    database = tpcc_database("shared-nothing-async", TPCC_WAREHOUSES,
-                             mpl=4, cc_scheme=scheme)
+    database = _tpcc_database(scheme)
     workload = tpcc.TpccWorkload(
         n_warehouses=TPCC_WAREHOUSES, mix=tpcc.NEW_ORDER_ONLY,
         remote_item_prob=0.1, invalid_item_prob=0.0)
@@ -180,8 +192,7 @@ def _run_tpcc(scheme: str, measure_us: float):
 
 
 def _run_tpcc_stock(scheme: str, measure_us: float):
-    database = tpcc_database("shared-nothing-async", TPCC_WAREHOUSES,
-                             mpl=4, cc_scheme=scheme)
+    database = _tpcc_database(scheme)
     workload = tpcc.TpccWorkload(
         n_warehouses=TPCC_WAREHOUSES, mix=(("stock_level", 1.0),))
     return database, workload.factory_for, TPCC_WORKERS

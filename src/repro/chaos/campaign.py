@@ -39,7 +39,10 @@ from repro.telemetry.metrics import MetricsRegistry
 CAMPAIGN_SCHEMA = "chaos-campaign-v1"
 
 _WORKLOADS = ("smallbank", "smallbank", "ycsb", "tpcc")
-_SCHEMES = ("occ", "mvocc", "2pl_nowait", "2pl_waitdie")
+#: ``(cc_scheme, snapshot reads forced)``: OCC twice, once with
+#: ``snapshot_reads`` always on; any draw may still turn it on.
+_SCHEMES = (("occ", False), ("occ", True), ("2pl_nowait", False),
+            ("2pl_waitdie", False))
 _DURABILITY = ("none", "group", "group", "sync", "async")
 _REPLICATION = ("none", "none", "sync", "async")
 
@@ -71,13 +74,13 @@ def episode_config(master_seed: int, index: int, tiny: bool = False,
     seed (pure function — the repro files do not depend on it)."""
     rng = RngFactory(master_seed).stream(f"chaos/episode/{index}")
     workload = _WORKLOADS[rng.randrange(len(_WORKLOADS))]
-    cc_scheme = _SCHEMES[rng.randrange(len(_SCHEMES))]
+    cc_scheme, forced = _SCHEMES[rng.randrange(len(_SCHEMES))]
     durability = _DURABILITY[rng.randrange(len(_DURABILITY))]
     replication = _REPLICATION[rng.randrange(len(_REPLICATION))]
-    snapshot_reads = cc_scheme == "mvocc" or rng.random() < 0.25
+    snapshot_reads = forced or rng.random() < 0.25
     read_from_replicas = (
         replication != "none"
-        and (cc_scheme in ("occ", "mvocc") or snapshot_reads)
+        and (cc_scheme == "occ" or snapshot_reads)
         and rng.random() < 0.4)
     n_containers = 2 if tiny else rng.randint(2, 3)
     if workload == "tpcc":

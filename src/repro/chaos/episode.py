@@ -305,7 +305,7 @@ def run_episode(config: EpisodeConfig, schedule: FaultSchedule,
     load(database)
 
     audit_events = None
-    if config.snapshot_reads or config.cc_scheme == "mvocc":
+    if config.snapshot_reads:
         audit_events = database.enable_snapshot_audit()
 
     outcomes = {"submitted": 0, "completed": 0, "committed": 0,

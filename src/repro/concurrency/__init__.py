@@ -2,11 +2,13 @@
 
 The scheme a database runs under is a deployment-time choice
 (``DeploymentConfig.cc_scheme``): Silo-style OCC
-(:mod:`repro.concurrency.occ`), multi-version OCC with snapshot-
-isolated read-only roots (:mod:`repro.concurrency.mvcc`), two-phase
-locking with NO_WAIT or WAIT_DIE conflict resolution
-(:mod:`repro.concurrency.locking`), or the explicit no-CC passthrough
-(:class:`~repro.concurrency.base.PassthroughCC`).  All schemes
+(:mod:`repro.concurrency.occ`), two-phase locking with NO_WAIT or
+WAIT_DIE conflict resolution (:mod:`repro.concurrency.locking`), or
+the explicit no-CC passthrough
+(:class:`~repro.concurrency.base.PassthroughCC`).  Snapshot-isolated
+read-only roots (:mod:`repro.concurrency.mvcc`) are a separate
+read-side switch, ``DeploymentConfig.snapshot_reads``, that works
+under every scheme.  All schemes
 implement the :class:`~repro.concurrency.base.ConcurrencyControl`
 protocol; every transaction commits through
 :func:`repro.concurrency.coordinator.commit` — one two-phase protocol
@@ -42,7 +44,7 @@ from repro.concurrency.locking import (
     LockingSession,
     LockManager,
 )
-from repro.concurrency.mvcc import MVConcurrencyManager, SnapshotSession
+from repro.concurrency.mvcc import SnapshotSession
 from repro.concurrency.occ import ConcurrencyManager, OCCSession
 from repro.concurrency.tid import (
     EPOCH_PERIOD_US,
@@ -59,10 +61,8 @@ from repro.errors import DeploymentError
 #: database build time.
 _CC_SCHEMES = {
     "occ": ConcurrencyManager,
-    "mvocc": MVConcurrencyManager,
-    "2pl_nowait": partial(LockingCC, policy=NO_WAIT, scheme="2pl_nowait"),
-    "2pl_waitdie": partial(LockingCC, policy=WAIT_DIE,
-                           scheme="2pl_waitdie"),
+    "2pl_nowait": partial(LockingCC, policy=NO_WAIT),
+    "2pl_waitdie": partial(LockingCC, policy=WAIT_DIE),
     "none": PassthroughCC,
 }
 
@@ -89,7 +89,6 @@ __all__ = [
     "CCStats",
     "ConcurrencyControl",
     "ConcurrencyManager",
-    "MVConcurrencyManager",
     "OCCSession",
     "SnapshotSession",
     "PassthroughCC",

@@ -331,7 +331,7 @@ class CCSession:
         get_record = table.records.get
         register_read = self._register_read
         # Footprint registration inlined when the scheme uses the base
-        # implementation (OCC/MVCC); locking schemes hook per-read lock
+        # implementation (OCC, none); locking schemes hook per-read lock
         # acquisition into _register_read and keep the dispatch.
         reads = None if self._hooks_register_read else self._reads
         if writes:
@@ -491,7 +491,7 @@ class CCSession:
         register_read = self._register_read
         matches = predicate.matches
         # Footprint registration inlined when the scheme uses the base
-        # implementation (OCC/MVCC); locking schemes hook per-read lock
+        # implementation (OCC, none); locking schemes hook per-read lock
         # acquisition into _register_read and keep the dispatch.
         reads = None if self._hooks_register_read else self._reads
         if not writes and out_order is not None:
@@ -698,9 +698,6 @@ class ConcurrencyControl:
     released through :meth:`CCSession.release_locks`).
     """
 
-    #: Table name of the scheme (set by subclasses).
-    scheme = "abstract"
-
     #: Skip (instead of propagating) a write whose install is refused.
     #: Only a scheme that neither validates nor locks can see one.
     best_effort_install = False
@@ -738,10 +735,10 @@ class ConcurrencyControl:
         ``snapshot_tid``.
 
         Available under every scheme — whether snapshot reads are
-        *used* is the deployment's choice (``cc_scheme="mvocc"`` or
-        the ``snapshot_reads`` toggle); the session takes no locks,
-        validates nothing, and can never abort, so it composes with
-        any writer protocol this manager runs.
+        *used* is the deployment's ``snapshot_reads`` switch; the
+        session takes no locks, validates nothing, and can never
+        abort, so it composes with any writer protocol this manager
+        runs.
         """
         from repro.concurrency.mvcc import SnapshotSession
 
@@ -845,8 +842,6 @@ class PassthroughCC(ConcurrencyControl):
     application invariants, and overlapped interleavings fail the
     :mod:`repro.formal` audit.
     """
-
-    scheme = "none"
 
     #: Nothing validates or locks, so two transactions can race to
     #: install conflicting writes (the same insert key); the loser's

@@ -302,17 +302,12 @@ class LockingSession(CCSession):
 class LockingCC(ConcurrencyControl):
     """Per-container 2PL engine parameterized by conflict policy."""
 
-    #: ``scheme`` is an *instance* slot here (shadowing the base class
-    #: attribute): one class serves both 2PL table entries.
-    __slots__ = ("policy", "scheme", "locks")
+    __slots__ = ("policy", "locks")
 
     def __init__(self, container_id: int, epochs: EpochManager,
-                 policy: str = NO_WAIT,
-                 scheme: str | None = None) -> None:
+                 policy: str = NO_WAIT) -> None:
         super().__init__(container_id, epochs)
         self.policy = policy
-        #: Table name when created through ``create_cc_scheme``.
-        self.scheme = scheme if scheme is not None else f"2pl_{policy}"
         self.locks = LockManager(policy, self.stats)
 
     def begin_session(self, txn_id: int) -> LockingSession:

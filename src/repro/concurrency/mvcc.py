@@ -1,28 +1,22 @@
-"""Multi-version concurrency: snapshot sessions and the ``"mvocc"``
-scheme.
+"""Multi-version concurrency: the snapshot session.
 
 The multi-version storage engine (:mod:`repro.storage`) retains
 superseded record versions while snapshot readers are in flight.  This
-module adds the read side:
+module adds the read side, :class:`SnapshotSession` — the record
+manager of one *read-only* root transaction within one container,
+pinned at a begin snapshot TID.  Reads resolve through the version
+chains (:meth:`~repro.storage.record.VersionedRecord.version_at`),
+take no locks, register no read/node footprint, and therefore validate
+nothing and can never abort; any mutation raises the typed
+:class:`~repro.errors.ReadOnlyViolation`.  Scans iterate the full
+record map (including tombstones — a key deleted after the snapshot is
+still visible to it) and apply index-range semantics over the visible
+images, so they need no versioned index structures.
 
-* :class:`SnapshotSession` — the record manager of one *read-only*
-  root transaction within one container, pinned at a begin snapshot
-  TID.  Reads resolve through the version chains
-  (:meth:`~repro.storage.record.VersionedRecord.version_at`), take no
-  locks, register no read/node footprint, and therefore validate
-  nothing and can never abort; any mutation raises the typed
-  :class:`~repro.errors.ReadOnlyViolation`.  Scans iterate the full
-  record map (including tombstones — a key deleted after the snapshot
-  is still visible to it) and apply index-range semantics over the
-  visible images, so they need no versioned index structures.
-
-* :class:`MVConcurrencyManager` — the ``"mvocc"`` scheme: writers run
-  the unmodified Silo-OCC protocol (they install new versions instead
-  of overwriting, courtesy of the storage engine), while read-only
-  roots always get snapshot sessions.  The same snapshot machinery is
-  available under *any* scheme through the deployment's
-  ``snapshot_reads`` toggle — 2PL writers with snapshot readers is a
-  perfectly sound combination because readers touch no locks.
+Whether read-only roots get snapshot sessions is the deployment's
+``snapshot_reads`` switch, and it works under *any* scheme: OCC or
+2PL writers with snapshot readers is a sound combination because
+readers touch no locks and no validated footprint.
 
 Snapshot sessions participate in the generic commit path (2PC calls
 ``validate``/``install`` on them like on any session) but their empty
@@ -40,13 +34,12 @@ from repro.concurrency.base import (
     ScanResult,
     require_hash_equality,
 )
-from repro.concurrency.occ import ConcurrencyManager
 from repro.errors import ReadOnlyViolation
 from repro.relational.index import OrderedIndex
 from repro.relational.predicate import ALWAYS, Predicate
 from repro.relational.table import Table
 
-__all__ = ["MVConcurrencyManager", "SnapshotSession"]
+__all__ = ["SnapshotSession"]
 
 
 class SnapshotSession(CCSession):
@@ -239,18 +232,3 @@ class SnapshotSession(CCSession):
         self._refuse_write("delete", table)
         raise AssertionError("unreachable")
 
-
-class MVConcurrencyManager(ConcurrencyManager):
-    """The ``"mvocc"`` scheme: Silo-OCC writers, snapshot readers.
-
-    Write transactions validate and install exactly as under ``"occ"``
-    — the storage engine makes their installs version-preserving when
-    snapshot readers are pinned.  Read-only roots are always served
-    from snapshots (the deployment layer treats ``mvocc`` as implying
-    ``snapshot_reads``), so they never validate, never lock, and never
-    abort.
-    """
-
-    scheme = "mvocc"
-
-    __slots__ = ()

@@ -70,8 +70,6 @@ class OCCSession(CCSession):
 class ConcurrencyManager(ConcurrencyControl):
     """Per-container OCC engine: validation, installation, TIDs."""
 
-    scheme = "occ"
-
     __slots__ = ()
 
     def begin_session(self, txn_id: int) -> OCCSession:

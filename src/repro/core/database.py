@@ -68,9 +68,9 @@ class ReactorDatabase:
         #: counters, and the optional snapshot-read audit log.  Shared
         #: by primary, replica, and migration-successor tables.
         self.storage = StorageCoordinator()
-        #: Are read-only roots served from snapshots?  (``mvocc`` or
-        #: the deployment's ``snapshot_reads`` toggle.)
-        self.snapshot_reads_enabled = deployment.snapshot_reads_effective
+        #: Are read-only roots served from snapshots?  (The
+        #: deployment's ``snapshot_reads`` switch.)
+        self.snapshot_reads_enabled = deployment.snapshot_reads
         self.containers: list[Container] = []
         self.executors: list[TransactionExecutor] = []
         self._reactors: dict[str, Reactor] = {}
@@ -395,9 +395,9 @@ class ReactorDatabase:
         ``live_versions`` counts superseded versions currently
         retained on chains (primaries and replica shadows),
         ``gc_versions`` the versions pruned so far, and
-        ``read_only_aborts`` the per-scheme abort count of read-only
-        roots — 0 under ``mvocc`` by construction, the abort-free
-        contract benchmarks assert.
+        ``read_only_aborts`` the number of read-only roots that
+        aborted — 0 under ``snapshot_reads`` by construction, the
+        abort-free contract benchmarks assert.
         """
         registry = self.telemetry.registry
         return {
@@ -414,8 +414,7 @@ class ReactorDatabase:
                 registry.value("storage_snapshot_reads_total"),
             "pinned_snapshots":
                 registry.value("storage_pinned_snapshots"),
-            "read_only_aborts": dict(self.storage.stats
-                                     .read_only_aborts),
+            "read_only_aborts": self.storage.stats.read_only_aborts,
         }
 
     def run(self, reactor_name: str, proc_name: str, *args: Any,

@@ -183,8 +183,7 @@ class DeploymentConfig:
     cc_scheme: str = "occ"
     #: Serve ``read_only`` root transactions from multi-version
     #: snapshots (no locks, no validation, no aborts) under *any*
-    #: scheme.  ``cc_scheme="mvocc"`` implies it; see
-    #: :attr:`snapshot_reads_effective`.
+    #: scheme.
     snapshot_reads: bool = False
     replication: ReplicationConfig = NO_REPLICATION
     migration: MigrationConfig = DEFAULT_MIGRATION
@@ -227,11 +226,10 @@ class DeploymentConfig:
                 "'sim', or drop replication)"
             )
         if self.replication.read_from_replicas and \
-                self.cc_scheme not in ("occ", "mvocc") and \
-                not self.snapshot_reads:
+                self.cc_scheme != "occ" and not self.snapshot_reads:
             raise DeploymentError(
-                "read_from_replicas requires cc_scheme 'occ'/'mvocc' "
-                "or snapshot_reads: replica log applies install "
+                "read_from_replicas requires cc_scheme 'occ' or "
+                "snapshot_reads: replica log applies install "
                 "directly (no locks), and only OCC validation or a "
                 "pinned snapshot protects a read that overlapped an "
                 "apply — under plain 2PL or 'none' a replica read "
@@ -241,13 +239,6 @@ class DeploymentConfig:
     @property
     def total_executors(self) -> int:
         return sum(spec.executors for spec in self.containers)
-
-    @property
-    def snapshot_reads_effective(self) -> bool:
-        """Are read-only roots served from multi-version snapshots?
-        ``mvocc`` always snapshots; other schemes opt in via
-        ``snapshot_reads``."""
-        return self.snapshot_reads or self.cc_scheme == "mvocc"
 
     # -- serialization --------------------------------------------------
 

@@ -36,7 +36,7 @@ priced in virtual time); :func:`recover` returns its database.
 Replay goes through the regular ``install_*`` paths of the recovered
 database's tables, i.e. through the multi-version storage engine: the
 rebuilt records carry their replayed commit TIDs, so post-recovery
-snapshot readers (``mvocc`` / ``snapshot_reads`` deployments) pin and
+snapshot readers (``snapshot_reads`` deployments) pin and
 resolve against the recovered state exactly as against an original
 one, and new version chains grow from it on demand.
 """

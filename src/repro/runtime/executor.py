@@ -915,8 +915,7 @@ class TransactionExecutor:
             # could see.
             database.storage.unpin(root.txn_id)
             if not committed and root.read_only:
-                database.storage.note_read_only_abort(
-                    database.deployment.cc_scheme)
+                database.storage.note_read_only_abort()
             recorder = database.history_recorder
             if recorder is not None:
                 if committed:

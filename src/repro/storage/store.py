@@ -18,7 +18,7 @@ completion, so ``keep_watermark()`` — the minimum pinned snapshot TID
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -36,10 +36,9 @@ class VersionStats:
     snapshot_roots: int = 0
     #: individual reads (point + scan rows) served from snapshots.
     snapshot_reads: int = 0
-    #: read-only roots that aborted, keyed by cc scheme.  The mvocc
-    #: contract is that this stays 0 for "mvocc": snapshot readers
-    #: never validate and never conflict.
-    read_only_aborts: dict[str, int] = field(default_factory=dict)
+    #: read-only roots that aborted.  Under ``snapshot_reads`` this
+    #: stays 0: snapshot readers never validate and never conflict.
+    read_only_aborts: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,9 +130,8 @@ class StorageCoordinator:
         if pruned:
             self.stats.versions_gced += pruned
 
-    def note_read_only_abort(self, scheme: str) -> None:
-        aborts = self.stats.read_only_aborts
-        aborts[scheme] = aborts.get(scheme, 0) + 1
+    def note_read_only_abort(self) -> None:
+        self.stats.read_only_aborts += 1
 
     def enable_audit(self) -> list[SnapshotReadEvent]:
         if self.audit is None:

@@ -39,8 +39,8 @@ def read_one(ctx):
     """Point read of this key's record.
 
     Declared read-only: eligible for replica routing and — under
-    ``mvocc`` / ``snapshot_reads`` deployments — served from an
-    abort-free multi-version snapshot.
+    ``snapshot_reads`` deployments — served from an abort-free
+    multi-version snapshot.
     """
     row = ctx.lookup("kv", ctx.my_name())
     return row["value"] if row else None
@@ -49,8 +49,8 @@ def read_one(ctx):
 @KEY_REACTOR.procedure(read_only=True)
 def multi_read(ctx, keys: list):
     """Asynchronously read every key in ``keys`` (read-only analogue
-    of :func:`multi_update`; the read-heavy mix the mvocc ablation
-    measures)."""
+    of :func:`multi_update`; the read-heavy mix the snapshot-read
+    ablation measures)."""
     for key in keys:
         yield ctx.call(key, "read_one")
 

@@ -85,9 +85,11 @@ def _smallbank_ops():
     return ops
 
 
-def _smallbank_state(backend, scheme, durability=None):
+def _smallbank_state(backend, scheme, durability=None,
+                     snapshot_reads=False):
     deployment = shared_nothing(
         N_CONTAINERS, mpl=4, cc_scheme=scheme,
+        snapshot_reads=snapshot_reads,
         placement=RangePlacement(N_CUSTOMERS // N_CONTAINERS),
         durability=durability, backend=backend)
     database = ReactorDatabase(deployment, sb.declarations(N_CUSTOMERS))
@@ -109,10 +111,13 @@ def _smallbank_state(backend, scheme, durability=None):
     return state, total, certificate
 
 
-@pytest.mark.parametrize("scheme", ["occ", "2pl_nowait", "mvocc"])
-def test_smallbank_state_matches_sim(scheme):
-    sim_state, sim_total, sim_cert = _smallbank_state("sim", scheme)
-    thr_state, thr_total, thr_cert = _smallbank_state("threads", scheme)
+@pytest.mark.parametrize("scheme, snapshot_reads", [
+    ("occ", False), ("2pl_nowait", False), ("occ", True)])
+def test_smallbank_state_matches_sim(scheme, snapshot_reads):
+    sim_state, sim_total, sim_cert = _smallbank_state(
+        "sim", scheme, snapshot_reads=snapshot_reads)
+    thr_state, thr_total, thr_cert = _smallbank_state(
+        "threads", scheme, snapshot_reads=snapshot_reads)
     assert sim_cert["ok"], sim_cert["failures"]
     assert thr_cert["ok"], thr_cert["failures"]
     assert thr_total == pytest.approx(sim_total)

@@ -161,7 +161,7 @@ def test_migration_off_promoted_container_routes_to_destination():
     through its shadow table, so a later migration off it left writes
     landing in the abandoned source copy (src_quiet violation)."""
     config = EpisodeConfig(
-        workload="ycsb", cc_scheme="mvocc", durability_mode="async",
+        workload="ycsb", cc_scheme="occ", durability_mode="async",
         replication_mode="sync", replicas=1, snapshot_reads=True,
         n_containers=2, n_txns=24, txn_gap_us=25.0, seed=420705245)
     schedule = FaultSchedule(seed=420705245,

@@ -6,7 +6,6 @@ import pytest
 from repro.concurrency import (
     BUILTIN_CC_SCHEMES,
     ConcurrencyManager,
-    MVConcurrencyManager,
     PassthroughCC,
     coordinator,
     create_cc_scheme,
@@ -61,7 +60,6 @@ def commit(manager, session, now=1.0):
 #: conflict policy a 2PL entry binds.
 SCHEME_TABLE = {
     "occ": (ConcurrencyManager, None),
-    "mvocc": (MVConcurrencyManager, None),
     "2pl_nowait": (LockingCC, NO_WAIT),
     "2pl_waitdie": (LockingCC, WAIT_DIE),
     "none": (PassthroughCC, None),
@@ -74,11 +72,13 @@ class TestRegistry:
         cls, policy = SCHEME_TABLE[name]
         manager = create_cc_scheme(name, 3, EpochManager())
         assert type(manager) is cls
-        assert manager.scheme == name
         assert manager.container_id == 3
         if policy is not None:
             assert manager.policy == policy
             assert manager.locks.policy == policy
+
+    def test_the_table_is_the_four_schemes(self):
+        assert BUILTIN_CC_SCHEMES == tuple(SCHEME_TABLE)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(DeploymentError):

@@ -4,8 +4,9 @@ There is one commit path and no second implementation to compare it
 with, so the oracle is black-box: this file pins the observable
 history of three seeded workloads — a contended
 SmallBank mix, a tiny TPC-C standard mix over a group-commit WAL, and
-a skewed YCSB mix — under every built-in CC scheme and two seeds
-against sha256 digests committed in ``tests/golden/histories.json``.
+a skewed YCSB mix — under every built-in CC scheme, plus OCC with
+snapshot reads, and two seeds against sha256 digests committed in
+``tests/golden/histories.json``.
 
 Each case is run twice:
 
@@ -48,6 +49,9 @@ from repro.workloads import tpcc, ycsb
 GOLDEN = Path(__file__).parent / "golden" / "histories.json"
 
 WORKLOADS = ("smallbank", "tpcc", "ycsb")
+#: Every pinned configuration: a ``cc_scheme`` name, optionally
+#: suffixed ``+snapshot_reads`` (read-only roots read snapshots).
+CONFIGS = BUILTIN_CC_SCHEMES + ("occ+snapshot_reads",)
 SEEDS = (11, 23)
 #: Roots in flight: each completion submits the next spec.
 WINDOW = 8
@@ -68,8 +72,16 @@ class _Worker:
         self.issued = 0
 
 
+def _split(config: str) -> tuple[str, bool]:
+    """A configuration label as ``(cc_scheme, snapshot_reads)``."""
+    scheme, __, switch = config.partition("+")
+    return scheme, switch == "snapshot_reads"
+
+
 def _smallbank(scheme: str, seed: int, recorded: bool):
-    deployment = shared_nothing(4, mpl=4, cc_scheme=scheme)
+    scheme, snapshot_reads = _split(scheme)
+    deployment = shared_nothing(4, mpl=4, cc_scheme=scheme,
+                                snapshot_reads=snapshot_reads)
     if recorded:
         deployment.telemetry = full_tracing()
     database = ReactorDatabase(deployment,
@@ -96,9 +108,11 @@ def _smallbank(scheme: str, seed: int, recorded: bool):
 
 
 def _tpcc(scheme: str, seed: int, recorded: bool):
+    scheme, snapshot_reads = _split(scheme)
     deployment = tpcc_deployment(
         "shared-nothing-async", 2, mpl=4, cc_scheme=scheme,
         durability=DurabilityConfig(enabled=True, mode="group"))
+    deployment.snapshot_reads = snapshot_reads
     if recorded:
         deployment.telemetry = full_tracing()
     database = ReactorDatabase(deployment, tpcc.declarations(2))
@@ -112,8 +126,10 @@ def _tpcc(scheme: str, seed: int, recorded: bool):
 
 
 def _ycsb(scheme: str, seed: int, recorded: bool):
+    scheme, snapshot_reads = _split(scheme)
     deployment = shared_nothing(
         YCSB_CONTAINERS, mpl=4, cc_scheme=scheme,
+        snapshot_reads=snapshot_reads,
         placement=RangePlacement(YCSB_KEYS // YCSB_CONTAINERS))
     if recorded:
         deployment.telemetry = full_tracing()
@@ -203,7 +219,7 @@ def compute(workload: str, scheme: str, seed: int) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("scheme", BUILTIN_CC_SCHEMES)
+@pytest.mark.parametrize("scheme", CONFIGS)
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_history_matches_golden(workload, scheme, seed):
     golden = json.loads(GOLDEN.read_text())
@@ -215,7 +231,7 @@ def test_golden_file_covers_exactly_the_cases():
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == sorted(
         case_key(w, s, seed) for w in WORKLOADS
-        for s in BUILTIN_CC_SCHEMES for seed in SEEDS)
+        for s in CONFIGS for seed in SEEDS)
     # The mixes are contended enough to abort and calm enough to
     # commit: a digest over an all-abort run would pin nothing.
     for key, entry in golden.items():
@@ -230,7 +246,7 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(
         {case_key(w, s, seed): compute(w, s, seed)
-         for w in WORKLOADS for s in BUILTIN_CC_SCHEMES
+         for w in WORKLOADS for s in CONFIGS
          for seed in SEEDS},
         indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

@@ -439,7 +439,7 @@ class TestIncrementalCheckpoints:
         database.durability.incremental_checkpoint()
 
     def test_truncation_respects_pinned_snapshots(self):
-        deployment = shared_nothing(4, cc_scheme="mvocc",
+        deployment = shared_nothing(4, snapshot_reads=True,
                                     durability=durable("group"))
         database = ReactorDatabase(deployment, sb.declarations(N))
         sb.load(database, N)

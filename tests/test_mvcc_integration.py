@@ -57,7 +57,7 @@ def get_slow(ctx):
 @PAIR.procedure(read_only=True)
 def slow_sum(ctx, other):
     """Read self, stall, read the partner — a long validated read set
-    under OCC, a stable snapshot under mvocc."""
+    under OCC, a stable snapshot under snapshot reads."""
     mine = ctx.lookup("kv", ctx.my_name())["v"]
     yield ctx.compute(500.0)
     fut = yield ctx.call(other, "get_v")
@@ -164,19 +164,18 @@ class TestSnapshotReadsUnderContention:
         outcomes = _overlap_blocked_reader_with_writer(database)
         assert outcomes["writer"][0]
         assert not outcomes["reader"][0]
-        assert database.version_stats()["read_only_aborts"] == {
-            "occ": 1}
+        assert database.version_stats()["read_only_aborts"] == 1
 
-    def test_mvocc_reader_survives_the_same_interleaving(self):
-        database = _pair_db("mvocc")
+    def test_snapshot_reader_survives_the_same_interleaving(self):
+        database = _pair_db("occ", snapshot_reads=True)
         outcomes = _overlap_blocked_reader_with_writer(database)
         assert outcomes["writer"][0]
         committed, __, result = outcomes["reader"]
         assert committed
         assert result == pytest.approx(3.0)  # pre-writer snapshot
 
-    def test_mvocc_reader_commits_on_consistent_snapshot(self):
-        database = _pair_db("mvocc")
+    def test_snapshot_reader_commits_on_consistent_snapshot(self):
+        database = _pair_db("occ", snapshot_reads=True)
         outcomes = _overlap_reader_with_writer(database)
         assert outcomes["writer"][0]
         committed, __, result = outcomes["reader"]
@@ -185,7 +184,7 @@ class TestSnapshotReadsUnderContention:
         # to the old images (1+2), never a torn 1+7 or 7+2.
         assert result == pytest.approx(3.0)
         stats = database.version_stats()
-        assert stats["read_only_aborts"] == {}
+        assert stats["read_only_aborts"] == 0
         assert stats["snapshot_roots"] == 1
         assert stats["pinned_snapshots"] == 0  # unpinned at completion
 
@@ -198,10 +197,10 @@ class TestSnapshotReadsUnderContention:
         committed, __, result = outcomes["reader"]
         assert committed
         assert result == pytest.approx(3.0)
-        assert database.version_stats()["read_only_aborts"] == {}
+        assert database.version_stats()["read_only_aborts"] == 0
 
     def test_commits_after_pin_exceed_the_snapshot(self):
-        database = _pair_db("mvocc")
+        database = _pair_db("occ", snapshot_reads=True)
         outcomes = _overlap_reader_with_writer(database)
         assert outcomes["writer"][0]
         reader_snapshot = min(
@@ -217,7 +216,7 @@ class TestSnapshotReadsUnderContention:
             assert writes_tid > reader_snapshot
 
     def test_versions_are_gcd_after_readers_finish(self):
-        database = _pair_db("mvocc")
+        database = _pair_db("occ", snapshot_reads=True)
         _overlap_reader_with_writer(database)
         database.run("a", "set_both", "b", 8.0)  # prunes at install
         database.gc_versions()
@@ -229,7 +228,7 @@ class TestReadOnlyEnforcement:
     raises the same typed error from ``repro.errors``."""
 
     def test_snapshot_session_refuses_all_mutations(self):
-        database = _pair_db("mvocc")
+        database = _pair_db("occ", snapshot_reads=True)
         table = database.reactor("a").table("kv")
         session = SnapshotSession(1, 0, snapshot_tid=10)
         with pytest.raises(ReadOnlyViolation):
@@ -254,10 +253,10 @@ class TestReadOnlyEnforcement:
 
     @pytest.mark.parametrize("proc", ["bad_insert", "bad_update",
                                       "bad_delete"])
-    @pytest.mark.parametrize("scheme", ["occ", "mvocc"])
-    def test_read_only_roots_abort_through_the_runtime(self, scheme,
-                                                       proc):
-        database = _pair_db(scheme)
+    @pytest.mark.parametrize("snapshot_reads", [False, True])
+    def test_read_only_roots_abort_through_the_runtime(
+            self, snapshot_reads, proc):
+        database = _pair_db("occ", snapshot_reads=snapshot_reads)
         outcomes: dict = {}
         _submit_collect(database, outcomes, "bad", "a", proc)
         database.scheduler.run()
@@ -286,26 +285,17 @@ class TestDeploymentThreading:
     def test_snapshot_reads_round_trips_dict_and_json(self):
         config = shared_nothing(2, cc_scheme="2pl_nowait",
                                 snapshot_reads=True)
-        assert config.snapshot_reads_effective
         restored = DeploymentConfig.from_dict(config.to_dict())
         assert restored.snapshot_reads is True
         assert restored.cc_scheme == "2pl_nowait"
         again = DeploymentConfig.from_json(config.to_json())
         assert again.snapshot_reads is True
 
-    def test_mvocc_round_trips_and_implies_snapshots(self):
-        config = shared_everything_with_affinity(2, cc_scheme="mvocc")
-        assert not config.snapshot_reads
-        assert config.snapshot_reads_effective
-        restored = DeploymentConfig.from_dict(config.to_dict())
-        assert restored.cc_scheme == "mvocc"
-        assert restored.snapshot_reads_effective
-
-    def test_read_from_replicas_accepts_mvocc_and_snapshotting_2pl(self):
+    def test_read_from_replicas_accepts_occ_and_snapshotting_2pl(self):
         replication = ReplicationConfig(replicas_per_container=1,
                                         mode="async",
                                         read_from_replicas=True)
-        shared_nothing(2, cc_scheme="mvocc", replication=replication)
+        shared_nothing(2, cc_scheme="occ", replication=replication)
         shared_nothing(2, cc_scheme="2pl_nowait", snapshot_reads=True,
                        replication=replication)
         with pytest.raises(DeploymentError, match="read_from_replicas"):
@@ -319,7 +309,7 @@ class TestReplicaSnapshotReads:
         watermark: it sees the applied prefix, not in-flight ships."""
         database = ReactorDatabase(
             shared_everything_with_affinity(
-                2, cc_scheme="mvocc",
+                2, snapshot_reads=True,
                 replication=ReplicationConfig(
                     replicas_per_container=1, mode="async",
                     read_from_replicas=True, async_lag_us=5_000.0)),
@@ -339,7 +329,7 @@ class TestReplicaSnapshotReads:
         assert committed
         assert balance == pytest.approx(2 * smallbank.INITIAL_BALANCE)
         assert database.replication.stats.reads_routed_to_replicas == 1
-        assert database.version_stats()["read_only_aborts"] == {}
+        assert database.version_stats()["read_only_aborts"] == 0
         # The replica eventually applied everything (scheduler drained).
         final = database.run("cust0", "balance")
         assert final == pytest.approx(
@@ -352,7 +342,7 @@ class TestPromotionTidFloor:
         issue commit TIDs at or below an in-flight pinned snapshot —
         promotion advances its generator past the global watermark."""
         database = _pair_db(
-            "mvocc",
+            "occ", snapshot_reads=True,
             replication=ReplicationConfig(
                 replicas_per_container=1, mode="async",
                 async_lag_us=50_000.0))
@@ -403,7 +393,7 @@ class TestPromotionPinRescope:
             DeploymentConfig(
                 name="promo-pin", routing=AFFINITY,
                 containers=[ContainerSpec(executors=2, mpl=2)],
-                pin_reactors=True, cc_scheme="mvocc",
+                pin_reactors=True, snapshot_reads=True,
                 replication=ReplicationConfig(
                     replicas_per_container=1, mode="async",
                     read_from_replicas=True, async_lag_us=1.0)),
@@ -432,7 +422,7 @@ class TestPromotionPinRescope:
 
 class TestSnapshotIsolationCertificate:
     def _certified_db(self):
-        database = _pair_db("mvocc")
+        database = _pair_db("occ", snapshot_reads=True)
         enable_durability(database)
         database.enable_snapshot_audit()
         outcomes = _overlap_reader_with_writer(database)
@@ -452,7 +442,7 @@ class TestSnapshotIsolationCertificate:
     def test_missing_durability_is_disclosed_not_passed(self):
         """Regression: without a redo log the newest-at-snapshot check
         cannot run — the certificate must say so, not silently pass."""
-        database = _pair_db("mvocc")
+        database = _pair_db("occ", snapshot_reads=True)
         database.enable_snapshot_audit()
         database.run("a", "get_v")
         report = certify_snapshot_isolation(database)
@@ -496,7 +486,7 @@ class TestSnapshotIsolationCertificate:
                    for v in report["violations"])
 
     def test_disabled_audit_reports_disabled(self):
-        database = _pair_db("mvocc")
+        database = _pair_db("occ", snapshot_reads=True)
         report = certify_snapshot_isolation(database)
         assert not report["enabled"]
         assert report["ok"]
@@ -504,14 +494,14 @@ class TestSnapshotIsolationCertificate:
 
 class TestRecoveryAndMigration:
     def test_recovery_replays_into_the_versioned_engine(self):
-        database = _pair_db("mvocc")
+        database = _pair_db("occ", snapshot_reads=True)
         durability = enable_durability(database)
         database.run("a", "set_both", "b", 5.0)
         checkpoint = take_checkpoint(database)
         database.run("a", "set_v", 6.0)
 
         recovered = recover(
-            shared_nothing(2, cc_scheme="mvocc"),
+            shared_nothing(2, snapshot_reads=True),
             [("a", PAIR), ("b", PAIR)],
             checkpoint, durability.logs.values())
         enable_durability(recovered)
@@ -529,7 +519,7 @@ class TestRecoveryAndMigration:
         """Regression: a snapshot pinned before a migration must still
         resolve pre-watermark state on the successor — the copy ships
         the retained version history, not just the flat watermark cut."""
-        database = _pair_db("mvocc")
+        database = _pair_db("occ", snapshot_reads=True)
         enable_durability(database)
         database.enable_snapshot_audit()
         outcomes: dict = {}
@@ -624,7 +614,7 @@ class TestRecoveryAndMigration:
         migration watermark, not tid 0 — a replica snapshot pinned
         below the watermark must not see migrated-in future state."""
         database = _pair_db(
-            "mvocc",
+            "occ", snapshot_reads=True,
             replication=ReplicationConfig(
                 replicas_per_container=1, mode="async",
                 read_from_replicas=True))
@@ -644,7 +634,7 @@ class TestRecoveryAndMigration:
         assert database.run("a", "get_v") == pytest.approx(9.0)
 
     def test_migration_copies_a_consistent_cut_and_reads_certify(self):
-        database = _pair_db("mvocc")
+        database = _pair_db("occ", snapshot_reads=True)
         enable_durability(database)
         database.enable_snapshot_audit()
         database.run("a", "set_v", 9.0)

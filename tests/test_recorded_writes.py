@@ -60,11 +60,12 @@ def insert_z(ctx, value, pause):
     yield ctx.compute(pause)
 
 
-def _race(scheme, first, second):
+def _race(scheme, first, second, snapshot_reads=False):
     """Run ``first`` at 0 µs and ``second`` at 20 µs; their commit
     flags, the recorder and the database."""
     database = ReactorDatabase(
-        shared_everything_without_affinity(2, cc_scheme=scheme),
+        shared_everything_without_affinity(
+            2, cc_scheme=scheme, snapshot_reads=snapshot_reads),
         [("r", CELLS)])
     database.load("r", "cell", [
         {"name": name, "v": 0, "a": 0, "b": 0} for name in ("x", "y")])
@@ -86,12 +87,12 @@ def _row(database):
     return database.table_rows("r", "cell")[0]
 
 
-@pytest.mark.parametrize("scheme", ["occ", "mvocc"])
-def test_a_read_before_the_install_is_no_cycle(scheme):
+@pytest.mark.parametrize("snapshot_reads", [False, True])
+def test_a_read_before_the_install_is_no_cycle(snapshot_reads):
     """``read_both`` read x and y while ``bump_both`` had them
     buffered: it saw neither write and serializes first."""
-    committed, recorder, __ = _race(scheme, ("bump_both",),
-                                    ("read_both",))
+    committed, recorder, __ = _race("occ", ("bump_both",),
+                                    ("read_both",), snapshot_reads)
     assert committed == [True, True]
     assert recorder.is_serializable()
     assert recorder.equivalent_serial_order() == [2, 1]

@@ -188,8 +188,10 @@ class TestPayment:
         assert updated["c_data"].startswith(f"{customer['c_id']},")
 
 
-@pytest.mark.parametrize("scheme", ["occ", "mvocc", "2pl_nowait", "none"])
-def test_racing_payments_abort_as_cc_conflicts(scheme):
+@pytest.mark.parametrize("scheme, snapshot_reads", [
+    ("occ", False), ("occ", True), ("2pl_nowait", False),
+    ("none", False)])
+def test_racing_payments_abort_as_cc_conflicts(scheme, snapshot_reads):
     """Two payments on one warehouse read the same ``w_h_count``, so
     both key their history row ``h_seq = 1``.  A delivery queued first
     on the customers' warehouse keeps both payments waiting on their
@@ -202,8 +204,9 @@ def test_racing_payments_abort_as_cc_conflicts(scheme):
     retry.  2PL refuses the second warehouse read instead.  Under
     ``none`` the duplicate key stays the user abort it is: nothing
     else catches the race."""
-    database = ReactorDatabase(shared_nothing(W, cc_scheme=scheme),
-                               tpcc.declarations(W))
+    database = ReactorDatabase(
+        shared_nothing(W, cc_scheme=scheme, snapshot_reads=snapshot_reads),
+        tpcc.declarations(W))
     tpcc.load(database, W, SCALE)
     outcomes = {}
 
@@ -221,7 +224,7 @@ def test_racing_payments_abort_as_cc_conflicts(scheme):
     assert not committed
     assert len(database.table_rows(wh(1), "history")) == 1
     failures = database.abort_counts()["by_reason"]["validation_failure"]
-    if scheme in ("occ", "mvocc"):
+    if scheme == "occ":
         assert not user_abort
         assert reason.startswith("stale read of (1,) in txn 3")
         assert failures == 1

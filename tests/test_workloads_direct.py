@@ -2,7 +2,7 @@
 
 Previously these workloads were exercised only through benchmarks;
 here their procedures and input generators are driven directly,
-parametrized over cc schemes including ``mvocc``.
+parametrized over cc schemes, plus OCC with snapshot reads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,15 @@ from repro.core.deployment import (
 from repro.workloads import exchange as ex
 from repro.workloads import ycsb
 
-CC_SCHEMES = ("occ", "mvocc", "2pl_nowait", "2pl_waitdie")
+#: Deployment keywords per run: three schemes, and OCC with read-only
+#: roots served from snapshots.
+CC_CONFIGS = [
+    pytest.param({"cc_scheme": "occ"}, id="occ"),
+    pytest.param({"cc_scheme": "occ", "snapshot_reads": True},
+                 id="occ+snapshot_reads"),
+    pytest.param({"cc_scheme": "2pl_nowait"}, id="2pl_nowait"),
+    pytest.param({"cc_scheme": "2pl_waitdie"}, id="2pl_waitdie"),
+]
 
 N_KEYS = 12
 N_CONTAINERS = 3
@@ -32,9 +40,9 @@ class FakeWorker:
         self.issued = 0
 
 
-def _ycsb_db(scheme: str) -> ReactorDatabase:
+def _ycsb_db(cc: dict) -> ReactorDatabase:
     deployment = shared_nothing(
-        N_CONTAINERS, cc_scheme=scheme,
+        N_CONTAINERS, **cc,
         placement=RangePlacement(N_KEYS // N_CONTAINERS))
     decls = [(ycsb.key_name(i), ycsb.KEY_REACTOR)
              for i in range(N_KEYS)]
@@ -47,10 +55,10 @@ def _ycsb_db(scheme: str) -> ReactorDatabase:
     return database
 
 
-@pytest.mark.parametrize("scheme", CC_SCHEMES)
+@pytest.mark.parametrize("cc", CC_CONFIGS)
 class TestYcsbProcedures:
-    def test_multi_update_applies_to_every_key(self, scheme):
-        database = _ycsb_db(scheme)
+    def test_multi_update_applies_to_every_key(self, cc):
+        database = _ycsb_db(cc)
         keys = [ycsb.key_name(i) for i in (0, 4, 8, 11)]
         database.run(keys[0], "multi_update", keys, "Z")
         for key in keys:
@@ -58,28 +66,28 @@ class TestYcsbProcedures:
             assert value.startswith("Z")
             assert len(value) == ycsb.RECORD_SIZE
 
-    def test_read_one_is_read_only_and_correct(self, scheme):
-        database = _ycsb_db(scheme)
+    def test_read_one_is_read_only_and_correct(self, cc):
+        database = _ycsb_db(cc)
         assert ycsb.KEY_REACTOR.is_read_only("read_one")
         value = database.run(ycsb.key_name(3), "read_one")
         assert value == "x" * ycsb.RECORD_SIZE
-        if scheme == "mvocc":
+        if cc.get("snapshot_reads"):
             assert database.version_stats()["snapshot_roots"] == 1
 
-    def test_multi_read_commits_across_containers(self, scheme):
-        database = _ycsb_db(scheme)
+    def test_multi_read_commits_across_containers(self, cc):
+        database = _ycsb_db(cc)
         assert ycsb.KEY_REACTOR.is_read_only("multi_read")
         keys = [ycsb.key_name(i) for i in (1, 5, 9)]
         database.run(keys[0], "multi_read", keys)
         stats = database.version_stats()
-        assert stats["read_only_aborts"] == {}
-        if scheme == "mvocc":
+        assert stats["read_only_aborts"] == 0
+        if cc.get("snapshot_reads"):
             # One snapshot root, sessions in three containers.
             assert stats["snapshot_roots"] == 1
             assert stats["snapshot_reads_served"] == 3
 
-    def test_concurrent_mix_stays_consistent(self, scheme):
-        database = _ycsb_db(scheme)
+    def test_concurrent_mix_stays_consistent(self, cc):
+        database = _ycsb_db(cc)
         workload = ycsb.YcsbWorkload(
             1, theta=0.9, n_containers=N_CONTAINERS, n_keys=N_KEYS,
             keys_per_txn=4, read_fraction=0.5)
@@ -101,9 +109,9 @@ class TestYcsbProcedures:
             value = database.table_rows(
                 ycsb.key_name(i), "kv")[0]["value"]
             assert len(value) == ycsb.RECORD_SIZE
-        if scheme == "mvocc":
+        if cc.get("snapshot_reads"):
             stats = database.version_stats()
-            assert stats["read_only_aborts"] == {}
+            assert stats["read_only_aborts"] == 0
             assert stats["pinned_snapshots"] == 0
 
 
@@ -139,7 +147,7 @@ class TestYcsbGenerator:
             assert proc == "multi_update"
 
 
-def _exchange_reactor_db(scheme: str) -> ReactorDatabase:
+def _exchange_reactor_db(cc: dict) -> ReactorDatabase:
     n = 3
     mapping = {ex.EXCHANGE_NAME: 0}
     declarations = [(ex.EXCHANGE_NAME, ex.EXCHANGE)]
@@ -147,15 +155,14 @@ def _exchange_reactor_db(scheme: str) -> ReactorDatabase:
         mapping[ex.provider_name(i)] = i % 3
         declarations.append((ex.provider_name(i), ex.PROVIDER))
     database = ReactorDatabase(
-        shared_nothing(3, cc_scheme=scheme,
-                       placement=ExplicitPlacement(mapping)),
+        shared_nothing(3, **cc, placement=ExplicitPlacement(mapping)),
         declarations)
     ex.load_reactor_model(database, n, orders_per_provider=40,
                           window=15)
     return database
 
 
-def _exchange_classic_db(scheme: str,
+def _exchange_classic_db(cc: dict,
                          partitioned: bool) -> ReactorDatabase:
     n = 3
     if partitioned:
@@ -166,9 +173,9 @@ def _exchange_classic_db(scheme: str,
             declarations.append(
                 (ex.fragment_name(i), ex.ORDERS_FRAGMENT))
         deployment = shared_nothing(
-            3, cc_scheme=scheme, placement=ExplicitPlacement(mapping))
+            3, **cc, placement=ExplicitPlacement(mapping))
     else:
-        deployment = shared_nothing(1, cc_scheme=scheme)
+        deployment = shared_nothing(1, **cc)
         declarations = [(ex.EXCHANGE_NAME, ex.CLASSIC_EXCHANGE)]
     database = ReactorDatabase(deployment, declarations)
     ex.load_classic(database, n, partitioned=partitioned,
@@ -176,10 +183,10 @@ def _exchange_classic_db(scheme: str,
     return database
 
 
-@pytest.mark.parametrize("scheme", CC_SCHEMES)
+@pytest.mark.parametrize("cc", CC_CONFIGS)
 class TestExchangeAcrossSchemes:
-    def test_reactor_model_auth_pay(self, scheme):
-        database = _exchange_reactor_db(scheme)
+    def test_reactor_model_auth_pay(self, cc):
+        database = _exchange_reactor_db(cc)
         target = ex.provider_name(2)
         before = len(database.table_rows(target, "orders"))
         database.run(ex.EXCHANGE_NAME, "auth_pay", target, 11, 20.0, 5)
@@ -191,9 +198,9 @@ class TestExchangeAcrossSchemes:
                                        "provider_info")[0]
             assert info["risk"] > 0.0
 
-    def test_classic_formulations_agree(self, scheme):
-        seq = _exchange_classic_db(scheme, partitioned=False)
-        par = _exchange_classic_db(scheme, partitioned=True)
+    def test_classic_formulations_agree(self, cc):
+        seq = _exchange_classic_db(cc, partitioned=False)
+        par = _exchange_classic_db(cc, partitioned=True)
         seq.run(ex.EXCHANGE_NAME, "auth_pay_sequential",
                 ex.provider_name(0), 11, 20.0, 5)
         par.run(ex.EXCHANGE_NAME, "auth_pay_query_parallel",
@@ -211,8 +218,8 @@ class TestExchangeAcrossSchemes:
                       if r["time"] == 40 and r["value"] == 20.0]
         assert len(seq_orders) == len(par_orders) == 1
 
-    def test_provider_exposure_abort_propagates(self, scheme):
-        database = _exchange_reactor_db(scheme)
+    def test_provider_exposure_abort_propagates(self, cc):
+        database = _exchange_reactor_db(cc)
         # Choke the per-provider exposure limit: calc_risk aborts.
         table = database.reactor(ex.EXCHANGE_NAME).table(
             "settlement_risk")
