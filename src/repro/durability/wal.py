@@ -138,13 +138,14 @@ class RedoRecord:
 class RedoLog:
     """Per-container append-only redo log.
 
-    ``listener`` (when set) observes every appended record — the
-    log-shipping hook of :mod:`repro.replication`.  ``extra_listeners``
-    carry additional append observers (the group-commit flush pipeline
-    and the durability manager's dirty-key tracker) without disturbing
-    the primary slot replication owns.  All fire at append time only;
-    bulk-restored records (recovery, promotion seeding) are assigned to
-    ``records`` directly and are not re-shipped or re-flushed.
+    ``listeners`` (filled through :meth:`add_listener`) observe every
+    appended record, in the order they were added: the durability
+    manager's (the full append sequence, the dirty-key tracker and the
+    group-commit flush pipeline) and, under replication, the
+    log-shipping hook of :mod:`repro.replication`.  They fire at append
+    time only; bulk-restored records (recovery, promotion seeding) are
+    assigned to ``records`` directly and are not re-shipped or
+    re-flushed.
     """
 
     #: Entry from its five fields, in order: what the commit's install
@@ -154,8 +155,7 @@ class RedoLog:
     def __init__(self, container_id: int) -> None:
         self.container_id = container_id
         self.records: list[RedoRecord] = []
-        self.listener: Callable[[RedoRecord], None] | None = None
-        self.extra_listeners: list[Callable[[RedoRecord], None]] = []
+        self.listeners: list[Callable[[RedoRecord], None]] = []
         #: Highest TID a checkpoint truncation dropped records through
         #: (0 when the log is complete from the beginning).  Lets
         #: replay-based audits tell "no records below X" apart from
@@ -167,7 +167,7 @@ class RedoLog:
         self.torn_tail = False
 
     def add_listener(self, fn: Callable[[RedoRecord], None]) -> None:
-        self.extra_listeners.append(fn)
+        self.listeners.append(fn)
 
     def append(self, commit_tid: int,
                entries: Iterable[RedoEntry]) -> None:
@@ -175,9 +175,7 @@ class RedoLog:
         if entries:
             record = RedoRecord(commit_tid, entries)
             self.records.append(record)
-            if self.listener is not None:
-                self.listener(record)
-            for fn in self.extra_listeners:
+            for fn in self.listeners:
                 fn(record)
 
     def truncate_through(self, tid: int) -> int:

@@ -319,7 +319,7 @@ def certify_replication(database: Any) -> dict[str, Any]:
             report["ok"] = False
 
     for cid in sorted(manager.replicas):
-        shipped = manager.shipped[cid]
+        shipped = manager.durability.installed[cid]
         for replica in manager.replicas[cid]:
             check(cid, replica, replica.applied_records, shipped,
                   role="replica")

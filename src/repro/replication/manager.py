@@ -4,9 +4,10 @@ Wires the pieces together for one database:
 
 * **shipping** — every container's redo log (durability is enabled
   implicitly) gets a listener; each appended :class:`RedoRecord` is
-  recorded in the per-container ``shipped`` sequence (the reference
-  commit order the formal audit certifies against) and scheduled to
-  apply on every replica after the simulated ship latency;
+  scheduled to apply on every replica after the simulated ship
+  latency.  The reference commit order the formal audit certifies
+  replicas against is the durability manager's per-container
+  ``installed`` sequence: what a container appended is recorded once;
 * **ack accounting** — for ``sync`` mode the executor's commit path
   asks :meth:`on_commit_installed` for the acknowledgement delay and
   defers root completion (releasing its core) until every replica of
@@ -98,9 +99,6 @@ class ReplicationManager:
         self.stats = ReplicationStats()
         #: container id -> replicas still in the "replica" role.
         self.replicas: dict[int, list[ReplicaContainer]] = {}
-        #: container id -> full shipped record sequence (the primary's
-        #: commit order; survives checkpoint log truncation).
-        self.shipped: dict[int, list[RedoRecord]] = {}
         #: container id -> commit TIDs acknowledged by all replicas
         #: (sync mode only; the zero-loss set the audit checks).
         self.acked_tids: dict[int, set[int]] = {}
@@ -149,7 +147,6 @@ class ReplicationManager:
         deployment = database.deployment
         core_id = database.first_worker_core
         for cid, container in enumerate(database.containers):
-            self.shipped[cid] = []
             self.acked_tids[cid] = set()
             self.replicas[cid] = []
             self.ship_epoch[cid] = 0
@@ -157,7 +154,7 @@ class ReplicationManager:
             self.base_rows[cid] = {}
             self._read_route[cid] = 0
             log = self.durability.logs[cid]
-            log.listener = self._listener_for(cid)
+            log.add_listener(self._listener_for(cid))
             spec = deployment.containers[cid]
             primaries = [r for r in database._reactors.values()
                          if r.container is container]
@@ -179,7 +176,6 @@ class ReplicationManager:
 
     def _listener_for(self, cid: int):
         def on_append(record: RedoRecord) -> None:
-            self.shipped[cid].append(record)
             self.stats.records_shipped += 1
             if self.replicas.get(cid):
                 self._inflight.append((cid, record))
@@ -205,9 +201,9 @@ class ReplicationManager:
             epoch = self.ship_epoch[cid]
             if self.chaos_drop_ship and \
                     not self._chaos_dropped.get(cid) and \
-                    len(self.shipped[cid]) >= 3:
+                    len(self.durability.installed[cid]) >= 3:
                 # Bug toggle: lose this record on the wire (it stays
-                # in ``shipped``, the reference order, so the replica
+                # in ``installed``, the reference order, so the replica
                 # prefix check sees the hole once a later record
                 # lands).
                 self._chaos_dropped[cid] = True
@@ -340,7 +336,7 @@ class ReplicationManager:
         if getattr(dst, "role", None) == ROLE_PRIMARY and \
                 hasattr(dst, "reactor_fences"):
             dst.reactor_fences[new_reactor.name] = \
-                len(self.shipped[dst_cid])
+                len(self.durability.installed[dst_cid])
 
     # ------------------------------------------------------------------
     # Read-replica routing
@@ -404,7 +400,7 @@ class ReplicationManager:
             # an installed transfer either reaches the replica of
             # every participant or was never reported committed.
             for replica in self.replicas.get(cid, []):
-                behind = self.shipped[cid][
+                behind = self.durability.installed[cid][
                     len(replica.applied_records):]
                 for record in behind:
                     replica.apply_record(record)
@@ -463,14 +459,14 @@ class ReplicationManager:
         # surviving container's order is a broken cross-container
         # transaction — reported, because it is the inherent atomicity
         # price of async replication.
-        old_shipped = self.shipped[cid]
+        installed = self.durability.installed
         lost_acked = sorted(self.acked_tids[cid]
                             - target.applied_tids)
-        lost_suffix = old_shipped[len(target.applied_records):]
+        lost_suffix = installed[cid][len(target.applied_records):]
         lost_records = len(lost_suffix)
         surviving_tids = {
             record.commit_tid
-            for other_cid, records in self.shipped.items()
+            for other_cid, records in installed.items()
             if other_cid != cid
             for record in records
         }
@@ -510,10 +506,9 @@ class ReplicationManager:
         # the replica had materialized it.
         new_log = RedoLog(cid)
         new_log.records = list(target.applied_records)
-        new_log.listener = self._listener_for(cid)
+        new_log.add_listener(self._listener_for(cid))
         target.concurrency.redo_log = new_log
         self.durability.on_log_replaced(cid, new_log)
-        self.shipped[cid] = list(target.applied_records)
         self.acked_tids[cid] = set(target.applied_tids)
 
         # Re-register routing: the shadows become the reactors.  The
