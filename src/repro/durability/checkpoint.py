@@ -28,29 +28,14 @@ from repro.errors import SimulationError
 
 @dataclass
 class Checkpoint:
-    """A serializable snapshot of the committed database state."""
+    """A snapshot of the committed database state (persisted as a
+    :class:`CheckpointManifest`, whose segments serialize)."""
 
     #: reactor name -> table name -> list of committed rows
     reactors: dict[str, dict[str, list[dict[str, Any]]]] = \
         field(default_factory=dict)
     #: container id -> last issued commit TID at snapshot time
     tid_watermarks: dict[int, int] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "reactors": self.reactors,
-            "tid_watermarks": {str(k): v for k, v
-                               in self.tid_watermarks.items()},
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "Checkpoint":
-        data = json.loads(text)
-        return Checkpoint(
-            reactors=data["reactors"],
-            tid_watermarks={int(k): v for k, v
-                            in data["tid_watermarks"].items()},
-        )
 
 
 def take_checkpoint(database: Any) -> Checkpoint:

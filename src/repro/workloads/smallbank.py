@@ -75,16 +75,6 @@ def _lookup_cust_id(ctx) -> int:
 
 
 @CUSTOMER.procedure
-def create_account(ctx, cust_id: int) -> None:
-    """Initial account setup (used by the loader's transactional path)."""
-    ctx.insert("account", {"name": ctx.my_name(), "cust_id": cust_id})
-    ctx.insert("savings",
-               {"cust_id": cust_id, "balance": INITIAL_BALANCE})
-    ctx.insert("checking",
-               {"cust_id": cust_id, "balance": INITIAL_BALANCE})
-
-
-@CUSTOMER.procedure
 def transact_saving(ctx, amt: float) -> float:
     """Credit (or debit, when negative) the savings account."""
     cust_id = _lookup_cust_id(ctx)

@@ -115,14 +115,6 @@ class TestCheckpoints:
         with pytest.raises(SimulationError):
             take_checkpoint(database)
 
-    def test_checkpoint_json_round_trip(self):
-        database = fresh_bank()
-        run_some_transfers(database, count=5)
-        checkpoint = take_checkpoint(database)
-        restored = Checkpoint.from_json(checkpoint.to_json())
-        assert restored.reactors == checkpoint.reactors
-        assert restored.tid_watermarks == checkpoint.tid_watermarks
-
     def test_truncation_drops_covered_prefix(self):
         database = fresh_bank()
         manager = enable_durability(database)
