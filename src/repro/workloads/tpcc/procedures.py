@@ -249,7 +249,7 @@ def _inline_pay(ctx, c_d_id: int, c_id: int | None, c_last: str | None,
 # order-status, delivery, stock-level
 # ----------------------------------------------------------------------
 
-@WAREHOUSE.procedure
+@WAREHOUSE.procedure(read_only=True)
 def order_status(ctx, d_id: int, c_id: int | None, c_last: str | None):
     """Read-only: a customer's most recent order and its lines."""
     if c_id is None:
@@ -305,9 +305,10 @@ def delivery(ctx, w_id: int, carrier_id: int):
     return delivered
 
 
-@WAREHOUSE.procedure
+@WAREHOUSE.procedure(read_only=True)
 def stock_level(ctx, d_id: int, threshold: int, recent_orders: int = 20):
-    """Count distinct items in recent orders with stock below threshold."""
+    """Read-only: count distinct items in recent orders with stock
+    below threshold."""
     district = ctx.lookup("district", d_id)
     next_o_id = district["d_next_o_id"]
     low_o_id = max(0, next_o_id - recent_orders)

@@ -272,6 +272,18 @@ class TestReadOnlyAndDelivery:
         assert count > 0  # threshold 1000 > all quantities
         assert db.run(wh(1), "stock_level", 1, 0) == 0
 
+    @pytest.mark.parametrize("proc, args", [
+        ("order_status", (1, 1, None)), ("stock_level", (1, 1000))])
+    def test_read_only_procedures_read_snapshots(self, proc, args):
+        """Both are declared read-only, so ``snapshot_reads`` serves
+        them from a pinned snapshot."""
+        assert tpcc.WAREHOUSE.is_read_only(proc)
+        database = ReactorDatabase(shared_nothing(W, snapshot_reads=True),
+                                   tpcc.declarations(W))
+        tpcc.load(database, W, SCALE)
+        database.run(wh(1), proc, *args)
+        assert database.version_stats()["snapshot_roots"] == 1
+
 
 class TestInputGeneration:
     def test_nurand_in_range(self):
