@@ -27,6 +27,7 @@ validation order or log contents changes a digest.  A change that is
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -238,6 +239,18 @@ def test_golden_file_covers_exactly_the_cases():
         assert 0 < entry["commits"] <= entry["roots"], key
     assert any(entry["commits"] < entry["roots"]
                for entry in golden.values())
+
+
+def test_pinned_configurations_stay_distinct():
+    """Every pair of configurations differs in at least one case's
+    plain digest: a configuration that only renames another pins
+    nothing new."""
+    golden = json.loads(GOLDEN.read_text())
+    for first, second in itertools.combinations(CONFIGS, 2):
+        assert any(
+            golden[case_key(w, first, seed)]["plain"]
+            != golden[case_key(w, second, seed)]["plain"]
+            for w in WORKLOADS for seed in SEEDS), (first, second)
 
 
 if __name__ == "__main__":
