@@ -82,3 +82,29 @@ def test_checker_detects_stale_names(tmp_path):
         ("m.py", "repro.relational.query.Query"),
         ("m.py", "repro.core.context.ReactorContext.sql"),
     ]
+
+
+def test_every_deployment_example_loads():
+    checker = _load_checker()
+    assert checker.deployment_examples(REPO_ROOT)
+    invalid = checker.invalid_deployments(REPO_ROOT)
+    assert invalid == [], (
+        "deployment examples that do not load: "
+        + ", ".join(f"{f.relative_to(REPO_ROOT)} -> {e}"
+                    for f, e in invalid))
+
+
+def test_checker_detects_invalid_deployments(tmp_path):
+    checker = _load_checker()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "a.md").write_text(
+        '```json\n{"name": "ok", "containers": [{"executors": 1}]}\n```\n'
+        '```json\n{"name": "typo", "containers": [{"executors": 1}],\n'
+        ' "cc_scheme": "clairvoyant"}\n```\n'
+        # Fragments and other objects are not deployments.
+        '```json\n"durability": {"enabled": true}\n```\n'
+        '```json\n{"segments": []}\n```\n')
+    invalid = checker.invalid_deployments(tmp_path)
+    assert [(f.name, e.split(":")[0]) for f, e in invalid] == [
+        ("a.md", "typo")]
+    assert "unknown cc_scheme 'clairvoyant'" in invalid[0][1]

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Fail on broken intra-repository markdown links and stale ``repro``
-names.
+"""Fail on broken intra-repository markdown links, stale ``repro``
+names and deployment examples that do not load.
 
-Two checks:
+Three checks:
 
 * **Links.**  Scans every ``*.md`` file in the repository (skipping
   ``.git`` and generated ``benchmarks/results``) for inline markdown
@@ -16,16 +16,21 @@ Two checks:
   ``src/repro/**/*.py`` must resolve: the longest prefix that is a
   module is imported, and the rest is looked up with ``getattr``.
   Needs the package importable (``PYTHONPATH=src``).
+* **Deployment examples.**  Every fenced ``json`` block in
+  ``docs/*.md`` and ``README.md`` that is an object with top-level
+  ``name`` and ``containers`` must load through
+  ``repro.core.deployment.DeploymentConfig.from_dict``.
 
 Used by the CI ``docs-check`` job and by ``tests/test_docs_links.py``,
-so a renamed or deleted file, module or attribute breaks the build
-instead of the docs.
+so a renamed or deleted file, module, attribute or config value breaks
+the build instead of the docs.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -44,6 +49,10 @@ EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 #: A backtick (optionally Sphinx's ``~``) followed by a dotted name
 #: rooted at the package.
 REPRO_NAME = re.compile(r"`~?(repro(?:\.\w+)+)")
+
+#: The body of a fenced ``json`` code block.
+JSON_BLOCK = re.compile(r"^```json[ \t]*\n(.*?)^```",
+                        re.MULTILINE | re.DOTALL)
 
 
 def markdown_files(root: Path) -> list[Path]:
@@ -86,14 +95,20 @@ def docstrings(path: Path) -> list[str]:
             and (text := ast.get_docstring(node, clean=False))]
 
 
-def named_texts(root: Path) -> list[tuple[Path, str]]:
-    """Every (file, text) whose backticked ``repro`` names must
-    resolve."""
+def doc_texts(root: Path) -> list[tuple[Path, str]]:
+    """(file, text) of ``docs/*.md`` and ``README.md``."""
     texts = [(path, path.read_text())
              for path in sorted((root / "docs").glob("*.md"))]
     readme = root / "README.md"
     if readme.is_file():
         texts.append((readme, readme.read_text()))
+    return texts
+
+
+def named_texts(root: Path) -> list[tuple[Path, str]]:
+    """Every (file, text) whose backticked ``repro`` names must
+    resolve."""
+    texts = doc_texts(root)
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         texts.extend((path, text) for text in docstrings(path))
     return texts
@@ -134,6 +149,37 @@ def unresolved_names(root: Path) -> list[tuple[Path, str]]:
     return unresolved
 
 
+def deployment_examples(root: Path) -> list[tuple[Path, dict]]:
+    """Every (file, example) whose ``json`` block is an object with
+    top-level ``name`` and ``containers`` (fragments are skipped)."""
+    examples = []
+    for path, text in doc_texts(root):
+        for body in JSON_BLOCK.findall(text):
+            try:
+                data = json.loads(body)
+            except ValueError:
+                continue
+            if isinstance(data, dict) and {"name", "containers"} <= \
+                    data.keys():
+                examples.append((path, data))
+    return examples
+
+
+def invalid_deployments(root: Path) -> list[tuple[Path, str]]:
+    """All (file, error) pairs of deployment examples that
+    ``DeploymentConfig.from_dict`` refuses."""
+    from repro.core.deployment import DeploymentConfig
+    from repro.errors import DeploymentError
+
+    invalid = []
+    for path, data in deployment_examples(root):
+        try:
+            DeploymentConfig.from_dict(data)
+        except DeploymentError as exc:
+            invalid.append((path, f"{data['name']}: {exc}"))
+    return invalid
+
+
 def main() -> int:
     root = REPO_ROOT
     files = markdown_files(root)
@@ -143,9 +189,13 @@ def main() -> int:
     stale = unresolved_names(root)
     for path, name in stale:
         print(f"STALE: {path.relative_to(root)} -> {name}")
+    invalid = invalid_deployments(root)
+    for path, error in invalid:
+        print(f"INVALID: {path.relative_to(root)} -> {error}")
     print(f"checked {len(files)} markdown files, "
-          f"{len(broken)} broken links, {len(stale)} stale names")
-    return 1 if broken or stale else 0
+          f"{len(broken)} broken links, {len(stale)} stale names, "
+          f"{len(invalid)} invalid deployment examples")
+    return 1 if broken or stale or invalid else 0
 
 
 if __name__ == "__main__":
