@@ -140,7 +140,7 @@ def run_ablation(measure_us: float = 40_000.0) -> dict:
     tamper_rejections = []
 
     def record(workload: str, scheme: str, skew, summary, database):
-        audited = database.snapshot_reads_enabled
+        audited = database.deployment.snapshot_reads
         row = {
             "workload": workload,
             "scheme": scheme,

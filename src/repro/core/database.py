@@ -68,9 +68,6 @@ class ReactorDatabase:
         #: counters, and the optional snapshot-read audit log.  Shared
         #: by primary, replica, and migration-successor tables.
         self.storage = StorageCoordinator()
-        #: Are read-only roots served from snapshots?  (The
-        #: deployment's ``snapshot_reads`` switch.)
-        self.snapshot_reads_enabled = deployment.snapshot_reads
         self.containers: list[Container] = []
         self.executors: list[TransactionExecutor] = []
         self._reactors: dict[str, Reactor] = {}
@@ -329,7 +326,7 @@ class ReactorDatabase:
         (bounded-staleness reads over its applied log prefix).  The
         pin also anchors version GC until the root completes.
         """
-        if not self.snapshot_reads_enabled:
+        if not self.deployment.snapshot_reads:
             return None
         if self.scheduler.lock is None:
             return self._begin_snapshot_session(root, container)
@@ -402,7 +399,7 @@ class ReactorDatabase:
         registry = self.telemetry.registry
         return {
             "scheme": self.deployment.cc_scheme,
-            "snapshot_reads_enabled": self.snapshot_reads_enabled,
+            "snapshot_reads_enabled": self.deployment.snapshot_reads,
             "live_versions": registry.value("storage_live_versions"),
             "versions_created":
                 registry.value("storage_versions_created_total"),
