@@ -482,6 +482,10 @@ class CCSession:
         predicate-read protection); the index or table structure is
         guarded against phantom inserts/deletes (version check for OCC,
         structure lock for 2PL).
+
+        Without own writes the result order is known up front (see
+        :meth:`_collect_candidates`), so only a scan that overlays this
+        transaction's writes sorts on per-row keys.
         """
         if self._hooks_begin_op:
             self._begin_op()
@@ -494,7 +498,7 @@ class CCSession:
         # implementation (OCC, none); locking schemes hook per-read lock
         # acquisition into _register_read and keep the dispatch.
         reads = None if self._hooks_register_read else self._reads
-        if not writes and out_order is not None:
+        if not writes:
             # The result order is already known without computing a
             # per-row sort key: committed images agree with their
             # index entries, so an ordered-index range's (key, pk)
@@ -533,36 +537,29 @@ class CCSession:
             return ScanResult(out, examined)
         rows: list[tuple[Any, Row]] = []
         table_id = id(table)
-        if writes:
-            # Candidates this transaction wrote are replaced by its own
-            # image (or absence) below.
-            overlaid = set()
-            for record in candidates:
-                if (table_id, record.key) in writes:
-                    overlaid.add(record.key)
-                    continue
-                register_read(record)
-                image = dict(record.value)
-                if matches(image):
-                    rows.append((sort_keys(image, record.key), image))
-            # Every own insert or update of this table is matched on
-            # its new image, against the predicate and the probed key
-            # or range: the index holds committed keys only, so an
-            # indexed column may have moved into or out of them.
-            for intent in list(writes.values()):
-                if intent.table is table and intent.kind != DELETE:
-                    image = dict(intent.new_value or {})
-                    if matches(image) and self._in_range(
-                            table, index, image, low, high):
-                        rows.append((sort_keys(image, intent.pk), image))
-                        if intent.pk not in overlaid:
-                            examined += 1
-        else:
-            for record in candidates:
-                register_read(record)
-                image = dict(record.value)
-                if matches(image):
-                    rows.append((sort_keys(image, record.key), image))
+        # Candidates this transaction wrote are replaced by its own
+        # image (or absence) below.
+        overlaid = set()
+        for record in candidates:
+            if (table_id, record.key) in writes:
+                overlaid.add(record.key)
+                continue
+            register_read(record)
+            image = dict(record.value)
+            if matches(image):
+                rows.append((sort_keys(image, record.key), image))
+        # Every own insert or update of this table is matched on its
+        # new image, against the predicate and the probed key or range:
+        # the index holds committed keys only, so an indexed column may
+        # have moved into or out of them.
+        for intent in list(writes.values()):
+            if intent.table is table and intent.kind != DELETE:
+                image = dict(intent.new_value or {})
+                if matches(image) and self._in_range(
+                        table, index, image, low, high):
+                    rows.append((sort_keys(image, intent.pk), image))
+                    if intent.pk not in overlaid:
+                        examined += 1
         rows.sort(key=lambda pair: pair[0], reverse=reverse)
         out = [row for __, row in rows]
         if limit is not None:
@@ -576,11 +573,11 @@ class CCSession:
         examined, out_order)``.
 
         ``out_order`` is the precomputed result order for the
-        no-writes fast path: :data:`_CANDIDATE_ORDER` when the
-        candidates already arrive in result order (full scans are
-        pk-sorted), a pk list in result order (ordered-index ranges:
-        the (key, pk)-sorted entry walk), or ``None`` when only the
-        per-row sort keys can decide (hash buckets are unordered)."""
+        no-writes fast path, never ``None``: :data:`_CANDIDATE_ORDER`
+        when the candidates already arrive in result order (full scans
+        and hash-bucket walks are pk-sorted, and a bucket shares one
+        index key), or a pk list in result order (ordered-index
+        ranges: the (key, pk)-sorted entry walk)."""
         if index is not None:
             idx = table.index(index)
             self._register_node(idx)

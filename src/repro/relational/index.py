@@ -15,7 +15,8 @@ Two index kinds back declarative queries inside a reactor:
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import DuplicateKeyError
 from repro.relational.schema import IndexSpec
@@ -26,6 +27,14 @@ class _IndexBase:
 
     def __init__(self, spec: IndexSpec) -> None:
         self.spec = spec
+        #: Row -> key tuple, built once per index as
+        #: ``TableSchema._pk_of`` is; a one-column key is a 1-tuple.
+        self.key_of: Callable[[Mapping[str, Any]], tuple]
+        if len(spec.columns) == 1:
+            (column,) = spec.columns
+            self.key_of = lambda row: (row[column],)
+        else:
+            self.key_of = itemgetter(*spec.columns)
         #: Bumped on every insert/delete; scans record it for phantom
         #: validation (conservative, per index).
         self.structure_version = 0
@@ -33,9 +42,6 @@ class _IndexBase:
     @property
     def name(self) -> str:
         return self.spec.name
-
-    def key_of(self, row: Mapping[str, Any]) -> tuple:
-        return tuple(row[c] for c in self.spec.columns)
 
     def check_insert(self, key: tuple) -> None:
         """Raise :class:`DuplicateKeyError` if inserting ``key`` would
