@@ -38,7 +38,7 @@ from repro.core.deployment import (
     shared_nothing,
 )
 from repro.durability import recover_image_partitioned
-from repro.durability.wal import RedoEntry, RedoRecord
+from repro.durability.wal import RedoEntry, RedoRecord, unseal
 from repro.errors import TransactionAbort
 from repro.experiments.common import tpcc_database
 from repro.formal import certify_crash_recovery
@@ -137,7 +137,8 @@ def _certify_crash(database, mode: str) -> dict:
     tampered = database.durability.crash()
     rejected = None
     for records in tampered.logs.values():
-        for index, record in enumerate(records):
+        for index, sealed in enumerate(records):
+            record = unseal(sealed)
             for j, entry in enumerate(record.entries):
                 if entry.row and any(
                         isinstance(v, float) for v in
@@ -150,7 +151,7 @@ def _certify_crash(database, mode: str) -> dict:
                     entries[j] = RedoEntry(entry.reactor, entry.table,
                                            entry.kind, entry.pk, row)
                     records[index] = RedoRecord(record.commit_tid,
-                                                tuple(entries))
+                                                tuple(entries)).sealed
                     rejected = not certify_crash_recovery(
                         database, tampered, None)["ok"]
                     break

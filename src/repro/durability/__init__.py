@@ -59,12 +59,14 @@ from repro.durability.wal import (
     RedoRecord,
     apply_entry_to,
     apply_record_to,
+    unseal,
 )
 
 __all__ = [
     "RedoLog",
     "RedoRecord",
     "RedoEntry",
+    "unseal",
     "INSERT",
     "UPDATE",
     "DELETE",

@@ -60,13 +60,14 @@ class FlushStats:
 class FlushEpoch:
     """One group-commit epoch: the batch one fsync makes durable."""
 
-    __slots__ = ("seq", "opened_at", "records", "bytes", "waiters",
+    __slots__ = ("seq", "opened_at", "tids", "bytes", "waiters",
                  "event", "closed", "durable")
 
     def __init__(self, seq: int, opened_at: float) -> None:
         self.seq = seq
         self.opened_at = opened_at
-        self.records: list[RedoRecord] = []
+        #: Commit TIDs of the epoch's records, in append order.
+        self.tids: list[int] = []
         self.bytes = 0
         #: Per-commit ack futures resolved when the flush lands.
         self.waiters: list[SimFuture] = []
@@ -143,8 +144,8 @@ class LogFlusher:
         return FlushEpoch(self._epoch_seq, self.scheduler.now)
 
     def _join(self, epoch: FlushEpoch, record: RedoRecord) -> None:
-        epoch.records.append(record)
-        epoch.bytes += record.byte_size
+        epoch.tids.append(record.commit_tid)
+        epoch.bytes += len(record.sealed)  # RedoRecord.byte_size
         self._record_epoch[record.commit_tid] = epoch
 
     # ------------------------------------------------------------------
@@ -167,11 +168,11 @@ class LogFlusher:
 
     def _epoch_durable(self, epoch: FlushEpoch) -> None:
         epoch.durable = True
-        self.flushed_records += len(epoch.records)
-        self.stats.records_flushed += len(epoch.records)
+        self.flushed_records += len(epoch.tids)
+        self.stats.records_flushed += len(epoch.tids)
         self.stats.bytes_flushed += epoch.bytes
         if self._records_hist is not None:
-            self._records_hist.observe(len(epoch.records))
+            self._records_hist.observe(len(epoch.tids))
             self._bytes_hist.observe(epoch.bytes)
         if self.telemetry.system_tracing:
             # Epoch membership -> flush -> ack as one span on the log
@@ -180,13 +181,13 @@ class LogFlusher:
             self.telemetry.system_span(
                 "log:epoch", TRACK_LOG, self.container_id,
                 epoch.opened_at, self.scheduler.now,
-                {"seq": epoch.seq, "records": len(epoch.records),
+                {"seq": epoch.seq, "records": len(epoch.tids),
                  "bytes": epoch.bytes,
                  "waiters": len(epoch.waiters)})
-        for record in epoch.records:
-            if record.commit_tid > self.durable_tid:
-                self.durable_tid = record.commit_tid
-            self._record_epoch.pop(record.commit_tid, None)
+        for tid in epoch.tids:
+            if tid > self.durable_tid:
+                self.durable_tid = tid
+            self._record_epoch.pop(tid, None)
         waiters, epoch.waiters = epoch.waiters, []
         now = self.scheduler.now
         for future in waiters:
@@ -223,7 +224,7 @@ class LogFlusher:
     def unflushed_records(self) -> int:
         """Records appended but not yet durable (the crash-loss
         window of the current epoch(s))."""
-        return sum(len(e.records) for e in
+        return sum(len(e.tids) for e in
                    set(self._record_epoch.values()) if not e.durable)
 
     def stats_dict(self) -> dict[str, Any]:

@@ -32,7 +32,12 @@ from typing import TYPE_CHECKING
 
 from repro.durability.checkpoint import Checkpoint, CheckpointManifest
 from repro.durability.recovery import CrashImage
-from repro.durability.wal import RedoEntry, RedoLog, apply_entry_to
+from repro.durability.wal import (
+    RedoEntry,
+    RedoLog,
+    apply_entry_to,
+    unseal,
+)
 
 if TYPE_CHECKING:  # runtime import deferred (see recovery.py)
     from repro.core.database import ReactorDatabase
@@ -80,7 +85,7 @@ def recover_partitioned(
     tails: dict[str, list[tuple[int, RedoEntry]]] = {}
     for log in logs:
         watermark = checkpoint.tid_watermarks.get(log.container_id, 0)
-        for record in log.records:
+        for record in map(unseal, log.records):
             if record.commit_tid <= watermark:
                 continue
             for entry in record.entries:

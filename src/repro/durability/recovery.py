@@ -56,7 +56,7 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.config import ASYNC, DURABILITY_MODES
 from repro.durability.group_commit import LogFlusher
-from repro.durability.wal import RedoLog, RedoRecord
+from repro.durability.wal import RedoLog, RedoRecord, unseal
 from repro.errors import SimulationError
 from repro.runtime.futures import SimFuture
 
@@ -82,13 +82,14 @@ class CrashImage:
     acknowledges before flushing, so its torn drops can include acked
     commits, which the certificate reports as part of the async loss
     window).  ``manifest`` is a deep copy of the checkpoint chain at
-    crash time.
+    crash time.  Records are sealed (:attr:`RedoRecord.sealed`), as in
+    the logs they came from.
     """
 
     at_us: float
     mode: str
     manifest: CheckpointManifest
-    logs: dict[int, list[RedoRecord]]
+    logs: dict[int, list[bytes]]
     durable_tids: dict[int, int] = field(default_factory=dict)
     flushed_counts: dict[int, int] = field(default_factory=dict)
     truncated_through: dict[int, int] = field(default_factory=dict)
@@ -111,8 +112,7 @@ class CrashImage:
         instances — what a restart mounts."""
         logs = []
         for cid, records in self.logs.items():
-            log = RedoLog(cid)
-            log.records = list(records)
+            log = RedoLog(cid, records)
             log.truncated_through = self.truncated_through.get(cid, 0)
             logs.append(log)
         return logs
@@ -131,8 +131,12 @@ class DurabilityManager:
         self.logs: dict[int, RedoLog] = {}
         self.flushers: dict[int, LogFlusher] = {}
         #: container id -> full append sequence (survives truncation;
-        #: the reference order crash certification replays against).
-        self.installed: dict[int, list[RedoRecord]] = {}
+        #: the reference order crash certification replays against),
+        #: sealed: the same ``bytes`` objects the log holds.
+        self.installed: dict[int, list[bytes]] = {}
+        #: container id -> the commit TIDs of ``installed``, position
+        #: for position: what the per-commit site capture reads.
+        self.installed_tids: dict[int, list[int]] = {}
         #: Commit TIDs reported committed to clients (the executor
         #: notes them at root completion).  A *set* of numbers — TIDs
         #: can collide across containers, so ``acked_count`` (roots)
@@ -145,11 +149,12 @@ class DurabilityManager:
         #: containers).
         self.acked_sites: list[tuple[int, int]] = []
         #: root txn id -> this commit's sites, captured at install.
-        self._sites: dict[int, list[tuple[int, int]]] = {}
+        self._sites: dict[int, tuple[tuple[int, int], ...]] = {}
         #: Cross-container commit groups (>= 2 sites): the units the
         #: crash image keeps atomic — durable everywhere or dropped
-        #: everywhere.
-        self.cross_groups: list[list[tuple[int, int]]] = []
+        #: everywhere.  Tuples, which the garbage collector stops
+        #: tracking, not lists, which it tracks for good.
+        self.cross_groups: list[tuple[tuple[int, int], ...]] = []
         #: The incremental-checkpoint chain.
         self.manifest = CheckpointManifest()
         self._segment_seq = 0
@@ -177,6 +182,7 @@ class DurabilityManager:
     def _attach_log(self, container_id: int, log: RedoLog) -> None:
         self.logs[container_id] = log
         self.installed.setdefault(container_id, [])
+        self.installed_tids.setdefault(container_id, [])
         telemetry = self.database.telemetry
         flusher = LogFlusher(container_id, self.database.scheduler,
                              self.database.costs, self.mode,
@@ -189,7 +195,8 @@ class DurabilityManager:
         def on_append(record: RedoRecord,
                       cid: int = container_id,
                       flusher: LogFlusher = flusher) -> None:
-            self.installed[cid].append(record)
+            self.installed[cid].append(record.sealed)
+            self.installed_tids[cid].append(record.commit_tid)
             self._note_dirty(record)
             flusher.on_append(record)
 
@@ -206,33 +213,31 @@ class DurabilityManager:
         the async lag-window loss replication's own certificate
         reports — are dropped here.
         """
-        old_installed = self.installed.get(container_id, [])
+        old_tids = self.installed_tids.get(container_id, [])
         self._attach_log(container_id, log)
         self.installed[container_id] = list(log.records)
+        self.installed_tids[container_id] = list(log.tids)
         flusher = self.flushers[container_id]
         flusher.flushed_records = len(log.records)
-        flusher.durable_tid = max(
-            (r.commit_tid for r in log.records), default=0)
-        for record in log.records:
-            self._note_dirty(record)
-        position_of = {record.commit_tid: pos
-                       for pos, record in enumerate(log.records)}
+        flusher.durable_tid = max(log.tids, default=0)
+        for sealed in log.records:
+            self._note_dirty(unseal(sealed))
+        position_of = {tid: pos for pos, tid in enumerate(log.tids)}
 
-        def remap(sites: list[tuple[int, int]]
-                  ) -> list[tuple[int, int]]:
+        def remap(sites: Iterable[tuple[int, int]]
+                  ) -> tuple[tuple[int, int], ...]:
             out = []
             for cid, pos in sites:
                 if cid != container_id:
                     out.append((cid, pos))
                     continue
-                tid = old_installed[pos].commit_tid \
-                    if pos < len(old_installed) else None
+                tid = old_tids[pos] if pos < len(old_tids) else None
                 new_pos = position_of.get(tid)
                 if new_pos is not None:
                     out.append((cid, new_pos))
-            return out
+            return tuple(out)
 
-        self.acked_sites = remap(self.acked_sites)
+        self.acked_sites = list(remap(self.acked_sites))
         self.cross_groups = [remap(group)
                              for group in self.cross_groups]
         self.cross_groups = [g for g in self.cross_groups
@@ -281,16 +286,16 @@ class DurabilityManager:
             flusher = self.flushers.get(cid)
             if flusher is None:
                 continue
-            records = self.installed[cid]
-            if records and records[-1].commit_tid == root.commit_tid:
-                sites.append((cid, len(records) - 1))
+            tids = self.installed_tids[cid]
+            if tids and tids[-1] == root.commit_tid:
+                sites.append((cid, len(tids) - 1))
             future = flusher.ack_future(root.commit_tid)
             if future is not None:
                 futures.append(future)
         if sites:
-            self._sites[root.txn_id] = sites
-            if len(sites) > 1:
-                self.cross_groups.append(sites)
+            group = self._sites[root.txn_id] = tuple(sites)
+            if len(group) > 1:
+                self.cross_groups.append(group)
         if self.chaos_ack_bypass:
             # Bug toggle: report the commit durable *now*, flush
             # pending.  Site capture above already ran, so the ack is
@@ -496,14 +501,15 @@ class DurabilityManager:
         for cid, pos in torn_sites:
             torn_by_cid.setdefault(cid, set()).add(pos)
             torn_tids.setdefault(cid, []).append(
-                self.installed[cid][pos].commit_tid)
-        durable: dict[int, list[RedoRecord]] = {}
+                self.installed_tids[cid][pos])
+        durable: dict[int, list[bytes]] = {}
         for cid, log in self.logs.items():
             dropped = torn_by_cid.get(cid, ())
+            tids = self.installed_tids[cid]
             durable[cid] = [
-                record for pos, record in enumerate(
+                sealed for pos, sealed in enumerate(
                     self.installed[cid][:flushed.get(cid, 0)])
-                if record.commit_tid > log.truncated_through
+                if tids[pos] > log.truncated_through
                 and pos not in dropped
             ]
         return CrashImage(
@@ -528,8 +534,9 @@ class DurabilityManager:
     # ------------------------------------------------------------------
 
     def log_records(self):
+        """Every record the logs hold, unsealed."""
         for log in self.logs.values():
-            yield from log.records
+            yield from map(unseal, log.records)
 
     def stats_dict(self) -> dict[str, Any]:
         value = self.database.telemetry.registry.value

@@ -9,14 +9,16 @@ their commit TID.  Because Silo TIDs order transactions consistently
 with their serial order, replaying redo records in TID order from a
 checkpoint reconstructs exactly the committed state.
 
-Logs are in-memory lists with optional JSON-lines serialization so
-recovery can also be exercised across files.
+Logs are in-memory lists of sealed records with optional JSON-lines
+serialization so recovery can also be exercised across files.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, NamedTuple
 
 INSERT = "insert"
@@ -35,28 +37,6 @@ _ENCODE = json.encoder.c_make_encoder(
     json.encoder.encode_basestring_ascii, None, ": ", ", ",
     False, False, True)
 
-#: What a record's line adds to its values: ``{"reactor": R, "table":
-#: T, "kind": K, "pk": P, "row": W}`` is 41 characters longer than
-#: ``[R, T, K, P, W]``, and ``{"tid": N, "entries": [...]}`` is 22
-#: longer than ``N`` plus ``[...]``.
-_ENTRY_KEYS = 41
-_RECORD_KEYS = 22
-
-#: A row's column tuple -> sum of (JSON key + ``": "``) over its
-#: columns: what a row's keys add to the array of its values.  One entry
-#: per schema; two threads filling the same entry write the same value.
-_COLUMN_SIZES: dict[tuple, int] = {}
-
-
-def _columns_size(columns: tuple) -> int:
-    size = 0
-    for column in columns:
-        # ``{K: 0}`` is K's JSON key text plus ``{``, ``: 0`` and ``}``;
-        # the encoder turns a non-string key into text as json.dumps
-        # does.
-        size += sum(map(len, _ENCODE({column: 0}, 0))) - 3
-    return size
-
 
 class RedoEntry(NamedTuple):
     """One logical write: reactor/table/pk plus the after-image.
@@ -64,9 +44,9 @@ class RedoEntry(NamedTuple):
     ``row`` *is* the installed image, not a copy of it: an install
     takes ownership of the image it is handed and nothing mutates an
     installed image afterwards (a later write installs a new dict, and
-    reads hand out copies), so the entry, the committed record and any
-    replica that replayed the entry may all share one dict — and none
-    of them may ever change it.
+    reads hand out copies), so the live entry and any replica that
+    replayed it may share one dict — and neither may ever change it.
+    The log keeps a sealed copy (:attr:`RedoRecord.sealed`).
     """
 
     reactor: str
@@ -88,7 +68,12 @@ class RedoEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class RedoRecord:
-    """All writes of one committed transaction within one container."""
+    """All writes of one committed transaction within one container.
+
+    Logs hold a record *sealed*: encoded once, at append, into one
+    ``bytes`` object (:attr:`sealed`) that the garbage collector does
+    not track.  :func:`unseal` is the way back.
+    """
 
     commit_tid: int
     entries: tuple[RedoEntry, ...]
@@ -108,53 +93,59 @@ class RedoRecord:
                           for e in data["entries"]),
         )
 
+    @cached_property
+    def sealed(self) -> bytes:
+        """``(tid, ((reactor, table, kind, pk, row), ...))`` in
+        ``marshal`` version 2.  Version 3 and later write
+        back-references that depend on object identity; version 2
+        writes none, so equal records seal to equal bytes whichever
+        objects hold their values."""
+        return marshal.dumps(
+            (self.commit_tid, tuple(map(tuple, self.entries))), 2)
+
     @property
     def byte_size(self) -> int:
-        """Serialized size of this record, ``len(self.to_json_line())``
-        without building the line — what the group-commit batcher
-        accumulates against ``flush_batch_bytes``, once per append.
+        """Size of the sealed record: what the group-commit batcher
+        accumulates against ``flush_batch_bytes``."""
+        return len(self.sealed)
 
-        One encoder pass over the entries as arrays ``[reactor, table,
-        kind, pk, row values | null]`` gives every value's JSON text;
-        the key names add constant lengths.  The line is ASCII, so
-        characters are bytes.
-        """
-        size = (_RECORD_KEYS + _ENTRY_KEYS * len(self.entries)
-                + len(str(self.commit_tid)))
-        arrays = []
-        for reactor, table, kind, pk, row in self.entries:
-            if row is not None:
-                columns = tuple(row)
-                try:
-                    size += _COLUMN_SIZES[columns]
-                except KeyError:
-                    size += _COLUMN_SIZES.setdefault(
-                        columns, _columns_size(columns))
-                row = list(row.values())
-            arrays.append((reactor, table, kind, pk, row))
-        return size + sum(map(len, _ENCODE(arrays, 0)))
+
+def unseal(sealed: bytes) -> RedoRecord:
+    """The record :attr:`RedoRecord.sealed` encoded, sealed as
+    ``sealed`` itself: what every reader of a log decodes through."""
+    tid, entries = marshal.loads(sealed)
+    record = RedoRecord(tid, tuple(map(RedoEntry._make, entries)))
+    # Fill the cache the property would: re-sealing gives equal bytes,
+    # and keeping these shares one object between the holders.
+    record.__dict__["sealed"] = sealed
+    return record
 
 
 class RedoLog:
     """Per-container append-only redo log.
 
-    ``listeners`` (filled through :meth:`add_listener`) observe every
-    appended record, in the order they were added: the durability
-    manager's (the full append sequence, the dirty-key tracker and the
-    group-commit flush pipeline) and, under replication, the
-    log-shipping hook of :mod:`repro.replication`.  They fire at append
-    time only; bulk-restored records (recovery, promotion seeding) are
-    assigned to ``records`` directly and are not re-shipped or
-    re-flushed.
+    ``records`` holds the sealed records in append order and ``tids``
+    their commit TIDs at the same positions, so a reader that needs
+    only TIDs decodes nothing.  ``listeners`` (filled through
+    :meth:`add_listener`) observe every appended record, live, in the
+    order they were added: the durability manager's (the full append
+    sequence, the dirty-key tracker and the group-commit flush
+    pipeline) and, under replication, the log-shipping hook of
+    :mod:`repro.replication`.  They fire at append time only; records
+    a log is built from (recovery, promotion seeding) are not
+    re-shipped or re-flushed.
     """
 
     #: Entry from its five fields, in order: what the commit's install
     #: loop logs a write through (it cannot import this package).
     make_entry = RedoEntry._make
 
-    def __init__(self, container_id: int) -> None:
+    def __init__(self, container_id: int,
+                 records: Iterable[bytes] = ()) -> None:
         self.container_id = container_id
-        self.records: list[RedoRecord] = []
+        self.records: list[bytes] = list(records)
+        self.tids: list[int] = [unseal(sealed).commit_tid
+                                for sealed in self.records]
         self.listeners: list[Callable[[RedoRecord], None]] = []
         #: Highest TID a checkpoint truncation dropped records through
         #: (0 when the log is complete from the beginning).  Lets
@@ -174,22 +165,26 @@ class RedoLog:
         entries = tuple(entries)
         if entries:
             record = RedoRecord(commit_tid, entries)
-            self.records.append(record)
+            self.records.append(record.sealed)
+            self.tids.append(commit_tid)
             for fn in self.listeners:
                 fn(record)
 
     def truncate_through(self, tid: int) -> int:
         """Drop records with commit TID <= ``tid`` (post-checkpoint
         log truncation).  Returns the number dropped."""
-        kept = [r for r in self.records if r.commit_tid > tid]
-        dropped = len(self.records) - len(kept)
-        self.records = kept
+        kept = [pos for pos, commit_tid in enumerate(self.tids)
+                if commit_tid > tid]
+        dropped = len(self.tids) - len(kept)
+        self.records = [self.records[pos] for pos in kept]
+        self.tids = [self.tids[pos] for pos in kept]
         if dropped and tid > self.truncated_through:
             self.truncated_through = tid
         return dropped
 
     def dump_json_lines(self) -> str:
-        return "\n".join(r.to_json_line() for r in self.records)
+        return "\n".join(unseal(sealed).to_json_line()
+                         for sealed in self.records)
 
     @staticmethod
     def load_json_lines(container_id: int, text: str) -> "RedoLog":
@@ -215,7 +210,8 @@ class RedoLog:
                     f"container {container_id}'s log (not the tail): "
                     f"{exc}"
                 ) from exc
-            log.records.append(record)
+            log.records.append(record.sealed)
+            log.tids.append(record.commit_tid)
         return log
 
     def __len__(self) -> int:

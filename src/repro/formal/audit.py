@@ -22,6 +22,7 @@ from contextlib import contextmanager
 from typing import Any, Iterable, Mapping
 
 from repro.concurrency.base import CCSession
+from repro.durability.wal import unseal
 from repro.formal.history import ReactorHistory
 from repro.formal.ops import READ, WRITE, Op, abort, commit
 from repro.formal.serializability import (
@@ -280,11 +281,12 @@ def certify_replication(database: Any) -> dict[str, Any]:
     def check(container_id: int, container: Any, records: list,
               shipped: list, role: str) -> None:
         prefix_ok = records == shipped[:len(records)]
-        tids = [r.commit_tid for r in records]
+        applied = [unseal(sealed) for sealed in records]
+        tids = [r.commit_tid for r in applied]
         order_ok = all(a < b for a, b in zip(tids, tids[1:]))
         expected = _replay(
             database, manager.base_rows.get(container_id, {}).items(),
-            shipped if role == "primary" else records,
+            map(unseal, shipped) if role == "primary" else applied,
             fences=getattr(container, "reactor_fences", None))
         if role == "primary":
             # A promoted replica is a primary: reactors can migrate
@@ -412,7 +414,7 @@ def certify_migration(database: Any) -> dict[str, Any]:
         src_log = migration.src_log
         entry["src_quiet_ok"] = src_log is None or not any(
             entry_.reactor == name
-            for record in src_log.records
+            for record in map(unseal, src_log.records)
             if record.commit_tid > migration.watermark
             for entry_ in record.entries
         )
@@ -436,7 +438,7 @@ def certify_migration(database: Any) -> dict[str, Any]:
             # watermark, scoped to the migrated reactor.
             replayed = _replay(database, (), [
                 *migration.snapshot_records,
-                *(record for record in dst_log.records
+                *(record for record in map(unseal, dst_log.records)
                   if record.commit_tid > migration.watermark)])
             expected = {key: rows for key, rows in replayed.items()
                         if key[0] == name}
@@ -609,15 +611,16 @@ def certify_crash_recovery(database: Any, image: Any,
     # 2. Prefix consistency per container (tamper/resurrection check).
     for cid in sorted(manager.installed):
         reference = manager.installed[cid]
+        reference_tids = manager.installed_tids[cid]
         flushed = image.flushed_counts.get(cid, 0)
         truncated = image.truncated_through.get(cid, 0)
         torn = torn_by_cid.get(cid, set())
         expected = [r for pos, r in enumerate(reference[:flushed])
-                    if r.commit_tid > truncated
+                    if reference_tids[pos] > truncated
                     and pos not in torn]
         got = image.logs.get(cid, [])
         prefix_ok = got == expected
-        tids = [r.commit_tid for r in got]
+        tids = [unseal(r).commit_tid for r in got]
         order_ok = all(a < b for a, b in zip(tids, tids[1:]))
         entry = {
             "container_id": cid,
@@ -647,17 +650,15 @@ def certify_crash_recovery(database: Any, image: Any,
     # container's checkpoint watermark.
     for cid, pos in sorted(acked_sites):
         report["acked_checked"] += 1
-        record = manager.installed[cid][pos] \
-            if pos < len(manager.installed.get(cid, [])) else None
-        if record is not None and \
-                record.commit_tid <= checkpoint_wm.get(cid, 0):
+        installed_tids = manager.installed_tids.get(cid, [])
+        tid = installed_tids[pos] if pos < len(installed_tids) else None
+        if tid is not None and tid <= checkpoint_wm.get(cid, 0):
             continue
-        if record is not None and \
+        if tid is not None and \
                 pos < image.flushed_counts.get(cid, 0) and \
                 (cid, pos) not in torn_sites:
             continue
-        report["lost_acked"].append(
-            record.commit_tid if record is not None else (cid, pos))
+        report["lost_acked"].append(tid if tid is not None else (cid, pos))
     if report["lost_acked"]:
         report["zero_acked_loss"] = False
         if image.mode != "async":
@@ -669,7 +670,7 @@ def certify_crash_recovery(database: Any, image: Any,
         replayable = []
         for cid, records in image.logs.items():
             watermark = base.tid_watermarks.get(cid, 0)
-            replayable.extend(r for r in records
+            replayable.extend(r for r in map(unseal, records)
                               if r.commit_tid > watermark)
         replayable.sort(key=lambda record: record.commit_tid)
         expected = _replay(

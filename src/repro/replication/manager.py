@@ -32,7 +32,7 @@ from typing import Any
 
 from repro.concurrency import create_cc_scheme
 from repro.core.reactor import Reactor
-from repro.durability.wal import RedoLog, RedoRecord
+from repro.durability.wal import RedoLog, RedoRecord, unseal
 from repro.errors import ReplicationError, TransactionAbort
 from repro.replication.config import ReplicationConfig
 from repro.replication.replica import ROLE_PRIMARY, ReplicaContainer
@@ -402,8 +402,8 @@ class ReplicationManager:
             for replica in self.replicas.get(cid, []):
                 behind = self.durability.installed[cid][
                     len(replica.applied_records):]
-                for record in behind:
-                    replica.apply_record(record)
+                for sealed in behind:
+                    replica.apply_record(unseal(sealed))
                     self.stats.records_applied += 1
         # Disconnect the replicas: in-flight apply/ack events shipped
         # by the dead primary are dropped when they fire (they are
@@ -459,20 +459,18 @@ class ReplicationManager:
         # surviving container's order is a broken cross-container
         # transaction — reported, because it is the inherent atomicity
         # price of async replication.
-        installed = self.durability.installed
+        installed_tids = self.durability.installed_tids
         lost_acked = sorted(self.acked_tids[cid]
                             - target.applied_tids)
-        lost_suffix = installed[cid][len(target.applied_records):]
+        lost_suffix = installed_tids[cid][len(target.applied_records):]
         lost_records = len(lost_suffix)
         surviving_tids = {
-            record.commit_tid
-            for other_cid, records in installed.items()
+            tid
+            for other_cid, tids in installed_tids.items()
             if other_cid != cid
-            for record in records
+            for tid in tids
         }
-        atomicity_breaks = sorted(
-            {record.commit_tid for record in lost_suffix}
-            & surviving_tids)
+        atomicity_breaks = sorted(set(lost_suffix) & surviving_tids)
 
         # Catch the remaining replicas up to the promoted prefix (a
         # replica is always a prefix of the shipped order, so the
@@ -481,8 +479,8 @@ class ReplicationManager:
         # in-flight ship can interleave out of order.
         for sibling in group:
             behind = target.applied_records[len(sibling.applied_records):]
-            for record in behind:
-                sibling.apply_record(record)
+            for sealed in behind:
+                sibling.apply_record(unseal(sealed))
                 self.stats.records_applied += 1
 
         # The survivor's TID generator only ever saw the TIDs it
@@ -504,8 +502,7 @@ class ReplicationManager:
         # group-commit flush pipeline on the new log (the shared
         # batched flush path) with the seeded prefix counted durable —
         # the replica had materialized it.
-        new_log = RedoLog(cid)
-        new_log.records = list(target.applied_records)
+        new_log = RedoLog(cid, target.applied_records)
         new_log.add_listener(self._listener_for(cid))
         target.concurrency.redo_log = new_log
         self.durability.on_log_replaced(cid, new_log)

@@ -39,10 +39,10 @@ class ReplicaContainer(Container):
         self.replica_id = replica_id
         self.primary = primary
         self.role = ROLE_REPLICA
-        #: Redo records applied so far, in arrival order — by
+        #: Redo records applied so far, sealed, in arrival order — by
         #: construction a prefix of the primary's shipped sequence
         #: (the formal audit certifies exactly that).
-        self.applied_records: list[RedoRecord] = []
+        self.applied_records: list[bytes] = []
         self.applied_tids: set[int] = set()
         #: Highest commit TID applied (0 when nothing arrived yet).
         self.applied_tid = 0
@@ -131,7 +131,7 @@ class ReplicaContainer(Container):
                 apply_record_to(self._table_for, record)
         else:
             apply_record_to(self._table_for, record)
-        self.applied_records.append(record)
+        self.applied_records.append(record.sealed)
         self.applied_tids.add(record.commit_tid)
         if record.commit_tid > self.applied_tid:
             self.applied_tid = record.commit_tid

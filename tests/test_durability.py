@@ -20,6 +20,7 @@ from repro.durability import (
     enable_durability,
     recover,
     take_checkpoint,
+    unseal,
 )
 from repro.errors import SimulationError, TransactionAbort
 from repro.experiments.common import tpcc_deployment
@@ -264,14 +265,17 @@ def scribble(ctx, key):
 
 
 class TestSharedImage:
-    """Installs take ownership of an intent's image and the redo entry
-    shares it: nothing a procedure can reach may alias that dict."""
+    """Installs take ownership of an intent's image and the live redo
+    entry shares it: nothing a procedure can reach may alias that
+    dict."""
 
-    def _scribbled(self):
+    def _scribbled(self, live=None):
         database = ReactorDatabase(shared_nothing(1),
                                    [("s", SCRATCH)])
         database.load("s", "kv", [{"k": "a", "v": 0.0}])
         manager = enable_durability(database)
+        if live is not None:
+            manager.logs[0].add_listener(live.append)
         handed_out = database.run("s", "scribble", "a")
         return database, manager, handed_out
 
@@ -295,17 +299,26 @@ class TestSharedImage:
         assert logged() == expected
 
     def test_entry_aliases_the_installed_image(self):
-        # The contract docs/durability.md states: one dict, installed
-        # and logged — which is why neither side may mutate it.
-        database, manager, __ = self._scribbled()
-        (record,) = manager.log_records()
+        # The contract docs/durability.md states: the live record the
+        # log's listeners see shares the installed dict — which is why
+        # neither side may mutate it — and the log holds a sealed copy.
+        live = []
+        database, manager, __ = self._scribbled(live)
+        (record,) = live
         table = database.reactor("s").table("kv")
         for entry in record.entries:
             assert entry.row is table.get_record(entry.pk).value
+        (sealed,) = manager.logs[0].records
+        assert sealed is record.sealed
+        assert manager.installed[0] == [sealed]
+        assert unseal(sealed) == record
+        for entry in unseal(sealed).entries:
+            assert entry.row is not table.get_record(entry.pk).value
         # A later write installs a new image; the logged one stays.
         database.run("s", "scribble", "a'")
-        (first,) = [e for e in record.entries if e.pk == ("a'",)]
-        assert first.row == {"k": "a'", "v": 2.0}
+        for entries in (record.entries, unseal(sealed).entries):
+            (first,) = [e for e in entries if e.pk == ("a'",)]
+            assert first.row == {"k": "a'", "v": 2.0}
         assert table.get_record(first.pk).value == {"k": "a'", "v": 1.0}
 
     def test_entry_construction_and_round_trip(self):

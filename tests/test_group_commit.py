@@ -18,7 +18,7 @@ from repro.durability import (
     recover_image_partitioned,
     recover_partitioned,
 )
-from repro.durability.wal import RedoEntry, RedoRecord
+from repro.durability.wal import RedoEntry, RedoRecord, unseal
 from repro.errors import SimulationError, TransactionAbort
 from repro.formal import certify_crash_recovery
 from repro.replication import ReplicationConfig
@@ -241,10 +241,10 @@ class TestKillAtArbitraryEpoch:
         assert manager.flushers[1].durable_tid == 0
         image = manager.crash()
         assert image.torn_sites, "expected a torn commit"
-        assert tid not in [r.commit_tid for r in image.logs[0]]
-        assert tid not in [r.commit_tid for r in image.logs[1]]
+        assert tid not in [unseal(r).commit_tid for r in image.logs[0]]
+        assert tid not in [unseal(r).commit_tid for r in image.logs[1]]
         # The independently durable single-container commit survives.
-        assert 10 in [r.commit_tid for r in image.logs[0]]
+        assert 10 in [unseal(r).commit_tid for r in image.logs[0]]
 
     def test_async_torn_acked_commit_reported_not_rejected(self):
         """Async acknowledges before flushing, so a cross-container
@@ -307,13 +307,13 @@ class TestKillAtArbitraryEpoch:
         for records in image.logs.values():
             if not records:
                 continue
-            old = records[0]
+            old = unseal(records[0])
             e0 = old.entries[0]
             row = dict(e0.row)
             row["balance"] = row.get("balance", 0.0) + 1e6
             records[0] = RedoRecord(old.commit_tid, (
                 RedoEntry(e0.reactor, e0.table, e0.kind, e0.pk, row),
-            ) + old.entries[1:])
+            ) + old.entries[1:]).sealed
             break
         cert = certify_crash_recovery(database, image,
                                       recovered_of(image))
@@ -322,10 +322,10 @@ class TestKillAtArbitraryEpoch:
         # 2. Inject a record that was never installed.
         image = database.durability.crash()
         cid = next(c for c, r in image.logs.items() if r)
-        fake_tid = image.logs[cid][-1].commit_tid + 1000
+        fake_tid = unseal(image.logs[cid][-1]).commit_tid + 1000
         image.logs[cid].append(RedoRecord(fake_tid, (
             RedoEntry(sb.reactor_name(0), "checking", "update",
-                      (0,), {"cust_id": 0, "balance": 777.0}),)))
+                      (0,), {"cust_id": 0, "balance": 777.0}),)).sealed)
         cert = certify_crash_recovery(database, image,
                                       recovered_of(image))
         assert not cert["ok"]
@@ -333,9 +333,9 @@ class TestKillAtArbitraryEpoch:
         # 3. Drop an acked record (acked-commit loss).
         image = database.durability.crash()
         acked_cid, acked_pos = image.acked_sites[0]
-        victim = database.durability.installed[acked_cid][acked_pos]
+        victim = database.durability.installed_tids[acked_cid][acked_pos]
         image.logs[acked_cid] = [r for r in image.logs[acked_cid]
-                                 if r is not victim]
+                                 if unseal(r).commit_tid != victim]
         cert = certify_crash_recovery(database, image,
                                       recovered_of(image))
         assert not cert["ok"]
@@ -469,7 +469,7 @@ class TestIncrementalCheckpoints:
         replica = database.replication.replicas[0][0]
         if replica.applied_records:
             dropped = replica.applied_records.pop()
-            replica.applied_tids.discard(dropped.commit_tid)
+            replica.applied_tids.discard(unseal(dropped).commit_tid)
         lag_tid = replica.applied_tid
         segment = database.durability.incremental_checkpoint()
         assert segment.truncate_tids[0] <= lag_tid
@@ -501,10 +501,10 @@ class TestPartitionedRecovery:
         target = shared_nothing(4)
         par = recover_partitioned(
             target, sb.declarations(N), image.manifest,
-            _logs_of(image))
+            image.to_logs())
         ser = recover_partitioned(
             target, sb.declarations(N), image.manifest,
-            _logs_of(image), parallel=False)
+            image.to_logs(), parallel=False)
         assert par.partitions == ser.partitions == N
         assert par.recovery_us < ser.recovery_us
         # Four containers, balanced reactors: close to a 4x makespan
@@ -585,18 +585,6 @@ class TestFailoverInterplay:
         flusher = database.durability.flushers[0]
         assert flusher.flushed_records == \
             len(database.durability.installed[0])
-
-
-def _logs_of(image):
-    from repro.durability.wal import RedoLog
-
-    logs = []
-    for cid, records in image.logs.items():
-        log = RedoLog(cid)
-        log.records = list(records)
-        log.truncated_through = image.truncated_through.get(cid, 0)
-        logs.append(log)
-    return logs
 
 
 class TestDurabilityStats:

@@ -428,9 +428,9 @@ class TestFailover:
         assert report["ok"]
         assert all(f["zero_committed_loss"]
                    for f in report["failovers"])
-        surviving = {r.commit_tid
-                     for records in database.durability.installed.values()
-                     for r in records}
+        surviving = {
+            tid for tids in database.durability.installed_tids.values()
+            for tid in tids}
         surviving |= database.containers[0].applied_tids
         lost = [s.txn_id for s in result.raw_stats
                 if s.committed and s.writes > 0

@@ -83,8 +83,7 @@ class TestTornTail:
         database, manager, log = serialized_log_with_records()
         text = log.dump_json_lines()
         torn = RedoLog.load_json_lines(log.container_id, text[:-10])
-        cut = RedoLog(log.container_id)
-        cut.records = log.records[:-1]
+        cut = RedoLog(log.container_id, log.records[:-1])
         base = take_checkpoint(fresh_bank())
         others = [lg for cid, lg in manager.logs.items()
                   if cid != log.container_id]

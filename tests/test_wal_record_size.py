@@ -1,13 +1,13 @@
-"""A redo record's size is the length of its JSON line, to the byte.
+"""A redo record's JSON line, and its size as the flusher sees it.
 
-``RedoRecord.byte_size`` never builds the line: it encodes the record's
-values and adds the key names as constant lengths.  The property below
-holds it to ``len(record.to_json_line())`` on names and values chosen
-to break a size computed any other way — escapes, non-ASCII, lone
-surrogates, non-finite floats, big ints, deletes, empty keys — and
-holds ``to_json_line`` to what ``json.dumps`` prints.  The boundary
-test is the same statement seen from the group-commit flusher: a size
-one character off moves the early flush by one append.
+The log's file format is JSON lines: the property below holds
+``to_json_line`` to what ``json.dumps`` prints, ASCII only, on names
+and values chosen to break an encoder — escapes, non-ASCII, lone
+surrogates, non-finite floats, big ints, deletes, empty keys.  A
+record's size is the length of its sealed bytes
+(``RedoRecord.byte_size``, see ``test_sealed_log.py``); the boundary
+test holds the group-commit flusher to that size exactly: a size one
+byte off moves the early flush by one append.
 """
 
 import json
@@ -75,28 +75,24 @@ _BACKWARD = _FORWARD._replace(row=dict(reversed(_FORWARD.row.items())))
 @settings(max_examples=300, deadline=None)
 @given(record=records())
 @example(record=RedoRecord(7, (_FORWARD, _BACKWARD, _FORWARD)))
-def test_byte_size_is_the_json_line_length(record):
+def test_json_line_is_what_json_dumps_prints(record):
     line = record.to_json_line()
     assert line == json.dumps({
         "tid": record.commit_tid,
         "entries": [e.to_json() for e in record.entries]})
     # ASCII escapes only: characters are bytes.
     assert line.isascii()
-    assert record.byte_size == len(line) == len(line.encode())
-    # Sized again with every key set already cached.
-    assert record.byte_size == len(line)
 
 
 def test_batch_bytes_threshold_is_exact():
     """With records of size ``s`` and ``flush_batch_bytes = k * s``,
     the epoch flushes early at the k-th append, not before or after.
-    ``k = s + 1`` makes both directions bite: a size one character
-    short reaches ``k * (s - 1) < k * s`` at the k-th append, one
-    character long reaches ``(k - 1) * (s + 1) >= k * s`` a step
-    early."""
+    ``k = s + 1`` makes both directions bite: a size one byte short
+    reaches ``k * (s - 1) < k * s`` at the k-th append, one byte long
+    reaches ``(k - 1) * (s + 1) >= k * s`` a step early."""
     row = {"cust_id": 0, "balance": -0.0, "note": 'café "\\\n'}
     entry = RedoEntry(sb.reactor_name(0), "checking", UPDATE, (0,), row)
-    size = len(RedoRecord(1000, (entry,)).to_json_line())
+    size = len(RedoRecord(1000, (entry,)).sealed)
     appends = size + 1
     machine = MachineProfile(
         name="xeon-e3-1276", hardware_threads=8,
@@ -109,7 +105,8 @@ def test_batch_bytes_threshold_is_exact():
         sb.declarations(2))
     log = database.durability.logs[0]
     flusher = database.durability.flushers[0]
-    # Four-digit TIDs: every record is the same size.
+    # TIDs that marshal writes in four bytes: every record is the
+    # same size.
     for tid in range(1000, 1000 + appends - 1):
         log.append(tid, [entry])
     assert flusher.stats.early_flushes == 0
