@@ -145,7 +145,8 @@ class LogFlusher:
 
     def _join(self, epoch: FlushEpoch, record: RedoRecord) -> None:
         epoch.tids.append(record.commit_tid)
-        epoch.bytes += len(record.sealed)  # RedoRecord.byte_size
+        # RedoRecord.byte_size, without a property call per record.
+        epoch.bytes += len(record.sealed)
         self._record_epoch[record.commit_tid] = epoch
 
     # ------------------------------------------------------------------

@@ -111,8 +111,9 @@ class RedoRecord:
 
 
 def unseal(sealed: bytes) -> RedoRecord:
-    """The record :attr:`RedoRecord.sealed` encoded, sealed as
-    ``sealed`` itself: what every reader of a log decodes through."""
+    """Decode a sealed record: the one accessor every log reader goes
+    through.  The record keeps ``sealed`` as its own
+    :attr:`~RedoRecord.sealed`."""
     tid, entries = marshal.loads(sealed)
     record = RedoRecord(tid, tuple(map(RedoEntry._make, entries)))
     # Fill the cache the property would: re-sealing gives equal bytes,
