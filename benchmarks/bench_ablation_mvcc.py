@@ -17,10 +17,11 @@ The storage-engine knob of the deployment spectrum, measured:
   included: its readers pay lock conflicts that snapshots also
   remove).
 
-* **certification** — every snapshot run in the grid records its snapshot
-  reads and is certified by ``certify_snapshot_isolation`` (no future
-  reads, newest-at-snapshot, one snapshot per root); an injected
-  stale-read tamper must be rejected.
+* **certification** — every snapshot run in the grid runs under a
+  history recorder: its snapshot reads pass ``certify_snapshot_isolation``
+  (no future reads, newest-at-snapshot, one snapshot per root) and,
+  with the writers, one serializability check; an injected stale-read
+  tamper must be rejected.
 
 Results land in ``benchmarks/results/ablation_mvcc.txt`` and —
 machine-readable, with ``version_stats`` per run —
@@ -36,8 +37,7 @@ from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
-from repro.durability.recovery import enable_durability
-from repro.formal.audit import certify_snapshot_isolation
+from repro.formal.audit import attach_recorder, certify_snapshot_isolation
 from repro.workloads import smallbank, ycsb
 
 #: Configuration labels: a ``cc_scheme`` name, optionally suffixed
@@ -73,9 +73,7 @@ def _measure_ycsb(scheme: str, theta: float,
     decls = [(ycsb.key_name(i), ycsb.KEY_REACTOR)
              for i in range(YCSB_KEYS)]
     database = ReactorDatabase(deployment, decls)
-    if audit:
-        enable_durability(database)
-        database.enable_snapshot_audit()
+    recorder = attach_recorder(database) if audit else None
     for i in range(YCSB_KEYS):
         name = ycsb.key_name(i)
         database.load(name, "kv",
@@ -86,7 +84,7 @@ def _measure_ycsb(scheme: str, theta: float,
     result = run_measurement(database, WORKERS, workload.factory_for,
                              warmup_us=5_000.0, measure_us=measure_us,
                              n_epochs=4)
-    return result.summary, database
+    return result.summary, database, recorder
 
 
 def _measure_smallbank(scheme: str, hotspot: float,
@@ -94,9 +92,7 @@ def _measure_smallbank(scheme: str, hotspot: float,
     database = ReactorDatabase(
         shared_nothing(4, mpl=4, **cc_config(scheme)),
         smallbank.declarations(SB_CUSTOMERS))
-    if audit:
-        enable_durability(database)
-        database.enable_snapshot_audit()
+    recorder = attach_recorder(database) if audit else None
     smallbank.load(database, SB_CUSTOMERS)
     workload = smallbank.SmallbankWorkload(
         SB_CUSTOMERS, mix=smallbank.READ_HEAVY_MIX,
@@ -104,34 +100,33 @@ def _measure_smallbank(scheme: str, hotspot: float,
     result = run_measurement(database, WORKERS, workload.factory_for,
                              warmup_us=5_000.0, measure_us=measure_us,
                              n_epochs=4)
-    return result.summary, database
+    return result.summary, database, recorder
 
 
-def _certify(database) -> dict:
-    report = certify_snapshot_isolation(database)
+def _certify(recorder) -> dict:
+    report = certify_snapshot_isolation(recorder)
+    serializable = recorder.is_serializable()
     return {
-        # Full certification: clean AND anchored in the redo log.
-        "ok": report["ok"] and report["log_checked"],
-        "log_checked": report["log_checked"],
+        "ok": report["ok"] and serializable,
+        "serializable": serializable,
         "reads_checked": report["reads_checked"],
         "roots_checked": report["roots_checked"],
         "violations": len(report["violations"]),
     }
 
 
-def _tamper_rejected(database) -> bool:
-    """Inject a stale-read tamper into a copy of the audit log and
-    check the certificate refuses it."""
-    events = database.storage.audit or []
+def _tamper_rejected(recorder) -> bool:
+    """Nudge one recorded snapshot read below the version it observed
+    (a stale read) and check the certificate refuses it."""
+    events = recorder.history.events
     idx = next((i for i, e in enumerate(events)
-                if e.observed_tid > 0), None)
+                if getattr(e, "snapshot", None) is not None
+                and e.tid > 0), None)
     if idx is None:
         return False
-    tampered = list(events)
-    tampered[idx] = dataclasses.replace(
-        tampered[idx], observed_tid=tampered[idx].observed_tid - 1)
-    return not certify_snapshot_isolation(
-        database, events=tampered)["ok"]
+    events[idx] = dataclasses.replace(events[idx],
+                                      tid=events[idx].tid - 1)
+    return not certify_snapshot_isolation(recorder)["ok"]
 
 
 def run_ablation(measure_us: float = 40_000.0) -> dict:
@@ -139,8 +134,8 @@ def run_ablation(measure_us: float = 40_000.0) -> dict:
     runs = []
     tamper_rejections = []
 
-    def record(workload: str, scheme: str, skew, summary, database):
-        audited = database.deployment.snapshot_reads
+    def record(workload: str, scheme: str, skew, summary, database,
+               recorder):
         row = {
             "workload": workload,
             "scheme": scheme,
@@ -148,28 +143,25 @@ def run_ablation(measure_us: float = 40_000.0) -> dict:
             **summary_payload(summary),
             "version_stats": database.version_stats(),
         }
-        if audited:
-            row["snapshot_certificate"] = _certify(database)
-            tamper_rejections.append(_tamper_rejected(database))
+        if recorder is not None:
+            row["snapshot_certificate"] = _certify(recorder)
+            tamper_rejections.append(_tamper_rejected(recorder))
         runs.append(row)
         return row
 
     by_key = {}
     for theta in YCSB_SKEWS:
         for scheme in SCHEMES:
-            summary, database = _measure_ycsb(
-                scheme, theta, measure_us,
-                audit=scheme == SNAPSHOT)
             by_key[("ycsb", scheme, theta)] = record(
-                "ycsb-readheavy", scheme, theta, summary, database)
+                "ycsb-readheavy", scheme, theta, *_measure_ycsb(
+                    scheme, theta, measure_us,
+                    audit=scheme == SNAPSHOT))
     for hotspot in SB_HOTSPOTS:
         for scheme in SCHEMES:
-            summary, database = _measure_smallbank(
-                scheme, hotspot, measure_us,
-                audit=scheme == SNAPSHOT)
             by_key[("smallbank", scheme, hotspot)] = record(
-                "smallbank-balance", scheme, hotspot, summary,
-                database)
+                "smallbank-balance", scheme, hotspot,
+                *_measure_smallbank(scheme, hotspot, measure_us,
+                                    audit=scheme == SNAPSHOT))
 
     high = max(YCSB_SKEWS)
     speedup = (by_key[("ycsb", SNAPSHOT, high)]["throughput_tps"]

@@ -9,10 +9,10 @@ the simulation runs to quiescence, and the episode is judged by
 * **liveness** — every submitted root reported an outcome (commit or
   a reported abort; a root that silently vanished is a bug), and
 * **every applicable certificate** from :mod:`repro.formal.audit`,
-  via :func:`~repro.formal.audit.certify_all` (serializability from an
-  episode-scoped recorder, replication, migration, snapshot isolation,
-  plus the crash-recovery reports ``crash_image`` faults produced
-  mid-run).
+  via :func:`~repro.formal.audit.certify_all` (serializability and
+  snapshot isolation from an episode-scoped recorder, replication,
+  migration, plus the crash-recovery reports ``crash_image`` faults
+  produced mid-run).
 
 Everything an episode observes — outcome counts, injection record,
 certificate verdicts, a state digest — lands in the result dict, and
@@ -304,10 +304,6 @@ def run_episode(config: EpisodeConfig, schedule: FaultSchedule,
     _arm_bug(database, config.inject_bug)
     load(database)
 
-    audit_events = None
-    if config.snapshot_reads:
-        audit_events = database.enable_snapshot_audit()
-
     outcomes = {"submitted": 0, "completed": 0, "committed": 0,
                 "aborted": 0}
 
@@ -328,7 +324,7 @@ def run_episode(config: EpisodeConfig, schedule: FaultSchedule,
         injector.arm(schedule)
         database.scheduler.run()
         certificates = certify_all(
-            database, recorder=recorder, si_events=audit_events,
+            database, recorder=recorder,
             crash_reports=[entry["report"]
                            for entry in injector.crash_reports])
 

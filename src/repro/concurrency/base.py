@@ -726,8 +726,8 @@ class ConcurrencyControl:
     def begin_session(self, txn_id: int) -> CCSession:
         raise NotImplementedError
 
-    def begin_snapshot_session(self, txn_id: int, snapshot_tid: int,
-                               storage: Any = None) -> CCSession:
+    def begin_snapshot_session(self, txn_id: int,
+                               snapshot_tid: int) -> CCSession:
         """A snapshot-isolated read-only session pinned at
         ``snapshot_tid``.
 
@@ -739,8 +739,7 @@ class ConcurrencyControl:
         """
         from repro.concurrency.mvcc import SnapshotSession
 
-        return SnapshotSession(txn_id, self.container_id, snapshot_tid,
-                               storage=storage)
+        return SnapshotSession(txn_id, self.container_id, snapshot_tid)
 
     def validate(self, session: CCSession) -> int:
         """Phase-1 validation; returns the TID floor for the commit TID.

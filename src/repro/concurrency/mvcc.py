@@ -8,10 +8,13 @@ pinned at a begin snapshot TID.  Reads resolve through the version
 chains (:meth:`~repro.storage.record.VersionedRecord.version_at`),
 take no locks, register no read/node footprint, and therefore validate
 nothing and can never abort; any mutation raises the typed
-:class:`~repro.errors.ReadOnlyViolation`.  Scans iterate the full
-record map (including tombstones — a key deleted after the snapshot is
-still visible to it) and apply index-range semantics over the visible
-images, so they need no versioned index structures.
+:class:`~repro.errors.ReadOnlyViolation`.  Scans examine the index's
+current candidates plus every record still retaining history
+(including tombstones — a key deleted after the snapshot is still
+visible to it) and apply index-range semantics over the visible
+images, so they need no versioned index structures.  A session counts
+its reads; it reports each one, with the version TID it observed, only
+while a history recorder has set :attr:`SnapshotSession.observer`.
 
 Whether read-only roots get snapshot sessions is the deployment's
 ``snapshot_reads`` switch, and it works under *any* scheme: OCC or
@@ -45,19 +48,21 @@ __all__ = ["SnapshotSession"]
 class SnapshotSession(CCSession):
     """Read-only record manager pinned at a begin-TID snapshot."""
 
-    __slots__ = ("snapshot_tid", "storage", "snapshot_read_count")
+    __slots__ = ("snapshot_tid", "snapshot_read_count", "observer")
 
     def __init__(self, txn_id: int, container_id: int,
-                 snapshot_tid: int, storage: Any = None) -> None:
+                 snapshot_tid: int) -> None:
         super().__init__(txn_id, container_id)
         #: Every read resolves to the newest version with
         #: ``tid <= snapshot_tid``.
         self.snapshot_tid = snapshot_tid
-        #: The database's StorageCoordinator (counters + audit log);
-        #: ``None`` for manually driven sessions.
-        self.storage = storage
-        #: Reads served from this snapshot (stats only).
+        #: Reads served from this snapshot; the storage counters take a
+        #: root's total once, when it unpins.
         self.snapshot_read_count = 0
+        #: ``HistoryRecorder.record_snapshot_read`` while a recorder is
+        #: attached, called as ``observer(session, table, pk,
+        #: observed_tid)`` per row served; ``None`` otherwise.
+        self.observer: Any = None
 
     # -- commit-path integration ----------------------------------------
 
@@ -71,37 +76,27 @@ class SnapshotSession(CCSession):
         # the moment they resolve.
         return 0
 
-    # -- bookkeeping ----------------------------------------------------
-
-    def _note(self, table: Table, pk: tuple, image: Any,
-              observed_tid: int) -> None:
-        self.snapshot_read_count += 1
-        if self.storage is not None:
-            self.storage.note_snapshot_read(
-                self.txn_id, self.snapshot_tid, table.owner or "",
-                table.name, pk, observed_tid, image is None)
-
     # -- the read-only record manager surface ---------------------------
 
     def read(self, table: Table, pk: tuple):
         """Point read at the pinned snapshot; never locks, never
         registers a footprint.  Visibility is the storage layer's one
         rule (:meth:`repro.relational.table.Table.version_at`)."""
-        self._begin_op()
         image, observed_tid = table.version_at(pk, self.snapshot_tid)
-        self._note(table, pk, image, observed_tid)
+        self.snapshot_read_count += 1
+        if self.observer is not None:
+            self.observer(self, table, pk, observed_tid)
         return image, 1
 
     def multi_read(self, table: Table, pks):
         """Vectorized snapshot point reads: one chain walk per key,
         method lookups hoisted, results preallocated.  Equivalent to
-        ``[read(table, pk) for pk in pks]`` — including one
-        :meth:`_note` audit event per key, in key order."""
-        self._begin_op()
+        ``[read(table, pk) for pk in pks]`` — including one observed
+        read per key, in key order."""
         pks = list(pks)
         out: list[Any] = [None] * len(pks)
         snapshot_tid = self.snapshot_tid
-        note = self._note
+        observer = self.observer
         get = table.records.get
         for i, pk in enumerate(pks):
             record = get(pk)
@@ -109,8 +104,10 @@ class SnapshotSession(CCSession):
                 image, observed_tid = None, 0
             else:
                 image, observed_tid = record.version_at(snapshot_tid)
-            note(table, pk, image, observed_tid)
+            if observer is not None:
+                observer(self, table, pk, observed_tid)
             out[i] = image
+        self.snapshot_read_count += len(pks)
         return out, len(pks)
 
     def scan(self, table: Table, predicate: Predicate = ALWAYS,
@@ -130,7 +127,6 @@ class SnapshotSession(CCSession):
         identically whichever session serves it.  Full scans iterate
         everything, tombstones included.
         """
-        self._begin_op()
         idx = table.index(index) if index is not None else None
         hash_equality = idx is not None and not isinstance(
             idx, OrderedIndex)
@@ -148,7 +144,7 @@ class SnapshotSession(CCSession):
         examined = 0
         snapshot_tid = self.snapshot_tid
         matches = predicate.matches
-        note = self._note
+        observer = self.observer
         key_of = idx.key_of if idx is not None else None
         for record in candidates:
             examined += 1
@@ -173,8 +169,10 @@ class SnapshotSession(CCSession):
                 sort_key: Any = (key, record.key)
             else:
                 sort_key = record.key
-            note(table, record.key, image, observed_tid)
+            if observer is not None:
+                observer(self, table, record.key, observed_tid)
             rows.append((sort_key, image))
+        self.snapshot_read_count += len(rows)
         rows.sort(key=lambda pair: pair[0], reverse=reverse)
         out = [row for __, row in rows]
         if limit is not None:

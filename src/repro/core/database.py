@@ -358,12 +358,7 @@ class ReactorDatabase:
                 self.storage.pin(root.txn_id, snapshot_tid)
             root.snapshot_tid = snapshot_tid
         return container.concurrency.begin_snapshot_session(
-            root.txn_id, root.snapshot_tid, storage=self.storage)
-
-    def enable_snapshot_audit(self) -> list:
-        """Record every snapshot read for black-box certification by
-        :func:`repro.formal.audit.certify_snapshot_isolation`."""
-        return self.storage.enable_audit()
+            root.txn_id, root.snapshot_tid)
 
     def gc_versions(self) -> int:
         """Explicit storage GC sweep: prune every version chain below

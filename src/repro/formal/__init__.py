@@ -6,7 +6,8 @@ serialization-graph acyclicity checks under both conflict notions.
 Property-based tests verify the theorem on randomized histories.
 
 Public exports: history building blocks (:class:`Op`, ``read`` /
-``write`` / ``commit`` / ``abort``, :class:`ReactorHistory`,
+``snapshot_read`` / ``write`` / ``commit`` / ``abort``,
+:class:`ReactorHistory`,
 :class:`ClassicHistory`, ``project``), the serializability checks
 (``is_serializable_reactor`` / ``is_serializable_classic`` /
 ``serialization_order`` / ``theorem_2_7_holds``) and the runtime
@@ -28,7 +29,15 @@ from repro.formal.audit import (
     recording,
 )
 from repro.formal.history import ReactorHistory, history_of
-from repro.formal.ops import Op, Terminal, abort, commit, read, write
+from repro.formal.ops import (
+    Op,
+    Terminal,
+    abort,
+    commit,
+    read,
+    snapshot_read,
+    write,
+)
 from repro.formal.projection import (
     ClassicHistory,
     ClassicOp,
@@ -47,6 +56,7 @@ __all__ = [
     "Op",
     "Terminal",
     "read",
+    "snapshot_read",
     "write",
     "commit",
     "abort",

@@ -9,15 +9,19 @@ recorded history of any run can then be checked for conflict
 serializability with the Section 2.3 machinery — an operation-level
 audit complementing the state-equivalence integration tests.
 
-Each operation is recorded where it takes effect: a read when the CC
-session serves it (a session wrapper, any scheme), a write when the
-commit installs it (:meth:`HistoryRecorder.record_install`, inside the
-commit guard).  Recording is strictly observational and adds
+Each operation is recorded where it takes effect: a validated read
+when the CC session serves it (a session wrapper, any scheme), a
+snapshot read with the version TID it observed (the snapshot session
+reports it), a write when the commit installs it
+(:meth:`HistoryRecorder.record_install`, inside the commit guard, with
+its commit TID).  Writers and snapshot readers are then judged in one
+serialization graph.  Recording is strictly observational and adds
 Python-level overhead only, never virtual time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import contextmanager
 from typing import Any, Iterable, Mapping
 
@@ -34,47 +38,29 @@ from repro.formal.serializability import (
 class HistoryRecorder:
     """Observes a database run and accumulates a reactor history.
 
-    :func:`attach_recorder` numbers every declared reactor up front, so
-    the ``threads`` backend's workers only read the numbering; the
-    instances numbered later (replica shadows, migration successors)
-    exist only on the sim backend.
+    Reactors are numbered by name: :func:`attach_recorder` numbers
+    every declared reactor up front, so the ``threads`` backend's
+    workers only read the numbering, and every instance that carries
+    one logical reactor — a migration successor, a replica's shadow, a
+    promoted shadow — joins that reactor's items.
     """
 
     def __init__(self) -> None:
         self.history = ReactorHistory()
-        self._reactor_ids: dict[int, int] = {}
-        #: id(table) -> the reactor id of the instance owning it.
-        self._table_reactors: dict[int, int] = {}
-
-    # -- identity bookkeeping -------------------------------------------
+        #: reactor name -> reactor id.
+        self._reactor_ids: dict[str, int] = {}
 
     def _reactor_id(self, reactor: Any) -> int:
-        rid = self._reactor_ids.get(id(reactor))
+        ids = self._reactor_ids
+        rid = ids.get(reactor.name)
         if rid is None:
-            rid = len(self._reactor_ids)
-            self._number(reactor, rid)
+            rid = ids[reactor.name] = len(ids)
         return rid
-
-    def _number(self, reactor: Any, rid: int) -> None:
-        self._reactor_ids[id(reactor)] = rid
-        for table in reactor.catalog:
-            self._table_reactors[id(table)] = rid
-
-    def alias_reactor(self, old: Any, new: Any) -> None:
-        """Register ``new`` as the continuation of ``old``.
-
-        Called by the online-migration subsystem at the routing flip:
-        the successor instance at the destination container carries the
-        same logical reactor, so operations on it must join the same
-        per-reactor history — otherwise conflicts between transactions
-        before and after a migration would be invisible to the
-        serializability check.
-        """
-        self._number(new, self._reactor_id(old))
 
     # -- event intake ------------------------------------------------------
 
-    def record_install(self, txn_id: int, participants: list) -> None:
+    def record_install(self, txn_id: int, commit_tid: int,
+                       participants: list) -> None:
         """One ``w`` per write a commit just installed, in install
         order: participant order, then ``sorted_intents()`` (a write
         the ``none`` scheme skipped has left its session's write set).
@@ -82,14 +68,43 @@ class HistoryRecorder:
         A write belongs to the reactor owning its table, as that
         table's reads do, and to sub-transaction 0: the root's commit
         installs it, and every conflict edge projects to transactions.
+        It carries ``commit_tid``, the version it creates.
         """
         append = self.history.append
-        reactors = self._table_reactors
+        reactors = self._reactor_ids
         for __, session in participants:
             for intent in session.sorted_intents():
                 table = intent.table
-                append(Op(WRITE, txn_id, 0, reactors[id(table)],
-                          f"{table.name}:{intent.pk!r}"))
+                append(Op(WRITE, txn_id, 0, reactors[table.owner],
+                          f"{table.name}:{intent.pk!r}", commit_tid))
+
+    def record_snapshot_read(self, session: Any, table: Any, pk: tuple,
+                             observed_tid: int) -> None:
+        """One ``r`` per row a snapshot session served, with the TID of
+        the version it observed (0: none at or below the snapshot) and
+        the session's snapshot TID.  Like a write, it belongs to
+        sub-transaction 0: it stands at its root's snapshot point, not
+        inside a frame."""
+        self.history.append(Op(
+            READ, session.txn_id, 0, self._reactor_ids[table.owner],
+            f"{table.name}:{pk!r}", observed_tid, session.snapshot_tid))
+
+    def drop_installs(self, records: Iterable[Any]) -> None:
+        """Take back the writes of redo records a failover lost.
+
+        An async replica promoted behind its primary never applied
+        them: no later reader can see them, so they leave the history
+        as if never installed (the replication certificate reports the
+        loss).
+        """
+        reactors = self._reactor_ids
+        lost = {(reactors[entry.reactor], f"{entry.table}:{entry.pk!r}",
+                 record.commit_tid)
+                for record in records for entry in record.entries}
+        self.history.events = [
+            event for event in self.history.events
+            if not (isinstance(event, Op) and event.kind == WRITE
+                    and (event.reactor, event.item, event.tid) in lost)]
 
     def record_commit(self, txn_id: int) -> None:
         self.history.append(commit(txn_id))
@@ -114,16 +129,19 @@ class HistoryRecorder:
         """Wrap one frame's CC session so its reads are observed
         (called by the execution context hook).
 
-        Snapshot sessions are *not* wrapped: a snapshot read of an old
-        version is ordered at its snapshot point, not at its wall-time
-        position, so feeding it to the conflict-serializability check
-        would fabricate false cycles (write-then-read edges pointing
-        the wrong way).  Snapshot readers are certified separately by
-        :func:`certify_snapshot_isolation`; their commit/abort
-        terminals still reach the history.
+        A snapshot session is not wrapped: it reports each read itself,
+        with the version TID it observed, to
+        :meth:`record_snapshot_read`.  A validated session on a read
+        replica is not recorded: the replica applies the primary's
+        installs later, so neither the history's order nor a TID
+        places its reads.
         """
         if getattr(session, "snapshot_tid", None) is not None:
+            session.observer = self.record_snapshot_read
             return session
+        if getattr(reactor.container, "role", None) == "replica":
+            return session
+
         def subtxn_of() -> int:
             if task.frames:
                 return task.frames[-1].subtxn_id
@@ -451,101 +469,77 @@ def certify_migration(database: Any) -> dict[str, Any]:
     return report
 
 
-def certify_snapshot_isolation(database: Any,
-                               events: Any = None) -> dict[str, Any]:
-    """Black-box certification of snapshot-isolated reads.
+def _snapshot_violation(op: Op, snapshots: dict[int, int],
+                        writes: dict[tuple[int, str], list[int]]
+                        ) -> str | None:
+    """The rule one recorded snapshot read breaks, if any."""
+    if snapshots.setdefault(op.txn, op.snapshot) != op.snapshot:
+        return "split-snapshot"
+    if op.tid > op.snapshot:
+        return "future-read"
+    tids = writes.get((op.reactor, op.item), ())
+    later = bisect_right(tids, op.tid)
+    if later < len(tids) and tids[later] <= op.snapshot:
+        return "stale-read"
+    return None
+
+
+def certify_snapshot_isolation(recorder: Any) -> dict[str, Any]:
+    """Black-box certification of the snapshot reads a recorder saw.
 
     In the spirit of Huang et al.'s black-box snapshot-isolation
-    checking, the certificate judges the *observed reads* of snapshot
-    transactions against the redo log — the independently recorded
-    commit order — using only externally visible evidence.  Enable the
-    audit log first (``database.enable_snapshot_audit()``); ``events``
-    overrides it for tamper-injection tests.
+    checking, each recorded snapshot read names the version TID it
+    observed and its root's snapshot TID, and the recorded installs
+    give every key's version order (commit TIDs).  For every snapshot
+    read the certificate asserts:
 
-    For every audited read (which version TID resolved which key at
-    which snapshot) the certificate asserts:
+    1. **one snapshot per root** — all reads of one root share one
+       snapshot TID;
+    2. **no future reads** — the observed version TID never exceeds
+       the snapshot TID: nothing that committed after the snapshot
+       leaked in;
+    3. **newest-at-snapshot** — no recorded write of the key has a TID
+       in ``(observed, snapshot]`` (a bisect into the key's write
+       TIDs): the read skipped no write it should have seen.  Holding
+       for every key a root read, this makes the observed cut one
+       transaction-consistent prefix, not a per-key mixture.
 
-    1. **no future reads** — the observed version TID never exceeds
-       the reader's snapshot TID: nothing that committed after the
-       snapshot leaked in;
-    2. **newest-at-snapshot** — the redo log contains no write to the
-       same key with a commit TID in ``(observed, snapshot]``: the
-       read did not skip a committed write it should have seen, so the
-       snapshot is exactly the transaction-consistent prefix at its
-       TID (commit installs are atomic events, and a matching check
-       holds for *every* key the root read, making the observed cut a
-       single prefix rather than a per-key mixture);
-    3. **one snapshot per root** — all reads of one root share one
-       snapshot TID.
-
-    Reads resolved below any logged history (bulk loads, migration
-    snapshot seeds) pass rule 2 because re-stamped after-images carry
-    watermark TIDs at or above every superseded entry.  Tampered
-    histories — an observed TID nudged below the newest qualifying
-    write (a stale read) or above the snapshot (a future read) — are
-    rejected.
-
-    Rule 2 needs the redo log: without durability enabled the
-    certificate reports ``log_checked: false`` (mirroring
-    :func:`certify_migration`) instead of passing a check it never
-    ran — consumers asserting full certification must require both
-    ``ok`` and ``log_checked``.
+    Reads resolved below the recorded writes (bulk loads, writes from
+    before the recorder attached, migration seeds re-stamped at their
+    watermark) pass rule 3.  Tampered histories — an observed TID
+    nudged below the newest qualifying write or above the snapshot, a
+    snapshot TID changed within a root — are rejected.  Whether the
+    snapshot readers also serialize with the writers is the
+    serializability certificate's question, over the same history.
     """
-    if events is None:
-        events = database.storage.audit
-    durability = database.durability
     report: dict[str, Any] = {
-        "enabled": events is not None,
+        "enabled": recorder is not None,
         "ok": True,
-        "log_checked": durability is not None,
         "reads_checked": 0,
         "roots_checked": 0,
         "violations": [],
     }
-    if events is None:
+    if recorder is None:
         return report
-
-    # The independent commit order: every redo record currently
-    # anchored in the database's logs (promotion re-seeds logs from
-    # the applied prefix, so failover keeps this coherent).
-    writes: dict[tuple[str, str, tuple], list[int]] = {}
-    if durability is not None:
-        for record in durability.log_records():
-            for entry in record.entries:
-                writes.setdefault(
-                    (entry.reactor, entry.table, entry.pk),
-                    []).append(record.commit_tid)
+    ops = recorder.history.operations()
+    writes: dict[tuple[int, str], list[int]] = {}
+    for op in ops:
+        if op.kind == WRITE:
+            writes.setdefault((op.reactor, op.item), []).append(op.tid)
     for tids in writes.values():
         tids.sort()
-
     snapshots: dict[int, int] = {}
-
-    def flag(event: Any, kind: str) -> None:
-        report["ok"] = False
-        report["violations"].append({
-            "kind": kind,
-            "txn_id": event.txn_id,
-            "snapshot_tid": event.snapshot_tid,
-            "reactor": event.reactor,
-            "table": event.table,
-            "pk": event.pk,
-            "observed_tid": event.observed_tid,
-            "missing": event.missing,
-        })
-
-    for event in events:
+    for op in ops:
+        if op.snapshot is None:
+            continue
         report["reads_checked"] += 1
-        seen = snapshots.setdefault(event.txn_id, event.snapshot_tid)
-        if seen != event.snapshot_tid:
-            flag(event, "split-snapshot")
-            continue
-        if event.observed_tid > event.snapshot_tid:
-            flag(event, "future-read")
-            continue
-        tids = writes.get((event.reactor, event.table, event.pk), ())
-        if any(event.observed_tid < tid <= event.snapshot_tid
-               for tid in tids):
-            flag(event, "stale-read")
+        kind = _snapshot_violation(op, snapshots, writes)
+        if kind is not None:
+            report["ok"] = False
+            report["violations"].append({
+                "kind": kind, "txn_id": op.txn, "reactor": op.reactor,
+                "item": op.item, "observed_tid": op.tid,
+                "snapshot_tid": op.snapshot})
     report["roots_checked"] = len(snapshots)
     return report
 
@@ -690,11 +684,12 @@ def certify_crash_recovery(database: Any, image: Any,
 def attach_recorder(database: Any) -> HistoryRecorder:
     """Enable history recording on a database.
 
-    The runtime consults ``database.history_recorder`` at three
+    The runtime consults ``database.history_recorder`` at four
     explicit hook points: the execution context wraps its CC session
-    so reads are observed, the executor reports each commit's
-    installed writes, and it reports commit/abort outcomes.  Recording
-    is strictly observational.
+    so reads are observed (a snapshot session reports its own), the
+    executor reports each commit's installed writes and its
+    commit/abort outcome, and a failover takes back the installs it
+    lost.  Recording is strictly observational.
     """
     recorder = HistoryRecorder()
     for name in database.reactor_names():
@@ -723,14 +718,13 @@ def recording(database: Any):
 
 
 def certify_all(database: Any, recorder: Any = None,
-                si_events: Any = None,
                 crash_reports: list | None = None) -> dict[str, Any]:
     """Run every applicable black-box certificate and aggregate.
 
     The one-call dispatcher the chaos campaigns (and any end-of-run
-    audit) use: serializability from ``recorder`` (or the database's
-    attached recorder), replication, migration and snapshot-isolation
-    certificates from live state, plus externally produced
+    audit) use: serializability and snapshot isolation from
+    ``recorder`` (or the database's attached recorder), replication
+    and migration certificates from live state, plus externally produced
     :func:`certify_crash_recovery` reports (crash images are taken
     mid-run, so their certificates are handed in, not re-derived).
 
@@ -752,8 +746,7 @@ def certify_all(database: Any, recorder: Any = None,
         "serializability": serializability,
         "replication": certify_replication(database),
         "migration": certify_migration(database),
-        "snapshot_isolation": certify_snapshot_isolation(
-            database, events=si_events),
+        "snapshot_isolation": certify_snapshot_isolation(recorder),
         "crash_recovery": {
             "enabled": bool(crash_reports),
             "ok": all(entry.get("ok") for entry in crash_reports or []),
@@ -768,7 +761,7 @@ def certify_all(database: Any, recorder: Any = None,
                        "order or a failover lost acked commits",
         "migration": "a completed migration failed routing, "
                      "quiescence, or state-replay checks",
-        "snapshot_isolation": "an audited snapshot read violated its "
+        "snapshot_isolation": "a recorded snapshot read violated its "
                               "snapshot",
         "crash_recovery": "a crash image failed recovery "
                           "certification",

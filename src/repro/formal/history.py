@@ -25,7 +25,7 @@ from typing import Any, Callable, Hashable, Iterable
 from repro.formal.ops import ABORT, COMMIT, WRITE, Op, Terminal
 
 
-def conflict_edges(ops: Iterable[Any],
+def conflict_edges(ops: list[Any],
                    item_of: Callable[[Any], Hashable]
                    ) -> set[tuple[int, int]]:
     """Edges Ti -> Tj of the serialization graph over ``ops``.
@@ -34,11 +34,22 @@ def conflict_edges(ops: Iterable[Any],
     and a, b name the same item and one of them writes}``, built by
     grouping the operations by ``item_of(op)``: a write follows every
     earlier transaction on its item, a read every earlier writer.
+
+    A snapshot read (``op.snapshot`` set) stands where the version it
+    observed stands, not where it ran: after every write of its item
+    whose TID is at or below the observed one, before every later
+    write.  A read of version *v* thus draws the wr edge from *v*'s
+    writer and the rw edge to the next one, as the version order
+    (commit TIDs per key) dictates.
     """
     # item -> (transactions that touched it so far, ... that wrote it)
     seen: dict[Hashable, tuple[set[int], set[int]]] = {}
     edges: set[tuple[int, int]] = set()
+    snapshot_reads = []
     for op in ops:
+        if op.snapshot is not None:
+            snapshot_reads.append(op)
+            continue
         touched, wrote = seen.setdefault(item_of(op), (set(), set()))
         txn = op.txn
         writes = op.kind == WRITE
@@ -48,6 +59,17 @@ def conflict_edges(ops: Iterable[Any],
         touched.add(txn)
         if writes:
             wrote.add(txn)
+    if snapshot_reads:
+        writes_of: dict[Hashable, list[Any]] = {}
+        for op in ops:
+            if op.kind == WRITE:
+                writes_of.setdefault(item_of(op), []).append(op)
+        for read in snapshot_reads:
+            txn = read.txn
+            for write in writes_of.get(item_of(read), ()):
+                if write.txn != txn:
+                    edges.add((write.txn, txn) if write.tid <= read.tid
+                              else (txn, write.txn))
     return edges
 
 

@@ -24,6 +24,12 @@ class Op:
     ``txn``/``sub`` identify the (sub-)transaction (natural numbers,
     as in the paper); ``reactor`` and ``item`` name the data item —
     items of different reactors are disjoint by construction.
+
+    Recorded runs add version TIDs: ``tid`` is a write's commit TID,
+    or the TID of the version a snapshot read observed, and
+    ``snapshot`` is that read's snapshot TID (``None`` on every other
+    operation).  A snapshot read is ordered by its version, not by its
+    place in the history (see :func:`repro.formal.history.conflict_edges`).
     """
 
     kind: str  # READ or WRITE
@@ -31,6 +37,8 @@ class Op:
     sub: int
     reactor: int
     item: str
+    tid: int = 0
+    snapshot: int | None = None
 
     def conflicts_with(self, other: "Op") -> bool:
         """Same named item in the same reactor, at least one write."""
@@ -39,8 +47,11 @@ class Op:
                 and (self.kind == WRITE or other.kind == WRITE))
 
     def __repr__(self) -> str:
-        return (f"{self.kind}[{self.txn}.{self.sub}@{self.reactor}:"
+        text = (f"{self.kind}[{self.txn}.{self.sub}@{self.reactor}:"
                 f"{self.item}]")
+        if self.snapshot is not None:
+            text += f"@{self.tid}<={self.snapshot}"
+        return text
 
 
 @dataclass(frozen=True)
@@ -58,8 +69,16 @@ def read(txn: int, sub: int, reactor: int, item: str) -> Op:
     return Op(READ, txn, sub, reactor, item)
 
 
-def write(txn: int, sub: int, reactor: int, item: str) -> Op:
-    return Op(WRITE, txn, sub, reactor, item)
+def write(txn: int, sub: int, reactor: int, item: str,
+          tid: int = 0) -> Op:
+    return Op(WRITE, txn, sub, reactor, item, tid)
+
+
+def snapshot_read(txn: int, reactor: int, item: str, tid: int,
+                  snapshot: int) -> Op:
+    """A read served at snapshot TID ``snapshot`` that observed the
+    version written at ``tid`` (0: no version at or below it)."""
+    return Op(READ, txn, 0, reactor, item, tid, snapshot)
 
 
 def commit(txn: int) -> Terminal:

@@ -18,11 +18,14 @@ from repro.formal.ops import COMMIT, Op, Terminal
 
 @dataclass(frozen=True)
 class ClassicOp:
-    """A classic-model operation over the merged address space."""
+    """A classic-model operation over the merged address space (version
+    TIDs carried over, as on :class:`~repro.formal.ops.Op`)."""
 
     kind: str
     txn: int
     item: str  # "reactor::item" after the name mapping
+    tid: int = 0
+    snapshot: int | None = None
 
     def __repr__(self) -> str:
         return f"{self.kind}[{self.txn}:{self.item}]"
@@ -50,7 +53,8 @@ class ClassicHistory:
 
 def project_op(op: Op) -> ClassicOp:
     """Definition 2.3: name mapping by reactor-id concatenation."""
-    return ClassicOp(op.kind, op.txn, f"{op.reactor}::{op.item}")
+    return ClassicOp(op.kind, op.txn, f"{op.reactor}::{op.item}",
+                     op.tid, op.snapshot)
 
 
 def project(history: ReactorHistory) -> ClassicHistory:

@@ -435,12 +435,6 @@ class MigrationManager:
         # Commits at the destination must exceed every copied TID.
         dst.concurrency.tids.advance_to(watermark)
 
-        recorder = database.history_recorder
-        if recorder is not None:
-            # The successor continues the same logical reactor: the
-            # serializability audit must see one identity across the
-            # migration, not two unrelated ones.
-            recorder.alias_reactor(old, new)
         if database.replication is not None:
             database.replication.on_reactor_migrated(
                 old, new, migration.snapshot_records)

@@ -471,6 +471,11 @@ class ReplicationManager:
             for tid in tids
         }
         atomicity_breaks = sorted(set(lost_suffix) & surviving_tids)
+        recorder = database.history_recorder
+        if recorder is not None and lost_suffix:
+            # The lost suffix's writes never reach a reader again.
+            recorder.drop_installs(map(unseal, self.durability.installed[
+                cid][len(target.applied_records):]))
 
         # Catch the remaining replicas up to the promoted prefix (a
         # replica is always a prefix of the shipped order, so the

@@ -756,7 +756,8 @@ class TransactionExecutor:
                                          self.scheduler.now)
             recorder = database.history_recorder
             if recorder is not None and outcome.committed:
-                recorder.record_install(root.txn_id, participants)
+                recorder.record_install(root.txn_id, outcome.commit_tid,
+                                        participants)
             root.commit_tid = outcome.commit_tid
             ack_delay = 0.0
             if outcome.committed and database.replication is not None:
@@ -909,11 +910,12 @@ class TransactionExecutor:
                     database.durability.note_acked(root)
                 else:
                     database.durability.note_unacked(root)
-            # Release the root's pinned snapshot (if any): the storage
-            # GC watermark advances with the in-flight snapshot set,
-            # so the next install can prune versions only this root
-            # could see.
-            database.storage.unpin(root.txn_id)
+            # Release the root's pinned snapshot (if any) and count the
+            # reads it served: the storage GC watermark advances with
+            # the in-flight snapshot set, so the next install can prune
+            # versions only this root could see.
+            if root.snapshot_tid is not None:
+                database.storage.unpin(root.txn_id, root.total_reads())
             if not committed and root.read_only:
                 database.storage.note_read_only_abort()
             recorder = database.history_recorder

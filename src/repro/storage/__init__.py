@@ -12,23 +12,17 @@ record map: ``Table.records``, a dict of primary key → chain head):
   chains carrying the Silo-style TID word and lock state every CC
   scheme operates on, with the snapshot visibility rule
   (``version_at``) and watermark-driven chain GC (``prune_chain``);
-* :class:`StorageCoordinator` / :class:`VersionStats` /
-  :class:`SnapshotReadEvent` — the per-database engine state: pinned
-  snapshots of in-flight read-only roots (the GC watermark source),
-  version counters, and the snapshot-read audit log.
+* :class:`StorageCoordinator` / :class:`VersionStats` — the
+  per-database engine state: pinned snapshots of in-flight read-only
+  roots (the GC watermark source) and version counters.
 """
 
 from repro.storage.record import RecordVersion, VersionedRecord
-from repro.storage.store import (
-    SnapshotReadEvent,
-    StorageCoordinator,
-    VersionStats,
-)
+from repro.storage.store import StorageCoordinator, VersionStats
 
 __all__ = [
     "RecordVersion",
     "VersionedRecord",
-    "SnapshotReadEvent",
     "StorageCoordinator",
     "VersionStats",
 ]

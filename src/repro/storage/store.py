@@ -2,11 +2,8 @@
 
 :class:`StorageCoordinator` — one per database: the pinned-snapshot
 set of in-flight read-only roots (the source of the GC watermark
-install paths consult), the :class:`VersionStats` counters behind
-``database.version_stats()``, and the optional snapshot-read audit
-log (:class:`SnapshotReadEvent`) that
-:func:`repro.formal.audit.certify_snapshot_isolation` certifies.  The
-records themselves live in each
+install paths consult) and the :class:`VersionStats` counters behind
+``database.version_stats()``.  The records themselves live in each
 :class:`~repro.relational.table.Table`'s ``records`` dict.
 
 The coordinator is deliberately dumb about *when* snapshots pin: the
@@ -34,34 +31,19 @@ class VersionStats:
     versions_gced: int = 0
     #: read-only roots that pinned a snapshot.
     snapshot_roots: int = 0
-    #: individual reads (point + scan rows) served from snapshots.
+    #: individual reads (point + scan rows) served from snapshots,
+    #: counted when their root unpins.
     snapshot_reads: int = 0
     #: read-only roots that aborted.  Under ``snapshot_reads`` this
     #: stays 0: snapshot readers never validate and never conflict.
     read_only_aborts: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class SnapshotReadEvent:
-    """One audited snapshot read (black-box certification input)."""
-
-    txn_id: int
-    snapshot_tid: int
-    reactor: str
-    table: str
-    pk: tuple
-    #: TID of the version that resolved the read (0: no version at or
-    #: below the snapshot existed).
-    observed_tid: int
-    #: The read returned no row (tombstone or never-existed).
-    missing: bool
-
-
 class StorageCoordinator:
     """Pinned snapshots, GC watermark, and version counters of one
     database (primaries and replicas share one coordinator)."""
 
-    __slots__ = ("pinned", "stats", "audit")
+    __slots__ = ("pinned", "stats")
 
     def __init__(self) -> None:
         #: root txn id -> (pinned snapshot TID, scope).  Scope is
@@ -71,10 +53,6 @@ class StorageCoordinator:
         #: scope retains only history its own readers can reach.
         self.pinned: dict[int, tuple[int, Any]] = {}
         self.stats = VersionStats()
-        #: Snapshot-read audit log; ``None`` until
-        #: :meth:`enable_audit` (recording every read is test/bench
-        #: instrumentation, not a production default).
-        self.audit: list[SnapshotReadEvent] | None = None
 
     # -- table adoption -------------------------------------------------
 
@@ -95,8 +73,10 @@ class StorageCoordinator:
         self.pinned[txn_id] = (snapshot_tid, scope)
         self.stats.snapshot_roots += 1
 
-    def unpin(self, txn_id: int) -> None:
+    def unpin(self, txn_id: int, reads: int = 0) -> None:
+        """Release a root's pin and count the ``reads`` it served."""
         self.pinned.pop(txn_id, None)
+        self.stats.snapshot_reads += reads
 
     def rescope(self, old_scope: Any, new_scope: Any = None) -> None:
         """Move every pin in ``old_scope`` to ``new_scope``.
@@ -122,7 +102,7 @@ class StorageCoordinator:
             return None
         return min(tids)
 
-    # -- counters and audit ----------------------------------------------
+    # -- counters ---------------------------------------------------------
 
     def note_versions(self, created: int, pruned: int) -> None:
         if created:
@@ -132,18 +112,3 @@ class StorageCoordinator:
 
     def note_read_only_abort(self) -> None:
         self.stats.read_only_aborts += 1
-
-    def enable_audit(self) -> list[SnapshotReadEvent]:
-        if self.audit is None:
-            self.audit = []
-        return self.audit
-
-    def note_snapshot_read(self, txn_id: int, snapshot_tid: int,
-                           reactor: str, table: str, pk: tuple,
-                           observed_tid: int, missing: bool) -> None:
-        self.stats.snapshot_reads += 1
-        if self.audit is not None:
-            self.audit.append(SnapshotReadEvent(
-                txn_id=txn_id, snapshot_tid=snapshot_tid,
-                reactor=reactor, table=table, pk=pk,
-                observed_tid=observed_tid, missing=missing))

@@ -5,7 +5,9 @@ reads under contention, transaction-consistent cuts, the
 ``snapshot_reads`` deployment toggle on every scheme, read-only
 enforcement on all mutation paths, replica bounded-staleness reads,
 recovery and migration over the versioned engine, and the black-box
-snapshot-isolation certificate (including tamper rejection).
+snapshot-isolation certificate over the history recorder's snapshot
+reads (including tamper rejection, and snapshot readers judged in the
+one serialization graph with the writers).
 """
 
 from __future__ import annotations
@@ -27,8 +29,12 @@ from repro.core.reactor import ReactorType
 from repro.durability.checkpoint import take_checkpoint
 from repro.durability.recovery import enable_durability, recover
 from repro.errors import DeploymentError, ReadOnlyViolation
-from repro.formal.audit import certify_migration, \
-    certify_snapshot_isolation
+from repro.formal.audit import (
+    attach_recorder,
+    certify_migration,
+    certify_snapshot_isolation,
+)
+from repro.formal.ops import WRITE
 from repro.relational import float_col, make_schema, str_col
 from repro.replication import ReplicationConfig
 from repro.workloads import smallbank
@@ -127,6 +133,12 @@ def _pair_db(scheme: str, snapshot_reads: bool = False,
     return database
 
 
+def _snapshot_reads(recorder):
+    """``(index, op)`` of every recorded snapshot read, in order."""
+    return [(i, e) for i, e in enumerate(recorder.history.events)
+            if getattr(e, "snapshot", None) is not None]
+
+
 def _submit_collect(database, outcomes, key, reactor, proc, *args):
     def on_done(root, committed, reason, result):
         outcomes[key] = (committed, reason, result)
@@ -201,19 +213,24 @@ class TestSnapshotReadsUnderContention:
 
     def test_commits_after_pin_exceed_the_snapshot(self):
         database = _pair_db("occ", snapshot_reads=True)
+        recorder = attach_recorder(database)
         outcomes = _overlap_reader_with_writer(database)
         assert outcomes["writer"][0]
-        reader_snapshot = min(
-            e.snapshot_tid
-            for e in (database.storage.audit or [])) \
-            if database.storage.audit else None
-        # Even without the audit, the generators were advanced at pin
-        # time: the writer's commit TID exceeds the global watermark
-        # the reader pinned.
-        writes_tid = database.containers[0].concurrency.tids.last
-        assert writes_tid > 0
-        if reader_snapshot is not None:
-            assert writes_tid > reader_snapshot
+        # The generators were advanced at pin time: every write the
+        # writer installed carries a TID above the snapshot.
+        snapshots = {op.snapshot for __, op in _snapshot_reads(recorder)}
+        writes = [op.tid for op in recorder.history.operations()
+                  if op.kind == WRITE]
+        assert len(snapshots) == 1 and writes
+        assert min(writes) > snapshots.pop()
+
+    def test_read_count_reaches_the_stats_at_unpin(self):
+        database = _pair_db("occ", snapshot_reads=True)
+        outcomes = _overlap_reader_with_writer(database)
+        assert outcomes["reader"][0]
+        stats = database.version_stats()
+        assert stats["snapshot_reads_served"] == 2  # a, then b
+        assert stats["pinned_snapshots"] == 0
 
     def test_versions_are_gcd_after_readers_finish(self):
         database = _pair_db("occ", snapshot_reads=True)
@@ -346,7 +363,7 @@ class TestPromotionTidFloor:
             replication=ReplicationConfig(
                 replicas_per_container=1, mode="async",
                 async_lag_us=50_000.0))
-        database.enable_snapshot_audit()
+        recorder = attach_recorder(database)
         outcomes: dict = {}
         # A write on b advances container 1's primary generator; the
         # replica (big async lag) applies nothing before the kill.
@@ -370,9 +387,12 @@ class TestPromotionTidFloor:
         assert outcomes["w1"][0]
         assert outcomes["reader"][0]
         assert post["committed"]
-        snapshot_tid = max(e.snapshot_tid
-                           for e in database.storage.audit)
+        snapshot_tid = max(op.snapshot
+                           for __, op in _snapshot_reads(recorder))
         assert post["commit_tid"] > snapshot_tid
+        report = certify_snapshot_isolation(recorder)
+        assert report["ok"], report["violations"]
+        assert recorder.is_serializable()
 
 
 class TestPromotionPinRescope:
@@ -421,73 +441,104 @@ class TestPromotionPinRescope:
 
 
 class TestSnapshotIsolationCertificate:
-    def _certified_db(self):
+    def _certified(self):
+        """A slow snapshot reader of a and b overlapping a writer of
+        both, then a fresh read of a: ``(database, recorder)``."""
         database = _pair_db("occ", snapshot_reads=True)
-        enable_durability(database)
-        database.enable_snapshot_audit()
+        recorder = attach_recorder(database)
         outcomes = _overlap_reader_with_writer(database)
         assert outcomes["reader"][0]
         database.run("a", "get_v")
-        return database
+        return database, recorder
+
+    @staticmethod
+    def _tamper(recorder, index, **changes):
+        events = recorder.history.events
+        events[index] = dataclasses.replace(events[index], **changes)
 
     def test_clean_run_certifies(self):
-        database = self._certified_db()
-        report = certify_snapshot_isolation(database)
+        __, recorder = self._certified()
+        report = certify_snapshot_isolation(recorder)
         assert report["enabled"]
         assert report["ok"], report["violations"]
-        assert report["log_checked"]  # durability anchored rule 2
-        assert report["reads_checked"] >= 3
-        assert report["roots_checked"] >= 2
+        assert report["reads_checked"] == 3
+        assert report["roots_checked"] == 2
 
-    def test_missing_durability_is_disclosed_not_passed(self):
-        """Regression: without a redo log the newest-at-snapshot check
-        cannot run — the certificate must say so, not silently pass."""
-        database = _pair_db("occ", snapshot_reads=True)
-        database.enable_snapshot_audit()
-        database.run("a", "get_v")
-        report = certify_snapshot_isolation(database)
-        assert report["enabled"]
-        assert not report["log_checked"]
+    def test_snapshot_reader_serializes_at_its_snapshot_point(self):
+        """The reader committed after the writer, yet read the state
+        before it: in the one graph it precedes the writer."""
+        database, recorder = self._certified()
+        assert recorder.is_serializable()
+        reader = _snapshot_reads(recorder)[0][1].txn
+        writer = next(op.txn for op in recorder.history.operations()
+                      if op.kind == WRITE)
+        order = recorder.equivalent_serial_order()
+        assert order.index(reader) < order.index(writer)
+
+    def test_fractured_read_is_a_cycle(self):
+        """Tamper the reader's read of b to the writer's version: it
+        then saw half of ``set_both`` — no serial order exists."""
+        __, recorder = self._certified()
+        (__, first), (index, second) = _snapshot_reads(recorder)[:2]
+        assert first.txn == second.txn
+        written = next(op.tid for op in recorder.history.operations()
+                       if op.kind == WRITE and op.item == second.item)
+        self._tamper(recorder, index, tid=written)
+        assert not recorder.is_serializable()
 
     def test_stale_read_tamper_rejected(self):
-        database = self._certified_db()
-        events = list(database.storage.audit)
-        target = next(i for i, e in enumerate(events)
-                      if e.observed_tid > 0)
-        events[target] = dataclasses.replace(
-            events[target],
-            observed_tid=events[target].observed_tid - 1)
-        report = certify_snapshot_isolation(database, events=events)
+        __, recorder = self._certified()
+        # The fresh read of a observed the writer's version.
+        index, op = _snapshot_reads(recorder)[-1]
+        self._tamper(recorder, index, tid=op.tid - 1)
+        report = certify_snapshot_isolation(recorder)
         assert not report["ok"]
         assert report["violations"][0]["kind"] == "stale-read"
 
     def test_future_read_tamper_rejected(self):
-        database = self._certified_db()
-        events = list(database.storage.audit)
-        events[0] = dataclasses.replace(
-            events[0], observed_tid=events[0].snapshot_tid + 1)
-        report = certify_snapshot_isolation(database, events=events)
+        __, recorder = self._certified()
+        index, op = _snapshot_reads(recorder)[0]
+        self._tamper(recorder, index, tid=op.snapshot + 1)
+        report = certify_snapshot_isolation(recorder)
         assert not report["ok"]
         assert report["violations"][0]["kind"] == "future-read"
 
     def test_split_snapshot_tamper_rejected(self):
-        database = self._certified_db()
-        events = [e for e in database.storage.audit]
-        same_root = [e for e in events
-                     if e.txn_id == events[0].txn_id]
-        if len(same_root) < 2:  # pragma: no cover - layout guard
-            pytest.skip("need a multi-read root")
-        idx = events.index(same_root[1])
-        events[idx] = dataclasses.replace(
-            events[idx], snapshot_tid=events[idx].snapshot_tid + 1)
-        report = certify_snapshot_isolation(database, events=events)
+        __, recorder = self._certified()
+        (__, first), (index, second) = _snapshot_reads(recorder)[:2]
+        assert first.txn == second.txn
+        self._tamper(recorder, index, snapshot=second.snapshot + 1)
+        report = certify_snapshot_isolation(recorder)
         assert not report["ok"]
-        assert any(v["kind"] == "split-snapshot"
-                   for v in report["violations"])
+        assert [v["kind"] for v in report["violations"]] == \
+            ["split-snapshot"]
 
-    def test_disabled_audit_reports_disabled(self):
-        database = _pair_db("occ", snapshot_reads=True)
-        report = certify_snapshot_isolation(database)
+    def test_lost_async_installs_leave_the_history(self):
+        """A write an async failover lost is no stale-read trap: the
+        promotion takes it back out of the recorded history."""
+        database = _pair_db(
+            "occ", snapshot_reads=True,
+            replication=ReplicationConfig(
+                replicas_per_container=1, mode="async",
+                async_lag_us=50_000.0))
+        recorder = attach_recorder(database)
+        outcomes: dict = {}
+        # Committed, then lost: the replica applies nothing before the
+        # kill.
+        _submit_collect(database, outcomes, "writer", "b", "set_v", 5.0)
+        database.scheduler.at(
+            300.0, database.replication.kill_and_promote, 1)
+        database.scheduler.run()
+        assert outcomes["writer"][0]
+        assert database.run("b", "get_v") == pytest.approx(2.0)
+        assert not any(op.kind == WRITE
+                       for op in recorder.history.operations())
+        report = certify_snapshot_isolation(recorder)
+        assert report["reads_checked"] == 1
+        assert report["ok"], report["violations"]
+
+    def test_no_recorder_reports_disabled(self):
+        report = certify_snapshot_isolation(None)
         assert not report["enabled"]
         assert report["ok"]
 
@@ -505,15 +556,16 @@ class TestRecoveryAndMigration:
             [("a", PAIR), ("b", PAIR)],
             checkpoint, durability.logs.values())
         enable_durability(recovered)
-        recovered.enable_snapshot_audit()
+        recorder = attach_recorder(recovered)
         assert recovered.run("a", "get_v") == pytest.approx(6.0)
         assert recovered.run("b", "get_v") == pytest.approx(5.0)
         # Post-recovery writers install versions for snapshot readers.
         outcomes = _overlap_reader_with_writer(recovered)
         assert outcomes["reader"][0]
         assert outcomes["reader"][2] == pytest.approx(11.0)
-        report = certify_snapshot_isolation(recovered)
+        report = certify_snapshot_isolation(recorder)
         assert report["ok"], report["violations"]
+        assert recorder.is_serializable()
 
     def test_pinned_reader_survives_a_mid_flight_migration(self):
         """Regression: a snapshot pinned before a migration must still
@@ -521,7 +573,7 @@ class TestRecoveryAndMigration:
         the retained version history, not just the flat watermark cut."""
         database = _pair_db("occ", snapshot_reads=True)
         enable_durability(database)
-        database.enable_snapshot_audit()
+        recorder = attach_recorder(database)
         outcomes: dict = {}
         # Reader on 'b' pins, stalls, then calls the migrating 'a'.
         _submit_collect(database, outcomes, "reader", "b",
@@ -538,8 +590,11 @@ class TestRecoveryAndMigration:
         # successor must serve a=1.0, not 9.0 and not a missing row.
         assert result == pytest.approx(3.0)
         assert database.reactor("a").container.container_id == 1
-        report = certify_snapshot_isolation(database)
+        report = certify_snapshot_isolation(recorder)
         assert report["ok"], report["violations"]
+        # The successor joins the source's items: the reader precedes
+        # the writer it did not see, across the migration.
+        assert recorder.is_serializable()
 
     def test_snapshot_scan_keeps_hash_index_equality_contract(self):
         """Regression: snapshot scans refuse hash-index range scans
@@ -636,7 +691,7 @@ class TestRecoveryAndMigration:
     def test_migration_copies_a_consistent_cut_and_reads_certify(self):
         database = _pair_db("occ", snapshot_reads=True)
         enable_durability(database)
-        database.enable_snapshot_audit()
+        recorder = attach_recorder(database)
         database.run("a", "set_v", 9.0)
         database.migrate("a", 1)
         database.scheduler.run()
@@ -645,5 +700,6 @@ class TestRecoveryAndMigration:
         # Snapshot reads over the migrated (watermark-restamped)
         # reactor still certify.
         assert database.run("a", "get_v") == pytest.approx(9.0)
-        report = certify_snapshot_isolation(database)
+        assert recorder.is_serializable()
+        report = certify_snapshot_isolation(recorder)
         assert report["ok"], report["violations"]

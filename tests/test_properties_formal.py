@@ -6,9 +6,15 @@ sub-transaction conflict notion must coincide with classic
 serializability of the projected history — the equivalence the paper
 proves (Section 2.3, Appendix A) — and the one conflict-edge builder
 must yield exactly the all-pairs definition of the conflict relation.
+
+Snapshot reads are positioned by the version they observed, not by
+their place in the history: for readers of transaction-consistent
+prefixes over writers serialized in TID order, the graph is the one
+in which each reader sits at its snapshot point, so it is acyclic.
 """
 
 from operator import attrgetter
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,8 +27,10 @@ from repro.formal import (
     is_serializable_reactor,
     project,
     read,
+    snapshot_read,
     write,
 )
+from repro.formal.audit import certify_snapshot_isolation
 from repro.formal.history import conflict_edges
 
 N_TXNS = 4
@@ -133,6 +141,100 @@ def test_aborted_transactions_never_appear_in_graph(history):
 def test_projection_preserves_committed_set(history):
     assert project(history).committed_txns() >= \
         history.committed_txns()
+
+
+#: Reader txn ids start here; writer ``i`` is txn ``i`` at TID ``i``.
+READERS = 100
+
+
+@st.composite
+def snapshot_runs(draw):
+    """Writers 1..n run serially, writer ``i`` committing at TID
+    ``i``; each reader picks a snapshot TID and reads items, observing
+    the newest version at or below it.  A reader's reads land at random
+    places in the history.
+
+    Returns ``(history, placed)``: ``placed`` is the same run with every
+    reader's reads as plain reads right after its snapshot's writer —
+    the reader at its snapshot point.
+    """
+    n_writers = draw(st.integers(min_value=1, max_value=4))
+    blocks: list[list] = [[]]  # blocks[i]: writer i's operations
+    versions = {item: [0] for item in ITEMS}
+    for tid in range(1, n_writers + 1):
+        block = []
+        for item in draw(st.lists(st.sampled_from(ITEMS), min_size=1,
+                                  unique=True)):
+            if draw(st.booleans()):
+                block.append(read(tid, 1, 0, item))
+            block.append(write(tid, 0, 0, item, tid))
+            versions[item].append(tid)
+        blocks.append(block)
+    serial = [op for block in blocks for op in block]
+    history, placed_blocks = list(serial), [list(b) for b in blocks]
+    for txn in range(READERS, READERS + draw(
+            st.integers(min_value=1, max_value=3))):
+        snapshot = draw(st.integers(min_value=0, max_value=n_writers))
+        for item in draw(st.lists(st.sampled_from(ITEMS), min_size=1,
+                                  unique=True)):
+            observed = max(t for t in versions[item] if t <= snapshot)
+            history.insert(
+                draw(st.integers(min_value=0, max_value=len(history))),
+                snapshot_read(txn, 0, item, observed, snapshot))
+            placed_blocks[snapshot].append(read(txn, 0, 0, item))
+    txns = {op.txn for op in history}
+    terminals = [commit(txn) for txn in sorted(txns)]
+    placed = [op for block in placed_blocks for op in block]
+    return history_of(history + terminals), history_of(placed + terminals)
+
+
+def _recorded(history) -> SimpleNamespace:
+    """What :func:`certify_snapshot_isolation` reads off a recorder."""
+    return SimpleNamespace(history=history)
+
+
+@settings(max_examples=300, deadline=None)
+@given(snapshot_runs())
+def test_snapshot_readers_sit_at_their_snapshot_point(run):
+    history, placed = run
+    assert history.conflict_edges() == placed.conflict_edges()
+    assert project(history).conflict_edges() == placed.conflict_edges()
+    assert is_serializable_reactor(history)
+    assert certify_snapshot_isolation(_recorded(history))["ok"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(snapshot_runs(), st.data())
+def test_a_stale_snapshot_read_is_rejected(run, data):
+    """Nudge one snapshot read below the newest version at its
+    snapshot: the certificate names a stale read."""
+    history, __ = run
+    writes = {(op.item, op.tid) for op in history.operations()
+              if op.kind == "w"}
+    stale = [i for i, op in enumerate(history.events)
+             if getattr(op, "snapshot", None) is not None
+             and op.tid > 0 and (op.item, op.tid) in writes]
+    if not stale:
+        return
+    index = data.draw(st.sampled_from(stale))
+    op = history.events[index]
+    history.events[index] = snapshot_read(op.txn, op.reactor, op.item,
+                                          0, op.snapshot)
+    report = certify_snapshot_isolation(_recorded(history))
+    assert [v["kind"] for v in report["violations"]] == ["stale-read"]
+
+
+def test_a_fractured_snapshot_is_a_cycle():
+    """A reader that saw writer 1's x but not its y read no prefix."""
+    history = history_of([
+        write(1, 0, 0, "x", 1), write(1, 0, 0, "y", 1), commit(1),
+        snapshot_read(2, 0, "x", 1, 1), snapshot_read(2, 0, "y", 0, 1),
+        commit(2),
+    ])
+    assert not is_serializable_reactor(history)
+    assert not is_serializable_classic(project(history))
+    report = certify_snapshot_isolation(_recorded(history))
+    assert [v["kind"] for v in report["violations"]] == ["stale-read"]
 
 
 @settings(max_examples=50, deadline=None)
