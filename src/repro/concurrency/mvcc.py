@@ -125,35 +125,79 @@ class SnapshotSession(CCSession):
         and hash indexes keep the validated sessions' contract —
         equality only (``low == high``) — so a procedure behaves
         identically whichever session serves it.  Full scans iterate
-        everything, tombstones included.
+        everything, tombstones included, in primary-key order.
+
+        When no record of the table retains history (always, without
+        concurrent writers), every visible image is its record's head,
+        and a head agrees with its index entry: the probe's order is
+        the result order, so no key is recomputed and nothing sorted.
         """
         idx = table.index(index) if index is not None else None
-        hash_equality = idx is not None and not isinstance(
-            idx, OrderedIndex)
-        if hash_equality:
-            require_hash_equality(index, low, high)
-        if idx is not None:
-            pks = idx.lookup(low) if hash_equality \
-                else idx.range(low, high)
-            candidates = self._with_chained(table, pks)
-        else:
+        ordered = isinstance(idx, OrderedIndex)
+        if idx is None:
             pks = self._equality_probe(table, predicate)
-            candidates = table.all_records() if pks is None \
-                else self._with_chained(table, pks)
-        rows: list[tuple[Any, dict]] = []
+        elif ordered:
+            pks = idx.range(low, high)
+        else:
+            require_hash_equality(index, low, high)
+            pks = idx.lookup(low)
+        if pks is None:
+            candidates: Any = table.all_records()
+        else:
+            chained = list(table.iter_chained())
+            if chained:
+                return self._scan_with_history(
+                    table, predicate, idx, low, high, reverse, limit,
+                    pks, chained)
+            get = table.records.get
+            candidates = [record
+                          for pk in (pks if ordered else sorted(pks))
+                          if (record := get(pk)) is not None]
+        out = []
         examined = 0
         snapshot_tid = self.snapshot_tid
         matches = predicate.matches
         observer = self.observer
-        key_of = idx.key_of if idx is not None else None
         for record in candidates:
             examined += 1
             image, observed_tid = record.version_at(snapshot_tid)
             if image is None or not matches(image):
                 continue
+            if observer is not None:
+                observer(self, table, record.key, observed_tid)
+            out.append(image)
+        return self._result(out, examined, reverse, limit)
+
+    def _scan_with_history(self, table: Table, predicate: Predicate,
+                           idx: Any, low: tuple | None,
+                           high: tuple | None, reverse: bool,
+                           limit: int | None, pks, chained: list
+                           ) -> ScanResult:
+        """An indexed or probed scan of a table where ``chained``
+        records retain history: their visible images may have left (or
+        entered) the probed key, so every candidate is re-keyed on its
+        visible image and the result sorted."""
+        picked: dict[tuple, Any] = {}
+        peek = table.records.get
+        for pk in pks:
+            record = peek(pk)
+            if record is not None:
+                picked[pk] = record
+        for record in chained:
+            picked.setdefault(record.key, record)
+        rows: list[tuple[Any, dict]] = []
+        snapshot_tid = self.snapshot_tid
+        matches = predicate.matches
+        observer = self.observer
+        key_of = idx.key_of if idx is not None else None
+        ordered = isinstance(idx, OrderedIndex)
+        for record in picked.values():
+            image, observed_tid = record.version_at(snapshot_tid)
+            if image is None or not matches(image):
+                continue
             if key_of is not None:
                 key = key_of(image)
-                if hash_equality:
+                if not ordered:
                     # Exact-key match, like the validated path's
                     # idx.lookup(low).
                     if key != low:
@@ -172,27 +216,19 @@ class SnapshotSession(CCSession):
             if observer is not None:
                 observer(self, table, record.key, observed_tid)
             rows.append((sort_key, image))
-        self.snapshot_read_count += len(rows)
-        rows.sort(key=lambda pair: pair[0], reverse=reverse)
-        out = [row for __, row in rows]
+        rows.sort(key=lambda pair: pair[0])
+        return self._result([row for __, row in rows], len(picked),
+                            reverse, limit)
+
+    def _result(self, out: list, examined: int, reverse: bool,
+                limit: int | None) -> ScanResult:
+        """Count the rows served, then order and cut them."""
+        self.snapshot_read_count += len(out)
+        if reverse:
+            out.reverse()
         if limit is not None:
             out = out[:limit]
         return ScanResult(out, examined)
-
-    @staticmethod
-    def _with_chained(table: Table, pks):
-        """Scan candidates: the given current-index matches plus every
-        record still retaining chain versions (the only ones whose
-        snapshot image can differ from — or outlive — its head)."""
-        picked: dict[tuple, Any] = {}
-        peek = table.records.get
-        for pk in pks:
-            record = peek(pk)
-            if record is not None:
-                picked[pk] = record
-        for record in table.iter_chained():
-            picked.setdefault(record.key, record)
-        return picked.values()
 
     @staticmethod
     def _equality_probe(table: Table, predicate: Predicate):

@@ -258,11 +258,15 @@ def _assert_snapshot_scans_match(table: Table, snapshot_tid: int,
     assert session.scan(table).rows == rows
     for low, high in ((None, None), ((1,), (3,)), ((4,), None)):
         got = session.scan(table, index="by_v", low=low, high=high)
-        assert got.rows == sorted(
+        in_range = sorted(
             (row for row in rows
              if (low is None or (row["v"],) >= low)
              and (high is None or (row["v"],) <= high)),
             key=lambda row: (row["v"], row["id"]))
+        assert got.rows == in_range
+        assert session.scan(table, index="by_v", low=low, high=high,
+                            reverse=True, limit=2).rows == \
+            in_range[::-1][:2]
     for grp in range(3):
         matching = [row for row in rows if row["grp"] == grp]
         assert session.scan(table, index="by_grp", low=(grp,),
