@@ -344,7 +344,14 @@ class ReplicationManager:
 
     def route_read(self, reactor: Reactor) -> Reactor | None:
         """A replica shadow to serve a read-only root on ``reactor``,
-        or ``None`` to keep it on the primary."""
+        or ``None`` to keep it on the primary.
+
+        A replica pins snapshots at ``max(applied_tid,
+        snapshot_floor)``, which is consistent only while it has
+        applied every record of its primary at or below the floor (a
+        migration's seeds raise the floor to the source watermark); a
+        replica still behind that serves nothing until it catches up.
+        """
         if not self.config.read_from_replicas:
             return None
         cid = reactor.container.container_id
@@ -353,7 +360,12 @@ class ReplicationManager:
             return None
         index = self._read_route[cid] % len(group)
         self._read_route[cid] += 1
-        shadow = group[index].shadow(reactor.name)
+        replica = group[index]
+        tids = self.durability.installed_tids[cid]
+        applied = len(replica.applied_records)
+        if applied < len(tids) and tids[applied] <= replica.snapshot_floor:
+            return None
+        shadow = replica.shadow(reactor.name)
         if shadow is not None:
             self.stats.reads_routed_to_replicas += 1
         return shadow

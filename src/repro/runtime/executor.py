@@ -460,14 +460,18 @@ class TransactionExecutor:
         # replica's shadows are a consistent prefix of its own primary
         # only, so mixing them with another container's live primary
         # could read a torn cross-container state no validation
-        # detects.  A *promoted* replica is a primary: it must resolve
+        # detects.  So does the shadow of a reactor that migrated off
+        # the primary: it stopped at the migration and is refused too.
+        # A *promoted* replica is a primary: it must resolve
         # through the database registry like any other container, or a
         # later migration off it would keep routing writes into the
         # abandoned local copy.
         shadow_of = self._shadow_of
         if shadow_of is not None and \
                 getattr(self.container, "role", None) == "replica":
-            shadow = shadow_of(call.reactor_name)
+            shadow = None
+            if reactor.container.container_id == self._cid:
+                shadow = shadow_of(call.reactor_name)
             if shadow is not None:
                 reactor = shadow
             else:

@@ -353,6 +353,69 @@ class TestReplicaSnapshotReads:
             2 * smallbank.INITIAL_BALANCE + 500.0)
 
 
+class TestReplicaFloor:
+    def test_replica_behind_its_floor_serves_no_reads(self):
+        """Regression (chaos master seed 1001, episodes 20 and 64): a
+        migration seeds a replica's new shadow at the source watermark,
+        raising the replica's snapshot floor above a write of its own
+        primary it has not applied yet.  No snapshot of that replica is
+        consistent: reads of the lagging reactor go to the primary
+        until the replica catches up past its floor."""
+        database = _pair_db(
+            "occ", snapshot_reads=True,
+            replication=ReplicationConfig(
+                replicas_per_container=1, mode="async",
+                read_from_replicas=True, async_lag_us=5_000.0))
+        recorder = attach_recorder(database)
+        outcomes: dict = {}
+        _submit_collect(database, outcomes, "writer", "b", "set_v", 5.0)
+        # Two commits on a's container lift the watermark a migrates
+        # at above b's unapplied write.
+        for at in (10.0, 20.0):
+            database.scheduler.at(at, _submit_collect, database,
+                                  outcomes, at, "a", "set_v", at)
+        database.scheduler.at(100.0, database.migrate, "a", 1)
+        database.scheduler.at(2_000.0, _submit_collect, database,
+                              outcomes, "reader", "b", "get_v")
+        database.scheduler.run()
+        replica = database.replication.replicas[1][0]
+        assert replica.snapshot_floor >= \
+            database.containers[1].concurrency.redo_log.tids[0]
+        assert outcomes["reader"] == (True, None, pytest.approx(5.0))
+        assert database.replication.stats.reads_routed_to_replicas == 0
+        report = certify_snapshot_isolation(recorder)
+        assert report["ok"], report["violations"]
+        # Caught up (the scheduler drained the lag): the replica serves
+        # again.
+        assert database.run("b", "get_v") == pytest.approx(5.0)
+        assert database.replication.stats.reads_routed_to_replicas == 1
+
+    def test_replica_refuses_calls_to_a_migrated_away_shadow(self):
+        """Regression (chaos master seed 1001, episode 64): ``a`` moves
+        onto b's container and back off it; the replica keeps a frozen
+        shadow of ``a``.  A replica-served root on ``b`` calling ``a``
+        is refused as leaving the replica, instead of reading the frozen
+        copy past the write ``a`` took at its new home."""
+        database = _pair_db(
+            "occ", snapshot_reads=True,
+            replication=ReplicationConfig(
+                replicas_per_container=1, mode="sync",
+                read_from_replicas=True))
+        for dst in (1, 0):
+            database.migrate("a", dst)
+            database.scheduler.run()
+        database.run("a", "set_v", 9.0)
+        assert database.replication.replicas[1][0].shadow("a") \
+            is not None
+        outcomes: dict = {}
+        _submit_collect(database, outcomes, "reader", "b", "slow_sum",
+                        "a")
+        database.scheduler.run()
+        committed, reason, __ = outcomes["reader"]
+        assert not committed
+        assert "outside its container" in reason
+
+
 class TestPromotionTidFloor:
     def test_promoted_replica_commits_above_pinned_snapshots(self):
         """Regression: a lagging replica promoted mid-run must not
