@@ -141,57 +141,32 @@ class SnapshotSession(CCSession):
         else:
             require_hash_equality(index, low, high)
             pks = idx.lookup(low)
+        get = table.records.get
+        rekey = False
         if pks is None:
             candidates: Any = table.all_records()
+        elif chained := list(table.iter_chained()):
+            # A record retaining history may show an image that left
+            # (or entered) the probed key: every candidate is re-keyed
+            # on its visible image, and the result sorted.
+            rekey = True
+            picked = {pk: record for pk in pks
+                      if (record := get(pk)) is not None}
+            for record in chained:
+                picked.setdefault(record.key, record)
+            candidates = picked.values()
         else:
-            chained = list(table.iter_chained())
-            if chained:
-                return self._scan_with_history(
-                    table, predicate, idx, low, high, reverse, limit,
-                    pks, chained)
-            get = table.records.get
             candidates = [record
                           for pk in (pks if ordered else sorted(pks))
                           if (record := get(pk)) is not None]
-        out = []
+        rows: list[Any] = []
         examined = 0
         snapshot_tid = self.snapshot_tid
         matches = predicate.matches
         observer = self.observer
+        key_of = idx.key_of if rekey and idx is not None else None
         for record in candidates:
             examined += 1
-            image, observed_tid = record.version_at(snapshot_tid)
-            if image is None or not matches(image):
-                continue
-            if observer is not None:
-                observer(self, table, record.key, observed_tid)
-            out.append(image)
-        return self._result(out, examined, reverse, limit)
-
-    def _scan_with_history(self, table: Table, predicate: Predicate,
-                           idx: Any, low: tuple | None,
-                           high: tuple | None, reverse: bool,
-                           limit: int | None, pks, chained: list
-                           ) -> ScanResult:
-        """An indexed or probed scan of a table where ``chained``
-        records retain history: their visible images may have left (or
-        entered) the probed key, so every candidate is re-keyed on its
-        visible image and the result sorted."""
-        picked: dict[tuple, Any] = {}
-        peek = table.records.get
-        for pk in pks:
-            record = peek(pk)
-            if record is not None:
-                picked[pk] = record
-        for record in chained:
-            picked.setdefault(record.key, record)
-        rows: list[tuple[Any, dict]] = []
-        snapshot_tid = self.snapshot_tid
-        matches = predicate.matches
-        observer = self.observer
-        key_of = idx.key_of if idx is not None else None
-        ordered = isinstance(idx, OrderedIndex)
-        for record in picked.values():
             image, observed_tid = record.version_at(snapshot_tid)
             if image is None or not matches(image):
                 continue
@@ -210,25 +185,22 @@ class SnapshotSession(CCSession):
                         continue
                     if high is not None and key[:len(high)] > high:
                         continue
-                sort_key: Any = (key, record.key)
+                rows.append(((key, record.key), image))
+            elif rekey:
+                rows.append((record.key, image))
             else:
-                sort_key = record.key
+                rows.append(image)
             if observer is not None:
                 observer(self, table, record.key, observed_tid)
-            rows.append((sort_key, image))
-        rows.sort(key=lambda pair: pair[0])
-        return self._result([row for __, row in rows], len(picked),
-                            reverse, limit)
-
-    def _result(self, out: list, examined: int, reverse: bool,
-                limit: int | None) -> ScanResult:
-        """Count the rows served, then order and cut them."""
-        self.snapshot_read_count += len(out)
+        if rekey:
+            rows.sort(key=lambda pair: pair[0])
+            rows = [row for __, row in rows]
+        self.snapshot_read_count += len(rows)
         if reverse:
-            out.reverse()
+            rows.reverse()
         if limit is not None:
-            out = out[:limit]
-        return ScanResult(out, examined)
+            rows = rows[:limit]
+        return ScanResult(rows, examined)
 
     @staticmethod
     def _equality_probe(table: Table, predicate: Predicate):
