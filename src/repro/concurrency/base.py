@@ -82,6 +82,19 @@ def require_hash_equality(index_name: str, low: tuple | None,
         )
 
 
+def equality_probe(table: Table, predicate: Predicate
+                   ) -> tuple[HashIndex, tuple] | None:
+    """The hash index ``predicate``'s equality bindings fully bind,
+    with its key, or ``None`` when none does (the scan walks the
+    table) — one rule for every session kind."""
+    bindings = predicate.equality_bindings()
+    for idx in table.indexes.values():
+        if isinstance(idx, HashIndex) and all(
+                c in bindings for c in idx.spec.columns):
+            return idx, tuple(bindings[c] for c in idx.spec.columns)
+    return None
+
+
 class WriteIntent:
     """A buffered write: what to do to one primary key at commit."""
 
@@ -598,15 +611,13 @@ class CCSession:
 
             return records, sort_key, len(records), out_order
 
-        bindings = predicate.equality_bindings()
-        for idx in table.indexes.values():
-            if isinstance(idx, HashIndex) and all(
-                    c in bindings for c in idx.spec.columns):
-                self._register_node(idx)
-                key = tuple(bindings[c] for c in idx.spec.columns)
-                records = table.records_for_pks(idx.lookup(key))
-                return records, (lambda image, pk: pk), len(records), \
-                    _CANDIDATE_ORDER
+        probe = equality_probe(table, predicate)
+        if probe is not None:
+            idx, key = probe
+            self._register_node(idx)
+            records = table.records_for_pks(idx.lookup(key))
+            return records, (lambda image, pk: pk), len(records), \
+                _CANDIDATE_ORDER
 
         self._register_node(table)
         records = list(table.iter_records())

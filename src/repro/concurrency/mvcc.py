@@ -35,6 +35,7 @@ from typing import Any, Mapping
 from repro.concurrency.base import (
     CCSession,
     ScanResult,
+    equality_probe,
     require_hash_equality,
 )
 from repro.errors import ReadOnlyViolation
@@ -135,7 +136,8 @@ class SnapshotSession(CCSession):
         idx = table.index(index) if index is not None else None
         ordered = isinstance(idx, OrderedIndex)
         if idx is None:
-            pks = self._equality_probe(table, predicate)
+            probe = equality_probe(table, predicate)
+            pks = None if probe is None else probe[0].lookup(probe[1])
         elif ordered:
             pks = idx.range(low, high)
         else:
@@ -201,21 +203,6 @@ class SnapshotSession(CCSession):
         if limit is not None:
             rows = rows[:limit]
         return ScanResult(rows, examined)
-
-    @staticmethod
-    def _equality_probe(table: Table, predicate: Predicate):
-        """The validated path's equality-bindings fast path (see
-        :meth:`CCSession._collect_candidates`): candidate pks from a
-        hash index fully bound by the predicate, or ``None`` when no
-        index applies (full scan)."""
-        bindings = predicate.equality_bindings()
-        for idx in table.indexes.values():
-            if not isinstance(idx, OrderedIndex) and all(
-                    column in bindings for column in idx.spec.columns):
-                key = tuple(bindings[column]
-                            for column in idx.spec.columns)
-                return idx.lookup(key)
-        return None
 
     # -- mutations: uniformly refused -----------------------------------
 

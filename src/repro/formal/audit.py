@@ -469,21 +469,6 @@ def certify_migration(database: Any) -> dict[str, Any]:
     return report
 
 
-def _snapshot_violation(op: Op, snapshots: dict[int, int],
-                        writes: dict[tuple[int, str], list[int]]
-                        ) -> str | None:
-    """The rule one recorded snapshot read breaks, if any."""
-    if snapshots.setdefault(op.txn, op.snapshot) != op.snapshot:
-        return "split-snapshot"
-    if op.tid > op.snapshot:
-        return "future-read"
-    tids = writes.get((op.reactor, op.item), ())
-    later = bisect_right(tids, op.tid)
-    if later < len(tids) and tids[later] <= op.snapshot:
-        return "stale-read"
-    return None
-
-
 def certify_snapshot_isolation(recorder: Any) -> dict[str, Any]:
     """Black-box certification of the snapshot reads a recorder saw.
 
@@ -533,13 +518,21 @@ def certify_snapshot_isolation(recorder: Any) -> dict[str, Any]:
         if op.snapshot is None:
             continue
         report["reads_checked"] += 1
-        kind = _snapshot_violation(op, snapshots, writes)
-        if kind is not None:
-            report["ok"] = False
-            report["violations"].append({
-                "kind": kind, "txn_id": op.txn, "reactor": op.reactor,
-                "item": op.item, "observed_tid": op.tid,
-                "snapshot_tid": op.snapshot})
+        tids = writes.get((op.reactor, op.item), ())
+        later = bisect_right(tids, op.tid)
+        if snapshots.setdefault(op.txn, op.snapshot) != op.snapshot:
+            kind = "split-snapshot"
+        elif op.tid > op.snapshot:
+            kind = "future-read"
+        elif later < len(tids) and tids[later] <= op.snapshot:
+            kind = "stale-read"
+        else:
+            continue
+        report["ok"] = False
+        report["violations"].append({
+            "kind": kind, "txn_id": op.txn, "reactor": op.reactor,
+            "item": op.item, "observed_tid": op.tid,
+            "snapshot_tid": op.snapshot})
     report["roots_checked"] = len(snapshots)
     return report
 
