@@ -70,10 +70,13 @@ def _run_to_commit(database, ops):
 def _smallbank_ops():
     """A deterministic op list touching every customer: commutative
     per-account sums plus cross-container transfers, so the final
-    balances are order-independent."""
+    balances are order-independent, and read-only balance checks
+    (snapshot reads when the deployment snapshots them)."""
     ops = []
     for i in range(48):
         cust = sb.reactor_name(i % N_CUSTOMERS)
+        if i % 4 == 0:
+            ops.append((cust, "balance", ()))
         if i % 3 == 0:
             ops.append((cust, "transact_saving", (10.0 + i,)))
         elif i % 3 == 1:
@@ -120,6 +123,10 @@ def test_smallbank_state_matches_sim(scheme, snapshot_reads):
         "threads", scheme, snapshot_reads=snapshot_reads)
     assert sim_cert["ok"], sim_cert["failures"]
     assert thr_cert["ok"], thr_cert["failures"]
+    for cert in (sim_cert, thr_cert):
+        # Snapshot readers join the one serializability graph.
+        assert bool(cert["snapshot_isolation"]["reads_checked"]) == \
+            snapshot_reads
     assert thr_total == pytest.approx(sim_total)
     assert thr_state == sim_state
 
