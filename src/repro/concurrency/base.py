@@ -491,19 +491,22 @@ class CCSession:
              limit: int | None = None) -> ScanResult:
         """Predicate/range scan with write-set overlay.
 
-        Every candidate examined joins the read footprint (conservative
-        predicate-read protection); the index or table structure is
-        guarded against phantom inserts/deletes (version check for OCC,
-        structure lock for 2PL).
+        Every candidate examined joins the read footprint, in
+        primary-key order (conservative predicate-read protection);
+        the index or table structure is guarded against phantom
+        inserts/deletes (version check for OCC, structure lock for
+        2PL).
 
-        Without own writes the result order is known up front (see
-        :meth:`_collect_candidates`), so only a scan that overlays this
-        transaction's writes sorts on per-row keys.
+        The result order is known up front (see
+        :meth:`_collect_candidates`).  Own writes are qualified on
+        their new image before one is copied, and only a scan that
+        keeps one sorts.
         """
         if self._hooks_begin_op:
             self._begin_op()
-        candidates, sort_keys, examined, out_order = \
+        candidates, idx, out_order = \
             self._collect_candidates(table, predicate, index, low, high)
+        examined = len(candidates)
         writes = self._writes
         register_read = self._register_read
         matches = predicate.matches
@@ -511,70 +514,79 @@ class CCSession:
         # implementation (OCC, none); locking schemes hook per-read lock
         # acquisition into _register_read and keep the dispatch.
         reads = None if self._hooks_register_read else self._reads
-        if not writes:
-            # The result order is already known without computing a
-            # per-row sort key: committed images agree with their
-            # index entries, so an ordered-index range's (key, pk)
-            # entry order IS the sort order, and a full scan's
-            # pk-sorted candidates are theirs.  Candidate order — and
-            # with it the read footprint's registration order — is
-            # untouched.
-            if out_order is _CANDIDATE_ORDER:
-                out = []
-                append = out.append
-                for record in candidates:
-                    if reads is not None:
-                        if record not in reads:
-                            reads[record] = record.tid
-                    else:
-                        register_read(record)
-                    image = dict(record.value)
-                    if matches(image):
-                        append(image)
-            else:
-                images: dict[tuple, Row] = {}
-                for record in candidates:
-                    if reads is not None:
-                        if record not in reads:
-                            reads[record] = record.tid
-                    else:
-                        register_read(record)
-                    image = dict(record.value)
-                    if matches(image):
-                        images[record.key] = image
-                out = [images[pk] for pk in out_order if pk in images]
-            if reverse:
-                out.reverse()
-            if limit is not None:
-                out = out[:limit]
-            return ScanResult(out, examined)
-        rows: list[tuple[Any, Row]] = []
-        table_id = id(table)
-        # Candidates this transaction wrote are replaced by its own
-        # image (or absence) below.
-        overlaid = set()
-        for record in candidates:
-            if (table_id, record.key) in writes:
-                overlaid.add(record.key)
-                continue
-            register_read(record)
-            image = dict(record.value)
-            if matches(image):
-                rows.append((sort_keys(image, record.key), image))
-        # Every own insert or update of this table is matched on its
-        # new image, against the predicate and the probed key or range:
-        # the index holds committed keys only, so an indexed column may
-        # have moved into or out of them.
-        for intent in list(writes.values()):
-            if intent.table is table and intent.kind != DELETE:
-                image = dict(intent.new_value or {})
-                if matches(image) and self._in_range(
-                        table, index, image, low, high):
-                    rows.append((sort_keys(image, intent.pk), image))
-                    if intent.pk not in overlaid:
+        if not writes and out_order is _CANDIDATE_ORDER:
+            # Committed images agree with their index entries, so the
+            # pk-ordered candidate walk is the result order: no row is
+            # keyed, nothing is sorted.
+            out = []
+            append = out.append
+            for record in candidates:
+                if reads is not None:
+                    if record not in reads:
+                        reads[record] = record.tid
+                else:
+                    register_read(record)
+                image = dict(record.value)
+                if matches(image):
+                    append(image)
+        else:
+            table_id = id(table)
+            hits: dict[tuple, Row] = {}
+            # Candidates this transaction wrote are replaced by its own
+            # image (or absence) below.
+            overlaid = set()
+            for record in candidates:
+                pk = record.key
+                if writes and (table_id, pk) in writes:
+                    overlaid.add(pk)
+                    continue
+                if reads is not None:
+                    if record not in reads:
+                        reads[record] = record.tid
+                else:
+                    register_read(record)
+                image = dict(record.value)
+                if matches(image):
+                    hits[pk] = image
+            # Every own insert or update of this table is matched on
+            # its new image, against the probed key or range and then
+            # the predicate, and copied only if it is kept: the index
+            # holds committed keys only, so an indexed column may have
+            # moved into or out of them.
+            key_of = None if idx is None else idx.key_of
+            ordered = isinstance(idx, OrderedIndex)
+            kept = False
+            for intent in writes.values():
+                if intent.table is not table or intent.kind == DELETE:
+                    continue
+                value = intent.new_value
+                if key_of is not None:
+                    key = key_of(value)
+                    if not ordered:
+                        # Exact-key match, like the bucket lookup.
+                        if key != low:
+                            continue
+                    elif low is not None and key[:len(low)] < low or \
+                            high is not None and key[:len(high)] > high:
+                        continue
+                if matches(value):
+                    pk = intent.pk
+                    hits[pk] = dict(value)
+                    kept = True
+                    if pk not in overlaid:
                         examined += 1
-        rows.sort(key=lambda pair: pair[0], reverse=reverse)
-        out = [row for __, row in rows]
+            if not kept:
+                out = list(hits.values()) \
+                    if out_order is _CANDIDATE_ORDER \
+                    else [hits[pk] for pk in out_order if pk in hits]
+            elif out_order is _CANDIDATE_ORDER:
+                out = [hits[pk] for pk in sorted(hits)]
+            else:
+                out = [hits[pk] for __, pk in
+                       sorted([(key_of(image), pk)
+                               for pk, image in hits.items()])]
+        if reverse:
+            out.reverse()
         if limit is not None:
             out = out[:limit]
         return ScanResult(out, examined)
@@ -582,61 +594,36 @@ class CCSession:
     def _collect_candidates(self, table: Table, predicate: Predicate,
                             index: str | None, low: tuple | None,
                             high: tuple | None):
-        """Pick an access path; returns ``(records, sort_key_fn,
-        examined, out_order)``.
+        """Pick an access path; returns ``(records, idx, out_order)``.
 
-        ``out_order`` is the precomputed result order for the
-        no-writes fast path, never ``None``: :data:`_CANDIDATE_ORDER`
-        when the candidates already arrive in result order (full scans
-        and hash-bucket walks are pk-sorted, and a bucket shares one
-        index key), or a pk list in result order (ordered-index
-        ranges: the (key, pk)-sorted entry walk)."""
+        ``records`` are the live candidates in primary-key order.
+        ``idx`` is the named index, or ``None`` for a predicate scan
+        (its own writes need no key check).  ``out_order`` is the
+        result order: :data:`_CANDIDATE_ORDER` when it is primary-key
+        order (full scans, hash buckets — one shared key — and ordered
+        ranges over a primary-key prefix), else the range's pk list in
+        ``(key, pk)`` order."""
         if index is not None:
             idx = table.index(index)
             self._register_node(idx)
             if isinstance(idx, OrderedIndex):
-                pks = list(idx.range(low, high))
-                out_order = pks
+                pks = idx.range(low, high)
+                out_order = _CANDIDATE_ORDER if idx.pk_ordered else pks
             else:
                 require_hash_equality(index, low, high)
-                # Exact-key candidates share one index key, so the
-                # pk-sorted record walk is already the result order.
-                pks = list(idx.lookup(low))
+                pks = idx.lookup(low)
                 out_order = _CANDIDATE_ORDER
-            records = table.records_for_pks(pks)
-            columns = idx.spec.columns
-
-            def sort_key(image: Row, pk: tuple):
-                return (tuple(image.get(c) for c in columns), pk)
-
-            return records, sort_key, len(records), out_order
+            return table.records_for_pks(pks), idx, out_order
 
         probe = equality_probe(table, predicate)
         if probe is not None:
             idx, key = probe
             self._register_node(idx)
-            records = table.records_for_pks(idx.lookup(key))
-            return records, (lambda image, pk: pk), len(records), \
+            return table.records_for_pks(idx.lookup(key)), None, \
                 _CANDIDATE_ORDER
 
         self._register_node(table)
-        records = list(table.iter_records())
-        return records, (lambda image, pk: pk), len(records), \
-            _CANDIDATE_ORDER
-
-    @staticmethod
-    def _in_range(table: Table, index: str | None, image: Row,
-                  low: tuple | None, high: tuple | None) -> bool:
-        """Does an own-insert fall inside an explicit index range?"""
-        if index is None:
-            return True
-        idx = table.index(index)
-        key = idx.key_of(image)
-        if low is not None and key[: len(low)] < low:
-            return False
-        if high is not None and key[: len(high)] > high:
-            return False
-        return True
+        return list(table.iter_records()), None, _CANDIDATE_ORDER
 
     # ------------------------------------------------------------------
     # Validation / installation hooks (driven by the manager)

@@ -180,9 +180,8 @@ class SnapshotSession(CCSession):
                     if key != low:
                         continue
                 else:
-                    # The validated path's range rule (_in_range),
-                    # checked inline on the key already computed —
-                    # _in_range would re-resolve the index per row.
+                    # The range rule of OrderedIndex.range, which the
+                    # validated path's own-write overlay applies too.
                     if low is not None and key[:len(low)] < low:
                         continue
                     if high is not None and key[:len(high)] > high:

@@ -22,6 +22,20 @@ from repro.errors import DuplicateKeyError
 from repro.relational.schema import IndexSpec
 
 
+class _After:
+    """Compares above every value (``value < _AFTER`` falls back to
+    ``_AFTER > value``): a range's upper bound is ``high + (_AFTER,)``,
+    after every key that starts with ``high``."""
+
+    __slots__ = ()
+
+    def __gt__(self, other: object) -> bool:
+        return True
+
+
+_AFTER = _After()
+
+
 class _IndexBase:
     """Shared bookkeeping: spec, key extraction, structure version."""
 
@@ -88,9 +102,14 @@ class HashIndex(_IndexBase):
 class OrderedIndex(_IndexBase):
     """Sorted index supporting range scans over the key columns."""
 
-    def __init__(self, spec: IndexSpec) -> None:
+    def __init__(self, spec: IndexSpec,
+                 primary_key: tuple[str, ...] = ()) -> None:
         super().__init__(spec)
         self._entries: list[tuple[tuple, tuple]] = []
+        #: The key columns lead the table's primary key, so the
+        #: ``(key, pk)`` entry order is primary-key order.
+        self.pk_ordered = \
+            spec.columns == primary_key[:len(spec.columns)]
 
     def insert(self, key: tuple, pk: tuple) -> None:
         entry = (key, pk)
@@ -115,17 +134,20 @@ class OrderedIndex(_IndexBase):
         self.structure_version += 1
 
     def lookup(self, key: tuple) -> frozenset[tuple]:
-        """Primary keys whose indexed columns equal ``key`` exactly."""
+        """Primary keys whose indexed columns start with ``key``:
+        ``range(key, key)``, so a full-length key is an exact match."""
         return frozenset(pk for __, pk in self._range_entries(key, key))
 
     def range(self, low: tuple | None, high: tuple | None,
               reverse: bool = False) -> list[tuple]:
-        """Primary keys with ``low <= key <= high`` in key order.
+        """Primary keys whose index key ``k`` has
+        ``k[:len(low)] >= low`` and ``k[:len(high)] <= high``, in
+        ``(key, pk)`` order.
 
-        ``None`` bounds are open.  Prefix tuples work as expected
-        because Python compares tuples lexicographically; a ``high``
-        prefix is extended conceptually with +infinity by using
-        ``bisect_right`` on ``(high, <max>)``.
+        ``None`` bounds are open.  The one prefix rule of both
+        :meth:`lookup` and ``range``: a bound compares against as many
+        leading key columns as it has, so ``(d,)`` spans every key
+        starting with ``d``, and the two bounds may differ in length.
         """
         out = [pk for __, pk in self._range_entries(low, high)]
         if reverse:
@@ -134,42 +156,25 @@ class OrderedIndex(_IndexBase):
 
     def _range_entries(self, low: tuple | None,
                        high: tuple | None) -> list[tuple[tuple, tuple]]:
-        lo_pos = 0 if low is None else self._bisect_key_left(low)
-        hi_pos = len(self._entries) if high is None else \
-            self._bisect_key_right(high)
-        return self._entries[lo_pos:hi_pos]
-
-    def _bisect_key_left(self, key: tuple) -> int:
-        lo, hi = 0, len(self._entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._entries[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _bisect_key_right(self, key: tuple) -> int:
-        """First position whose key is > ``key``, treating ``key`` as a
-        prefix (entries whose key starts with ``key`` are included)."""
-        lo, hi = 0, len(self._entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            entry_key = self._entries[mid][0]
-            if entry_key[: len(key)] <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        # An entry (key, pk) sorts at or after (low,) iff
+        # key[:len(low)] >= low, and before (high + (_AFTER,),) iff
+        # key[:len(high)] <= high: both bounds are C bisects.
+        entries = self._entries
+        lo_pos = 0 if low is None else bisect.bisect_left(entries, (low,))
+        hi_pos = len(entries) if high is None else \
+            bisect.bisect_left(entries, (high + (_AFTER,),))
+        return entries[lo_pos:hi_pos]
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
-def build_index(spec: IndexSpec) -> HashIndex | OrderedIndex:
-    """Instantiate the right index structure for a spec."""
+def build_index(spec: IndexSpec, primary_key: tuple[str, ...]
+                ) -> HashIndex | OrderedIndex:
+    """Instantiate the right index structure for a spec on a table
+    with ``primary_key``."""
     if spec.ordered:
-        return OrderedIndex(spec)
+        return OrderedIndex(spec, primary_key)
     return HashIndex(spec)
 
 

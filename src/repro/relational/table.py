@@ -71,7 +71,8 @@ class Table:
         #: and predicate scans over the primary index.
         self.structure_version = 0
         self.indexes: dict[str, HashIndex | OrderedIndex] = {
-            spec.name: build_index(spec) for spec in schema.indexes
+            spec.name: build_index(spec, schema.primary_key)
+            for spec in schema.indexes
         }
 
     def __len__(self) -> int:
