@@ -2,11 +2,16 @@
 
 Invariants checked on randomized inputs:
 
-* ordered-index range scans agree with a naive filter over the rows;
+* ordered-index ranges and lookups agree with a naive prefix filter
+  over three-column keys and bounds of one to three columns;
 * a session's predicate scan (random ``And`` / ``Or`` / ``Not`` /
   ``Between`` / ``InSet`` trees, full walk or hash probe, with and
   without the session's own writes) agrees with a naive filter over
   the rows the session sees;
+* a session's indexed scan (an ordered primary-key-prefix index, an
+  ordered non-prefix index, a hash index; ``reverse`` / ``limit``)
+  under its own writes agrees with a naive model in rows, order,
+  ``examined`` and the order its reads join the footprint;
 * tables and their secondary indexes stay mutually consistent through
   arbitrary insert/update/delete interleavings;
 * on a coordinated table, every pinned snapshot's indexed, equality
@@ -21,7 +26,7 @@ Invariants checked on randomized inputs:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.concurrency import coordinator
@@ -31,6 +36,7 @@ from repro.concurrency.occ import ConcurrencyManager
 from repro.concurrency.tid import EpochManager
 from repro.relational.index import OrderedIndex, make_spec
 from repro.relational.predicate import (
+    ALWAYS,
     Between,
     Comparison,
     InSet,
@@ -47,26 +53,43 @@ from repro.relational.schema import (
 from repro.relational.table import Table
 from repro.storage import StorageCoordinator
 
-keys = st.tuples(st.integers(0, 5), st.integers(0, 5))
+#: Three-column keys over a small domain, so keys share prefixes
+#: (and repeat, under distinct primary keys).
+keys = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+#: Bounds of one to three columns: a prefix or the full key.
+bounds = st.none() | st.lists(st.integers(0, 3), min_size=1,
+                              max_size=3).map(tuple)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(keys, max_size=40),
-       st.tuples(st.integers(0, 5)) | st.none(),
-       st.tuples(st.integers(0, 5)) | st.none())
-def test_ordered_index_range_matches_naive_filter(entries, low, high):
-    index = OrderedIndex(make_spec("i", ["a", "b"], ordered=True))
-    seen = set()
-    for key in entries:
-        if key not in seen:
-            seen.add(key)
-            index.insert(key, key)
+def _in_prefix_range(key: tuple, low: tuple | None,
+                     high: tuple | None) -> bool:
+    """The one prefix rule of ``OrderedIndex.range`` and ``lookup``."""
+    return (low is None or key[: len(low)] >= low) and \
+        (high is None or key[: len(high)] <= high)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(keys, max_size=40), bounds, bounds, keys)
+@example([(1, 2, 3), (1, 2, 0), (1, 3, 0), (2, 0, 0)],
+         (1, 2), (1, 2, 3), (1, 2, 3))
+@example([(1, 2, 3), (1, 2, 0), (2, 0, 0)], (2,), (1,), (1, 2, 0))
+def test_ordered_index_range_matches_naive_filter(entries, low, high,
+                                                  probe):
+    """``range`` and ``lookup`` agree with the naive prefix filter:
+    full-length and prefix bounds, ``low > high`` (empty), keys that
+    share a prefix or repeat.  Pins the ``_AFTER`` upper bound."""
+    index = OrderedIndex(make_spec("i", ["a", "b", "c"], ordered=True))
+    for i, key in enumerate(entries):
+        index.insert(key, (i,))
     got = list(index.range(low, high))
-    expected = sorted(
-        k for k in seen
-        if (low is None or k[: len(low)] >= low)
-        and (high is None or k[: len(high)] <= high))
+    expected = [pk for __, pk in sorted(
+        (key, (i,)) for i, key in enumerate(entries)
+        if _in_prefix_range(key, low, high))]
     assert got == expected
+    assert list(index.range(low, high, reverse=True)) == expected[::-1]
+    for key in (probe, probe[:2], probe[:1]):
+        assert index.lookup(key) == {
+            (i,) for i, k in enumerate(entries) if k[: len(key)] == key}
 
 
 # Predicate scans through the record manager -------------------------
@@ -179,6 +202,115 @@ def test_scan_sees_own_update_moved_into_probed_key():
                         high=(3,)).rows == both
     assert session.scan(table, index="by_b", low=(0,),
                         high=(0,)).rows == []
+
+
+def _range_table() -> Table:
+    schema = make_schema(
+        "r", [int_col("g"), int_col("id"), int_col("a"), int_col("b"),
+              int_col("c")],
+        ["g", "id"],
+        [IndexSpec("by_g", ("g",), ordered=True),
+         IndexSpec("by_ab", ("a", "b"), ordered=True),
+         IndexSpec("by_b", ("b",))])
+    return Table(schema)
+
+
+range_images = st.fixed_dictionaries(
+    {"a": st.integers(0, 2), "b": st.integers(0, 2),
+     "c": st.integers(-1, 1)})
+range_pks = st.tuples(st.integers(0, 2), st.integers(0, 3))
+range_writes = st.lists(
+    st.tuples(st.sampled_from(["insert", "update", "delete"]),
+              range_pks, range_images),
+    max_size=10)
+
+
+def _range_bounds(width: int):
+    bound = st.none() | st.lists(st.integers(0, 2), min_size=1,
+                                 max_size=width).map(tuple)
+    return st.tuples(bound, bound)
+
+
+#: index -> (its columns, whether ordered, a strategy of (low, high)).
+#: ``by_g`` leads the primary key, so its walk is primary-key order;
+#: ``by_ab`` does not; the hash index takes equality only.
+RANGE_INDEXES = {
+    "by_g": (("g",), True, _range_bounds(1)),
+    "by_ab": (("a", "b"), True, _range_bounds(2)),
+    "by_b": (("b",), False,
+             st.integers(0, 2).map(lambda b: ((b,), (b,)))),
+}
+
+
+@pytest.mark.parametrize("index", sorted(RANGE_INDEXES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       committed=st.dictionaries(range_pks, range_images, max_size=10),
+       writes=range_writes,
+       predicate=st.sampled_from([ALWAYS, col("c") >= 0]),
+       reverse=st.booleans(),
+       limit=st.none() | st.integers(0, 3))
+def test_indexed_scan_matches_naive_model(index, data, committed, writes,
+                                          predicate, reverse, limit):
+    """``CCSession.scan(table, index=..., low, high, reverse, limit)``
+    under random own inserts, updates and deletes equals a naive
+    model in its rows and their order (``(key, pk)``), ``examined``
+    (committed candidates plus own rows the probe keeps that are not
+    among them) and the footprint: committed candidates the session
+    did not write join ``_reads`` in primary-key order."""
+    columns, ordered, bound_pairs = RANGE_INDEXES[index]
+    low, high = data.draw(bound_pairs)
+
+    def key_of(row):
+        return tuple(row[c] for c in columns)
+
+    def probed(row):
+        if ordered:
+            return _in_prefix_range(key_of(row), low, high)
+        return key_of(row) == low
+
+    table = _range_table()
+    rows = {pk: {"g": pk[0], "id": pk[1], **image}
+            for pk, image in committed.items()}
+    for row in rows.values():
+        table.load_row(row)
+    session = CCSession(1, 0)
+    visible = dict(rows)
+    written = set()
+    for op, pk, image in writes:
+        if op == "insert" and pk not in visible:
+            visible[pk] = {"g": pk[0], "id": pk[1], **image}
+            session.insert(table, visible[pk])
+        elif op == "update" and pk in visible:
+            session.update(table, pk, image)
+            visible[pk] = {**visible[pk], **image}
+        elif op == "delete" and pk in visible:
+            session.delete(table, pk)
+            del visible[pk]
+            if pk not in rows:
+                written.discard(pk)  # an own insert, withdrawn
+                continue
+        else:
+            continue
+        written.add(pk)
+    before = [record.key for record in session._reads]
+
+    result = session.scan(table, predicate, index=index, low=low,
+                          high=high, reverse=reverse, limit=limit)
+
+    candidates = sorted(pk for pk, row in rows.items() if probed(row))
+    kept = sorted((pk for pk, row in visible.items()
+                   if probed(row) and predicate.matches(row)),
+                  key=lambda pk: (key_of(visible[pk]), pk))
+    if reverse:
+        kept.reverse()
+    assert result.rows == [visible[pk] for pk in kept][:limit]
+    own_only = {pk for pk in written
+                if pk in visible and probed(visible[pk])
+                and predicate.matches(visible[pk])} - set(candidates)
+    assert result.examined == len(candidates) + len(own_only)
+    assert [record.key for record in session._reads] == before + [
+        pk for pk in candidates if pk not in written and pk not in before]
 
 
 def _indexed_table() -> Table:
