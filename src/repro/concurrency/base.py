@@ -57,11 +57,13 @@ UPDATE = "update"
 DELETE = "delete"
 
 def _intent_order_key(intent: "WriteIntent") -> tuple[str, str]:
-    """Deterministic global lock order for write intents.
+    """Deterministic global order for write intents: the order
+    validation checks them, installation applies them and the redo
+    log records them.
 
     ``repr(pk)`` (not the raw tuple) keeps heterogeneous key types
     comparable *and* is what every committed history was produced
-    under — changing it would reorder lock acquisition and break
+    under — changing it would reorder the redo log and break
     byte-identical replay.
     """
     return (intent.table.name, repr(intent.pk))
@@ -146,7 +148,7 @@ class CCStats:
 
     #: commit-time validations attempted (every scheme counts these).
     validations: int = 0
-    #: OCC: stale read / locked read / phantom detected at validation.
+    #: OCC: taken insert key / stale read / phantom at validation.
     validation_failures: int = 0
     #: 2PL NO_WAIT: lock requests refused because of a conflict.
     lock_conflicts: int = 0
@@ -187,8 +189,8 @@ class CCSession:
     """
 
     __slots__ = ("txn_id", "container_id", "owner", "read_only",
-                 "_reads", "_writes", "_node_checks", "_locked",
-                 "_placeholders", "finished", "_sorted_intents")
+                 "_reads", "_writes", "_node_checks", "finished",
+                 "_sorted_intents")
 
     #: Does this session class override :meth:`_begin_op` /
     #: :meth:`_register_read`?  Decided once per class: the point and
@@ -227,10 +229,6 @@ class CCSession:
         self._writes: dict[tuple[int, tuple], WriteIntent] = {}
         # (object with .structure_version, version seen) — phantom guard
         self._node_checks: dict[int, tuple[Any, int]] = {}
-        self._locked: list[VersionedRecord] = []
-        #: insert placeholders this session materialized in tables;
-        #: reclaimed on abort unless revived by a committed insert.
-        self._placeholders: list[tuple[Table, VersionedRecord]] = []
         self.finished = False
         #: Memoized :meth:`sorted_intents` result; validation and
         #: installation both walk the ordered write set, and the sort
@@ -630,10 +628,9 @@ class CCSession:
     # ------------------------------------------------------------------
 
     def sorted_intents(self) -> list[WriteIntent]:
-        """Write intents in deterministic global lock order.
+        """Write intents in deterministic global order.
 
-        Memoized: validation locks and installation both walk this
-        list, and commit runs them back-to-back on an unchanged write
+        Memoized: validation and installation both walk this list, and commit runs them back-to-back on an unchanged write
         set.  Any write-set mutation invalidates the cache.
         """
         cached = self._sorted_intents
@@ -644,43 +641,11 @@ class CCSession:
             self._sorted_intents = cached
         return cached
 
-    def remember_lock(self, record: VersionedRecord) -> None:
-        self._locked.append(record)
-
-    def remember_placeholder(self, table: Table,
-                             record: VersionedRecord) -> None:
-        self._placeholders.append((table, record))
-
-    def reclaim_placeholders(self) -> None:
-        """Remove placeholders this session created that were never
-        revived by a committed insert, so aborted (or cancelled)
-        inserts don't permanently grow ``Table._records``.  A
-        placeholder another transaction still holds a lock on is left
-        in place — that transaction's install will revive it."""
-        for table, record in self._placeholders:
-            if not self._placeholder_in_use(record):
-                table.discard_placeholder(record)
-        self._placeholders.clear()
-
-    def _placeholder_in_use(self, record: VersionedRecord) -> bool:
-        """Does any *other* transaction still reference this
-        placeholder?  (Called after this session released its locks.)"""
-        return record.locked_by is not None
-
     def release_locks(self) -> None:
-        txn_id = self.txn_id
-        for record in self._locked:
-            if record.locked_by == txn_id:
-                record.locked_by = None
-        self._locked.clear()
-
-    def max_observed_tid(self) -> int:
-        best = max(self._reads.values(), default=0)
-        for intent in self._writes.values():
-            record = intent.record
-            if record is not None and record.tid > best:
-                best = record.tid
-        return best
+        """Free whatever the scheme holds for this session (2PL: its
+        lock-table entries and insert placeholders).  OCC and
+        passthrough hold nothing: validate + install run inside the
+        backend's commit guard."""
 
 
 class ConcurrencyControl:
@@ -690,7 +655,9 @@ class ConcurrencyControl:
     installation and abort are scheme-independent (buffered intents are
     applied with the commit TID, redo-logged when durability is on, and
     the session's locks — whatever the scheme means by locks — are
-    released through :meth:`CCSession.release_locks`).
+    released through :meth:`CCSession.release_locks`).  The runtime
+    calls ``validate`` and ``install`` inside the backend's
+    ``commit_guard``, one atomic section per commit.
     """
 
     #: Skip (instead of propagating) a write whose install is refused.
@@ -742,8 +709,7 @@ class ConcurrencyControl:
     def validate(self, session: CCSession) -> int:
         """Phase-1 validation; returns the TID floor for the commit TID.
 
-        Raises a :class:`~repro.errors.CCAbort` subclass on conflict
-        (after releasing any commit-time locks it took itself).
+        Raises a :class:`~repro.errors.CCAbort` subclass on conflict.
         """
         raise NotImplementedError
 
@@ -755,8 +721,9 @@ class ConcurrencyControl:
         resolved per table, not per write) and, when a redo log is
         attached, is logged as an entry *sharing* the image just
         installed (:class:`repro.durability.wal.RedoEntry`).  Under a
-        real scheme an install can only succeed — validation/locking
-        guarantees exclusivity — so failures propagate as bugs.
+        real scheme an install can only succeed — validation (inside
+        the commit guard) or locking guarantees exclusivity — so
+        failures propagate as bugs.
         """
         count = 0
         redo_log = self.redo_log
@@ -794,10 +761,6 @@ class ConcurrencyControl:
         if log_entries:
             redo_log.append(commit_tid, log_entries)
         session.release_locks()
-        if session._placeholders:
-            # Installed inserts revived their placeholders; any left
-            # over belong to cancelled insert+delete pairs.
-            session.reclaim_placeholders()
         session.finished = True
         # The root keeps its sessions (stats are read after it
         # completes); without the way back the pair dies by refcount.
@@ -819,8 +782,6 @@ class ConcurrencyControl:
         elif reason == "dangerous_structure":
             self.stats.dangerous_structure_aborts += 1
         session.release_locks()
-        if session._placeholders:
-            session.reclaim_placeholders()
         session.finished = True
         session.owner = None  # as in install(): no root <-> session cycle
 

@@ -2,10 +2,13 @@
 
 A root transaction commits through :func:`commit` over the containers
 it touched (paper Section 3.2.2): phase one runs the container
-scheme's validation on every involved container (OCC locks the write
-set and checks the read set; 2PL re-checks the wound flag — its locks
-are already held; passthrough does nothing), phase two installs the
-writes with a globally maximal commit TID or aborts everywhere.  The
+scheme's validation on every involved container (OCC checks its insert
+keys, read set and scanned structures; 2PL re-checks the wound flag —
+its locks are already held; passthrough does nothing), phase two
+installs the writes with a globally maximal commit TID or aborts
+everywhere.  The runtime calls :func:`commit` inside the backend's
+``commit_guard``, so both phases are one atomic section: OCC needs no
+write locks between them.  The
 coordinator is scheme-agnostic: participants are ``(manager,
 session)`` pairs of whatever
 :class:`~repro.concurrency.base.ConcurrencyControl` the deployment
@@ -45,8 +48,8 @@ def commit(participants: list[Participant],
     commit participants.
 
     ``participants`` must be non-empty and ordered by container id —
-    the deterministic global validation order that avoids distributed
-    deadlock on write locks and keeps simulations reproducible
+    the deterministic global validation order that keeps simulations
+    reproducible and names the first refusal as the abort reason
     (``RootTransaction.participants()`` guarantees it; manual callers
     sort first).
 
@@ -63,8 +66,8 @@ def commit(participants: list[Participant],
             if tid_floor > floor:
                 floor = tid_floor
     except CCAbort as conflict:
-        # validate() released its own locks and counted the abort;
-        # roll back without re-attributing a reason.
+        # validate() counted the abort; roll back without
+        # re-attributing a reason.
         abort(participants, reason=None)
         return CommitOutcome(False, 0, len(participants), 0,
                              str(conflict))

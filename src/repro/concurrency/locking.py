@@ -211,7 +211,7 @@ class LockManager:
 class LockingSession(CCSession):
     """2PL session: the footprint hooks acquire locks eagerly."""
 
-    __slots__ = ("_locks", "_held", "wounded")
+    __slots__ = ("_locks", "_held", "_placeholders", "wounded")
 
     def __init__(self, txn_id: int, container_id: int,
                  locks: LockManager) -> None:
@@ -219,6 +219,9 @@ class LockingSession(CCSession):
         self._locks = locks
         #: id(obj) of every entry this session holds a lock on.
         self._held: set[int] = set()
+        #: Insert placeholders this session materialized in tables;
+        #: reclaimed at release unless revived by a committed insert.
+        self._placeholders: list[tuple[Table, VersionedRecord]] = []
         #: Set when an older WAIT_DIE requester preempted this session.
         self.wounded = False
 
@@ -259,7 +262,7 @@ class LockingSession(CCSession):
             # conflict here instead of at install time.
             self._lock_structures(table, table.indexes.values())
             placeholder = table.ensure_placeholder(intent.pk)
-            self.remember_placeholder(table, placeholder)
+            self._placeholders.append((table, placeholder))
             self._locks.acquire(self, placeholder, exclusive=True)
             intent.record = placeholder
         elif intent.kind == DELETE:
@@ -286,17 +289,31 @@ class LockingSession(CCSession):
         for idx in indexes:
             self._locks.acquire(self, idx, exclusive=True)
 
+    def max_observed_tid(self) -> int:
+        """The TID floor: the newest TID among the records this
+        session read or writes (insert placeholders included)."""
+        best = max(self._reads.values(), default=0)
+        for intent in self._writes.values():
+            record = intent.record
+            if record is not None and record.tid > best:
+                best = record.tid
+        return best
+
     # -- shrinking phase ------------------------------------------------
 
     def release_locks(self) -> None:
-        self._locks.release_all(self)
-        super().release_locks()
-
-    def _placeholder_in_use(self, record: VersionedRecord) -> bool:
-        # Called after release_all: any surviving lock entry means a
-        # concurrent inserter of the same key still references the
-        # placeholder and may yet revive it.
-        return self._locks.is_locked(record)
+        """Release every lock, then remove the placeholders this
+        session created that no committed insert revived (aborted
+        inserts, cancelled insert + delete pairs), so they don't
+        permanently grow ``Table.records``.  A placeholder another
+        session still holds a lock on is left in place: that
+        concurrent inserter of the same key may yet revive it."""
+        locks = self._locks
+        locks.release_all(self)
+        for table, record in self._placeholders:
+            if not locks.is_locked(record):
+                table.discard_placeholder(record)
+        self._placeholders.clear()
 
 
 class LockingCC(ConcurrencyControl):

@@ -2,10 +2,17 @@
 
 ReactDB reuses Silo's OCC scheme (paper Section 3.2): transactions read
 committed record versions without locking, buffer writes locally, and
-validate at commit.  Validation locks the write set, re-checks every
-read-set TID, and conservatively re-checks index structure versions for
-scans (phantom protection).  On success, writes are installed with a
-commit TID greater than every TID observed.
+validate at commit.  Validation checks that every insert key is still
+free, re-checks every read-set TID, and conservatively re-checks index
+structure versions for scans (phantom protection).  On success, writes
+are installed with a commit TID greater than every TID observed.
+
+Silo locks the write set because its workers validate and install in
+parallel.  Here every backend runs a commit's validate + install as one
+atomic section (the scheduler's ``commit_guard``: a no-op on the serial
+sim, the state lock plus every participant's container lock on
+``threads``), so validation is one side-effect-free pass: no lock word,
+no insert placeholder, nothing to release on abort.
 
 The buffered record-manager machinery (read-your-writes overlay, scan
 paths, write intents) lives in :class:`repro.concurrency.base.CCSession`
@@ -80,44 +87,41 @@ class ConcurrencyManager(ConcurrencyControl):
         return session
 
     def validate(self, session: CCSession) -> int:
-        """Phase-1 validation; locks the write set.
+        """Phase-1 validation: one pass, no side effects.
 
-        Returns the TID floor for the commit TID.  Raises
-        :class:`ValidationAbort` (after releasing locks) on conflict.
+        Returns the TID floor for the commit TID: the newest TID the
+        transaction observed (its reads, and any tombstone its inserts
+        replace).  Raises :class:`ValidationAbort` on conflict, checking
+        in a fixed order so the reason is deterministic: insert keys
+        (in write-set order), then reads, then phantoms.
         """
         if self.is_snapshot_session(session):
             return 0
         self.stats.validations += 1
-        txn_id = session.txn_id
+        floor = 0
         try:
-            # The lock pass: record.lock() / remember_lock(), inline
-            # over the (memoized) ordered write set.
-            locked = session._locked
-            for intent in session.sorted_intents():
-                if intent.kind == INSERT:
-                    self._lock_insert(session, intent)
-                    continue
-                record = intent.record
-                holder = record.locked_by
-                if holder is not None and holder != txn_id:
-                    raise ValidationAbort(
-                        f"write lock on {record.key!r} held by "
-                        "concurrent committer"
-                    )
-                record.locked_by = txn_id
-                locked.append(record)
+            if session._writes:
+                for intent in session.sorted_intents():
+                    if intent.kind != INSERT:
+                        continue
+                    record = intent.table.records.get(intent.pk)
+                    if record is None:
+                        continue
+                    if not record.deleted:
+                        raise ValidationAbort(
+                            f"concurrent insert won for key "
+                            f"{intent.pk!r} in {intent.table.name!r}"
+                        )
+                    if record.tid > floor:
+                        floor = record.tid
             for record, tid_seen in session._reads.items():
                 if record.tid != tid_seen:
                     raise ValidationAbort(
                         f"stale read of {record.key!r} in txn "
                         f"{session.txn_id}"
                     )
-                locker = record.locked_by
-                if locker is not None and locker != txn_id:
-                    raise ValidationAbort(
-                        f"read of {record.key!r} locked by concurrent "
-                        f"committer"
-                    )
+                if tid_seen > floor:
+                    floor = tid_seen
             for node, version_seen in session._node_checks.values():
                 if node.structure_version != version_seen:
                     raise ValidationAbort(
@@ -126,24 +130,5 @@ class ConcurrencyManager(ConcurrencyControl):
                     )
         except ValidationAbort:
             self.stats.validation_failures += 1
-            session.release_locks()
             raise
-        return session.max_observed_tid()
-
-    def _lock_insert(self, session: CCSession,
-                     intent: WriteIntent) -> None:
-        live = intent.table.get_record(intent.pk)
-        if live is not None:
-            raise ValidationAbort(
-                f"concurrent insert won for key {intent.pk!r} in "
-                f"{intent.table.name!r}"
-            )
-        placeholder = intent.table.ensure_placeholder(intent.pk)
-        session.remember_placeholder(intent.table, placeholder)
-        if not placeholder.lock(session.txn_id):
-            raise ValidationAbort(
-                f"insert placeholder {intent.pk!r} locked by "
-                "concurrent committer"
-            )
-        session.remember_lock(placeholder)
-        intent.record = placeholder
+        return floor

@@ -80,7 +80,8 @@ class CCAbort(TransactionAbort):
 
 
 class ValidationAbort(CCAbort):
-    """OCC validation failed: a read was stale or a write lock clashed."""
+    """OCC validation failed: an insert key was taken, a read was
+    stale, or a scanned structure changed (a phantom)."""
 
 
 class LockConflictAbort(CCAbort):

@@ -291,12 +291,13 @@ class Table:
         self.structure_version += 1
 
     def ensure_placeholder(self, pk: tuple) -> VersionedRecord:
-        """A lockable tombstone for insert validation.
+        """A lockable tombstone for an insert key (2PL).
 
-        Inserting transactions lock a placeholder during 2PC so that two
-        concurrent inserters of the same key cannot both pass validation.
-        The placeholder is invisible to readers (``deleted`` is set) and
-        is revived by :meth:`install_insert` on commit.
+        A 2PL inserter exclusive-locks the placeholder in its lock
+        table when it buffers the insert, so two concurrent inserters
+        of the same key conflict there.  The placeholder is invisible
+        to readers (``deleted`` is set) and is revived by
+        :meth:`install_insert` on commit.
         """
         record = self.records.get(pk)
         if record is None:

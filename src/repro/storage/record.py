@@ -18,9 +18,9 @@ watermark) and are dropped.  With no watermark (no snapshot readers
 pinned) no history is retained at all, so single-version deployments
 keep their original memory profile.
 
-A lightweight lock field stands in for Silo's TID-word lock bit: write
-locks are taken during the validation/installation window (and held
-across 2PC phases for multi-container transactions).
+There is no lock bit in the TID word: OCC validates and installs
+inside the backend's commit guard (one atomic section per commit), and
+2PL keeps its locks in its own lock table.
 """
 
 from __future__ import annotations
@@ -53,25 +53,16 @@ class RecordVersion:
 class VersionedRecord:
     """Head of one row's version chain: the latest committed state."""
 
-    __slots__ = ("key", "value", "tid", "locked_by", "deleted", "prev")
+    __slots__ = ("key", "value", "tid", "deleted", "prev")
 
     def __init__(self, key: tuple, value: dict[str, Any], tid: int) -> None:
         self.key = key
         self.value = value
         self.tid = tid
-        #: Transaction id currently holding the write lock, or ``None``.
-        self.locked_by: int | None = None
         self.deleted = False
         #: Next-older committed version (``None`` when no snapshot
         #: reader could still need history).
         self.prev: RecordVersion | None = None
-
-    def lock(self, txn_id: int) -> bool:
-        """Try to take the write lock; idempotent for the same owner."""
-        if self.locked_by is None or self.locked_by == txn_id:
-            self.locked_by = txn_id
-            return True
-        return False
 
     def install(self, value: dict[str, Any], tid: int,
                 keep_watermark: int | None = None) -> tuple[int, int]:

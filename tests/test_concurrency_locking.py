@@ -324,8 +324,8 @@ class TestPlaceholderReclamation:
 
         occ = ConcurrencyManager(0, EpochManager())
         before = len(table)
-        # Make validation fail after the insert placeholder is taken:
-        # a stale read forces a ValidationAbort.
+        # A stale read fails validation; the refused insert must leave
+        # no record behind.
         s1 = occ.begin_session(1)
         s1.read(table, (1,))
         s1.insert(table, {"id": 1000, "v": 1.0, "w": 0.0})
@@ -333,7 +333,8 @@ class TestPlaceholderReclamation:
         s2.update(table, (1,), {"w": 9.0})
         assert commit(occ, s2).committed
         assert not commit(occ, s1).committed
-        assert len(table) == before  # placeholder reclaimed
+        assert len(table) == before
+        assert (1000,) not in table.records
 
 
 class TestPassthroughBestEffortInstall:

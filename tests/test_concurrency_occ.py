@@ -247,16 +247,20 @@ class TestValidation:
         assert commit(manager, s2).committed
         assert not commit(manager, s1).committed
 
-    def test_validation_failure_releases_locks(self, table, manager):
+    def test_validation_failure_installs_nothing(self, table, manager):
         s1 = manager.begin_session(1)
         s1.read(table, (1,))
         s1.update(table, (1,), {"v": 10.0})
+        s1.insert(table, {"id": 100, "v": 1.0})
         s2 = manager.begin_session(2)
         s2.update(table, (1,), {"v": 20.0})
-        assert commit(manager, s2).committed
+        won = commit(manager, s2)
+        assert won.committed
         assert not commit(manager, s1).committed
+        # Neither the refused insert nor the refused update landed.
+        assert (100,) not in table.records
         record = table.get_record((1,))
-        assert record.locked_by is None
+        assert (record.value["v"], record.tid) == (20.0, won.commit_tid)
 
     def test_commit_tids_monotonic(self, table, manager):
         tids = []
@@ -371,8 +375,12 @@ class TestCoordinator:
         assert (outcome.commit_tid, outcome.containers,
                 outcome.writes) == (0, 3, 0)
         for cid, (manager, table) in enumerate(zip(managers, tables)):
-            assert all(record.locked_by is None
-                       for record in table.all_records())
+            # No partial install: only the rival's write is newer than
+            # the load, and no inserted key (or placeholder) is left.
+            rival_write = {(2,)} if scheme == "occ" and cid == failing \
+                else set()
+            assert {pk for pk, record in table.records.items()
+                    if record.tid != 0} == rival_write
             if scheme != "occ":
                 assert manager.locks.held_count() == 0
             assert (100,) not in table.records

@@ -30,8 +30,11 @@ no-op                   84.25   62.26   62.26   62.26   61.26
 (``cProfile``, which also counts builtins — ``dict.get``, ``heappush``,
 ``isinstance`` ... — read 347.1 -> 221.5 and 128.4 -> 96.4 on the PR 13
 runs.)  Completing a root now releases a snapshot pin only when the
-root pinned one, one call less on both rows: 124.32 and 60.26.  The
-ceilings are the exact counts of this tree on 3.11 (3.12+
+root pinned one, one call less on both rows: 124.32 and 60.26.  OCC
+validation as one pass with no side effects (see the sixth row) reads
+123.02: 1.10 ``max_observed_tid`` calls gone (the TID floor is folded
+into the read walk) and 0.20 ``sorted_intents`` (a read-only session
+has no write set to sort).  The ceilings are the exact counts of this tree on 3.11 (3.12+
 inlines one comprehension and reads 1.00 lower); they only ever go
 down.  Raise one only with the number that justifies it in the PR
 description; ``python tests/test_point_path_budget.py 40`` prints the
@@ -77,6 +80,31 @@ scan (TPC-C, occ/11)    63.59   37.66
 ``_in_range``, its ``Table.index`` lookup and the predicate match of
 an own write outside the range; 1.03 Python bisects.  New: 0.41
 ``_After.__gt__``, when a bisect step meets a key equal to ``high``.)
+
+The sixth row is the commit path: ``call`` events under
+``concurrency/``, ``relational/`` and ``storage/`` made inside
+``coordinator.commit`` (its own call not counted), per commit
+attempted, while the same TPC-C case runs (81 commits).  Before and
+after OCC validation became one pass with no side effects — no lock
+word, no insert placeholders, the TID floor read off the same walk
+(validate + install already run as one atomic section inside the
+backend's ``commit_guard``):
+
+=======================  ======  ======
+                         before   after
+=======================  ======  ======
+commit (TPC-C, occ/11)    97.36   53.52
+=======================  ======  ======
+
+(Gone per commit: 5.03 each of ``_lock_insert``, ``get_record``,
+``ensure_placeholder``, ``VersionedRecord.lock``, ``remember_lock``,
+``remember_placeholder``, ``_placeholder_in_use`` and
+``discard_placeholder``; 1.43 ``VersionedRecord.__init__`` — an
+insert now builds its record at install, 3.59, instead of a
+placeholder at validation, 5.03; 1.11 ``max_observed_tid``; 0.86
+``reclaim_placeholders``; 0.16 ``release_locks``, which a refused
+validation called on itself; 0.07 ``sorted_intents`` of read-only
+participants.)
 """
 
 from __future__ import annotations
@@ -92,6 +120,7 @@ from pathlib import Path
 
 import repro
 from repro.client.local import LocalClient
+from repro.concurrency import coordinator
 from repro.concurrency.base import CCSession
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
@@ -103,16 +132,18 @@ SRC_ROOT = str(Path(repro.__file__).resolve().parent)
 N_TXNS = 200
 CUSTOMERS = 100
 
-SMALLBANK_CEILING = 124.32
+SMALLBANK_CEILING = 123.02
 NOOP_CEILING = 60.255
 THREADS_HANDOFF_CEILING = 21.145
 LOG_DURABILITY_CEILING = 11.9125
 SCAN_PATH_CEILING = 37.66
+COMMIT_PATH_CEILING = 53.52
 
 JSON_ROOT = os.path.dirname(json.__file__) + os.sep
 DURABILITY_ROOT = SRC_ROOT + os.sep + "durability" + os.sep
 SCAN_ROOTS = tuple(SRC_ROOT + os.sep + package + os.sep
                    for package in ("concurrency", "relational"))
+COMMIT_ROOTS = SCAN_ROOTS + (SRC_ROOT + os.sep + "storage" + os.sep,)
 
 NOOP = ReactorType("BudgetNoop", lambda: [])
 
@@ -285,32 +316,44 @@ def log_path_calls() -> tuple[Counter, int]:
     return calls, records
 
 
-def scan_path_calls() -> tuple[Counter, int]:
-    """``call`` events per ``file:line(function)`` under
-    ``concurrency/`` and ``relational/`` made inside
-    ``CCSession.scan`` (the scan's own call not counted) while
-    golden's seeded TPC-C group-commit case runs closed-loop, and the
-    scans it made."""
+def _calls_inside(function, roots: tuple[str, ...]
+                  ) -> tuple[Counter, int]:
+    """``call`` events per ``file:line(function)`` under ``roots``
+    made inside ``function`` (its own call not counted) while golden's
+    seeded TPC-C group-commit case runs closed-loop, and the calls
+    ``function`` itself received."""
     calls: Counter = Counter()
-    scan_code = CCSession.scan.__code__
-    depth = scans = 0
+    outer = function.__code__
+    depth = entered = 0
 
     def profiler(frame, event, arg):
-        nonlocal depth, scans
+        nonlocal depth, entered
         code = frame.f_code
-        if code is scan_code:
+        if code is outer:
             if event == "call":
-                scans += 1
+                entered += 1
                 depth += 1
             elif event == "return":
                 depth -= 1
         elif depth and event == "call" \
-                and code.co_filename.startswith(SCAN_ROOTS):
+                and code.co_filename.startswith(roots):
             calls[(code.co_filename[len(SRC_ROOT) + 1:],
                    code.co_firstlineno, code.co_name)] += 1
 
     _profile_golden_tpcc(profiler).close()
-    return calls, scans
+    return calls, entered
+
+
+def scan_path_calls() -> tuple[Counter, int]:
+    """Calls under ``concurrency/`` and ``relational/`` per
+    ``CCSession.scan``, and the scans made."""
+    return _calls_inside(CCSession.scan, SCAN_ROOTS)
+
+
+def commit_path_calls() -> tuple[Counter, int]:
+    """Calls under ``concurrency/``, ``relational/`` and ``storage/``
+    per ``coordinator.commit``, and the commits attempted."""
+    return _calls_inside(coordinator.commit, COMMIT_ROOTS)
 
 
 def test_counts_repeat_exactly():
@@ -339,6 +382,13 @@ def test_scan_path_budget():
     assert scans == 58
     per_scan = sum(calls.values()) / scans
     assert per_scan <= SCAN_PATH_CEILING, per_scan
+
+
+def test_commit_path_budget():
+    calls, commits = commit_path_calls()
+    assert commits == 81
+    per_commit = sum(calls.values()) / commits
+    assert per_commit <= COMMIT_PATH_CEILING, per_commit
 
 
 def test_log_path_budget():
@@ -371,6 +421,11 @@ if __name__ == "__main__":
           f"{sum(calls.values()) / scans:.4f} calls/scan")
     for (path, line, name), n in calls.most_common(top):
         print(f"{n / scans:8.3f}  {path}:{line}({name})")
+    calls, commits = commit_path_calls()
+    print(f"== commit path (tpcc/occ/11, concurrency + relational + "
+          f"storage): {sum(calls.values()) / commits:.4f} calls/commit")
+    for (path, line, name), n in calls.most_common(top):
+        print(f"{n / commits:8.3f}  {path}:{line}({name})")
     calls, records = log_path_calls()
     print(f"== log path (tpcc/occ/11, json + durability): "
           f"{sum(calls.values()) / records:.4f} calls/record")

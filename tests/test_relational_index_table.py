@@ -197,13 +197,20 @@ class TestTable:
         table.install_update(record, image, tid=2)
         assert record.value is image
 
-    def test_placeholder_is_invisible_and_lockable(self):
+    def test_placeholder_is_invisible_and_revived_in_place(self):
         table = Table(order_schema())
         placeholder = table.ensure_placeholder((9, 9))
         assert table.get_record((9, 9)) is None
-        assert placeholder.lock(42)
-        assert not placeholder.lock(43)
         assert table.ensure_placeholder((9, 9)) is placeholder
+        row = {"d_id": 9, "o_id": 9, "status": "new", "amount": 1.0}
+        assert table.install_insert(row, tid=3) is placeholder
+        assert table.get_record((9, 9)) is placeholder
+        assert (placeholder.tid, placeholder.prev) == (3, None)
+
+    def test_discarded_placeholder_leaves_no_record(self):
+        table = Table(order_schema())
+        table.discard_placeholder(table.ensure_placeholder((9, 9)))
+        assert (9, 9) not in table.records
 
     def test_rows_snapshot(self):
         table = Table(order_schema())

@@ -57,12 +57,14 @@ class TestCatalog:
 
 
 class TestVersionedRecord:
-    def test_lock_reentrant_for_owner(self):
+    def test_record_carries_no_lock_word(self):
+        # OCC validates and installs inside the commit guard and 2PL
+        # locks in its own lock table: a record is its TID word, its
+        # image and its chain, nothing more.
+        assert VersionedRecord.__slots__ == (
+            "key", "value", "tid", "deleted", "prev")
         record = VersionedRecord((1,), {"a": 1}, tid=1)
-        assert record.lock(7)
-        assert record.lock(7)
-        assert not record.lock(8)
-        assert record.locked_by == 7
+        assert not record.deleted and record.prev is None
 
     def test_snapshot_is_defensive(self):
         record = VersionedRecord((1,), {"a": 1}, tid=1)
