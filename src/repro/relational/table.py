@@ -218,7 +218,11 @@ class Table:
 
         All-or-nothing: uniqueness (primary key and unique secondary
         indexes) is checked before any structure is mutated, so a
-        refused insert leaves the table exactly as it was.
+        refused insert leaves the table exactly as it was.  A pristine
+        placeholder (TID 0, no chain: see :meth:`ensure_placeholder`)
+        is revived in place even while a snapshot is pinned — every
+        snapshot already resolves it to "no row", so a tombstone pushed
+        onto its chain could never be read.
         """
         pk = self.schema.primary_key_of(row)
         record = self.records.get(pk)
@@ -231,7 +235,8 @@ class Table:
         if record is not None:
             if watermark is _RESOLVE:
                 watermark = self.keep_watermark()
-            if watermark is None and record.prev is None:
+            if record.prev is None and (
+                    watermark is None or record.tid == 0):
                 record.value = row
                 record.tid = tid
                 record.deleted = False

@@ -11,6 +11,7 @@ from repro.concurrency import (
     create_cc_scheme,
 )
 from repro.concurrency.locking import NO_WAIT, WAIT_DIE, LockingCC
+from repro.concurrency.mvcc import SnapshotSession
 from repro.concurrency.tid import EpochManager
 from repro.errors import (
     DeadlockAvoidanceAbort,
@@ -26,6 +27,7 @@ from repro.relational.schema import (
     make_schema,
 )
 from repro.relational.table import Table
+from repro.storage.store import StorageCoordinator
 
 
 @pytest.fixture
@@ -318,6 +320,27 @@ class TestPlaceholderReclamation:
         s.insert(table, {"id": 1000, "v": 1.0, "w": 0.0})
         assert commit(nowait, s).committed
         assert table.get_record((1000,)) is not None
+
+    def test_insert_revives_its_placeholder_under_a_pinned_snapshot(
+            self, table, nowait):
+        # A pristine placeholder already reads as "no row" at every
+        # snapshot: reviving it in place keeps no version anyone could
+        # read, where pushing its tombstone onto the chain would.
+        old_tid = nowait.tids.next_tid(1.0)
+        storage = StorageCoordinator()
+        table.versioning = storage
+        storage.pin(12, old_tid)
+        s = nowait.begin_session(1)
+        s.insert(table, {"id": 1000, "v": 1.0, "w": 0.0})
+        placeholder = table.records[(1000,)]
+        assert commit(nowait, s, now=2.0).committed
+        record = table.get_record((1000,))
+        assert record is placeholder and record.prev is None
+        assert storage.stats.versions_created == 0
+        stale = SnapshotSession(12, 0, snapshot_tid=old_tid)
+        assert stale.read(table, (1000,))[0] is None
+        current = SnapshotSession(13, 0, snapshot_tid=record.tid)
+        assert current.read(table, (1000,))[0]["v"] == 1.0
 
     def test_occ_aborted_insert_leaves_no_tombstone(self, table):
         from repro.concurrency.occ import ConcurrencyManager
