@@ -630,8 +630,9 @@ class CCSession:
     def sorted_intents(self) -> list[WriteIntent]:
         """Write intents in deterministic global order.
 
-        Memoized: validation and installation both walk this list, and commit runs them back-to-back on an unchanged write
-        set.  Any write-set mutation invalidates the cache.
+        Memoized: validation and installation both walk this list,
+        and commit runs them back-to-back on an unchanged write set.
+        Any write-set mutation invalidates the cache.
         """
         cached = self._sorted_intents
         if cached is None:

@@ -8,9 +8,8 @@ its locks are already held; passthrough does nothing), phase two
 installs the writes with a globally maximal commit TID or aborts
 everywhere.  The runtime calls :func:`commit` inside the backend's
 ``commit_guard``, so both phases are one atomic section: OCC needs no
-write locks between them.  The
-coordinator is scheme-agnostic: participants are ``(manager,
-session)`` pairs of whatever
+write locks between them.  The coordinator is scheme-agnostic:
+participants are ``(manager, session)`` pairs of whatever
 :class:`~repro.concurrency.base.ConcurrencyControl` the deployment
 selected, so cross-container commits work identically under every
 scheme, and a single-container commit is the same protocol over one
