@@ -227,6 +227,8 @@ class ReactorDatabase:
             reactor = self._reactors[reactor_name]
         except KeyError:
             reactor = self.reactor(reactor_name)  # raises the typed error
+        if proc_name not in reactor.rtype.procedures:
+            reactor.rtype.get_procedure(proc_name)  # raises the typed error
         if self.migration is not None:
             self.migration.note_submit(reactor_name)
         if read_only is None:

@@ -39,6 +39,7 @@ from repro.errors import (
     ReactorError,
     SimulationError,
     TransactionAbort,
+    UnknownProcedureError,
     UnknownReactorError,
     UserAbort,
 )
@@ -324,11 +325,8 @@ class TransactionExecutor:
     def _push_frame(self, task: Task, reactor: Any, subtxn_id: int,
                     entered: bool, proc_name: str, args: tuple,
                     kwargs: dict) -> Frame:
-        try:
-            proc = reactor.rtype.procedures[proc_name]
-        except KeyError:
-            # Raises the typed error naming the known procedures.
-            proc = reactor.rtype.get_procedure(proc_name)
+        # Known: a root's name is checked at submit, a call's at the call.
+        proc = reactor.rtype.procedures[proc_name]
         frame = Frame(None, reactor, subtxn_id, entered)
         ctx = self._context_cls(reactor, task.root, task, self.costs)
         frame.gen = _frame_body(proc, ctx, args, kwargs, frame)
@@ -450,7 +448,9 @@ class TransactionExecutor:
         database = self.container.database
         try:
             reactor = database.reactor(call.reactor_name)
-        except UnknownReactorError as exc:
+            if call.proc_name not in reactor.rtype.procedures:
+                reactor.rtype.get_procedure(call.proc_name)  # raises
+        except (UnknownReactorError, UnknownProcedureError) as exc:
             self._step(task, None, exc)
             return
         # On a *serving* replica container, calls to reactors of the

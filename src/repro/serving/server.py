@@ -61,6 +61,7 @@ from functools import partial
 from typing import Any
 
 from repro.core.database import ROOT_REFUSED, ReactorDatabase
+from repro.errors import UnknownProcedureError
 from repro.serving import protocol
 from repro.telemetry.spans import TRACK_SERVING
 
@@ -320,8 +321,9 @@ class ReactorServer:
         except Exception as err:  # noqa: BLE001 - fault barrier: one
             # bad request must not tear down the connection.
             self.inflight -= 1
-            conn.send(protocol.error(rid, session,
-                                     protocol.ERR_INTERNAL, str(err)))
+            code = protocol.ERR_BAD_REQUEST if isinstance(
+                err, UnknownProcedureError) else protocol.ERR_INTERNAL
+            conn.send(protocol.error(rid, session, code, str(err)))
             return
         if self._is_sim and not self._pump_scheduled:
             self._pump_scheduled = True

@@ -13,6 +13,11 @@ the executor moves on.  Pinned embedded and served, on both backends.
 A sub-transaction that fails while its siblings are outstanding
 aborts the root only once they have finished too: none of them runs on
 after the root and keeps a lock.
+
+An unknown procedure name wedged an executor the same way, root or
+sub-call.  A root naming one is now refused at submit, like an unknown
+reactor (over the wire: a typed ``bad_request``), and a call naming
+one raises in the calling frame.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from repro.client import LocalClient, TcpClient
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import shared_nothing
 from repro.core.reactor import ReactorType
-from repro.errors import TransactionAbort
+from repro.errors import TransactionAbort, UnknownProcedureError
 from repro.relational import float_col, make_schema, str_col
 from repro.serving import serve_in_thread
 
@@ -83,6 +88,11 @@ def fire_and_forget(ctx, bad, good):
     outstanding: the implicit sync meets the failure first."""
     yield ctx.call(bad, "boom")
     yield ctx.call(good, "slow_add", 5.0)
+
+
+@FAULTY.procedure
+def call_missing(ctx, target):
+    return (yield ctx.call(target, "no_such_proc"))
 
 
 NAMES = ["f0", "f1", "f2"]
@@ -208,3 +218,42 @@ def test_a_raising_procedure_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+@pytest.mark.parametrize("backend", ["sim", "threads"])
+def test_an_unknown_procedure_is_refused_at_submit(path, backend):
+    database = make_database(backend, "occ")
+    driver = path(database)
+    try:
+        if path is _Served:
+            outcome = driver.call("f0", "no_such_proc")
+            assert outcome.error_code == "bad_request"
+            assert "no procedure 'no_such_proc'" in outcome.reason
+        else:
+            with pytest.raises(UnknownProcedureError,
+                               match="no procedure 'no_such_proc'"):
+                driver.client.submit("f0", "no_such_proc")
+        # Nothing started, so the same executor answers the next one.
+        assert driver.call("f0", "ok").result == 10.0
+    finally:
+        driver.close()
+        database.close()
+
+
+@pytest.mark.parametrize("backend", ["sim", "threads"])
+@pytest.mark.parametrize("target", ["f0", "f1"], ids=["inline", "remote"])
+def test_a_call_to_an_unknown_procedure_aborts_its_root(
+        path, backend, target):
+    database = make_database(backend, "occ")
+    driver = path(database)
+    try:
+        outcome = driver.call("f0", "call_missing", target)
+        assert not outcome.committed
+        assert outcome.error_code is None  # an abort, not a refusal
+        assert outcome.reason.startswith("UnknownProcedureError: ")
+        assert "no procedure 'no_such_proc'" in outcome.reason
+        for name in NAMES:
+            assert driver.call(name, "ok").result == 10.0
+    finally:
+        driver.close()
+        database.close()
