@@ -41,14 +41,6 @@ from repro.storage.store import StorageCoordinator
 from repro.telemetry import Telemetry
 from repro.telemetry.facade import ABORT_REASONS
 
-#: Handed to ``on_done`` as the *result* of a root the execution
-#: backend refused at admission (bounded intake): the root never ran
-#: and may be retried, unlike an abort.  Callers that answer the two
-#: differently — the server's typed ``overloaded`` shed — test for it
-#: by identity; the reason string is wording, not a contract.
-ROOT_REFUSED = object()
-
-
 class ReactorDatabase:
     """An instantiated reactor database on a simulated machine."""
 
@@ -162,11 +154,8 @@ class ReactorDatabase:
         self.telemetry.attach_collectors()
 
         # Wall-clock backends spawn their per-container worker threads
-        # only once the container count is known; the sim backend has
-        # no attach hook.
-        attach = getattr(self.scheduler, "attach", None)
-        if attach is not None:
-            attach(len(self.containers))
+        # only once the container count is known.
+        self.scheduler.attach(len(self.containers))
 
     # ------------------------------------------------------------------
     # Registry
@@ -197,9 +186,8 @@ class ReactorDatabase:
         """Send a root transaction into the system (asynchronous).
 
         ``on_done(root, committed, reason, result)`` fires (in virtual
-        time) when the transaction completes; a root the backend
-        refused at admission completes uncommitted with
-        :data:`ROOT_REFUSED` as its result.
+        time) when the transaction completes.  An unknown reactor or
+        procedure name raises here, before anything is scheduled.
 
         ``read_only`` marks the root as read-only (writes abort); when
         omitted it is inferred from the procedure's declaration
@@ -209,12 +197,7 @@ class ReactorDatabase:
         separate simulated cores.
         """
         # Transaction-id assignment, routing counters, and telemetry
-        # are shared bookkeeping: on a multi-threaded backend the
-        # client enters under the state guard; the sim backend (lock
-        # is None) keeps its pre-backend straight-line path.
-        if self.scheduler.lock is None:
-            return self._submit(reactor_name, proc_name, args, kwargs,
-                                on_done, read_only)
+        # are shared bookkeeping, serialized under the state guard.
         with self.scheduler.state_guard():
             return self._submit(reactor_name, proc_name, args, kwargs,
                                 on_done, read_only)
@@ -259,41 +242,24 @@ class ReactorDatabase:
             # immediately rather than queueing on a dead executor.
             self.refuse_root(root, on_done, reactor.container)
             return root
-        executor = self._route_root(reactor)
-        if not self.scheduler.admit_root(executor):
-            # Bounded intake (wall-clock backends): the target
-            # executor's work queue is at its admission bound, so shed
-            # the root at the door instead of growing the queue without
-            # limit.
-            self.refuse_root(root, on_done, reactor.container,
-                             ROOT_REFUSED)
-            return root
-        executor.submit(invocation)
+        self._route_root(reactor).submit(invocation)
         return root
 
     def refuse_root(self, root: RootTransaction,
                     on_done: Callable[..., None] | None,
-                    container: Container, result: Any = None) -> None:
-        """Report a root that never ran as done, uncommitted, once.
-
-        ``result`` is ``None`` when ``container`` has failed, which
-        counts as a failover abort, or :data:`ROOT_REFUSED` when its
-        executor shed the root at admission, which does not: the root
-        may be retried.  ``on_done`` is scheduled with ``soon``, at the
-        instant the refusal is decided.
-        """
+                    container: Container) -> None:
+        """Report a root that never ran because ``container`` failed:
+        done, uncommitted and one failover abort, once.  ``on_done`` is
+        scheduled with ``soon``, at the instant the refusal is
+        decided."""
         root.finished = True
-        cid = container.container_id
-        if result is ROOT_REFUSED:
-            reason = f"container {cid} backpressure: admission queue full"
-        else:
-            reason = f"container {cid} failed"
-            if self.replication is not None:
-                self.replication.stats.failover_aborts += 1
+        reason = f"container {container.container_id} failed"
+        if self.replication is not None:
+            self.replication.stats.failover_aborts += 1
         self.telemetry.note_root_done(root, False, reason,
                                       self.scheduler.now)
         if on_done is not None:
-            self.scheduler.soon(on_done, root, False, reason, result)
+            self.scheduler.soon(on_done, root, False, reason, None)
 
     def _route_root(self, reactor: Reactor) -> TransactionExecutor:
         container = reactor.container
@@ -330,18 +296,16 @@ class ReactorDatabase:
         """
         if not self.deployment.snapshot_reads:
             return None
-        if self.scheduler.lock is None:
-            return self._begin_snapshot_session(root, container)
         # Pinning reads the global watermark and advances every
-        # container's TID generator — cross-container state that a
-        # wall-clock backend serializes under the state guard.
+        # container's TID generator: cross-container state, serialized
+        # under the state guard.
         with self.scheduler.state_guard():
             return self._begin_snapshot_session(root, container)
 
     def _begin_snapshot_session(self, root: RootTransaction,
                                 container: Any):
         if root.snapshot_tid is None:
-            if getattr(container, "role", None) == "replica":
+            if container.role == "replica":
                 # Replica-scoped pin: retains history only on this
                 # replica's shadows (the sole tables it can read).
                 # The pin sits at the replica's *materialized*
@@ -349,8 +313,7 @@ class ReactorDatabase:
                 # migration seed watermark (re-homed shards are seeded
                 # as-of the source watermark).
                 snapshot_tid = max(container.applied_tid,
-                                   getattr(container,
-                                           "snapshot_floor", 0))
+                                   container.snapshot_floor)
                 self.storage.pin(root.txn_id, snapshot_tid,
                                  scope=container)
             else:
@@ -584,9 +547,7 @@ class ReactorDatabase:
         nothing); on the ``threads`` backend this stops and joins the
         per-container worker, client, and timer threads.  Idempotent.
         """
-        shutdown = getattr(self.scheduler, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
+        self.scheduler.shutdown()
 
 
 __all__ = ["ReactorDatabase", "RootTransaction", "TxnStats"]

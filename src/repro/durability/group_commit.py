@@ -91,7 +91,7 @@ class LogFlusher:
         self.telemetry = telemetry
         #: Future type matching the execution backend: thread-safe on
         #: wall-clock backends, the plain single-threaded future on sim.
-        self._future_cls = scheduler.future_class or SimFuture
+        self._future_cls = scheduler.future_class
         if telemetry.enabled:
             self._records_hist = telemetry.registry.histogram(
                 "log_flush_records")

@@ -311,9 +311,8 @@ class DurabilityManager:
         # participant's epoch flushed — the property that keeps acked
         # commits atomic across kill-at-arbitrary-epoch crashes.
         scheduler = self.database.scheduler
-        future_cls = scheduler.future_class or SimFuture
-        joint = future_cls(remote=False, subtxn_id=0,
-                           target_reactor="log:join")
+        joint = scheduler.future_class(remote=False, subtxn_id=0,
+                                       target_reactor="log:join")
         remaining = {"n": len(futures)}
 
         def one_done(fut: SimFuture) -> None:

@@ -139,7 +139,7 @@ class HistoryRecorder:
         if getattr(session, "snapshot_tid", None) is not None:
             session.observer = self.record_snapshot_read
             return session
-        if getattr(reactor.container, "role", None) == "replica":
+        if reactor.container.role == "replica":
             return session
 
         def subtxn_of() -> int:
@@ -344,7 +344,7 @@ def certify_replication(database: Any) -> dict[str, Any]:
             check(cid, replica, replica.applied_records, shipped,
                   role="replica")
         promoted = database.containers[cid]
-        if getattr(promoted, "role", None) == "primary":
+        if promoted.role == "primary":
             # A promoted replica: its full state must replay from the
             # (re-anchored) shipped order it now owns.
             check(cid, promoted, promoted.applied_records, shipped,

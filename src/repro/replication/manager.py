@@ -333,8 +333,7 @@ class ReplicationManager:
         # residence in the container must not replay over the
         # snapshot baseline installed above.
         dst = self.database.containers[dst_cid]
-        if getattr(dst, "role", None) == ROLE_PRIMARY and \
-                hasattr(dst, "reactor_fences"):
+        if dst.role == ROLE_PRIMARY:
             dst.reactor_fences[new_reactor.name] = \
                 len(self.durability.installed[dst_cid])
 

@@ -20,8 +20,9 @@ exist:
 
 The backend *protocol* is the event-loop surface plus a handful of
 hooks, duck-typed rather than ABC-enforced so the sim hot path pays
-zero indirection.  Both backends define every row (the identity rows
-as class attributes), so callers read them as plain attributes:
+zero indirection.  Both backends define every row, with the same
+meaning, so callers read them as plain attributes and never ask which
+backend they hold:
 
 ==================  ==================================================
 ``now``             current time in microseconds (virtual or wall)
@@ -39,13 +40,16 @@ as class attributes), so callers read them as plain attributes:
                     commit/abort against the named participants
 ``state_guard()``   context manager serializing shared database
                     bookkeeping (txn counters, snapshot pins, ...)
-``future_class``    future type the runtime allocates (``None`` means
-                    the plain single-threaded :class:`SimFuture`)
+``future_class``    future type the runtime allocates
 ``name``            ``"sim"`` or ``"threads"`` (stamped into bench
                     meta blocks and telemetry exports)
 ``is_virtual``      ``True`` when timestamps are simulated
-``lock``            the backend's shared-state lock (``None`` on sim)
+``attach(n)``       start serving ``n`` containers (no-op on sim)
+``shutdown()``      release OS resources, idempotent (no-op on sim)
 ==================  ==================================================
+
+Neither backend sheds work: admission is the wire's business (the
+server's ``max_inflight``).
 
 Deployment configs select a backend by name (``backend: sim|threads``
 in :class:`~repro.core.deployment.DeploymentConfig`);

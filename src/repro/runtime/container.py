@@ -21,6 +21,10 @@ from repro.runtime.executor import TransactionExecutor
 class Container:
     """One shared-memory region plus its transaction executors."""
 
+    #: ``"replica"`` or ``"primary"`` on a replica container (see
+    #: :mod:`repro.replication.replica`); ``None`` on a plain primary.
+    role: str | None = None
+
     def __init__(self, container_id: int, database: Any,
                  concurrency: ConcurrencyControl) -> None:
         self.container_id = container_id

@@ -182,7 +182,7 @@ class TransactionExecutor:
         #: runtime schedules through it.
         self.scheduler = scheduler
         #: Backend-chosen future type (thread-safe under ``threads``).
-        self._future_cls = scheduler.future_class or SimFuture
+        self._future_cls = scheduler.future_class
         self._cid = container.container_id
         # Deferred import (core.context yields runtime effect objects,
         # so a module-scope import would be circular), resolved once
@@ -467,8 +467,7 @@ class TransactionExecutor:
         # later migration off it would keep routing writes into the
         # abandoned local copy.
         shadow_of = self._shadow_of
-        if shadow_of is not None and \
-                getattr(self.container, "role", None) == "replica":
+        if shadow_of is not None and self.container.role == "replica":
             shadow = None
             if reactor.container.container_id == self._cid:
                 shadow = shadow_of(call.reactor_name)

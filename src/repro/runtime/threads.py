@@ -15,7 +15,7 @@ Threading model (see ``docs/backends.md`` for the full argument):
   operations on a reactor therefore run serialized on its container's
   thread, mirroring the paper's "one executor pins one core";
 * client-queue callbacks run under the backend's global *state* lock
-  (``self.lock``), which also guards shared database bookkeeping
+  (``_state_lock``), which also guards shared database bookkeeping
   (transaction counters, snapshot pins, telemetry counters) via
   :meth:`state_guard`;
 * a cross-container commit/abort takes :meth:`commit_guard`: release
@@ -45,11 +45,8 @@ every queue counts what was ``posted`` under its own lock, its worker
 alone writes ``done``, and :meth:`ThreadsBackend.pending` reads every
 ``done`` before any ``posted`` (see there for why that suffices).
 
-Work queues are bounded at *root admission*: :meth:`admit_root`
-refuses new root transactions when an executor's backlog exceeds
-``root_admission_bound`` (load shedding, counted in ``shed_roots``).
-Shedding only roots — never internal continuations — keeps memory
-bounded without ever wedging an in-flight commit.
+The backend sheds nothing: like the sim, it queues every root it is
+handed.  Load is bounded at the wire, by the server's ``max_inflight``.
 
 Free threading: under a free-threaded build (PEP 703, ``3.13t``)
 container threads execute truly in parallel and wall-clock throughput
@@ -162,7 +159,7 @@ class _WorkQueue:
     """
 
     __slots__ = ("items", "lock", "wake", "asleep", "posted", "done",
-                 "ran", "max_depth")
+                 "ran")
 
     def __init__(self) -> None:
         self.items: list[_QueueItem] = []
@@ -178,8 +175,6 @@ class _WorkQueue:
         self.done = 0
         #: Callbacks executed, self-posts included.
         self.ran = 0
-        #: Most callbacks found waiting at one wake-up.
-        self.max_depth = 0
 
     def put(self, item: _QueueItem) -> None:
         with self.lock:
@@ -198,8 +193,6 @@ class _WorkQueue:
                 self.asleep = True
                 return None
             self.items = []
-        if len(burst) > self.max_depth:
-            self.max_depth = len(burst)
         return burst
 
     def rouse(self) -> None:
@@ -256,14 +249,10 @@ class ThreadsBackend:
     is_virtual = False
     future_class = ThreadSafeFuture
 
-    def __init__(self, root_admission_bound: int = 10_000) -> None:
+    def __init__(self) -> None:
         #: The global state lock; guard for client-queue callbacks and
         #: :meth:`state_guard` / :meth:`commit_guard` critical regions.
-        self.lock = threading.RLock()
-        #: Refuse new roots when an executor's backlog exceeds this.
-        self.root_admission_bound = root_admission_bound
-        #: Roots refused by :meth:`admit_root` (load shedding).
-        self.shed_roots = 0
+        self._state_lock = threading.RLock()
         self._origin_ns = time.monotonic_ns()
         self._tls = threading.local()
         self._container_locks: list[threading.RLock] = []
@@ -360,7 +349,7 @@ class ThreadsBackend:
             self._threads.append(thread)
         self._threads.append(threading.Thread(
             target=self._worker_loop,
-            args=(_CLIENT, self._queues[_CLIENT], self.lock),
+            args=(_CLIENT, self._queues[_CLIENT], self._state_lock),
             name="repro-client", daemon=True))
         self._threads.append(threading.Thread(
             target=self._timer_loop, name="repro-timer", daemon=True))
@@ -486,14 +475,6 @@ class ThreadsBackend:
 
     def commit_guard(self, container_ids: Iterable[int]) -> Any:
         return _Guard(self, sorted(set(container_ids)))
-
-    def admit_root(self, executor: Any) -> bool:
-        """Bounded intake: may this executor accept another root?"""
-        if len(executor.queue) + len(executor.ready) \
-                < self.root_admission_bound:
-            return True
-        self.shed_roots += 1
-        return False
 
     # ------------------------------------------------------------------
     # Quiesce
@@ -633,11 +614,6 @@ class ThreadsBackend:
         return {cid: ns / 1_000.0
                 for cid, ns in sorted(self._busy_ns.items())}
 
-    def queue_depths(self) -> dict[int, int]:
-        """High-water mark of each work queue (diagnostics)."""
-        return {cid: queue.max_depth
-                for cid, queue in sorted(self._queues.items())}
-
 
 class _Guard:
     """The backend state lock, then every participant's container
@@ -668,7 +644,7 @@ class _Guard:
             state.own_lock.release()
             state.lock_held = False
             self._released = state
-        backend.lock.acquire()
+        backend._state_lock.acquire()
         locks = backend._container_locks
         for cid in self.container_ids:
             locks[cid].acquire()
@@ -679,7 +655,7 @@ class _Guard:
         locks = backend._container_locks
         for cid in reversed(self.container_ids):
             locks[cid].release()
-        backend.lock.release()
+        backend._state_lock.release()
         state = self._released
         if state is not None:
             state.own_lock.acquire()

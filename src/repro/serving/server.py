@@ -30,15 +30,12 @@ transport's write buffer; past its high-water mark the server stops
 reading *that* connection until the buffer drains, so the bytes held
 for it stay bounded and other connections are unaffected.
 
-Admission control happens *at the wire*: the server bounds its
-in-flight request count (``max_inflight``) and answers excess load
-with a typed ``overloaded`` error carrying a ``retry_after_us`` hint
-instead of parking requests without bound.  The same typed response
-covers roots the execution backend itself refuses (the ``threads``
-backend's bounded per-container queues; the database marks them with
-:data:`~repro.core.database.ROOT_REFUSED`), so a client sees one shed
-surface regardless of which layer refused.  An *abort* is never a
-shed, whatever its message says.
+Admission control happens *at the wire*, and only there: the server
+bounds its in-flight request count (``max_inflight``) and answers
+excess load with a typed ``overloaded`` error carrying a
+``retry_after_us`` hint instead of parking requests without bound.
+Neither execution backend sheds, so this is the one shed surface a
+client sees.  An *abort* is never a shed, whatever its message says.
 
 Sessions are purely logical: a request carries a ``session`` id, the
 response echoes it, and responses are written in *completion* order —
@@ -60,7 +57,7 @@ from collections import deque
 from functools import partial
 from typing import Any
 
-from repro.core.database import ROOT_REFUSED, ReactorDatabase
+from repro.core.database import ReactorDatabase
 from repro.errors import UnknownProcedureError
 from repro.serving import protocol
 from repro.telemetry.spans import TRACK_SERVING
@@ -352,12 +349,6 @@ class ReactorServer:
                 "wait:wire", TRACK_SERVING, root.txn_id, t_submit,
                 database.scheduler.now,
                 args={"session": session, "request": rid})
-        if result is ROOT_REFUSED:
-            # The execution backend's bounded per-container queue
-            # refused the root: surface it as the same typed shed the
-            # wire-level admission bound uses.
-            self._shed_request(conn, rid, session, reason)
-            return
         try:
             conn.send(protocol.response(rid, session, committed,
                                         result=result, reason=reason))

@@ -19,6 +19,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Iterable
 
 from repro.errors import SimulationError
+from repro.runtime.futures import SimFuture
 from repro.sim.clock import VirtualClock
 
 #: Shared no-op context manager for the sim backend's guard hooks
@@ -75,10 +76,10 @@ class SimScheduler:
     The scheduler doubles as the default *execution backend* (see
     :mod:`repro.runtime.backend`): beyond the event-loop surface
     (``at``/``after``/``soon``/``run``/``pending``) it implements the
-    backend hooks — ``post``, ``busy``, ``add_waiter`` and the two
-    lock guards — as exact restatements of the pre-backend behaviour,
-    so running through them is byte-identical to calling the scheduler
-    directly.  The hooks are trivial here because a simulation is
+    backend hooks — ``post``, ``busy``, ``add_waiter``, the two lock
+    guards and ``attach``/``shutdown`` — as exact restatements of the
+    pre-backend behaviour, so running through them is byte-identical
+    to calling the scheduler directly.  The hooks are trivial here because a simulation is
     single-threaded by construction; the ``threads`` backend
     (:mod:`repro.runtime.threads`) gives them real work to do.
     """
@@ -90,11 +91,8 @@ class SimScheduler:
     name = "sim"
     #: Timestamps are virtual microseconds, not wall-clock readings.
     is_virtual = True
-    #: No cross-thread state to protect: the event loop is serial.
-    lock: Any = None
-    #: ``None`` means "use the plain :class:`SimFuture`" — the executor
-    #: falls back to it, keeping this module import-cycle free.
-    future_class: Any = None
+    #: The serial event loop needs no thread-safe futures.
+    future_class = SimFuture
 
     def __init__(self) -> None:
         self.clock = VirtualClock()
@@ -216,6 +214,12 @@ class SimScheduler:
     # Execution-backend hooks (see repro.runtime.backend)
     # ------------------------------------------------------------------
 
+    def attach(self, n_containers: int) -> None:
+        """Nothing to start: every container shares the one loop."""
+
+    def shutdown(self) -> None:
+        """Nothing to stop: the loop owns no thread."""
+
     def post(self, container_id: int, fn: Callable[..., Any],
              *args: Any) -> Event:
         """Run ``fn(*args)`` on ``container_id``'s execution context.
@@ -245,12 +249,6 @@ class SimScheduler:
         container's work queue.
         """
         future.add_waiter(callback, *args)
-
-    def admit_root(self, executor: Any) -> bool:
-        """Bounded-intake hook: may ``executor`` accept another root
-        transaction?  Virtual time has no backpressure — queues drain
-        in zero wall time — so the sim always admits."""
-        return True
 
     def commit_guard(self, container_ids: Iterable[int]) -> Any:
         """Mutual exclusion for a cross-container commit/abort

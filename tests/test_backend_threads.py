@@ -6,14 +6,15 @@ primitives themselves: the registry, deployment-config validation,
 queue/timer scheduling, the burst hand-off (self-posts ride the
 running burst up to ``MAX_BURST``, a sleeping worker is woken exactly
 once), quiesce accounting, error propagation, typed errors after
-``shutdown()``, thread-safe futures, lock guards, and the
-database-level intake and lifecycle behaviour.  The quiescence
+``shutdown()``, thread-safe futures, lock guards, the database-level
+lifecycle behaviour, and the protocol both backends implement.  The quiescence
 counters have a property test of their own
 (``test_threads_quiescence.py``).
 """
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 
@@ -24,6 +25,7 @@ from repro.core.database import ReactorDatabase
 from repro.core.deployment import DeploymentConfig, shared_nothing
 from repro.errors import DeploymentError, SimulationError
 from repro.replication.config import ReplicationConfig
+from repro.runtime import backend as backend_module
 from repro.runtime.backend import create_backend
 from repro.runtime.futures import SimFuture, ThreadSafeFuture
 from repro.runtime.threads import (
@@ -82,6 +84,28 @@ class TestBackendRegistry:
                 2, backend="threads",
                 replication=ReplicationConfig(
                     replicas_per_container=1, mode="async"))
+
+
+def protocol_rows() -> list[str]:
+    """The member names of the protocol table in
+    :mod:`repro.runtime.backend`'s docstring, in order."""
+    lines = backend_module.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("===")]
+    names = []
+    for line in lines[rules[0] + 1:rules[1]]:
+        match = re.match(r"``(\w+(?:/\w+)*)", line)
+        if match:
+            names.extend(match.group(1).split("/"))
+    assert len(names) == len(set(names)) > 0
+    return names
+
+
+@pytest.mark.parametrize("row", protocol_rows())
+@pytest.mark.parametrize("backend_class", [SimScheduler, ThreadsBackend])
+def test_every_protocol_row_is_on_both_backends(backend_class, row):
+    """One protocol, no backend-only rows: callers read every member
+    as a plain attribute, whichever backend they hold."""
+    assert hasattr(backend_class, row)
 
 
 # ----------------------------------------------------------------------
@@ -179,22 +203,12 @@ class TestThreadsScheduling:
         instance.shutdown()
         instance.shutdown()
 
-    def test_admit_root_bound_and_shedding(self, backend):
-        class StubExecutor:
-            queue = [None] * 3
-            ready = [None] * 2
-        backend.root_admission_bound = 6
-        assert backend.admit_root(StubExecutor()) is True
-        backend.root_admission_bound = 5
-        assert backend.admit_root(StubExecutor()) is False
-        assert backend.shed_roots == 1
-
-    def test_container_busy_and_queue_depths(self, backend):
+    def test_container_busy_us(self, backend):
         backend.post(0, time.sleep, 0.002)
         backend.run()
         busy = backend.container_busy_us()
         assert busy[0] >= 1_000.0
-        assert set(backend.queue_depths()) == {-1, 0, 1}
+        assert set(busy) == {-1, 0, 1}
 
 
 class TestBurstHandOff:
@@ -551,25 +565,6 @@ class TestDatabaseOnThreads:
                 database.migrate(sb.reactor_name(0), 1)
             with pytest.raises(DeploymentError, match="sim"):
                 database.rebalance()
-        finally:
-            database.close()
-
-    def test_backpressure_refusal_path(self):
-        database = self._database()
-        try:
-            database.scheduler.root_admission_bound = 0
-            outcomes = []
-
-            def on_done(root, committed, reason, result):
-                outcomes.append((committed, reason))
-
-            root = database.submit(sb.reactor_name(0), "balance",
-                                   on_done=on_done)
-            database.scheduler.run()
-            assert root.finished
-            assert outcomes == [(False, outcomes[0][1])]
-            assert "backpressure" in outcomes[0][1]
-            assert database.scheduler.shed_roots == 1
         finally:
             database.close()
 

@@ -34,7 +34,9 @@ root pinned one, one call less on both rows: 124.32 and 60.26.  OCC
 validation as one pass with no side effects (see the sixth row) reads
 123.02: 1.10 ``max_observed_tid`` calls gone (the TID floor is folded
 into the read walk) and 0.20 ``sorted_intents`` (a read-only session
-has no write set to sort).  The ceilings are the exact counts of this
+has no write set to sort).  Dropping backend admission swapped the
+sim's admission-hook call per root for a ``state_guard`` call, so the
+ceilings did not move.  The ceilings are the exact counts of this
 tree on 3.11 (3.12+ inlines one comprehension and reads 1.00 lower);
 they only ever go down.  Raise one only with the number that justifies
 it in the PR description; ``python tests/test_point_path_budget.py

@@ -1,20 +1,19 @@
 """A root that never ran is reported done exactly once, at every site
 that refuses one.
 
-Four sites refuse a root before it runs: a submit to a failed
-container, a submit the ``threads`` backend sheds at admission, a root
-parked by a migration that replays onto a destination that failed in
-the meantime, and a root still queued on a container when it is
-killed.  Each reports through ``ReactorDatabase.refuse_root``:
-``on_done`` fires once, uncommitted, and the root counts as one abort
-— and as one failover abort, unless it was shed.
+Three sites refuse a root before it runs: a submit to a failed
+container, a root parked by a migration that replays onto a
+destination that failed in the meantime, and a root still queued on a
+container when it is killed.  Each reports through
+``ReactorDatabase.refuse_root``: ``on_done`` fires once, uncommitted,
+and the root counts as one abort and as one failover abort.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.database import ROOT_REFUSED, ReactorDatabase
+from repro.core.database import ReactorDatabase
 from repro.core.deployment import shared_nothing
 from repro.replication import ReplicationConfig
 from repro.workloads import smallbank as sb
@@ -84,23 +83,4 @@ def test_a_failure_refusal_is_reported_once(site):
     assert called_root is root and not committed and result is None
     assert reason.endswith(" failed")
     assert moved == (1, 1)
-    assert root.finished
-
-
-def test_a_backpressure_refusal_is_reported_once():
-    database = ReactorDatabase(shared_nothing(2, backend="threads"),
-                               sb.declarations(N))
-    sb.load(database, N)
-    try:
-        database.scheduler.root_admission_bound = 0
-        root, calls, moved = refuse(
-            database, lambda db, submit: submit(sb.reactor_name(0)))
-    finally:
-        database.close()
-    assert len(calls) == 1
-    called_root, committed, reason, result = calls[0]
-    assert called_root is root and not committed
-    assert result is ROOT_REFUSED
-    assert "backpressure" in reason
-    assert moved == (1, 0)
     assert root.finished

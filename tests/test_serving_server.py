@@ -313,26 +313,6 @@ def test_unencodable_args_are_refused_before_anything_is_pending():
         database.close()
 
 
-def test_backend_admission_refusal_is_a_typed_shed():
-    """A root the threads backend refuses at its own admission bound
-    comes back as the same typed ``overloaded`` answer the wire-level
-    bound gives."""
-    database = make_database(backend="threads")
-    database.scheduler.root_admission_bound = 0
-    server = serve_in_thread(database)
-    client = TcpClient(server.host, server.port).connect()
-    try:
-        outcome = client.submit(sb.reactor_name(0), "balance").wait(10.0)
-    finally:
-        client.close()
-        server.stop()
-    assert outcome.shed and outcome.retry_after_us > 0
-    assert database.scheduler.shed_roots == 1
-    assert database.telemetry.metrics_snapshot()[
-        "serving_shed_total"] == 1
-    database.close()
-
-
 def test_serving_metrics_registered():
     """Accepted/shed counters and the inflight gauge appear in the
     telemetry snapshot after a served burst."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.runtime.futures import SimFuture
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import SimScheduler
 
@@ -189,8 +190,7 @@ class TestBackendHooks:
         scheduler = SimScheduler()
         assert scheduler.name == "sim"
         assert scheduler.is_virtual is True
-        assert scheduler.lock is None
-        assert scheduler.future_class is None
+        assert scheduler.future_class is SimFuture
 
     def test_post_matches_soon(self):
         scheduler = SimScheduler()
@@ -213,6 +213,3 @@ class TestBackendHooks:
         with scheduler.state_guard():
             with scheduler.commit_guard([0, 1]):
                 pass
-
-    def test_admit_root_always_true(self):
-        assert SimScheduler().admit_root(object()) is True
