@@ -200,6 +200,11 @@ class CCSession:
     _hooks_begin_op = False
     _hooks_register_read = False
 
+    #: A validated session reads the latest committed versions;
+    #: :class:`~repro.concurrency.mvcc.SnapshotSession`'s slot shadows
+    #: this with the TID it is pinned at.
+    snapshot_tid: int | None = None
+
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls._hooks_begin_op = cls._begin_op is not CCSession._begin_op
@@ -687,7 +692,7 @@ class ConcurrencyControl:
         """Snapshot sessions validate nothing: every scheme's
         ``validate`` short-circuits them *before* counting a
         validation, so CC stats reflect only validated sessions."""
-        return getattr(session, "snapshot_tid", None) is not None
+        return session.snapshot_tid is not None
 
     def begin_session(self, txn_id: int) -> CCSession:
         raise NotImplementedError
@@ -714,8 +719,11 @@ class ConcurrencyControl:
         """
         raise NotImplementedError
 
-    def install(self, session: CCSession, commit_tid: int) -> int:
-        """Phase-2 write installation; returns number of writes.
+    def install(self, session: CCSession,
+                commit_tid: int) -> tuple[int, Any]:
+        """Phase-2 write installation; returns the number of writes
+        and the redo record appended (``None`` without a redo log or
+        without writes), which the coordinator hands on for publishing.
 
         One pass over the ordered write set, one call per write: each
         intent goes straight to its table's install (the GC watermark
@@ -759,15 +767,15 @@ class ConcurrencyControl:
             if log_entries is not None:
                 log_entries.append(make_entry(
                     (reactor, name, kind, intent.pk, intent.new_value)))
-        if log_entries:
-            redo_log.append(commit_tid, log_entries)
+        record = redo_log.append(commit_tid, log_entries) \
+            if log_entries else None
         session.release_locks()
         session.finished = True
         # The root keeps its sessions (stats are read after it
         # completes); without the way back the pair dies by refcount.
         session.owner = None
         self.tids.advance_to(commit_tid)
-        return count
+        return count, record
 
     def abort(self, session: CCSession,
               reason: str | None = "user") -> None:

@@ -39,6 +39,10 @@ class CommitOutcome(NamedTuple):
     containers: int
     writes: int
     reason: str | None = None
+    #: ``(container id, RedoRecord)`` per participant that logged
+    #: writes, in participant order: what the runtime publishes once
+    #: every participant has installed.
+    records: tuple = ()
 
 
 def commit(participants: list[Participant],
@@ -76,9 +80,14 @@ def commit(participants: list[Participant],
         if tid > commit_tid:
             commit_tid = tid
     writes = 0
+    records = []
     for manager, session in participants:
-        writes += manager.install(session, commit_tid)
-    return CommitOutcome(True, commit_tid, len(participants), writes)
+        count, record = manager.install(session, commit_tid)
+        writes += count
+        if record is not None:
+            records.append((manager.container_id, record))
+    return CommitOutcome(True, commit_tid, len(participants), writes,
+                         None, tuple(records))
 
 
 def abort(participants: list[Participant],

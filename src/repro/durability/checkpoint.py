@@ -11,10 +11,10 @@ On top of the original full :class:`Checkpoint`, this module adds
 *incremental* checkpointing: a :class:`CheckpointManifest` chains a
 full base :class:`CheckpointSegment` with delta segments that carry
 only the keys dirtied since the previous segment (tracked per reactor
-from the redo-log append stream by the durability manager), plus the
-WAL-truncation watermark each segment authorized.  Materializing the
-manifest replays the chain newest-last into one flat checkpoint — the
-exact image recovery loads before tail replay.
+from the redo records each commit publishes to the durability
+manager), plus the WAL-truncation watermark each segment authorized.
+Materializing the manifest replays the chain newest-last into one flat
+checkpoint — the exact image recovery loads before tail replay.
 """
 
 from __future__ import annotations

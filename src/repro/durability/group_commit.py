@@ -4,7 +4,8 @@ Redo records are appended to the in-memory :class:`~repro.durability.
 wal.RedoLog` at install time, but installation is not durability: a
 record survives a crash only once its epoch's batched flush has landed
 on the container's log device.  A :class:`LogFlusher` models that
-device:
+device; the durability manager's publish step hands it each record a
+commit appended, once every participant has installed:
 
 * appends join the *open epoch*; the first append of an epoch
   schedules its flush ``flush_interval_us`` later, and accumulating
@@ -61,7 +62,7 @@ class FlushEpoch:
     """One group-commit epoch: the batch one fsync makes durable."""
 
     __slots__ = ("seq", "opened_at", "tids", "bytes", "waiters",
-                 "event", "closed", "durable")
+                 "event", "closed")
 
     def __init__(self, seq: int, opened_at: float) -> None:
         self.seq = seq
@@ -73,7 +74,6 @@ class FlushEpoch:
         self.waiters: list[SimFuture] = []
         self.event: Any = None
         self.closed = False
-        self.durable = False
 
 
 class LogFlusher:
@@ -107,37 +107,51 @@ class LogFlusher:
         self.flushed_records = 0
         #: Highest commit TID known durable on this container.
         self.durable_tid = 0
+        #: Records appended (published) to this container so far.
+        self.appended_records = 0
         self._epoch_seq = 0
         self._open: FlushEpoch | None = None
-        #: commit TID -> the epoch that will make it durable.
-        self._record_epoch: dict[int, FlushEpoch] = {}
 
     # ------------------------------------------------------------------
-    # Append intake (a RedoLog extra-listener)
+    # Append intake (from DurabilityManager.publish)
     # ------------------------------------------------------------------
 
-    def on_append(self, record: RedoRecord) -> None:
+    def on_append(self, record: RedoRecord) -> SimFuture | None:
+        """Join ``record`` to an epoch; returns the future its commit
+        waits on before acknowledging — resolved when the epoch's
+        flush lands — or ``None`` under ``async``, which never
+        waits."""
+        self.appended_records += 1
         if self.mode == SYNC:
             # Force-at-commit: a single-record epoch flushed now, so
             # each writing commit pays (and queues for) its own fsync.
             epoch = self._new_epoch()
             self._join(epoch, record)
             self._flush_epoch(epoch)
-            return
-        epoch = self._open
-        if epoch is None:
-            epoch = self._open = self._new_epoch()
-            epoch.event = self.scheduler.after(
-                self.costs.flush_interval_us, self._flush_epoch, epoch)
-        self._join(epoch, record)
-        if epoch.bytes >= self.costs.flush_batch_bytes and \
-                not epoch.closed:
-            # Batch threshold reached: flush early instead of waiting
-            # out the interval.
-            epoch.event.cancel()
-            epoch.event = self.scheduler.soon(self._flush_epoch, epoch)
-            epoch.closed = True
-            self.stats.early_flushes += 1
+        else:
+            epoch = self._open
+            if epoch is None:
+                epoch = self._open = self._new_epoch()
+                epoch.event = self.scheduler.after(
+                    self.costs.flush_interval_us, self._flush_epoch,
+                    epoch)
+            self._join(epoch, record)
+            if epoch.bytes >= self.costs.flush_batch_bytes and \
+                    not epoch.closed:
+                # Batch threshold reached: flush early instead of
+                # waiting out the interval.
+                epoch.event.cancel()
+                epoch.event = self.scheduler.soon(self._flush_epoch,
+                                                  epoch)
+                epoch.closed = True
+                self.stats.early_flushes += 1
+        if self.mode == ASYNC:
+            return None
+        future = self._future_cls(
+            remote=False, subtxn_id=0,
+            target_reactor=f"log:{self.container_id}")
+        epoch.waiters.append(future)
+        return future
 
     def _new_epoch(self) -> FlushEpoch:
         self._epoch_seq += 1
@@ -147,7 +161,6 @@ class LogFlusher:
         epoch.tids.append(record.commit_tid)
         # RedoRecord.byte_size, without a property call per record.
         epoch.bytes += len(record.sealed)
-        self._record_epoch[record.commit_tid] = epoch
 
     # ------------------------------------------------------------------
     # Flushing
@@ -168,7 +181,6 @@ class LogFlusher:
         self.scheduler.at(done, self._epoch_durable, epoch)
 
     def _epoch_durable(self, epoch: FlushEpoch) -> None:
-        epoch.durable = True
         self.flushed_records += len(epoch.tids)
         self.stats.records_flushed += len(epoch.tids)
         self.stats.bytes_flushed += epoch.bytes
@@ -188,7 +200,6 @@ class LogFlusher:
         for tid in epoch.tids:
             if tid > self.durable_tid:
                 self.durable_tid = tid
-            self._record_epoch.pop(tid, None)
         waiters, epoch.waiters = epoch.waiters, []
         now = self.scheduler.now
         for future in waiters:
@@ -203,30 +214,10 @@ class LogFlusher:
             epoch.event = self.scheduler.soon(self._flush_epoch, epoch)
             epoch.closed = True
 
-    # ------------------------------------------------------------------
-    # Commit acknowledgement
-    # ------------------------------------------------------------------
-
-    def ack_future(self, commit_tid: int) -> SimFuture | None:
-        """The future a commit must wait on before acknowledging, or
-        ``None`` when it is already durable (or ``async`` mode never
-        waits)."""
-        if self.mode == ASYNC:
-            return None
-        epoch = self._record_epoch.get(commit_tid)
-        if epoch is None or epoch.durable:
-            return None
-        future = self._future_cls(
-            remote=False, subtxn_id=0,
-            target_reactor=f"log:{self.container_id}")
-        epoch.waiters.append(future)
-        return future
-
     def unflushed_records(self) -> int:
         """Records appended but not yet durable (the crash-loss
         window of the current epoch(s))."""
-        return sum(len(e.tids) for e in
-                   set(self._record_epoch.values()) if not e.durable)
+        return self.appended_records - self.flushed_records
 
     def stats_dict(self) -> dict[str, Any]:
         return {

@@ -10,8 +10,10 @@ The :class:`DurabilityManager` owns one database's durability state:
 * the full append sequence per container (``installed``), which
   survives checkpoint log truncation and is the reference order
   :func:`repro.formal.audit.certify_crash_recovery` certifies crash
-  images against;
-* dirty-key tracking (from the redo append stream) feeding
+  images against — filled by :meth:`DurabilityManager.publish`, which
+  the executor calls once per commit after every participant
+  installed, with the records the commit appended;
+* dirty-key tracking (from the same published records) feeding
   *incremental checkpoints*: a chained
   :class:`~repro.durability.checkpoint.CheckpointManifest` whose
   segments carry only the keys written since the previous segment, and
@@ -135,7 +137,7 @@ class DurabilityManager:
         #: sealed: the same ``bytes`` objects the log holds.
         self.installed: dict[int, list[bytes]] = {}
         #: container id -> the commit TIDs of ``installed``, position
-        #: for position: what the per-commit site capture reads.
+        #: for position.
         self.installed_tids: dict[int, list[int]] = {}
         #: Commit TIDs reported committed to clients (the executor
         #: notes them at root completion).  A *set* of numbers — TIDs
@@ -148,7 +150,7 @@ class DurabilityManager:
         #: so the same number can name unrelated commits on two
         #: containers).
         self.acked_sites: list[tuple[int, int]] = []
-        #: root txn id -> this commit's sites, captured at install.
+        #: root txn id -> this commit's sites, captured at publish.
         self._sites: dict[int, tuple[tuple[int, int], ...]] = {}
         #: Cross-container commit groups (>= 2 sites): the units the
         #: crash image keeps atomic — durable everywhere or dropped
@@ -159,8 +161,8 @@ class DurabilityManager:
         self.manifest = CheckpointManifest()
         self._segment_seq = 0
         #: reactor -> table -> dirty primary keys since the last
-        #: checkpoint segment (fed by the redo append stream and
-        #: explicit bulk-load notes).
+        #: checkpoint segment (fed by :meth:`publish` and explicit
+        #: bulk-load notes).
         self._dirty: dict[str, dict[str, set[tuple]]] = {}
         self.checkpoints_taken = 0
         self.records_truncated = 0
@@ -192,16 +194,6 @@ class DurabilityManager:
         # label and the gauges re-point to the new flusher.
         telemetry.register_flusher(flusher)
 
-        def on_append(record: RedoRecord,
-                      cid: int = container_id,
-                      flusher: LogFlusher = flusher) -> None:
-            self.installed[cid].append(record.sealed)
-            self.installed_tids[cid].append(record.commit_tid)
-            self._note_dirty(record)
-            flusher.on_append(record)
-
-        log.add_listener(on_append)
-
     def on_log_replaced(self, container_id: int,
                         log: RedoLog) -> None:
         """A replication promotion re-anchored a container's log on
@@ -218,7 +210,8 @@ class DurabilityManager:
         self.installed[container_id] = list(log.records)
         self.installed_tids[container_id] = list(log.tids)
         flusher = self.flushers[container_id]
-        flusher.flushed_records = len(log.records)
+        flusher.appended_records = flusher.flushed_records = \
+            len(log.records)
         flusher.durable_tid = max(log.tids, default=0)
         for sealed in log.records:
             self._note_dirty(unseal(sealed))
@@ -263,33 +256,32 @@ class DurabilityManager:
             .setdefault(table_name, set()).update(pks)
 
     # ------------------------------------------------------------------
-    # Commit acknowledgement (called from the executor)
+    # Publishing (called from the executor's commit)
     # ------------------------------------------------------------------
 
-    def commit_ack_future(self, root: Any) -> SimFuture | None:
-        """The future a just-installed commit must wait on before the
-        client may see it, or ``None`` when it is already durable
-        (read-only commits, ``async`` mode, or a flush that landed
-        within the install event).
+    def publish(self, root: Any,
+                records: Sequence[tuple[int, RedoRecord]]
+                ) -> SimFuture | None:
+        """Record one installed commit and return the future it must
+        wait on before the client may see it, or ``None`` when it need
+        not wait (``async`` mode).
 
-        Called synchronously in the install event, which is also the
-        one moment this commit's records are the tails of their
-        containers' append sequences — where its *sites* are captured
-        for crash certification (2PC commit TIDs strictly exceed every
-        prior TID on every participant, so a tail TID match is this
-        commit's record, never an older collision).
+        ``records`` are the commit's ``(container id, record)`` pairs
+        in participant order, handed over once every participant has
+        installed.  Each joins its container's append sequence, the
+        dirty-key tracker and its flush epoch, and its position in
+        that sequence is the commit's *site* there — the identity
+        crash certification checks acknowledged commits by.
         """
         futures = []
-        sites: list[tuple[int, int]] = []
-        for manager, __ in root.participants():
-            cid = manager.container_id
-            flusher = self.flushers.get(cid)
-            if flusher is None:
-                continue
+        sites = []
+        for cid, record in records:
             tids = self.installed_tids[cid]
-            if tids and tids[-1] == root.commit_tid:
-                sites.append((cid, len(tids) - 1))
-            future = flusher.ack_future(root.commit_tid)
+            sites.append((cid, len(tids)))
+            self.installed[cid].append(record.sealed)
+            tids.append(record.commit_tid)
+            self._note_dirty(record)
+            future = self.flushers[cid].on_append(record)
             if future is not None:
                 futures.append(future)
         if sites:

@@ -10,7 +10,9 @@ with their serial order, replaying redo records in TID order from a
 checkpoint reconstructs exactly the committed state.
 
 Logs are in-memory lists of sealed records with optional JSON-lines
-serialization so recovery can also be exercised across files.
+serialization so recovery can also be exercised across files.  A log
+has no listeners: :meth:`RedoLog.append` returns the record, and the
+commit publishes every participant's record once all have installed.
 """
 
 from __future__ import annotations
@@ -127,14 +129,12 @@ class RedoLog:
 
     ``records`` holds the sealed records in append order and ``tids``
     their commit TIDs at the same positions, so a reader that needs
-    only TIDs decodes nothing.  ``listeners`` (filled through
-    :meth:`add_listener`) observe every appended record, live, in the
-    order they were added: the durability manager's (the full append
-    sequence, the dirty-key tracker and the group-commit flush
-    pipeline) and, under replication, the log-shipping hook of
-    :mod:`repro.replication`.  They fire at append time only; records
-    a log is built from (recovery, promotion seeding) are not
-    re-shipped or re-flushed.
+    only TIDs decodes nothing.  :meth:`append` returns the live record
+    and notifies nobody: the commit hands every participant's record
+    to one publish step once all of them have installed (the
+    durability manager's append sequence, dirty keys and flush
+    pipeline, then replication's shipping).  Records a log is built
+    from (recovery, promotion seeding) are never published.
     """
 
     #: Entry from its five fields, in order: what the commit's install
@@ -147,7 +147,6 @@ class RedoLog:
         self.records: list[bytes] = list(records)
         self.tids: list[int] = [unseal(sealed).commit_tid
                                 for sealed in self.records]
-        self.listeners: list[Callable[[RedoRecord], None]] = []
         #: Highest TID a checkpoint truncation dropped records through
         #: (0 when the log is complete from the beginning).  Lets
         #: replay-based audits tell "no records below X" apart from
@@ -158,18 +157,17 @@ class RedoLog:
         #: complete record instead of failing recovery.
         self.torn_tail = False
 
-    def add_listener(self, fn: Callable[[RedoRecord], None]) -> None:
-        self.listeners.append(fn)
-
     def append(self, commit_tid: int,
-               entries: Iterable[RedoEntry]) -> None:
+               entries: Iterable[RedoEntry]) -> RedoRecord | None:
+        """Seal and append one commit's entries; returns the live
+        record (``None``, appending nothing, when there are none)."""
         entries = tuple(entries)
-        if entries:
-            record = RedoRecord(commit_tid, entries)
-            self.records.append(record.sealed)
-            self.tids.append(commit_tid)
-            for fn in self.listeners:
-                fn(record)
+        if not entries:
+            return None
+        record = RedoRecord(commit_tid, entries)
+        self.records.append(record.sealed)
+        self.tids.append(commit_tid)
+        return record
 
     def truncate_through(self, tid: int) -> int:
         """Drop records with commit TID <= ``tid`` (post-checkpoint

@@ -136,7 +136,7 @@ class HistoryRecorder:
         installs later, so neither the history's order nor a TID
         places its reads.
         """
-        if getattr(session, "snapshot_tid", None) is not None:
+        if session.snapshot_tid is not None:
             session.observer = self.record_snapshot_read
             return session
         if reactor.container.role == "replica":
@@ -438,9 +438,8 @@ def certify_migration(database: Any) -> dict[str, Any]:
         )
 
         dst_log = migration.dst_log
-        dst_live_log = getattr(
-            database.containers[migration.dst_cid].concurrency,
-            "redo_log", None)
+        dst_live_log = \
+            database.containers[migration.dst_cid].concurrency.redo_log
         log_checked = (
             dst_log is not None
             # A destination failover after the flip re-anchored the
@@ -449,8 +448,7 @@ def certify_migration(database: Any) -> dict[str, Any]:
             # replay to the live state.  The promoted container's own
             # state equivalence is certified by certify_replication.
             and dst_log is dst_live_log
-            and getattr(dst_log, "truncated_through", 0)
-            <= migration.watermark)
+            and dst_log.truncated_through <= migration.watermark)
         if log_checked:
             # Replay: snapshot + destination records above the
             # watermark, scoped to the migrated reactor.

@@ -2,16 +2,18 @@
 
 Wires the pieces together for one database:
 
-* **shipping** — every container's redo log (durability is enabled
-  implicitly) gets a listener; each appended :class:`RedoRecord` is
-  scheduled to apply on every replica after the simulated ship
-  latency.  The reference commit order the formal audit certifies
-  replicas against is the durability manager's per-container
-  ``installed`` sequence: what a container appended is recorded once;
-* **ack accounting** — for ``sync`` mode the executor's commit path
-  asks :meth:`on_commit_installed` for the acknowledgement delay and
-  defers root completion (releasing its core) until every replica of
-  every participant container acked;
+* **shipping** — the executor's publish step hands :meth:`ship` the
+  :class:`RedoRecord` each participant of a commit appended
+  (durability is enabled implicitly), after the durability manager
+  recorded them; each is scheduled to apply on every replica after
+  the simulated ship latency.  The reference commit order the formal
+  audit certifies replicas against is the durability manager's
+  per-container ``installed`` sequence: what a container appended is
+  recorded once;
+* **ack accounting** — :meth:`ship` returns the ``sync``-mode
+  acknowledgement delay, and the executor defers root completion
+  (releasing its core) until every replica of every participant
+  container acked;
 * **read-replica routing** — :meth:`route_read` hands read-only root
   transactions to a replica's shadow reactor, round-robin;
 * **failover** — :meth:`kill_primary` fails a container (queued and
@@ -28,7 +30,7 @@ exactly why routing reads to replicas adds capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.concurrency import create_cc_scheme
 from repro.core.reactor import Reactor
@@ -102,9 +104,6 @@ class ReplicationManager:
         #: container id -> commit TIDs acknowledged by all replicas
         #: (sync mode only; the zero-loss set the audit checks).
         self.acked_tids: dict[int, set[int]] = {}
-        #: Records appended during the install phase of the commit
-        #: currently executing (drained by on_commit_installed).
-        self._inflight: list[tuple[int, RedoRecord]] = []
         #: container id -> shipping epoch; a kill bumps it, so apply
         #: and ack events scheduled against the dead primary are
         #: dropped when they fire (the replica "disconnected").
@@ -153,8 +152,6 @@ class ReplicationManager:
             self._pipe[cid] = 0.0
             self.base_rows[cid] = {}
             self._read_route[cid] = 0
-            log = self.durability.logs[cid]
-            log.add_listener(self._listener_for(cid))
             spec = deployment.containers[cid]
             primaries = [r for r in database._reactors.values()
                          if r.container is container]
@@ -174,30 +171,25 @@ class ReplicationManager:
                 self.replicas[cid].append(replica)
         database.first_worker_core = core_id
 
-    def _listener_for(self, cid: int):
-        def on_append(record: RedoRecord) -> None:
-            self.stats.records_shipped += 1
-            if self.replicas.get(cid):
-                self._inflight.append((cid, record))
-        return on_append
-
     # ------------------------------------------------------------------
     # Shipping and ack accounting (called from the executor commit path)
     # ------------------------------------------------------------------
 
-    def on_commit_installed(self) -> float:
-        """Ship the records the just-installed commit appended; return
-        the sync-ack delay the executor must wait before reporting
-        completion (0.0 in async mode or for read-only commits)."""
-        if not self._inflight:
-            return 0.0
-        inflight, self._inflight = self._inflight, []
+    def ship(self, records: Sequence[tuple[int, RedoRecord]]) -> float:
+        """Ship one installed commit's ``(container id, record)``
+        pairs to their containers' replicas; return the sync-ack delay
+        the executor must wait before reporting completion (0.0 in
+        async mode, or when no participant has a replica)."""
+        self.stats.records_shipped += len(records)
         scheduler = self.database.scheduler
         costs = self.database.costs
         sync = self.config.mode == "sync"
         commit_time = scheduler.now
         ack_delay = 0.0
-        for cid, record in inflight:
+        for cid, record in records:
+            replicas = self.replicas.get(cid)
+            if not replicas:
+                continue
             epoch = self.ship_epoch[cid]
             if self.chaos_drop_ship and \
                     not self._chaos_dropped.get(cid) and \
@@ -217,7 +209,7 @@ class ReplicationManager:
             # times keep insertion order in the scheduler).
             apply_at = max(commit_time + apply_delay, self._pipe[cid])
             self._pipe[cid] = apply_at
-            for replica in self.replicas[cid]:
+            for replica in replicas:
                 scheduler.at(apply_at, self._apply, cid, epoch,
                              replica, record, commit_time)
             if sync:
@@ -519,7 +511,6 @@ class ReplicationManager:
         # batched flush path) with the seeded prefix counted durable —
         # the replica had materialized it.
         new_log = RedoLog(cid, target.applied_records)
-        new_log.add_listener(self._listener_for(cid))
         target.concurrency.redo_log = new_log
         self.durability.on_log_replaced(cid, new_log)
         self.acked_tids[cid] = set(target.applied_tids)

@@ -751,27 +751,29 @@ class TransactionExecutor:
                 return
         # Backend hook: a no-op guard on sim; under threads it holds
         # the state lock plus every participant container's lock, so
-        # validate+install (and the flusher appends / replication ship
-        # it triggers) are atomic against the other containers'
-        # executing transactions.
+        # validate + install + publish are one atomic section against
+        # the other containers' executing transactions.
         with self.scheduler.commit_guard(root.sessions):
             outcome = coordinator.commit(participants,
                                          self.scheduler.now)
+            root.commit_tid = outcome.commit_tid
+            ack_delay = 0.0
+            flush_wait = None
+            # Publish, once every participant has installed: durability
+            # (append sequence, dirty keys, flush epochs and the flush
+            # group/sync owe the client), then replication, then the
+            # recorder.  Only durability's logs make records.
+            records = outcome.records
+            if records:
+                flush_wait = database.durability.publish(root, records)
+                if flush_wait is not None and flush_wait.resolved:
+                    flush_wait = None
+                if database.replication is not None:
+                    ack_delay = database.replication.ship(records)
             recorder = database.history_recorder
             if recorder is not None and outcome.committed:
                 recorder.record_install(root.txn_id, outcome.commit_tid,
                                         participants)
-            root.commit_tid = outcome.commit_tid
-            ack_delay = 0.0
-            if outcome.committed and database.replication is not None:
-                ack_delay = database.replication.on_commit_installed()
-            flush_wait = None
-            if outcome.committed and database.durability is not None:
-                # Group/sync durability: the commit installed, but the
-                # client may only see it once its epoch's flush lands.
-                flush_wait = database.durability.commit_ack_future(root)
-                if flush_wait is not None and flush_wait.resolved:
-                    flush_wait = None
         trace = root.trace
         if trace is not None:
             # Commit-phase markers: the coordinator is pure logic and

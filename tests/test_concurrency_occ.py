@@ -449,9 +449,7 @@ class TestMultiReadEquivalence:
         # as it would invalidate scalar reads.
         writer = manager.begin_session(2)
         writer.update(table, (1,), {"v": 9.0})
-        floor = manager.validate(writer)
-        manager.install(writer, manager.tids.next_tid(1.0,
-                                                      at_least=floor))
+        assert coordinator.commit([(manager, writer)], 1.0).committed
 
         with pytest.raises(CCAbort):
             manager.validate(session)
@@ -460,9 +458,7 @@ class TestMultiReadEquivalence:
         manager = ConcurrencyManager(0, EpochManager())
         writer = manager.begin_session(1)
         writer.update(table, (2,), {"v": 77.0})
-        floor = manager.validate(writer)
-        tid = manager.tids.next_tid(1.0, at_least=floor)
-        manager.install(writer, tid)
+        tid = coordinator.commit([(manager, writer)], 1.0).commit_tid
 
         pks = [(0,), (2,), (99,)]
         scalar = SnapshotSession(10, 0, snapshot_tid=tid)
@@ -487,9 +483,7 @@ class TestMultiReadEquivalence:
 
         writer = manager.begin_session(1)
         writer.update(table, (2,), {"v": 77.0})
-        floor = manager.validate(writer)
-        manager.install(writer, manager.tids.next_tid(2.0,
-                                                      at_least=floor))
+        assert coordinator.commit([(manager, writer)], 2.0).committed
 
         stale = SnapshotSession(12, 0, snapshot_tid=old_tid)
         rows, __ = stale.multi_read(table, [(2,)])

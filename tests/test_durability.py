@@ -275,7 +275,13 @@ class TestSharedImage:
         database.load("s", "kv", [{"k": "a", "v": 0.0}])
         manager = enable_durability(database)
         if live is not None:
-            manager.logs[0].add_listener(live.append)
+            publish = manager.publish
+
+            def capture(root, records):
+                live.extend(record for __, record in records)
+                return publish(root, records)
+
+            manager.publish = capture
         handed_out = database.run("s", "scribble", "a")
         return database, manager, handed_out
 
@@ -300,7 +306,7 @@ class TestSharedImage:
 
     def test_entry_aliases_the_installed_image(self):
         # The contract docs/durability.md states: the live record the
-        # log's listeners see shares the installed dict — which is why
+        # commit publishes shares the installed dict — which is why
         # neither side may mutate it — and the log holds a sealed copy.
         live = []
         database, manager, __ = self._scribbled(live)

@@ -1,6 +1,7 @@
 """Group commit, incremental checkpoints, partitioned recovery."""
 
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -38,6 +39,13 @@ def fresh_bank(mode="group", n_containers=4, replication=None):
         sb.declarations(N))
     sb.load(database, N)
     return database
+
+
+class FakeRoot(NamedTuple):
+    """What ``publish`` and ``note_acked`` read of a root."""
+
+    txn_id: int
+    commit_tid: int = 0
 
 
 def state_of(database):
@@ -216,23 +224,15 @@ class TestKillAtArbitraryEpoch:
                              row={"cust_id": pk, "balance": balance})
 
         # Container 0 opens its epoch early...
-        log_a.append(10, [entry(sb.reactor_name(0), 0, 1.0)])
+        manager.publish(FakeRoot(998), [
+            (0, log_a.append(10, [entry(sb.reactor_name(0), 0, 1.0)]))])
         scheduler.run(until=scheduler.now + 20.0)
         # ...then a cross-container commit lands on both (container
         # 1's epoch opens 20us later, so its flush lands later).
         tid = 50
-        log_a.append(tid, [entry(sb.reactor_name(0), 0, 2.0)])
-        log_b.append(tid, [entry(sb.reactor_name(1), 1, 3.0)])
-
-        class FakeRoot:
-            txn_id = 999
-            commit_tid = tid
-
-            def participants(self):
-                return [(database.containers[0].concurrency, None),
-                        (database.containers[1].concurrency, None)]
-
-        manager.commit_ack_future(FakeRoot())
+        manager.publish(FakeRoot(999), [
+            (0, log_a.append(tid, [entry(sb.reactor_name(0), 0, 2.0)])),
+            (1, log_b.append(tid, [entry(sb.reactor_name(1), 1, 3.0)]))])
         # Run until container 0's epoch is durable but 1's is not.
         costs = database.costs
         scheduler.run(until=costs.flush_interval_us
@@ -262,22 +262,16 @@ class TestKillAtArbitraryEpoch:
                              row={"cust_id": pk, "balance": balance})
 
         # Stagger the epochs, then land a cross-container commit.
-        manager.logs[0].append(10, [entry(sb.reactor_name(0), 0, 1.0)])
+        logs = manager.logs
+        manager.publish(FakeRoot(997), [
+            (0, logs[0].append(10, [entry(sb.reactor_name(0), 0, 1.0)]))])
         scheduler.run(until=scheduler.now + 20.0)
         tid = 50
-        manager.logs[0].append(tid, [entry(sb.reactor_name(0), 0, 2.0)])
-        manager.logs[1].append(tid, [entry(sb.reactor_name(1), 1, 3.0)])
-
-        class FakeRoot:
-            txn_id = 998
-            commit_tid = tid
-
-            def participants(self):
-                return [(database.containers[0].concurrency, None),
-                        (database.containers[1].concurrency, None)]
-
-        root = FakeRoot()
-        assert manager.commit_ack_future(root) is None  # async: no wait
+        root = FakeRoot(998, tid)
+        assert manager.publish(root, [
+            (0, logs[0].append(tid, [entry(sb.reactor_name(0), 0, 2.0)])),
+            (1, logs[1].append(tid, [entry(sb.reactor_name(1), 1, 3.0)])),
+        ]) is None  # async: no wait
         manager.note_acked(root)  # ...and the client heard "committed"
         costs = database.costs
         scheduler.run(until=costs.flush_interval_us

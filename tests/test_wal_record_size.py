@@ -108,8 +108,8 @@ def test_batch_bytes_threshold_is_exact():
     # TIDs that marshal writes in four bytes: every record is the
     # same size.
     for tid in range(1000, 1000 + appends - 1):
-        log.append(tid, [entry])
+        flusher.on_append(log.append(tid, [entry]))
     assert flusher.stats.early_flushes == 0
-    log.append(1000 + appends - 1, [entry])
+    flusher.on_append(log.append(1000 + appends - 1, [entry]))
     assert flusher.stats.early_flushes == 1
     database.close()
