@@ -127,26 +127,34 @@ class LogFlusher:
             # each writing commit pays (and queues for) its own fsync.
             epoch = self._new_epoch()
             self._join(epoch, record)
+            # The waiter joins before the flush starts: a backend may
+            # land a short fsync inline, inside ``_flush_epoch``.
+            future = self._waiter(epoch)
             self._flush_epoch(epoch)
-        else:
-            epoch = self._open
-            if epoch is None:
-                epoch = self._open = self._new_epoch()
-                epoch.event = self.scheduler.after(
-                    self.costs.flush_interval_us, self._flush_epoch,
-                    epoch)
-            self._join(epoch, record)
-            if epoch.bytes >= self.costs.flush_batch_bytes and \
-                    not epoch.closed:
-                # Batch threshold reached: flush early instead of
-                # waiting out the interval.
-                epoch.event.cancel()
-                epoch.event = self.scheduler.soon(self._flush_epoch,
-                                                  epoch)
-                epoch.closed = True
-                self.stats.early_flushes += 1
-        if self.mode == ASYNC:
-            return None
+            return future
+        epoch = self._open
+        opened = epoch is None
+        if opened:
+            epoch = self._open = self._new_epoch()
+        self._join(epoch, record)
+        future = None if self.mode == ASYNC else self._waiter(epoch)
+        if opened:
+            # Scheduled after the join and the waiter, for the same
+            # reason: a short interval may flush the epoch inline.
+            epoch.event = self.scheduler.after(
+                self.costs.flush_interval_us, self._flush_epoch, epoch)
+        if epoch.bytes >= self.costs.flush_batch_bytes and \
+                not epoch.closed:
+            # Batch threshold reached: flush early instead of waiting
+            # out the interval.
+            epoch.event.cancel()
+            epoch.event = self.scheduler.soon(self._flush_epoch, epoch)
+            epoch.closed = True
+            self.stats.early_flushes += 1
+        return future
+
+    def _waiter(self, epoch: FlushEpoch) -> SimFuture:
+        """A future resolved when ``epoch``'s flush lands."""
         future = self._future_cls(
             remote=False, subtxn_id=0,
             target_reactor=f"log:{self.container_id}")

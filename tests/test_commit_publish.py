@@ -11,10 +11,14 @@ one participant's install: a fault in container 0's log path then
 escaped before container 1 had installed, and a cross-container
 commit was half installed (``f0`` = 11.0, ``f1`` = 10.0) on both
 backends.  Now both containers install or neither does.  The fault
-itself still escapes ``run()``: containing it is separate work.
+itself still escapes ``run()``, and publish stops where it raised, so
+the durability manager's append sequence holds container 0's record
+but not container 1's: containing it is separate work.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +27,8 @@ from repro.core.deployment import shared_nothing
 from repro.core.reactor import ReactorType
 from repro.durability import enable_durability
 from repro.relational import float_col, make_schema, str_col
+from repro.runtime.threads import INLINE_DELAY_US
+from repro.sim.machine import XEON_E3_1276, MachineProfile
 
 CELL = ReactorType("Cell", lambda: [
     make_schema("cell", [str_col("name"), float_col("value")],
@@ -79,9 +85,17 @@ def test_a_log_fault_installs_both_containers_or_neither(backend):
             database.run("f1", "add_here_and_there", "f0", 1.0)
         values = (value_of(database, "f0"), value_of(database, "f1"))
         assert values in ((10.0, 10.0), (11.0, 11.0)), values
-        logs = database.durability.logs
+        durability = database.durability
+        logs = durability.logs
         assert len(logs[0]) == len(logs[1]), (len(logs[0]),
                                               len(logs[1]))
+        # The remaining gap, until the fault is contained: publish
+        # itself stops at the raise.  Container 0's record reached the
+        # append sequence, container 1's did not, and no crash site
+        # was recorded.
+        assert [len(durability.installed[cid]) for cid in (0, 1)] == \
+            [1, 0]
+        assert not durability.cross_groups
     finally:
         database.close()
 
@@ -111,5 +125,37 @@ def test_publish_sees_each_commit_whole(backend):
                        for __, record in records)
         assert [value_of(database, name) for name in NAMES] == \
             [11.0, 11.0, 12.0]
+    finally:
+        database.close()
+
+
+@pytest.mark.parametrize("mode,interval", [("sync", None), ("group", 10.0)])
+def test_an_inline_flush_still_acknowledges(mode, interval):
+    """On ``threads`` a delay of at most ``INLINE_DELAY_US`` runs on
+    the calling thread, so a cheap fsync (sync) or a short flush
+    interval (group) can land inside publish.  The commit's ack must
+    still resolve: its waiter joins the epoch before the flush
+    starts."""
+    costs = XEON_E3_1276.costs.scaled(0.5)
+    if interval is not None:
+        costs = replace(costs, flush_interval_us=interval)
+    assert costs.fsync_cost <= INLINE_DELAY_US
+    machine = MachineProfile("cheap-log", XEON_E3_1276.hardware_threads,
+                             costs)
+    database = ReactorDatabase(
+        shared_nothing(3, machine=machine, mpl=4, cc_scheme="occ",
+                       backend="threads"),
+        [(name, CELL) for name in NAMES])
+    try:
+        for name in NAMES:
+            database.load(name, "cell", [{"name": name, "value": 10.0}])
+        durability = enable_durability(database, mode)
+        for step in range(1, 4):
+            assert database.run("f2", "add", 1.0) == 10.0 + step
+            assert database.run("f1", "add_here_and_there", "f0",
+                                1.0) == 10.0 + step
+        assert durability.acked_sites, "no commit was acknowledged"
+        for flusher in durability.flushers.values():
+            assert flusher.unflushed_records() == 0
     finally:
         database.close()

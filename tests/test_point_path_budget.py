@@ -64,11 +64,13 @@ records) runs.  Sizing a record once printed it through ``json.dumps``
 length, reads 0 and 11.9125 (a ``sealed`` call per record instead of a
 ``byte_size`` call, and no cache of key sizes to fill).  Publishing
 each commit's records in one step after every participant installed
-reads 0 and 9.7875: the log's ``on_append`` listener closure (1.0 per
+reads 0 and 10.7875: the log's ``on_append`` listener closure (1.0 per
 record), the durability manager's commit-time ack-future lookup (0.85,
 once per commit, read-only ones included) and
 ``LogFlusher.ack_future`` (1.0625, once per commit participant) are
-gone, and one ``publish`` per writing commit (0.7875) came in.
+gone, and one ``publish`` per writing commit (0.7875) and one
+``LogFlusher._waiter`` per record (1.0, the ack future joining its
+epoch before any flush can start) came in.
 
 The fifth row is the scan path: ``call`` events under ``concurrency/``
 and ``relational/`` made inside ``CCSession.scan`` (its own call not
@@ -143,7 +145,7 @@ CUSTOMERS = 100
 SMALLBANK_CEILING = 123.02
 NOOP_CEILING = 60.255
 THREADS_HANDOFF_CEILING = 21.145
-LOG_DURABILITY_CEILING = 9.7875
+LOG_DURABILITY_CEILING = 10.7875
 SCAN_PATH_CEILING = 37.66
 COMMIT_PATH_CEILING = 53.52
 
