@@ -37,7 +37,7 @@ from repro.core.deployment import (
     shared_everything_with_affinity,
     shared_nothing,
 )
-from repro.durability import recover_image_partitioned
+from repro.durability import recover
 from repro.durability.wal import RedoEntry, RedoRecord, unseal
 from repro.errors import TransactionAbort
 from repro.experiments.common import tpcc_database
@@ -128,10 +128,10 @@ def _certify_crash(database, mode: str) -> dict:
     construction: measurement leaves in-flight work), recover
     partitioned, certify — and check a tampered image is rejected."""
     image = database.durability.crash()
-    report = recover_image_partitioned(
+    report = recover(
         database.deployment, smallbank.declarations(N_CUSTOMERS)
         if "cust0" in database else tpcc.declarations(TPCC_WAREHOUSES),
-        image)
+        image.manifest, image.to_logs())
     cert = certify_crash_recovery(database, image, report.database)
 
     tampered = database.durability.crash()
@@ -209,11 +209,12 @@ def _recovery_curve(checkpoint_every: int, total_txns: int) -> dict:
                         1.0)
     database.scheduler.run(until=database.scheduler.now + 60.0)
     image = database.durability.crash()
-    parallel = recover_image_partitioned(
-        deployment, smallbank.declarations(N_CUSTOMERS), image)
-    serial = recover_image_partitioned(
-        deployment, smallbank.declarations(N_CUSTOMERS), image,
-        parallel=False)
+    parallel = recover(
+        deployment, smallbank.declarations(N_CUSTOMERS),
+        image.manifest, image.to_logs())
+    serial = recover(
+        deployment, smallbank.declarations(N_CUSTOMERS),
+        image.manifest, image.to_logs(), parallel=False)
     cert = certify_crash_recovery(database, image, parallel.database)
     return {
         "checkpoint_every": checkpoint_every,

@@ -28,7 +28,7 @@ import random
 from repro import DurabilityConfig, shared_everything_with_affinity, \
     shared_nothing
 from repro.core.database import ReactorDatabase
-from repro.durability import recover_image_partitioned
+from repro.durability import recover
 from repro.formal import certify_crash_recovery
 from repro.workloads import smallbank as sb
 
@@ -110,8 +110,9 @@ def main():
 
     print("4. parallel partitioned recovery onto "
           "shared-everything-with-affinity")
-    report = recover_image_partitioned(
-        shared_everything_with_affinity(4), sb.declarations(N), image)
+    report = recover(
+        shared_everything_with_affinity(4), sb.declarations(N),
+        image.manifest, image.to_logs())
     recovered = report.database
     print(f"   {report.partitions} reactor partitions, "
           f"{report.rows_loaded} checkpoint rows + "

@@ -28,7 +28,7 @@ from typing import Any, Sequence
 from repro.chaos.schedule import FaultAction, FaultSchedule
 from repro.core.deployment import DeploymentConfig
 from repro.durability.config import DurabilityConfig
-from repro.durability.recovery import recover_from_image
+from repro.durability.recovery import recover
 from repro.formal.audit import certify_crash_recovery
 
 
@@ -110,9 +110,9 @@ class FaultInjector:
         if durability is None:
             return False
         image = durability.crash()
-        recovered = recover_from_image(
+        recovered = recover(
             self._recovery_deployment(durability.mode),
-            self.declarations, image)
+            self.declarations, image.manifest, image.to_logs()).database
         report = certify_crash_recovery(self.database, image, recovered)
         self.crash_reports.append({
             "at_us": self.database.scheduler.now,

@@ -12,22 +12,22 @@ knob:
   ``durability_mode`` of ``sync`` (force-at-commit), ``group``
   (epoch-batched acknowledgement) or ``async`` (background flushing) —
   see :class:`~repro.durability.config.DurabilityConfig`;
-* quiescent checkpoints, full or *incremental* (dirty-key segments
-  chained in a :class:`~repro.durability.checkpoint.CheckpointManifest`
+* quiescent checkpoints in one format, a chained
+  :class:`~repro.durability.checkpoint.CheckpointManifest`: a full
+  base segment (:func:`~repro.durability.checkpoint.take_checkpoint`
+  alone returns one) followed by *incremental* dirty-key segments,
   with WAL truncation watermarks that respect pinned snapshots,
-  replica positions, and migrations);
-* recovery by checkpoint restore + TID-ordered replay — serial
-  (:func:`~repro.durability.recovery.recover`) or parallel over
-  per-reactor log partitions
-  (:func:`~repro.durability.partitioned.recover_partitioned`), from
-  live logs or from a kill-at-arbitrary-epoch
+  replica positions, and migrations;
+* one recovery call, :func:`~repro.durability.recovery.recover`:
+  checkpoint restore + TID-ordered replay over per-reactor log
+  partitions, in parallel on the target's executors (or serially on
+  one), from live logs or from a kill-at-arbitrary-epoch
   :class:`~repro.durability.recovery.CrashImage`.  Recovery may target
   a different deployment than the crashed database — architecture
   virtualization extends to recovery.
 """
 
 from repro.durability.checkpoint import (
-    Checkpoint,
     CheckpointManifest,
     CheckpointSegment,
     take_checkpoint,
@@ -38,17 +38,12 @@ from repro.durability.config import (
     DurabilityConfig,
 )
 from repro.durability.group_commit import LogFlusher
-from repro.durability.partitioned import (
-    RecoveryReport,
-    recover_image_partitioned,
-    recover_partitioned,
-)
 from repro.durability.recovery import (
     CrashImage,
     DurabilityManager,
+    RecoveryReport,
     enable_durability,
     recover,
-    recover_from_image,
 )
 from repro.durability.wal import (
     DELETE,
@@ -70,7 +65,6 @@ __all__ = [
     "INSERT",
     "UPDATE",
     "DELETE",
-    "Checkpoint",
     "CheckpointManifest",
     "CheckpointSegment",
     "take_checkpoint",
@@ -83,9 +77,6 @@ __all__ = [
     "RecoveryReport",
     "enable_durability",
     "recover",
-    "recover_from_image",
-    "recover_partitioned",
-    "recover_image_partitioned",
     "apply_record_to",
     "apply_entry_to",
 ]

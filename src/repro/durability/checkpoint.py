@@ -1,4 +1,4 @@
-"""Checkpoints of reactor-database state: full and incremental.
+"""Checkpoints of reactor-database state: one chained manifest.
 
 A checkpoint is a consistent snapshot of every reactor's tables plus
 the per-container TID high-water marks.  Checkpoints are taken at
@@ -7,14 +7,15 @@ must be idle), which corresponds to the distributed-checkpoint
 boundary the paper references; combining a checkpoint with redo-log
 replay of later TIDs reconstructs any committed state.
 
-On top of the original full :class:`Checkpoint`, this module adds
-*incremental* checkpointing: a :class:`CheckpointManifest` chains a
-full base :class:`CheckpointSegment` with delta segments that carry
-only the keys dirtied since the previous segment (tracked per reactor
-from the redo records each commit publishes to the durability
+There is one checkpoint format, the :class:`CheckpointManifest`: a
+full base :class:`CheckpointSegment` chained with delta segments that
+carry only the keys dirtied since the previous segment (tracked per
+reactor from the redo records each commit publishes to the durability
 manager), plus the WAL-truncation watermark each segment authorized.
-Materializing the manifest replays the chain newest-last into one flat
-checkpoint — the exact image recovery loads before tail replay.
+:func:`take_checkpoint` returns a one-segment manifest; the durability
+manager's chain starts with one.  :meth:`CheckpointManifest.materialize`
+replays the chain newest-last into the ``reactor -> table -> rows``
+image recovery loads before tail replay.
 """
 
 from __future__ import annotations
@@ -25,37 +26,36 @@ from typing import Any
 
 from repro.errors import SimulationError
 
-
-@dataclass
-class Checkpoint:
-    """A snapshot of the committed database state (persisted as a
-    :class:`CheckpointManifest`, whose segments serialize)."""
-
-    #: reactor name -> table name -> list of committed rows
-    reactors: dict[str, dict[str, list[dict[str, Any]]]] = \
-        field(default_factory=dict)
-    #: container id -> last issued commit TID at snapshot time
-    tid_watermarks: dict[int, int] = field(default_factory=dict)
+FULL = "full"
+INCREMENTAL = "incremental"
 
 
-def take_checkpoint(database: Any) -> Checkpoint:
-    """Snapshot a quiescent database.
+def take_checkpoint(database: Any) -> CheckpointManifest:
+    """Snapshot a quiescent database as a one-segment manifest.
 
     Raises :class:`SimulationError` when transactions are still in
     flight — checkpoints here model the coordinated quiescent
     checkpoints of the recovery literature, not fuzzy ones.
     """
     require_quiescence(database)
-    checkpoint = Checkpoint()
+    segment = CheckpointSegment(seq=1, kind=FULL, parent_seq=None,
+                                taken_at_us=database.scheduler.now,
+                                tid_watermarks=last_tids(database))
     for name in database.reactor_names():
-        reactor = database.reactor(name)
-        checkpoint.reactors[name] = {
-            table.name: table.rows() for table in reactor.catalog
+        segment.rows[name] = {
+            table.name: [
+                {**row, "__pk": list(table.schema.primary_key_of(row))}
+                for row in table.rows()
+            ]
+            for table in database.reactor(name).catalog
         }
-    for container in database.containers:
-        checkpoint.tid_watermarks[container.container_id] = \
-            container.concurrency.tids.last
-    return checkpoint
+    return CheckpointManifest(segments=[segment])
+
+
+def last_tids(database: Any) -> dict[int, int]:
+    """Container id -> last issued commit TID, now."""
+    return {container.container_id: container.concurrency.tids.last
+            for container in database.containers}
 
 
 def require_quiescence(database: Any) -> None:
@@ -64,14 +64,6 @@ def require_quiescence(database: Any) -> None:
             "checkpoint requires quiescence: drain the scheduler "
             "(scheduler.run()) before snapshotting"
         )
-
-
-# ----------------------------------------------------------------------
-# Incremental checkpoints
-# ----------------------------------------------------------------------
-
-FULL = "full"
-INCREMENTAL = "incremental"
 
 
 @dataclass
@@ -169,13 +161,15 @@ class CheckpointManifest:
             return {}
         return dict(self.segments[-1].tid_watermarks)
 
-    def materialize(self) -> Checkpoint:
-        """Collapse the chain into one flat :class:`Checkpoint`.
+    def materialize(self
+                    ) -> dict[str, dict[str, list[dict[str, Any]]]]:
+        """Collapse the chain into one ``reactor -> table -> rows``
+        image.
 
         Newer segments overwrite older images key-by-key; deletions
         remove keys.  Segment rows carry a ``__pk`` sidecar (tuple
-        keys do not survive JSON) which is stripped from the flat
-        checkpoint's plain rows.
+        keys do not survive JSON) which is stripped from the image's
+        plain rows.
         """
         state: dict[str, dict[str, dict[tuple, dict[str, Any]]]] = {}
         for segment in self.segments:
@@ -200,14 +194,11 @@ class CheckpointManifest:
                         .setdefault(table, {})
                     for pk in pks:
                         bucket.pop(tuple(pk), None)
-        checkpoint = Checkpoint(
-            tid_watermarks=self.tid_watermarks())
-        for reactor, tables in state.items():
-            checkpoint.reactors[reactor] = {
-                table: list(bucket.values())
-                for table, bucket in tables.items()
-            }
-        return checkpoint
+        return {
+            reactor: {table: list(bucket.values())
+                      for table, bucket in tables.items()}
+            for reactor, tables in state.items()
+        }
 
     def to_json(self) -> str:
         return json.dumps(

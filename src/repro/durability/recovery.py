@@ -27,13 +27,30 @@ The :class:`DurabilityManager` owns one database's durability state:
 
 Recovery rebuilds a fresh database (same reactor declarations, any
 deployment — architecture virtualization extends to recovery) from a
-checkpoint, then replays redo records with commit TIDs above the
-checkpoint watermark in per-reactor TID order.  Replay is idempotent
-on after-images, so replaying from an older checkpoint with a longer
-log yields the same state.  There is one replay engine,
-:func:`repro.durability.partitioned.recover_partitioned` (SiloR-style
-per-reactor partitions replayed on the target deployment's executors,
-priced in virtual time); :func:`recover` returns its database.
+checkpoint manifest, then replays redo records with commit TIDs above
+the checkpoint watermark in per-reactor TID order.  Replay is
+idempotent on after-images, so replaying from an older checkpoint with
+a longer log yields the same state.  There is one recovery call,
+:func:`recover`, and it replays the way a real multi-core restart
+would (SiloR-style): the redo tail is split into *per-reactor log
+partitions* (entries grouped by owning reactor, each partition sorted
+by commit TID), every partition — checkpoint rows first, then tail
+entries — is assigned to the executor that will own the reactor in the
+*target* deployment, and all executors replay their partitions
+concurrently on the simulation scheduler.  Each partition charges
+
+``rows * recovery_load_per_row + entries * recovery_replay_per_entry``
+
+of virtual CPU to its executor, so recovery time is the *makespan* of
+the partition assignment — measurable, and visibly shorter than the
+serial sum on multi-executor deployments.  Correctness does not depend
+on the assignment: reactors own disjoint key spaces, so per-reactor
+TID order is the only ordering replay needs (the same argument that
+lets SiloR value-log partitions replay in any inter-partition order).
+A reactor whose history spans containers (it migrated mid-run) is
+still one partition: its entries are collected from *every* log and
+merge-sorted by TID, which is exactly the watermark contract online
+migration maintains.
 
 Replay goes through the regular ``install_*`` paths of the recovered
 database's tables, i.e. through the multi-version storage engine: the
@@ -49,22 +66,28 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.durability.checkpoint import (
-    FULL,
     INCREMENTAL,
-    Checkpoint,
     CheckpointManifest,
     CheckpointSegment,
+    last_tids,
     require_quiescence,
+    take_checkpoint,
 )
 from repro.durability.config import ASYNC, DURABILITY_MODES
 from repro.durability.group_commit import LogFlusher
-from repro.durability.wal import RedoLog, RedoRecord, unseal
+from repro.durability.wal import (
+    RedoEntry,
+    RedoLog,
+    RedoRecord,
+    apply_entry_to,
+    unseal,
+)
 from repro.errors import SimulationError
 from repro.runtime.futures import SimFuture
 
 if TYPE_CHECKING:  # deployment.py imports this package's config at
     # module scope, so the runtime import of core.database is deferred
-    # into recover_partitioned() to keep the bootstrap acyclic.
+    # into recover() to keep the bootstrap acyclic.
     from repro.core.database import ReactorDatabase
     from repro.core.deployment import DeploymentConfig
 
@@ -105,9 +128,6 @@ class CrashImage:
     torn_sites: list[tuple[int, int]] = field(default_factory=list)
     #: Per-container TIDs of the dropped sites (reporting only).
     torn_tids: dict[int, list[int]] = field(default_factory=dict)
-
-    def checkpoint(self) -> Checkpoint:
-        return self.manifest.materialize()
 
     def to_logs(self) -> list[RedoLog]:
         """The surviving logs as replayable :class:`RedoLog`
@@ -343,52 +363,30 @@ class DurabilityManager:
     # Checkpoints
     # ------------------------------------------------------------------
 
-    def checkpoint_and_truncate(self) -> Checkpoint:
-        """Take a quiescent *full* checkpoint segment and truncate
-        covered log prefixes (the usual checkpoint/log interplay).
-        Returns the materialized flat checkpoint."""
-        self.incremental_checkpoint(force_full=True)
-        return self.manifest.materialize()
-
-    def incremental_checkpoint(self,
-                               force_full: bool = False
-                               ) -> CheckpointSegment:
+    def incremental_checkpoint(self) -> CheckpointSegment:
         """Append a checkpoint segment to the manifest.
 
-        The first segment (or ``force_full``) snapshots everything;
-        later segments carry only the keys dirtied since the previous
-        one.  Requires quiescence — at a drained scheduler every
-        pending flush has landed, so a segment never persists state
-        ahead of the log (checkpoints cannot resurrect unflushed
-        commits).  Covered log prefixes are truncated through
-        :meth:`safe_truncation_tid`.
+        The first segment snapshots everything (:func:`take_checkpoint`,
+        renumbered into this chain); later segments carry only the
+        keys dirtied since the previous one.  Requires quiescence — at
+        a drained scheduler every pending flush has landed, so a
+        segment never persists state ahead of the log (checkpoints
+        cannot resurrect unflushed commits).  Covered log prefixes are
+        truncated through :meth:`safe_truncation_tid`.
         """
         database = self.database
         require_quiescence(database)
         self._segment_seq += 1
-        full = force_full or self.manifest.empty
-        if full:
-            segment = CheckpointSegment(
-                seq=self._segment_seq, kind=FULL, parent_seq=None,
-                taken_at_us=database.scheduler.now)
-            for name in database.reactor_names():
-                reactor = database.reactor(name)
-                by_table = segment.rows.setdefault(name, {})
-                for table in reactor.catalog:
-                    by_table[table.name] = [
-                        {**row, "__pk": list(
-                            table.schema.primary_key_of(row))}
-                        for row in table.rows()
-                    ]
-            # A full segment restarts the chain: older segments are
-            # subsumed.
-            self.manifest = CheckpointManifest(segments=[segment])
+        if self.manifest.empty:
+            segment = take_checkpoint(database).segments[0]
+            segment.seq = self._segment_seq
         else:
             parent = self.manifest.segments[-1]
             segment = CheckpointSegment(
                 seq=self._segment_seq, kind=INCREMENTAL,
                 parent_seq=parent.seq,
-                taken_at_us=database.scheduler.now)
+                taken_at_us=database.scheduler.now,
+                tid_watermarks=last_tids(database))
             for reactor_name, tables in sorted(self._dirty.items()):
                 reactor = database.reactor(reactor_name)
                 for table_name, pks in sorted(tables.items()):
@@ -408,10 +406,7 @@ class DurabilityManager:
                     if deleted:
                         segment.deleted.setdefault(
                             reactor_name, {})[table_name] = deleted
-            self.manifest.segments.append(segment)
-        for container in database.containers:
-            segment.tid_watermarks[container.container_id] = \
-                container.concurrency.tids.last
+        self.manifest.segments.append(segment)
         self._dirty = {}
         for container_id, log in self.logs.items():
             safe = self.safe_truncation_tid(
@@ -566,32 +561,128 @@ def enable_durability(database: Any,
     return manager
 
 
+@dataclass
+class RecoveryReport:
+    """The outcome of one recovery run."""
+
+    database: ReactorDatabase
+    #: Virtual-time makespan of the recovery (checkpoint load + tail
+    #: replay across all partitions).
+    recovery_us: float
+    partitions: int
+    rows_loaded: int
+    entries_replayed: int
+    parallel: bool
+    #: executor core id -> virtual CPU charged for recovery work.
+    per_executor_us: dict[int, float] = field(default_factory=dict)
+
+
 def recover(deployment: DeploymentConfig,
             declarations: Sequence[tuple[str, Any]],
-            checkpoint: Checkpoint | CheckpointManifest,
-            logs: Iterable[RedoLog]) -> ReactorDatabase:
-    """Rebuild a database from a checkpoint plus redo logs.
+            manifest: CheckpointManifest,
+            logs: Iterable[RedoLog],
+            parallel: bool = True) -> RecoveryReport:
+    """Rebuild a database from a checkpoint manifest plus redo logs.
 
-    ``checkpoint`` may be a flat :class:`Checkpoint` or a chained
-    :class:`CheckpointManifest` (materialized on the way in).  The
-    recovered database may use a *different* deployment than the
-    crashed one — reactor state is logical, architecture is physical.
-    This is the database of
-    :func:`repro.durability.partitioned.recover_partitioned`, the one
-    replay engine; call that for the priced report.
+    The recovered database (``.database`` of the report) may use a
+    *different* deployment than the crashed one — reactor state is
+    logical, architecture is physical.  Per-reactor partitions replay
+    concurrently on their owning executors, or serially on one
+    executor when ``parallel=False`` (the ablation baseline).  From a
+    :class:`CrashImage`, pass ``image.manifest, image.to_logs()``.
     """
-    # Deferred: partitioned.py imports this module's CrashImage.
-    from repro.durability.partitioned import recover_partitioned
+    from repro.core.database import ReactorDatabase
 
-    return recover_partitioned(deployment, declarations, checkpoint,
-                               logs).database
+    image = manifest.materialize()
+    watermarks = manifest.tid_watermarks()
+    database = ReactorDatabase(deployment, declarations)
+    scheduler = database.scheduler
+    costs = database.costs
+    started_at = scheduler.now
+
+    # Partition the redo tail by reactor (the checkpoint image already
+    # is).
+    tails: dict[str, list[tuple[int, RedoEntry]]] = {}
+    for log in logs:
+        watermark = watermarks.get(log.container_id, 0)
+        for record in map(unseal, log.records):
+            if record.commit_tid <= watermark:
+                continue
+            for entry in record.entries:
+                tails.setdefault(entry.reactor, []).append(
+                    (record.commit_tid, entry))
+    for partition in tails.values():
+        # Stable sort: intra-record entry order survives TID ties.
+        partition.sort(key=lambda pair: pair[0])
+
+    names = sorted(set(image) | set(tails))
+    counters = {"rows": 0, "entries": 0, "max_tid": 0}
+    busy: dict[int, float] = {}
+
+    def replay_partition(name: str) -> None:
+        reactor = database.reactor(name)
+        for table_name, rows in image.get(name, {}).items():
+            table = reactor.table(table_name)
+            for row in rows:
+                table.load_row(row)
+            counters["rows"] += len(rows)
+        for tid, entry in tails.get(name, ()):
+            apply_entry_to(reactor.table(entry.table), entry, tid)
+            counters["entries"] += 1
+            if tid > counters["max_tid"]:
+                counters["max_tid"] = tid
+
+    # Assign partitions to their owning executor in the *target*
+    # deployment and chain each executor's partitions as priced
+    # scheduler events; executors proceed concurrently.
+    frontier: dict[int, float] = {}
+    for name in names:
+        reactor = database.reactor(name)
+        executor = (reactor.affinity_executor if parallel
+                    else database.executors[0])
+        rows = sum(len(r) for r in image.get(name, {}).values())
+        entries = len(tails.get(name, ()))
+        cost = (rows * costs.recovery_load_per_row
+                + entries * costs.recovery_replay_per_entry)
+        # core_id is globally unique (executor_id is per-container).
+        done_at = frontier.get(executor.core_id, started_at) + cost
+        frontier[executor.core_id] = done_at
+        executor.busy_time += cost
+        busy[executor.core_id] = busy.get(executor.core_id, 0.0) + cost
+        scheduler.at(done_at, replay_partition, name)
+    scheduler.run()
+
+    _finish_recovery(database, watermarks, counters["max_tid"])
+    return RecoveryReport(
+        database=database,
+        recovery_us=scheduler.now - started_at,
+        partitions=len(names),
+        rows_loaded=counters["rows"],
+        entries_replayed=counters["entries"],
+        parallel=parallel,
+        per_executor_us=busy,
+    )
 
 
-def recover_from_image(deployment: DeploymentConfig,
-                       declarations: Sequence[tuple[str, Any]],
-                       image: CrashImage) -> ReactorDatabase:
-    """Recover from a :class:`CrashImage` (checkpoint manifest plus
-    the durable log prefixes) — what a restart after
-    :meth:`DurabilityManager.crash` sees."""
-    return recover(deployment, declarations, image.manifest,
-                   image.to_logs())
+def _finish_recovery(database: ReactorDatabase,
+                     watermarks: dict[int, int], max_tid: int) -> None:
+    """Recovery epilogue: TID watermarks and replica seeding."""
+    # Restore TID watermarks so post-recovery commits continue above
+    # everything replayed.
+    for container in database.containers:
+        watermark = max(watermarks.get(container.container_id, 0),
+                        max_tid)
+        container.concurrency.tids.advance_to(watermark)
+
+    # A replication-enabled target deployment: seed the replicas with
+    # the recovered state (checkpoint restore and replay wrote primary
+    # tables directly, bypassing the bulk-load mirror).  The recovered
+    # image is the replicas' new base; subsequent commits ship on top.
+    if database.replication is not None:
+        for name in database.reactor_names():
+            reactor = database.reactor(name)
+            for table in reactor.catalog:
+                table_rows = table.rows()
+                if table_rows:
+                    database.replication.on_bulk_load(
+                        name, table.name, table_rows)

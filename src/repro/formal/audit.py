@@ -654,14 +654,14 @@ def certify_crash_recovery(database: Any, image: Any,
         base = image.manifest.materialize()
         replayable = []
         for cid, records in image.logs.items():
-            watermark = base.tid_watermarks.get(cid, 0)
+            watermark = checkpoint_wm.get(cid, 0)
             replayable.extend(r for r in map(unseal, records)
                               if r.commit_tid > watermark)
         replayable.sort(key=lambda record: record.commit_tid)
         expected = _replay(
             recovered,
             (((reactor_name, table_name), rows)
-             for reactor_name, tables in base.reactors.items()
+             for reactor_name, tables in base.items()
              for table_name, rows in tables.items()),
             replayable)
         actual = _live_state((name, recovered.reactor(name))

@@ -82,9 +82,9 @@ class CostParameters:
     flush_interval_us: float = 50.0
     flush_batch_bytes: int = 32768
 
-    # Crash recovery (repro.durability.partitioned): per-row checkpoint
-    # load and per-redo-entry replay prices, so recovery time is a
-    # measurable virtual-time quantity in the bench harness.
+    # Crash recovery (repro.durability.recovery.recover): per-row
+    # checkpoint load and per-redo-entry replay prices, so recovery
+    # time is a measurable virtual-time quantity in the bench harness.
     recovery_load_per_row: float = 0.4
     recovery_replay_per_entry: float = 0.25
 

@@ -3,8 +3,9 @@
 Runs the same checker the CI ``docs-check`` job uses: every relative
 markdown link in the repository must resolve to an existing file,
 every backticked ``repro.…`` name in the docs, the README and the
-source docstrings must import, and the core documents the README
-promises must exist.
+source docstrings must import, every backticked call in the docs must
+name something defined, and the core documents the README promises
+must exist.
 """
 
 from __future__ import annotations
@@ -68,7 +69,11 @@ def test_checker_detects_stale_names(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "docs" / "a.md").write_text(
         "`repro.relational.predicate.col`, `repro.relational.sql`, "
-        "`repro.core.context.ReactorContext.select()`")
+        "`repro.core.context.ReactorContext.select()`, "
+        # Bare calls: defined under src/, a builtin, a deleted name.
+        "`f()`, `len(rows)`, `recover_from_image(image)`, "
+        # Qualified: a module resolves by getattr, others are skipped.
+        "`gc.freeze()`, `gc.frozen()`, `db.anything()`")
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "m.py").write_text(
@@ -81,6 +86,8 @@ def test_checker_detects_stale_names(tmp_path):
         ("a.md", "repro.relational.sql"),
         ("m.py", "repro.relational.query.Query"),
         ("m.py", "repro.core.context.ReactorContext.sql"),
+        ("a.md", "recover_from_image()"),
+        ("a.md", "gc.frozen()"),
     ]
 
 

@@ -12,7 +12,7 @@ from repro.core.deployment import (
 )
 from repro.core.reactor import ReactorType
 from repro.durability import (
-    Checkpoint,
+    CheckpointManifest,
     DurabilityConfig,
     RedoEntry,
     RedoLog,
@@ -29,6 +29,9 @@ from repro.workloads import smallbank as sb
 from repro.workloads import tpcc
 
 N = 8
+
+#: Checkpoints and recovery work on, and across, both backends.
+BACKENDS = ("sim", "threads")
 
 #: Recovery must behave identically under every real CC scheme — the
 #: redo log records committed after-images, not scheme artifacts.
@@ -122,7 +125,7 @@ class TestCheckpoints:
         run_some_transfers(database, count=10)
         before = sum(len(log) for log in manager.logs.values())
         assert before > 0
-        manager.checkpoint_and_truncate()
+        manager.incremental_checkpoint()
         after = sum(len(log) for log in manager.logs.values())
         assert after == 0
 
@@ -138,7 +141,7 @@ class TestRecovery:
         recovered = recover(
             shared_nothing(4, cc_scheme=cc_scheme),
             sb.declarations(N), empty_checkpoint,
-            manager.logs.values())
+            manager.logs.values()).database
         assert state_of(recovered) == state_of(database)
 
     @pytest.mark.parametrize("cc_scheme", CC_SCHEMES)
@@ -146,11 +149,12 @@ class TestRecovery:
         database = fresh_bank(cc_scheme=cc_scheme)
         manager = enable_durability(database)
         run_some_transfers(database, count=8, seed=1)
-        checkpoint = manager.checkpoint_and_truncate()
+        manager.incremental_checkpoint()
         run_some_transfers(database, count=8, seed=2)
         recovered = recover(
             shared_nothing(4, cc_scheme=cc_scheme),
-            sb.declarations(N), checkpoint, manager.logs.values())
+            sb.declarations(N), manager.manifest,
+            manager.logs.values()).database
         assert state_of(recovered) == state_of(database)
 
     def test_recovered_state_identical_across_cc_schemes(self):
@@ -167,7 +171,7 @@ class TestRecovery:
             recovered = recover(
                 shared_nothing(4, cc_scheme=scheme),
                 sb.declarations(N), checkpoint,
-                manager.logs.values())
+                manager.logs.values()).database
             assert state_of(recovered) == state_of(database)
             states[scheme] = state_of(recovered)
             logs[scheme] = manager
@@ -178,22 +182,35 @@ class TestRecovery:
         cross = recover(shared_nothing(4, cc_scheme="occ"),
                         sb.declarations(N),
                         take_checkpoint(fresh_bank()),
-                        logs["2pl_nowait"].logs.values())
+                        logs["2pl_nowait"].logs.values()).database
         assert state_of(cross) == baseline
 
-    def test_recovery_onto_different_architecture(self):
-        """Recovery targets any deployment: logical state survives
-        physical re-architecture."""
-        database = fresh_bank()
-        manager = enable_durability(database)
-        run_some_transfers(database, count=10)
-        checkpoint = take_checkpoint(fresh_bank())
-        recovered = recover(shared_everything_with_affinity(4),
-                            sb.declarations(N), checkpoint,
-                            manager.logs.values())
-        assert state_of(recovered) == state_of(database)
-        # The recovered database keeps working.
-        recovered.run(sb.reactor_name(0), "deposit_checking", 1.0)
+    @pytest.mark.parametrize("target", BACKENDS)
+    @pytest.mark.parametrize("source", BACKENDS)
+    def test_recovery_onto_different_architecture(self, source, target):
+        """Recovery targets any deployment on either backend: logical
+        state survives physical re-architecture.  The checkpoint is
+        taken mid-run on the source; recovery loads it and replays the
+        tail."""
+        database = fresh_bank(shared_nothing(4, backend=source))
+        try:
+            manager = enable_durability(database)
+            run_some_transfers(database, count=5, seed=1)
+            manager.incremental_checkpoint()
+            run_some_transfers(database, count=5, seed=2)
+            recovered = recover(
+                shared_everything_with_affinity(4, backend=target),
+                sb.declarations(N), manager.manifest,
+                manager.logs.values()).database
+            try:
+                assert state_of(recovered) == state_of(database)
+                # The recovered database keeps working.
+                recovered.run(sb.reactor_name(0), "deposit_checking",
+                              1.0)
+            finally:
+                recovered.close()
+        finally:
+            database.close()
 
     def test_post_recovery_commits_get_fresh_tids(self):
         database = fresh_bank()
@@ -203,7 +220,7 @@ class TestRecovery:
                          for r in manager.log_records())
         checkpoint = take_checkpoint(fresh_bank())
         recovered = recover(shared_nothing(4), sb.declarations(N),
-                            checkpoint, manager.logs.values())
+                            checkpoint, manager.logs.values()).database
         outcome = {}
         recovered.submit(
             sb.reactor_name(0), "deposit_checking", 1.0,
@@ -233,10 +250,9 @@ class TestRecovery:
         database.run("r", "put", 1, 10)
         database.run("r", "put", 2, 20)
         database.run("r", "drop", 1)
-        checkpoint = Checkpoint(reactors={"r": {"kv": []}},
-                                tid_watermarks={})
         recovered = recover(shared_nothing(1), [("r", KV)],
-                            checkpoint, manager.logs.values())
+                            CheckpointManifest(),
+                            manager.logs.values()).database
         assert recovered.table_rows("r", "kv") == [{"k": 2, "v": 20}]
 
 
@@ -372,7 +388,7 @@ class TestSharedImage:
         database.scheduler.run()
         assert len(outcomes) == 120 and sum(outcomes) > 60
         recovered = recover(deployment, tpcc.declarations(2), loaded,
-                            database.durability.logs.values())
+                            database.durability.logs.values()).database
 
         def state(db):
             return {(name, table.name): db.table_rows(name, table.name)
@@ -381,5 +397,6 @@ class TestSharedImage:
 
         assert state(recovered) == state(database)
         assert state(recovered) != state(
-            recover(deployment, tpcc.declarations(2), loaded, []))
+            recover(deployment, tpcc.declarations(2), loaded,
+                    []).database)
         tpcc.check_database(recovered, 2)

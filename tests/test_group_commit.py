@@ -15,9 +15,7 @@ from repro.durability import (
     CheckpointManifest,
     enable_durability,
     recover,
-    recover_from_image,
-    recover_image_partitioned,
-    recover_partitioned,
+    take_checkpoint,
 )
 from repro.durability.wal import RedoEntry, RedoRecord, unseal
 from repro.errors import SimulationError, TransactionAbort
@@ -152,9 +150,10 @@ class TestCommitAcknowledgement:
             image = database.durability.crash()
             cert = certify_crash_recovery(
                 database, image,
-                recover_from_image(
+                recover(
                     shared_nothing(4, durability=durable(mode)),
-                    sb.declarations(N), image))
+                    sb.declarations(N), image.manifest,
+                    image.to_logs()).database)
             assert cert["ok"], cert
             assert cert["zero_acked_loss"]
             assert cert["acked_checked"] > 0
@@ -174,9 +173,10 @@ class TestCommitAcknowledgement:
                 until=database.scheduler.now + 5.0)
         assert len(database.durability.acked_sites) > acked_before
         image = database.durability.crash()
-        recovered = recover_from_image(
+        recovered = recover(
             shared_nothing(4, durability=durable("async")),
-            sb.declarations(N), image)
+            sb.declarations(N), image.manifest,
+            image.to_logs()).database
         cert = certify_crash_recovery(database, image, recovered)
         assert cert["lost_acked"], "expected an async loss window"
         assert not cert["zero_acked_loss"]
@@ -200,9 +200,10 @@ class TestKillAtArbitraryEpoch:
             database.scheduler.run(until=base + kill_at)
             horizon = database.scheduler.now
             image = database.durability.crash()
-            recovered = recover_image_partitioned(
+            recovered = recover(
                 shared_nothing(4, durability=durable(mode)),
-                sb.declarations(N), image).database
+                sb.declarations(N), image.manifest,
+                image.to_logs()).database
             cert = certify_crash_recovery(database, image, recovered)
             assert cert["ok"], (kill_at, cert)
             assert cert["zero_acked_loss"], (kill_at, cert)
@@ -278,9 +279,10 @@ class TestKillAtArbitraryEpoch:
                       + costs.fsync_cost + 1.0)
         image = manager.crash()
         assert image.torn_sites
-        recovered = recover_from_image(
+        recovered = recover(
             shared_nothing(2, durability=durable("async")),
-            sb.declarations(N), image)
+            sb.declarations(N), image.manifest,
+            image.to_logs()).database
         cert = certify_crash_recovery(database, image, recovered)
         assert not cert["torn_unacked_ok"]
         assert cert["lost_acked"]
@@ -293,8 +295,8 @@ class TestKillAtArbitraryEpoch:
         target = shared_nothing(4, durability=durable("group"))
 
         def recovered_of(image):
-            return recover_from_image(target, sb.declarations(N),
-                                      image)
+            return recover(target, sb.declarations(N),
+                           image.manifest, image.to_logs()).database
 
         # 1. Tamper a durable row.
         image = database.durability.crash()
@@ -358,16 +360,24 @@ class TestIncrementalCheckpoints:
                          for rows in tables.values())
         assert 0 < delta_rows < full_rows
 
-    def test_manifest_materializes_to_full_checkpoint(self):
+    @pytest.mark.parametrize("source", ("chain", "take_checkpoint"))
+    def test_manifest_materializes_to_full_checkpoint(self, source):
+        """A manifest survives its JSON form, whether it is the
+        manager's chain or one :func:`take_checkpoint` returned."""
         database = fresh_bank()
         run_some_transfers(database, count=6, seed=1)
         database.durability.incremental_checkpoint()
         run_some_transfers(database, count=6, seed=2)
-        database.durability.incremental_checkpoint()
-        manifest = database.durability.manifest
+        if source == "chain":
+            database.durability.incremental_checkpoint()
+            manifest = database.durability.manifest
+        else:
+            manifest = take_checkpoint(database)
         restored = CheckpointManifest.from_json(manifest.to_json())
+        assert restored.materialize() == manifest.materialize()
+        assert restored.tid_watermarks() == manifest.tid_watermarks()
         recovered = recover(shared_nothing(4), sb.declarations(N),
-                            restored, [])
+                            restored, []).database
         assert state_of(recovered) == state_of(database)
 
     def test_incremental_recovery_equals_full_log_replay(self):
@@ -384,14 +394,12 @@ class TestIncrementalCheckpoints:
         run_some_transfers(no_ckpt, count=6, seed=4)
         run_some_transfers(no_ckpt, count=6, seed=5)
 
-        from repro.durability import take_checkpoint
-
         base = take_checkpoint(fresh_bank())  # the loaded image
         from_chain = recover(shared_nothing(4), sb.declarations(N),
                              with_ckpt.durability.manifest,
-                             with_ckpt.durability.logs.values())
+                             with_ckpt.durability.logs.values()).database
         from_log = recover(shared_nothing(4), sb.declarations(N),
-                           base, no_ckpt.durability.logs.values())
+                           base, no_ckpt.durability.logs.values()).database
         assert state_of(from_chain) == state_of(from_log)
         assert state_of(from_chain) == state_of(with_ckpt)
 
@@ -421,7 +429,7 @@ class TestIncrementalCheckpoints:
         segment = database.durability.incremental_checkpoint()
         assert segment.deleted["r"]["kv"] == [[1]]
         recovered = recover(shared_nothing(1), [("r", KV)],
-                            database.durability.manifest, [])
+                            database.durability.manifest, []).database
         assert recovered.table_rows("r", "kv") == [{"k": 2, "v": 20}]
 
     def test_quiescence_required(self):
@@ -482,21 +490,24 @@ class TestPartitionedRecovery:
     def test_parallel_equals_serial_equals_plain_recover(self):
         database, image = self._crashed_bank()
         target = shared_nothing(4, durability=durable("group"))
-        par = recover_image_partitioned(target, sb.declarations(N),
-                                        image)
-        ser = recover_image_partitioned(target, sb.declarations(N),
-                                        image, parallel=False)
-        plain = recover_from_image(target, sb.declarations(N), image)
+        par = recover(target, sb.declarations(N), image.manifest,
+                      image.to_logs())
+        ser = recover(target, sb.declarations(N), image.manifest,
+                      image.to_logs(), parallel=False)
+        # What a caller holding only the crash image gets.
+        plain = recover(target, sb.declarations(N), image.manifest,
+                        image.to_logs()).database
         assert state_of(par.database) == state_of(ser.database)
         assert state_of(par.database) == state_of(plain)
+        assert state_of(ser.database) == state_of(plain)
 
     def test_parallel_recovery_is_faster(self):
         __, image = self._crashed_bank()
         target = shared_nothing(4)
-        par = recover_partitioned(
+        par = recover(
             target, sb.declarations(N), image.manifest,
             image.to_logs())
-        ser = recover_partitioned(
+        ser = recover(
             target, sb.declarations(N), image.manifest,
             image.to_logs(), parallel=False)
         assert par.partitions == ser.partitions == N
@@ -515,15 +526,15 @@ class TestPartitionedRecovery:
 
         long_tail = fresh_bank()
         run_some_transfers(long_tail, count=16, seed=8)
-        long_tail.durability.incremental_checkpoint(force_full=True)
+        long_tail.durability.incremental_checkpoint()
         run_some_transfers(long_tail, count=14, seed=9)
 
         target = shared_nothing(4)
-        quick = recover_partitioned(
+        quick = recover(
             target, sb.declarations(N),
             short_tail.durability.manifest,
             short_tail.durability.logs.values())
-        slow = recover_partitioned(
+        slow = recover(
             target, sb.declarations(N),
             long_tail.durability.manifest,
             long_tail.durability.logs.values())
@@ -532,9 +543,9 @@ class TestPartitionedRecovery:
 
     def test_recovery_onto_different_architecture(self):
         database, image = self._crashed_bank()
-        report = recover_image_partitioned(
+        report = recover(
             shared_everything_with_affinity(4), sb.declarations(N),
-            image)
+            image.manifest, image.to_logs())
         cert = certify_crash_recovery(database, image,
                                       report.database)
         assert cert["ok"], cert
@@ -551,9 +562,7 @@ class TestPartitionedRecovery:
         database.migrate(moved, dst)
         database.scheduler.run()
         run_some_transfers(database, count=8, seed=12)
-        from repro.durability import take_checkpoint
-
-        report = recover_partitioned(
+        report = recover(
             shared_nothing(4, durability=durable("group")),
             sb.declarations(N), take_checkpoint(fresh_bank()),
             database.durability.logs.values())
@@ -569,9 +578,10 @@ class TestFailoverInterplay:
         database.replication.kill_and_promote(0)
         run_some_transfers(database, count=8, seed=14)
         image = database.durability.crash()
-        recovered = recover_from_image(
+        recovered = recover(
             shared_nothing(4, durability=durable("group")),
-            sb.declarations(N), image)
+            sb.declarations(N), image.manifest,
+            image.to_logs()).database
         cert = certify_crash_recovery(database, image, recovered)
         assert cert["ok"], cert
         assert cert["zero_acked_loss"]

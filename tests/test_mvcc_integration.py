@@ -617,7 +617,7 @@ class TestRecoveryAndMigration:
         recovered = recover(
             shared_nothing(2, snapshot_reads=True),
             [("a", PAIR), ("b", PAIR)],
-            checkpoint, durability.logs.values())
+            checkpoint, durability.logs.values()).database
         enable_durability(recovered)
         recorder = attach_recorder(recovered)
         assert recovered.run("a", "get_v") == pytest.approx(6.0)

@@ -459,7 +459,8 @@ class TestFailover:
                                    read_from_replicas=True)
         recovered = recover(
             shared_nothing(2, replication=target),
-            sb.declarations(N), checkpoint, manager.logs.values())
+            sb.declarations(N), checkpoint,
+            manager.logs.values()).database
         # Replica-routed read works and sees the recovered state.
         expected = (source.run(sb.reactor_name(0), "balance"))
         assert recovered.run(sb.reactor_name(0), "balance") == expected

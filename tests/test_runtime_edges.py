@@ -175,7 +175,7 @@ class TestTpccRecovery:
         recovered = recover(
             shared_nothing(2, machine=OPTERON_6274),
             tpcc.declarations(2), checkpoint,
-            durability.logs.values())
+            durability.logs.values()).database
         tpcc.check_database(recovered, 2)
         for table in ("district", "orders", "order_line", "stock",
                       "customer", "new_order", "warehouse"):

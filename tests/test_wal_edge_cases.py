@@ -88,9 +88,9 @@ class TestTornTail:
         others = [lg for cid, lg in manager.logs.items()
                   if cid != log.container_id]
         from_torn = recover(shared_nothing(3), sb.declarations(N),
-                            base, [torn, *others])
+                            base, [torn, *others]).database
         from_cut = recover(shared_nothing(3), sb.declarations(N),
-                           base, [cut, *others])
+                           base, [cut, *others]).database
         assert state_of(from_torn) == state_of(from_cut)
 
     def test_mid_log_corruption_raises(self):
@@ -122,7 +122,7 @@ class TestTruncationEquivalence:
         truncated = fresh_bank()
         mgr_t = enable_durability(truncated)
         run_transfers(truncated, count=8, seed=1)
-        checkpoint = mgr_t.checkpoint_and_truncate()
+        mgr_t.incremental_checkpoint()
         run_transfers(truncated, count=8, seed=2)
 
         full = fresh_bank()
@@ -131,11 +131,11 @@ class TestTruncationEquivalence:
         run_transfers(full, count=8, seed=2)
 
         from_truncated = recover(
-            shared_nothing(3), sb.declarations(N), checkpoint,
-            mgr_t.logs.values())
+            shared_nothing(3), sb.declarations(N), mgr_t.manifest,
+            mgr_t.logs.values()).database
         from_full = recover(
             shared_nothing(3), sb.declarations(N),
-            take_checkpoint(fresh_bank()), mgr_f.logs.values())
+            take_checkpoint(fresh_bank()), mgr_f.logs.values()).database
         assert state_of(from_truncated) == state_of(from_full)
         assert state_of(from_truncated) == state_of(truncated)
 
@@ -145,7 +145,7 @@ class TestTruncationEquivalence:
         run_transfers(database, count=8)
         before = {cid: len(log)
                   for cid, log in manager.logs.items()}
-        manager.checkpoint_and_truncate()
+        manager.incremental_checkpoint()
         for cid, log in manager.logs.items():
             if before[cid]:
                 assert log.truncated_through > 0

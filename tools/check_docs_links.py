@@ -15,7 +15,13 @@ Three checks:
   — in ``docs/*.md``, ``README.md`` and the docstrings of
   ``src/repro/**/*.py`` must resolve: the longest prefix that is a
   module is imported, and the rest is looked up with ``getattr``.
-  Needs the package importable (``PYTHONPATH=src``).
+  Needs the package importable (``PYTHONPATH=src``).  A backticked
+  call in ``docs/*.md`` and ``README.md`` must name something too:
+  an unqualified ``name(`` a function or class defined under ``src/``,
+  ``tools/``, ``benchmarks/`` or ``examples/``, or a builtin; a
+  qualified ``mod.name(`` whose first component imports as a module
+  must resolve by ``getattr`` (other qualifiers — ``db.run(`` — are
+  skipped).
 * **Deployment examples.**  Every fenced ``json`` block in
   ``docs/*.md`` and ``README.md`` that is an object with top-level
   ``name`` and ``containers`` must load through
@@ -29,6 +35,7 @@ the build instead of the docs.
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import json
 import re
@@ -49,6 +56,13 @@ EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 #: A backtick (optionally Sphinx's ``~``) followed by a dotted name
 #: rooted at the package.
 REPRO_NAME = re.compile(r"`~?(repro(?:\.\w+)+)")
+
+#: A backtick followed by a call, ``name(`` or ``qualifier.name(``
+#: (``repro.…`` names are the pattern above's).
+CALL_NAME = re.compile(r"`~?(?!repro\.)([A-Za-z_]\w*(?:\.\w+)*)\(")
+
+#: Where the functions and classes a call may name are defined.
+SOURCE_DIRS = ("src", "tools", "benchmarks", "examples")
 
 #: The body of a fenced ``json`` code block.
 JSON_BLOCK = re.compile(r"^```json[ \t]*\n(.*?)^```",
@@ -138,14 +152,51 @@ def resolves(name: str) -> bool:
     return False
 
 
+def defined_names(root: Path) -> set[str]:
+    """Every function and class name defined under
+    :data:`SOURCE_DIRS`."""
+    names: set[str] = set()
+    for top in SOURCE_DIRS:
+        for path in sorted((root / top).rglob("*.py")):
+            if SKIP_DIRS.intersection(path.parts):
+                continue
+            names.update(
+                node.name
+                for node in ast.walk(ast.parse(path.read_text(),
+                                               str(path)))
+                if isinstance(node, (ast.FunctionDef,
+                                     ast.AsyncFunctionDef,
+                                     ast.ClassDef)))
+    return names
+
+
+def call_resolves(name: str, defined: set[str]) -> bool:
+    """An unqualified call names a defined function or class or a
+    builtin; a qualified one resolves when its first component is a
+    module, and is skipped otherwise."""
+    head, dot, __ = name.partition(".")
+    if not dot:
+        return name in defined or hasattr(builtins, name)
+    try:
+        importlib.import_module(head)
+    except ImportError:
+        return True
+    return resolves(name)
+
+
 def unresolved_names(root: Path) -> list[tuple[Path, str]]:
-    """All (file, name) pairs whose backticked ``repro`` name does not
-    resolve."""
+    """All (file, name) pairs whose backticked ``repro`` name, or
+    backticked call in the docs, does not resolve."""
     unresolved: list[tuple[Path, str]] = []
     for path, text in named_texts(root):
         for name in dict.fromkeys(REPRO_NAME.findall(text)):
             if not resolves(name):
                 unresolved.append((path, name))
+    defined = defined_names(root)
+    for path, text in doc_texts(root):
+        for name in dict.fromkeys(CALL_NAME.findall(text)):
+            if not call_resolves(name, defined):
+                unresolved.append((path, f"{name}()"))
     return unresolved
 
 
