@@ -71,7 +71,7 @@ def test_checker_detects_stale_names(tmp_path):
         "`repro.relational.predicate.col`, `repro.relational.sql`, "
         "`repro.core.context.ReactorContext.select()`, "
         # Bare calls: defined under src/, a builtin, a deleted name.
-        "`f()`, `len(rows)`, `recover_from_image(image)`, "
+        "`f()`, `len(rows)`, `recover_serial(image)`, "
         # Qualified: a module resolves by getattr, others are skipped.
         "`gc.freeze()`, `gc.frozen()`, `db.anything()`")
     package = tmp_path / "src" / "repro"
@@ -86,7 +86,7 @@ def test_checker_detects_stale_names(tmp_path):
         ("a.md", "repro.relational.sql"),
         ("m.py", "repro.relational.query.Query"),
         ("m.py", "repro.core.context.ReactorContext.sql"),
-        ("a.md", "recover_from_image()"),
+        ("a.md", "recover_serial()"),
         ("a.md", "gc.frozen()"),
     ]
 
