@@ -153,8 +153,14 @@ class Reactor:
         self.retired = False
         self.migrated_to: Any = None
         #: Root txn ids that touched this instance and have not yet
-        #: completed — the drain barrier of online migration.
-        self.inflight_roots: set[int] = set()
+        #: completed — the drain barrier of online migration.  A dict
+        #: used as a set (``[txn_id] = None``, ``pop(txn_id, None)``):
+        #: an empty dict is 64 B, an empty set 216 B, once per reactor.
+        #: Entries arrive on the reactor's container thread and leave
+        #: on the root's home thread, so it stays one dict (single
+        #: operations are atomic on free-threaded builds), never a
+        #: counter.
+        self.inflight_roots: dict[int, None] = {}
 
     def touch(self, core_id: int) -> float:
         """Record a transaction touching this reactor from ``core_id``.

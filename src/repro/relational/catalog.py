@@ -30,6 +30,8 @@ class _Tables(dict):
 class Catalog:
     """The private tables of one reactor instance."""
 
+    __slots__ = ("tables",)
+
     def __init__(self, schemas: Iterable[TableSchema] = ()) -> None:
         #: Execution contexts subscript it directly (one probe per
         #: data operation); only :meth:`create_table` adds to it.

@@ -25,6 +25,7 @@ at commit time for conservative phantom protection.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Iterator, Mapping
 
 from repro.errors import DuplicateKeyError, RecordNotFound
@@ -35,6 +36,10 @@ from repro.storage.record import VersionedRecord
 #: ``watermark`` default of the install paths: "ask
 #: :meth:`Table.keep_watermark`" (``None`` is one of its answers).
 _RESOLVE: Any = object()
+
+#: The ``indexes`` of every table whose schema declares none: one
+#: shared read-only map instead of an empty dict per table.
+_NO_INDEXES: Mapping[str, Any] = MappingProxyType({})
 
 
 class Table:
@@ -57,8 +62,11 @@ class Table:
         #: Primary keys whose record has (or recently had) chain
         #: versions; membership is validated lazily by
         #: :meth:`iter_chained`, so pruned chains fall out without an
-        #: explicit unhook.
-        self._chained: set[tuple] = set()
+        #: explicit unhook.  ``None`` until the table's first retained
+        #: version, so a never-versioned table holds no set (an empty
+        #: one is 216 B).  Writers hold the container lock (the commit
+        #: guard), so creating it needs no lock of its own.
+        self._chained: set[tuple] | None = None
         #: The owning database's storage coordinator, wired at
         #: bootstrap/adoption; ``None`` for standalone tables (no
         #: snapshot readers, no version bookkeeping).
@@ -70,10 +78,10 @@ class Table:
         #: Bumped on insert/delete; conservative phantom guard for full
         #: and predicate scans over the primary index.
         self.structure_version = 0
-        self.indexes: dict[str, HashIndex | OrderedIndex] = {
+        self.indexes: Mapping[str, HashIndex | OrderedIndex] = {
             spec.name: build_index(spec, schema.primary_key)
             for spec in schema.indexes
-        }
+        } if schema.indexes else _NO_INDEXES
 
     def __len__(self) -> int:
         return len(self.records)
@@ -89,6 +97,8 @@ class Table:
     def _note_versions(self, record: VersionedRecord, created: int,
                        pruned: int) -> None:
         if created:
+            if self._chained is None:
+                self._chained = set()
             self._chained.add(record.key)
         if self.versioning is not None:
             self.versioning.note_versions(created, pruned)
@@ -129,11 +139,14 @@ class Table:
         their live head — in primary-key order.  Lets indexed snapshot
         scans examine index candidates plus this (GC-bounded) set
         instead of the whole table."""
+        chained = self._chained
+        if chained is None:
+            return
         records = self.records
-        for pk in sorted(self._chained):
+        for pk in sorted(chained):
             record = records.get(pk)
             if record is None or record.prev is None:
-                self._chained.discard(pk)
+                chained.discard(pk)
                 continue
             yield record
 

@@ -345,9 +345,9 @@ class TransactionExecutor:
             factor = 1.0 + (self.costs.cold_access_factor - 1.0) * \
                 (1.0 - warmth)
             root.touched_reactors[reactor.name] = factor
-            # Online migration drains on this set: the reactor cannot
+            # Online migration drains on this map: the reactor cannot
             # be copied away while a root that touched it is in flight.
-            reactor.inflight_roots.add(root.txn_id)
+            reactor.inflight_roots[root.txn_id] = None
             root.reactor_refs.append(reactor)
 
     # ------------------------------------------------------------------
@@ -897,7 +897,7 @@ class TransactionExecutor:
         root = task.root
         root.finished = True
         for reactor in root.reactor_refs:
-            reactor.inflight_roots.discard(root.txn_id)
+            reactor.inflight_roots.pop(root.txn_id, None)
         database = self.container.database
         # Backend hook: telemetry counters, durability ack sets, the
         # snapshot-pin watermark and the history recorder are shared

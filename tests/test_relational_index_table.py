@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DuplicateKeyError, SchemaError
+from repro.errors import DuplicateKeyError, RecordNotFound, SchemaError
 from repro.relational.index import HashIndex, OrderedIndex, make_spec
 from repro.relational.schema import (
     IndexSpec,
@@ -220,3 +220,18 @@ class TestTable:
         rows = table.rows()
         rows[0]["amount"] = 999.0
         assert table.get_record((1, 1)).value["amount"] == 5.0
+
+    def test_tables_without_indexes_share_one_read_only_map(self):
+        schema = make_schema("plain", [int_col("id")], ["id"])
+        first, second = Table(schema), Table(schema)
+        assert first.indexes is second.indexes
+        assert len(first.indexes) == 0
+        with pytest.raises(TypeError):
+            first.indexes["by_id"] = None
+        assert len(Table(order_schema()).indexes) == 2
+
+    def test_missing_index_is_a_typed_error(self):
+        for schema in (order_schema(),
+                       make_schema("plain", [int_col("id")], ["id"])):
+            with pytest.raises(RecordNotFound):
+                Table(schema).index("missing")

@@ -181,6 +181,28 @@ class TestTableVersioning:
         assert table.gc_versions(coordinator.keep_watermark()) == 1
         assert table.live_version_count() == 0
 
+    def test_unversioned_table_holds_no_chain_set(self):
+        table = _table()
+        table.versioning = StorageCoordinator()
+        table.load_row({"id": 1, "v": 1.0}, tid=5)
+        table.install_update(table.get_record((1,)),
+                             {"id": 1, "v": 2.0}, 10)
+        assert list(table.iter_chained()) == []
+        assert table._chained is None
+
+    def test_iter_chained_follows_retained_versions(self):
+        table = _table()
+        coordinator = StorageCoordinator()
+        table.versioning = coordinator
+        table.load_row({"id": 1, "v": 1.0}, tid=5)
+        table.load_row({"id": 2, "v": 1.0}, tid=5)
+        coordinator.pin(txn_id=1, snapshot_tid=5)
+        record = table.get_record((1,))
+        table.install_update(record, {"id": 1, "v": 2.0}, 10)
+        assert list(table.iter_chained()) == [record]
+        table.gc_versions(None)
+        assert list(table.iter_chained()) == []
+
     def test_keep_watermark_is_min_pinned(self):
         coordinator = StorageCoordinator()
         assert coordinator.keep_watermark() is None
