@@ -1,4 +1,4 @@
-"""Shared helpers for the benchmark scripts.
+"""Shared helpers for the wall-clock benchmark scripts.
 
 Every ``bench_*.py`` next to this file is a script with one entry
 point, ``main()``, and one shape: measure, print the report (persisted
@@ -7,9 +7,10 @@ conditions, and optionally write machine-readable JSON.
 :func:`bench_args` is the argument parser they share and
 :func:`finish` the report -> check -> JSON tail, so the acceptance
 conditions run in every mode: a ``--tiny`` CI run fails on a broken
-invariant, not only on a baseline delta.  (The paper's own figures and
-tables are not scripts here: ``python -m repro.experiments`` runs and
-checks them.)
+invariant, not only on a baseline delta.  (Everything measured in
+virtual time — the paper's figures and tables and the ablations — is
+not a script here: ``python -m repro.experiments`` runs and checks
+it.)
 
 Machine-readable output: :func:`emit_json` writes a
 ``BENCH_<name>.json`` file next to the text report so CI jobs and
@@ -149,25 +150,3 @@ def emit_json(name: str, payload: Any,
                     + "\n")
     return path
 
-
-def summary_payload(summary) -> dict[str, Any]:
-    """The machine-readable core of one RunSummary (throughput,
-    aborts, latency percentiles)."""
-    return {
-        "committed": summary.committed,
-        "aborted": summary.aborted,
-        "abort_rate": round(summary.abort_rate, 6),
-        "throughput_tps": round(summary.throughput_tps, 3),
-        "throughput_std": round(summary.throughput_std, 3),
-        "latency_us": round(summary.latency_us, 3),
-        "p50_us": round(summary.p50_us, 3),
-        "p99_us": round(summary.p99_us, 3),
-    }
-
-
-def cc_config(label: str) -> dict[str, Any]:
-    """A run row's ``scheme`` label as deployment keywords: a
-    ``cc_scheme`` name, optionally suffixed ``+snapshot_reads``."""
-    scheme, __, switch = label.partition("+")
-    return {"cc_scheme": scheme,
-            "snapshot_reads": switch == "snapshot_reads"}

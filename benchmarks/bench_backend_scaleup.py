@@ -34,13 +34,13 @@ runners).
 import sys
 import time
 
-from _util import bench_args, finish, summary_payload
+from _util import bench_args, finish
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
-from repro.experiments.common import tpcc_database
+from repro.experiments.common import summary_payload, tpcc_database
 from repro.runtime.threads import gil_enabled
 from repro.workloads import smallbank, tpcc
 

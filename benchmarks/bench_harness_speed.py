@@ -37,7 +37,7 @@ is not).
 import statistics
 import time
 
-from _util import bench_args, cc_config, finish, summary_payload
+from _util import bench_args, finish
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
@@ -47,7 +47,11 @@ from repro.core.deployment import (
     shared_everything_with_affinity,
     shared_nothing,
 )
-from repro.experiments.common import tpcc_deployment
+from repro.experiments.common import (
+    cc_config,
+    summary_payload,
+    tpcc_deployment,
+)
 from repro.workloads import smallbank, tpcc, ycsb
 
 REPEATS = 3

@@ -1,21 +1,31 @@
-"""One module per paper table/figure; ``docs/benchmarks.md`` has the
-index.
+"""One module per paper table/figure and per ablation;
+``docs/benchmarks.md`` has the index.
 
 Each module exposes ``run(...)`` (returns plain data, parameterized so
 callers can trade precision for wall-clock time), ``report(results)``
 (prints the same rows/series the paper's figure or table shows),
-``check(results)`` (asserts the paper's shape on what ``run``
-returned) and ``QUICK`` (the scaled-down ``run`` parameters the shape
-is checked at on every push).  ``python -m repro.experiments`` is the
+``check(results)`` (asserts the paper's shape, or an ablation's
+acceptance conditions, on what ``run`` returned) and ``QUICK`` (the
+scaled-down ``run`` parameters ``check`` is asserted at on every
+push).  ``python -m repro.experiments`` is the
 one way to run them.
 
 Public exports are the experiment submodules themselves (``fig05``
-through ``fig19``, ``table1``, ``appf2`` / ``appf3``) plus
-:mod:`~repro.experiments.common`, the shared database/deployment
-builders they all use.
+through ``fig19``, ``table1``, ``appf2`` / ``appf3``, and the seven
+``abl_*`` ablations: CC schemes, replication, migration, MVCC,
+durability, the safety condition and the ``cr``/``cs`` asymmetry)
+plus :mod:`~repro.experiments.common`, the shared database/deployment
+builders and run-row helpers they use.
 """
 
 from repro.experiments import (  # noqa: F401
+    abl_cc_schemes,
+    abl_cr_asymmetry,
+    abl_durability,
+    abl_migration,
+    abl_mvcc,
+    abl_replication,
+    abl_safety,
     appf2,
     appf3,
     common,
@@ -47,4 +57,11 @@ __all__ = [
     "table1",
     "appf2",
     "appf3",
+    "abl_cr_asymmetry",
+    "abl_safety",
+    "abl_cc_schemes",
+    "abl_replication",
+    "abl_migration",
+    "abl_mvcc",
+    "abl_durability",
 ]

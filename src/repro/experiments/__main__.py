@@ -1,4 +1,4 @@
-"""Run paper experiments from the command line.
+"""Run paper experiments and ablations from the command line.
 
 Usage::
 
@@ -7,12 +7,14 @@ Usage::
     python -m repro.experiments all             # run everything
     python -m repro.experiments --quick --check all
 
-Each experiment prints the series/rows of its paper figure or table
-with default (paper-shaped, moderately sized) parameters.  ``--quick``
-runs the module's scaled-down ``QUICK`` parameters instead (the whole
-set in about two minutes); ``--check`` asserts the paper's shape on
-the results and makes the exit status non-zero when one does not hold
-— together they are what CI runs on every push.
+Each experiment prints the series/rows of its paper figure, table or
+ablation with default (paper-shaped, moderately sized) parameters.
+``--quick`` runs the module's scaled-down ``QUICK`` parameters instead
+(the whole set in about three minutes); ``--check`` asserts each
+module's ``check`` on its results (the paper's shape, an ablation's
+acceptance conditions and, at ``QUICK``, its throughput pins) and
+makes the exit status non-zero when one does not hold — together they
+are what CI runs on every push.
 """
 
 from __future__ import annotations
@@ -43,21 +45,23 @@ def run_one(name: str, quick: bool):
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
-        description="Regenerate the paper's figures and tables.")
+        description="Regenerate the paper's figures and tables and "
+                    "the ablations.")
     parser.add_argument("names", nargs="*", metavar="experiment",
                         help="experiment names, or 'all'")
     parser.add_argument("--quick", action="store_true",
                         help="scaled-down parameters (each module's "
                              "QUICK)")
     parser.add_argument("--check", action="store_true",
-                        help="assert the paper's shape on the results")
+                        help="assert each module's check() on its "
+                             "results")
     args = parser.parse_args(argv)
     if not args.names:
         print(__doc__)
         print("available experiments:")
         for name in EXPERIMENTS:
             doc = getattr(experiments, name).__doc__ or ""
-            print(f"  {name:10s} {doc.strip().splitlines()[0]}")
+            print(f"  {name:16s} {doc.strip().splitlines()[0]}")
         return 0
     names = EXPERIMENTS if args.names == ["all"] else args.names
     unknown = [n for n in names if n not in EXPERIMENTS]

@@ -15,13 +15,12 @@ same SmallBank and TPC-C new-order applications run under every
   tests/test_integration_cc_schemes.py).
 """
 
-from _util import finish
+from __future__ import annotations
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
-from repro.core.database import ReactorDatabase
 from repro.core.deployment import shared_everything_with_affinity
-from repro.experiments.common import tpcc_database
+from repro.experiments.common import loaded_smallbank, tpcc_database
 from repro.workloads import smallbank, tpcc
 
 SCHEMES = ("occ", "2pl_nowait", "2pl_waitdie", "none")
@@ -30,33 +29,55 @@ N_CUSTOMERS = 40
 WORKERS = 4
 TPCC_WAREHOUSES = 2
 
+QUICK = dict(measure_us=60_000.0)
 
-def _measure_smallbank(scheme: str, hotspot: float):
-    deployment = shared_everything_with_affinity(4, cc_scheme=scheme)
-    database = ReactorDatabase(
-        deployment, smallbank.declarations(N_CUSTOMERS))
-    smallbank.load(database, N_CUSTOMERS)
+
+def _measure_smallbank(scheme: str, hotspot: float,
+                       measure_us: float):
+    database = loaded_smallbank(
+        shared_everything_with_affinity(4, cc_scheme=scheme), N_CUSTOMERS)
     workload = smallbank.SmallbankWorkload(
         N_CUSTOMERS, hotspot_fraction=hotspot)
     result = run_measurement(database, WORKERS, workload.factory_for,
-                             warmup_us=5_000.0, measure_us=60_000.0,
+                             warmup_us=5_000.0, measure_us=measure_us,
                              n_epochs=4)
     return result.summary, database.abort_counts()
 
 
-def _measure_tpcc(scheme: str, remote_item_prob: float):
+def _measure_tpcc(scheme: str, remote_item_prob: float,
+                  measure_us: float):
     database = tpcc_database("shared-nothing-async", TPCC_WAREHOUSES,
                              mpl=4, cc_scheme=scheme)
     workload = tpcc.TpccWorkload(
         n_warehouses=TPCC_WAREHOUSES, mix=tpcc.NEW_ORDER_ONLY,
         remote_item_prob=remote_item_prob, invalid_item_prob=0.0)
     result = run_measurement(database, WORKERS, workload.factory_for,
-                             warmup_us=5_000.0, measure_us=60_000.0,
+                             warmup_us=5_000.0, measure_us=measure_us,
                              n_epochs=4)
     return result.summary, database.abort_counts()
 
 
-def _rows(measurements):
+HEADERS = ["workload/skew", "scheme", "tput [txn/s]", "lat [usec]",
+           "abort %", "val fail", "lock conf", "die+wound"]
+
+
+def run(schemes: tuple[str, ...] = SCHEMES,
+        skews: tuple[float, ...] = SKEWS,
+        measure_us: float = 60_000.0) -> dict:
+    """(workload/skew label, scheme) -> (RunSummary, abort counts)."""
+    measurements = {}
+    for hotspot in skews:
+        for scheme in schemes:
+            measurements[(f"smallbank h={hotspot}", scheme)] = \
+                _measure_smallbank(scheme, hotspot, measure_us)
+    for remote in (0.1, 1.0):
+        for scheme in schemes:
+            measurements[(f"tpcc-neworder r={remote}", scheme)] = \
+                _measure_tpcc(scheme, remote, measure_us)
+    return measurements
+
+
+def report(measurements):
     rows = []
     for (label, scheme), (summary, counts) in measurements.items():
         reasons = counts["by_reason"]
@@ -69,31 +90,10 @@ def _rows(measurements):
             reasons["lock_conflict"],
             reasons["deadlock_avoidance"] + reasons["wound"],
         ])
-    return rows
-
-
-HEADERS = ["workload/skew", "scheme", "tput [txn/s]", "lat [usec]",
-           "abort %", "val fail", "lock conf", "die+wound"]
-
-
-def run() -> dict:
-    measurements = {}
-    for hotspot in SKEWS:
-        for scheme in SCHEMES:
-            measurements[(f"smallbank h={hotspot}", scheme)] = \
-                _measure_smallbank(scheme, hotspot)
-    for remote in (0.1, 1.0):
-        for scheme in SCHEMES:
-            measurements[(f"tpcc-neworder r={remote}", scheme)] = \
-                _measure_tpcc(scheme, remote)
-    return measurements
-
-
-def _report(measurements):
     print_table(
         "Ablation: CC scheme x skew (SmallBank hotspot, TPC-C "
         "new-order remote-item probability)",
-        HEADERS, _rows(measurements))
+        HEADERS, rows)
 
 
 def check(measurements):
@@ -124,11 +124,3 @@ def check(measurements):
         cold = measurements[("smallbank h=0.0", scheme)][0]
         hot = measurements[("smallbank h=0.9", scheme)][0]
         assert hot.abort_rate >= cold.abort_rate
-
-
-def main() -> None:
-    finish("ablation_cc_schemes", run(), _report, check)
-
-
-if __name__ == "__main__":
-    main()

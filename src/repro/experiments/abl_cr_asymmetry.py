@@ -8,36 +8,35 @@ where Cr == Cs: the partially-async vs fully-async gap should shrink
 dramatically, confirming the causal story.
 """
 
-import dataclasses
+from __future__ import annotations
 
-from _util import finish
+import dataclasses
 
 from repro.bench.harness import single_worker_latency
 from repro.bench.report import print_table
-from repro.core.database import ReactorDatabase
-from repro.core.deployment import RangePlacement, shared_nothing
-from repro.experiments.common import spread_destinations
+from repro.experiments.common import (
+    smallbank_database,
+    spread_destinations,
+)
 from repro.sim.machine import XEON_E3_1276
 from repro.workloads import smallbank
 
 SIZE = 7
 CPC = 60
 
+QUICK = dict(n_txns=50)
 
-def _latency(variant: str, machine) -> float:
-    deployment = shared_nothing(7, machine=machine,
-                                placement=RangePlacement(CPC))
-    database = ReactorDatabase(deployment,
-                               smallbank.declarations(7 * CPC))
-    smallbank.load(database, 7 * CPC)
+
+def _latency(variant: str, machine, n_txns: int) -> float:
+    database = smallbank_database(CPC, machine=machine)
     spec = smallbank.multi_transfer_spec(
         variant, smallbank.reactor_name(0),
         spread_destinations(SIZE, CPC))
     return single_worker_latency(
-        database, lambda w: spec, n_txns=50).summary.latency_us
+        database, lambda w: spec, n_txns=n_txns).summary.latency_us
 
 
-def run() -> list[list]:
+def run(n_txns: int = 50) -> list[list]:
     """Rows of [machine, partially-async, fully-async, gap]."""
     symmetric_machine = dataclasses.replace(
         XEON_E3_1276, name="xeon-symmetric",
@@ -46,13 +45,13 @@ def run() -> list[list]:
     rows = []
     for label, machine in (("asymmetric (paper)", XEON_E3_1276),
                            ("symmetric (Cr == Cs)", symmetric_machine)):
-        partial = _latency("partially-async", machine)
-        full = _latency("fully-async", machine)
+        partial = _latency("partially-async", machine, n_txns)
+        full = _latency("fully-async", machine, n_txns)
         rows.append([label, partial, full, partial - full])
     return rows
 
 
-def _report(rows):
+def report(rows):
     print_table(
         "Ablation: partially-async vs fully-async gap under "
         "symmetric communication (size 7)",
@@ -66,11 +65,3 @@ def check(rows):
     # send path — the paper's causal claim.
     assert gaps["symmetric (Cr == Cs)"] < \
         0.5 * gaps["asymmetric (paper)"]
-
-
-def main() -> None:
-    finish("ablation_cr_asymmetry", run(), _report, check)
-
-
-if __name__ == "__main__":
-    main()

@@ -19,28 +19,30 @@ The persistence knob of the deployment spectrum, measured:
   serial replay; every crash image is certified by
   ``certify_crash_recovery`` (and a tampered image is rejected).
 
-Results land in ``benchmarks/results/ablation_durability.txt`` and —
-machine-readable — ``BENCH_ablation_durability.json``.  Run as a
-script for the CI smoke job: ``python bench_ablation_durability.py
---tiny --json``.
+``QUICK`` is the size CI checks; there ``check`` also holds every run
+row's ``throughput_tps`` to ``QUICK_TPS``.
 """
 
-from dataclasses import replace
+from __future__ import annotations
 
-from _util import bench_args, finish, summary_payload
+from dataclasses import replace
 
 from repro import DurabilityConfig
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
-from repro.core.database import ReactorDatabase
 from repro.core.deployment import (
     shared_everything_with_affinity,
     shared_nothing,
 )
 from repro.durability import recover
-from repro.durability.wal import RedoEntry, RedoRecord, unseal
+from repro.durability.wal import RedoRecord, unseal
 from repro.errors import TransactionAbort
-from repro.experiments.common import tpcc_database
+from repro.experiments.common import (
+    check_quick_tps,
+    loaded_smallbank,
+    summary_payload,
+    tpcc_database,
+)
 from repro.formal import certify_crash_recovery
 from repro.sim.machine import XEON_E3_1276, MachineProfile
 from repro.workloads import smallbank, tpcc
@@ -53,14 +55,19 @@ SB_WORKERS = 8
 TPCC_WORKERS = 16
 TPCC_WAREHOUSES = 2
 
-CONFIG = {
-    "modes": list(MODES),
-    "flush_intervals_us": list(FLUSH_INTERVALS),
-    "checkpoint_cadence": list(CHECKPOINT_CADENCE),
-    "n_customers": N_CUSTOMERS,
-    "sb_workers": SB_WORKERS,
-    "tpcc_workers": TPCC_WORKERS,
-    "tpcc_warehouses": TPCC_WAREHOUSES,
+QUICK = dict(measure_us=10_000.0, curve_txns=120)
+
+#: Each run row's ``throughput_tps`` at ``QUICK``, by ``row_key``.
+QUICK_TPS = {
+    "workload=smallbank mode=sync": 41500.0,
+    "workload=smallbank mode=group": 117500.0,
+    "workload=smallbank mode=async": 383000.0,
+    "workload=tpcc-neworder mode=sync": 33300.0,
+    "workload=tpcc-neworder mode=group": 44400.0,
+    "workload=tpcc-neworder mode=async": 45400.0,
+    "workload=smallbank mode=group flush_interval_us=10.0": 55100.0,
+    "workload=smallbank mode=group flush_interval_us=50.0": 117500.0,
+    "workload=smallbank mode=group flush_interval_us=200.0": 41700.0,
 }
 
 
@@ -83,9 +90,7 @@ def _measure_smallbank(mode: str, measure_us: float,
     deployment = shared_everything_with_affinity(
         4, machine=_machine(flush_interval_us),
         durability=_durable(mode))
-    database = ReactorDatabase(
-        deployment, smallbank.declarations(N_CUSTOMERS))
-    smallbank.load(database, N_CUSTOMERS)
+    database = loaded_smallbank(deployment, N_CUSTOMERS)
     workload = smallbank.SmallbankWorkload(N_CUSTOMERS)
     result = run_measurement(database, SB_WORKERS,
                              workload.factory_for,
@@ -123,6 +128,25 @@ def _flush_summary(database) -> dict:
     }
 
 
+def _tamper(image) -> bool:
+    """Add 1e9 to the first float column of the first logged row that
+    has one; False when no logged row does."""
+    for records in image.logs.values():
+        for index, sealed in enumerate(records):
+            record = unseal(sealed)
+            for j, entry in enumerate(record.entries):
+                key = next((k for k, v in (entry.row or {}).items()
+                            if isinstance(v, float)), None)
+                if key is not None:
+                    entries = list(record.entries)
+                    entries[j] = entry._replace(
+                        row={**entry.row, key: entry.row[key] + 1e9})
+                    records[index] = RedoRecord(
+                        record.commit_tid, tuple(entries)).sealed
+                    return True
+    return False
+
+
 def _certify_crash(database, mode: str) -> dict:
     """Kill the measured database where it stands (mid-epoch by
     construction: measurement leaves in-flight work), recover
@@ -135,30 +159,8 @@ def _certify_crash(database, mode: str) -> dict:
     cert = certify_crash_recovery(database, image, report.database)
 
     tampered = database.durability.crash()
-    rejected = None
-    for records in tampered.logs.values():
-        for index, sealed in enumerate(records):
-            record = unseal(sealed)
-            for j, entry in enumerate(record.entries):
-                if entry.row and any(
-                        isinstance(v, float) for v in
-                        entry.row.values()):
-                    row = dict(entry.row)
-                    key = next(k for k, v in row.items()
-                               if isinstance(v, float))
-                    row[key] += 1e9
-                    entries = list(record.entries)
-                    entries[j] = RedoEntry(entry.reactor, entry.table,
-                                           entry.kind, entry.pk, row)
-                    records[index] = RedoRecord(record.commit_tid,
-                                                tuple(entries)).sealed
-                    rejected = not certify_crash_recovery(
-                        database, tampered, None)["ok"]
-                    break
-            if rejected is not None:
-                break
-        if rejected is not None:
-            break
+    rejected = (not certify_crash_recovery(database, tampered, None)["ok"]
+                if _tamper(tampered) else None)
     return {
         "cert_ok": cert["ok"],
         "zero_acked_loss": cert["zero_acked_loss"],
@@ -176,9 +178,7 @@ def _recovery_curve(checkpoint_every: int, total_txns: int) -> dict:
     import random
 
     deployment = shared_nothing(4, durability=_durable("group"))
-    database = ReactorDatabase(
-        deployment, smallbank.declarations(N_CUSTOMERS))
-    smallbank.load(database, N_CUSTOMERS)
+    database = loaded_smallbank(deployment, N_CUSTOMERS)
     rng = random.Random(17)
     checkpoints = 0
 
@@ -229,8 +229,7 @@ def _recovery_curve(checkpoint_every: int, total_txns: int) -> dict:
     }
 
 
-def run_ablation(measure_us: float = 60_000.0,
-                 curve_txns: int = 240) -> dict:
+def run(measure_us: float = 60_000.0, curve_txns: int = 240) -> dict:
     """The full grid; returns the machine-readable payload."""
     runs = []
 
@@ -283,6 +282,7 @@ def run_ablation(measure_us: float = 60_000.0,
             for mode, row in by_mode_sb.items() if mode != "async"),
         "tamper_rejected": all(
             row["tamper_rejected"] for row in by_mode_sb.values()),
+        "params": {"measure_us": measure_us, "curve_txns": curve_txns},
     }
 
 
@@ -290,29 +290,18 @@ HEADERS = ["workload", "mode", "tput [txn/s]", "lat [usec]",
            "p99 [usec]", "fsyncs", "rec/fsync", "cert"]
 
 
-def _rows(payload):
-    rows = []
-    for run in payload["runs"]:
-        label = run["mode"]
-        if "flush_interval_us" in run:
-            label += f" @{run['flush_interval_us']:g}us"
-        rows.append([
-            run["workload"], label,
-            round(run["throughput_tps"], 1),
-            round(run["latency_us"], 1),
-            round(run["p99_us"], 1),
-            run["fsyncs"],
-            run["records_per_fsync"],
-            run.get("cert_ok", "-"),
-        ])
-    return rows
-
-
-def _report(payload):
+def report(payload):
+    rows = [[run["workload"],
+             run["mode"] + (f" @{run['flush_interval_us']:g}us"
+                            if "flush_interval_us" in run else ""),
+             round(run["throughput_tps"], 1), round(run["latency_us"], 1),
+             round(run["p99_us"], 1), run["fsyncs"],
+             run["records_per_fsync"], run.get("cert_ok", "-")]
+            for run in payload["runs"]]
     print_table(
         "Ablation: durability mode (sync/group/async) on SmallBank "
         "and TPC-C new-order, plus group-commit flush-interval sweep",
-        HEADERS, _rows(payload))
+        HEADERS, rows)
     print(f"group-commit speedup over sync: "
           f"{payload['group_over_sync_smallbank']:.2f}x (SmallBank), "
           f"{payload['group_over_sync_tpcc']:.2f}x (TPC-C)")
@@ -330,8 +319,8 @@ def _report(payload):
 
 
 def check(payload):
-    """Acceptance conditions; they hold at the full and at the
-    ``--tiny`` sizes, so every mode asserts them."""
+    """Acceptance conditions; they hold at the default and at the
+    ``QUICK`` sizes."""
     # Every configuration makes progress.
     assert all(r["committed"] > 0 for r in payload["runs"])
     # Group commit amortizes: strictly fewer fsyncs than records on
@@ -362,16 +351,4 @@ def check(payload):
     assert payload["crash_certified"]
     assert payload["tamper_rejected"]
 
-
-def main(argv: list[str] | None = None) -> None:
-    args = bench_args(__doc__, argv)
-    measure_us = 10_000.0 if args.tiny else 60_000.0
-    curve_txns = 120 if args.tiny else 240
-    finish("ablation_durability", run_ablation(measure_us, curve_txns),
-           _report, check, args,
-           config={**CONFIG, "measure_us": measure_us,
-                   "curve_txns": curve_txns, "tiny": args.tiny})
-
-
-if __name__ == "__main__":
-    main()
+    check_quick_tps(payload, QUICK, QUICK_TPS)

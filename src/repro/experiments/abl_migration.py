@@ -18,18 +18,20 @@ skew-shifted SmallBank workload over a shared-nothing deployment:
   :func:`repro.formal.audit.certify_migration` must certify routing,
   source quiescence, and state-replay equivalence.
 
-Results land in ``benchmarks/results/ablation_migration.txt`` and —
-machine-readable — ``BENCH_ablation_migration.json``.  Run as a script
-for the CI smoke job: ``python bench_ablation_migration.py --tiny
---json``.
+``QUICK`` is the size CI checks; there ``check`` also holds both
+placements' ``throughput_tps`` to ``QUICK_TPS``.
 """
 
-from _util import bench_args, finish, summary_payload
+from __future__ import annotations
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
-from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
+from repro.experiments.common import (
+    check_quick_tps,
+    loaded_smallbank,
+    summary_payload,
+)
 from repro.formal.audit import attach_recorder, certify_migration
 from repro.workloads import smallbank
 
@@ -41,14 +43,12 @@ WARMUP_US = 4_000.0
 MEASURE_US = 120_000.0
 CC_SCHEMES = ("occ", "2pl_nowait", "2pl_waitdie")
 
-CONFIG = {
-    "n_customers": N_CUSTOMERS,
-    "containers": CONTAINERS,
-    "workers": WORKERS,
-    "hotspot": HOTSPOT,
-    "warmup_us": WARMUP_US,
-    "measure_us": MEASURE_US,
-    "cc_schemes": list(CC_SCHEMES),
+QUICK = dict(measure_us=30_000.0)
+
+#: Each run row's ``throughput_tps`` at ``QUICK``, by ``row_key``.
+QUICK_TPS = {
+    "placement=frozen": 204566.667,
+    "placement=elastic": 257266.667,
 }
 
 
@@ -64,9 +64,7 @@ def _run_skew_shift(elastic: bool, measure_us: float):
     block = N_CUSTOMERS // CONTAINERS
     deployment = shared_nothing(CONTAINERS, mpl=4,
                                 placement=RangePlacement(block))
-    database = ReactorDatabase(deployment,
-                               smallbank.declarations(N_CUSTOMERS))
-    smallbank.load(database, N_CUSTOMERS)
+    database = loaded_smallbank(deployment, N_CUSTOMERS)
     workload = smallbank.SmallbankWorkload(
         N_CUSTOMERS, mix=smallbank.STANDARD_MIX, hotspot_fraction=0.0)
 
@@ -101,11 +99,9 @@ def _run_skew_shift(elastic: bool, measure_us: float):
 def _certify_scheme(scheme: str, measure_us: float):
     """Two live migrations under a contended mix; audit the history."""
     n = 12
-    database = ReactorDatabase(
+    database = loaded_smallbank(
         shared_nothing(3, mpl=4, cc_scheme=scheme,
-                       placement=RangePlacement(4)),
-        smallbank.declarations(n))
-    smallbank.load(database, n)
+                       placement=RangePlacement(4)), n)
     recorder = attach_recorder(database)
     workload = smallbank.SmallbankWorkload(n, hotspot_fraction=0.5)
     scheduler = database.scheduler
@@ -127,7 +123,7 @@ def _certify_scheme(scheme: str, measure_us: float):
     }
 
 
-def run_ablation(measure_us: float = MEASURE_US) -> dict:
+def run(measure_us: float = MEASURE_US) -> dict:
     """The full grid; returns the machine-readable payload."""
     frozen = _run_skew_shift(elastic=False, measure_us=measure_us)
     elastic = _run_skew_shift(elastic=True, measure_us=measure_us)
@@ -147,6 +143,7 @@ def run_ablation(measure_us: float = MEASURE_US) -> dict:
         "all_certified": all(
             c["serializable"] and c["migration_cert_ok"]
             for c in certifications),
+        "params": {"measure_us": measure_us},
     }
 
 
@@ -154,27 +151,18 @@ HEADERS = ["placement", "tput [txn/s]", "recovery tput [txn/s]",
            "lat [usec]", "abort %", "migrations", "rows moved"]
 
 
-def _rows(payload):
-    rows = []
-    for run in payload["runs"]:
-        migration = run["migration"]
-        rows.append([
-            run["placement"],
-            round(run["throughput_tps"], 1),
-            round(run["recovery_window_tput_tps"], 1),
-            round(run["latency_us"], 1),
-            round(run["abort_rate"] * 100, 2),
-            migration["completed"],
-            migration["rows_copied"],
-        ])
-    return rows
-
-
-def _report(payload):
+def report(payload):
+    rows = [[run["placement"], round(run["throughput_tps"], 1),
+             round(run["recovery_window_tput_tps"], 1),
+             round(run["latency_us"], 1),
+             round(run["abort_rate"] * 100, 2),
+             run["migration"]["completed"],
+             run["migration"]["rows_copied"]]
+            for run in payload["runs"]]
     print_table(
         "Ablation: skew-shifted SmallBank under frozen vs. elastic "
         "placement (online reactor migration)",
-        HEADERS, _rows(payload))
+        HEADERS, rows)
     print(f"post-rebalance throughput recovery: "
           f"{payload['recovery_ratio']:.3f}x over frozen placement")
     for cert in payload["certifications"]:
@@ -186,8 +174,8 @@ def _report(payload):
 
 
 def check(payload):
-    """Acceptance conditions; they hold at the full and at the
-    ``--tiny`` sizes, so every mode asserts them."""
+    """Acceptance conditions; they hold at the default and at the
+    ``QUICK`` sizes."""
     frozen, elastic = payload["runs"]
     assert frozen["committed"] > 0 and elastic["committed"] > 0
     # The elastic run really migrated the hot reactors.
@@ -205,14 +193,4 @@ def check(payload):
         assert cert["serializable"], cert
         assert cert["migration_cert_ok"], cert
 
-
-def main(argv: list[str] | None = None) -> None:
-    args = bench_args(__doc__, argv)
-    measure_us = 30_000.0 if args.tiny else MEASURE_US
-    finish("ablation_migration", run_ablation(measure_us), _report,
-           check, args, config={**CONFIG, "measure_us": measure_us,
-                                "tiny": args.tiny})
-
-
-if __name__ == "__main__":
-    main()
+    check_quick_tps(payload, QUICK, QUICK_TPS)

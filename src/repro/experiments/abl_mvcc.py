@@ -23,20 +23,23 @@ The storage-engine knob of the deployment spectrum, measured:
   with the writers, one serializability check; an injected stale-read
   tamper must be rejected.
 
-Results land in ``benchmarks/results/ablation_mvcc.txt`` and —
-machine-readable, with ``version_stats`` per run —
-``BENCH_ablation_mvcc.json``.  Run as a script for the CI smoke job:
-``python bench_ablation_mvcc.py --tiny --json``.
+``QUICK`` is the size CI checks; there ``check`` also holds every run
+row's ``throughput_tps`` to ``QUICK_TPS``.
 """
 
-import dataclasses
+from __future__ import annotations
 
-from _util import bench_args, cc_config, finish, summary_payload
+import dataclasses
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
+from repro.experiments.common import (
+    cc_config,
+    check_quick_tps,
+    summary_payload,
+)
 from repro.formal.audit import attach_recorder, certify_snapshot_isolation
 from repro.workloads import smallbank, ycsb
 
@@ -53,20 +56,27 @@ WORKERS = 16
 SB_CUSTOMERS = 40
 SB_HOTSPOTS = (0.0, 0.9)
 
-CONFIG = {
-    "schemes": list(SCHEMES),
-    "ycsb_skews": list(YCSB_SKEWS),
-    "ycsb_keys": YCSB_KEYS,
-    "read_fraction": READ_FRACTION,
-    "read_span": READ_SPAN,
-    "workers": WORKERS,
-    "smallbank_customers": SB_CUSTOMERS,
-    "smallbank_hotspots": list(SB_HOTSPOTS),
+QUICK = dict(measure_us=10_000.0, warmup_us=5_000.0)
+
+#: Each run row's ``throughput_tps`` at ``QUICK``, by ``row_key``.
+QUICK_TPS = {
+    "workload=ycsb-readheavy scheme=occ skew=0.6": 31800.0,
+    "workload=ycsb-readheavy scheme=2pl_nowait skew=0.6": 37100.0,
+    "workload=ycsb-readheavy scheme=occ+snapshot_reads skew=0.6": 53500.0,
+    "workload=ycsb-readheavy scheme=occ skew=0.9": 39100.0,
+    "workload=ycsb-readheavy scheme=2pl_nowait skew=0.9": 39700.0,
+    "workload=ycsb-readheavy scheme=occ+snapshot_reads skew=0.9": 58800.0,
+    "workload=smallbank-balance scheme=occ skew=0.0": 702900.0,
+    "workload=smallbank-balance scheme=2pl_nowait skew=0.0": 702900.0,
+    "workload=smallbank-balance scheme=occ+snapshot_reads skew=0.0": 717400.0,
+    "workload=smallbank-balance scheme=occ skew=0.9": 706000.0,
+    "workload=smallbank-balance scheme=2pl_nowait skew=0.9": 706000.0,
+    "workload=smallbank-balance scheme=occ+snapshot_reads skew=0.9": 720300.0,
 }
 
 
-def _measure_ycsb(scheme: str, theta: float,
-                  measure_us: float, audit: bool = False):
+def _measure_ycsb(scheme: str, theta: float, measure_us: float,
+                  warmup_us: float, audit: bool = False):
     deployment = shared_nothing(
         YCSB_CONTAINERS, mpl=4, **cc_config(scheme),
         placement=RangePlacement(YCSB_KEYS // YCSB_CONTAINERS))
@@ -82,13 +92,13 @@ def _measure_ycsb(scheme: str, theta: float,
         1, theta=theta, n_containers=YCSB_CONTAINERS, n_keys=YCSB_KEYS,
         read_fraction=READ_FRACTION, read_keys_per_txn=READ_SPAN)
     result = run_measurement(database, WORKERS, workload.factory_for,
-                             warmup_us=5_000.0, measure_us=measure_us,
+                             warmup_us=warmup_us, measure_us=measure_us,
                              n_epochs=4)
     return result.summary, database, recorder
 
 
-def _measure_smallbank(scheme: str, hotspot: float,
-                       measure_us: float, audit: bool = False):
+def _measure_smallbank(scheme: str, hotspot: float, measure_us: float,
+                       warmup_us: float, audit: bool = False):
     database = ReactorDatabase(
         shared_nothing(4, mpl=4, **cc_config(scheme)),
         smallbank.declarations(SB_CUSTOMERS))
@@ -98,7 +108,7 @@ def _measure_smallbank(scheme: str, hotspot: float,
         SB_CUSTOMERS, mix=smallbank.READ_HEAVY_MIX,
         hotspot_fraction=hotspot)
     result = run_measurement(database, WORKERS, workload.factory_for,
-                             warmup_us=5_000.0, measure_us=measure_us,
+                             warmup_us=warmup_us, measure_us=measure_us,
                              n_epochs=4)
     return result.summary, database, recorder
 
@@ -129,7 +139,8 @@ def _tamper_rejected(recorder) -> bool:
     return not certify_snapshot_isolation(recorder)["ok"]
 
 
-def run_ablation(measure_us: float = 40_000.0) -> dict:
+def run(measure_us: float = 40_000.0,
+        warmup_us: float = 5_000.0) -> dict:
     """The full grid; returns the machine-readable payload."""
     runs = []
     tamper_rejections = []
@@ -154,13 +165,14 @@ def run_ablation(measure_us: float = 40_000.0) -> dict:
         for scheme in SCHEMES:
             by_key[("ycsb", scheme, theta)] = record(
                 "ycsb-readheavy", scheme, theta, *_measure_ycsb(
-                    scheme, theta, measure_us,
+                    scheme, theta, measure_us, warmup_us,
                     audit=scheme == SNAPSHOT))
     for hotspot in SB_HOTSPOTS:
         for scheme in SCHEMES:
             by_key[("smallbank", scheme, hotspot)] = record(
                 "smallbank-balance", scheme, hotspot,
                 *_measure_smallbank(scheme, hotspot, measure_us,
+                                    warmup_us,
                                     audit=scheme == SNAPSHOT))
 
     high = max(YCSB_SKEWS)
@@ -178,6 +190,7 @@ def run_ablation(measure_us: float = 40_000.0) -> dict:
             r["snapshot_certificate"]["ok"] for r in snapshot_runs),
         "tamper_rejected": bool(tamper_rejections)
         and all(tamper_rejections),
+        "params": {"measure_us": measure_us, "warmup_us": warmup_us},
     }
 
 
@@ -186,29 +199,19 @@ HEADERS = ["workload/skew", "scheme", "tput [txn/s]", "abort %",
            "gc vers"]
 
 
-def _rows(payload):
-    rows = []
-    for run in payload["runs"]:
-        stats = run["version_stats"]
-        rows.append([
-            f"{run['workload']} s={run['skew']}", run["scheme"],
-            round(run["throughput_tps"], 1),
-            round(run["abort_rate"] * 100, 2),
-            round(run["p99_us"], 1),
-            stats["snapshot_roots"],
-            stats["read_only_aborts"],
-            stats["live_versions"],
-            stats["gc_versions"],
-        ])
-    return rows
-
-
-def _report(payload):
+def report(payload):
+    rows = [[f"{run['workload']} s={run['skew']}", run["scheme"],
+             round(run["throughput_tps"], 1),
+             round(run["abort_rate"] * 100, 2), round(run["p99_us"], 1),
+             *(run["version_stats"][stat] for stat in (
+                 "snapshot_roots", "read_only_aborts", "live_versions",
+                 "gc_versions"))]
+            for run in payload["runs"]]
     print_table(
         "Ablation: multi-version snapshot reads (read-heavy YCSB + "
         "SmallBank balance-checks, snapshot reads vs occ/2pl across "
         "skew)",
-        HEADERS, _rows(payload))
+        HEADERS, rows)
     print(f"snapshot-read speedup over occ (read-heavy, high skew): "
           f"{payload['snapshot_speedup_highskew']:.3f}x")
     print(f"snapshot read-only aborts: "
@@ -219,8 +222,8 @@ def _report(payload):
 
 
 def check(payload):
-    """Acceptance conditions; they hold at the full and at the
-    ``--tiny`` sizes, so every mode asserts them."""
+    """Acceptance conditions; they hold at the default and at the
+    ``QUICK`` sizes."""
     # Every configuration makes progress.
     assert all(r["committed"] > 0 for r in payload["runs"])
 
@@ -234,14 +237,4 @@ def check(payload):
     # the read-heavy high-skew YCSB point.
     assert payload["snapshot_speedup_highskew"] >= 1.3
 
-
-def main(argv: list[str] | None = None) -> None:
-    args = bench_args(__doc__, argv)
-    measure_us = 10_000.0 if args.tiny else 40_000.0
-    finish("ablation_mvcc", run_ablation(measure_us), _report, check,
-           args, config={**CONFIG, "measure_us": measure_us,
-                         "tiny": args.tiny})
-
-
-if __name__ == "__main__":
-    main()
+    check_quick_tps(payload, QUICK, QUICK_TPS)

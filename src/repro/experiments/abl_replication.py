@@ -17,22 +17,24 @@ The availability knob of the deployment spectrum, measured:
   the formal audit certifies the promoted replica as prefix-consistent
   with zero acknowledged-commit loss while throughput recovers.
 
-Results land in ``benchmarks/results/ablation_replication.txt`` and —
-machine-readable — ``BENCH_ablation_replication.json``.  Run as a
-script for the CI smoke job: ``python bench_ablation_replication.py
---tiny --json``.
+``QUICK`` is the size CI checks; there ``check`` also holds every run
+row's ``throughput_tps`` to ``QUICK_TPS``.
 """
 
-from _util import bench_args, finish, summary_payload
+from __future__ import annotations
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
-from repro.core.database import ReactorDatabase
 from repro.core.deployment import (
     shared_everything_with_affinity,
     shared_nothing,
 )
-from repro.experiments.common import tpcc_database
+from repro.experiments.common import (
+    check_quick_tps,
+    loaded_smallbank,
+    summary_payload,
+    tpcc_database,
+)
 from repro.formal.audit import certify_replication
 from repro.replication import ReplicationConfig
 from repro.workloads import smallbank, tpcc
@@ -43,12 +45,27 @@ N_CUSTOMERS = 40
 WORKERS = 4
 TPCC_WAREHOUSES = 2
 
-CONFIG = {
-    "modes": list(MODES),
-    "skews": list(SKEWS),
-    "n_customers": N_CUSTOMERS,
-    "workers": WORKERS,
-    "tpcc_warehouses": TPCC_WAREHOUSES,
+QUICK = dict(measure_us=10_000.0, warmup_us=5_000.0)
+
+#: Each run row's ``throughput_tps`` at ``QUICK``, by ``row_key``.
+QUICK_TPS = {
+    "workload=smallbank mode=none skew=0.0": 240600.0,
+    "workload=smallbank mode=async skew=0.0": 240600.0,
+    "workload=smallbank mode=sync skew=0.0": 204000.0,
+    "workload=smallbank mode=none skew=0.9": 232900.0,
+    "workload=smallbank mode=async skew=0.9": 232900.0,
+    "workload=smallbank mode=sync skew=0.9": 200800.0,
+    "workload=tpcc-neworder mode=none skew=0.1": 22100.0,
+    "workload=tpcc-neworder mode=async skew=0.1": 22100.0,
+    "workload=tpcc-neworder mode=sync skew=0.1": 21700.0,
+    "workload=tpcc-neworder mode=none skew=1.0": 20300.0,
+    "workload=tpcc-neworder mode=async skew=1.0": 20300.0,
+    "workload=tpcc-neworder mode=sync skew=1.0": 19300.0,
+    "workload=smallbank-readheavy mode=none skew=0.0 read_from_replicas=False":
+        372000.0,
+    "workload=smallbank-readheavy mode=async skew=0.0 read_from_replicas=True":
+        447100.0,
+    "workload=smallbank-failover mode=sync skew=0.0": 170200.0,
 }
 
 
@@ -67,54 +84,54 @@ def _measure_smallbank(mode: str, hotspot: float, *,
                        read_from_replicas: bool = False,
                        n_executors: int = 4,
                        workers: int = WORKERS,
-                       measure_us: float = 60_000.0):
+                       measure_us: float = 60_000.0,
+                       warmup_us: float = 5_000.0):
     deployment = shared_everything_with_affinity(
         n_executors,
         replication=_replication(mode, read_from_replicas))
-    database = ReactorDatabase(
-        deployment, smallbank.declarations(N_CUSTOMERS))
-    smallbank.load(database, N_CUSTOMERS)
+    database = loaded_smallbank(deployment, N_CUSTOMERS)
     workload = smallbank.SmallbankWorkload(
         N_CUSTOMERS, mix=mix, hotspot_fraction=hotspot)
     result = run_measurement(database, workers, workload.factory_for,
-                             warmup_us=5_000.0, measure_us=measure_us,
+                             warmup_us=warmup_us, measure_us=measure_us,
                              n_epochs=4)
     return result.summary, database
 
 
 def _measure_tpcc(mode: str, remote_item_prob: float,
-                  measure_us: float = 60_000.0):
+                  measure_us: float = 60_000.0,
+                  warmup_us: float = 5_000.0):
     database = tpcc_database("shared-nothing-async", TPCC_WAREHOUSES,
                              mpl=4, replication=_replication(mode))
     workload = tpcc.TpccWorkload(
         n_warehouses=TPCC_WAREHOUSES, mix=tpcc.NEW_ORDER_ONLY,
         remote_item_prob=remote_item_prob, invalid_item_prob=0.0)
     result = run_measurement(database, WORKERS, workload.factory_for,
-                             warmup_us=5_000.0, measure_us=measure_us,
+                             warmup_us=warmup_us, measure_us=measure_us,
                              n_epochs=4)
     return result.summary, database
 
 
 def _measure_failover(mode: str = "sync",
-                      measure_us: float = 60_000.0):
+                      measure_us: float = 60_000.0,
+                      warmup_us: float = 5_000.0):
     """Kill container 0 mid-measurement and promote its replica."""
     n_customers = 16
-    database = ReactorDatabase(
-        shared_nothing(2, replication=_replication(mode)),
-        smallbank.declarations(n_customers))
-    smallbank.load(database, n_customers)
+    database = loaded_smallbank(
+        shared_nothing(2, replication=_replication(mode)), n_customers)
     workload = smallbank.SmallbankWorkload(n_customers)
-    kill_at = 5_000.0 + measure_us / 2
+    kill_at = warmup_us + measure_us / 2
     database.scheduler.at(kill_at,
                           database.replication.kill_and_promote, 0)
     result = run_measurement(database, WORKERS, workload.factory_for,
-                             warmup_us=5_000.0, measure_us=measure_us,
+                             warmup_us=warmup_us, measure_us=measure_us,
                              n_epochs=4)
     audit = certify_replication(database)
     return result.summary, database, audit
 
 
-def run_ablation(measure_us: float = 60_000.0) -> dict:
+def run(measure_us: float = 60_000.0,
+        warmup_us: float = 5_000.0) -> dict:
     """The full grid; returns the machine-readable payload."""
     runs = []
 
@@ -134,31 +151,33 @@ def run_ablation(measure_us: float = 60_000.0) -> dict:
     for hotspot in SKEWS:
         for mode in MODES:
             summary, database = _measure_smallbank(
-                mode, hotspot, measure_us=measure_us)
+                mode, hotspot, measure_us=measure_us,
+                warmup_us=warmup_us)
             record("smallbank", mode, hotspot, summary, database)
     for remote in (0.1, 1.0):
         for mode in MODES:
             summary, database = _measure_tpcc(
-                mode, remote, measure_us=measure_us)
+                mode, remote, measure_us=measure_us,
+                warmup_us=warmup_us)
             record("tpcc-neworder", mode, remote, summary, database)
 
     # Read-replica routing: single copy vs replicated read routing on
     # the read-heavy mix (the acceptance comparison).
     base_summary, base_db = _measure_smallbank(
         "none", 0.0, mix=smallbank.READ_HEAVY_MIX, n_executors=2,
-        workers=8, measure_us=measure_us)
+        workers=8, measure_us=measure_us, warmup_us=warmup_us)
     base_row = record("smallbank-readheavy", "none", 0.0,
                       base_summary, base_db, read_from_replicas=False)
     repl_summary, repl_db = _measure_smallbank(
         "async", 0.0, mix=smallbank.READ_HEAVY_MIX,
         read_from_replicas=True, n_executors=2, workers=8,
-        measure_us=measure_us)
+        measure_us=measure_us, warmup_us=warmup_us)
     repl_row = record("smallbank-readheavy", "async", 0.0,
                       repl_summary, repl_db, read_from_replicas=True)
 
     # Failover: kill the primary of container 0 mid-run, promote.
     fo_summary, fo_db, fo_audit = _measure_failover(
-        measure_us=measure_us)
+        measure_us=measure_us, warmup_us=warmup_us)
     record("smallbank-failover", "sync", 0.0, fo_summary, fo_db,
            audit_ok=fo_audit["ok"],
            failovers=fo_audit["failovers"])
@@ -171,6 +190,7 @@ def run_ablation(measure_us: float = 60_000.0) -> dict:
         "failover_audit_ok": fo_audit["ok"],
         "failover_zero_committed_loss": all(
             f["zero_committed_loss"] for f in fo_audit["failovers"]),
+        "params": {"measure_us": measure_us, "warmup_us": warmup_us},
     }
 
 
@@ -178,27 +198,17 @@ HEADERS = ["workload/skew", "mode", "tput [txn/s]", "lat [usec]",
            "abort %", "p99 [usec]", "repl lag [usec]", "acked"]
 
 
-def _rows(payload):
-    rows = []
-    for run in payload["runs"]:
-        repl = run["replication"]
-        rows.append([
-            f"{run['workload']} s={run['skew']}", run["mode"],
-            round(run["throughput_tps"], 1),
-            round(run["latency_us"], 1),
-            round(run["abort_rate"] * 100, 2),
-            round(run["p99_us"], 1),
-            repl.get("avg_lag_us", 0.0),
-            repl.get("acked_records", 0),
-        ])
-    return rows
-
-
-def _report(payload):
+def report(payload):
+    rows = [[f"{run['workload']} s={run['skew']}", run["mode"],
+             round(run["throughput_tps"], 1), round(run["latency_us"], 1),
+             round(run["abort_rate"] * 100, 2), round(run["p99_us"], 1),
+             run["replication"].get("avg_lag_us", 0.0),
+             run["replication"].get("acked_records", 0)]
+            for run in payload["runs"]]
     print_table(
         "Ablation: replication mode x skew (SmallBank, TPC-C "
         "new-order), read-replica routing, kill-primary failover",
-        HEADERS, _rows(payload))
+        HEADERS, rows)
     print(f"read-replica speedup over single-copy: "
           f"{payload['read_replica_speedup']:.3f}x")
     print(f"failover audit ok: {payload['failover_audit_ok']}; "
@@ -207,8 +217,8 @@ def _report(payload):
 
 
 def check(payload):
-    """Acceptance conditions; they hold at the full and at the
-    ``--tiny`` sizes, so every mode asserts them."""
+    """Acceptance conditions; they hold at the default and at the
+    ``QUICK`` sizes."""
     by_key = {(r["workload"], r["mode"], r["skew"]): r
               for r in payload["runs"]}
 
@@ -234,14 +244,4 @@ def check(payload):
     assert payload["failover_audit_ok"]
     assert payload["failover_zero_committed_loss"]
 
-
-def main(argv: list[str] | None = None) -> None:
-    args = bench_args(__doc__, argv)
-    measure_us = 10_000.0 if args.tiny else 60_000.0
-    finish("ablation_replication", run_ablation(measure_us), _report,
-           check, args, config={**CONFIG, "measure_us": measure_us,
-                                "tiny": args.tiny})
-
-
-if __name__ == "__main__":
-    main()
+    check_quick_tps(payload, QUICK, QUICK_TPS)

@@ -8,24 +8,20 @@ execute fine (inlined, sequential) under shared-everything —
 demonstrating that the condition is dynamic, not static.
 """
 
-from _util import finish
+from __future__ import annotations
 
 from repro.bench.harness import run_measurement
 from repro.bench.report import print_table
-from repro.core.database import ReactorDatabase
 from repro.core.deployment import (
     shared_everything_with_affinity,
     shared_nothing,
 )
+from repro.experiments.common import loaded_smallbank
 from repro.workloads import smallbank
 
 N = 12
 
-
-def _bank(deployment):
-    database = ReactorDatabase(deployment, smallbank.declarations(N))
-    smallbank.load(database, N)
-    return database
+QUICK = dict(measure_us=40_000.0)
 
 
 def _race_factory(worker_id: int):
@@ -56,9 +52,9 @@ def _danger_aborts(result) -> int:
                and "race on reactor" in s.abort_reason)
 
 
-def _measure(deployment, factory_for):
-    return run_measurement(_bank(deployment), 2, factory_for,
-                           warmup_us=5_000.0, measure_us=40_000.0,
+def _measure(deployment, factory_for, measure_us: float):
+    return run_measurement(loaded_smallbank(deployment, N), 2, factory_for,
+                           warmup_us=5_000.0, measure_us=measure_us,
                            n_epochs=4)
 
 
@@ -67,24 +63,25 @@ RACING = "same-reactor race, shared-nothing"
 INLINED = "same-reactor race, shared-everything"
 
 
-def run() -> dict:
+def run(measure_us: float = 40_000.0) -> dict:
     """Scenario label -> MeasurementResult."""
     return {
         # (a) overhead question: safe fan-outs under shared-nothing
         # never trip the condition (its bookkeeping is O(1) dict work
         # per call); any aborts are ordinary OCC conflicts between the
         # two workers.
-        SAFE: _measure(shared_nothing(3), _safe_factory),
+        SAFE: _measure(shared_nothing(3), _safe_factory, measure_us),
         # (b) dangerous program: aborts under shared-nothing...
-        RACING: _measure(shared_nothing(3), _race_factory),
+        RACING: _measure(shared_nothing(3), _race_factory,
+                         measure_us),
         # ...but executes fine when calls inline under
         # shared-everything.
         INLINED: _measure(shared_everything_with_affinity(3),
-                          _race_factory),
+                          _race_factory, measure_us),
     }
 
 
-def _report(results):
+def report(results):
     print_table(
         "Ablation: dynamic safety condition",
         ["scenario", "committed", "aborted", "abort %"],
@@ -99,11 +96,3 @@ def check(results):
     assert racing.abort_rate > 0.9  # dangerous structure aborted
     assert _danger_aborts(results[RACING]) > 0.9 * racing.aborted
     assert _danger_aborts(results[INLINED]) == 0  # inlined is safe
-
-
-def main() -> None:
-    finish("ablation_safety", run(), _report, check)
-
-
-if __name__ == "__main__":
-    main()

@@ -7,9 +7,14 @@ warehouse on the Opteron profile, under any of the three architecture
 strategies).  The builders return a loaded
 :class:`~repro.core.database.ReactorDatabase`, which is what
 :mod:`repro.bench.harness` drives.
+
+Run rows share :func:`summary_payload` and :func:`cc_config`, and
+:func:`check_quick_tps` is the ablations' throughput gate.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import (
@@ -42,10 +47,17 @@ def smallbank_database(customers_per_container: int = 200,
                        ) -> ReactorDatabase:
     """The Section 4.2 rig: 7 shared-nothing containers, 1 executor
     each, contiguous customer ranges, Xeon profile."""
-    n_customers = customers_per_container * n_containers
     deployment = shared_nothing(
         n_containers, machine=machine,
         placement=RangePlacement(customers_per_container))
+    return loaded_smallbank(deployment,
+                            customers_per_container * n_containers)
+
+
+def loaded_smallbank(deployment: DeploymentConfig,
+                     n_customers: int) -> ReactorDatabase:
+    """A database on ``deployment`` with ``n_customers`` SmallBank
+    customers loaded."""
     database = ReactorDatabase(deployment,
                                smallbank.declarations(n_customers))
     smallbank.load(database, n_customers)
@@ -133,3 +145,65 @@ def tpcc_database(strategy: str, n_warehouses: int,
                                tpcc.declarations(n_warehouses))
     tpcc.load(database, n_warehouses, scale)
     return database
+
+
+def summary_payload(summary) -> dict[str, Any]:
+    """The machine-readable core of one RunSummary (throughput,
+    aborts, latency percentiles)."""
+    return {
+        "committed": summary.committed,
+        "aborted": summary.aborted,
+        "abort_rate": round(summary.abort_rate, 6),
+        "throughput_tps": round(summary.throughput_tps, 3),
+        "throughput_std": round(summary.throughput_std, 3),
+        "latency_us": round(summary.latency_us, 3),
+        "p50_us": round(summary.p50_us, 3),
+        "p99_us": round(summary.p99_us, 3),
+    }
+
+
+def cc_config(label: str) -> dict[str, Any]:
+    """A run row's ``scheme`` label as deployment keywords: a
+    ``cc_scheme`` name, optionally suffixed ``+snapshot_reads``."""
+    scheme, __, switch = label.partition("+")
+    return {"cc_scheme": scheme,
+            "snapshot_reads": switch == "snapshot_reads"}
+
+
+#: The fields that identify an ablation run row, in key order.
+ROW_AXES = ("workload", "mode", "scheme", "skew", "placement",
+            "read_from_replicas", "flush_interval_us")
+#: A gated row may lose this share of its ``QUICK_TPS`` throughput.
+TPS_TOLERANCE = 0.20
+
+
+def row_key(run: dict) -> str:
+    """A run row's identity: its configuration axes, e.g.
+    ``"workload=smallbank mode=sync skew=0.0"``."""
+    return " ".join(f"{axis}={run[axis]}" for axis in ROW_AXES
+                    if axis in run)
+
+
+def check_quick_tps(payload: dict, quick: dict,
+                    quick_tps: dict[str, float]) -> None:
+    """At ``quick``, every ``quick_tps`` row must be in
+    ``payload["runs"]`` and keep its ``throughput_tps`` within
+    :data:`TPS_TOLERANCE` of the pin; other rows, and payloads run at
+    other parameters, are free.  The simulation is deterministic, so
+    unchanged code matches the pins exactly."""
+    if payload["params"] != quick:
+        return
+    measured = {row_key(run): run["throughput_tps"]
+                for run in payload["runs"]}
+    failures = []
+    for key, pinned in quick_tps.items():
+        now = measured.get(key)
+        if now is None:
+            failures.append(f"gated run row missing: {key!r}")
+        elif pinned > 0 and now < pinned * (1 - TPS_TOLERANCE):
+            failures.append(
+                f"{key!r}: {now},  # fell more than "
+                f"{TPS_TOLERANCE:.0%} from {pinned}")
+    assert not failures, (
+        "throughput gate (after a deliberate re-pricing, pin the new "
+        "values in QUICK_TPS):\n" + "\n".join(failures))

@@ -164,8 +164,8 @@ class CostParameters:
     def with_symmetric_communication(self) -> "CostParameters":
         """Ablation variant where receiving is as cheap as sending.
 
-        Used by ``bench_ablation_cr_asymmetry`` to test the paper's claim
-        that the partially-async vs fully-async gap is caused by the
-        receive-path thread switch.
+        Used by ``repro.experiments.abl_cr_asymmetry`` to test the
+        paper's claim that the partially-async vs fully-async gap is
+        caused by the receive-path thread switch.
         """
         return replace(self, cr=self.cs, cr_ready=min(self.cr_ready, self.cs))

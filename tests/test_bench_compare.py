@@ -13,20 +13,25 @@ bench_compare = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_compare)
 
 
-def payload(tput_a=100.0, tput_b=200.0, extra_run=None):
+def payload(tput_a=100.0, tput_b=200.0, extra_run=None,
+            gate=("throughput_tps", 0.20), kop_a=10.0):
+    """A two-row payload gated on ``gate`` (``None``: no block)."""
     runs = [
-        {"workload": "smallbank", "mode": "sync", "skew": 0.0,
-         "throughput_tps": tput_a, "latency_us": 50.0,
-         "p99_us": 80.0, "abort_rate": 0.01, "committed": 10,
-         "fsyncs": 10},
-        {"workload": "smallbank", "mode": "group", "skew": 0.0,
-         "throughput_tps": tput_b, "latency_us": 30.0,
-         "p99_us": 60.0, "abort_rate": 0.01, "committed": 20,
-         "fsyncs": 2},
+        {"workload": "smallbank", "mode": "sync",
+         "throughput_tps": tput_a, "txns_per_kop": kop_a,
+         "latency_us": 50.0, "p99_us": 80.0, "abort_rate": 0.01,
+         "committed": 10, "fsyncs": 10},
+        {"workload": "smallbank", "mode": "group",
+         "throughput_tps": tput_b, "txns_per_kop": 20.0,
+         "latency_us": 30.0, "p99_us": 60.0, "abort_rate": 0.01,
+         "committed": 20, "fsyncs": 2},
     ]
     if extra_run is not None:
         runs.append(extra_run)
-    return {"runs": runs, "meta": {"benchmark": "x"}}
+    data = {"runs": runs, "meta": {"benchmark": "x"}}
+    if gate is not None:
+        data["gate"] = {"metric": gate[0], "tolerance": gate[1]}
+    return data
 
 
 def write(dirpath, name, data):
@@ -39,13 +44,12 @@ def dirs(tmp_path):
     return tmp_path / "baselines", tmp_path / "current"
 
 
-def run_gate(dirs, names=("demo",), tolerance=0.20):
+def run_gate(dirs, names=("demo",)):
     baseline, current = dirs
     return bench_compare.main([
         *names,
         "--baseline-dir", str(baseline),
         "--current-dir", str(current),
-        "--tolerance", str(tolerance),
     ])
 
 
@@ -53,9 +57,7 @@ class TestRowIdentity:
     def test_key_uses_only_configuration_axes(self):
         run = payload()["runs"][0]
         key = bench_compare.row_key(run)
-        assert "workload=smallbank" in key
-        assert "mode=sync" in key
-        assert "skew=0.0" in key
+        assert key == "workload=smallbank mode=sync"
         # Outputs (throughput, fsync counters) never leak into the
         # identity — they move with every measurement.
         assert "throughput" not in key
@@ -74,8 +76,6 @@ class TestRowIdentity:
     def test_latency_percentiles_are_report_only_context(self):
         for metric in ("p50_us", "p99_us", "p999_us"):
             assert metric in bench_compare.REPORT_METRICS
-        assert bench_compare.GATE_METRIC not in \
-            bench_compare.REPORT_METRICS
 
     def test_counter_drift_does_not_vanish_rows(self, dirs):
         baseline, current = dirs
@@ -106,11 +106,33 @@ class TestGate:
         write(current, "demo", payload(tput_a=70.0))  # -30%
         assert run_gate(dirs) == 1
 
-    def test_tolerance_is_configurable(self, dirs):
+    def test_gate_block_names_metric_and_tolerance(self, dirs):
+        """harness_speed's gate: ``txns_per_kop`` at a 50 % band; the
+        throughput column is not gated then."""
+        baseline, current = dirs
+        gate = ("txns_per_kop", 0.5)
+        write(baseline, "demo", payload(gate=gate))
+        write(current, "demo", payload(gate=gate, kop_a=6.0,
+                                       tput_a=10.0))  # -40 %
+        assert run_gate(dirs) == 0
+        write(current, "demo", payload(gate=gate, kop_a=4.0))  # -60 %
+        assert run_gate(dirs) == 1
+
+    def test_baseline_gate_block_wins(self, dirs):
+        """The committed baseline, not the fresh payload, defines the
+        contract."""
         baseline, current = dirs
         write(baseline, "demo", payload())
-        write(current, "demo", payload(tput_a=70.0))
-        assert run_gate(dirs, tolerance=0.5) == 0
+        write(current, "demo", payload(tput_a=70.0,
+                                       gate=("throughput_tps", 0.5)))
+        assert run_gate(dirs) == 1
+
+    def test_baseline_without_gate_block_fails(self, dirs, capsys):
+        baseline, current = dirs
+        write(baseline, "demo", payload(gate=None))
+        write(current, "demo", payload())
+        assert run_gate(dirs) == 1
+        assert "has no gate block" in capsys.readouterr().out
 
     def test_improvement_passes(self, dirs):
         baseline, current = dirs
@@ -176,14 +198,15 @@ class TestUpdateAndSummary:
         assert "Bench regression gate" in summary.read_text()
 
     def test_repo_baselines_exist_for_ci_matrix(self):
-        """The four benches the CI gate runs all have committed
-        baselines."""
-        for name in ("ablation_replication", "ablation_migration",
-                     "ablation_mvcc", "ablation_durability"):
+        """The three benches CI compares all have committed baselines,
+        each carrying its own gate block."""
+        for name in ("harness_speed", "backend_scaleup",
+                     "serving_latency"):
             path = bench_compare.DEFAULT_BASELINE / \
                 f"BENCH_{name}.json"
             assert path.exists(), path
             data = json.loads(path.read_text())
             assert data.get("runs"), name
-            assert data["meta"]["config"].get("tiny") is True, \
-                f"{name} baseline must be a --tiny run"
+            metric, tolerance = bench_compare.gate_of(data)
+            assert all(metric in run for run in data["runs"]), name
+            assert 0 < tolerance < 1, name

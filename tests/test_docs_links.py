@@ -4,7 +4,8 @@ Runs the same checker the CI ``docs-check`` job uses: every relative
 markdown link in the repository must resolve to an existing file,
 every backticked ``repro.…`` name in the docs, the README and the
 source docstrings must import, every backticked call in the docs must
-name something defined, and the core documents the README promises
+name something defined, every repository path (and cited test) the
+docs name must exist, and the core documents the README promises
 must exist.
 """
 
@@ -88,6 +89,47 @@ def test_checker_detects_stale_names(tmp_path):
         ("m.py", "repro.core.context.ReactorContext.sql"),
         ("a.md", "recover_serial()"),
         ("a.md", "gc.frozen()"),
+    ]
+
+
+def test_every_cited_path_exists():
+    checker = _load_checker()
+    assert checker.cited_paths(REPO_ROOT)
+    missing = checker.missing_paths(REPO_ROOT)
+    assert missing == [], (
+        "cited paths that do not exist: "
+        + ", ".join(f"{f.relative_to(REPO_ROOT)} -> {p}"
+                    for f, p in missing))
+
+
+def test_checker_detects_missing_paths(tmp_path):
+    checker = _load_checker()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "class TestA:\n    def test_b(self):\n        pass\n\n\n"
+        "def test_c():\n    pass\n")
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "bench_kept.py").write_text("")
+    (tmp_path / "docs" / "a.md").write_text(
+        "`benchmarks/bench_kept.py --tiny`, `docs/`, "
+        "`benchmarks/bench_ablation_gone.py`, "
+        # Tests: a class, a method, a function; then a deleted one.
+        "`tests/test_a.py::TestA`, `tests/test_a.py::TestA::test_b`, "
+        "`tests/test_a.py::test_c`, `tests/test_a.py::test_gone`, "
+        "`tests/test_a.py::TestA::test_c`, "
+        # Placeholders and globs are skipped; an attribute written
+        # as a path is no file.
+        "`benchmarks/results/BENCH_<name>.json`, `tests/test_*.py`, "
+        "`benchmarks/bench_kept.emit_json`")
+    (tmp_path / "README.md").write_text("see `examples/gone.py:12`")
+    missing = checker.missing_paths(tmp_path)
+    assert [(f.name, p) for f, p in missing] == [
+        ("a.md", "benchmarks/bench_ablation_gone.py"),
+        ("a.md", "tests/test_a.py::test_gone"),
+        ("a.md", "tests/test_a.py::TestA::test_c"),
+        ("a.md", "benchmarks/bench_kept.emit_json"),
+        ("README.md", "examples/gone.py"),
     ]
 
 

@@ -1,11 +1,12 @@
 """Micro-scale smoke tests for experiment modules and their runner.
 
 ``python -m repro.experiments --quick --check all`` (CI's
-``paper-shapes`` job) runs every experiment at measurement scale and
-asserts the paper's shapes; these tests run each ``run()`` at the
-smallest possible parameters so regressions in the experiment code
-itself (not the engine) surface in the fast test suite, and pin the
-contract the runner relies on.
+``paper-shapes`` job) runs every experiment and ablation at
+measurement scale and asserts each ``check``; these tests run each
+``run()`` at the smallest possible parameters so regressions in the
+experiment code itself (not the engine) surface in the fast test
+suite, and pin the contract the runner relies on, including the
+``QUICK_TPS`` throughput gate.
 """
 
 import inspect
@@ -14,6 +15,13 @@ import pytest
 
 from repro import experiments
 from repro.experiments import (
+    abl_cc_schemes,
+    abl_cr_asymmetry,
+    abl_durability,
+    abl_migration,
+    abl_mvcc,
+    abl_replication,
+    abl_safety,
     appf2,
     appf3,
     fig05,
@@ -29,6 +37,10 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.common import check_quick_tps, row_key
+
+#: The ablations whose run rows are pinned at ``QUICK``.
+GATED = (abl_replication, abl_migration, abl_mvcc, abl_durability)
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
@@ -45,7 +57,7 @@ def test_experiment_contract(name):
 
 
 def test_runner_checks_and_reports_failure(monkeypatch, capsys):
-    assert len(EXPERIMENTS) == 13
+    assert len(EXPERIMENTS) == 20
     assert main(["--quick", "--check", "fig05"]) == 0
 
     def broken(results):
@@ -156,3 +168,97 @@ def test_table1_micro():
         [(1, 1), (1, 4), (100, 1), (100, 4)]
     assert all((r.predicted_ms is not None) == (r.workers == 1)
                for r in rows)
+
+
+def test_abl_cr_asymmetry_micro():
+    rows = abl_cr_asymmetry.run(n_txns=4)
+    assert [row[0] for row in rows] == ["asymmetric (paper)",
+                                        "symmetric (Cr == Cs)"]
+    assert all(row[3] == row[1] - row[2] for row in rows)
+
+
+def test_abl_safety_micro():
+    results = abl_safety.run(measure_us=2_000.0)
+    assert set(results) == {abl_safety.SAFE, abl_safety.RACING,
+                            abl_safety.INLINED}
+    assert results[abl_safety.RACING].summary.aborted > 0
+
+
+def test_abl_cc_schemes_micro():
+    results = abl_cc_schemes.run(schemes=("occ",), skews=(0.9,),
+                                 measure_us=1_000.0)
+    assert set(results) == {("smallbank h=0.9", "occ"),
+                            ("tpcc-neworder r=0.1", "occ"),
+                            ("tpcc-neworder r=1.0", "occ")}
+    assert all(summary.committed > 0
+               for summary, __ in results.values())
+
+
+def test_abl_replication_micro():
+    payload = abl_replication.run(measure_us=1_000.0, warmup_us=500.0)
+    assert payload["params"] == {"measure_us": 1_000.0,
+                                 "warmup_us": 500.0}
+    assert {row_key(run) for run in payload["runs"]} == \
+        set(abl_replication.QUICK_TPS)
+
+
+def test_abl_migration_micro():
+    payload = abl_migration.run(measure_us=2_000.0)
+    assert {row_key(run) for run in payload["runs"]} == \
+        set(abl_migration.QUICK_TPS)
+    assert [c["scheme"] for c in payload["certifications"]] == \
+        list(abl_migration.CC_SCHEMES)
+
+
+def test_abl_mvcc_micro():
+    payload = abl_mvcc.run(measure_us=1_000.0, warmup_us=500.0)
+    assert {row_key(run) for run in payload["runs"]} == \
+        set(abl_mvcc.QUICK_TPS)
+    assert all("snapshot_certificate" in run for run in payload["runs"]
+               if run["scheme"] == abl_mvcc.SNAPSHOT)
+
+
+def test_abl_durability_micro():
+    payload = abl_durability.run(measure_us=1_000.0, curve_txns=10)
+    assert {row_key(run) for run in payload["runs"]} == \
+        set(abl_durability.QUICK_TPS)
+    assert [row["checkpoint_every"] for row in
+            payload["recovery_curve"]] == \
+        list(abl_durability.CHECKPOINT_CADENCE)
+
+
+def pinned_payload(module, scale=None):
+    """A payload at ``module.QUICK`` whose run rows carry exactly the
+    pinned throughputs (one row scaled by ``scale``, if given)."""
+    runs = [{**dict(axis.split("=", 1) for axis in key.split()),
+             "throughput_tps": tps}
+            for key, tps in module.QUICK_TPS.items()]
+    if scale is not None:
+        runs[0]["throughput_tps"] *= scale
+    return {"runs": runs, "params": dict(module.QUICK)}
+
+
+@pytest.mark.parametrize("module", GATED, ids=lambda m: m.__name__)
+def test_quick_tps_gate(module):
+    """At ``QUICK`` a drop of more than 20 % or a missing row fails;
+    19 % passes, and other parameters are not gated."""
+    def check(payload):
+        check_quick_tps(payload, module.QUICK, module.QUICK_TPS)
+
+    check(pinned_payload(module))
+    check(pinned_payload(module, scale=0.81))
+    dropped = pinned_payload(module, scale=0.79)
+    with pytest.raises(AssertionError, match="fell more than 20%") as \
+            failure:
+        check(dropped)
+    # The message names the value to pin after a deliberate change.
+    assert repr(dropped["runs"][0]["throughput_tps"]) in \
+        str(failure.value)
+    missing = pinned_payload(module)
+    gone = row_key(missing["runs"].pop())
+    with pytest.raises(AssertionError, match="gated run row missing"):
+        check(missing)
+    assert gone in module.QUICK_TPS
+    elsewhere = pinned_payload(module, scale=0.5)
+    elsewhere["params"]["measure_us"] = 1.0
+    check(elsewhere)

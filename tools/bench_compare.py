@@ -1,23 +1,20 @@
 #!/usr/bin/env python3
-"""CI perf-regression gate over the machine-readable bench outputs.
+"""CI regression gate over the wall-clock benches' machine-readable
+outputs.
 
-Compares fresh ``BENCH_<name>.json`` files (written by the ablation
-benchmarks' ``--tiny --json`` runs) against committed baselines in
-``benchmarks/results/baselines/``.  Every run row inside a payload's
-``runs`` list is keyed by its identifying fields (workload, mode,
-scheme, skew, ...) and its metrics are diffed against the baseline row
-with the same key:
+Compares fresh ``BENCH_<name>.json`` files (written by a
+``benchmarks/bench_*.py --tiny --json`` run) against committed
+baselines in ``benchmarks/results/baselines/``.  Every run row inside
+a payload's ``runs`` list is keyed by its identifying fields
+(workload, mode, scheme, backend, ...) and its metrics are diffed
+against the baseline row with the same key:
 
-* ``throughput_tps`` is the *gate*: a drop of more than ``--tolerance``
-  (default 20%) fails the job.  The simulation is deterministic, so on
-  unchanged code the delta is exactly 0 — the band absorbs intentional
-  re-pricings, not noise.
-* a payload may override both via a top-level ``"gate"`` block —
-  ``{"gate": {"metric": "txns_per_kop", "tolerance": 0.5}}`` — for
-  benches whose headline number is something other than simulated
-  throughput (the wall-clock harness-speed bench gates on its
-  calibration-normalized ``txns_per_kop``, with a wide band because
-  wall-clock numbers are noisy where simulated ones are exact).
+* the baseline's ``"gate"`` block names the gated metric and its
+  band — ``{"gate": {"metric": "txns_per_kop", "tolerance": 0.5}}``:
+  a drop of more than ``tolerance`` fails.  Wall-clock numbers are
+  noisy, so every committed gate is wide; a baseline without a block
+  fails.  (The virtual-time ablations are not gated here: each pins
+  its rows in its own ``check``, see ``repro.experiments.common``.)
 * ``latency_us`` / ``p50_us`` / ``p99_us`` / ``p999_us`` /
   ``abort_rate`` are reported for context, never gated (the serving
   bench's open-loop tail percentiles ride along here until the
@@ -34,12 +31,11 @@ is set, appended to the CI job summary as markdown.
 
 Usage::
 
-    python tools/bench_compare.py ablation_replication \
-        ablation_migration ablation_mvcc ablation_durability
+    python tools/bench_compare.py harness_speed
     python tools/bench_compare.py --update ...   # refresh baselines
 
 Exit status: 0 when every gate holds, 1 on any regression or missing
-baseline/row.
+baseline, gate block or row.
 """
 
 from __future__ import annotations
@@ -59,31 +55,20 @@ DEFAULT_BASELINE = DEFAULT_CURRENT / "baselines"
 #: else is an output — counters move with the measurement and must
 #: never leak into the key, or an in-band change would read as a
 #: vanished baseline.
-ID_KEYS = (
-    "workload", "mode", "scheme", "cc_scheme", "skew", "placement",
-    "read_from_replicas", "flush_interval_us", "checkpoint_every",
-    "phase", "label", "variant", "backend", "containers",
-    "arrival_rate",
-)
-#: Default gated metric (lower is worse); a payload's ``"gate"``
-#: block overrides it.
-GATE_METRIC = "throughput_tps"
+ID_KEYS = ("workload", "mode", "scheme", "phase", "backend",
+           "containers", "arrival_rate")
 #: Context metrics shown in the table.  ``p50_us``/``p999_us`` appear
 #: only in open-loop serving rows; rows without a metric render blank.
 REPORT_METRICS = ("latency_us", "p50_us", "p99_us", "p999_us",
                   "abort_rate")
 
 
-def gate_of(payload: dict, default_tolerance: float) -> tuple[str, float]:
-    """The (metric, tolerance) this payload is gated on.
-
-    The baseline's ``"gate"`` block wins — the committed baseline
-    defines the contract a fresh run is held to.
-    """
-    gate = payload.get("gate") or {}
-    metric = gate.get("metric", GATE_METRIC)
-    tolerance = float(gate.get("tolerance", default_tolerance))
-    return metric, tolerance
+def gate_of(payload: dict) -> tuple[str, float] | None:
+    """The (metric, tolerance) of a baseline's ``"gate"`` block, or
+    ``None`` without one: the committed baseline defines the contract
+    a fresh run is held to."""
+    gate = payload.get("gate")
+    return (gate["metric"], float(gate["tolerance"])) if gate else None
 
 
 def row_key(run: dict) -> str:
@@ -113,8 +98,8 @@ def pct(delta: float, base: float) -> str:
     return f"{delta / base * +100:+.1f}%"
 
 
-def compare_bench(name: str, baseline_dir: Path, current_dir: Path,
-                  tolerance: float) -> tuple[list[str], list[str]]:
+def compare_bench(name: str, baseline_dir: Path,
+                  current_dir: Path) -> tuple[list[str], list[str]]:
     """Returns (markdown table lines, failure messages)."""
     lines: list[str] = []
     failures: list[str] = []
@@ -128,9 +113,13 @@ def compare_bench(name: str, baseline_dir: Path, current_dir: Path,
         failures.append(f"{name}: benchmark produced no {cur_path}")
         return lines, failures
     base_payload = load_payload(base_path)
+    gate = gate_of(base_payload)
+    if gate is None:
+        failures.append(f"{name}: baseline {base_path} has no gate block")
+        return lines, failures
+    gate_metric, tolerance = gate
     base_rows = rows_of(base_payload)
     cur_rows = rows_of(load_payload(cur_path))
-    gate_metric, tolerance = gate_of(base_payload, tolerance)
 
     lines.append(f"### {name}")
     lines.append("")
@@ -227,9 +216,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=DEFAULT_BASELINE)
     parser.add_argument("--current-dir", type=Path,
                         default=DEFAULT_CURRENT)
-    parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional throughput drop "
-                             "(default 0.20)")
     parser.add_argument("--update", action="store_true",
                         help="copy current results over the "
                              "baselines instead of comparing")
@@ -244,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     all_failures: list[str] = []
     for name in args.names:
         lines, failures = compare_bench(
-            name, args.baseline_dir, args.current_dir, args.tolerance)
+            name, args.baseline_dir, args.current_dir)
         all_lines.extend(lines)
         all_failures.extend(failures)
 
@@ -252,9 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         all_lines.append("**FAILED:**")
         all_lines.extend(f"- {f}" for f in all_failures)
     else:
-        all_lines.append(
-            f"All gated metrics within the "
-            f"{args.tolerance:.0%} band.")
+        all_lines.append("All gated metrics within their bands.")
     report = "\n".join(all_lines)
     print(report)
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Fail on broken intra-repository markdown links, stale ``repro``
-names and deployment examples that do not load.
+names, cited paths that do not exist and deployment examples that do
+not load.
 
-Three checks:
+Four checks:
 
 * **Links.**  Scans every ``*.md`` file in the repository (skipping
   ``.git`` and generated ``benchmarks/results``) for inline markdown
@@ -22,14 +23,18 @@ Three checks:
   qualified ``mod.name(`` whose first component imports as a module
   must resolve by ``getattr`` (other qualifiers — ``db.run(`` — are
   skipped).
+* **Paths.**  Every backticked ``benchmarks/``, ``tools/``,
+  ``tests/``, ``src/``, ``docs/`` or ``examples/`` path in
+  ``docs/*.md`` and ``README.md`` must exist (``<placeholder>`` and
+  ``*`` globs are skipped) and define the ``::Class::test`` it cites.
 * **Deployment examples.**  Every fenced ``json`` block in
   ``docs/*.md`` and ``README.md`` that is an object with top-level
   ``name`` and ``containers`` must load through
   ``repro.core.deployment.DeploymentConfig.from_dict``.
 
 Used by the CI ``docs-check`` job and by ``tests/test_docs_links.py``,
-so a renamed or deleted file, module, attribute or config value breaks
-the build instead of the docs.
+so a renamed or deleted file, test, module, attribute or config value
+breaks the build instead of the docs.
 """
 
 from __future__ import annotations
@@ -63,6 +68,12 @@ CALL_NAME = re.compile(r"`~?(?!repro\.)([A-Za-z_]\w*(?:\.\w+)*)\(")
 
 #: Where the functions and classes a call may name are defined.
 SOURCE_DIRS = ("src", "tools", "benchmarks", "examples")
+
+#: A backtick followed by a repository path, then any ``::name``
+#: test components.
+CITED_PATH = re.compile(
+    r"`((?:benchmarks|tools|tests|src|docs|examples)/[^`\s:]*)"
+    r"((?:::\w+)*)")
 
 #: The body of a fenced ``json`` code block.
 JSON_BLOCK = re.compile(r"^```json[ \t]*\n(.*?)^```",
@@ -200,6 +211,44 @@ def unresolved_names(root: Path) -> list[tuple[Path, str]]:
     return unresolved
 
 
+def defines(path: Path, names: list[str]) -> bool:
+    """Whether the Python file defines the nested ``names`` (a class
+    or function at module level, then members of that class)."""
+    body = ast.parse(path.read_text(), str(path)).body
+    for name in names:
+        node = next((node for node in body
+                     if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                     and node.name == name), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
+def cited_paths(root: Path) -> list[tuple[Path, str, list[str]]]:
+    """Every (doc file, path, test names) a backticked citation in
+    ``docs/*.md`` or ``README.md`` names; placeholders and globs are
+    skipped."""
+    cited = []
+    for path, text in doc_texts(root):
+        for target, tests in dict.fromkeys(CITED_PATH.findall(text)):
+            if not any(mark in target for mark in "<*"):
+                cited.append((path, target, tests.split("::")[1:]))
+    return cited
+
+
+def missing_paths(root: Path) -> list[tuple[Path, str]]:
+    """All (doc file, citation) pairs whose path does not exist or
+    does not define the cited test."""
+    missing = []
+    for path, target, tests in cited_paths(root):
+        file = root / target
+        if not file.exists() or (tests and not defines(file, tests)):
+            missing.append((path, "::".join([target, *tests])))
+    return missing
+
+
 def deployment_examples(root: Path) -> list[tuple[Path, dict]]:
     """Every (file, example) whose ``json`` block is an object with
     top-level ``name`` and ``containers`` (fragments are skipped)."""
@@ -240,13 +289,17 @@ def main() -> int:
     stale = unresolved_names(root)
     for path, name in stale:
         print(f"STALE: {path.relative_to(root)} -> {name}")
+    missing = missing_paths(root)
+    for path, target in missing:
+        print(f"MISSING: {path.relative_to(root)} -> {target}")
     invalid = invalid_deployments(root)
     for path, error in invalid:
         print(f"INVALID: {path.relative_to(root)} -> {error}")
     print(f"checked {len(files)} markdown files, "
           f"{len(broken)} broken links, {len(stale)} stale names, "
+          f"{len(missing)} missing paths, "
           f"{len(invalid)} invalid deployment examples")
-    return 1 if broken or stale or invalid else 0
+    return 1 if broken or stale or missing or invalid else 0
 
 
 if __name__ == "__main__":
