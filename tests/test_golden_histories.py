@@ -6,7 +6,9 @@ history of three seeded workloads — a contended
 SmallBank mix, a tiny TPC-C standard mix over a group-commit WAL, and
 a skewed YCSB mix — under every built-in CC scheme, plus OCC with
 snapshot reads, and two seeds against sha256 digests committed in
-``tests/golden/histories.json``.
+``tests/golden/histories.json``.  TPC-C also runs under OCC with one
+``sync`` replica per container: there a commit's client ack waits on
+both its log flush and its replica ack window.
 
 Each case is run twice:
 
@@ -43,6 +45,7 @@ from repro.durability.config import DurabilityConfig
 from repro.durability.recovery import enable_durability
 from repro.experiments.common import tpcc_deployment
 from repro.formal.audit import attach_recorder
+from repro.replication.config import ReplicationConfig
 from repro.telemetry.config import full_tracing
 from repro.workloads import smallbank as sb
 from repro.workloads import tpcc, ycsb
@@ -53,7 +56,13 @@ WORKLOADS = ("smallbank", "tpcc", "ycsb")
 #: Every pinned configuration: a ``cc_scheme`` name, optionally
 #: suffixed ``+snapshot_reads`` (read-only roots read snapshots).
 CONFIGS = BUILTIN_CC_SCHEMES + ("occ+snapshot_reads",)
+#: Pinned for TPC-C only: one ``sync`` replica per container.
+SYNC_REPLICA = "occ+sync_replica"
 SEEDS = (11, 23)
+#: Every pinned ``(workload, configuration, seed)`` case.
+CASES = [(w, s, seed) for w in WORKLOADS for s in CONFIGS
+         for seed in SEEDS] + [("tpcc", SYNC_REPLICA, seed)
+                               for seed in SEEDS]
 #: Roots in flight: each completion submits the next spec.
 WINDOW = 8
 
@@ -73,16 +82,17 @@ class _Worker:
         self.issued = 0
 
 
-def _split(config: str) -> tuple[str, bool]:
-    """A configuration label as ``(cc_scheme, snapshot_reads)``."""
+def _split(config: str) -> tuple[str, str]:
+    """A configuration label as ``(cc_scheme, switch)``; ``switch`` is
+    ``""``, ``"snapshot_reads"`` or ``"sync_replica"``."""
     scheme, __, switch = config.partition("+")
-    return scheme, switch == "snapshot_reads"
+    return scheme, switch
 
 
 def _smallbank(scheme: str, seed: int, recorded: bool):
-    scheme, snapshot_reads = _split(scheme)
+    scheme, switch = _split(scheme)
     deployment = shared_nothing(4, mpl=4, cc_scheme=scheme,
-                                snapshot_reads=snapshot_reads)
+                                snapshot_reads=switch == "snapshot_reads")
     if recorded:
         deployment.telemetry = full_tracing()
     database = ReactorDatabase(deployment,
@@ -109,11 +119,14 @@ def _smallbank(scheme: str, seed: int, recorded: bool):
 
 
 def _tpcc(scheme: str, seed: int, recorded: bool):
-    scheme, snapshot_reads = _split(scheme)
+    scheme, switch = _split(scheme)
+    replication = (ReplicationConfig(1, "sync")
+                   if switch == "sync_replica" else None)
     deployment = tpcc_deployment(
         "shared-nothing-async", 2, mpl=4, cc_scheme=scheme,
+        replication=replication,
         durability=DurabilityConfig(enabled=True, mode="group"))
-    deployment.snapshot_reads = snapshot_reads
+    deployment.snapshot_reads = switch == "snapshot_reads"
     if recorded:
         deployment.telemetry = full_tracing()
     database = ReactorDatabase(deployment, tpcc.declarations(2))
@@ -127,10 +140,10 @@ def _tpcc(scheme: str, seed: int, recorded: bool):
 
 
 def _ycsb(scheme: str, seed: int, recorded: bool):
-    scheme, snapshot_reads = _split(scheme)
+    scheme, switch = _split(scheme)
     deployment = shared_nothing(
         YCSB_CONTAINERS, mpl=4, cc_scheme=scheme,
-        snapshot_reads=snapshot_reads,
+        snapshot_reads=switch == "snapshot_reads",
         placement=RangePlacement(YCSB_KEYS // YCSB_CONTAINERS))
     if recorded:
         deployment.telemetry = full_tracing()
@@ -219,9 +232,7 @@ def compute(workload: str, scheme: str, seed: int) -> dict[str, str]:
             "commits": commits, "roots": len(plain["results"])}
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("scheme", CONFIGS)
-@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("workload,scheme,seed", CASES)
 def test_history_matches_golden(workload, scheme, seed):
     golden = json.loads(GOLDEN.read_text())
     assert compute(workload, scheme, seed) == \
@@ -231,8 +242,7 @@ def test_history_matches_golden(workload, scheme, seed):
 def test_golden_file_covers_exactly_the_cases():
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == sorted(
-        case_key(w, s, seed) for w in WORKLOADS
-        for s in CONFIGS for seed in SEEDS)
+        case_key(w, s, seed) for w, s, seed in CASES)
     # The mixes are contended enough to abort and calm enough to
     # commit: a digest over an all-abort run would pin nothing.
     for key, entry in golden.items():
@@ -259,7 +269,6 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(
         {case_key(w, s, seed): compute(w, s, seed)
-         for w in WORKLOADS for s in CONFIGS
-         for seed in SEEDS},
+         for w, s, seed in CASES},
         indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
