@@ -662,8 +662,8 @@ class ConcurrencyControl:
     applied with the commit TID, redo-logged when durability is on, and
     the session's locks — whatever the scheme means by locks — are
     released through :meth:`CCSession.release_locks`).  The runtime
-    calls ``validate`` and ``install`` inside the backend's
-    ``commit_guard``, one atomic section per commit.
+    calls ``validate`` and ``install`` inside the backend's ``guard``
+    over the participants, one atomic section per commit.
     """
 
     #: Skip (instead of propagating) a write whose install is refused.

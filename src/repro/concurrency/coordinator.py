@@ -7,8 +7,9 @@ keys, read set and scanned structures; 2PL re-checks the wound flag —
 its locks are already held; passthrough does nothing), phase two
 installs the writes with a globally maximal commit TID or aborts
 everywhere.  The runtime calls :func:`commit` inside the backend's
-``commit_guard``, so both phases are one atomic section: OCC needs no
-write locks between them.  The coordinator is scheme-agnostic:
+``guard`` over the participants, so both phases — and the publish and
+completion bookkeeping after them — are one atomic section: OCC needs
+no write locks between them.  The coordinator is scheme-agnostic:
 participants are ``(manager, session)`` pairs of whatever
 :class:`~repro.concurrency.base.ConcurrencyControl` the deployment
 selected, so cross-container commits work identically under every

@@ -197,8 +197,8 @@ class ReactorDatabase:
         separate simulated cores.
         """
         # Transaction-id assignment, routing counters, and telemetry
-        # are shared bookkeeping, serialized under the state guard.
-        with self.scheduler.state_guard():
+        # are shared bookkeeping, serialized under the backend guard.
+        with self.scheduler.guard():
             return self._submit(reactor_name, proc_name, args, kwargs,
                                 on_done, read_only)
 
@@ -298,8 +298,8 @@ class ReactorDatabase:
             return None
         # Pinning reads the global watermark and advances every
         # container's TID generator: cross-container state, serialized
-        # under the state guard.
-        with self.scheduler.state_guard():
+        # under the backend guard.
+        with self.scheduler.guard():
             return self._begin_snapshot_session(root, container)
 
     def _begin_snapshot_session(self, root: RootTransaction,
@@ -446,10 +446,6 @@ class ReactorDatabase:
                    table_name: str) -> list[dict[str, Any]]:
         """Committed rows of one reactor's table (tests/inspection)."""
         return self.reactor(reactor_name).table(table_name).rows()
-
-    def utilization_snapshot(self) -> dict[int, float]:
-        """Cumulative busy time per executor core."""
-        return {e.core_id: e.busy_time for e in self.executors}
 
     def abort_counts(self) -> dict[str, Any]:
         """Concurrency-control statistics across containers.

@@ -281,10 +281,14 @@ class DurabilityManager:
 
     def publish(self, root: Any,
                 records: Sequence[tuple[int, RedoRecord]]
-                ) -> SimFuture | None:
-        """Record one installed commit and return the future it must
-        wait on before the client may see it, or ``None`` when it need
-        not wait (``async`` mode).
+                ) -> list[SimFuture]:
+        """Record one installed commit and return the flush futures it
+        must wait on before the client may see it — one per container
+        whose epoch has not flushed yet; none under ``async``.  A
+        cross-container commit is acknowledged only when *every*
+        participant's epoch flushed, which keeps acked commits atomic
+        across kill-at-arbitrary-epoch crashes; the executor joins
+        them.
 
         ``records`` are the commit's ``(container id, record)`` pairs
         in participant order, handed over once every participant has
@@ -302,7 +306,7 @@ class DurabilityManager:
             tids.append(record.commit_tid)
             self._note_dirty(record)
             future = self.flushers[cid].on_append(record)
-            if future is not None:
+            if future is not None and not future.resolved:
                 futures.append(future)
         if sites:
             group = self._sites[root.txn_id] = tuple(sites)
@@ -314,27 +318,8 @@ class DurabilityManager:
             # recorded and a crash inside the flush window shows up as
             # ``lost_acked`` — silently skipping the capture too would
             # make the bug invisible to the certificate.
-            return None
-        if not futures:
-            return None
-        if len(futures) == 1:
-            return futures[0]
-        # A cross-container commit is acknowledged only when *every*
-        # participant's epoch flushed — the property that keeps acked
-        # commits atomic across kill-at-arbitrary-epoch crashes.
-        scheduler = self.database.scheduler
-        joint = scheduler.future_class(remote=False, subtxn_id=0,
-                                       target_reactor="log:join")
-        remaining = {"n": len(futures)}
-
-        def one_done(fut: SimFuture) -> None:
-            remaining["n"] -= 1
-            if remaining["n"] == 0:
-                joint.resolve(None, scheduler.now)
-
-        for future in futures:
-            future.add_waiter(one_done)
-        return joint
+            return []
+        return futures
 
     def note_acked(self, root: Any) -> None:
         """The executor reported this commit to the client."""

@@ -36,10 +36,9 @@ backend they hold:
                     microseconds, then continue with ``fn``
 ``add_waiter(fut, cb, *a, container=...)``  wake a parked task on its
                     owning container's context when ``fut`` resolves
-``commit_guard(cids)``  context manager serializing a cross-container
-                    commit/abort against the named participants
-``state_guard()``   context manager serializing shared database
+``guard(cids=())``  context manager serializing shared database
                     bookkeeping (txn counters, snapshot pins, ...)
+                    and a commit/abort on the named participants
 ``future_class``    future type the runtime allocates
 ``name``            ``"sim"`` or ``"threads"`` (stamped into bench
                     meta blocks and telemetry exports)

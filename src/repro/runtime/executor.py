@@ -687,11 +687,17 @@ class TransactionExecutor:
             return
         self._abort_root(task, abort)
 
-    def _finish_task(self, task: Task) -> None:
+    def _finish_task(self, task: Task, *outcome: Any) -> None:
+        """Retire ``task``.  A root's task also answers its caller:
+        ``outcome`` is ``(committed, reason, result)``."""
         task.state = _DONE
         if self.running is task:
             self.running = None
         self._kick()
+        callback = task.invocation.on_root_done
+        if callback is not None:
+            self.scheduler.after(self.costs.transport_delay, callback,
+                                 task.root, *outcome)
 
     # ------------------------------------------------------------------
     # Root commit / abort
@@ -730,122 +736,134 @@ class TransactionExecutor:
     def _do_commit(self, task: Task, result: Any,
                    participants: list) -> None:
         root = task.root
-        if not participants:
-            # A transaction that touched no data commits trivially
-            # (e.g. pure-compute procedures, empty transactions).
-            self._complete_root(task, True, None, result)
-            return
         database = self.container.database
-        for manager, __ in participants:
-            if manager.failed:
-                # A participant container crashed under this
-                # transaction (replication failover): its writes would
-                # land in dead storage, so the commit must not be
-                # reported.
-                with self.scheduler.commit_guard(root.sessions):
-                    coordinator.abort(participants, reason=None)
-                if database.replication is not None:
-                    database.replication.stats.failover_aborts += 1
-                self._complete_root(task, False, "container failed",
-                                    None)
-                return
+        # A transaction that touched no data commits trivially (e.g.
+        # pure-compute procedures, empty transactions).
+        committed, reason, deferred = True, None, False
         # Backend hook: a no-op guard on sim; under threads it holds
         # the state lock plus every participant container's lock, so
-        # validate + install + publish are one atomic section against
-        # the other containers' executing transactions.
-        with self.scheduler.commit_guard(root.sessions):
-            outcome = coordinator.commit(participants,
-                                         self.scheduler.now)
-            root.commit_tid = outcome.commit_tid
-            ack_delay = 0.0
-            flush_wait = None
-            # Publish, once every participant has installed: durability
-            # (append sequence, dirty keys, flush epochs and the flush
-            # group/sync owe the client), then replication, then the
-            # recorder.  Only durability's logs make records.
-            records = outcome.records
-            if records:
-                flush_wait = database.durability.publish(root, records)
-                if flush_wait is not None and flush_wait.resolved:
-                    flush_wait = None
-                if database.replication is not None:
-                    ack_delay = database.replication.ship(records)
-            recorder = database.history_recorder
-            if recorder is not None and outcome.committed:
-                recorder.record_install(root.txn_id, outcome.commit_tid,
-                                        participants)
-        trace = root.trace
-        if trace is not None:
-            # Commit-phase markers: the coordinator is pure logic and
-            # emits none, so they are synthesized from its outcome.
-            now = self.scheduler.now
-            if outcome.containers > 1:
-                trace.instant("2pc:prepare", now,
-                              {"participants": outcome.containers},
-                              parent_key="commit")
-            if outcome.committed:
-                trace.instant("cc:validate", now,
-                              {"participants": outcome.containers},
-                              parent_key="commit")
-                trace.instant("cc:install", now,
-                              {"tid": outcome.commit_tid,
-                               "writes": outcome.writes},
-                              parent_key="commit")
+        # validate + install + publish — and, for a commit answered
+        # now, its completion bookkeeping — are one atomic section
+        # against the other containers' executing transactions.
+        with self.scheduler.guard(root.sessions):
+            for manager, __ in participants:
+                if manager.failed:
+                    # A participant container crashed under this
+                    # transaction (replication failover): its writes
+                    # would land in dead storage, so the commit must
+                    # not be reported.
+                    coordinator.abort(participants, reason=None)
+                    if database.replication is not None:
+                        database.replication.stats.failover_aborts += 1
+                    committed, reason = False, "container failed"
+                    break
             else:
-                trace.instant("cc:abort", now,
-                              {"reason": outcome.reason},
-                              parent_key="commit")
-        if ack_delay <= 0.0 and flush_wait is None:
-            self._complete_root(task, outcome.committed, outcome.reason,
-                                result if outcome.committed else None)
+                if participants:
+                    outcome = coordinator.commit(participants,
+                                                 self.scheduler.now)
+                    committed, reason = outcome.committed, outcome.reason
+                    root.commit_tid = outcome.commit_tid
+                    # Publish, once every participant has installed:
+                    # durability (append sequence, dirty keys, flush
+                    # epochs and the flushes the client waits for),
+                    # then replication, then the recorder.  Only
+                    # durability's logs make records.
+                    records = outcome.records
+                    flushes, ack_delay = [], 0.0
+                    if records:
+                        flushes = database.durability.publish(root,
+                                                              records)
+                        if database.replication is not None:
+                            ack_delay = database.replication.ship(records)
+                    recorder = database.history_recorder
+                    if recorder is not None and committed:
+                        recorder.record_install(root.txn_id,
+                                                outcome.commit_tid,
+                                                participants)
+                    trace = root.trace
+                    if trace is not None:
+                        # Commit-phase markers: the coordinator is
+                        # pure logic and emits none, so they are
+                        # synthesized from its outcome.
+                        now = self.scheduler.now
+                        if outcome.containers > 1:
+                            trace.instant(
+                                "2pc:prepare", now,
+                                {"participants": outcome.containers},
+                                parent_key="commit")
+                        if committed:
+                            trace.instant(
+                                "cc:validate", now,
+                                {"participants": outcome.containers},
+                                parent_key="commit")
+                            trace.instant("cc:install", now,
+                                          {"tid": outcome.commit_tid,
+                                           "writes": outcome.writes},
+                                          parent_key="commit")
+                        else:
+                            trace.instant("cc:abort", now,
+                                          {"reason": reason},
+                                          parent_key="commit")
+                    deferred = bool(flushes) or ack_delay > 0.0
+            if not deferred:
+                self._settle(root, committed, reason)
+        if not deferred:
+            self._finish_task(task, committed, reason,
+                              result if committed else None)
             return
         # Deferred completion: the client sees the commit only after
-        # every replica acked *and* the log flush landed.  The
-        # executor core is released while waiting — another admitted
-        # task may run, exactly like a block on a remote future.
+        # every log flush landed *and* the replica ack window closed.
+        # The executor core is released while waiting — another
+        # admitted task may run, exactly like a block on a remote
+        # future.
         if ack_delay > 0.0:
             root.charge("commit_input_gen", ack_delay)
         if self.running is task:
             self.running = None
             self._kick()
-        wait_start = self.scheduler.now
+        scheduler = self.scheduler
+        wait_start = scheduler.now
         if trace is not None:
             if ack_delay > 0.0:
                 # The replica ack window is priced up-front, so the
                 # span's extent is known now.
                 trace.span("replication:ack_wait", wait_start,
-                           wait_start + ack_delay,
-                           parent_key="commit")
-            if flush_wait is not None:
+                           wait_start + ack_delay, parent_key="commit")
+            if flushes:
                 trace.open_child("flush_wait", "durability:ack_wait",
                                  wait_start)
-        pending = {"n": (1 if ack_delay > 0.0 else 0)
-                   + (1 if flush_wait is not None else 0)}
+        # The one join: each flush counts 2 and the ack window 1, so
+        # every flush has landed once fewer than 2 are left, and the
+        # commit is answered at 0.  (Every decrement runs on this
+        # container: flushes are relayed here, and threads refuses
+        # replication.)
+        waits = 2 * len(flushes) + (ack_delay > 0.0)
 
-        def signal_done() -> None:
-            pending["n"] -= 1
-            if pending["n"] == 0:
-                self._finish_deferred_commit(task, result)
-
-        if ack_delay > 0.0:
-            self.scheduler.after(ack_delay, signal_done)
-        if flush_wait is not None:
-            def flush_done(fut: SimFuture) -> None:
-                # Charge only the flush wait beyond the replication
-                # ack window (the waits overlap on the wall clock).
-                extra = (self.scheduler.now - wait_start) - ack_delay
+        def landed(weight: int, *__: Any) -> None:
+            nonlocal waits
+            waits -= weight
+            if weight == 2 and waits < 2:
+                # The last flush: charge only its wait beyond the
+                # replica ack window (the waits overlap on the wall
+                # clock).
+                now = scheduler.now
+                extra = (now - wait_start) - ack_delay
                 if extra > 0.0:
                     root.charge("commit_input_gen", extra)
                 if root.trace is not None:
-                    root.trace.close_child("flush_wait",
-                                           self.scheduler.now)
-                signal_done()
-            # Relayed through the backend: the flusher resolves on the
-            # client thread, but signal_done touches this executor.
-            self.scheduler.add_waiter(flush_wait, flush_done,
-                                      container=self._cid)
+                    root.trace.close_child("flush_wait", now)
+            if waits == 0:
+                self._finish_deferred_commit(task, result, participants)
 
-    def _finish_deferred_commit(self, task: Task, result: Any) -> None:
+        if ack_delay > 0.0:
+            scheduler.after(ack_delay, landed, 1)
+        for flush in flushes:
+            # Relayed through the backend: the flusher resolves on the
+            # client thread, but the join belongs to this executor.
+            scheduler.add_waiter(flush, landed, 2, container=self._cid)
+
+    def _finish_deferred_commit(self, task: Task, result: Any,
+                                participants: list) -> None:
         """Deferred completion of a sync-replicated or group-commit
         durable transaction.
 
@@ -856,20 +874,16 @@ class TransactionExecutor:
         ran), it is reported committed; otherwise conservatively as an
         abort rather than as a commit that failover could lose.
         """
-        root = task.root
-        database = self.container.database
-        if any(manager.failed for manager, __ in root.participants()):
-            replication = database.replication
-            if replication is not None and \
-                    replication.commit_survived(root):
-                self._complete_root(task, True, None, result)
+        if any(manager.failed for manager, __ in participants):
+            replication = self.container.database.replication
+            if replication is None or \
+                    not replication.commit_survived(task.root):
+                if replication is not None:
+                    replication.stats.failover_aborts += 1
+                self._complete_root(
+                    task, False,
+                    "container failed before replication ack", None)
                 return
-            if replication is not None:
-                replication.stats.failover_aborts += 1
-            self._complete_root(
-                task, False, "container failed before replication ack",
-                None)
-            return
         self._complete_root(task, True, None, result)
 
     def _abort_root(self, task: Task, abort: TransactionAbort) -> None:
@@ -887,53 +901,57 @@ class TransactionExecutor:
                 reason = "dangerous_structure"
             else:
                 reason = "user"
-            with self.scheduler.commit_guard(root.sessions):
+            with self.scheduler.guard(root.sessions):
                 coordinator.abort(participants, reason)
+        # The root settles in a second guard once the abort's cost has
+        # elapsed: settling in the first would report it that much
+        # early, and move virtual time.
         self._busy(task, self.costs.abort_cost, "commit",
                    self._complete_root, task, False, str(abort), None)
 
     def _complete_root(self, task: Task, committed: bool,
                        reason: str | None, result: Any) -> None:
-        root = task.root
+        """Settle and answer a root in a guard of its own: a deferred
+        commit, or an abort once its cost has elapsed."""
+        with self.scheduler.guard():
+            self._settle(task.root, committed, reason)
+        self._finish_task(task, committed, reason, result)
+
+    def _settle(self, root: RootTransaction, committed: bool,
+                reason: str | None) -> None:
+        """The bookkeeping of a completed root.  Telemetry counters,
+        durability ack sets, the snapshot-pin watermark and the
+        history recorder are shared across containers: the caller
+        holds a guard (a no-op on sim, the state lock on threads)."""
         root.finished = True
         for reactor in root.reactor_refs:
             reactor.inflight_roots.pop(root.txn_id, None)
         database = self.container.database
-        # Backend hook: telemetry counters, durability ack sets, the
-        # snapshot-pin watermark and the history recorder are shared
-        # across containers — a no-op guard on sim, the state lock on
-        # the threads backend.
-        with self.scheduler.state_guard():
-            database.telemetry.note_root_done(root, committed, reason,
-                                              self.scheduler.now)
-            if database.durability is not None:
-                # This is the acknowledgement instant: the set of
-                # commits clients saw is what crash certification
-                # holds recovery to (acked => durable for sync/group;
-                # async reports its loss window instead).
-                if committed:
-                    database.durability.note_acked(root)
-                else:
-                    database.durability.note_unacked(root)
-            # Release the root's pinned snapshot (if any) and count the
-            # reads it served: the storage GC watermark advances with
-            # the in-flight snapshot set, so the next install can prune
-            # versions only this root could see.
-            if root.snapshot_tid is not None:
-                database.storage.unpin(root.txn_id, root.total_reads())
-            if not committed and root.read_only:
-                database.storage.note_read_only_abort()
-            recorder = database.history_recorder
-            if recorder is not None:
-                if committed:
-                    recorder.record_commit(root.txn_id)
-                else:
-                    recorder.record_abort(root.txn_id)
-        self._finish_task(task)
-        callback = task.invocation.on_root_done
-        if callback is not None:
-            self.scheduler.after(self.costs.transport_delay, callback,
-                                 root, committed, reason, result)
+        database.telemetry.note_root_done(root, committed, reason,
+                                          self.scheduler.now)
+        if database.durability is not None:
+            # This is the acknowledgement instant: the set of commits
+            # clients saw is what crash certification holds recovery
+            # to (acked => durable for sync/group; async reports its
+            # loss window instead).
+            if committed:
+                database.durability.note_acked(root)
+            else:
+                database.durability.note_unacked(root)
+        # Release the root's pinned snapshot (if any) and count the
+        # reads it served: the storage GC watermark advances with the
+        # in-flight snapshot set, so the next install can prune
+        # versions only this root could see.
+        if root.snapshot_tid is not None:
+            database.storage.unpin(root.txn_id, root.total_reads())
+        if not committed and root.read_only:
+            database.storage.note_read_only_abort()
+        recorder = database.history_recorder
+        if recorder is not None:
+            if committed:
+                recorder.record_commit(root.txn_id)
+            else:
+                recorder.record_abort(root.txn_id)
 
 
 #: Charge-category -> Figure 6 breakdown bucket.

@@ -15,14 +15,15 @@ Threading model (see ``docs/backends.md`` for the full argument):
   operations on a reactor therefore run serialized on its container's
   thread, mirroring the paper's "one executor pins one core";
 * client-queue callbacks run under the backend's global *state* lock
-  (``_state_lock``), which also guards shared database bookkeeping
-  (transaction counters, snapshot pins, telemetry counters) via
-  :meth:`state_guard`;
-* a cross-container commit/abort takes :meth:`commit_guard`: release
-  the caller's own container lock, acquire the state lock, then every
-  participant's container lock in sorted order.  No thread ever waits
-  for the state lock while holding a container lock (the guards
-  release first), and participant locks are only acquired under the
+  (``_state_lock``);
+* :meth:`guard` is the one critical section: release the caller's own
+  container lock, acquire the state lock, then every named
+  participant's container lock in sorted order (none for shared
+  bookkeeping alone — transaction counters, snapshot pins, telemetry
+  counters).  A commit answered at once validates, installs,
+  publishes and settles its root inside one guard.  No thread ever
+  waits for the state lock while holding a container lock (the guard
+  releases first), and participant locks are only acquired under the
   state lock — the classic ordering argument that makes the protocol
   deadlock-free;
 * tiny scheduling delays (at most :data:`INLINE_DELAY_US`) execute
@@ -251,7 +252,7 @@ class ThreadsBackend:
 
     def __init__(self) -> None:
         #: The global state lock; guard for client-queue callbacks and
-        #: :meth:`state_guard` / :meth:`commit_guard` critical regions.
+        #: :meth:`guard` critical regions.
         self._state_lock = threading.RLock()
         self._origin_ns = time.monotonic_ns()
         self._tls = threading.local()
@@ -470,10 +471,7 @@ class ThreadsBackend:
         target = _CLIENT if container is None else container
         future.add_waiter(_Relay(self, target, callback), *args)
 
-    def state_guard(self) -> Any:
-        return _Guard(self, ())
-
-    def commit_guard(self, container_ids: Iterable[int]) -> Any:
+    def guard(self, container_ids: Iterable[int] = ()) -> Any:
         return _Guard(self, sorted(set(container_ids)))
 
     # ------------------------------------------------------------------
@@ -617,7 +615,8 @@ class ThreadsBackend:
 
 class _Guard:
     """The backend state lock, then every participant's container
-    lock in sorted container-id order (none for a state guard).
+    lock in sorted container-id order (none when no container is
+    named).
 
     The calling worker's own container lock is released first and
     re-acquired on exit, so no thread ever waits for the state lock

@@ -22,7 +22,7 @@ from repro.errors import SimulationError
 from repro.runtime.futures import SimFuture
 from repro.sim.clock import VirtualClock
 
-#: Shared no-op context manager for the sim backend's guard hooks
+#: Shared no-op context manager for the sim backend's guard hook
 #: (``nullcontext`` is reusable and reentrant).
 _NULL_GUARD = nullcontext()
 
@@ -76,8 +76,8 @@ class SimScheduler:
     The scheduler doubles as the default *execution backend* (see
     :mod:`repro.runtime.backend`): beyond the event-loop surface
     (``at``/``after``/``soon``/``run``/``pending``) it implements the
-    backend hooks — ``post``, ``busy``, ``add_waiter``, the two lock
-    guards and ``attach``/``shutdown`` — as exact restatements of the
+    backend hooks — ``post``, ``busy``, ``add_waiter``, the lock
+    guard and ``attach``/``shutdown`` — as exact restatements of the
     pre-backend behaviour, so running through them is byte-identical
     to calling the scheduler directly.  The hooks are trivial here because a simulation is
     single-threaded by construction; the ``threads`` backend
@@ -250,14 +250,8 @@ class SimScheduler:
         """
         future.add_waiter(callback, *args)
 
-    def commit_guard(self, container_ids: Iterable[int]) -> Any:
-        """Mutual exclusion for a cross-container commit/abort
-        (validate + install on every participant).  A no-op under the
-        serial event loop."""
-        return _NULL_GUARD
-
-    def state_guard(self) -> Any:
-        """Mutual exclusion for shared database bookkeeping (txn
-        counters, snapshot pins, telemetry counters).  A no-op under
-        the serial event loop."""
+    def guard(self, container_ids: Iterable[int] = ()) -> Any:
+        """Mutual exclusion for shared database bookkeeping and for a
+        commit/abort on the named participant containers.  A no-op
+        under the serial event loop."""
         return _NULL_GUARD

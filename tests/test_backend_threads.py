@@ -448,17 +448,17 @@ class TestShutDown:
 
 
 class TestGuards:
-    def test_state_guard_excludes_other_threads(self, backend):
+    def test_guard_excludes_other_threads(self, backend):
         order = []
 
         def holder():
-            with backend.state_guard():
+            with backend.guard():
                 order.append("enter")
                 time.sleep(0.02)
                 order.append("exit")
 
         def contender():
-            with backend.state_guard():
+            with backend.guard():
                 order.append("second")
 
         backend.post(0, holder)
@@ -467,11 +467,11 @@ class TestGuards:
         backend.run()
         assert order == ["enter", "exit", "second"]
 
-    def test_commit_guard_holds_participant_locks(self, backend):
+    def test_guard_holds_participant_locks(self, backend):
         witnessed = []
 
         def committer():
-            with backend.commit_guard([1, 0, 1]):
+            with backend.guard([1, 0, 1]):
                 witnessed.append(
                     [lock._is_owned()  # noqa: SLF001
                      for lock in backend._container_locks])

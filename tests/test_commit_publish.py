@@ -26,6 +26,7 @@ from repro.core.database import ReactorDatabase
 from repro.core.deployment import shared_nothing
 from repro.core.reactor import ReactorType
 from repro.durability import enable_durability
+from repro.errors import TransactionAbort
 from repro.relational import float_col, make_schema, str_col
 from repro.runtime.threads import INLINE_DELAY_US
 from repro.sim.machine import XEON_E3_1276, MachineProfile
@@ -125,6 +126,41 @@ def test_publish_sees_each_commit_whole(backend):
                        for __, record in records)
         assert [value_of(database, name) for name in NAMES] == \
             [11.0, 11.0, 12.0]
+    finally:
+        database.close()
+
+
+@pytest.mark.parametrize("backend", ["sim", "threads"])
+def test_a_commit_answered_at_once_takes_one_guard(backend, monkeypatch):
+    """After ``submit``'s guard, a commit answered at once enters one
+    guard, over its participants, and settles the root inside it.  A
+    deferred commit (a group-commit flush owed) and an abort settle in
+    a second guard, over no container."""
+    database = ReactorDatabase(
+        shared_nothing(3, mpl=4, cc_scheme="occ", backend=backend),
+        [(name, CELL) for name in NAMES])
+    for name in NAMES:
+        database.load(name, "cell", [{"name": name, "value": 10.0}])
+    entered = []
+    guard = type(database.scheduler).guard
+
+    def counting(self, container_ids=()):
+        entered.append(sorted(set(container_ids)))
+        return guard(self, container_ids)
+
+    monkeypatch.setattr(type(database.scheduler), "guard", counting)
+    try:
+        assert database.run("f1", "add_here_and_there", "f0",
+                            1.0) == 11.0
+        assert entered == [[], [0, 1]]
+        enable_durability(database, "group")
+        entered.clear()
+        assert database.run("f2", "add", 1.0) == 11.0
+        assert entered == [[], [2], []]
+        entered.clear()
+        with pytest.raises(TransactionAbort):
+            database.run("f2", "add", None)  # 11.0 + None raises
+        assert entered == [[], [2], []]
     finally:
         database.close()
 

@@ -161,8 +161,11 @@ class TestDeploymentValidation:
 class TestObservability:
     def test_utilization_snapshot(self, bank_sn):
         bank_sn.run("acct0", "busy_work", 500.0)
-        busy = bank_sn.utilization_snapshot()
-        assert sum(busy.values()) >= 500.0
+        registry = bank_sn.telemetry.registry
+        busy = [registry.value("executor_busy_us", core=e.core_id)
+                for e in bank_sn.executors]
+        assert busy == [round(e.busy_time, 3) for e in bank_sn.executors]
+        assert sum(busy) >= 500.0
 
     def test_abort_counts(self, bank_sn):
         bank_sn.run("acct0", "transfer", "acct5", 1.0)

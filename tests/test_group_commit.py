@@ -272,7 +272,7 @@ class TestKillAtArbitraryEpoch:
         assert manager.publish(root, [
             (0, logs[0].append(tid, [entry(sb.reactor_name(0), 0, 2.0)])),
             (1, logs[1].append(tid, [entry(sb.reactor_name(1), 1, 3.0)])),
-        ]) is None  # async: no wait
+        ]) == []  # async: no wait
         manager.note_acked(root)  # ...and the client heard "committed"
         costs = database.costs
         scheduler.run(until=costs.flush_interval_us

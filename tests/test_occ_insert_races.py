@@ -2,7 +2,7 @@
 
 OCC validation takes no locks and makes no insert placeholders: both
 backends run a commit's validate + install as one atomic section (the
-scheduler's ``commit_guard``), so a key two transactions insert is
+scheduler's ``guard``), so a key two transactions insert is
 decided by whichever commit reaches the guard first, and a refused
 commit leaves nothing behind in any table.
 """

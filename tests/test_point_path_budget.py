@@ -35,8 +35,12 @@ validation as one pass with no side effects (see the sixth row) reads
 123.02: 1.10 ``max_observed_tid`` calls gone (the TID floor is folded
 into the read walk) and 0.20 ``sorted_intents`` (a read-only session
 has no write set to sort).  Dropping backend admission swapped the
-sim's admission-hook call per root for a ``state_guard`` call, so the
-ceilings did not move.  The ceilings are the exact counts of this
+sim's admission-hook call per root for a guard call, so the ceilings
+did not move.  One guard per commit reads 123.02 -> 122.09: a root
+answered in its commit's event settles (``_settle``) inside that
+commit's guard, so ``_complete_root`` and its guard call left that
+path; the no-op row trades the same two for ``_settle`` and a guard
+call and holds at 60.255.  The ceilings are the exact counts of this
 tree on 3.11 (3.12+ inlines one comprehension and reads 1.00 lower);
 they only ever go down.  Raise one only with the number that justifies
 it in the PR description; ``python tests/test_point_path_budget.py
@@ -50,7 +54,12 @@ each drained on its own.  33.91 per transaction before ISSUE 24
 class calling up to its base), 21.145 after (a burst per wake-up,
 self-posts appended to it, one guard class, ``busy`` inlining without
 a helper) — 0.62 of it; the profiler that also counts builtins (lock
-methods, ``getattr``) reads 103 -> 46 on the traced e2e run.  Both
+methods, ``getattr``) reads 103 -> 46 on the traced e2e run.  One
+guard hook and one guard per commit read 21.145 -> 17.285: guard
+calls per transaction went 8.0 (1.0 each for the two hooks it
+replaced, 2.0 each for ``_Guard.__init__`` / ``__enter__`` /
+``__exit__``) -> 4.14 (1.035 each for ``guard`` and the three
+``_Guard`` methods; the 0.035 is a user abort's second guard).  Both
 counts leave out what a worker does when it runs dry
 (``_WorkQueue.take``, ``_wake_run``): how often depends on timing.
 
@@ -70,7 +79,9 @@ once per commit, read-only ones included) and
 ``LogFlusher.ack_future`` (1.0625, once per commit participant) are
 gone, and one ``publish`` per writing commit (0.7875) and one
 ``LogFlusher._waiter`` per record (1.0, the ack future joining its
-epoch before any flush can start) came in.
+epoch before any flush can start) came in.  Handing the executor the
+flush futures to join, instead of a joint future, reads 10.3625: the
+joint future's countdown closure (0.425 per record) is gone.
 
 The fifth row is the scan path: ``call`` events under ``concurrency/``
 and ``relational/`` made inside ``CCSession.scan`` (its own call not
@@ -98,7 +109,7 @@ attempted, while the same TPC-C case runs (81 commits).  Before and
 after OCC validation became one pass with no side effects — no lock
 word, no insert placeholders, the TID floor read off the same walk
 (validate + install already run as one atomic section inside the
-backend's ``commit_guard``):
+backend's ``guard``):
 
 =======================  ======  ======
                          before   after
@@ -142,10 +153,10 @@ SRC_ROOT = str(Path(repro.__file__).resolve().parent)
 N_TXNS = 200
 CUSTOMERS = 100
 
-SMALLBANK_CEILING = 123.02
+SMALLBANK_CEILING = 122.09
 NOOP_CEILING = 60.255
-THREADS_HANDOFF_CEILING = 21.145
-LOG_DURABILITY_CEILING = 10.7875
+THREADS_HANDOFF_CEILING = 17.285
+LOG_DURABILITY_CEILING = 10.3625
 SCAN_PATH_CEILING = 37.66
 COMMIT_PATH_CEILING = 53.52
 

@@ -208,8 +208,8 @@ class TestBackendHooks:
         scheduler.run()
         assert times == [7.5]
 
-    def test_guards_are_noop_context_managers(self):
+    def test_guard_is_a_noop_context_manager(self):
         scheduler = SimScheduler()
-        with scheduler.state_guard():
-            with scheduler.commit_guard([0, 1]):
+        with scheduler.guard():
+            with scheduler.guard([0, 1]):
                 pass
