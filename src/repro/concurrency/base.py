@@ -651,7 +651,7 @@ class CCSession:
         """Free whatever the scheme holds for this session (2PL: its
         lock-table entries and insert placeholders).  OCC and
         passthrough hold nothing: validate + install run inside the
-        backend's commit guard."""
+        commit's one ``guarded`` call."""
 
 
 class ConcurrencyControl:
@@ -662,8 +662,8 @@ class ConcurrencyControl:
     applied with the commit TID, redo-logged when durability is on, and
     the session's locks — whatever the scheme means by locks — are
     released through :meth:`CCSession.release_locks`).  The runtime
-    calls ``validate`` and ``install`` inside the backend's ``guard``
-    over the participants, one atomic section per commit.
+    calls ``validate`` and ``install`` inside one call to the backend's
+    ``guarded`` over the participants, one atomic section per commit.
     """
 
     #: Skip (instead of propagating) a write whose install is refused.
@@ -731,8 +731,8 @@ class ConcurrencyControl:
         attached, is logged as an entry *sharing* the image just
         installed (:class:`repro.durability.wal.RedoEntry`).  Under a
         real scheme an install can only succeed — validation (inside
-        the commit guard) or locking guarantees exclusivity — so
-        failures propagate as bugs.
+        the commit's ``guarded`` call) or locking guarantees
+        exclusivity — so failures propagate as bugs.
         """
         count = 0
         redo_log = self.redo_log

@@ -6,15 +6,15 @@ scheme's validation on every involved container (OCC checks its insert
 keys, read set and scanned structures; 2PL re-checks the wound flag —
 its locks are already held; passthrough does nothing), phase two
 installs the writes with a globally maximal commit TID or aborts
-everywhere.  The runtime calls :func:`commit` inside the backend's
-``guard`` over the participants, so both phases — and the publish and
-completion bookkeeping after them — are one atomic section: OCC needs
-no write locks between them.  The coordinator is scheme-agnostic:
-participants are ``(manager, session)`` pairs of whatever
-:class:`~repro.concurrency.base.ConcurrencyControl` the deployment
-selected, so cross-container commits work identically under every
-scheme, and a single-container commit is the same protocol over one
-participant.
+everywhere.  The runtime calls :func:`commit` inside one call to the
+backend's ``guarded`` over the participants, so both phases — and the
+publish and completion bookkeeping after them — are one atomic
+section: OCC needs no write locks between them.  The coordinator is
+scheme-agnostic: participants are ``(manager, session)`` pairs of
+whatever :class:`~repro.concurrency.base.ConcurrencyControl` the
+deployment selected, so cross-container commits work identically under
+every scheme, and a single-container commit is the same protocol over
+one participant.
 
 The coordinator is pure logic — the transaction executor drives it and
 charges the simulated per-container communication costs around each

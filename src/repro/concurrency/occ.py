@@ -9,11 +9,11 @@ are installed with a commit TID greater than every TID observed.
 
 Silo locks the write set because its workers validate and install in
 parallel.  Here every backend runs a commit's validate + install as one
-atomic section (the scheduler's ``guard`` over the participants: a
-no-op on the serial sim, the state lock plus every participant's
-container lock on ``threads``), so validation is one side-effect-free
-pass: no lock word, no insert placeholder, nothing to release on
-abort.
+atomic section (one call to the scheduler's ``guarded`` over the
+participants: a plain call on the serial sim, the state lock plus
+every participant's container lock on ``threads``), so validation is
+one side-effect-free pass: no lock word, no insert placeholder,
+nothing to release on abort.
 
 The buffered record-manager machinery (read-your-writes overlay, scan
 paths, write intents) lives in :class:`repro.concurrency.base.CCSession`

@@ -197,10 +197,10 @@ class ReactorDatabase:
         separate simulated cores.
         """
         # Transaction-id assignment, routing counters, and telemetry
-        # are shared bookkeeping, serialized under the backend guard.
-        with self.scheduler.guard():
-            return self._submit(reactor_name, proc_name, args, kwargs,
-                                on_done, read_only)
+        # are shared bookkeeping, serialized by the backend.
+        return self.scheduler.guarded((), self._submit, reactor_name,
+                                      proc_name, args, kwargs, on_done,
+                                      read_only)
 
     def _submit(self, reactor_name: str, proc_name: str,
                 args: tuple, kwargs: dict[str, Any],
@@ -298,9 +298,9 @@ class ReactorDatabase:
             return None
         # Pinning reads the global watermark and advances every
         # container's TID generator: cross-container state, serialized
-        # under the backend guard.
-        with self.scheduler.guard():
-            return self._begin_snapshot_session(root, container)
+        # by the backend.
+        return self.scheduler.guarded((), self._begin_snapshot_session,
+                                      root, container)
 
     def _begin_snapshot_session(self, root: RootTransaction,
                                 container: Any):

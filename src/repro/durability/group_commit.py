@@ -156,8 +156,7 @@ class LogFlusher:
     def _waiter(self, epoch: FlushEpoch) -> SimFuture:
         """A future resolved when ``epoch``'s flush lands."""
         future = self._future_cls(
-            remote=False, subtxn_id=0,
-            target_reactor=f"log:{self.container_id}")
+            remote=False, target_reactor=f"log:{self.container_id}")
         epoch.waiters.append(future)
         return future
 
@@ -209,9 +208,8 @@ class LogFlusher:
             if tid > self.durable_tid:
                 self.durable_tid = tid
         waiters, epoch.waiters = epoch.waiters, []
-        now = self.scheduler.now
         for future in waiters:
-            future.resolve(epoch.seq, now)
+            future.resolve(epoch.seq)
 
     def kick(self) -> None:
         """Close and flush the open epoch now (durability barriers:

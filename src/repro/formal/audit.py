@@ -13,10 +13,10 @@ Each operation is recorded where it takes effect: a validated read
 when the CC session serves it (a session wrapper, any scheme), a
 snapshot read with the version TID it observed (the snapshot session
 reports it), a write when the commit installs it
-(:meth:`HistoryRecorder.record_install`, inside the commit guard, with
-its commit TID).  Writers and snapshot readers are then judged in one
-serialization graph.  Recording is strictly observational and adds
-Python-level overhead only, never virtual time.
+(:meth:`HistoryRecorder.record_install`, inside the commit's
+``guarded`` call, with its commit TID).  Writers and snapshot readers
+are then judged in one serialization graph.  Recording is strictly
+observational and adds Python-level overhead only, never virtual time.
 """
 
 from __future__ import annotations

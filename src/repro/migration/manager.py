@@ -556,8 +556,7 @@ class MigrationManager:
                 invocation.result_future.fail(
                     MigrationAbort(
                         f"migration of {migration.reactor_name!r} "
-                        f"cancelled: {reason}"),
-                    database.scheduler.now)
+                        f"cancelled: {reason}"))
             else:
                 self._replay_subcall(invocation)
         migration.parked_roots = []

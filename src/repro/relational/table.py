@@ -64,8 +64,9 @@ class Table:
         #: :meth:`iter_chained`, so pruned chains fall out without an
         #: explicit unhook.  ``None`` until the table's first retained
         #: version, so a never-versioned table holds no set (an empty
-        #: one is 216 B).  Writers hold the container lock (the commit
-        #: guard), so creating it needs no lock of its own.
+        #: one is 216 B).  Writers hold the container lock (the
+        #: commit's ``guarded`` call), so creating it needs no lock of
+        #: its own.
         self._chained: set[tuple] | None = None
         #: The owning database's storage coordinator, wired at
         #: bootstrap/adoption; ``None`` for standalone tables (no

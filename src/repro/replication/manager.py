@@ -420,8 +420,7 @@ class ReplicationManager:
                 invocation = executor.queue.popleft()
                 if invocation.result_future is not None:
                     invocation.result_future.fail(
-                        TransactionAbort(f"container {cid} failed"),
-                        database.scheduler.now)
+                        TransactionAbort(f"container {cid} failed"))
                 else:
                     database.refuse_root(invocation.root,
                                          invocation.on_root_done,

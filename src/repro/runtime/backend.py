@@ -36,9 +36,10 @@ backend they hold:
                     microseconds, then continue with ``fn``
 ``add_waiter(fut, cb, *a, container=...)``  wake a parked task on its
                     owning container's context when ``fut`` resolves
-``guard(cids=())``  context manager serializing shared database
-                    bookkeeping (txn counters, snapshot pins, ...)
-                    and a commit/abort on the named participants
+``guarded(cids, fn, *a)``  run ``fn(*a)`` as one atomic section
+                    over shared database bookkeeping (txn counters,
+                    snapshot pins, ...) and the named participants
+                    (a commit/abort), returning its value
 ``future_class``    future type the runtime allocates
 ``name``            ``"sim"`` or ``"threads"`` (stamped into bench
                     meta blocks and telemetry exports)

@@ -49,11 +49,6 @@ from repro.runtime.transaction import RootTransaction
 
 _NOTHING = object()
 
-_READY = "ready"
-_RUNNING = "running"
-_BLOCKED = "blocked"
-_DONE = "done"
-
 
 class Invocation:
     """A queued request: root transaction or sub-transaction call."""
@@ -100,20 +95,18 @@ class Frame:
 class Task:
     """An executing (sub-)transaction on one executor."""
 
-    __slots__ = ("invocation", "root", "frames", "state", "executor",
-                 "pending_charge", "blocked_on", "block_start",
-                 "block_category", "wake_future")
+    __slots__ = ("invocation", "root", "frames", "executor",
+                 "pending_charge", "block_start", "block_category",
+                 "wake_future")
 
     def __init__(self, invocation: Invocation, executor:
                  "TransactionExecutor") -> None:
         self.invocation = invocation
         self.root = invocation.root
         self.frames: list[Frame] = []
-        self.state = _READY
         self.executor = executor
         #: Simulated CPU accrued by data operations since last flush.
         self.pending_charge = 0.0
-        self.blocked_on: SimFuture | None = None
         self.block_start = 0.0
         self.block_category = "async_execution"
         self.wake_future: SimFuture | None = None
@@ -214,8 +207,7 @@ class TransactionExecutor:
             # future so the caller aborts instead of waiting forever.
             invocation.result_future.fail(
                 TransactionAbort(
-                    f"container {self.container.container_id} failed"),
-                self.scheduler.now)
+                    f"container {self.container.container_id} failed"))
             return
         self.queue.append(invocation)
         self._kick()
@@ -270,13 +262,12 @@ class TransactionExecutor:
                 f"reactor {reactor.name!r}"
             )
             if invocation.result_future is not None:
-                invocation.result_future.fail(abort, self.scheduler.now)
+                invocation.result_future.fail(abort)
                 self._kick()
                 return
             raise abort  # a root invocation can never race itself
 
         self.running = task
-        task.state = _RUNNING
         self._touch_reactor(task, reactor)
         self._push_frame(task, reactor, invocation.subtxn_id,
                          entered=True,
@@ -526,8 +517,7 @@ class TransactionExecutor:
                 f"race on reactor {reactor.name!r}"
             ))
             return
-        future = self._future_cls(remote=True, subtxn_id=subtxn_id,
-                                  target_reactor=reactor.name)
+        future = self._future_cls(remote=True, target_reactor=reactor.name)
         future.birth_seq = root.effect_seq
         task.frames[-1].pending.append(future)
         root.remote_calls += 1
@@ -566,8 +556,7 @@ class TransactionExecutor:
 
     def _run_inline(self, task: Task, reactor: Any, call: CallEffect,
                     subtxn_id: int, entered: bool) -> None:
-        future = self._future_cls(remote=False, subtxn_id=subtxn_id,
-                                  target_reactor=reactor.name)
+        future = self._future_cls(remote=False, target_reactor=reactor.name)
         future.birth_seq = task.root.effect_seq
         self._touch_reactor(task, reactor)
         frame = self._push_frame(task, reactor, subtxn_id, entered,
@@ -582,8 +571,6 @@ class TransactionExecutor:
             self._busy(task, cost, "cr", self._deliver, task, future)
             return
         # Block; release the executor to other tasks.
-        task.state = _BLOCKED
-        task.blocked_on = future
         task.block_start = self.scheduler.now
         root = task.root
         if task.is_root and root.effect_seq == future.birth_seq + 1:
@@ -612,8 +599,6 @@ class TransactionExecutor:
                        task.block_start, self.scheduler.now,
                        {"on": future.target_reactor},
                        parent_key=parent)
-        task.state = _READY
-        task.blocked_on = None
         task.wake_future = future
         self.ready.append(task)
         self._kick()
@@ -621,7 +606,6 @@ class TransactionExecutor:
     def _resume_woken(self, task: Task) -> None:
         future = task.wake_future
         task.wake_future = None
-        task.state = _RUNNING
         self.running = task
         assert future is not None
         cost = self.costs.cr if future.remote else 0.0
@@ -650,13 +634,13 @@ class TransactionExecutor:
             # Inline child finished: resolve its future and hand it to
             # the parent synchronously.
             assert frame.inline_future is not None
-            frame.inline_future.resolve(result, self.scheduler.now)
+            frame.inline_future.resolve(result)
             self._step(task, frame.inline_future, None)
             return
         invocation = task.invocation
         if invocation.result_future is not None:
             # Remote sub-transaction finished on this executor.
-            invocation.result_future.resolve(result, self.scheduler.now)
+            invocation.result_future.resolve(result)
             trace = task.root.trace
             if trace is not None:
                 trace.close_child(invocation.subtxn_id,
@@ -672,12 +656,12 @@ class TransactionExecutor:
         if task.frames:
             if frame.inline_future is not None:
                 frame.inline_future.consumed = True
-                frame.inline_future.fail(abort, self.scheduler.now)
+                frame.inline_future.fail(abort)
             self._step(task, None, abort)
             return
         invocation = task.invocation
         if invocation.result_future is not None:
-            invocation.result_future.fail(abort, self.scheduler.now)
+            invocation.result_future.fail(abort)
             trace = task.root.trace
             if trace is not None:
                 trace.close_child(invocation.subtxn_id,
@@ -690,7 +674,6 @@ class TransactionExecutor:
     def _finish_task(self, task: Task, *outcome: Any) -> None:
         """Retire ``task``.  A root's task also answers its caller:
         ``outcome`` is ``(committed, reason, result)``."""
-        task.state = _DONE
         if self.running is task:
             self.running = None
         self._kick()
@@ -730,84 +713,85 @@ class TransactionExecutor:
         if len(participants) > 1:
             cost += costs.tpc_prepare_per_container * \
                 len(participants)
-        self._busy(task, cost, "commit", self._do_commit, task, result,
+        # The commit stage is one guarded call over the participants,
+        # continued straight from the commit's busy time: no hop.
+        self._busy(task, cost, "commit", self.scheduler.guarded,
+                   root.sessions, self._do_commit, task, result,
                    participants)
 
     def _do_commit(self, task: Task, result: Any,
                    participants: list) -> None:
+        """The commit stage, run as one ``guarded`` call over the
+        root's participants: a plain call on sim; under threads it
+        holds the state lock plus every participant container's lock,
+        so validate + install + publish — and either the answer of a
+        commit acknowledged now or the arming of its deferred wait —
+        are one atomic section against the other containers'
+        executing transactions."""
         root = task.root
         database = self.container.database
+        trace = root.trace
         # A transaction that touched no data commits trivially (e.g.
         # pure-compute procedures, empty transactions).
-        committed, reason, deferred = True, None, False
-        # Backend hook: a no-op guard on sim; under threads it holds
-        # the state lock plus every participant container's lock, so
-        # validate + install + publish — and, for a commit answered
-        # now, its completion bookkeeping — are one atomic section
-        # against the other containers' executing transactions.
-        with self.scheduler.guard(root.sessions):
-            for manager, __ in participants:
-                if manager.failed:
-                    # A participant container crashed under this
-                    # transaction (replication failover): its writes
-                    # would land in dead storage, so the commit must
-                    # not be reported.
-                    coordinator.abort(participants, reason=None)
+        committed, reason = True, None
+        flushes, ack_delay = [], 0.0
+        for manager, __ in participants:
+            if manager.failed:
+                # A participant container crashed under this
+                # transaction (replication failover): its writes would
+                # land in dead storage, so the commit must not be
+                # reported.
+                coordinator.abort(participants, reason=None)
+                if database.replication is not None:
+                    database.replication.stats.failover_aborts += 1
+                committed, reason = False, "container failed"
+                break
+        else:
+            if participants:
+                outcome = coordinator.commit(participants,
+                                             self.scheduler.now)
+                committed, reason = outcome.committed, outcome.reason
+                root.commit_tid = outcome.commit_tid
+                # Publish, once every participant has installed:
+                # durability (append sequence, dirty keys, flush epochs
+                # and the flushes the client waits for), then
+                # replication, then the recorder.  Only durability's
+                # logs make records.
+                records = outcome.records
+                if records:
+                    flushes = database.durability.publish(root, records)
                     if database.replication is not None:
-                        database.replication.stats.failover_aborts += 1
-                    committed, reason = False, "container failed"
-                    break
-            else:
-                if participants:
-                    outcome = coordinator.commit(participants,
-                                                 self.scheduler.now)
-                    committed, reason = outcome.committed, outcome.reason
-                    root.commit_tid = outcome.commit_tid
-                    # Publish, once every participant has installed:
-                    # durability (append sequence, dirty keys, flush
-                    # epochs and the flushes the client waits for),
-                    # then replication, then the recorder.  Only
-                    # durability's logs make records.
-                    records = outcome.records
-                    flushes, ack_delay = [], 0.0
-                    if records:
-                        flushes = database.durability.publish(root,
-                                                              records)
-                        if database.replication is not None:
-                            ack_delay = database.replication.ship(records)
-                    recorder = database.history_recorder
-                    if recorder is not None and committed:
-                        recorder.record_install(root.txn_id,
-                                                outcome.commit_tid,
-                                                participants)
-                    trace = root.trace
-                    if trace is not None:
-                        # Commit-phase markers: the coordinator is
-                        # pure logic and emits none, so they are
-                        # synthesized from its outcome.
-                        now = self.scheduler.now
-                        if outcome.containers > 1:
-                            trace.instant(
-                                "2pc:prepare", now,
-                                {"participants": outcome.containers},
-                                parent_key="commit")
-                        if committed:
-                            trace.instant(
-                                "cc:validate", now,
-                                {"participants": outcome.containers},
-                                parent_key="commit")
-                            trace.instant("cc:install", now,
-                                          {"tid": outcome.commit_tid,
-                                           "writes": outcome.writes},
-                                          parent_key="commit")
-                        else:
-                            trace.instant("cc:abort", now,
-                                          {"reason": reason},
-                                          parent_key="commit")
-                    deferred = bool(flushes) or ack_delay > 0.0
-            if not deferred:
-                self._settle(root, committed, reason)
-        if not deferred:
+                        ack_delay = database.replication.ship(records)
+                recorder = database.history_recorder
+                if recorder is not None and committed:
+                    recorder.record_install(root.txn_id,
+                                            outcome.commit_tid,
+                                            participants)
+                if trace is not None:
+                    # Commit-phase markers: the coordinator is pure
+                    # logic and emits none, so they are synthesized
+                    # from its outcome.
+                    now = self.scheduler.now
+                    if outcome.containers > 1:
+                        trace.instant(
+                            "2pc:prepare", now,
+                            {"participants": outcome.containers},
+                            parent_key="commit")
+                    if committed:
+                        trace.instant(
+                            "cc:validate", now,
+                            {"participants": outcome.containers},
+                            parent_key="commit")
+                        trace.instant("cc:install", now,
+                                      {"tid": outcome.commit_tid,
+                                       "writes": outcome.writes},
+                                      parent_key="commit")
+                    else:
+                        trace.instant("cc:abort", now,
+                                      {"reason": reason},
+                                      parent_key="commit")
+        if not flushes and ack_delay == 0.0:
+            self._settle(root, committed, reason)
             self._finish_task(task, committed, reason,
                               result if committed else None)
             return
@@ -901,28 +885,29 @@ class TransactionExecutor:
                 reason = "dangerous_structure"
             else:
                 reason = "user"
-            with self.scheduler.guard(root.sessions):
-                coordinator.abort(participants, reason)
-        # The root settles in a second guard once the abort's cost has
-        # elapsed: settling in the first would report it that much
-        # early, and move virtual time.
+            self.scheduler.guarded(root.sessions, coordinator.abort,
+                                   participants, reason)
+        # The root settles in a second guarded call once the abort's
+        # cost has elapsed: settling in the first would report it that
+        # much early, and move virtual time.
         self._busy(task, self.costs.abort_cost, "commit",
                    self._complete_root, task, False, str(abort), None)
 
     def _complete_root(self, task: Task, committed: bool,
                        reason: str | None, result: Any) -> None:
-        """Settle and answer a root in a guard of its own: a deferred
-        commit, or an abort once its cost has elapsed."""
-        with self.scheduler.guard():
-            self._settle(task.root, committed, reason)
+        """Settle a root in a guarded call of its own, then answer it:
+        a deferred commit, or an abort once its cost has elapsed."""
+        self.scheduler.guarded((), self._settle, task.root, committed,
+                               reason)
         self._finish_task(task, committed, reason, result)
 
     def _settle(self, root: RootTransaction, committed: bool,
                 reason: str | None) -> None:
         """The bookkeeping of a completed root.  Telemetry counters,
         durability ack sets, the snapshot-pin watermark and the
-        history recorder are shared across containers: the caller
-        holds a guard (a no-op on sim, the state lock on threads)."""
+        history recorder are shared across containers: it runs inside
+        ``scheduler.guarded`` (a plain call on sim, the state lock on
+        threads)."""
         root.finished = True
         for reactor in root.reactor_refs:
             reactor.inflight_roots.pop(root.txn_id, None)

@@ -34,11 +34,9 @@ class SimFuture:
     """Result placeholder for an asynchronous sub-transaction."""
 
     __slots__ = ("state", "value", "error", "remote", "consumed",
-                 "birth_seq", "resolved_at", "_waiter", "_waiter_args",
-                 "subtxn_id", "target_reactor")
+                 "birth_seq", "_waiter", "_waiter_args", "target_reactor")
 
-    def __init__(self, remote: bool, subtxn_id: int,
-                 target_reactor: str) -> None:
+    def __init__(self, remote: bool, target_reactor: str) -> None:
         self.state = _PENDING
         self.value: Any = None
         self.error: BaseException | None = None
@@ -49,10 +47,8 @@ class SimFuture:
         #: Task effect counter at creation; used to classify waits as
         #: sync-execution vs async-execution in latency breakdowns.
         self.birth_seq = 0
-        self.resolved_at: float | None = None
         self._waiter: Callable[..., None] | None = None
         self._waiter_args: tuple = ()
-        self.subtxn_id = subtxn_id
         self.target_reactor = target_reactor
 
     @property
@@ -63,20 +59,18 @@ class SimFuture:
     def failed(self) -> bool:
         return self.state == _FAILED
 
-    def resolve(self, value: Any, now: float) -> None:
+    def resolve(self, value: Any) -> None:
         if self.state != _PENDING:
             raise SimulationError("future resolved twice")
         self.state = _RESOLVED
         self.value = value
-        self.resolved_at = now
         self._notify()
 
-    def fail(self, error: BaseException, now: float) -> None:
+    def fail(self, error: BaseException) -> None:
         if self.state != _PENDING:
             raise SimulationError("future resolved twice")
         self.state = _FAILED
         self.error = error
-        self.resolved_at = now
         self._notify()
 
     def add_waiter(self, callback: Callable[..., None],
@@ -121,7 +115,7 @@ class SimFuture:
         return self.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"SimFuture({self.state}, sub={self.subtxn_id}, "
+        return (f"SimFuture({self.state}, "
                 f"target={self.target_reactor!r}, remote={self.remote})")
 
 
@@ -140,32 +134,29 @@ class ThreadSafeFuture(SimFuture):
 
     __slots__ = ("_lock", "_event")
 
-    def __init__(self, remote: bool, subtxn_id: int,
-                 target_reactor: str) -> None:
-        super().__init__(remote, subtxn_id, target_reactor)
+    def __init__(self, remote: bool, target_reactor: str) -> None:
+        super().__init__(remote, target_reactor)
         self._lock = threading.Lock()
         self._event: threading.Event | None = None
 
-    def resolve(self, value: Any, now: float) -> None:
+    def resolve(self, value: Any) -> None:
         with self._lock:
             if self.state != _PENDING:
                 raise SimulationError("future resolved twice")
             self.state = _RESOLVED
             self.value = value
-            self.resolved_at = now
             waiter, args = self._take_waiter()
             event = self._event
         if event is not None:
             event.set()
         self._invoke(waiter, args)
 
-    def fail(self, error: BaseException, now: float) -> None:
+    def fail(self, error: BaseException) -> None:
         with self._lock:
             if self.state != _PENDING:
                 raise SimulationError("future resolved twice")
             self.state = _FAILED
             self.error = error
-            self.resolved_at = now
             waiter, args = self._take_waiter()
             event = self._event
         if event is not None:

@@ -16,15 +16,16 @@ Threading model (see ``docs/backends.md`` for the full argument):
   thread, mirroring the paper's "one executor pins one core";
 * client-queue callbacks run under the backend's global *state* lock
   (``_state_lock``);
-* :meth:`guard` is the one critical section: release the caller's own
-  container lock, acquire the state lock, then every named
-  participant's container lock in sorted order (none for shared
-  bookkeeping alone — transaction counters, snapshot pins, telemetry
-  counters).  A commit answered at once validates, installs,
-  publishes and settles its root inside one guard.  No thread ever
-  waits for the state lock while holding a container lock (the guard
-  releases first), and participant locks are only acquired under the
-  state lock — the classic ordering argument that makes the protocol
+* :meth:`ThreadsBackend.guarded` is the one critical section: it runs
+  one call after releasing the caller's own container lock and
+  acquiring the state lock, then every named participant's container
+  lock in sorted order (none for shared bookkeeping alone —
+  transaction counters, snapshot pins, telemetry counters).  A commit
+  is one such call: it validates, installs, publishes and, when
+  answered at once, settles its root.  No thread ever waits for the
+  state lock while holding a container lock (the call releases
+  first), and participant locks are only acquired under the state
+  lock — the classic ordering argument that makes the protocol
   deadlock-free;
 * tiny scheduling delays (at most :data:`INLINE_DELAY_US`) execute
   inline on the calling thread with a depth bound — they model CPU
@@ -215,10 +216,11 @@ class _ThreadState:
         #: The queue ``soon`` posts to: the worker's own, the client
         #: queue on any other thread.
         self.cid = cid
-        #: A container worker's container lock — the one the guards
-        #: release before waiting for the state lock.  ``None`` on the
-        #: client worker (it runs under the state lock itself) and on
-        #: threads the backend did not start.
+        #: A container worker's container lock — the one
+        #: :meth:`ThreadsBackend.guarded` releases before waiting for
+        #: the state lock.  ``None`` on the client worker (it runs
+        #: under the state lock itself) and on threads the backend did
+        #: not start.
         self.own_lock = own_lock
         self.lock_held = False
         self.depth = 0
@@ -251,8 +253,8 @@ class ThreadsBackend:
     future_class = ThreadSafeFuture
 
     def __init__(self) -> None:
-        #: The global state lock; guard for client-queue callbacks and
-        #: :meth:`guard` critical regions.
+        #: The global state lock; held by client-queue callbacks and
+        #: by every :meth:`guarded` call.
         self._state_lock = threading.RLock()
         self._origin_ns = time.monotonic_ns()
         self._tls = threading.local()
@@ -471,8 +473,42 @@ class ThreadsBackend:
         target = _CLIENT if container is None else container
         future.add_waiter(_Relay(self, target, callback), *args)
 
-    def guard(self, container_ids: Iterable[int] = ()) -> Any:
-        return _Guard(self, sorted(set(container_ids)))
+    def guarded(self, container_ids: Iterable[int],
+                fn: Callable[..., Any], *args: Any) -> Any:
+        """Run ``fn(*args)`` holding the state lock, then every named
+        participant's container lock in sorted container-id order
+        (none when no container is named), and return its value.
+
+        The calling worker's own container lock is released first and
+        taken back after, so no thread ever waits for the state lock
+        while holding a container lock.  Participant locks are only
+        taken under the state lock, which one call holds at a time, so
+        the per-call sorted order can never interleave into a cycle.
+        Every lock is released, and the own lock taken back, even when
+        ``fn`` raises.
+        """
+        try:
+            state = self._tls.state
+        except AttributeError:
+            state = self._thread_state()
+        own = state.lock_held
+        if own:
+            state.own_lock.release()
+            state.lock_held = False
+        cids = sorted(set(container_ids))
+        locks = self._container_locks
+        self._state_lock.acquire()
+        for cid in cids:
+            locks[cid].acquire()
+        try:
+            return fn(*args)
+        finally:
+            for cid in reversed(cids):
+                locks[cid].release()
+            self._state_lock.release()
+            if own:
+                state.own_lock.acquire()
+                state.lock_held = True
 
     # ------------------------------------------------------------------
     # Quiesce
@@ -611,54 +647,6 @@ class ThreadsBackend:
         :func:`repro.costmodel.calibration.fit_measured_costs`."""
         return {cid: ns / 1_000.0
                 for cid, ns in sorted(self._busy_ns.items())}
-
-
-class _Guard:
-    """The backend state lock, then every participant's container
-    lock in sorted container-id order (none when no container is
-    named).
-
-    The calling worker's own container lock is released first and
-    re-acquired on exit, so no thread ever waits for the state lock
-    while holding a container lock.  Only one guard is inside at a
-    time (the state lock is exclusive), so the per-guard sorted order
-    can never interleave into a cycle.
-    """
-
-    __slots__ = ("backend", "container_ids", "_released")
-
-    def __init__(self, backend: ThreadsBackend,
-                 container_ids: Iterable[int]) -> None:
-        self.backend = backend
-        self.container_ids = container_ids
-        self._released: _ThreadState | None = None
-
-    def __enter__(self) -> "_Guard":
-        backend = self.backend
-        try:
-            state = backend._tls.state
-        except AttributeError:
-            state = backend._thread_state()
-        if state.lock_held:
-            state.own_lock.release()
-            state.lock_held = False
-            self._released = state
-        backend._state_lock.acquire()
-        locks = backend._container_locks
-        for cid in self.container_ids:
-            locks[cid].acquire()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        backend = self.backend
-        locks = backend._container_locks
-        for cid in reversed(self.container_ids):
-            locks[cid].release()
-        backend._state_lock.release()
-        state = self._released
-        if state is not None:
-            state.own_lock.acquire()
-            state.lock_held = True
 
 
 __all__ = [

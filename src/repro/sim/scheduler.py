@@ -14,17 +14,12 @@ nothing about transactions.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable
 
 from repro.errors import SimulationError
 from repro.runtime.futures import SimFuture
 from repro.sim.clock import VirtualClock
-
-#: Shared no-op context manager for the sim backend's guard hook
-#: (``nullcontext`` is reusable and reentrant).
-_NULL_GUARD = nullcontext()
 
 
 class Event:
@@ -76,8 +71,8 @@ class SimScheduler:
     The scheduler doubles as the default *execution backend* (see
     :mod:`repro.runtime.backend`): beyond the event-loop surface
     (``at``/``after``/``soon``/``run``/``pending``) it implements the
-    backend hooks — ``post``, ``busy``, ``add_waiter``, the lock
-    guard and ``attach``/``shutdown`` — as exact restatements of the
+    backend hooks — ``post``, ``busy``, ``add_waiter``, ``guarded``
+    and ``attach``/``shutdown`` — as exact restatements of the
     pre-backend behaviour, so running through them is byte-identical
     to calling the scheduler directly.  The hooks are trivial here because a simulation is
     single-threaded by construction; the ``threads`` backend
@@ -250,8 +245,9 @@ class SimScheduler:
         """
         future.add_waiter(callback, *args)
 
-    def guard(self, container_ids: Iterable[int] = ()) -> Any:
-        """Mutual exclusion for shared database bookkeeping and for a
-        commit/abort on the named participant containers.  A no-op
-        under the serial event loop."""
-        return _NULL_GUARD
+    def guarded(self, container_ids: Iterable[int],
+                fn: Callable[..., Any], *args: Any) -> Any:
+        """Run ``fn(*args)`` as one atomic section over shared database
+        bookkeeping and the named participant containers, and return
+        its value.  A plain call: one event runs at a time."""
+        return fn(*args)

@@ -10,9 +10,10 @@ record map: ``Table.records``, a dict of primary key → chain head):
 
 * :class:`VersionedRecord` / :class:`RecordVersion` — per-key version
   chains carrying the Silo-style TID word every CC scheme operates on
-  (no lock state: OCC validates and installs inside the backend's
-  commit guard, 2PL locks in its own lock table), with the snapshot visibility rule
-  (``version_at``) and watermark-driven chain GC (``prune_chain``);
+  (no lock state: OCC validates and installs inside the commit's one
+  ``guarded`` call, 2PL locks in its own lock table), with the
+  snapshot visibility rule (``version_at``) and watermark-driven chain
+  GC (``prune_chain``);
 * :class:`StorageCoordinator` / :class:`VersionStats` — the
   per-database engine state: pinned snapshots of in-flight read-only
   roots (the GC watermark source) and version counters.

@@ -19,8 +19,8 @@ pinned) no history is retained at all, so single-version deployments
 keep their original memory profile.
 
 There is no lock bit in the TID word: OCC validates and installs
-inside the backend's commit guard (one atomic section per commit), and
-2PL keeps its locks in its own lock table.
+inside the commit's one ``guarded`` call (one atomic section per
+commit), and 2PL keeps its locks in its own lock table.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ primitives themselves: the registry, deployment-config validation,
 queue/timer scheduling, the burst hand-off (self-posts ride the
 running burst up to ``MAX_BURST``, a sleeping worker is woken exactly
 once), quiesce accounting, error propagation, typed errors after
-``shutdown()``, thread-safe futures, lock guards, the database-level
+``shutdown()``, thread-safe futures, ``guarded``, the database-level
 lifecycle behaviour, and the protocol both backends implement.  The quiescence
 counters have a property test of their own
 (``test_threads_quiescence.py``).
@@ -447,38 +447,66 @@ class TestShutDown:
             server.stop()
 
 
-class TestGuards:
-    def test_guard_excludes_other_threads(self, backend):
+class TestGuarded:
+    def test_guarded_excludes_other_threads(self, backend):
         order = []
 
         def holder():
-            with backend.guard():
-                order.append("enter")
-                time.sleep(0.02)
-                order.append("exit")
+            order.append("enter")
+            time.sleep(0.02)
+            order.append("exit")
 
-        def contender():
-            with backend.guard():
-                order.append("second")
-
-        backend.post(0, holder)
+        backend.post(0, backend.guarded, (), holder)
         time.sleep(0.005)
-        backend.post(1, contender)
+        backend.post(1, backend.guarded, (), order.append, "second")
         backend.run()
         assert order == ["enter", "exit", "second"]
 
-    def test_guard_holds_participant_locks(self, backend):
+    def test_guarded_holds_participant_locks(self, backend):
         witnessed = []
 
         def committer():
-            with backend.guard([1, 0, 1]):
-                witnessed.append(
-                    [lock._is_owned()  # noqa: SLF001
-                     for lock in backend._container_locks])
+            witnessed.append(
+                [lock._is_owned()  # noqa: SLF001
+                 for lock in backend._container_locks])
 
-        backend.post(0, committer)
+        backend.post(0, backend.guarded, [1, 0, 1], committer)
         backend.run()
         assert witnessed == [[True, True]]
+
+    def test_guarded_returns_the_value_and_nests(self, backend):
+        seen = []
+
+        def outer():
+            return backend.guarded([0, 1], divmod, 7, 2)
+
+        backend.post(0, lambda: seen.append(backend.guarded((), outer)))
+        backend.run()
+        assert seen == [(3, 1)]
+
+    def test_a_raising_call_releases_every_lock(self, backend):
+        """The state lock and both participant locks are free after
+        ``fn`` raises, and the worker holds its own lock again."""
+        locks = backend._container_locks  # noqa: SLF001
+        seen = []
+
+        def caller():
+            with pytest.raises(ZeroDivisionError):
+                backend.guarded([0, 1], divmod, 1, 0)
+            seen.append((backend._tls.state.lock_held,  # noqa: SLF001
+                         locks[0]._is_owned(),  # noqa: SLF001
+                         locks[1]._is_owned(),  # noqa: SLF001
+                         backend._state_lock._is_owned()))  # noqa: SLF001
+
+        backend.post(0, caller)
+        backend.run()
+        assert seen == [(True, True, False, False)]
+        other = threading.Thread(
+            target=backend.guarded, args=([0, 1], seen.append, "next"))
+        other.start()
+        other.join(timeout=5.0)
+        assert not other.is_alive()
+        assert seen[1:] == ["next"]
 
 
 # ----------------------------------------------------------------------
@@ -487,8 +515,7 @@ class TestGuards:
 
 class TestThreadSafeFuture:
     def _future(self):
-        return ThreadSafeFuture(remote=True, subtxn_id=1,
-                                target_reactor="acct")
+        return ThreadSafeFuture(remote=True, target_reactor="acct")
 
     def test_is_a_sim_future(self):
         assert isinstance(self._future(), SimFuture)
@@ -497,7 +524,7 @@ class TestThreadSafeFuture:
         future = self._future()
         thread = threading.Thread(
             target=lambda: (time.sleep(0.01),
-                            future.resolve(41, 1.0)))
+                            future.resolve(41)))
         thread.start()
         assert future.wait(timeout=5.0) is True
         assert future.resolved
@@ -509,7 +536,7 @@ class TestThreadSafeFuture:
 
     def test_waiter_added_after_resolve_fires_immediately(self):
         future = self._future()
-        future.resolve("v", 2.0)
+        future.resolve("v")
         seen = []
         future.add_waiter(lambda fut: seen.append(fut.value))
         assert seen == ["v"]
@@ -518,12 +545,12 @@ class TestThreadSafeFuture:
         future = self._future()
         seen = []
         future.add_waiter(lambda fut: seen.append(fut.value))
-        future.resolve("later", 3.0)
+        future.resolve("later")
         assert seen == ["later"]
 
     def test_fail_propagates_error_state(self):
         future = self._future()
-        future.fail(ValueError("nope"), 1.0)
+        future.fail(ValueError("nope"))
         assert future.wait(timeout=1.0) is True
         assert future.failed
         assert isinstance(future.error, ValueError)
@@ -535,7 +562,7 @@ class TestThreadSafeFuture:
             future,
             lambda fut: seen.append(threading.current_thread().name),
             container=1)
-        future.resolve("x", 0.0)
+        future.resolve("x")
         backend.run()
         assert seen == ["repro-container-1"]
 

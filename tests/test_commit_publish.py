@@ -3,8 +3,9 @@
 The code that runs after a commit installs — the durability manager's
 append sequence, dirty keys and flush epochs, replication's shipping,
 the history recorder — is one publish step in the executor's commit,
-inside the commit guard, fed the ``(container id, RedoRecord)`` pairs
-``coordinator.commit`` returns.  The redo log notifies nobody.
+inside the commit's ``guarded`` call, fed the ``(container id,
+RedoRecord)`` pairs ``coordinator.commit`` returns.  The redo log
+notifies nobody.
 
 It used to run from listeners on each log, called in the middle of
 one participant's install: a fault in container 0's log path then
@@ -132,23 +133,23 @@ def test_publish_sees_each_commit_whole(backend):
 
 @pytest.mark.parametrize("backend", ["sim", "threads"])
 def test_a_commit_answered_at_once_takes_one_guard(backend, monkeypatch):
-    """After ``submit``'s guard, a commit answered at once enters one
-    guard, over its participants, and settles the root inside it.  A
-    deferred commit (a group-commit flush owed) and an abort settle in
-    a second guard, over no container."""
+    """After ``submit``'s ``guarded`` call, a commit answered at once
+    is one ``guarded`` call, over its participants, that settles the
+    root.  A deferred commit (a group-commit flush owed) and an abort
+    settle in a second one, over no container."""
     database = ReactorDatabase(
         shared_nothing(3, mpl=4, cc_scheme="occ", backend=backend),
         [(name, CELL) for name in NAMES])
     for name in NAMES:
         database.load(name, "cell", [{"name": name, "value": 10.0}])
     entered = []
-    guard = type(database.scheduler).guard
+    guarded = type(database.scheduler).guarded
 
-    def counting(self, container_ids=()):
+    def counting(self, container_ids, fn, *args):
         entered.append(sorted(set(container_ids)))
-        return guard(self, container_ids)
+        return guarded(self, container_ids, fn, *args)
 
-    monkeypatch.setattr(type(database.scheduler), "guard", counting)
+    monkeypatch.setattr(type(database.scheduler), "guarded", counting)
     try:
         assert database.run("f1", "add_here_and_there", "f0",
                             1.0) == 11.0

@@ -60,8 +60,9 @@ DEPLOYMENTS = [
 ]
 
 #: On ``threads`` reads are recorded on the container workers and
-#: installs inside the commit guard, which holds every participant's
-#: container lock: a read and an install of one key cannot overlap.
+#: installs inside the commit's guarded call, which holds every
+#: participant's container lock: a read and an install of one key
+#: cannot overlap.
 BACKENDS = ["sim", "threads"]
 
 

@@ -1,10 +1,10 @@
 """The races an OCC lock word used to answer, answered without one.
 
 OCC validation takes no locks and makes no insert placeholders: both
-backends run a commit's validate + install as one atomic section (the
-scheduler's ``guard``), so a key two transactions insert is
-decided by whichever commit reaches the guard first, and a refused
-commit leaves nothing behind in any table.
+backends run a commit's validate + install as one atomic section (one
+call to the scheduler's ``guarded``), so a key two transactions insert
+is decided by whichever commit enters its ``guarded`` call first, and a
+refused commit leaves nothing behind in any table.
 """
 
 from __future__ import annotations

@@ -40,11 +40,15 @@ did not move.  One guard per commit reads 123.02 -> 122.09: a root
 answered in its commit's event settles (``_settle``) inside that
 commit's guard, so ``_complete_root`` and its guard call left that
 path; the no-op row trades the same two for ``_settle`` and a guard
-call and holds at 60.255.  The ceilings are the exact counts of this
-tree on 3.11 (3.12+ inlines one comprehension and reads 1.00 lower);
-they only ever go down.  Raise one only with the number that justifies
-it in the PR description; ``python tests/test_point_path_budget.py
-40`` prints the per-function table to find where new calls came from.
+call and holds at 60.255.  Dropping the write-only ``now`` argument of
+a future's ``resolve`` / ``fail`` reads 122.09 -> 121.65 (0.44 fewer
+``now`` property calls); the guard hook becoming one call,
+``guarded``, keeps one call per guarded section on both rows.  The
+ceilings are the exact counts of this tree on 3.11 (3.12+ inlines one
+comprehension and reads 1.00 lower); they only ever go down.  Raise
+one only with the number that justifies it in the PR description;
+``python tests/test_point_path_budget.py 40`` prints the per-function
+table to find where new calls came from.
 
 The third row is the ``threads`` backend's hand-off: ``call`` events
 under ``runtime/threads.py`` on the container worker threads
@@ -57,10 +61,13 @@ a helper) — 0.62 of it; the profiler that also counts builtins (lock
 methods, ``getattr``) reads 103 -> 46 on the traced e2e run.  One
 guard hook and one guard per commit read 21.145 -> 17.285: guard
 calls per transaction went 8.0 (1.0 each for the two hooks it
-replaced, 2.0 each for ``_Guard.__init__`` / ``__enter__`` /
-``__exit__``) -> 4.14 (1.035 each for ``guard`` and the three
-``_Guard`` methods; the 0.035 is a user abort's second guard).  Both
-counts leave out what a worker does when it runs dry
+replaced, 2.0 each for the guard object's constructor, enter and
+exit) -> 4.14 (1.035 each for the hook and the object's three
+methods; the 0.035 is a user abort's second guard).  The guard as one
+call, ``guarded``, that takes and releases the locks itself reads
+17.285 -> 13.74: the guard object's three methods (3.105) are gone,
+and so are 0.44 ``now`` calls (a resolved future no longer stores its
+time).  Both counts leave out what a worker does when it runs dry
 (``_WorkQueue.take``, ``_wake_run``): how often depends on timing.
 
 The fourth row is the redo log's path: ``call`` events per appended
@@ -109,7 +116,7 @@ attempted, while the same TPC-C case runs (81 commits).  Before and
 after OCC validation became one pass with no side effects — no lock
 word, no insert placeholders, the TID floor read off the same walk
 (validate + install already run as one atomic section inside the
-backend's ``guard``):
+backend's ``guarded``):
 
 =======================  ======  ======
                          before   after
@@ -153,9 +160,9 @@ SRC_ROOT = str(Path(repro.__file__).resolve().parent)
 N_TXNS = 200
 CUSTOMERS = 100
 
-SMALLBANK_CEILING = 122.09
+SMALLBANK_CEILING = 121.65
 NOOP_CEILING = 60.255
-THREADS_HANDOFF_CEILING = 17.285
+THREADS_HANDOFF_CEILING = 13.74
 LOG_DURABILITY_CEILING = 10.3625
 SCAN_PATH_CEILING = 37.66
 COMMIT_PATH_CEILING = 53.52

@@ -58,7 +58,7 @@ class TestCatalog:
 
 class TestVersionedRecord:
     def test_record_carries_no_lock_word(self):
-        # OCC validates and installs inside the commit guard and 2PL
+        # OCC validates and installs inside one guarded call and 2PL
         # locks in its own lock table: a record is its TID word, its
         # image and its chain, nothing more.
         assert VersionedRecord.__slots__ == (

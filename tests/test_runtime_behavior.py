@@ -14,48 +14,48 @@ from tests.conftest import make_bank
 
 class TestSimFuture:
     def test_resolve_and_result(self):
-        fut = SimFuture(remote=True, subtxn_id=1, target_reactor="r")
-        fut.resolve(42, now=1.0)
+        fut = SimFuture(remote=True, target_reactor="r")
+        fut.resolve(42)
         assert fut.resolved
         assert fut.result() == 42
         assert fut.consumed
 
     def test_fail_raises_on_result(self):
-        fut = SimFuture(remote=True, subtxn_id=1, target_reactor="r")
+        fut = SimFuture(remote=True, target_reactor="r")
         error = ValueError("boom")
-        fut.fail(error, now=1.0)
+        fut.fail(error)
         with pytest.raises(ValueError):
             fut.result()
 
     def test_double_resolve_rejected(self):
-        fut = SimFuture(remote=False, subtxn_id=1, target_reactor="r")
-        fut.resolve(1, now=1.0)
+        fut = SimFuture(remote=False, target_reactor="r")
+        fut.resolve(1)
         with pytest.raises(SimulationError):
-            fut.resolve(2, now=2.0)
+            fut.resolve(2)
 
     def test_waiter_fires_on_resolution(self):
-        fut = SimFuture(remote=True, subtxn_id=1, target_reactor="r")
+        fut = SimFuture(remote=True, target_reactor="r")
         seen = []
         fut.add_waiter(seen.append)
         assert not seen
-        fut.resolve(5, now=1.0)
+        fut.resolve(5)
         assert seen == [fut]
 
     def test_waiter_fires_immediately_if_already_resolved(self):
-        fut = SimFuture(remote=True, subtxn_id=1, target_reactor="r")
-        fut.resolve(5, now=1.0)
+        fut = SimFuture(remote=True, target_reactor="r")
+        fut.resolve(5)
         seen = []
         fut.add_waiter(seen.append)
         assert seen == [fut]
 
     def test_single_waiter_only(self):
-        fut = SimFuture(remote=True, subtxn_id=1, target_reactor="r")
+        fut = SimFuture(remote=True, target_reactor="r")
         fut.add_waiter(lambda f: None)
         with pytest.raises(SimulationError):
             fut.add_waiter(lambda f: None)
 
     def test_unresolved_result_rejected(self):
-        fut = SimFuture(remote=True, subtxn_id=1, target_reactor="r")
+        fut = SimFuture(remote=True, target_reactor="r")
         with pytest.raises(SimulationError):
             fut.result()
 

@@ -208,8 +208,8 @@ class TestBackendHooks:
         scheduler.run()
         assert times == [7.5]
 
-    def test_guard_is_a_noop_context_manager(self):
+    def test_guarded_is_a_plain_call_and_nests(self):
         scheduler = SimScheduler()
-        with scheduler.guard():
-            with scheduler.guard([0, 1]):
-                pass
+        assert scheduler.guarded(
+            (), scheduler.guarded, [0, 1], divmod, 7, 2) == (3, 1)
+        assert scheduler.pending() == 0
