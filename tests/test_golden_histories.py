@@ -15,13 +15,19 @@ Each case is run twice:
 * ``recorded`` — history recorder attached, every root traced: the
   digest covers results, commit TIDs, per-container redo logs, the
   recorded operation stream, the Chrome trace export, the virtual end
-  time, ``scheduler.events_dispatched`` and the CC stats;
+  time and the CC stats;
 * ``plain`` — no recorder, default telemetry (the path benchmarks
   run): the same minus the operation stream and the trace.
 
-Any change to virtual costs, event count or order, TID assignment,
-validation order or log contents changes a digest.  A change that is
-*meant* to move histories regenerates the file and says so::
+The scheduler's event count, ``scheduler.events_dispatched``, is
+pinned beside the digests as an exact ``events`` number per case (the
+trace export's ``scheduler_events_dispatched_total`` is checked equal
+to it and left out of the digest): a change that merges hops adjacent
+in virtual time moves that number alone.
+
+Any change to virtual costs, event order, TID assignment, validation
+order or log contents changes a digest.  A change that is *meant* to
+move histories regenerates the file and says so::
 
     PYTHONPATH=src python tests/test_golden_histories.py --regen
 """
@@ -207,7 +213,10 @@ def observe(workload: str, scheme: str, seed: int,
     if recorder is not None:
         seen["events"] = [repr(event)
                           for event in recorder.history.events]
-        seen["trace"] = database.telemetry.export_chrome_json()
+        trace = database.telemetry.export_chrome()
+        assert trace["metrics"].pop("scheduler_events_dispatched_total") \
+            == seen["events_dispatched"]
+        seen["trace"] = trace
     database.close()
     return seen
 
@@ -227,9 +236,12 @@ def compute(workload: str, scheme: str, seed: int) -> dict[str, str]:
     # The recorder and the tracer observe; they must not perturb.
     for field in plain:
         assert plain[field] == recorded[field], field
+    events = plain.pop("events_dispatched")
+    del recorded["events_dispatched"]
     commits = sum(1 for r in plain["results"] if r[0])
     return {"recorded": digest(recorded), "plain": digest(plain),
-            "commits": commits, "roots": len(plain["results"])}
+            "commits": commits, "roots": len(plain["results"]),
+            "events": events}
 
 
 @pytest.mark.parametrize("workload,scheme,seed", CASES)
