@@ -34,7 +34,7 @@ from repro.errors import (
 )
 from repro.runtime.backend import create_backend
 from repro.runtime.container import Container
-from repro.runtime.executor import Invocation, TransactionExecutor
+from repro.runtime.executor import Task, TransactionExecutor
 from repro.runtime.transaction import RootTransaction, TxnStats
 from repro.sim.scheduler import SimScheduler
 from repro.storage.store import StorageCoordinator
@@ -230,19 +230,19 @@ class ReactorDatabase:
         )
         root.read_only = bool(read_only)
         self.telemetry.trace_root(root, now)
-        invocation = Invocation(root, reactor, proc_name, args, kwargs,
-                                subtxn_id=0, on_root_done=on_done)
+        task = Task(root, reactor, proc_name, args, kwargs,
+                    on_root_done=on_done)
         if reactor.migrating:
             # Mid-migration: the root parks in the migration queue and
             # replays at the destination after the routing flip.
-            self.migration.park_root(reactor.name, invocation)
+            self.migration.park_root(reactor.name, task)
             return root
         if reactor.container.failed:
             # Failed primary with no promoted replacement yet: refuse
             # immediately rather than queueing on a dead executor.
             self.refuse_root(root, on_done, reactor.container)
             return root
-        self._route_root(reactor).submit(invocation)
+        self._route_root(reactor).submit(task)
         return root
 
     def refuse_root(self, root: RootTransaction,

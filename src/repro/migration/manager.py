@@ -76,7 +76,7 @@ class Migration:
     on_done: Callable[["Migration"], None] | None = None
     parked_roots: list[Any] = field(default_factory=list)
     parked_subcalls: list[Any] = field(default_factory=list)
-    #: Scalar park counts for stats: the invocation lists are released
+    #: Scalar park counts for stats: the task lists are released
     #: once replayed (and a superseded migration's snapshot with them),
     #: so reporting cannot rely on their lengths.
     roots_parked_n: int = 0
@@ -142,7 +142,7 @@ class MigrationManager:
 
         self.policy = ElasticPolicy(self, config)
         #: Deliberate-bug toggle (chaos self-test only): drop parked
-        #: root invocations at the routing flip instead of replaying
+        #: roots at the routing flip instead of replaying
         #: them — a lost-work bug the campaign's liveness check (every
         #: submitted root reports an outcome) must catch.
         self.chaos_drop_parked = False
@@ -168,25 +168,25 @@ class MigrationManager:
     # Parking (called from ReactorDatabase.submit and the executor)
     # ------------------------------------------------------------------
 
-    def park_root(self, reactor_name: str, invocation: Any) -> None:
+    def park_root(self, reactor_name: str, task: Any) -> None:
         migration = self.active[reactor_name]
-        migration.parked_roots.append(invocation)
+        migration.parked_roots.append(task)
         migration.roots_parked_n += 1
         self.stats.roots_parked += 1
-        trace = invocation.root.trace
+        trace = task.root.trace
         if trace is not None:
             trace.open_child("park", "migration:parked",
                              self.database.scheduler.now,
                              {"reactor": reactor_name})
 
-    def park_subcall(self, reactor_name: str, invocation: Any) -> None:
+    def park_subcall(self, reactor_name: str, task: Any) -> None:
         migration = self.active[reactor_name]
-        migration.parked_subcalls.append(invocation)
+        migration.parked_subcalls.append(task)
         migration.subcalls_parked_n += 1
         self.stats.subcalls_parked += 1
-        trace = invocation.root.trace
+        trace = task.root.trace
         if trace is not None:
-            trace.open_child(("park", invocation.subtxn_id),
+            trace.open_child(("park", task.subtxn_id),
                              "migration:parked",
                              self.database.scheduler.now,
                              {"reactor": reactor_name})
@@ -476,7 +476,7 @@ class MigrationManager:
         # Replay parked work at the destination, in arrival order,
         # paying a dispatch cost per replayed request.  The lists are
         # released afterwards (the scheduled events carry the
-        # invocations), and a previously completed migration of the
+        # tasks), and a previously completed migration of the
         # same reactor gives up its certification anchors too —
         # certify_migration only state-checks the latest one.
         replay = database.costs.mig_replay_per_txn
@@ -486,14 +486,12 @@ class MigrationManager:
             # ``on_done`` never fires); parked sub-calls still replay
             # so in-flight parents don't wedge the whole scheduler.
             migration.parked_roots = []
-        for invocation in migration.parked_roots:
+        for task in migration.parked_roots:
             delay += replay
-            database.scheduler.after(delay, self._replay_root,
-                                     invocation)
-        for invocation in migration.parked_subcalls:
+            database.scheduler.after(delay, self._replay_root, task)
+        for task in migration.parked_subcalls:
             delay += replay
-            database.scheduler.after(delay, self._replay_subcall,
-                                     invocation)
+            database.scheduler.after(delay, self._replay_subcall, task)
         migration.parked_roots = []
         migration.parked_subcalls = []
         superseded = self._last_completed.get(old.name)
@@ -505,38 +503,38 @@ class MigrationManager:
         if migration.on_done is not None:
             database.scheduler.soon(migration.on_done, migration)
 
-    def _replay_root(self, invocation: Any) -> None:
+    def _replay_root(self, task: Any) -> None:
         database = self.database
-        reactor = database.reactor(invocation.root.reactor_name)
+        reactor = database.reactor(task.root.reactor_name)
         if reactor.migrating:
             # A back-to-back migration started before this replay ran:
-            # keep the invocation parked for the new migration.
-            self.park_root(reactor.name, invocation)
+            # keep the task parked for the new migration.
+            self.park_root(reactor.name, task)
             return
-        invocation.reactor = reactor
+        task.reactor = reactor
         if reactor.container.failed:
-            database.refuse_root(invocation.root, invocation.on_root_done,
+            database.refuse_root(task.root, task.on_root_done,
                                  reactor.container)
             return
-        trace = invocation.root.trace
+        trace = task.root.trace
         if trace is not None:
             trace.close_child("park", database.scheduler.now)
-        database._route_root(reactor).submit(invocation)
+        database._route_root(reactor).submit(task)
 
-    def _replay_subcall(self, invocation: Any) -> None:
+    def _replay_subcall(self, task: Any) -> None:
         database = self.database
-        reactor = database.reactor(invocation.reactor.name)
+        reactor = database.reactor(task.reactor.name)
         if reactor.migrating:
-            self.park_subcall(reactor.name, invocation)
+            self.park_subcall(reactor.name, task)
             return
-        invocation.reactor = reactor
-        trace = invocation.root.trace
+        task.reactor = reactor
+        trace = task.root.trace
         if trace is not None:
-            trace.close_child(("park", invocation.subtxn_id),
+            trace.close_child(("park", task.subtxn_id),
                               database.scheduler.now)
         # executor.submit fails the result future itself when the
         # container is down, so the caller aborts instead of hanging.
-        reactor.container.route(reactor).submit(invocation)
+        reactor.container.route(reactor).submit(task)
 
     def _cancel(self, migration: Migration, reason: str) -> None:
         database = self.database
@@ -548,17 +546,17 @@ class MigrationManager:
         self.stats.events.append(migration)
         # Parked work is not lost: replay it against current routing
         # (a promoted replica, or an abort report if the home is dead).
-        for invocation in migration.parked_roots:
-            self._replay_root(invocation)
-        for invocation in migration.parked_subcalls:
-            current = database.reactor(invocation.reactor.name)
+        for task in migration.parked_roots:
+            self._replay_root(task)
+        for task in migration.parked_subcalls:
+            current = database.reactor(task.reactor.name)
             if current.container.failed:
-                invocation.result_future.fail(
+                task.result_future.fail(
                     MigrationAbort(
                         f"migration of {migration.reactor_name!r} "
                         f"cancelled: {reason}"))
             else:
-                self._replay_subcall(invocation)
+                self._replay_subcall(task)
         migration.parked_roots = []
         migration.parked_subcalls = []
         if migration.on_done is not None:

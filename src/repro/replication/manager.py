@@ -417,13 +417,12 @@ class ReplicationManager:
         database = self.database
         for executor in container.executors:
             while executor.queue:
-                invocation = executor.queue.popleft()
-                if invocation.result_future is not None:
-                    invocation.result_future.fail(
+                task = executor.queue.popleft()
+                if task.result_future is not None:
+                    task.result_future.fail(
                         TransactionAbort(f"container {cid} failed"))
                 else:
-                    database.refuse_root(invocation.root,
-                                         invocation.on_root_done,
+                    database.refuse_root(task.root, task.on_root_done,
                                          container)
 
     def promote(self, cid: int) -> ReplicaContainer:

@@ -7,8 +7,9 @@ routing, asynchronous sub-transaction dispatch with asymmetric
 communication costs, and the dynamic intra-transaction safety
 condition.
 
-Public exports: :class:`Container`, :class:`TransactionExecutor` with
-its :class:`Invocation` request envelope, :class:`SimFuture` /
+Public exports: :class:`Container`, :class:`TransactionExecutor` (one
+:class:`~repro.runtime.executor.Task` per request, queued and then
+executed), :class:`SimFuture` /
 :class:`ThreadSafeFuture`, the procedure effects (:class:`CallEffect`,
 :class:`GetEffect`, :class:`ChargeEffect`), the root-transaction
 bookkeeping (:class:`RootTransaction`, :class:`TxnStats`,
@@ -20,7 +21,7 @@ is :class:`repro.sim.scheduler.SimScheduler` itself).
 from repro.runtime.backend import create_backend
 from repro.runtime.container import Container
 from repro.runtime.effects import CallEffect, ChargeEffect, GetEffect
-from repro.runtime.executor import Invocation, TransactionExecutor
+from repro.runtime.executor import TransactionExecutor
 from repro.runtime.futures import SimFuture, ThreadSafeFuture
 from repro.runtime.threads import ThreadsBackend
 from repro.runtime.transaction import CATEGORIES, RootTransaction, TxnStats
@@ -28,7 +29,6 @@ from repro.runtime.transaction import CATEGORIES, RootTransaction, TxnStats
 __all__ = [
     "Container",
     "TransactionExecutor",
-    "Invocation",
     "SimFuture",
     "ThreadSafeFuture",
     "ThreadsBackend",

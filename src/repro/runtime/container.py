@@ -64,7 +64,7 @@ class Container:
     # -- online migration support (repro.migration) --------------------
 
     def take_queued_roots(self, reactor: Any) -> list:
-        """Remove and return queued-but-unstarted root invocations
+        """Remove and return queued-but-unstarted root tasks
         targeting ``reactor`` from this container's executors.
 
         The migration sweep parks these in the migration queue so they
@@ -73,22 +73,22 @@ class Container:
         taken: list = []
         for executor in self.executors:
             kept = []
-            for invocation in executor.queue:
-                if invocation.is_root and invocation.reactor is reactor:
-                    taken.append(invocation)
+            for task in executor.queue:
+                if task.subtxn_id == 0 and task.reactor is reactor:
+                    taken.append(task)
                 else:
-                    kept.append(invocation)
+                    kept.append(task)
             if len(kept) != len(executor.queue):
                 executor.queue.clear()
                 executor.queue.extend(kept)
         return taken
 
     def has_queued_work_for(self, reactor: Any) -> bool:
-        """Is any queued invocation (root or sub-call) still targeting
+        """Is any queued task (root or sub-call) still targeting
         ``reactor``?  Part of the migration drain barrier."""
-        return any(invocation.reactor is reactor
+        return any(task.reactor is reactor
                    for executor in self.executors
-                   for invocation in executor.queue)
+                   for task in executor.queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Container({self.container_id}, "

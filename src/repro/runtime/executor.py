@@ -5,7 +5,8 @@ thread pool with a request queue.  Requests are asynchronous procedure
 calls — root transactions routed by the database's transaction router
 and sub-transactions arriving from other executors.
 
-The executor drives procedures as generator *tasks* over the
+Each request is one :class:`Task`: it waits in the request queue and
+then runs there, driving its procedure as a generator over the
 discrete-event scheduler:
 
 * at most one task consumes CPU at any instant (the executor is pinned
@@ -13,9 +14,10 @@ discrete-event scheduler:
 * a task that blocks on a remote future releases the core and the
   executor cooperatively switches to the next ready task or admits a
   new request — the paper's cooperative multitasking with thread
-  handoff (Section 3.2.3).  Admission is unbounded: the deployment's
-  ``mpl`` is recorded in the config but not enforced here (ROADMAP
-  open question);
+  handoff (Section 3.2.3).  A dispatch is posted only when the core is
+  free and a woken task or a request waits for it.  Admission is
+  unbounded: the deployment's ``mpl`` is recorded in the config but
+  not enforced here (ROADMAP open question);
 * a call to a reactor served by this same executor is executed inline
   (synchronously), avoiding migration-of-control overhead; calls to
   reactors on other executors are dispatched with send cost ``Cs`` and
@@ -50,31 +52,6 @@ from repro.runtime.transaction import RootTransaction
 _NOTHING = object()
 
 
-class Invocation:
-    """A queued request: root transaction or sub-transaction call."""
-
-    __slots__ = ("root", "reactor", "proc_name", "args", "kwargs",
-                 "subtxn_id", "result_future", "on_root_done")
-
-    def __init__(self, root: RootTransaction, reactor: Any,
-                 proc_name: str, args: tuple, kwargs: dict,
-                 subtxn_id: int = 0,
-                 result_future: SimFuture | None = None,
-                 on_root_done: Callable[..., None] | None = None) -> None:
-        self.root = root
-        self.reactor = reactor
-        self.proc_name = proc_name
-        self.args = args
-        self.kwargs = kwargs
-        self.subtxn_id = subtxn_id
-        self.result_future = result_future
-        self.on_root_done = on_root_done
-
-    @property
-    def is_root(self) -> bool:
-        return self.subtxn_id == 0
-
-
 class Frame:
     """One procedure activation on a reactor within a task."""
 
@@ -93,27 +70,37 @@ class Frame:
 
 
 class Task:
-    """An executing (sub-)transaction on one executor."""
+    """One request — a root transaction (``subtxn_id`` 0) or a
+    sub-transaction call — queued on an executor and then executed
+    there."""
 
-    __slots__ = ("invocation", "root", "frames", "executor",
-                 "pending_charge", "block_start", "block_category",
-                 "wake_future")
+    __slots__ = ("root", "reactor", "proc_name", "args", "kwargs",
+                 "subtxn_id", "result_future", "on_root_done", "frames",
+                 "executor", "pending_charge", "block_start",
+                 "block_category", "wake_future")
 
-    def __init__(self, invocation: Invocation, executor:
-                 "TransactionExecutor") -> None:
-        self.invocation = invocation
-        self.root = invocation.root
+    def __init__(self, root: RootTransaction, reactor: Any,
+                 proc_name: str, args: tuple, kwargs: dict,
+                 subtxn_id: int = 0,
+                 result_future: SimFuture | None = None,
+                 on_root_done: Callable[..., None] | None = None) -> None:
+        self.root = root
+        self.reactor = reactor
+        self.proc_name = proc_name
+        self.args = args
+        self.kwargs = kwargs
+        self.subtxn_id = subtxn_id
+        self.result_future = result_future
+        self.on_root_done = on_root_done
         self.frames: list[Frame] = []
-        self.executor = executor
+        #: The executor running it, set when it starts (forwarding
+        #: may re-target a queued task).
+        self.executor: TransactionExecutor | None = None
         #: Simulated CPU accrued by data operations since last flush.
         self.pending_charge = 0.0
         self.block_start = 0.0
         self.block_category = "async_execution"
         self.wake_future: SimFuture | None = None
-
-    @property
-    def is_root(self) -> bool:
-        return self.invocation.is_root
 
 
 def _frame_body(proc: Callable, ctx: Any, args: tuple,
@@ -183,7 +170,7 @@ class TransactionExecutor:
         from repro.core.context import ReactorContext
         self._context_cls = ReactorContext
         self.costs = costs
-        self.queue: deque[Invocation] = deque()
+        self.queue: deque[Task] = deque()
         self.ready: deque[Task] = deque()
         self.running: Task | None = None
         self._dispatch_scheduled = False
@@ -198,18 +185,18 @@ class TransactionExecutor:
     # Request intake and dispatch
     # ------------------------------------------------------------------
 
-    def submit(self, invocation: Invocation) -> None:
-        """Enqueue a request (thread-safe by construction: the event
-        loop is single-threaded)."""
-        if self.container.failed and \
-                invocation.result_future is not None:
+    def submit(self, task: Task) -> None:
+        """Enqueue a request.  Under ``threads`` a cross-container
+        request is submitted on the caller's thread (see
+        :meth:`_release` for why no wake-up is lost)."""
+        if self.container.failed and task.result_future is not None:
             # Sub-call arriving at a crashed container: fail the
             # future so the caller aborts instead of waiting forever.
-            invocation.result_future.fail(
+            task.result_future.fail(
                 TransactionAbort(
                     f"container {self.container.container_id} failed"))
             return
-        self.queue.append(invocation)
+        self.queue.append(task)
         self._kick()
 
     def _kick(self) -> None:
@@ -223,60 +210,67 @@ class TransactionExecutor:
             self._dispatch_scheduled = True
             self.scheduler.post(self._cid, self._dispatch)
 
+    def _release(self) -> None:
+        """Free the core; dispatch only if a woken task or a request
+        waits for it.
+
+        Order matters under ``threads``: a cross-container ``submit``
+        appends to ``queue`` on its own thread and then reads
+        ``running``, while this clears ``running`` and then reads
+        ``queue`` — so at least one of the two sees the other and
+        posts the dispatch."""
+        self.running = None
+        if self.ready or self.queue:
+            self._kick()
+
     def _dispatch(self) -> None:
         self._dispatch_scheduled = False
         if self.running is not None:
             return
         if self.ready:
-            task = self.ready.popleft()
-            self._resume_woken(task)
-            return
-        if self.queue:
-            invocation = self.queue.popleft()
-            self._start_invocation(invocation)
+            self._resume_woken(self.ready.popleft())
+        elif self.queue:
+            self._start(self.queue.popleft())
 
     # ------------------------------------------------------------------
     # Task lifecycle
     # ------------------------------------------------------------------
 
-    def _start_invocation(self, invocation: Invocation) -> None:
-        if invocation.reactor.retired and \
-                self._forward_stale(invocation):
+    def _start(self, task: Task) -> None:
+        if task.reactor.retired and self._forward_stale(task):
             # The reactor migrated away while this request waited in a
             # queue the migration sweep did not cover; it was handed to
             # the successor's executor instead of running here.
-            self._kick()
+            self._release()
             return
         self.requests_served += 1
-        root = invocation.root
-        reactor = invocation.reactor
-        task = Task(invocation, self)
+        root = task.root
+        reactor = task.reactor
+        task.executor = self
 
         # Dynamic intra-transaction safety (Section 2.2.4): refuse a
         # sub-transaction when another sub-transaction of the same root
         # is active on this reactor.
-        if not reactor.try_enter(root.txn_id, invocation.subtxn_id):
+        if not reactor.try_enter(root.txn_id, task.subtxn_id):
             abort = DangerousStructureAbort(
-                f"sub-transaction {invocation.subtxn_id} of txn "
+                f"sub-transaction {task.subtxn_id} of txn "
                 f"{root.txn_id} raced another sub-transaction on "
                 f"reactor {reactor.name!r}"
             )
-            if invocation.result_future is not None:
-                invocation.result_future.fail(abort)
-                self._kick()
+            if task.result_future is not None:
+                task.result_future.fail(abort)
+                self._release()
                 return
-            raise abort  # a root invocation can never race itself
+            raise abort  # a root can never race itself
 
         self.running = task
         self._touch_reactor(task, reactor)
-        self._push_frame(task, reactor, invocation.subtxn_id,
-                         entered=True,
-                         proc_name=invocation.proc_name,
-                         args=invocation.args,
-                         kwargs=invocation.kwargs)
+        self._push_frame(task, reactor, task.subtxn_id, entered=True,
+                         proc_name=task.proc_name, args=task.args,
+                         kwargs=task.kwargs)
         # Root admissions pay the executor wake-up (thread switch from
         # the request queue), part of the containerization overhead.
-        if invocation.subtxn_id == 0:
+        if task.subtxn_id == 0:
             trace = root.trace
             if trace is not None:
                 trace.close_child("sched", self.scheduler.now,
@@ -286,30 +280,31 @@ class TransactionExecutor:
         else:
             self._step(task, _NOTHING, None)
 
-    def _forward_stale(self, invocation: Invocation) -> bool:
-        """Re-target an invocation whose reactor was retired by an
+    def _forward_stale(self, task: Task) -> bool:
+        """Re-target a queued task whose reactor was retired by an
         online migration; returns ``True`` when it was re-submitted to
         another executor (and must not start here)."""
-        reactor = invocation.reactor
+        reactor = task.reactor
         while reactor.retired and reactor.migrated_to is not None:
             reactor = reactor.migrated_to
-        invocation.reactor = reactor
+        task.reactor = reactor
         database = self.container.database
+        is_root = task.subtxn_id == 0
         if reactor.migrating:
             # The successor is itself mid-migration (back-to-back):
             # the request belongs in that migration's parked queue.
             migration = database.migration
-            if invocation.is_root:
-                migration.park_root(reactor.name, invocation)
+            if is_root:
+                migration.park_root(reactor.name, task)
             else:
-                migration.park_subcall(reactor.name, invocation)
+                migration.park_subcall(reactor.name, task)
             return True
-        if invocation.is_root:
+        if is_root:
             target = database._route_root(reactor)
         else:
             target = self._sub_call_target(reactor)
         if target is not self:
-            target.submit(invocation)
+            target.submit(task)
             return True
         return False
 
@@ -403,7 +398,7 @@ class TransactionExecutor:
         """Occupy this executor's core for ``micros``, then continue
         with ``fn(*args)``."""
         self.busy_time += micros
-        if task.invocation.subtxn_id == 0:
+        if task.subtxn_id == 0:
             # RootTransaction.charge(), spelled out: this runs on
             # every hop of every root.
             task.root.breakdown[_BREAKDOWN[category]] += micros
@@ -420,7 +415,7 @@ class TransactionExecutor:
     # ------------------------------------------------------------------
 
     def _process_effect(self, task: Task, effect: Any) -> None:
-        if task.invocation.subtxn_id == 0:
+        if task.subtxn_id == 0:
             task.root.effect_seq += 1
         # Calls and gets dominate the yielded-effect mix (data
         # operations never yield); test for them first.
@@ -521,9 +516,8 @@ class TransactionExecutor:
         future.birth_seq = root.effect_seq
         task.frames[-1].pending.append(future)
         root.remote_calls += 1
-        invocation = Invocation(root, reactor, call.proc_name, call.args,
-                                call.kwargs, subtxn_id=subtxn_id,
-                                result_future=future)
+        subtask = Task(root, reactor, call.proc_name, call.args,
+                       call.kwargs, subtxn_id, future)
         trace = root.trace
         if trace is not None:
             span_args = {"proc": call.proc_name}
@@ -532,11 +526,11 @@ class TransactionExecutor:
             trace.open_child(subtxn_id, f"subcall:{reactor.name}",
                              self.scheduler.now, span_args)
         if parked:
-            migration.park_subcall(reactor.name, invocation)
+            migration.park_subcall(reactor.name, subtask)
         else:
             self.scheduler.after(
                 self.costs.cs + self.costs.transport_delay,
-                target.submit, invocation)
+                target.submit, subtask)
         self._busy(task, self.costs.cs, "cs",
                    self._step, task, future, None)
 
@@ -573,7 +567,8 @@ class TransactionExecutor:
         # Block; release the executor to other tasks.
         task.block_start = self.scheduler.now
         root = task.root
-        if task.is_root and root.effect_seq == future.birth_seq + 1:
+        if task.subtxn_id == 0 and \
+                root.effect_seq == future.birth_seq + 1:
             # The get immediately followed the call: this wait is the
             # synchronous execution of the sub-transaction.
             task.block_category = "sync_execution"
@@ -584,17 +579,16 @@ class TransactionExecutor:
         # work queue instead of running on the resolver's thread.
         self.scheduler.add_waiter(future, self._on_future_ready, task,
                                   container=self._cid)
-        self.running = None
-        self._kick()
+        self._release()
 
     def _on_future_ready(self, task: Task, future: SimFuture) -> None:
-        if task.is_root:
+        subtxn_id = task.subtxn_id
+        if subtxn_id == 0:
             wait = self.scheduler.now - task.block_start
             task.root.charge(task.block_category, wait)
         trace = task.root.trace
         if trace is not None:
-            parent = (None if task.is_root
-                      else task.invocation.subtxn_id)
+            parent = subtxn_id or None
             trace.span("wait:" + task.block_category,
                        task.block_start, self.scheduler.now,
                        {"on": future.target_reactor},
@@ -637,14 +631,12 @@ class TransactionExecutor:
             frame.inline_future.resolve(result)
             self._step(task, frame.inline_future, None)
             return
-        invocation = task.invocation
-        if invocation.result_future is not None:
+        if task.result_future is not None:
             # Remote sub-transaction finished on this executor.
-            invocation.result_future.resolve(result)
+            task.result_future.resolve(result)
             trace = task.root.trace
             if trace is not None:
-                trace.close_child(invocation.subtxn_id,
-                                  self.scheduler.now)
+                trace.close_child(task.subtxn_id, self.scheduler.now)
             self._finish_task(task)
             return
         self._commit_root(task, result)
@@ -659,13 +651,11 @@ class TransactionExecutor:
                 frame.inline_future.fail(abort)
             self._step(task, None, abort)
             return
-        invocation = task.invocation
-        if invocation.result_future is not None:
-            invocation.result_future.fail(abort)
+        if task.result_future is not None:
+            task.result_future.fail(abort)
             trace = task.root.trace
             if trace is not None:
-                trace.close_child(invocation.subtxn_id,
-                                  self.scheduler.now,
+                trace.close_child(task.subtxn_id, self.scheduler.now,
                                   {"aborted": True})
             self._finish_task(task)
             return
@@ -675,9 +665,8 @@ class TransactionExecutor:
         """Retire ``task``.  A root's task also answers its caller:
         ``outcome`` is ``(committed, reason, result)``."""
         if self.running is task:
-            self.running = None
-        self._kick()
-        callback = task.invocation.on_root_done
+            self._release()
+        callback = task.on_root_done
         if callback is not None:
             self.scheduler.after(self.costs.transport_delay, callback,
                                  task.root, *outcome)
@@ -803,8 +792,7 @@ class TransactionExecutor:
         if ack_delay > 0.0:
             root.charge("commit_input_gen", ack_delay)
         if self.running is task:
-            self.running = None
-            self._kick()
+            self._release()
         scheduler = self.scheduler
         wait_start = scheduler.now
         if trace is not None:

@@ -43,8 +43,14 @@ path; the no-op row trades the same two for ``_settle`` and a guard
 call and holds at 60.255.  Dropping the write-only ``now`` argument of
 a future's ``resolve`` / ``fail`` reads 122.09 -> 121.65 (0.44 fewer
 ``now`` property calls); the guard hook becoming one call,
-``guarded``, keeps one call per guarded section on both rows.  The
-ceilings are the exact counts of this tree on 3.11 (3.12+ inlines one
+``guarded``, keeps one call per guarded section on both rows.  One
+object per request (the queued ``Invocation`` folded into its
+``Task``) and no dispatch posted while the executor has nothing to
+dispatch read 121.65 -> 115.945 and 60.255 -> 56.255: 1.31 idle
+``_dispatch`` events per SmallBank transaction (1.0 on the no-op row)
+are gone with their ``_kick`` / ``post`` / event constructor calls,
+and so are the envelope's constructor and the ``is_root`` property
+calls.  The ceilings are the exact counts of this tree on 3.11 (3.12+ inlines one
 comprehension and reads 1.00 lower); they only ever go down.  Raise
 one only with the number that justifies it in the PR description;
 ``python tests/test_point_path_budget.py 40`` prints the per-function
@@ -67,7 +73,8 @@ methods; the 0.035 is a user abort's second guard).  The guard as one
 call, ``guarded``, that takes and releases the locks itself reads
 17.285 -> 13.74: the guard object's three methods (3.105) are gone,
 and so are 0.44 ``now`` calls (a resolved future no longer stores its
-time).  Both counts leave out what a worker does when it runs dry
+time).  An executor that posts a dispatch only when it has work reads
+13.74 -> 11.12: 1.31 ``post`` calls fewer, and as many queue items.  Both counts leave out what a worker does when it runs dry
 (``_WorkQueue.take``, ``_wake_run``): how often depends on timing.
 
 The fourth row is the redo log's path: ``call`` events per appended
@@ -160,9 +167,9 @@ SRC_ROOT = str(Path(repro.__file__).resolve().parent)
 N_TXNS = 200
 CUSTOMERS = 100
 
-SMALLBANK_CEILING = 121.65
-NOOP_CEILING = 60.255
-THREADS_HANDOFF_CEILING = 13.74
+SMALLBANK_CEILING = 115.945
+NOOP_CEILING = 56.255
+THREADS_HANDOFF_CEILING = 11.12
 LOG_DURABILITY_CEILING = 10.3625
 SCAN_PATH_CEILING = 37.66
 COMMIT_PATH_CEILING = 53.52
