@@ -36,21 +36,6 @@ class Calibration:
     #: the Figure 3 equation).
     commit_input_gen: float
 
-    def commit_for_containers(self, containers: int,
-                              calibrated_containers: int,
-                              per_container: float | None = None
-                              ) -> float:
-        """Extrapolate commit overhead to a different container span.
-
-        When ``per_container`` is unknown, the calibrated value is
-        reused unchanged (the paper folds this into the observed vs
-        predicted gap).
-        """
-        if per_container is None:
-            return self.commit_input_gen
-        extra = (containers - calibrated_containers) * per_container
-        return self.commit_input_gen + max(0.0, extra)
-
 
 def calibrate_from_summary(summary: RunSummary, n_remote_sync: int = 1,
                            leaf_per_sync: int = 2) -> Calibration:
@@ -111,18 +96,6 @@ class MeasuredCosts:
     residual_us: float = 0.0
     #: Number of (counts, busy) samples the fit consumed.
     samples: int = 0
-
-    def scale_vs(self, modeled: Mapping[str, float]
-                 ) -> dict[str, float]:
-        """Fitted/modeled cost ratio per operation (1.0 means the
-        virtual cost model already matches the hardware; operations
-        absent from either side are skipped)."""
-        out = {}
-        for op, fitted in self.costs.items():
-            base = modeled.get(op)
-            if base:
-                out[op] = fitted / base
-        return out
 
 
 def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:

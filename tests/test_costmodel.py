@@ -191,12 +191,6 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_from_summary(RunSummary())
 
-    def test_commit_extrapolation(self):
-        calibration = Calibration(1.0, 2.0, 3.0, 10.0)
-        assert calibration.commit_for_containers(5, 2) == 10.0
-        assert calibration.commit_for_containers(
-            5, 2, per_container=2.0) == 16.0
-
 
 class TestMeasuredCostFit:
     """fit_measured_costs: least-squares over (op_counts, busy_us)."""
@@ -240,15 +234,6 @@ class TestMeasuredCostFit:
         ]
         fit = fit_measured_costs(samples)
         assert fit.residual_us > 0.0
-
-    def test_scale_vs_modeled(self):
-        fit = MeasuredCosts(backend="threads",
-                            costs={"commit": 24.0, "remote_call": 3.5,
-                                   "unmodeled": 1.0})
-        ratio = fit.scale_vs({"commit": 12.0, "remote_call": 3.5,
-                              "unfitted": 9.0})
-        assert ratio == {"commit": pytest.approx(2.0),
-                         "remote_call": pytest.approx(1.0)}
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
