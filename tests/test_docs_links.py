@@ -12,6 +12,8 @@ must exist.
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +29,18 @@ def _load_checker():
     sys.modules.setdefault("check_docs_links", module)
     spec.loader.exec_module(module)
     return module
+
+
+def test_checker_runs_without_pythonpath(tmp_path):
+    """Run from any directory with no ``PYTHONPATH``, the script
+    finds the package itself and reports no stale names."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "check_docs_links.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "STALE:" not in done.stdout
 
 
 def test_no_broken_intra_repo_markdown_links():

@@ -15,8 +15,8 @@ Four checks:
   ``repro.formal.audit``, ``:class:`~repro.core.context.ReactorContext```
   — in ``docs/*.md``, ``README.md`` and the docstrings of
   ``src/repro/**/*.py`` must resolve: the longest prefix that is a
-  module is imported, and the rest is looked up with ``getattr``.
-  Needs the package importable (``PYTHONPATH=src``).  A backticked
+  module is imported, and the rest is looked up with ``getattr``
+  (the script puts ``src/`` on ``sys.path`` itself).  A backticked
   call in ``docs/*.md`` and ``README.md`` must name something too:
   an unqualified ``name(`` a function or class defined under ``src/``,
   ``tools/``, ``benchmarks/`` or ``examples/``, or a builtin; a
@@ -48,6 +48,8 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
 SKIP_DIRS = {".git", "results", "__pycache__", ".pytest_cache"}
 
 #: Inline links ``[text](target)`` — target must not itself contain
