@@ -94,8 +94,8 @@ def test_a_solo_root_takes_one_dispatch(dispatches):
     assert database.run("c0", "add", 1.0) == 1.0
     assert seen == [(True, 1)]
     assert not wakeups
-    # Submit, the wake-up's busy time, the procedure's and the
-    # commit's, the answer: no event runs the executor idle.
+    # The dispatch; the busy time of the wake-up, the procedure and
+    # the commit; the answer.  No event finds the executor idle.
     assert database.scheduler.events_dispatched - events == 5
 
 

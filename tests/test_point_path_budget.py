@@ -44,7 +44,7 @@ call and holds at 60.255.  Dropping the write-only ``now`` argument of
 a future's ``resolve`` / ``fail`` reads 122.09 -> 121.65 (0.44 fewer
 ``now`` property calls); the guard hook becoming one call,
 ``guarded``, keeps one call per guarded section on both rows.  One
-object per request (the queued ``Invocation`` folded into its
+object per request (the queued request envelope folded into its
 ``Task``) and no dispatch posted while the executor has nothing to
 dispatch read 121.65 -> 115.945 and 60.255 -> 56.255: 1.31 idle
 ``_dispatch`` events per SmallBank transaction (1.0 on the no-op row)
