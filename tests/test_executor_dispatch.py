@@ -18,7 +18,6 @@ first.
 
 from __future__ import annotations
 
-import random
 import threading
 
 import pytest
@@ -29,7 +28,7 @@ from repro.core.deployment import RangePlacement, shared_nothing
 from repro.core.reactor import ReactorType
 from repro.relational import float_col, make_schema, str_col
 from repro.runtime.executor import TransactionExecutor
-from repro.workloads import smallbank as sb
+from test_golden_histories import WINDOW, _smallbank
 
 #: Seconds either side of the forced interleaving waits for the other.
 BOUND = 5.0
@@ -111,17 +110,10 @@ def test_a_remote_call_takes_one_dispatch_per_request_and_wakeup(
 
 def test_no_dispatch_finds_nothing_to_do_under_contention(dispatches):
     seen, wakeups = dispatches
-    customers = 8
-    database = ReactorDatabase(shared_nothing(4, cc_scheme="occ"),
-                               sb.declarations(customers))
-    sb.load(database, customers)
-
-    class Worker:
-        rng = random.Random("dispatch/smallbank")
-
-    next_txn = sb.SmallbankWorkload(customers,
-                                    hotspot_fraction=0.5).next_txn
-    pending = iter([next_txn(Worker) for __ in range(120)])
+    # Golden's contended SmallBank mix, cross-container transfers
+    # included, closed-loop at golden's window.
+    database, specs = _smallbank("occ", 11, recorded=False)
+    pending = iter(specs)
     outcomes = []
 
     def submit_next(*outcome):
@@ -131,10 +123,10 @@ def test_no_dispatch_finds_nothing_to_do_under_contention(dispatches):
             database.submit(reactor, proc, *args, on_done=submit_next)
             return
 
-    for __ in range(8):
+    for __ in range(WINDOW):
         submit_next()
     database.scheduler.run()
-    assert len(outcomes) == 120 and any(outcomes)
+    assert len(outcomes) == len(specs) and any(outcomes)
     assert all(free and waiting for free, waiting in seen), seen
     # Each dispatch took exactly one item: a request or a wake-up.
     served = sum(executor.requests_served
