@@ -186,8 +186,7 @@ def _build_deployment(config: EpisodeConfig, full_trace: bool):
     # Pin telemetry explicitly: episode results must not depend on the
     # REPRO_* environment the process happens to run under.
     deployment.telemetry = full_tracing() if full_trace else \
-        TelemetryConfig(enabled=True, trace_sample=0,
-                        trace_system=False)
+        TelemetryConfig(trace_sample=0, trace_system=False)
     return deployment
 
 

@@ -2,24 +2,21 @@
 
 * :mod:`repro.costmodel.model` — the Figure 3 fork-join latency
   equation and its mapping onto observable breakdown buckets;
-* :mod:`repro.costmodel.calibration` — parameter extraction from
-  profiled runs (the paper's calibration workflow);
+* :mod:`repro.costmodel.calibration` — parameter extraction from a
+  profiled run's breakdown (the paper's calibration workflow);
 * :mod:`repro.costmodel.programs` — spec builders for multi-transfer,
   YCSB multi_update and TPC-C new-order.
 
 Public exports: the fork-join model (:class:`ForkJoinSpec`,
 :class:`Call`, ``predict_observable_breakdown``), calibration
-(:class:`Calibration`, ``calibrate_from_summary``,
-:class:`MeasuredCosts`, ``fit_measured_costs``) and the program
+(:class:`Calibration`, ``calibrate_from_summary``) and the program
 spec builders (``multi_transfer``, ``ycsb_multi_update``,
 ``tpcc_new_order``, ``destinations``).
 """
 
 from repro.costmodel.calibration import (
     Calibration,
-    MeasuredCosts,
     calibrate_from_summary,
-    fit_measured_costs,
 )
 from repro.costmodel.model import (
     Call,
@@ -38,8 +35,6 @@ __all__ = [
     "Call",
     "predict_observable_breakdown",
     "Calibration",
-    "MeasuredCosts",
-    "fit_measured_costs",
     "calibrate_from_summary",
     "multi_transfer",
     "ycsb_multi_update",

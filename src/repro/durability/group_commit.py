@@ -92,14 +92,10 @@ class LogFlusher:
         #: Future type matching the execution backend: thread-safe on
         #: wall-clock backends, the plain single-threaded future on sim.
         self._future_cls = scheduler.future_class
-        if telemetry.enabled:
-            self._records_hist = telemetry.registry.histogram(
-                "log_flush_records")
-            self._bytes_hist = telemetry.registry.histogram(
-                "log_flush_bytes")
-        else:
-            self._records_hist = None
-            self._bytes_hist = None
+        self._records_hist = telemetry.registry.histogram(
+            "log_flush_records")
+        self._bytes_hist = telemetry.registry.histogram(
+            "log_flush_bytes")
         #: Virtual time the serial log device frees up.
         self.disk_free_at = 0.0
         #: Appended records made durable so far — always a prefix of
@@ -191,9 +187,8 @@ class LogFlusher:
         self.flushed_records += len(epoch.tids)
         self.stats.records_flushed += len(epoch.tids)
         self.stats.bytes_flushed += epoch.bytes
-        if self._records_hist is not None:
-            self._records_hist.observe(len(epoch.tids))
-            self._bytes_hist.observe(epoch.bytes)
+        self._records_hist.observe(len(epoch.tids))
+        self._bytes_hist.observe(epoch.bytes)
         if self.telemetry.system_tracing:
             # Epoch membership -> flush -> ack as one span on the log
             # track: opened at the first append, closed when the fsync

@@ -9,15 +9,15 @@ their commit TID.  Because Silo TIDs order transactions consistently
 with their serial order, replaying redo records in TID order from a
 checkpoint reconstructs exactly the committed state.
 
-Logs are in-memory lists of sealed records with optional JSON-lines
-serialization so recovery can also be exercised across files.  A log
-has no listeners: :meth:`RedoLog.append` returns the record, and the
-commit publishes every participant's record once all have installed.
+Logs are in-memory lists of sealed records (``marshal`` bytes, the
+one log format: crash images, replicas, recovery and checkpoints all
+read it).  A log has no listeners: :meth:`RedoLog.append` returns the
+record, and the commit publishes every participant's record once all
+have installed.
 """
 
 from __future__ import annotations
 
-import json
 import marshal
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,19 +26,6 @@ from typing import Any, Callable, Iterable, NamedTuple
 INSERT = "insert"
 UPDATE = "update"
 DELETE = "delete"
-
-#: The C encoder ``json.dumps`` builds on every call, built once per
-#: process with ``json.dumps``'s own settings: ``", "`` / ``": "``
-#: separators, ASCII escapes, NaN and the infinities allowed.  No
-#: ``markers`` dict (the circular-reference check): an installed image
-#: holds no cycle, and one would still end in the encoder's
-#: ``RecursionError``.  The positional signature is CPython's, as the
-#: wire codec's in :mod:`repro.serving.protocol` is.
-_ENCODE = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default,
-    json.encoder.encode_basestring_ascii, None, ": ", ", ",
-    False, False, True)
-
 
 class RedoEntry(NamedTuple):
     """One logical write: reactor/table/pk plus the after-image.
@@ -57,16 +44,6 @@ class RedoEntry(NamedTuple):
     pk: tuple
     row: dict[str, Any] | None  # None for deletes
 
-    def to_json(self) -> dict[str, Any]:
-        reactor, table, kind, pk, row = self
-        return {"reactor": reactor, "table": table, "kind": kind,
-                "pk": list(pk), "row": row}
-
-    @staticmethod
-    def from_json(data: dict[str, Any]) -> "RedoEntry":
-        return RedoEntry(data["reactor"], data["table"], data["kind"],
-                         tuple(data["pk"]), data["row"])
-
 
 @dataclass(frozen=True)
 class RedoRecord:
@@ -79,21 +56,6 @@ class RedoRecord:
 
     commit_tid: int
     entries: tuple[RedoEntry, ...]
-
-    def to_json_line(self) -> str:
-        return "".join(_ENCODE({
-            "tid": self.commit_tid,
-            "entries": [e.to_json() for e in self.entries],
-        }, 0))
-
-    @staticmethod
-    def from_json_line(line: str) -> "RedoRecord":
-        data = json.loads(line)
-        return RedoRecord(
-            commit_tid=data["tid"],
-            entries=tuple(RedoEntry.from_json(e)
-                          for e in data["entries"]),
-        )
 
     @cached_property
     def sealed(self) -> bytes:
@@ -152,10 +114,6 @@ class RedoLog:
         #: replay-based audits tell "no records below X" apart from
         #: "records below X were truncated away".
         self.truncated_through = 0
-        #: Set by :meth:`load_json_lines` when the serialized log ended
-        #: in a torn (half-written) line: replay stopped at the last
-        #: complete record instead of failing recovery.
-        self.torn_tail = False
 
     def append(self, commit_tid: int,
                entries: Iterable[RedoEntry]) -> RedoRecord | None:
@@ -180,38 +138,6 @@ class RedoLog:
         if dropped and tid > self.truncated_through:
             self.truncated_through = tid
         return dropped
-
-    def dump_json_lines(self) -> str:
-        return "\n".join(unseal(sealed).to_json_line()
-                         for sealed in self.records)
-
-    @staticmethod
-    def load_json_lines(container_id: int, text: str) -> "RedoLog":
-        """Deserialize a log, tolerating a torn tail.
-
-        A crash can truncate the last record mid-write; recovery must
-        stop at the last *complete* record rather than refuse the whole
-        log.  Only the final non-empty line may be torn — an
-        unparseable line in the middle of the file is real corruption
-        and raises :class:`ValueError`.
-        """
-        log = RedoLog(container_id)
-        lines = [line for line in text.splitlines() if line.strip()]
-        for index, line in enumerate(lines):
-            try:
-                record = RedoRecord.from_json_line(line)
-            except (ValueError, KeyError, TypeError) as exc:
-                if index == len(lines) - 1:
-                    log.torn_tail = True
-                    break
-                raise ValueError(
-                    f"corrupt redo record at line {index} of "
-                    f"container {container_id}'s log (not the tail): "
-                    f"{exc}"
-                ) from exc
-            log.records.append(record.sealed)
-            log.tids.append(record.commit_tid)
-        return log
 
     def __len__(self) -> int:
         return len(self.records)

@@ -132,8 +132,8 @@ class ReplicationManager:
 
         self.durability = enable_durability(database)
         self._telemetry = database.telemetry
-        #: ``None`` when telemetry is disabled.
-        self._lag_hist = self._telemetry.histogram("replication_lag_us")
+        self._lag_hist = self._telemetry.registry.histogram(
+            "replication_lag_us")
         self._telemetry.register_replication(self)
         self._build_replicas()
 
@@ -236,8 +236,7 @@ class ReplicationManager:
         self.stats.lag_us_sum += lag
         if lag > self.stats.max_lag_us:
             self.stats.max_lag_us = lag
-        if self._lag_hist is not None:
-            self._lag_hist.observe(lag)
+        self._lag_hist.observe(lag)
         telemetry = self._telemetry
         if telemetry.system_tracing:
             # Ship -> apply as one span on the replication track, one

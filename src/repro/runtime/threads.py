@@ -116,6 +116,11 @@ class _QueueItem:
         self.cancelled = True
 
 
+#: The handle ``after`` returns for a callback that already ran
+#: inline: cancelling it changes nothing, since it is on no queue.
+_RAN = _QueueItem(None, ())  # type: ignore[arg-type]
+
+
 class _TimerHandle:
     """A wall-clock deadline on the timer heap; cancellable."""
 
@@ -262,7 +267,6 @@ class ThreadsBackend:
         self._queues: dict[int, _WorkQueue] = {
             _CLIENT: _WorkQueue()}
         self._threads: list[threading.Thread] = []
-        self._busy_ns: dict[int, int] = {_CLIENT: 0}
         # Only run() waits on `_acct`.  It is notified — and only
         # while someone is inside run() — by a worker going idle, a
         # timer cancelled or handed to the client queue, and
@@ -343,7 +347,6 @@ class ThreadsBackend:
         for cid in range(n_containers):
             self._container_locks.append(threading.RLock())
             self._queues[cid] = _WorkQueue()
-            self._busy_ns[cid] = 0
             thread = threading.Thread(
                 target=self._worker_loop,
                 args=(cid, self._queues[cid],
@@ -393,7 +396,9 @@ class ThreadsBackend:
         if self._stopping:
             raise SimulationError(_SHUT_DOWN)
         if delay <= INLINE_DELAY_US:
-            return self.busy(delay, fn, *args)
+            # Either ran inline (nothing left to cancel) or was bounced
+            # to a queue at the depth bound (its queued item).
+            return self.busy(delay, fn, *args) or _RAN
         handle = _TimerHandle(self, fn, args)
         deadline = time.monotonic_ns() + int(delay * 1_000)
         with self._timer_cond:
@@ -435,15 +440,16 @@ class ThreadsBackend:
              *args: Any) -> Any:
         """Continue with ``fn(*args)`` immediately: on real hardware
         the modeled occupancy is subsumed by actual CPU work (the
-        caller still accounts the modeled microseconds)."""
+        caller still accounts the modeled microseconds).  Past
+        :data:`MAX_INLINE_DEPTH` the call is posted instead and the
+        queued item returned; inline it returns ``None``."""
         try:
             state = self._tls.state
         except AttributeError:
             state = self._thread_state()
         depth = state.depth
         if depth >= MAX_INLINE_DEPTH:
-            self.post(state.cid, fn, *args)
-            return None
+            return self.post(state.cid, fn, *args)
         state.depth = depth + 1
         try:
             fn(*args)
@@ -573,14 +579,12 @@ class ThreadsBackend:
         is_container = cid != _CLIENT
         state = self._tls.state = _ThreadState(
             cid, lock if is_container else None)
-        busy_ns = self._busy_ns
         while not self._stopping:
             burst = queue.take()
             if burst is None:
                 self._wake_run()
                 queue.wake.acquire()
                 continue
-            start = time.monotonic_ns()
             taken = len(burst)
             state.burst = burst
             state.room = MAX_BURST
@@ -607,7 +611,6 @@ class ThreadsBackend:
             state.burst = burst = item = None
             queue.ran += ran
             queue.done += taken
-            busy_ns[cid] += time.monotonic_ns() - start
 
     def _timer_loop(self) -> None:
         heap = self._timer_heap
@@ -636,17 +639,6 @@ class ThreadsBackend:
             with cond:
                 self._timers_done += 1
             self._wake_run()
-
-    # ------------------------------------------------------------------
-    # Measurement
-    # ------------------------------------------------------------------
-
-    def container_busy_us(self) -> dict[int, float]:
-        """Measured wall-clock busy time per container thread (the
-        client thread reports under id ``-1``); feeds
-        :func:`repro.costmodel.calibration.fit_measured_costs`."""
-        return {cid: ns / 1_000.0
-                for cid, ns in sorted(self._busy_ns.items())}
 
 
 __all__ = [

@@ -90,8 +90,7 @@ class _Connection(asyncio.Protocol):
         self.transport = transport
         server = self.server
         server.connections.add(self)
-        if server._connections_total is not None:
-            server._connections_total.inc()
+        server._connections_total.inc()
 
     def connection_lost(self, exc: Exception | None) -> None:
         self.server.connections.discard(self)
@@ -195,20 +194,14 @@ class ReactorServer:
         #: Connections with a non-empty outbox; empty between
         #: event-loop callbacks (see :meth:`_flush`).
         self._unflushed: list[_Connection] = []
-        telemetry = database.telemetry
-        registry = telemetry.registry if telemetry.enabled else None
-        if registry is not None:
-            self._accepted = registry.counter("serving_accepted_total")
-            self._shed = registry.counter("serving_shed_total")
-            self._connections_total = registry.counter(
-                "serving_connections_total")
-            self._sessions = registry.counter("serving_sessions_total")
-            registry.gauge_fn("serving_inflight",
-                              lambda: self.inflight)
-        else:
-            self._accepted = self._shed = None
-            self._connections_total = self._sessions = None
-        self._wire_hist = telemetry.histogram("serving_wire_latency_us")
+        registry = database.telemetry.registry
+        self._accepted = registry.counter("serving_accepted_total")
+        self._shed = registry.counter("serving_shed_total")
+        self._connections_total = registry.counter(
+            "serving_connections_total")
+        self._sessions = registry.counter("serving_sessions_total")
+        registry.gauge_fn("serving_inflight", lambda: self.inflight)
+        self._wire_hist = registry.histogram("serving_wire_latency_us")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -290,8 +283,7 @@ class ReactorServer:
         session = message["session"]
         if session not in conn.sessions:
             conn.sessions.add(session)
-            if self._sessions is not None:
-                self._sessions.inc()
+            self._sessions.inc()
         if self.inflight >= self.max_inflight:
             self._shed_request(conn, rid, session,
                                "admission bound reached: "
@@ -306,8 +298,7 @@ class ReactorServer:
         loop = self._loop
         t_wire = loop.time()
         self.inflight += 1
-        if self._accepted is not None:
-            self._accepted.inc()
+        self._accepted.inc()
         t_submit = database.scheduler.now
         state = (conn, rid, session, t_wire, t_submit)
         try:
@@ -328,8 +319,7 @@ class ReactorServer:
 
     def _shed_request(self, conn: _Connection, rid: int,
                       session: int, detail: str) -> None:
-        if self._shed is not None:
-            self._shed.inc()
+        self._shed.inc()
         hint = self.retry_after_us * max(
             1.0, (self.inflight + 1) / max(1, self.max_inflight))
         conn.send(protocol.error(rid, session, protocol.ERR_OVERLOADED,
@@ -340,9 +330,7 @@ class ReactorServer:
         conn, rid, session, t_wire, t_submit = state
         self.inflight -= 1
         database = self.database
-        if self._wire_hist is not None:
-            self._wire_hist.observe(
-                (self._loop.time() - t_wire) * 1e6)
+        self._wire_hist.observe((self._loop.time() - t_wire) * 1e6)
         tracer = database.telemetry.tracer
         if tracer is not None and tracer.system:
             tracer.system_span(

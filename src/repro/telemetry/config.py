@@ -1,7 +1,7 @@
-"""Telemetry configuration: the sampling/off switches.
+"""Telemetry configuration: the tracing switches.
 
 Telemetry must never cost more than it informs: the metrics registry
-is cheap enough to stay on by default, while span tracing is *sampled*
+is cheap enough to stay on always, while span tracing is *sampled*
 (one root in ``trace_sample``) so the wall-clock harness-speed gate
 keeps passing.  A diagnostic run asks for full-fidelity tracing
 (``trace_sample=1`` plus the system tracks) in its deployment config —
@@ -24,11 +24,8 @@ DEFAULT_TRACE_SAMPLE = 64
 
 @dataclass
 class TelemetryConfig:
-    """One database's telemetry switches."""
+    """One database's tracing switches (metrics are always on)."""
 
-    #: Master switch: ``False`` turns the whole subsystem into no-ops
-    #: (no spans allocated, histogram observes early-return).
-    enabled: bool = True
     #: Root-trace sampling: 0 = tracing off, 1 = every root, N = one
     #: root in N (selected deterministically by ``txn_id % N``).
     trace_sample: int = DEFAULT_TRACE_SAMPLE
@@ -43,17 +40,16 @@ class TelemetryConfig:
     @property
     def tracing(self) -> bool:
         """Is any root-span tracing active?"""
-        return self.enabled and self.trace_sample > 0
+        return self.trace_sample > 0
 
     # -- serialization --------------------------------------------------
 
     #: Every key ``from_dict`` accepts (exactly what ``to_dict``
     #: writes), with the type its value must have.
-    KEYS = {"enabled": bool, "trace_sample": int, "trace_system": bool}
+    KEYS = {"trace_sample": int, "trace_system": bool}
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "enabled": self.enabled,
             "trace_sample": self.trace_sample,
             "trace_system": self.trace_system,
         }
@@ -67,8 +63,7 @@ class TelemetryConfig:
 def full_tracing() -> TelemetryConfig:
     """Every root traced plus the system tracks — what the trace
     exporter and the determinism tests run under."""
-    return TelemetryConfig(enabled=True, trace_sample=1,
-                           trace_system=True)
+    return TelemetryConfig(trace_sample=1, trace_system=True)
 
 
 __all__ = ["TelemetryConfig", "full_tracing", "DEFAULT_TRACE_SAMPLE"]

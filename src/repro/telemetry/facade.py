@@ -8,9 +8,9 @@ database calls :meth:`Telemetry.attach_collectors` at the end of
 All collector registration is idempotent — replication promotion and
 log replacement just re-register and the gauges re-point.
 
-Hot-path contract: when telemetry is disabled nothing is allocated —
-roots carry ``trace = None``, :meth:`note_root_done` early-returns,
-and the collector gauges (pure pull) cost nothing until read.
+Hot-path contract: an unsampled root allocates nothing — it carries
+``trace = None`` — and the collector gauges (pure pull) cost nothing
+until read.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 from repro.telemetry import export as _export
 from repro.telemetry.config import TelemetryConfig
-from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import TraceHandle, Tracer
 
 #: Abort reasons, in the legacy ``abort_counts()["by_reason"]`` order
@@ -32,28 +32,21 @@ ABORT_REASONS = ("validation_failure", "lock_conflict",
 class Telemetry:
     """One database's metrics registry, span tracer and exporters."""
 
-    __slots__ = ("database", "config", "registry", "tracer", "enabled",
-                 "_sample", "_commits", "_aborts", "_commit_hist",
-                 "_abort_hist")
+    __slots__ = ("database", "config", "registry", "tracer", "_sample",
+                 "_commits", "_aborts", "_commit_hist", "_abort_hist")
 
     def __init__(self, database: Any, config: TelemetryConfig) -> None:
         self.database = database
         self.config = config
-        self.enabled = config.enabled
         self.registry = MetricsRegistry()
         self._sample = config.trace_sample if config.tracing else 0
         self.tracer: Tracer | None = (
             Tracer(system=config.trace_system) if self._sample else None)
         registry = self.registry
-        if self.enabled:
-            self._commits = registry.counter("txn_commits_total")
-            self._aborts = registry.counter("txn_aborts_total")
-            self._commit_hist = registry.histogram(
-                "txn_commit_latency_us")
-            self._abort_hist = registry.histogram("txn_abort_latency_us")
-        else:
-            self._commits = self._aborts = None
-            self._commit_hist = self._abort_hist = None
+        self._commits = registry.counter("txn_commits_total")
+        self._aborts = registry.counter("txn_aborts_total")
+        self._commit_hist = registry.histogram("txn_commit_latency_us")
+        self._abort_hist = registry.histogram("txn_abort_latency_us")
 
     # -- root tracing ---------------------------------------------------
 
@@ -78,14 +71,13 @@ class Telemetry:
         done (the executor's completion, and
         :meth:`~repro.core.database.ReactorDatabase.refuse_root` for a
         root that never ran) land here."""
-        if self.enabled:
-            latency = now - root.start_time
-            if committed:
-                self._commits.inc()
-                self._commit_hist.observe(latency)
-            else:
-                self._aborts.inc()
-                self._abort_hist.observe(latency)
+        latency = now - root.start_time
+        if committed:
+            self._commits.inc()
+            self._commit_hist.observe(latency)
+        else:
+            self._aborts.inc()
+            self._abort_hist.observe(latency)
         trace = root.trace
         if trace is not None:
             trace.close_child("commit", now)
@@ -109,13 +101,6 @@ class Telemetry:
         if tracer is not None and tracer.system:
             tracer.emit(name, track, tid, start, end, tracer.new_id(),
                         0, args)
-
-    def histogram(self, name: str, **labels: Any) -> Histogram | None:
-        """A histogram handle for hot-path observes, or ``None`` when
-        telemetry is disabled (callers keep the ``None`` and skip)."""
-        if not self.enabled:
-            return None
-        return self.registry.histogram(name, **labels)
 
     # -- collectors -----------------------------------------------------
 
@@ -286,8 +271,6 @@ class Telemetry:
         """The compact per-measurement block benchmark JSONs embed:
         outcome counts plus the latency/flush/lag percentile
         summaries that have observations."""
-        if not self.enabled:
-            return {}
         out: dict[str, Any] = {
             "commits": self._commits.value,
             "aborts": self._aborts.value,

@@ -31,6 +31,7 @@ from repro.runtime.futures import SimFuture, ThreadSafeFuture
 from repro.runtime.threads import (
     INLINE_DELAY_US,
     MAX_BURST,
+    MAX_INLINE_DEPTH,
     ThreadsBackend,
     _WorkQueue,
 )
@@ -120,6 +121,45 @@ def backend():
     instance.shutdown()
 
 
+@pytest.mark.parametrize("depth", [0, MAX_INLINE_DEPTH])
+@pytest.mark.parametrize("call", ["at", "after", "soon"])
+@pytest.mark.parametrize("backend_class", [SimScheduler, ThreadsBackend])
+def test_scheduling_returns_a_cancellable_handle(backend_class, call,
+                                                 depth):
+    """The ``at/after/soon`` row: a handle whose ``cancel`` works,
+    whether the callback is still queued, ran inline (a ``threads``
+    delay of at most ``INLINE_DELAY_US``) or was bounced to a queue at
+    the inline depth bound — where cancelling still stops it.  The
+    calls are made from a callback, so on ``threads`` nothing they
+    queue can run before the cancel."""
+    instance = backend_class()
+    instance.attach(1)
+    threads = backend_class is ThreadsBackend
+    seen, ran_inline = [], []
+
+    def schedule_then_cancel():
+        if threads:
+            instance._thread_state().depth = depth
+        try:
+            when = {"at": (instance.now,), "after": (0.0,), "soon": ()}
+            handle = getattr(instance, call)(*when[call], seen.append,
+                                             call)
+            ran_inline.append(seen == [call])
+            handle.cancel()
+        finally:
+            if threads:
+                instance._thread_state().depth = 0
+
+    inline = threads and call != "soon" and not depth
+    try:
+        instance.soon(schedule_then_cancel)
+        instance.run()
+        assert ran_inline == [inline]
+        assert seen == ([call] if inline else [])
+    finally:
+        instance.shutdown()
+
+
 class TestThreadsScheduling:
     def test_run_requires_attach(self):
         with pytest.raises(SimulationError, match="not attached"):
@@ -202,13 +242,6 @@ class TestThreadsScheduling:
         instance.attach(1)
         instance.shutdown()
         instance.shutdown()
-
-    def test_container_busy_us(self, backend):
-        backend.post(0, time.sleep, 0.002)
-        backend.run()
-        busy = backend.container_busy_us()
-        assert busy[0] >= 1_000.0
-        assert set(busy) == {-1, 0, 1}
 
 
 class TestBurstHandOff:

@@ -165,6 +165,8 @@ class TestSerialization:
         # keys (telemetry used to ignore them; ``mode`` was an alias
         # ``to_dict`` never wrote) ...
         ({**_MINIMAL, "telemetry": {"enabeld": False}}, "enabeld"),
+        # Metrics are always on: telemetry has no off switch to read.
+        ({**_MINIMAL, "telemetry": {"enabled": False}}, "enabled"),
         ({**_MINIMAL, "durability": {"mode": "sync"}}, "mode"),
         # ... values of the wrong type (``bool("false")`` is True) ...
         ({**_MINIMAL, "durability": {"enabled": "false"}}, "enabled"),

@@ -7,10 +7,8 @@ from repro.costmodel import (
     Calibration,
     Call,
     ForkJoinSpec,
-    MeasuredCosts,
     calibrate_from_summary,
     destinations,
-    fit_measured_costs,
     multi_transfer,
     predict_observable_breakdown,
     tpcc_new_order,
@@ -190,65 +188,3 @@ class TestCalibration:
     def test_needs_data(self):
         with pytest.raises(ValueError):
             calibrate_from_summary(RunSummary())
-
-
-class TestMeasuredCostFit:
-    """fit_measured_costs: least-squares over (op_counts, busy_us)."""
-
-    TRUE = {"commit": 12.0, "remote_call": 3.5, "log_append": 0.8}
-
-    def _sample(self, counts):
-        busy = sum(self.TRUE[op] * n for op, n in counts.items())
-        return counts, busy
-
-    def test_exact_recovery_on_noiseless_samples(self):
-        samples = [
-            self._sample({"commit": 10, "remote_call": 0,
-                          "log_append": 10}),
-            self._sample({"commit": 5, "remote_call": 20,
-                          "log_append": 5}),
-            self._sample({"commit": 8, "remote_call": 4,
-                          "log_append": 40}),
-            self._sample({"commit": 20, "remote_call": 7,
-                          "log_append": 0}),
-        ]
-        fit = fit_measured_costs(samples, backend="threads")
-        assert isinstance(fit, MeasuredCosts)
-        assert fit.backend == "threads"
-        assert fit.samples == 4
-        for op, true_cost in self.TRUE.items():
-            assert fit.costs[op] == pytest.approx(true_cost, rel=1e-5)
-        assert fit.residual_us == pytest.approx(0.0, abs=1e-6)
-
-    def test_residual_reflects_noise(self):
-        counts, busy = self._sample({"commit": 10, "remote_call": 10,
-                                     "log_append": 10})
-        samples = [
-            self._sample({"commit": 10, "remote_call": 0,
-                          "log_append": 10}),
-            self._sample({"commit": 5, "remote_call": 20,
-                          "log_append": 5}),
-            self._sample({"commit": 8, "remote_call": 4,
-                          "log_append": 40}),
-            (counts, busy + 30.0),  # one perturbed observation
-        ]
-        fit = fit_measured_costs(samples)
-        assert fit.residual_us > 0.0
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ValueError, match="no samples"):
-            fit_measured_costs([])
-
-    def test_underdetermined_rejected(self):
-        samples = [self._sample({"commit": 1, "remote_call": 1,
-                                 "log_append": 1})]
-        with pytest.raises(ValueError, match="underdetermined"):
-            fit_measured_costs(samples)
-
-    def test_dependent_samples_rejected(self):
-        base = {"commit": 2, "remote_call": 4, "log_append": 6}
-        samples = [self._sample(base),
-                   self._sample({k: 2 * v for k, v in base.items()}),
-                   self._sample({k: 3 * v for k, v in base.items()})]
-        with pytest.raises(ValueError, match="singular"):
-            fit_measured_costs(samples, ridge=0.0)

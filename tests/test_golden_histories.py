@@ -49,6 +49,7 @@ from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
 from repro.durability.config import DurabilityConfig
 from repro.durability.recovery import enable_durability
+from repro.durability.wal import unseal
 from repro.experiments.common import tpcc_deployment
 from repro.formal.audit import attach_recorder
 from repro.replication.config import ReplicationConfig
@@ -175,6 +176,17 @@ def _ycsb(scheme: str, seed: int, recorded: bool):
 _BUILDERS = {"smallbank": _smallbank, "tpcc": _tpcc, "ycsb": _ycsb}
 
 
+def redo_text(log) -> str:
+    """A container's redo log as the digest covers it: one
+    ``json.dumps`` line per record."""
+    return "\n".join(json.dumps({
+        "tid": record.commit_tid,
+        "entries": [{"reactor": e.reactor, "table": e.table,
+                     "kind": e.kind, "pk": list(e.pk), "row": e.row}
+                    for e in record.entries]})
+        for record in map(unseal, log.records))
+
+
 def observe(workload: str, scheme: str, seed: int,
             recorded: bool) -> dict:
     """One seeded closed-loop run; everything observable about it."""
@@ -205,7 +217,7 @@ def observe(workload: str, scheme: str, seed: int,
         "results": results,
         "end_time": repr(database.scheduler.now),
         "events_dispatched": database.scheduler.events_dispatched,
-        "redo": [c.concurrency.redo_log.dump_json_lines()
+        "redo": [redo_text(c.concurrency.redo_log)
                  for c in database.containers],
         "cc_stats": [asdict(c.concurrency.stats)
                      for c in database.containers],

@@ -317,8 +317,6 @@ def test_serving_metrics_registered():
     """Accepted/shed counters and the inflight gauge appear in the
     telemetry snapshot after a served burst."""
     database = make_database()
-    if not database.telemetry.enabled:
-        pytest.skip("telemetry disabled in this configuration")
     server = serve_in_thread(database, max_inflight=4)
     client = TcpClient(server.host, server.port).connect()
     try:

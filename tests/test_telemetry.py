@@ -2,9 +2,9 @@
 
 Covers the metrics registry (catalog enforcement, histogram
 percentiles, label rendering, Prometheus text), the deterministic
-tracer (same seed => byte-identical Chrome export), the disabled path
-(no spans allocated, legacy stats shapes intact), the bench-summary
-embedding, and the trace validator (tools/check_trace.py).
+tracer (same seed => byte-identical Chrome export), the sampled-off
+path (no tracer, metrics kept), the bench-summary embedding, and the
+trace validator (tools/check_trace.py).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.errors import SimulationError
 from repro.replication.config import ReplicationConfig
 from repro.telemetry import MetricsRegistry, TelemetryConfig
 from repro.telemetry.config import full_tracing
-from repro.telemetry.facade import ABORT_REASONS
 from repro.workloads import smallbank as sb
 
 TOOLS = Path(__file__).parent.parent / "tools"
@@ -168,7 +167,6 @@ class TestMetricsRegistry:
 class TestTelemetryConfig:
     def test_defaults(self):
         config = TelemetryConfig()
-        assert config.enabled
         assert config.trace_sample == 64
         assert not config.trace_system
         assert config.tracing
@@ -180,11 +178,10 @@ class TestTelemetryConfig:
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
         monkeypatch.setenv("REPRO_TRACE", "all")
         assert TelemetryConfig() == TelemetryConfig(
-            enabled=True, trace_sample=64, trace_system=False)
+            trace_sample=64, trace_system=False)
 
     def test_roundtrip(self):
-        config = TelemetryConfig(enabled=True, trace_sample=8,
-                                 trace_system=True)
+        config = TelemetryConfig(trace_sample=8, trace_system=True)
         assert TelemetryConfig.from_dict(config.to_dict()) == config
 
     def test_full_tracing(self):
@@ -296,22 +293,10 @@ class TestTraceDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Disabled / sampled-off paths
+# Sampled-off path
 # ----------------------------------------------------------------------
 
 class TestDisabledPath:
-    def test_no_spans_no_observations(self):
-        database = build_db(
-            telemetry=TelemetryConfig(enabled=False))
-        result = drive(database)
-        telemetry = database.telemetry
-        assert telemetry.tracer is None
-        assert telemetry.bench_summary() == {}
-        assert result.telemetry == {}
-        assert telemetry.registry.value("txn_commit_latency_us") == 0
-        assert telemetry.histogram("txn_commit_latency_us") is None
-        assert result.summary.committed > 0
-
     def test_tracing_off_keeps_metrics(self):
         database = build_db(telemetry=TelemetryConfig(trace_sample=0))
         drive(database)
@@ -322,37 +307,6 @@ class TestDisabledPath:
         assert summary["commits"] > 0
         assert summary["txn_commit_latency_us"]["count"] == \
             summary["commits"]
-
-    def test_legacy_shapes_survive_disable(self):
-        """The legacy surfaces report identical numbers whether
-        telemetry is enabled or not (collectors are pure pull)."""
-        snapshots = []
-        for enabled in (True, False):
-            database = build_db(
-                telemetry=TelemetryConfig(enabled=enabled),
-                durability=DurabilityConfig(enabled=True,
-                                            mode="group"),
-                replication=ReplicationConfig(
-                    replicas_per_container=1, mode="async"))
-            drive(database)
-            snapshots.append({
-                "aborts": database.abort_counts(),
-                "versions": database.version_stats(),
-                "replication": database.replication_stats(),
-                "durability": database.durability_stats(),
-            })
-        assert snapshots[0] == snapshots[1]
-        aborts = snapshots[0]["aborts"]
-        assert set(aborts["by_reason"]) == set(ABORT_REASONS)
-        assert aborts["validations"] > 0
-        versions = snapshots[0]["versions"]
-        assert {"live_versions", "versions_created",
-                "gc_versions", "read_only_aborts"} <= set(versions)
-        durability = snapshots[0]["durability"]
-        flusher = durability["flushers"][0]
-        assert flusher["fsyncs"] > 0
-        assert flusher["records_per_fsync"] > 0
-        assert snapshots[0]["replication"]["records_shipped"] > 0
 
 
 # ----------------------------------------------------------------------

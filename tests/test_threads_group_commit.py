@@ -11,13 +11,16 @@ clock has passed *due*; since then the recipe of
 ``benchmarks/e2e/README.md`` ("Known gaps") answers every request.
 This is that recipe at 2,000 requests with a bound on it, and with the
 two things an answer must mean: the commit is in the flushed log, and
-no money was made or lost.
+no money was made or lost.  The last test holds the flusher's timer
+handle on ``threads``: a flush interval bounced to a queue at the
+inline depth bound can still be cancelled.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +28,17 @@ from repro.client import TcpClient
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
 from repro.durability.config import DurabilityConfig
+from repro.durability.group_commit import LogFlusher
+from repro.durability.wal import UPDATE, RedoEntry, RedoRecord
+from repro.runtime.threads import (
+    INLINE_DELAY_US,
+    MAX_INLINE_DEPTH,
+    ThreadsBackend,
+)
 from repro.serving import serve_in_thread
+from repro.sim.machine import XEON_E3_1276
+from repro.telemetry import TelemetryConfig
+from repro.telemetry.facade import Telemetry
 from repro.workloads import smallbank as sb
 
 CUSTOMERS = 200
@@ -101,3 +114,43 @@ def test_every_request_is_answered_and_every_ack_is_durable():
             CUSTOMERS * 2 * sb.INITIAL_BALANCE, abs=0.01)
     finally:
         database.close()
+
+
+def test_a_flush_timer_bounced_at_the_depth_bound_can_be_cancelled():
+    """A flush interval of at most ``INLINE_DELAY_US`` runs inline,
+    but at ``MAX_INLINE_DEPTH`` it is bounced to a queue instead.  The
+    flusher keeps the handle ``after`` returns and cancels it when the
+    batch threshold flushes the epoch early, so the bounced call must
+    still hand one back (it used to return ``None``, and the second
+    append raised ``AttributeError``).  The appends run in a callback,
+    so nothing they queue runs before both are in."""
+    entry = RedoEntry("r", "t", UPDATE, (0,), {"v": 0})
+    size = len(RedoRecord(1, (entry,)).sealed)
+    costs = replace(XEON_E3_1276.costs, flush_interval_us=10.0,
+                    flush_batch_bytes=2 * size)
+    assert costs.flush_interval_us <= INLINE_DELAY_US
+    backend = ThreadsBackend()
+    backend.attach(1)
+    try:
+        flusher = LogFlusher(0, backend, costs, "group",
+                             Telemetry(None, TelemetryConfig()))
+        acks = []
+
+        def append_two_at_the_depth_bound():
+            state = backend._thread_state()
+            state.depth = MAX_INLINE_DEPTH
+            try:
+                for tid in (1, 2):
+                    acks.append(flusher.on_append(
+                        RedoRecord(tid, (entry,))))
+            finally:
+                state.depth = 0
+
+        backend.soon(append_two_at_the_depth_bound)
+        backend.run()
+        assert len(acks) == 2 and all(ack.resolved for ack in acks)
+        assert flusher.stats.early_flushes == 1
+        assert flusher.stats.fsyncs == 1  # the bounced timer never ran
+        assert flusher.durable_tid == 2
+    finally:
+        backend.shutdown()

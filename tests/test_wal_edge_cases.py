@@ -1,4 +1,4 @@
-"""WAL edge cases: torn tails, truncation, durability config."""
+"""WAL edge cases: truncation, durability config."""
 
 import json
 
@@ -12,7 +12,6 @@ from repro.durability import (
     recover,
     take_checkpoint,
 )
-from repro.durability.wal import RedoLog
 from repro.errors import DeploymentError, TransactionAbort
 from repro.workloads import smallbank as sb
 
@@ -50,69 +49,6 @@ def state_of(database):
         for name in database.reactor_names()
         for table in ("savings", "checking")
     }
-
-
-def serialized_log_with_records(min_records=3):
-    database = fresh_bank()
-    manager = enable_durability(database)
-    run_transfers(database)
-    log = max(manager.logs.values(), key=len)
-    assert len(log) >= min_records
-    return database, manager, log
-
-
-class TestTornTail:
-    def test_torn_last_line_detected_and_dropped(self):
-        __, ___, log = serialized_log_with_records()
-        text = log.dump_json_lines()
-        torn = text[:-25]  # crash mid-write of the final record
-        restored = RedoLog.load_json_lines(log.container_id, torn)
-        assert restored.torn_tail
-        assert restored.records == log.records[:-1]
-
-    def test_clean_log_has_no_torn_tail(self):
-        __, ___, log = serialized_log_with_records()
-        restored = RedoLog.load_json_lines(
-            log.container_id, log.dump_json_lines())
-        assert not restored.torn_tail
-        assert restored.records == log.records
-
-    def test_replay_stops_at_last_complete_record(self):
-        """Recovery from a torn log equals recovery from the log
-        explicitly cut at the last complete record."""
-        database, manager, log = serialized_log_with_records()
-        text = log.dump_json_lines()
-        torn = RedoLog.load_json_lines(log.container_id, text[:-10])
-        cut = RedoLog(log.container_id, log.records[:-1])
-        base = take_checkpoint(fresh_bank())
-        others = [lg for cid, lg in manager.logs.items()
-                  if cid != log.container_id]
-        from_torn = recover(shared_nothing(3), sb.declarations(N),
-                            base, [torn, *others]).database
-        from_cut = recover(shared_nothing(3), sb.declarations(N),
-                           base, [cut, *others]).database
-        assert state_of(from_torn) == state_of(from_cut)
-
-    def test_mid_log_corruption_raises(self):
-        __, ___, log = serialized_log_with_records()
-        lines = log.dump_json_lines().splitlines()
-        lines[0] = lines[0][:-8]  # not the tail: real corruption
-        with pytest.raises(ValueError, match="corrupt redo record"):
-            RedoLog.load_json_lines(log.container_id,
-                                    "\n".join(lines))
-
-    def test_torn_json_variants(self):
-        """Half a JSON object, a wrong shape, and a non-JSON line all
-        count as torn when they end the file."""
-        __, ___, log = serialized_log_with_records()
-        good = log.dump_json_lines()
-        for tail in ('{"tid": 7, "entr',
-                     '{"unexpected": "shape"}',
-                     "garbage###"):
-            restored = RedoLog.load_json_lines(
-                log.container_id, good + "\n" + tail)
-            assert restored.torn_tail
-            assert restored.records == log.records
 
 
 class TestTruncationEquivalence:

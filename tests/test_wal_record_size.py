@@ -1,19 +1,16 @@
-"""A redo record's JSON line, and its size as the flusher sees it.
+"""Adversarial redo records, and a record's size as the flusher sees it.
 
-The log's file format is JSON lines: the property below holds
-``to_json_line`` to what ``json.dumps`` prints, ASCII only, on names
-and values chosen to break an encoder — escapes, non-ASCII, lone
-surrogates, non-finite floats, big ints, deletes, empty keys.  A
+``records()`` draws names and values chosen to break an encoder —
+escapes, non-ASCII, lone surrogates, non-finite floats, big ints,
+deletes, empty keys; ``test_sealed_log.py`` seals and unseals them.  A
 record's size is the length of its sealed bytes
-(``RedoRecord.byte_size``, see ``test_sealed_log.py``); the boundary
-test holds the group-commit flusher to that size exactly: a size one
-byte off moves the early flush by one append.
+(``RedoRecord.byte_size``); the boundary test holds the group-commit
+flusher to that size exactly: a size one byte off moves the early
+flush by one append.
 """
 
-import json
 from dataclasses import replace
 
-from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import DurabilityConfig
@@ -67,21 +64,11 @@ def records(draw) -> RedoRecord:
     return RedoRecord(tid, tuple(entries))
 
 
+#: One key set in two orders, the example ``test_sealed_log.py`` adds
+#: to what ``records()`` draws.
 _FORWARD = RedoEntry("r", "t", UPDATE, ("k",),
                      {"a\xe9": 1.5, 'q"': None, "": True})
 _BACKWARD = _FORWARD._replace(row=dict(reversed(_FORWARD.row.items())))
-
-
-@settings(max_examples=300, deadline=None)
-@given(record=records())
-@example(record=RedoRecord(7, (_FORWARD, _BACKWARD, _FORWARD)))
-def test_json_line_is_what_json_dumps_prints(record):
-    line = record.to_json_line()
-    assert line == json.dumps({
-        "tid": record.commit_tid,
-        "entries": [e.to_json() for e in record.entries]})
-    # ASCII escapes only: characters are bytes.
-    assert line.isascii()
 
 
 def test_batch_bytes_threshold_is_exact():
