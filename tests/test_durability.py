@@ -15,6 +15,7 @@ from repro.durability import (
     CheckpointManifest,
     DurabilityConfig,
     RedoEntry,
+    RedoLog,
     RedoRecord,
     enable_durability,
     recover,
@@ -100,6 +101,21 @@ class TestLogging:
         # Same commit TID on both participants.
         tids = {r.commit_tid for r in manager.log_records()}
         assert len(tids) == 1
+
+    def test_log_rebuilt_from_its_sealed_records(self):
+        """A log built from sealed records (as recovery and promotion
+        seeding build one) holds the same records and TIDs as the live
+        log that appended them."""
+        database = fresh_bank()
+        manager = enable_durability(database)
+        run_some_transfers(database, count=10)
+        assert any(len(log) for log in manager.logs.values())
+        for log in manager.logs.values():
+            restored = RedoLog(log.container_id, log.records)
+            assert restored.records == log.records
+            assert restored.tids == log.tids
+            assert restored.tids == [unseal(sealed).commit_tid
+                                     for sealed in log.records]
 
 
 class TestCheckpoints:

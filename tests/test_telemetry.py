@@ -23,6 +23,7 @@ from repro.errors import SimulationError
 from repro.replication.config import ReplicationConfig
 from repro.telemetry import MetricsRegistry, TelemetryConfig
 from repro.telemetry.config import full_tracing
+from repro.telemetry.facade import ABORT_REASONS
 from repro.workloads import smallbank as sb
 
 TOOLS = Path(__file__).parent.parent / "tools"
@@ -307,6 +308,37 @@ class TestDisabledPath:
         assert summary["commits"] > 0
         assert summary["txn_commit_latency_us"]["count"] == \
             summary["commits"]
+
+    def test_legacy_shapes_survive_disable(self):
+        """The legacy surfaces report identical numbers whether
+        tracing is on or sampled off (collectors are pure pull)."""
+        snapshots = []
+        for trace_sample in (64, 0):
+            database = build_db(
+                telemetry=TelemetryConfig(trace_sample=trace_sample),
+                durability=DurabilityConfig(enabled=True,
+                                            mode="group"),
+                replication=ReplicationConfig(
+                    replicas_per_container=1, mode="async"))
+            drive(database)
+            snapshots.append({
+                "aborts": database.abort_counts(),
+                "versions": database.version_stats(),
+                "replication": database.replication_stats(),
+                "durability": database.durability_stats(),
+            })
+        assert snapshots[0] == snapshots[1]
+        aborts = snapshots[0]["aborts"]
+        assert set(aborts["by_reason"]) == set(ABORT_REASONS)
+        assert aborts["validations"] > 0
+        versions = snapshots[0]["versions"]
+        assert {"live_versions", "versions_created",
+                "gc_versions", "read_only_aborts"} <= set(versions)
+        durability = snapshots[0]["durability"]
+        flusher = durability["flushers"][0]
+        assert flusher["fsyncs"] > 0
+        assert flusher["records_per_fsync"] > 0
+        assert snapshots[0]["replication"]["records_shipped"] > 0
 
 
 # ----------------------------------------------------------------------
