@@ -6,7 +6,8 @@ transaction factories, runs warmup + measurement in virtual time, and
 returns a :class:`~repro.bench.metrics.RunSummary` (plus raw stats for
 specialized analyses like the Figure 6 breakdown).  The closed-loop
 machinery drives the database in-process; served databases are
-measured open-loop by :mod:`repro.serving.loadgen` instead.
+measured open-loop by the end-to-end benchmark instead
+(``benchmarks/e2e/harness.py``).
 
 Every measurement also snapshots the database's telemetry summary
 (commit/abort latency percentiles from the metrics registry); the

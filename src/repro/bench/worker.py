@@ -15,8 +15,8 @@ Workers drive a :class:`ReactorDatabase` directly: being closed-loop
 *and* part of the cost model (they charge client-side overheads onto
 the root and read the virtual clock), they need the database's
 scheduler and cost profile, not a submission surface.  Open-loop load
-through a :class:`~repro.client.Client` is
-:mod:`repro.serving.loadgen`'s job.
+through a :class:`~repro.client.Client` is the end-to-end benchmark's
+job (``Driver.open_loop`` in ``benchmarks/e2e/harness.py``).
 """
 
 from __future__ import annotations

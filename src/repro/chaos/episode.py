@@ -271,7 +271,7 @@ def _arm_bug(database: ReactorDatabase, bug: str | None) -> None:
     elif bug == "drop_shipped_record" and \
             database.replication is not None:
         database.replication.chaos_drop_ship = True
-    elif bug == "drop_parked_roots" and database.migration is not None:
+    elif bug == "drop_parked_roots":
         database.migration.chaos_drop_parked = True
 
 

@@ -79,10 +79,9 @@ class FaultInjector:
 
     def _do_migrate(self, action: FaultAction) -> bool:
         database = self.database
-        migration = database.migration
-        if migration is None or len(database.containers) < 2:
+        if len(database.containers) < 2:
             return False
-        movable = migration.movable_reactors()
+        movable = database.migration.movable_reactors()
         if not movable:
             return False
         name = movable[action.param("reactor_index", 0) % len(movable)]
@@ -99,8 +98,7 @@ class FaultInjector:
         return True
 
     def _do_rebalance(self, action: FaultAction) -> bool:
-        if self.database.migration is None or \
-                len(self.database.containers) < 2:
+        if len(self.database.containers) < 2:
             return False
         self.database.rebalance()
         return True

@@ -73,8 +73,9 @@ class ReactorDatabase:
         self.durability: Any = None
         #: Replication manager when the deployment asks for replicas.
         self.replication: Any = None
-        #: Online-migration manager (always attached; see
-        #: repro.migration).
+        #: Online-migration manager (repro.migration).  ``_build``
+        #: always attaches one, so it is never ``None`` once the
+        #: database is constructed.
         self.migration: Any = None
         #: The unified telemetry facade (metrics registry + span
         #: tracer + exporters).  Created before ``_build`` so every
@@ -212,8 +213,7 @@ class ReactorDatabase:
             reactor = self.reactor(reactor_name)  # raises the typed error
         if proc_name not in reactor.rtype.procedures:
             reactor.rtype.get_procedure(proc_name)  # raises the typed error
-        if self.migration is not None:
-            self.migration.note_submit(reactor_name)
+        self.migration.note_submit(reactor_name)
         if read_only is None:
             read_only = proc_name in reactor.rtype.read_only_procedures
         if read_only and self.replication is not None:

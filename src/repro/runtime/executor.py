@@ -482,8 +482,7 @@ class TransactionExecutor:
         # destination container after the routing flip, so the
         # transaction spans the migration and commits through 2PC like
         # any cross-container one.
-        migration = database.migration
-        parked = migration is not None and reactor.migrating and \
+        parked = reactor.migrating and \
             root.txn_id not in reactor.inflight_roots
         target = None if parked else self._sub_call_target(reactor)
         if target is self:
@@ -526,7 +525,7 @@ class TransactionExecutor:
             trace.open_child(subtxn_id, f"subcall:{reactor.name}",
                              self.scheduler.now, span_args)
         if parked:
-            migration.park_subcall(reactor.name, subtask)
+            database.migration.park_subcall(reactor.name, subtask)
         else:
             self.scheduler.after(
                 self.costs.cs + self.costs.transport_delay,

@@ -15,21 +15,13 @@ clients".
   responses matched by request id) and wire-level admission control
   (bounded in-flight requests; excess load is shed with a typed
   ``overloaded`` response carrying a retry-after hint, never parked
-  unboundedly);
-* :mod:`repro.serving.loadgen` — the open-loop load generator:
-  Poisson/fixed-rate arrival schedules with coordinated-omission-aware
-  latency recording (latency measured from *intended* send time).
+  unboundedly).
 
 The client half of the wire lives in :mod:`repro.client`
 (:class:`~repro.client.TcpClient`); see ``docs/serving.md`` for the
 protocol spec and methodology notes.
 """
 
-from repro.serving.loadgen import (
-    ArrivalSchedule,
-    OpenLoopResult,
-    run_open_loop,
-)
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -41,14 +33,11 @@ from repro.serving.server import ReactorServer, ServerThread, serve_in_thread
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "ArrivalSchedule",
     "FrameDecoder",
-    "OpenLoopResult",
     "Overloaded",
     "ReactorServer",
     "ServerThread",
     "TornFrameError",
     "WireProtocolError",
-    "run_open_loop",
     "serve_in_thread",
 ]

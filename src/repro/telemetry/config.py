@@ -37,11 +37,6 @@ class TelemetryConfig:
     def __post_init__(self) -> None:
         self.trace_sample = max(0, int(self.trace_sample))
 
-    @property
-    def tracing(self) -> bool:
-        """Is any root-span tracing active?"""
-        return self.trace_sample > 0
-
     # -- serialization --------------------------------------------------
 
     #: Every key ``from_dict`` accepts (exactly what ``to_dict``

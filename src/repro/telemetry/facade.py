@@ -39,7 +39,7 @@ class Telemetry:
         self.database = database
         self.config = config
         self.registry = MetricsRegistry()
-        self._sample = config.trace_sample if config.tracing else 0
+        self._sample = config.trace_sample
         self.tracer: Tracer | None = (
             Tracer(system=config.trace_system) if self._sample else None)
         registry = self.registry

@@ -1,13 +1,26 @@
-"""Benchmark harness tests: metrics, workers, measurement engine."""
+"""Benchmark harness tests: metrics, workers, measurement engine, and
+the end-to-end benchmark's open loop."""
+
+import importlib.util
+import itertools
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.bench.metrics import mean, percentile, stddev, summarize
 from repro.bench.report import format_table, print_series
 from repro.bench.harness import run_measurement, single_worker_latency
+from repro.client.base import Outcome, Submission
 from repro.core.deployment import shared_nothing
 from repro.runtime.transaction import TxnStats
 from tests.conftest import make_bank
+
+SPEC = importlib.util.spec_from_file_location(
+    "e2e_harness",
+    Path(__file__).parent.parent / "benchmarks" / "e2e" / "harness.py")
+e2e_harness = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(e2e_harness)
 
 
 def stat(txn_id, end, committed=True, latency=10.0, user_abort=False):
@@ -31,6 +44,13 @@ class TestStatistics:
         assert percentile(values, 50) == 50.0
         assert percentile(values, 99) == 99.0
         assert percentile([], 50) == 0.0
+        # Unsorted input, q=0, and the ranks where a float product
+        # lands just above an integer.
+        thousand = [float(i) for i in range(1, 1001)]
+        assert percentile(thousand, 99.9) == 999.0
+        assert percentile(thousand[::-1], 99.9) == 999.0
+        assert percentile(thousand, 0.0) == 1.0
+        assert percentile(range(1, 3001), 99.9) == 2997
 
 
 class TestSummarize:
@@ -153,3 +173,33 @@ class TestMeasurementEngine:
                                      measure_us=2_000.0, seed=9)
             latencies.append(result.summary.latency_us)
         assert latencies[0] == latencies[1]
+
+
+def test_open_loop_times_requests_from_their_intended_send():
+    """A sender that stalls inside ``submit`` charges the backlog to
+    the requests it held back: recorded latencies grow across the run
+    though each request is answered at once.  A recorder timing from
+    the actual send would read ~0 for every request (coordinated
+    omission)."""
+    stall = 0.004
+
+    class StallingClient:
+        def submit(self, reactor, proc, *args, on_done=None):
+            time.sleep(stall)
+            submission = Submission()
+            submission.add_done_callback(on_done)
+            submission.resolve(Outcome(True))
+            return submission
+
+    tally = e2e_harness.Tally()
+    # Intended arrivals every 0.1 ms, far beyond what the sender can
+    # sustain: ten of them fall inside the 1.05 ms window.
+    spans = e2e_harness.Driver(StallingClient(), tally).open_loop(
+        itertools.repeat(("r", "p", ())), itertools.repeat(0.0001),
+        0.00105)
+    n = len(spans)
+    assert n == 10 and tally.kinds["committed"] == n
+    latencies = spans.latencies_us()
+    assert latencies[-1] > (n - 2) * stall * 1e6 / 2
+    assert latencies[-1] > latencies[0]
+    assert spans.max_send_lag_us() > stall * 1e6

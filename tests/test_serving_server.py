@@ -209,6 +209,32 @@ def test_overload_shed_is_typed_with_retry_hint(codec):
         database.close()
 
 
+@each_codec
+@pytest.mark.parametrize("backend", ["sim", "threads"])
+def test_unloaded_server_sheds_nothing(codec, backend):
+    """One request in flight at a time, under the default admission
+    bound: every answer is a commit, none is a shed, and the in-flight
+    count is back to zero after each answer.  ``run_to_commit``
+    retries sheds, so only a test that takes each first answer as
+    final sees a shed at low load."""
+    database = make_database(backend=backend)
+    server = serve_in_thread(database)
+    client = TcpClient(server.host, server.port,
+                       codecs=(codec,)).connect()
+    try:
+        for i in range(50):
+            outcome = client.submit(
+                sb.reactor_name(i % N_CUSTOMERS), "deposit_checking",
+                1.0).wait(10.0)
+            assert outcome.committed, \
+                (i, outcome.error_code, outcome.reason)
+            assert server.server.inflight == 0, i
+    finally:
+        client.close()
+        server.stop()
+        database.close()
+
+
 GRUMBLER = ReactorType("Grumbler", lambda: [])
 
 

@@ -170,7 +170,6 @@ class TestTelemetryConfig:
         config = TelemetryConfig()
         assert config.trace_sample == 64
         assert not config.trace_system
-        assert config.tracing
 
     def test_environment_is_ignored(self, monkeypatch):
         """What a test or benchmark measures depends on its config

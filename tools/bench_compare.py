@@ -15,10 +15,8 @@ against the baseline row with the same key:
   noisy, so every committed gate is wide; a baseline without a block
   fails.  (The virtual-time ablations are not gated here: each pins
   its rows in its own ``check``, see ``repro.experiments.common``.)
-* ``latency_us`` / ``p50_us`` / ``p99_us`` / ``p999_us`` /
-  ``abort_rate`` are reported for context, never gated (the serving
-  bench's open-loop tail percentiles ride along here until the
-  planned latency gate lands).
+* ``latency_us`` / ``p50_us`` / ``p99_us`` / ``abort_rate`` are
+  reported for context, never gated.
 * a current payload's top-level ``"telemetry"`` block (per-measurement
   commit/abort latency percentiles from the telemetry registry) is
   rendered as a report-only table — also never gated, and absent
@@ -55,12 +53,10 @@ DEFAULT_BASELINE = DEFAULT_CURRENT / "baselines"
 #: else is an output — counters move with the measurement and must
 #: never leak into the key, or an in-band change would read as a
 #: vanished baseline.
-ID_KEYS = ("workload", "mode", "scheme", "phase", "backend",
-           "containers", "arrival_rate")
-#: Context metrics shown in the table.  ``p50_us``/``p999_us`` appear
-#: only in open-loop serving rows; rows without a metric render blank.
-REPORT_METRICS = ("latency_us", "p50_us", "p99_us", "p999_us",
-                  "abort_rate")
+ID_KEYS = ("workload", "mode", "scheme", "backend", "containers")
+#: Context metrics shown in the table; rows without a metric render
+#: blank.
+REPORT_METRICS = ("latency_us", "p50_us", "p99_us", "abort_rate")
 
 
 def gate_of(payload: dict) -> tuple[str, float] | None:
