@@ -177,10 +177,9 @@ class TestMeasurementEngine:
 
 def test_open_loop_times_requests_from_their_intended_send():
     """A sender that stalls inside ``submit`` charges the backlog to
-    the requests it held back: recorded latencies grow across the run
-    though each request is answered at once.  A recorder timing from
-    the actual send would read ~0 for every request (coordinated
-    omission)."""
+    the requests it held back, so latency grows across the run; timed
+    from when the sender reached each request, every latency would
+    read one stall (coordinated omission)."""
     stall = 0.004
 
     class StallingClient:
@@ -192,8 +191,7 @@ def test_open_loop_times_requests_from_their_intended_send():
             return submission
 
     tally = e2e_harness.Tally()
-    # Intended arrivals every 0.1 ms, far beyond what the sender can
-    # sustain: ten of them fall inside the 1.05 ms window.
+    # Ten arrivals 0.1 ms apart, far faster than the sender can go.
     spans = e2e_harness.Driver(StallingClient(), tally).open_loop(
         itertools.repeat(("r", "p", ())), itertools.repeat(0.0001),
         0.00105)

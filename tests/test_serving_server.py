@@ -212,11 +212,9 @@ def test_overload_shed_is_typed_with_retry_hint(codec):
 @each_codec
 @pytest.mark.parametrize("backend", ["sim", "threads"])
 def test_unloaded_server_sheds_nothing(codec, backend):
-    """One request in flight at a time, under the default admission
-    bound: every answer is a commit, none is a shed, and the in-flight
-    count is back to zero after each answer.  ``run_to_commit``
-    retries sheds, so only a test that takes each first answer as
-    final sees a shed at low load."""
+    """One request at a time under the default admission bound: each
+    first answer commits (``run_to_commit`` would retry a shed) and
+    the in-flight count is back to zero after it."""
     database = make_database(backend=backend)
     server = serve_in_thread(database)
     client = TcpClient(server.host, server.port,
