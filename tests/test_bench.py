@@ -3,6 +3,7 @@ the end-to-end benchmark's open loop."""
 
 import importlib.util
 import itertools
+import threading
 import time
 from pathlib import Path
 
@@ -51,6 +52,10 @@ class TestStatistics:
         assert percentile(thousand[::-1], 99.9) == 999.0
         assert percentile(thousand, 0.0) == 1.0
         assert percentile(range(1, 3001), 99.9) == 2997
+
+    @pytest.mark.parametrize("q", [0.0, 50.0, 99.9, 100.0])
+    def test_percentile_of_one_sample(self, q):
+        assert percentile([7.0], q) == 7.0
 
 
 class TestSummarize:
@@ -201,3 +206,70 @@ def test_open_loop_times_requests_from_their_intended_send():
     assert latencies[-1] > (n - 2) * stall * 1e6 / 2
     assert latencies[-1] > latencies[0]
     assert spans.max_send_lag_us() > stall * 1e6
+
+
+@pytest.mark.parametrize("outcome, kind", [
+    (Outcome(True), "committed"),
+    (Outcome(False, reason="user"), "aborted"),
+    (Outcome(False, reason="bound", error_code="overloaded",
+             retry_after_us=10.0), "shed"),
+    (Outcome(False, reason="bad", error_code="bad_request"), "error"),
+    (None, "timeout"),
+])
+def test_tally_sorts_answers_from_failures(outcome, kind, monkeypatch):
+    """Commits and aborts are answers; a shed, a typed error and a
+    request never answered within the reply timeout are failures."""
+    monkeypatch.setattr(e2e_harness, "REPLY_TIMEOUT_S", 0.05)
+    submission = Submission()
+    if outcome is not None:
+        submission.resolve(outcome)
+    tally = e2e_harness.Tally()
+    e2e_harness.Driver(object(), tally).finish([submission])
+    assert tally.kinds == {kind: 1}
+    assert tally.failed == (kind not in ("committed", "aborted"))
+
+
+def test_open_loop_waits_for_answers_from_another_thread():
+    """Submissions resolved off the sender's thread (the ``TcpClient``
+    shape) are waited for, and each is timed to its own answer."""
+    pending = []
+
+    class AsyncClient:
+        def submit(self, reactor, proc, *args, on_done=None):
+            submission = Submission()
+            submission.add_done_callback(on_done)
+            pending.append(submission)
+            return submission
+
+    def resolver():
+        while len(pending) < 5:
+            time.sleep(0.001)
+        for submission in pending:
+            submission.resolve(Outcome(True))
+
+    thread = threading.Thread(target=resolver, daemon=True)
+    thread.start()
+    tally = e2e_harness.Tally()
+    spans = e2e_harness.Driver(AsyncClient(), tally).open_loop(
+        itertools.repeat(("r", "p", ())), itertools.repeat(0.0002),
+        0.0011)
+    thread.join(timeout=5.0)
+    assert len(spans) == 5 and tally.kinds == {"committed": 5}
+    assert all(latency > 0 for latency in spans.latencies_us())
+
+
+def test_closed_loop_holds_no_more_than_inflight(monkeypatch):
+    """With no answer coming, the closed loop sends ``inflight``
+    requests, gives up after one reply timeout and tallies each as a
+    failure."""
+    monkeypatch.setattr(e2e_harness, "REPLY_TIMEOUT_S", 0.05)
+
+    class SilentClient:
+        def submit(self, reactor, proc, *args, on_done=None):
+            return Submission()
+
+    tally = e2e_harness.Tally()
+    spans = e2e_harness.Driver(SilentClient(), tally).closed_loop(
+        itertools.repeat(("r", "p", ())), inflight=3)
+    assert len(spans) == 3
+    assert tally.kinds == {"timeout": 3} and tally.failed == 3
