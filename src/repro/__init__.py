@@ -34,7 +34,6 @@ Public exports: the programming-model surface
 :class:`~repro.core.context.ReactorContext`), the deployment-time
 knobs (:class:`~repro.core.deployment.DeploymentConfig`, the S1/S2/S3
 factories, :class:`~repro.replication.config.ReplicationConfig`,
-:class:`~repro.migration.config.MigrationConfig`,
 :class:`~repro.durability.config.DurabilityConfig`), the error roots
 (:class:`~repro.errors.ReactorError`,
 :class:`~repro.errors.TransactionAbort`,
@@ -52,7 +51,6 @@ from repro.core import (
 )
 from repro.durability.config import DurabilityConfig
 from repro.errors import ReactorError, TransactionAbort, UserAbort
-from repro.migration import MigrationConfig
 from repro.replication import ReplicationConfig
 from repro.sim import OPTERON_6274, XEON_E3_1276
 
@@ -64,7 +62,6 @@ __all__ = [
     "ReactorContext",
     "DeploymentConfig",
     "ReplicationConfig",
-    "MigrationConfig",
     "DurabilityConfig",
     "shared_everything_without_affinity",
     "shared_everything_with_affinity",

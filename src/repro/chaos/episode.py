@@ -36,7 +36,6 @@ from repro.core.database import ReactorDatabase
 from repro.core.deployment import shared_nothing
 from repro.durability.config import DurabilityConfig
 from repro.formal.audit import certify_all, recording
-from repro.migration.config import MigrationConfig
 from repro.replication.config import ReplicationConfig
 from repro.sim.rng import RngFactory
 from repro.telemetry.config import TelemetryConfig, full_tracing
@@ -180,7 +179,6 @@ def _build_deployment(config: EpisodeConfig, full_trace: bool):
         cc_scheme=config.cc_scheme,
         snapshot_reads=config.snapshot_reads,
         replication=replication,
-        migration=MigrationConfig(),
         durability=durability,
     )
     # Pin telemetry explicitly: episode results must not depend on the

@@ -150,7 +150,7 @@ class ReactorDatabase:
         # migration layer reaches back into core/runtime modules.
         from repro.migration.manager import MigrationManager
 
-        self.migration = MigrationManager(self, deployment.migration)
+        self.migration = MigrationManager(self)
 
         self.telemetry.attach_collectors()
 
@@ -513,10 +513,11 @@ class ReactorDatabase:
                                       on_done=on_done)
 
     def rebalance(self):
-        """One elastic load check: migrate the hottest reactors off
-        overloaded containers (see
-        :class:`~repro.migration.config.MigrationConfig` for the
-        imbalance threshold).  Returns the migrations started."""
+        """One load check: migrate the hottest reactors off
+        containers loaded past
+        :data:`~repro.migration.manager.IMBALANCE_THRESHOLD` times the
+        mean.  Returns the migrations started.  For periodic checks,
+        schedule it: ``db.scheduler.at(t, db.rebalance)``."""
         self._require_virtual("elastic rebalancing")
         return self.migration.rebalance()
 

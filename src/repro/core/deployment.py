@@ -37,7 +37,6 @@ from typing import Any
 from repro.concurrency import BUILTIN_CC_SCHEMES
 from repro.durability.config import NO_DURABILITY, DurabilityConfig
 from repro.errors import DeploymentError, read_config_keys
-from repro.migration.config import DEFAULT_MIGRATION, MigrationConfig
 from repro.replication.config import NO_REPLICATION, ReplicationConfig
 from repro.telemetry.config import TelemetryConfig
 from repro.sim.machine import (
@@ -104,6 +103,12 @@ class ExplicitPlacement(Placement):
     kind = "explicit"
 
     def __init__(self, mapping: dict[str, int]) -> None:
+        for name, cid in mapping.items():
+            if not isinstance(cid, int) or isinstance(cid, bool) or \
+                    cid < 0:
+                raise DeploymentError(
+                    f"explicit placement of reactor {name!r} must be "
+                    f"a container index (an int >= 0), got {cid!r}")
         self.mapping = mapping
 
     def container_for(self, name: str, index: int,
@@ -160,12 +165,6 @@ class DeploymentConfig:
     (``async``), and whether read-only root transactions are served
     from replicas — again a config edit only.
 
-    ``migration`` removes the last start-time restriction: a
-    :class:`~repro.migration.config.MigrationConfig` tunes how online
-    reactor migrations (``db.migrate`` / ``db.rebalance``) drain and
-    whether the elastic rebalancing policy runs automatically — so
-    *placement over time* is a config edit too.
-
     ``durability`` extends the claim to persistence: a
     :class:`~repro.durability.config.DurabilityConfig` decides whether
     redo logging is on and when a commit may be acknowledged relative
@@ -186,7 +185,6 @@ class DeploymentConfig:
     #: scheme.
     snapshot_reads: bool = False
     replication: ReplicationConfig = NO_REPLICATION
-    migration: MigrationConfig = DEFAULT_MIGRATION
     durability: DurabilityConfig = NO_DURABILITY
     #: Observability switches (metrics on/off, root-trace sampling).
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
@@ -250,8 +248,7 @@ class DeploymentConfig:
         "name": str, "machine": str, "containers": list,
         "routing": str, "pin_reactors": bool, "placement": dict,
         "cc_scheme": str, "snapshot_reads": bool, "replication": dict,
-        "migration": dict, "durability": dict, "telemetry": dict,
-        "backend": str,
+        "durability": dict, "telemetry": dict, "backend": str,
     }
     #: The same rule inside one entry of ``containers``.
     CONTAINER_KEYS = {"executors": int, "mpl": int}
@@ -270,7 +267,6 @@ class DeploymentConfig:
             "cc_scheme": self.cc_scheme,
             "snapshot_reads": self.snapshot_reads,
             "replication": self.replication.to_dict(),
-            "migration": self.migration.to_dict(),
             "durability": self.durability.to_dict(),
             "telemetry": self.telemetry.to_dict(),
             "backend": self.backend,
@@ -294,7 +290,6 @@ class DeploymentConfig:
                 ) from None
         for key, reader in (("placement", Placement),
                             ("replication", ReplicationConfig),
-                            ("migration", MigrationConfig),
                             ("durability", DurabilityConfig),
                             ("telemetry", TelemetryConfig)):
             if key in fields:
@@ -315,7 +310,6 @@ class DeploymentConfig:
 
 def shared_everything_without_affinity(
         n_executors: int, machine: MachineProfile = XEON_E3_1276,
-        placement: Placement | None = None,
         cc_scheme: str = "occ",
         snapshot_reads: bool = False,
         replication: ReplicationConfig | None = None,
@@ -329,7 +323,6 @@ def shared_everything_without_affinity(
         routing=ROUND_ROBIN,
         pin_reactors=False,
         machine=machine,
-        placement=placement or Placement(),
         cc_scheme=cc_scheme,
         snapshot_reads=snapshot_reads,
         replication=replication or NO_REPLICATION,
@@ -340,7 +333,6 @@ def shared_everything_without_affinity(
 
 def shared_everything_with_affinity(
         n_executors: int, machine: MachineProfile = XEON_E3_1276,
-        placement: Placement | None = None,
         cc_scheme: str = "occ",
         snapshot_reads: bool = False,
         replication: ReplicationConfig | None = None,
@@ -354,7 +346,6 @@ def shared_everything_with_affinity(
         routing=AFFINITY,
         pin_reactors=False,
         machine=machine,
-        placement=placement or Placement(),
         cc_scheme=cc_scheme,
         snapshot_reads=snapshot_reads,
         replication=replication or NO_REPLICATION,
@@ -369,7 +360,6 @@ def shared_nothing(n_containers: int,
                    cc_scheme: str = "occ",
                    snapshot_reads: bool = False,
                    replication: ReplicationConfig | None = None,
-                   migration: MigrationConfig | None = None,
                    durability: DurabilityConfig | None = None,
                    backend: str = "sim"
                    ) -> DeploymentConfig:
@@ -395,7 +385,6 @@ def shared_nothing(n_containers: int,
         cc_scheme=cc_scheme,
         snapshot_reads=snapshot_reads,
         replication=replication or NO_REPLICATION,
-        migration=migration or DEFAULT_MIGRATION,
         durability=durability or NO_DURABILITY,
         backend=backend,
     )

@@ -71,9 +71,6 @@ class ReactorType:
             return register(fn)
         return register
 
-    def is_read_only(self, name: str) -> bool:
-        return name in self.read_only_procedures
-
     def get_procedure(self, name: str) -> Procedure:
         try:
             return self.procedures[name]

@@ -29,10 +29,7 @@ from repro.concurrency.base import CCSession
 from repro.durability.wal import unseal
 from repro.formal.history import ReactorHistory
 from repro.formal.ops import READ, WRITE, Op, abort, commit
-from repro.formal.serializability import (
-    is_serializable_reactor,
-    serialization_order,
-)
+from repro.formal.serializability import is_serializable_reactor
 
 
 class HistoryRecorder:
@@ -116,13 +113,6 @@ class HistoryRecorder:
 
     def is_serializable(self) -> bool:
         return is_serializable_reactor(self.history)
-
-    def equivalent_serial_order(self) -> list[int] | None:
-        """A witness serial order of committed transactions, or
-        ``None`` if the history is not serializable."""
-        return serialization_order(
-            self.history.committed_txns(),
-            self.history.conflict_edges())
 
     def wrap(self, session: CCSession, reactor: Any,
              task: Any) -> Any:

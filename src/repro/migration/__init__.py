@@ -1,4 +1,4 @@
-"""Online reactor migration and elastic rebalancing.
+"""Online reactor migration and load rebalancing.
 
 This layer makes reactor *placement over time* a live operation rather
 than a start-time choice: a :class:`MigrationManager` (attached to
@@ -7,47 +7,20 @@ records, partial indexes, routing entry — between containers while the
 system serves traffic (park new work / drain in-flight transactions /
 copy state through the redo-record machinery / atomically flip routing
 / replay the parked work), keeping replication consistent by re-homing
-the reactor's replica shards.  An :class:`ElasticPolicy` watches
-per-container load and triggers migrations to rebalance under skew.
+the reactor's replica shards.  ``rebalance()`` moves the hottest
+reactors off overloaded containers; a caller that wants it periodic
+schedules it in virtual time (``db.scheduler.at(t, db.rebalance)``).
+The mechanics are constants of :mod:`repro.migration.manager`, not
+deployment options.
 
-Public exports: :class:`MigrationConfig` (the deployment-time knob,
-with :data:`DEFAULT_MIGRATION`), :class:`MigrationManager` and its
-:class:`Migration` handle / :class:`MigrationStats` counters, and
-:class:`ElasticPolicy`.  The usual entry points are
+Public exports: :class:`MigrationManager` and its :class:`Migration`
+handle / :class:`MigrationStats` counters.  The usual entry points are
 ``db.migrate(reactor, dst)``, ``db.rebalance()`` and
 ``db.migration_stats()``; black-box certification of completed
 migrations lives in :func:`repro.formal.audit.certify_migration`.
-
-Only the config is imported eagerly: :mod:`repro.core.deployment`
-imports this package while the core/runtime modules the manager needs
-are still initializing, so the manager/policy symbols resolve lazily
-on first attribute access.
 """
 
-from repro.migration.config import DEFAULT_MIGRATION, MigrationConfig
+from repro.migration.manager import Migration, MigrationManager, \
+    MigrationStats
 
-__all__ = [
-    "MigrationConfig",
-    "DEFAULT_MIGRATION",
-    "MigrationManager",
-    "Migration",
-    "MigrationStats",
-    "ElasticPolicy",
-]
-
-_LAZY = {
-    "MigrationManager": "repro.migration.manager",
-    "Migration": "repro.migration.manager",
-    "MigrationStats": "repro.migration.manager",
-    "ElasticPolicy": "repro.migration.policy",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__all__ = ["MigrationManager", "Migration", "MigrationStats"]

@@ -12,7 +12,7 @@ container to another while the system keeps serving traffic:
    instead of reaching an executor (queued-but-unstarted roots at the
    source are swept into the same queue);
 2. **drain** — the migration waits (re-checking every
-   ``drain_poll_us`` of virtual time) until no in-flight root
+   ``DRAIN_POLL_US`` of virtual time) until no in-flight root
    transaction that touched the source instance remains, so no session
    can still reference its records;
 3. **copy** — the committed state is snapshotted into synthetic
@@ -31,9 +31,9 @@ container to another while the system keeps serving traffic:
 
 On top of the mechanism, :meth:`MigrationManager.rebalance` (exposed
 as ``db.rebalance()``) watches per-reactor submission counts and moves
-the hottest reactors off overloaded containers;
-:class:`~repro.migration.policy.ElasticPolicy` runs that check
-periodically in virtual time.
+the hottest reactors off overloaded containers.  A caller that wants
+it periodic schedules it, ``scheduler.at(t, db.rebalance)``.  The
+mechanics are the module constants below, not deployment options.
 """
 
 from __future__ import annotations
@@ -51,6 +51,15 @@ DRAINING = "draining"
 COPYING = "copying"
 DONE = "done"
 CANCELLED = "cancelled"
+
+#: Virtual-time interval between drain-barrier re-checks while a
+#: migration waits for in-flight transactions at the source.
+DRAIN_POLL_US = 5.0
+#: A container is overloaded when its share of the submission window
+#: exceeds this multiple of the mean per-container load.
+IMBALANCE_THRESHOLD = 1.3
+#: Upper bound on migrations one ``rebalance()`` call may start.
+MAX_MOVES_PER_CHECK = 4
 
 
 @dataclass
@@ -122,11 +131,14 @@ class MigrationStats:
 
 
 class MigrationManager:
-    """Owns the online migrations and load accounting of one database."""
+    """Owns the online migrations and load accounting of one database.
 
-    def __init__(self, database: Any, config: Any) -> None:
+    It has no options: the drain cadence and the rebalancing bounds
+    are this module's constants.
+    """
+
+    def __init__(self, database: Any) -> None:
         self.database = database
-        self.config = config
         self.stats = MigrationStats()
         #: reactor name -> in-progress Migration.
         self.active: dict[str, Migration] = {}
@@ -137,10 +149,6 @@ class MigrationManager:
         #: reactor name -> root submissions since the window reset
         #: (the load signal rebalancing decides on).
         self.load: dict[str, int] = {}
-        # Deferred import: policy only needs the manager.
-        from repro.migration.policy import ElasticPolicy
-
-        self.policy = ElasticPolicy(self, config)
         #: Deliberate-bug toggle (chaos self-test only): drop parked
         #: roots at the routing flip instead of replaying
         #: them — a lost-work bug the campaign's liveness check (every
@@ -148,8 +156,6 @@ class MigrationManager:
         self.chaos_drop_parked = False
         self._telemetry = database.telemetry
         self._telemetry.register_migration(self)
-        if config.auto_rebalance:
-            self.policy.start(config.auto_rebalance_horizon_us)
 
     # ------------------------------------------------------------------
     # Load accounting (called from ReactorDatabase.submit)
@@ -276,7 +282,7 @@ class MigrationManager:
             self._begin_copy(migration)
             return
         migration.drain_polls += 1
-        database.scheduler.after(self.config.drain_poll_us,
+        database.scheduler.after(DRAIN_POLL_US,
                                  self._poll_drain, migration)
 
     def _drained(self, migration: Migration, reactor: Reactor) -> bool:
@@ -596,8 +602,10 @@ class MigrationManager:
         return loads
 
     def rebalance(self) -> list[Migration]:
-        """One elastic check: migrate the hottest reactors off
-        overloaded containers.  Returns the migrations started."""
+        """One load check: migrate the hottest reactors off
+        containers loaded past ``IMBALANCE_THRESHOLD`` times the mean,
+        at most ``MAX_MOVES_PER_CHECK`` of them.  Returns the
+        migrations started."""
         database = self.database
         self.stats.rebalance_checks += 1
         n_containers = len(database.containers)
@@ -606,7 +614,7 @@ class MigrationManager:
         if n_containers < 2 or total == 0:
             return []
         mean = total / n_containers
-        threshold = self.config.imbalance_threshold * mean
+        threshold = IMBALANCE_THRESHOLD * mean
         # Hottest reactors per container, from the submission window.
         by_container: dict[int, list[tuple[int, str]]] = {}
         for name, count in sorted(self.load.items()):
@@ -626,7 +634,7 @@ class MigrationManager:
         # rather than ending the check, so a *different* overloaded
         # container still gets its turn within the move budget.
         unfixable: set[int] = set()
-        while len(moves) < self.config.max_moves_per_check:
+        while len(moves) < MAX_MOVES_PER_CHECK:
             sources = [cid for cid in range(n_containers)
                        if cid not in unfixable]
             if not sources:

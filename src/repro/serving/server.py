@@ -65,9 +65,9 @@ from repro.telemetry.spans import TRACK_SERVING
 #: Default bound on requests admitted but not yet answered.
 DEFAULT_MAX_INFLIGHT = 256
 
-#: Default retry-after hint (microseconds) attached to sheds; the
+#: Base retry-after hint (microseconds) attached to sheds; the
 #: actual hint scales with how far past the bound the server is.
-DEFAULT_RETRY_AFTER_US = 1_000.0
+RETRY_AFTER_US = 1_000.0
 
 
 class _Connection(asyncio.Protocol):
@@ -166,14 +166,11 @@ class ReactorServer:
 
     def __init__(self, database: ReactorDatabase,
                  host: str = "127.0.0.1", port: int = 0,
-                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
-                 retry_after_us: float = DEFAULT_RETRY_AFTER_US
-                 ) -> None:
+                 max_inflight: int = DEFAULT_MAX_INFLIGHT) -> None:
         self.database = database
         self.host = host
         self.port = port
         self.max_inflight = max_inflight
-        self.retry_after_us = retry_after_us
         self.inflight = 0
         #: (host, port) actually bound, known after :meth:`start`.
         self.address: tuple[str, int] | None = None
@@ -320,7 +317,7 @@ class ReactorServer:
     def _shed_request(self, conn: _Connection, rid: int,
                       session: int, detail: str) -> None:
         self._shed.inc()
-        hint = self.retry_after_us * max(
+        hint = RETRY_AFTER_US * max(
             1.0, (self.inflight + 1) / max(1, self.max_inflight))
         conn.send(protocol.error(rid, session, protocol.ERR_OVERLOADED,
                                  detail, retry_after_us=hint))
@@ -426,7 +423,7 @@ def serve_in_thread(database: ReactorDatabase,
 
 __all__ = [
     "DEFAULT_MAX_INFLIGHT",
-    "DEFAULT_RETRY_AFTER_US",
+    "RETRY_AFTER_US",
     "ReactorServer",
     "ServerThread",
     "serve_in_thread",

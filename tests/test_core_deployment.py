@@ -135,7 +135,7 @@ class TestSerialization:
         assert config.to_dict() == defaults.to_dict()
         assert DeploymentConfig.from_dict({
             "name": "minimal", "containers": [{}], "placement": {},
-            "replication": {}, "migration": {}, "durability": {},
+            "replication": {}, "durability": {},
             "telemetry": {}}).to_dict() == defaults.to_dict()
 
     @pytest.mark.parametrize(
@@ -181,14 +181,24 @@ class TestSerialization:
          "trace_sample"),
         ({**_MINIMAL, "replication": {"replicas_per_container": "two"}},
          "replicas_per_container"),
-        ({**_MINIMAL, "migration": {"drain_poll_us": "fast"}},
-         "drain_poll_us"),
+        ({**_MINIMAL, "replication": {"async_lag_us": "slow"}},
+         "async_lag_us"),
+        # Migration has no options: a ``migration`` block is a typo.
         ({**_MINIMAL, "migration": 5}, "migration"),
         # ... and what used to escape as a bare KeyError.
         ({**_MINIMAL, "placement": {"kind": "range"}}, "block_size"),
         ({**_MINIMAL, "placement": {"kind": "modulo", "block_size": 2}},
          "block_size"),
         ({**_MINIMAL, "machine": "cray"}, "machine"),
+        # An explicit placement's values are container indexes: a
+        # string used to surface as a TypeError at bootstrap, and
+        # ``true`` was read as container 1.
+        ({**_MINIMAL, "placement": {"kind": "explicit",
+                                    "mapping": {"cust0": "0"}}},
+         "cust0"),
+        ({**_MINIMAL, "placement": {"kind": "explicit",
+                                    "mapping": {"cust1": True}}},
+         "cust1"),
     ])
     def test_malformed_config_rejected_naming_the_key(self, data, key):
         """Typos in config files must fail loudly, naming the key —
@@ -200,9 +210,9 @@ class TestSerialization:
 
     def test_integers_are_accepted_where_floats_are_expected(self):
         config = DeploymentConfig.from_dict(
-            {**_MINIMAL, "migration": {"drain_poll_us": 7}})
-        assert config.migration.drain_poll_us == 7.0
-        assert type(config.migration.drain_poll_us) is float
+            {**_MINIMAL, "replication": {"async_lag_us": 7}})
+        assert config.replication.async_lag_us == 7.0
+        assert type(config.replication.async_lag_us) is float
 
     def test_accepted_keys_are_exactly_the_serialized_ones(self):
         """One spelling per option: ``from_dict`` knows no alias that
@@ -212,8 +222,8 @@ class TestSerialization:
         assert set(DeploymentConfig.KEYS) == set(data)
         assert set(DeploymentConfig.CONTAINER_KEYS) == \
             set(data["containers"][0])
-        for sub in (config.replication, config.migration,
-                    config.durability, config.telemetry):
+        for sub in (config.replication, config.durability,
+                    config.telemetry):
             assert set(type(sub).KEYS) == set(sub.to_dict())
 
     def test_replication_round_trips(self):

@@ -14,6 +14,7 @@ from repro.core.deployment import (
     shared_nothing,
 )
 from repro.formal.audit import attach_recorder, detach_recorder
+from repro.formal.serializability import serialization_order
 from repro.workloads import smallbank as sb
 from repro.core.database import ReactorDatabase
 
@@ -87,7 +88,8 @@ def test_witness_order_exists_and_covers_committed(label,
     recorder = attach_recorder(database)
     tids = _run_contended(database)
     database.close()
-    order = recorder.equivalent_serial_order()
+    order = serialization_order(recorder.history.committed_txns(),
+                                recorder.history.conflict_edges())
     assert order is not None
     assert set(order) == set(tids)
 

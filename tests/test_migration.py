@@ -5,8 +5,8 @@ cross-container transaction under every CC scheme, migration of a
 reactor with sync replicas, back-to-back migrations of the same
 reactor (including a return to a previous home, which exercises the
 replica apply fences), and audit certification of histories that span
-a live migration — plus config round-trips, error paths, parked-work
-replay, and elastic rebalancing.
+a live migration — plus error paths, parked-work replay, and
+rebalancing, one-off and scheduled.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.database import ReactorDatabase
-from repro.core.deployment import DeploymentConfig, shared_nothing
+from repro.core.deployment import shared_nothing
 from repro.core.reactor import ReactorType
-from repro.errors import DeploymentError, MigrationError
+from repro.errors import MigrationError
 from repro.formal.audit import (
     attach_recorder,
     certify_migration,
     certify_replication,
 )
-from repro.migration.config import MigrationConfig
 from repro.relational import float_col, int_col, make_schema, str_col
 from repro.replication import ReplicationConfig
 from repro.workloads import smallbank as sb
@@ -214,42 +213,6 @@ class TestMigrationErrors:
         db.containers[1].failed = True
         with pytest.raises(MigrationError, match="destination"):
             db.migrate("m0", 1)
-
-    def test_migration_config_validation(self):
-        with pytest.raises(DeploymentError):
-            MigrationConfig(imbalance_threshold=0.5)
-        with pytest.raises(DeploymentError):
-            MigrationConfig(drain_poll_us=0)
-        with pytest.raises(DeploymentError):
-            MigrationConfig(max_moves_per_check=0)
-
-
-# ----------------------------------------------------------------------
-# Deployment config round-trip
-# ----------------------------------------------------------------------
-
-class TestMigrationConfigRoundTrip:
-    def test_json_round_trip(self):
-        config = MigrationConfig(
-            drain_poll_us=2.5, imbalance_threshold=1.8,
-            max_moves_per_check=2, check_interval_us=5_000.0,
-            auto_rebalance_horizon_us=50_000.0)
-        deployment = shared_nothing(2, migration=config)
-        restored = DeploymentConfig.from_json(deployment.to_json())
-        assert restored.migration == config
-        assert restored.migration.auto_rebalance
-
-    def test_defaults_round_trip(self):
-        deployment = shared_nothing(2)
-        restored = DeploymentConfig.from_json(deployment.to_json())
-        assert restored.migration == deployment.migration
-        assert not restored.migration.auto_rebalance
-
-    def test_unknown_migration_key_rejected(self):
-        data = shared_nothing(2).to_dict()
-        data["migration"]["typo"] = 1
-        with pytest.raises(DeploymentError, match="unknown migration"):
-            DeploymentConfig.from_dict(data)
 
 
 # ----------------------------------------------------------------------
@@ -597,42 +560,23 @@ class TestRebalance:
             db.run(f"m{i}", "bump")
         assert db.rebalance() == []
 
-    def test_elastic_policy_triggers_migration(self):
-        config = MigrationConfig(check_interval_us=2_000.0,
-                                 imbalance_threshold=1.2)
-        db = ReactorDatabase(
-            shared_nothing(3, migration=config), _declarations(6))
+    def test_scheduled_rebalance_triggers_migration(self):
+        """Periodic rebalancing is ``rebalance`` on scheduler events,
+        as ``abl_migration`` drives it."""
+        db = ReactorDatabase(shared_nothing(3), _declarations(6))
         _load(db, 6)
-        db.migration.policy.start(10_000.0)
+        for t in range(2_000, 10_001, 2_000):
+            db.scheduler.at(float(t), db.rebalance)
         outcomes: list = []
         for i in range(80):
             target = "m0" if i % 2 else "m3"
             db.scheduler.at(float(i) * 20.0, _submit_tracked, db,
                             outcomes, target, "bump")
         db.scheduler.run()
-        assert db.migration.policy.checks >= 1
+        assert db.migration_stats()["rebalance_checks"] >= 1
         assert db.migration_stats()["completed"] >= 1
         homes = {db.reactor(name).container.container_id
                  for name in ("m0", "m3")}
         assert homes != {0}
         assert all(c for c, __ in outcomes)
         assert _value(db, "m0") + _value(db, "m3") == 80
-
-    def test_auto_rebalance_from_deployment_config(self):
-        config = MigrationConfig(check_interval_us=2_000.0,
-                                 imbalance_threshold=1.2,
-                                 auto_rebalance_horizon_us=10_000.0)
-        db = ReactorDatabase(
-            shared_nothing(3, migration=config), _declarations(6))
-        _load(db, 6)
-        assert db.migration.policy.armed
-        outcomes: list = []
-        for i in range(80):
-            target = "m0" if i % 2 else "m3"
-            db.scheduler.at(float(i) * 20.0, _submit_tracked, db,
-                            outcomes, target, "bump")
-        db.scheduler.run()
-        assert db.migration_stats()["completed"] >= 1
-        homes = {db.reactor(name).container.container_id
-                 for name in ("m0", "m3")}
-        assert homes != {0}

@@ -35,6 +35,7 @@ from repro.formal.audit import (
     certify_snapshot_isolation,
 )
 from repro.formal.ops import WRITE
+from repro.formal.serializability import serialization_order
 from repro.relational import float_col, make_schema, str_col
 from repro.replication import ReplicationConfig
 from repro.workloads import smallbank
@@ -535,7 +536,8 @@ class TestSnapshotIsolationCertificate:
         reader = _snapshot_reads(recorder)[0][1].txn
         writer = next(op.txn for op in recorder.history.operations()
                       if op.kind == WRITE)
-        order = recorder.equivalent_serial_order()
+        order = serialization_order(recorder.history.committed_txns(),
+                                    recorder.history.conflict_edges())
         assert order.index(reader) < order.index(writer)
 
     def test_fractured_read_is_a_cycle(self):

@@ -21,6 +21,7 @@ from repro.core.database import ReactorDatabase
 from repro.core.deployment import shared_everything_without_affinity
 from repro.core.reactor import ReactorType
 from repro.formal.audit import attach_recorder
+from repro.formal.serializability import serialization_order
 from repro.relational import int_col, make_schema, str_col
 
 CELLS = ReactorType("Cells", lambda: [
@@ -95,7 +96,8 @@ def test_a_read_before_the_install_is_no_cycle(snapshot_reads):
                                     ("read_both",), snapshot_reads)
     assert committed == [True, True]
     assert recorder.is_serializable()
-    assert recorder.equivalent_serial_order() == [2, 1]
+    assert serialization_order(recorder.history.committed_txns(),
+                               recorder.history.conflict_edges()) == [2, 1]
 
 
 def test_2pl_aborts_the_reader_and_stays_serializable():

@@ -277,7 +277,7 @@ class TestReadOnlyAndDelivery:
     def test_read_only_procedures_read_snapshots(self, proc, args):
         """Both are declared read-only, so ``snapshot_reads`` serves
         them from a pinned snapshot."""
-        assert tpcc.WAREHOUSE.is_read_only(proc)
+        assert proc in tpcc.WAREHOUSE.read_only_procedures
         database = ReactorDatabase(shared_nothing(W, snapshot_reads=True),
                                    tpcc.declarations(W))
         tpcc.load(database, W, SCALE)
