@@ -131,11 +131,7 @@ class MigrationStats:
 
 
 class MigrationManager:
-    """Owns the online migrations and load accounting of one database.
-
-    It has no options: the drain cadence and the rebalancing bounds
-    are this module's constants.
-    """
+    """Owns the online migrations and load accounting of one database."""
 
     def __init__(self, database: Any) -> None:
         self.database = database
