@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.database import ReactorDatabase
-from repro.core.deployment import shared_nothing
+from repro.core.deployment import ExplicitPlacement, shared_nothing
 from repro.core.reactor import ReactorType
 from repro.errors import MigrationError
 from repro.formal.audit import (
@@ -22,6 +22,7 @@ from repro.formal.audit import (
     certify_migration,
     certify_replication,
 )
+from repro.migration.manager import IMBALANCE_THRESHOLD, MAX_MOVES_PER_CHECK
 from repro.relational import float_col, int_col, make_schema, str_col
 from repro.replication import ReplicationConfig
 from repro.workloads import smallbank as sb
@@ -515,6 +516,55 @@ class TestRebalance:
         assert stats["rebalance_moves"] == len(moves)
         # The window reset: an immediate re-check moves nothing.
         assert db.rebalance() == []
+
+    def test_rebalance_acts_only_past_the_imbalance_threshold(self):
+        """A container is overloaded past ``IMBALANCE_THRESHOLD`` times
+        the mean: 12 of a mean 10 is inside it, 14 is past it."""
+        assert 12 <= IMBALANCE_THRESHOLD * 10 < 14
+        for hot, cold, expected in ((6, 4, 0), (7, 3, 1)):
+            db = ReactorDatabase(shared_nothing(2), _declarations(4))
+            _load(db, 4)
+            # Modulo placement: m0/m2 -> c0, m1/m3 -> c1.
+            for name, count in (("m0", hot), ("m2", hot),
+                                ("m1", cold), ("m3", cold)):
+                for __ in range(count):
+                    db.run(name, "bump")
+            moves = db.rebalance()
+            db.scheduler.run()
+            assert len(moves) == expected
+            assert all(m.reactor_name in ("m0", "m2") for m in moves)
+
+    def test_rebalance_moves_at_most_max_moves_per_check(self):
+        """Eight equally hot reactors crowded into one of eight
+        containers: every move helps, so the per-check budget is what
+        stops the first check, and the next window's check finishes
+        spreading them."""
+        n = 8
+        placement = ExplicitPlacement({f"m{i}": 0 for i in range(n)})
+        db = ReactorDatabase(shared_nothing(n, placement=placement),
+                             _declarations(n))
+        _load(db, n)
+        for i in range(n):
+            for __ in range(10):
+                db.run(f"m{i}", "bump")
+        moves = db.rebalance()
+        db.scheduler.run()
+        assert len(moves) == MAX_MOVES_PER_CHECK
+        assert all(m.done for m in moves)
+        loads = db.migration.container_loads()
+        assert loads == [0] * n  # the window reset with the check
+        still_home = sum(db.reactor(f"m{i}").container.container_id == 0
+                         for i in range(n))
+        assert still_home == n - MAX_MOVES_PER_CHECK
+        for i in range(n):
+            for __ in range(10):
+                db.run(f"m{i}", "bump")
+        assert len(db.rebalance()) == n - 1 - MAX_MOVES_PER_CHECK
+        db.scheduler.run()
+        homes = {db.reactor(f"m{i}").container.container_id
+                 for i in range(n)}
+        assert homes == set(range(n))
+        assert db.migration_stats()["rebalance_moves"] == n - 1
 
     def test_rebalance_leaves_inherent_skew_alone(self):
         """One reactor generating nearly all load is inherent skew, not
