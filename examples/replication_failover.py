@@ -54,10 +54,10 @@ def main():
     print(f"   {committed}/{len(outcomes)} transfers committed "
           f"({len(outcomes) - committed} aborted around the crash)")
 
-    event = database.replication_stats()["failovers"][0]
-    print(f"3. container {event['container_id']} failed; replica "
-          f"{event['replica_id']} promoted after applying "
-          f"{event['applied_records']} redo records")
+    event = database.replication.stats.failovers[0]
+    print(f"3. container {event.container_id} failed; replica "
+          f"{event.replica_id} promoted after applying "
+          f"{event.applied_records} redo records")
 
     print("4. auditing the promoted replica against the primary's "
           "commit order")
@@ -71,7 +71,8 @@ def main():
                 for i in range(N))
     assert total == 2 * sb.INITIAL_BALANCE * N, \
         "transfers must conserve money across the failover"
-    routed = database.replication_stats()["reads_routed_to_replicas"]
+    routed = database.telemetry.registry.value(
+        "replication_reads_routed_total")
     print(f"   total money conserved: {total:,.2f} "
           f"(reads served from replicas: {routed})")
 

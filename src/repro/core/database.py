@@ -346,34 +346,6 @@ class ReactorDatabase:
                     for name in replica.shadow_names():
                         yield from replica.shadow(name).catalog
 
-    def version_stats(self) -> dict[str, Any]:
-        """Multi-version storage engine metrics.
-
-        ``live_versions`` counts superseded versions currently
-        retained on chains (primaries and replica shadows),
-        ``gc_versions`` the versions pruned so far, and
-        ``read_only_aborts`` the number of read-only roots that
-        aborted — 0 under ``snapshot_reads`` by construction, the
-        abort-free contract benchmarks assert.
-        """
-        registry = self.telemetry.registry
-        return {
-            "scheme": self.deployment.cc_scheme,
-            "snapshot_reads_enabled": self.deployment.snapshot_reads,
-            "live_versions": registry.value("storage_live_versions"),
-            "versions_created":
-                registry.value("storage_versions_created_total"),
-            "gc_versions":
-                registry.value("storage_versions_gced_total"),
-            "snapshot_roots":
-                registry.value("storage_snapshot_roots_total"),
-            "snapshot_reads_served":
-                registry.value("storage_snapshot_reads_total"),
-            "pinned_snapshots":
-                registry.value("storage_pinned_snapshots"),
-            "read_only_aborts": self.storage.stats.read_only_aborts,
-        }
-
     def run(self, reactor_name: str, proc_name: str, *args: Any,
             **kwargs: Any) -> Any:
         """Execute one transaction to completion in virtual time.
@@ -459,15 +431,17 @@ class ReactorDatabase:
         per participant, and one doomed transaction can in principle
         appear under more than one reason.  For per-transaction abort
         rates use the benchmark summaries
-        (:class:`repro.bench.metrics.RunSummary`).  The flat
-        ``validations`` / ``validation_failures`` keys are the
-        pre-refactor API and remain for compatibility.
+        (:class:`repro.bench.metrics.RunSummary`).  Every key is a
+        view of a ``cc_*`` registry metric; this dict and
+        :meth:`durability_stats` stay because the end-to-end benchmark
+        (``benchmarks/e2e/harness.py``) reads them.  Any other counter
+        is read from ``telemetry.registry.value(name, **labels)``.
         """
         registry = self.telemetry.registry
         by_reason = {reason: registry.value("cc_aborts_total",
                                             reason=reason)
                      for reason in ABORT_REASONS}
-        out = {
+        return {
             "scheme": self.deployment.cc_scheme,
             "validations": registry.value("cc_validations_total"),
             "validation_failures":
@@ -475,16 +449,6 @@ class ReactorDatabase:
             "by_reason": by_reason,
             "total_aborts": sum(by_reason.values()),
         }
-        if self.replication is not None:
-            out["replication"] = self.replication.stats_dict()
-        return out
-
-    def replication_stats(self) -> dict[str, Any]:
-        """Replication lag / ack / failover metrics (empty when the
-        deployment runs single-copy)."""
-        if self.replication is None:
-            return {"mode": "none", "replicas_per_container": 0}
-        return self.replication.stats_dict()
 
     def durability_stats(self) -> dict[str, Any]:
         """Group-commit flush / checkpoint metrics (empty when the
@@ -520,10 +484,6 @@ class ReactorDatabase:
         schedule it: ``db.scheduler.at(t, db.rebalance)``."""
         self._require_virtual("elastic rebalancing")
         return self.migration.rebalance()
-
-    def migration_stats(self) -> dict[str, Any]:
-        """Migration / rebalancing counters and per-event details."""
-        return self.migration.stats_dict()
 
     def _require_virtual(self, feature: str) -> None:
         if not self.scheduler.is_virtual:

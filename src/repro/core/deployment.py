@@ -186,7 +186,8 @@ class DeploymentConfig:
     snapshot_reads: bool = False
     replication: ReplicationConfig = NO_REPLICATION
     durability: DurabilityConfig = NO_DURABILITY
-    #: Observability switches (metrics on/off, root-trace sampling).
+    #: Tracing switches (root-trace sampling, system tracks); metrics
+    #: are always on.
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     #: Execution backend: ``"sim"`` (virtual-time discrete-event
     #: simulation, the certification oracle) or ``"threads"`` (one OS

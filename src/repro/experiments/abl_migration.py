@@ -88,11 +88,15 @@ def _run_skew_shift(elastic: bool, measure_us: float):
                              warmup_us=WARMUP_US,
                              measure_us=measure_us, n_epochs=6)
     recovery_tput = _window_tput(result.raw_stats, recovery_start, end)
+    value = database.telemetry.registry.value
     return {
         "placement": "elastic" if elastic else "frozen",
         **summary_payload(result.summary),
         "recovery_window_tput_tps": round(recovery_tput, 3),
-        "migration": database.migration_stats(),
+        "migration": {
+            "completed": value("migration_completed_total"),
+            "rows_copied": value("migration_rows_copied_total"),
+        },
     }
 
 
@@ -116,8 +120,8 @@ def _certify_scheme(scheme: str, measure_us: float):
     return {
         "scheme": scheme,
         "committed": result.summary.committed,
-        "migrations_completed":
-            database.migration_stats()["completed"],
+        "migrations_completed": database.telemetry.registry.value(
+            "migration_completed_total"),
         "serializable": recorder.is_serializable(),
         "migration_cert_ok": migration_report["ok"],
     }

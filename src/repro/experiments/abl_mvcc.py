@@ -139,6 +139,12 @@ def _tamper_rejected(recorder) -> bool:
     return not certify_snapshot_isolation(recorder)["ok"]
 
 
+#: The ``storage_*`` registry metrics each run row carries, in the
+#: order of the report's last four columns.
+STORAGE_STATS = ("snapshot_roots_total", "read_only_aborts_total",
+                 "live_versions", "versions_gced_total")
+
+
 def run(measure_us: float = 40_000.0,
         warmup_us: float = 5_000.0) -> dict:
     """The full grid; returns the machine-readable payload."""
@@ -147,12 +153,14 @@ def run(measure_us: float = 40_000.0,
 
     def record(workload: str, scheme: str, skew, summary, database,
                recorder):
+        value = database.telemetry.registry.value
         row = {
             "workload": workload,
             "scheme": scheme,
             "skew": skew,
             **summary_payload(summary),
-            "version_stats": database.version_stats(),
+            "storage": {stat: value(f"storage_{stat}")
+                        for stat in STORAGE_STATS},
         }
         if recorder is not None:
             row["snapshot_certificate"] = _certify(recorder)
@@ -184,7 +192,7 @@ def run(measure_us: float = 40_000.0,
         "runs": runs,
         "snapshot_speedup_highskew": round(speedup, 4),
         "snapshot_read_only_aborts": sum(
-            r["version_stats"]["read_only_aborts"]
+            r["storage"]["read_only_aborts_total"]
             for r in snapshot_runs),
         "snapshot_certificates_ok": all(
             r["snapshot_certificate"]["ok"] for r in snapshot_runs),
@@ -203,9 +211,7 @@ def report(payload):
     rows = [[f"{run['workload']} s={run['skew']}", run["scheme"],
              round(run["throughput_tps"], 1),
              round(run["abort_rate"] * 100, 2), round(run["p99_us"], 1),
-             *(run["version_stats"][stat] for stat in (
-                 "snapshot_roots", "read_only_aborts", "live_versions",
-                 "gc_versions"))]
+             *(run["storage"][stat] for stat in STORAGE_STATS)]
             for run in payload["runs"]]
     print_table(
         "Ablation: multi-version snapshot reads (read-heavy YCSB + "

@@ -15,8 +15,10 @@ deployment options.
 
 Public exports: :class:`MigrationManager` and its :class:`Migration`
 handle / :class:`MigrationStats` counters.  The usual entry points are
-``db.migrate(reactor, dst)``, ``db.rebalance()`` and
-``db.migration_stats()``; black-box certification of completed
+``db.migrate(reactor, dst)`` and ``db.rebalance()``; the counters are
+the ``migration_*`` metrics of ``db.telemetry.registry`` and each
+finished migration is a :class:`Migration` in
+``db.migration.stats.events``.  Black-box certification of completed
 migrations lives in :func:`repro.formal.audit.certify_migration`.
 """
 

@@ -85,11 +85,6 @@ class Migration:
     on_done: Callable[["Migration"], None] | None = None
     parked_roots: list[Any] = field(default_factory=list)
     parked_subcalls: list[Any] = field(default_factory=list)
-    #: Scalar park counts for stats: the task lists are released
-    #: once replayed (and a superseded migration's snapshot with them),
-    #: so reporting cannot rely on their lengths.
-    roots_parked_n: int = 0
-    subcalls_parked_n: int = 0
     #: Snapshot after-images the copy replayed (certification anchor).
     snapshot_records: list[RedoRecord] = field(default_factory=list)
     #: Version history below the watermark still needed by snapshot
@@ -117,7 +112,8 @@ class Migration:
 
 @dataclass
 class MigrationStats:
-    """Counters ``db.migration_stats()`` exposes."""
+    """What the ``migration_*`` registry gauges read, plus every
+    completed migration (read as objects: ``stats.events``)."""
 
     started: int = 0
     completed: int = 0
@@ -150,8 +146,7 @@ class MigrationManager:
         #: them — a lost-work bug the campaign's liveness check (every
         #: submitted root reports an outcome) must catch.
         self.chaos_drop_parked = False
-        self._telemetry = database.telemetry
-        self._telemetry.register_migration(self)
+        database.telemetry.register_migration(self)
 
     # ------------------------------------------------------------------
     # Load accounting (called from ReactorDatabase.submit)
@@ -173,7 +168,6 @@ class MigrationManager:
     def park_root(self, reactor_name: str, task: Any) -> None:
         migration = self.active[reactor_name]
         migration.parked_roots.append(task)
-        migration.roots_parked_n += 1
         self.stats.roots_parked += 1
         trace = task.root.trace
         if trace is not None:
@@ -184,7 +178,6 @@ class MigrationManager:
     def park_subcall(self, reactor_name: str, task: Any) -> None:
         migration = self.active[reactor_name]
         migration.parked_subcalls.append(task)
-        migration.subcalls_parked_n += 1
         self.stats.subcalls_parked += 1
         trace = task.root.trace
         if trace is not None:
@@ -254,7 +247,6 @@ class MigrationManager:
         # (extending the drain barrier by one transaction).
         swept = src.take_queued_roots(reactor)
         migration.parked_roots.extend(swept)
-        migration.roots_parked_n += len(swept)
         self.stats.roots_parked += len(swept)
 
         database.scheduler.soon(self._poll_drain, migration)
@@ -460,7 +452,7 @@ class MigrationManager:
         self.stats.completed += 1
         self.stats.rows_copied += migration.rows_copied
         self.stats.events.append(migration)
-        telemetry = self._telemetry
+        telemetry = database.telemetry
         if telemetry.system_tracing:
             # The two phases on the migration track: the drain barrier
             # (request -> last in-flight root gone) and the copy+flip.
@@ -663,41 +655,3 @@ class MigrationManager:
             self.stats.rebalance_moves += 1
         self.reset_load_window()
         return moves
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def stats_dict(self) -> dict[str, Any]:
-        stats = self.stats
-        value = self._telemetry.registry.value
-        return {
-            "started": value("migration_started_total"),
-            "completed": value("migration_completed_total"),
-            "cancelled": value("migration_cancelled_total"),
-            "active": sorted(self.active),
-            "rows_copied": value("migration_rows_copied_total"),
-            "roots_parked": value("migration_roots_parked_total"),
-            "subcalls_parked":
-                value("migration_subcalls_parked_total"),
-            "rebalance_checks":
-                value("migration_rebalance_checks_total"),
-            "rebalance_moves":
-                value("migration_rebalance_moves_total"),
-            "events": [
-                {
-                    "reactor": m.reactor_name,
-                    "src": m.src_cid,
-                    "dst": m.dst_cid,
-                    "state": m.state,
-                    "requested_at_us": round(m.requested_at, 3),
-                    "flipped_at_us": round(m.flipped_at, 3),
-                    "drain_polls": m.drain_polls,
-                    "rows_copied": m.rows_copied,
-                    "roots_parked": m.roots_parked_n,
-                    "subcalls_parked": m.subcalls_parked_n,
-                    "reason": m.reason,
-                }
-                for m in stats.events
-            ],
-        }

@@ -13,7 +13,10 @@ Public exports: :class:`ReplicationConfig` (with
 constants), :class:`ReplicationManager` with its
 :class:`ReplicationStats` / :class:`FailoverEvent`, and
 :class:`ReplicaContainer` with the ``ROLE_PRIMARY`` /
-``ROLE_REPLICA`` role markers.
+``ROLE_REPLICA`` role markers.  The counters are the
+``replication_*`` metrics of ``db.telemetry.registry`` (the apply lag
+is the ``replication_lag_us`` histogram); each promotion is a
+:class:`FailoverEvent` in ``db.replication.stats.failovers``.
 
 Only the config is imported eagerly: :mod:`repro.core.deployment`
 imports this package while :mod:`repro.core.database` (which the

@@ -28,6 +28,7 @@ Modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -80,8 +81,10 @@ class ReplicationConfig:
                 "would silently build no replicas; pick 'sync' or "
                 "'async'"
             )
-        if self.async_lag_us < 0:
-            raise DeploymentError("async_lag_us must be >= 0")
+        if not math.isfinite(self.async_lag_us) or self.async_lag_us < 0:
+            raise DeploymentError(
+                f"async_lag_us must be a finite number >= 0, got "
+                f"{self.async_lag_us!r}")
         if self.read_from_replicas and not self.enabled:
             raise DeploymentError(
                 "read_from_replicas requires replication to be enabled "

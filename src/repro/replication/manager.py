@@ -64,29 +64,19 @@ class FailoverEvent:
 
 @dataclass
 class ReplicationStats:
-    """Counters the benchmark reports and ``abort_counts()`` exposes."""
+    """What the ``replication_*`` registry gauges read, plus the
+    failover records (read as objects: ``stats.failovers``).  The
+    apply lag lives only in the ``replication_lag_us`` histogram."""
 
     records_shipped: int = 0
     records_applied: int = 0
     acked_records: int = 0
     sync_commit_waits: int = 0
     sync_ack_wait_us: float = 0.0
-    #: Lag is sampled only on channel-shipped applies — kill-drain and
-    #: promotion catch-up applies have no meaningful ship latency and
-    #: must not deflate the average.
-    lag_samples: int = 0
-    lag_us_sum: float = 0.0
-    max_lag_us: float = 0.0
     reads_routed_to_replicas: int = 0
     #: Commits/roots aborted because a participant container failed.
     failover_aborts: int = 0
     failovers: list[FailoverEvent] = field(default_factory=list)
-
-    @property
-    def avg_lag_us(self) -> float:
-        if not self.lag_samples:
-            return 0.0
-        return self.lag_us_sum / self.lag_samples
 
 
 class ReplicationManager:
@@ -132,6 +122,9 @@ class ReplicationManager:
 
         self.durability = enable_durability(database)
         self._telemetry = database.telemetry
+        #: Sampled only here, on channel-shipped applies: kill-drain
+        #: and promotion catch-up applies have no ship latency and
+        #: must not deflate the mean.
         self._lag_hist = self._telemetry.registry.histogram(
             "replication_lag_us")
         self._telemetry.register_replication(self)
@@ -232,10 +225,6 @@ class ReplicationManager:
         replica.apply_record(record)
         lag = self.database.scheduler.now - commit_time
         self.stats.records_applied += 1
-        self.stats.lag_samples += 1
-        self.stats.lag_us_sum += lag
-        if lag > self.stats.max_lag_us:
-            self.stats.max_lag_us = lag
         self._lag_hist.observe(lag)
         telemetry = self._telemetry
         if telemetry.system_tracing:
@@ -579,43 +568,3 @@ class ReplicationManager:
                 continue
             return False
         return True
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def stats_dict(self) -> dict[str, Any]:
-        stats = self.stats
-        value = self._telemetry.registry.value
-        return {
-            "mode": self.config.mode,
-            "replicas_per_container":
-                self.config.replicas_per_container,
-            "read_from_replicas": self.config.read_from_replicas,
-            "records_shipped":
-                value("replication_records_shipped_total"),
-            "records_applied":
-                value("replication_records_applied_total"),
-            "acked_records": value("replication_acked_records_total"),
-            "sync_commit_waits":
-                value("replication_sync_commit_waits_total"),
-            "sync_ack_wait_us": value("replication_sync_ack_wait_us"),
-            "max_lag_us": value("replication_max_lag_us"),
-            "reads_routed_to_replicas":
-                value("replication_reads_routed_total"),
-            "failover_aborts":
-                value("replication_failover_aborts_total"),
-            "avg_lag_us": round(stats.avg_lag_us, 3),
-            "failovers": [
-                {
-                    "container_id": e.container_id,
-                    "replica_id": e.replica_id,
-                    "at_us": round(e.at_us, 3),
-                    "applied_records": e.applied_records,
-                    "lost_acked": list(e.lost_acked),
-                    "lost_records": e.lost_records,
-                    "atomicity_breaks": list(e.atomicity_breaks),
-                }
-                for e in stats.failovers
-            ],
-        }

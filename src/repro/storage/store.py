@@ -2,8 +2,8 @@
 
 :class:`StorageCoordinator` — one per database: the pinned-snapshot
 set of in-flight read-only roots (the source of the GC watermark
-install paths consult) and the :class:`VersionStats` counters behind
-``database.version_stats()``.  The records themselves live in each
+install paths consult) and the :class:`VersionStats` counters the
+``storage_*`` registry gauges read.  The records themselves live in each
 :class:`~repro.relational.table.Table`'s ``records`` dict.
 
 The coordinator is deliberately dumb about *when* snapshots pin: the
@@ -21,7 +21,7 @@ from typing import Any
 
 @dataclass(slots=True)
 class VersionStats:
-    """Counters behind ``database.version_stats()``."""
+    """Counters behind the ``storage_*`` registry gauges."""
 
     #: superseded versions pushed onto chains (snapshot readers in
     #: flight at install time).

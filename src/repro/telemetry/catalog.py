@@ -11,9 +11,9 @@ Kinds:
 * ``counter`` — monotonically increasing event count, owned by the
   instrumented code (``inc``);
 * ``gauge`` — a point-in-time level; most gauges here are
-  *collector-backed* (a callable reads the live stat on demand), which
-  is how the legacy ``stats_dict()`` surfaces migrate onto the
-  registry without double bookkeeping;
+  *collector-backed* (a callable reads a subsystem's live stat object
+  on demand), so each number is booked once and the registry is the
+  one place it is read;
 * ``histogram`` — log-bucketed distribution reporting p50/p99/p999.
 """
 
@@ -56,6 +56,9 @@ CATALOG: dict[str, tuple[str, str]] = {
         (GAUGE, "Individual reads served from snapshots."),
     "storage_pinned_snapshots":
         (GAUGE, "Snapshots currently pinned by in-flight roots."),
+    "storage_read_only_aborts_total":
+        (GAUGE, "Read-only roots that aborted (0 under snapshot "
+                "reads)."),
     # Group-commit durability (label: container).
     "log_flush_records":
         (HISTOGRAM, "Records made durable per flush epoch."),
@@ -98,8 +101,6 @@ CATALOG: dict[str, tuple[str, str]] = {
         (GAUGE, "Commits that waited on a sync replica ack."),
     "replication_sync_ack_wait_us":
         (GAUGE, "Total virtual time spent in sync ack waits."),
-    "replication_max_lag_us":
-        (GAUGE, "Maximum observed replica apply lag."),
     "replication_reads_routed_total":
         (GAUGE, "Read-only roots routed to replica shadows."),
     "replication_failover_aborts_total":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import read_config_keys
+from repro.errors import DeploymentError, read_config_keys
 
 #: Default root-trace sampling: one traced root in this many.
 DEFAULT_TRACE_SAMPLE = 64
@@ -35,7 +35,10 @@ class TelemetryConfig:
     trace_system: bool = False
 
     def __post_init__(self) -> None:
-        self.trace_sample = max(0, int(self.trace_sample))
+        if type(self.trace_sample) is not int or self.trace_sample < 0:
+            raise DeploymentError(
+                f"trace_sample must be an int >= 0, got "
+                f"{self.trace_sample!r}")
 
     # -- serialization --------------------------------------------------
 

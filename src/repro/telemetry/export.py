@@ -100,7 +100,7 @@ def chrome_payload(telemetry: Any) -> dict[str, Any]:
             "dropped_spans": tracer.dropped if tracer else 0,
             "trace_sample": telemetry.config.trace_sample,
         },
-        "metrics": telemetry.metrics_snapshot(),
+        "metrics": telemetry.registry.snapshot(),
     }
 
 

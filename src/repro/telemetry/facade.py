@@ -151,6 +151,8 @@ class Telemetry:
                           lambda: storage.stats.snapshot_reads)
         registry.gauge_fn("storage_pinned_snapshots",
                           lambda: len(storage.pinned))
+        registry.gauge_fn("storage_read_only_aborts_total",
+                          lambda: storage.stats.read_only_aborts)
         scheduler = database.scheduler
         registry.gauge_fn("scheduler_events_dispatched_total",
                           lambda: scheduler.events_dispatched)
@@ -224,8 +226,6 @@ class Telemetry:
                           lambda: stats.sync_commit_waits)
         registry.gauge_fn("replication_sync_ack_wait_us",
                           lambda: round(stats.sync_ack_wait_us, 3))
-        registry.gauge_fn("replication_max_lag_us",
-                          lambda: round(stats.max_lag_us, 3))
         registry.gauge_fn("replication_reads_routed_total",
                           lambda: stats.reads_routed_to_replicas)
         registry.gauge_fn("replication_failover_aborts_total",
@@ -252,12 +252,6 @@ class Telemetry:
                           lambda: stats.rebalance_moves)
 
     # -- exports --------------------------------------------------------
-
-    def metrics_snapshot(self) -> dict[str, Any]:
-        return self.registry.snapshot()
-
-    def render_prometheus(self) -> str:
-        return self.registry.render_prometheus()
 
     def export_chrome(self) -> dict[str, Any]:
         """Chrome trace-event payload (Perfetto-loadable) with the

@@ -1,12 +1,13 @@
 """Counters, gauges, and log-bucketed histograms with a registry.
 
-The registry is the substrate the legacy ``stats_dict()`` surfaces
-migrate onto: instrumented code owns counters and histograms directly
-(hot-path observes are one ``bisect`` plus two adds), while existing
-per-manager stat objects are exposed through *collector-backed gauges*
-— a callable registered once that reads the live value on demand, so
-no state is double-booked and promotion/failover (which swaps the
-underlying objects) just re-registers the collector.
+The registry is the one read surface for every counter
+(``registry.value(name, **labels)``): instrumented code owns counters
+and histograms directly (hot-path observes are one ``bisect`` plus two
+adds), while per-manager stat objects are exposed through
+*collector-backed gauges* — a callable registered once that reads the
+live value on demand, so no state is double-booked and
+promotion/failover (which swaps the underlying objects) just
+re-registers the collector.
 
 Histogram buckets are fixed log-spaced powers of two covering 1 µs to
 ~17 minutes of virtual time, so percentile reports are deterministic

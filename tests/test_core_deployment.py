@@ -183,6 +183,16 @@ class TestSerialization:
          "replicas_per_container"),
         ({**_MINIMAL, "replication": {"async_lag_us": "slow"}},
          "async_lag_us"),
+        # ... values of the right type that mean nothing: JSON
+        # ``Infinity`` / ``NaN`` parse as floats (``inf`` overflowed the
+        # TID clock, ``nan`` silently dropped the lag), and a negative
+        # sample rate used to be clamped to "tracing off" ...
+        ({**_MINIMAL, "replication": {"async_lag_us": float("inf")}},
+         "async_lag_us"),
+        ({**_MINIMAL, "replication": {"async_lag_us": float("nan")}},
+         "async_lag_us"),
+        ({**_MINIMAL, "telemetry": {"trace_sample": -1}},
+         "trace_sample"),
         # Migration has no options: a ``migration`` block is a typo.
         ({**_MINIMAL, "migration": 5}, "migration"),
         # ... and what used to escape as a bare KeyError.

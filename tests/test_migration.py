@@ -132,12 +132,12 @@ class TestBasicMigration:
         db.run("m0", "bump")
         db.migrate("m0", 1)
         db.scheduler.run()
-        stats = db.migration_stats()
-        assert stats["completed"] == 1
-        (event,) = stats["events"]
-        assert event["rows_copied"] == 1
-        assert event["src"] == 0 and event["dst"] == 1
-        assert event["state"] == "done"
+        assert db.telemetry.registry.value(
+            "migration_completed_total") == 1
+        (event,) = db.migration.stats.events
+        assert event.rows_copied == 1
+        assert event.src_cid == 0 and event.dst_cid == 1
+        assert event.state == "done"
 
     def test_parked_roots_replay_in_order(self):
         db = ReactorDatabase(shared_nothing(2), _declarations(2))
@@ -147,7 +147,8 @@ class TestBasicMigration:
         db.migrate("m0", 1)
         for amount in (10, 100, 1000):
             _submit_tracked(db, outcomes, "m0", "bump", amount)
-        assert db.migration_stats()["roots_parked"] == 3
+        assert db.telemetry.registry.value(
+            "migration_roots_parked_total") == 3
         db.scheduler.run()
         assert [c for c, __ in outcomes] == [True, True, True]
         assert _value(db, "m0") == 1111
@@ -240,7 +241,8 @@ class TestInflightCrossContainer:
         db.scheduler.run()
         assert migration.done
         assert [c for c, __ in outcomes] == [True, True]
-        assert db.migration_stats()["subcalls_parked"] == 1
+        assert db.telemetry.registry.value(
+            "migration_subcalls_parked_total") == 1
         assert _value(db, "m1") == 2  # slow_bump + bump_other's bump
         assert _value(db, "m0") == 1
         assert db.reactor("m1").container.container_id == 2
@@ -362,7 +364,8 @@ class TestMigrationWithReplicas:
         db.scheduler.at(20.0, db.replication.kill_and_promote, 0)
         db.scheduler.run()
         assert migration.state == "cancelled"
-        assert db.migration_stats()["cancelled"] == 1
+        assert db.telemetry.registry.value(
+            "migration_cancelled_total") == 1
         # The parked root replayed against the promoted primary.
         assert db.reactor("m0").container.container_id == 0
         committed = [c for c, __ in outcomes]
@@ -379,11 +382,11 @@ class TestMigrationWithReplicas:
         db.run("m0", "bump")
         db.scheduler.run()
         # Read-only roots route to the new home's replica.
-        before = db.replication.stats.reads_routed_to_replicas
+        metric = db.telemetry.registry.value
+        before = metric("replication_reads_routed_total")
         value = db.run("m0", "read_value")
         assert value == 2
-        assert db.replication.stats.reads_routed_to_replicas \
-            == before + 1
+        assert metric("replication_reads_routed_total") == before + 1
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +479,8 @@ class TestAuditAcrossMigration:
         db.scheduler.run()
         committed = [c for c, __ in outcomes]
         assert committed.count(True) >= 20
-        assert db.migration_stats()["completed"] == 2
+        assert db.telemetry.registry.value(
+            "migration_completed_total") == 2
         assert recorder.is_serializable(), (
             f"history spanning a migration not serializable "
             f"under {scheme}")
@@ -511,9 +515,9 @@ class TestRebalance:
         # The hot pair no longer shares a container.
         assert db.reactor("m0").container.container_id \
             != db.reactor("m3").container.container_id
-        stats = db.migration_stats()
-        assert stats["rebalance_checks"] == 1
-        assert stats["rebalance_moves"] == len(moves)
+        metric = db.telemetry.registry.value
+        assert metric("migration_rebalance_checks_total") == 1
+        assert metric("migration_rebalance_moves_total") == len(moves)
         # The window reset: an immediate re-check moves nothing.
         assert db.rebalance() == []
 
@@ -564,7 +568,8 @@ class TestRebalance:
         homes = {db.reactor(f"m{i}").container.container_id
                  for i in range(n)}
         assert homes == set(range(n))
-        assert db.migration_stats()["rebalance_moves"] == n - 1
+        assert db.telemetry.registry.value(
+            "migration_rebalance_moves_total") == n - 1
 
     def test_rebalance_leaves_inherent_skew_alone(self):
         """One reactor generating nearly all load is inherent skew, not
@@ -623,8 +628,9 @@ class TestRebalance:
             db.scheduler.at(float(i) * 20.0, _submit_tracked, db,
                             outcomes, target, "bump")
         db.scheduler.run()
-        assert db.migration_stats()["rebalance_checks"] >= 1
-        assert db.migration_stats()["completed"] >= 1
+        metric = db.telemetry.registry.value
+        assert metric("migration_rebalance_checks_total") >= 1
+        assert metric("migration_completed_total") >= 1
         homes = {db.reactor(name).container.container_id
                  for name in ("m0", "m3")}
         assert homes != {0}

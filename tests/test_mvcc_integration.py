@@ -177,7 +177,8 @@ class TestSnapshotReadsUnderContention:
         outcomes = _overlap_blocked_reader_with_writer(database)
         assert outcomes["writer"][0]
         assert not outcomes["reader"][0]
-        assert database.version_stats()["read_only_aborts"] == 1
+        assert database.telemetry.registry.value(
+            "storage_read_only_aborts_total") == 1
 
     def test_snapshot_reader_survives_the_same_interleaving(self):
         database = _pair_db("occ", snapshot_reads=True)
@@ -196,10 +197,11 @@ class TestSnapshotReadsUnderContention:
         # The pinned snapshot predates the writer: both reads resolve
         # to the old images (1+2), never a torn 1+7 or 7+2.
         assert result == pytest.approx(3.0)
-        stats = database.version_stats()
-        assert stats["read_only_aborts"] == 0
-        assert stats["snapshot_roots"] == 1
-        assert stats["pinned_snapshots"] == 0  # unpinned at completion
+        metric = database.telemetry.registry.value
+        assert metric("storage_read_only_aborts_total") == 0
+        assert metric("storage_snapshot_roots_total") == 1
+        # Unpinned at completion.
+        assert metric("storage_pinned_snapshots") == 0
 
     @pytest.mark.parametrize("scheme", ["occ", "2pl_nowait",
                                         "2pl_waitdie", "none"])
@@ -210,7 +212,8 @@ class TestSnapshotReadsUnderContention:
         committed, __, result = outcomes["reader"]
         assert committed
         assert result == pytest.approx(3.0)
-        assert database.version_stats()["read_only_aborts"] == 0
+        assert database.telemetry.registry.value(
+            "storage_read_only_aborts_total") == 0
 
     def test_commits_after_pin_exceed_the_snapshot(self):
         database = _pair_db("occ", snapshot_reads=True)
@@ -229,16 +232,16 @@ class TestSnapshotReadsUnderContention:
         database = _pair_db("occ", snapshot_reads=True)
         outcomes = _overlap_reader_with_writer(database)
         assert outcomes["reader"][0]
-        stats = database.version_stats()
-        assert stats["snapshot_reads_served"] == 2  # a, then b
-        assert stats["pinned_snapshots"] == 0
+        metric = database.telemetry.registry.value
+        assert metric("storage_snapshot_reads_total") == 2  # a, then b
+        assert metric("storage_pinned_snapshots") == 0
 
     def test_versions_are_gcd_after_readers_finish(self):
         database = _pair_db("occ", snapshot_reads=True)
         _overlap_reader_with_writer(database)
         database.run("a", "set_both", "b", 8.0)  # prunes at install
         database.gc_versions()
-        assert database.version_stats()["live_versions"] == 0
+        assert database.telemetry.registry.value("storage_live_versions") == 0
 
 
 class TestReadOnlyEnforcement:
@@ -296,7 +299,8 @@ class TestReadOnlyEnforcement:
         committed, reason, __ = outcomes["bad"]
         assert not committed
         assert "read-only" in reason
-        assert database.replication.stats.reads_routed_to_replicas == 1
+        assert database.telemetry.registry.value(
+            "replication_reads_routed_total") == 1
 
 
 class TestDeploymentThreading:
@@ -346,8 +350,10 @@ class TestReplicaSnapshotReads:
         committed, __, balance = outcomes["read"]
         assert committed
         assert balance == pytest.approx(2 * smallbank.INITIAL_BALANCE)
-        assert database.replication.stats.reads_routed_to_replicas == 1
-        assert database.version_stats()["read_only_aborts"] == 0
+        assert database.telemetry.registry.value(
+            "replication_reads_routed_total") == 1
+        assert database.telemetry.registry.value(
+            "storage_read_only_aborts_total") == 0
         # The replica eventually applied everything (scheduler drained).
         final = database.run("cust0", "balance")
         assert final == pytest.approx(
@@ -383,13 +389,15 @@ class TestReplicaFloor:
         assert replica.snapshot_floor >= \
             database.containers[1].concurrency.redo_log.tids[0]
         assert outcomes["reader"] == (True, None, pytest.approx(5.0))
-        assert database.replication.stats.reads_routed_to_replicas == 0
+        assert database.telemetry.registry.value(
+            "replication_reads_routed_total") == 0
         report = certify_snapshot_isolation(recorder)
         assert report["ok"], report["violations"]
         # Caught up (the scheduler drained the lag): the replica serves
         # again.
         assert database.run("b", "get_v") == pytest.approx(5.0)
-        assert database.replication.stats.reads_routed_to_replicas == 1
+        assert database.telemetry.registry.value(
+            "replication_reads_routed_total") == 1
 
     def test_replica_refuses_calls_to_a_migrated_away_shadow(self):
         """Regression (chaos master seed 1001, episode 64): ``a`` moves
@@ -495,7 +503,8 @@ class TestPromotionPinRescope:
             250.0, _submit_collect, database, outcomes, "writer",
             "a", "set_v", 9.0)
         database.scheduler.run()
-        assert database.replication.stats.reads_routed_to_replicas == 1
+        assert database.telemetry.registry.value(
+            "replication_reads_routed_total") == 1
         assert outcomes["writer"][0]
         committed, __, result = outcomes["reader"]
         assert committed, outcomes["reader"]

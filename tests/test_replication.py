@@ -130,9 +130,10 @@ class TestShipping:
         database = replicated_bank(mode="sync")
         run_transfers(database, 10)
         manager = database.replication
-        assert manager.stats.records_shipped > 0
-        assert manager.stats.records_applied == \
-            manager.stats.records_shipped \
+        metric = database.telemetry.registry.value
+        shipped = metric("replication_records_shipped_total")
+        assert shipped > 0
+        assert metric("replication_records_applied_total") == shipped \
             * database.deployment.replication.replicas_per_container
         for cid, group in manager.replicas.items():
             for replica in group:
@@ -147,13 +148,13 @@ class TestShipping:
                         outcome.update(ok=ok))
         # Drain past the commit but not past the apply lag.
         database.scheduler.run(until=1_000.0)
-        manager = database.replication
+        metric = database.telemetry.registry.value
         assert outcome["ok"]
-        assert manager.stats.records_shipped == 1
-        assert manager.stats.records_applied == 0
+        assert metric("replication_records_shipped_total") == 1
+        assert metric("replication_records_applied_total") == 0
         database.scheduler.run()
-        assert manager.stats.records_applied == 1
-        assert manager.stats.max_lag_us >= 5_000.0
+        assert metric("replication_records_applied_total") == 1
+        assert metric("replication_lag_us")["max"] >= 5_000.0
 
     def test_sync_commit_latency_includes_ack(self):
         plain = ReactorDatabase(shared_nothing(2),
@@ -169,7 +170,8 @@ class TestShipping:
         costs = replicated.costs
         minimum_ack = costs.repl_ship_delay + costs.repl_ack_delay
         assert latency(replicated) >= latency(plain) + minimum_ack
-        assert replicated.replication.stats.sync_commit_waits == 1
+        assert replicated.telemetry.registry.value(
+            "replication_sync_commit_waits_total") == 1
 
     def test_replication_implies_durability_and_is_shared(self):
         database = replicated_bank()
@@ -178,12 +180,12 @@ class TestShipping:
         # detach the logs replication ships from.
         assert enable_durability(database) is database.durability
 
-    def test_stats_surface_in_abort_counts(self):
+    def test_counters_are_read_from_the_registry_only(self):
         database = replicated_bank()
         run_transfers(database, 4)
-        counts = database.abort_counts()
-        assert counts["replication"]["mode"] == "sync"
-        assert counts["replication"]["records_shipped"] > 0
+        assert database.telemetry.registry.value(
+            "replication_records_shipped_total") > 0
+        assert "replication" not in database.abort_counts()
 
 
 class TestReadReplicaRouting:
@@ -191,8 +193,8 @@ class TestReadReplicaRouting:
         database = replicated_bank(read_from_replicas=True)
         total = database.run(sb.reactor_name(0), "balance")
         assert total == 2 * sb.INITIAL_BALANCE
-        assert database.replication.stats \
-            .reads_routed_to_replicas == 1
+        assert database.telemetry.registry.value(
+            "replication_reads_routed_total") == 1
 
     def test_explicit_read_only_flag_routes(self):
         database = replicated_bank(read_from_replicas=True)
@@ -203,8 +205,8 @@ class TestReadReplicaRouting:
                         done.update(ok=ok, res=res))
         database.scheduler.run()
         assert done["ok"] and done["res"] == 2 * sb.INITIAL_BALANCE
-        assert database.replication.stats \
-            .reads_routed_to_replicas == 1
+        assert database.telemetry.registry.value(
+            "replication_reads_routed_total") == 1
 
     def test_bounded_staleness_window_observable(self):
         database = replicated_bank(mode="async",
@@ -384,10 +386,11 @@ class TestFailover:
         assert not root.finished  # queued, dispatch not yet run
         database.replication.kill_primary(0)
         assert root.finished  # drained as aborted, not left in flight
-        assert database.replication.stats.failover_aborts == 1
+        metric = database.telemetry.registry.value
+        assert metric("replication_failover_aborts_total") == 1
         # Roots refused at submit are availability impact too.
         database.submit(victim, "deposit_checking", 1.0)
-        assert database.replication.stats.failover_aborts == 2
+        assert metric("replication_failover_aborts_total") == 2
 
     def test_promotion_preserves_cc_stats(self):
         database = replicated_bank(mode="sync")
@@ -436,7 +439,8 @@ class TestFailover:
                 if s.committed and s.writes > 0
                 and s.commit_tid not in surviving]
         assert lost == []
-        assert database.replication.stats.failover_aborts >= 0
+        assert database.telemetry.registry.value(
+            "replication_failover_aborts_total") >= 0
 
     def test_recovery_onto_replicated_deployment_seeds_replicas(self):
         """recover() may target any deployment — including one with
@@ -464,8 +468,8 @@ class TestFailover:
         # Replica-routed read works and sees the recovered state.
         expected = (source.run(sb.reactor_name(0), "balance"))
         assert recovered.run(sb.reactor_name(0), "balance") == expected
-        assert recovered.replication.stats \
-            .reads_routed_to_replicas == 1
+        assert recovered.telemetry.registry.value(
+            "replication_reads_routed_total") == 1
         assert certify_replication(recovered)["ok"]
         # And the recovered replicas can take over.
         recovered.run(sb.reactor_name(0), "deposit_checking", 2.0)

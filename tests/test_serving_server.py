@@ -256,7 +256,7 @@ def test_abort_message_is_never_read_as_a_shed():
     assert not outcome.committed
     assert outcome.error_code is None and not outcome.shed
     assert outcome.reason == "downstream backpressure, try later"
-    assert database.telemetry.metrics_snapshot()[
+    assert database.telemetry.registry.snapshot()[
         "serving_shed_total"] == 0
     database.close()
 
@@ -352,7 +352,7 @@ def test_serving_metrics_registered():
     finally:
         client.close()
         server.stop()
-    snapshot = database.telemetry.metrics_snapshot()
+    snapshot = database.telemetry.registry.snapshot()
     assert snapshot["serving_accepted_total"] > 0
     assert snapshot["serving_shed_total"] > 0
     assert snapshot["serving_connections_total"] >= 1

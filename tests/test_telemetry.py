@@ -19,9 +19,10 @@ from repro.bench.harness import drain_telemetry_summaries, run_measurement
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
 from repro.durability.config import DurabilityConfig
-from repro.errors import SimulationError
+from repro.errors import DeploymentError, SimulationError
 from repro.replication.config import ReplicationConfig
 from repro.telemetry import MetricsRegistry, TelemetryConfig
+from repro.telemetry.catalog import CATALOG
 from repro.telemetry.config import full_tracing
 from repro.telemetry.facade import ABORT_REASONS
 from repro.workloads import smallbank as sb
@@ -160,6 +161,24 @@ class TestMetricsRegistry:
         assert "txn_commit_latency_us_count 1" in text
         assert 'log_fsyncs_total{container="0"} 2' in text
 
+    def test_no_dead_catalog_entries(self):
+        """Every cataloged metric outside the serving and chaos layers
+        is registered by a durable, sync-replicated database that ran
+        a transaction and a migration: a catalog row whose
+        registration was deleted fails here."""
+        database = build_db(
+            durability=DurabilityConfig(enabled=True, mode="group"),
+            replication=ReplicationConfig(replicas_per_container=1,
+                                          mode="sync"))
+        database.run(sb.reactor_name(0), "deposit_checking", 1.0)
+        database.migrate(sb.reactor_name(0), 2)
+        database.scheduler.run()
+        registered = {key.split("{")[0] for key in
+                      database.telemetry.registry.snapshot()}
+        expected = {name for name in CATALOG
+                    if not name.startswith(("serving_", "chaos_"))}
+        assert expected - registered == set()
+
 
 # ----------------------------------------------------------------------
 # Configuration
@@ -187,6 +206,15 @@ class TestTelemetryConfig:
     def test_full_tracing(self):
         config = full_tracing()
         assert config.trace_sample == 1 and config.trace_system
+
+    @pytest.mark.parametrize("trace_sample", [2.7, True, "8"])
+    def test_trace_sample_is_validated_not_coerced(self, trace_sample):
+        """Built in code (a config file's values are type-checked by
+        ``from_dict``), ``2.7`` used to be truncated to 2 and ``True``
+        read as 1; neither is an int, so both are refused, naming the
+        key."""
+        with pytest.raises(DeploymentError, match="trace_sample"):
+            TelemetryConfig(trace_sample=trace_sample)
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +263,8 @@ class TestTraceDeterminism:
         names = {span.name for span in
                  database.telemetry.tracer.spans}
         assert {"migration:drain", "migration:copy_flip"} <= names
-        assert database.migration_stats()["completed"] == 1
+        assert database.telemetry.registry.value(
+            "migration_completed_total") == 1
 
     def test_replication_spans_and_lag_histogram(self):
         database = build_db(
@@ -309,8 +338,9 @@ class TestDisabledPath:
             summary["commits"]
 
     def test_legacy_shapes_survive_disable(self):
-        """The legacy surfaces report identical numbers whether
-        tracing is on or sampled off (collectors are pure pull)."""
+        """The registry and the two dict shapes the e2e benchmark
+        reads report identical numbers whether tracing is on or
+        sampled off (collectors are pure pull)."""
         snapshots = []
         for trace_sample in (64, 0):
             database = build_db(
@@ -321,23 +351,24 @@ class TestDisabledPath:
                     replicas_per_container=1, mode="async"))
             drive(database)
             snapshots.append({
+                "registry": database.telemetry.registry.snapshot(),
                 "aborts": database.abort_counts(),
-                "versions": database.version_stats(),
-                "replication": database.replication_stats(),
                 "durability": database.durability_stats(),
             })
         assert snapshots[0] == snapshots[1]
         aborts = snapshots[0]["aborts"]
         assert set(aborts["by_reason"]) == set(ABORT_REASONS)
         assert aborts["validations"] > 0
-        versions = snapshots[0]["versions"]
-        assert {"live_versions", "versions_created",
-                "gc_versions", "read_only_aborts"} <= set(versions)
+        registry = snapshots[0]["registry"]
+        assert {"storage_live_versions", "storage_versions_created_total",
+                "storage_versions_gced_total",
+                "storage_read_only_aborts_total"} <= set(registry)
+        assert registry["replication_records_shipped_total"] > 0
+        assert registry["replication_lag_us"]["count"] > 0
         durability = snapshots[0]["durability"]
         flusher = durability["flushers"][0]
         assert flusher["fsyncs"] > 0
         assert flusher["records_per_fsync"] > 0
-        assert snapshots[0]["replication"]["records_shipped"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -390,9 +421,9 @@ class TestExport:
         assert payload["displayTimeUnit"] == "ms"
         assert "txn_commits_total" in payload["metrics"]
 
-    def test_prometheus_from_facade(self):
+    def test_prometheus_from_a_database(self):
         database = build_db()
         drive(database)
-        text = database.telemetry.render_prometheus()
+        text = database.telemetry.registry.render_prometheus()
         assert "# TYPE txn_commit_latency_us summary" in text
         assert "scheduler_events_dispatched_total" in text

@@ -282,7 +282,8 @@ class TestReadOnlyAndDelivery:
                                    tpcc.declarations(W))
         tpcc.load(database, W, SCALE)
         database.run(wh(1), proc, *args)
-        assert database.version_stats()["snapshot_roots"] == 1
+        assert database.telemetry.registry.value(
+            "storage_snapshot_roots_total") == 1
 
 
 class TestInputGeneration:

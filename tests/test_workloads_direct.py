@@ -72,19 +72,20 @@ class TestYcsbProcedures:
         value = database.run(ycsb.key_name(3), "read_one")
         assert value == "x" * ycsb.RECORD_SIZE
         if cc.get("snapshot_reads"):
-            assert database.version_stats()["snapshot_roots"] == 1
+            assert database.telemetry.registry.value(
+                "storage_snapshot_roots_total") == 1
 
     def test_multi_read_commits_across_containers(self, cc):
         database = _ycsb_db(cc)
         assert "multi_read" in ycsb.KEY_REACTOR.read_only_procedures
         keys = [ycsb.key_name(i) for i in (1, 5, 9)]
         database.run(keys[0], "multi_read", keys)
-        stats = database.version_stats()
-        assert stats["read_only_aborts"] == 0
+        metric = database.telemetry.registry.value
+        assert metric("storage_read_only_aborts_total") == 0
         if cc.get("snapshot_reads"):
             # One snapshot root, sessions in three containers.
-            assert stats["snapshot_roots"] == 1
-            assert stats["snapshot_reads_served"] == 3
+            assert metric("storage_snapshot_roots_total") == 1
+            assert metric("storage_snapshot_reads_total") == 3
 
     def test_concurrent_mix_stays_consistent(self, cc):
         database = _ycsb_db(cc)
@@ -110,9 +111,9 @@ class TestYcsbProcedures:
                 ycsb.key_name(i), "kv")[0]["value"]
             assert len(value) == ycsb.RECORD_SIZE
         if cc.get("snapshot_reads"):
-            stats = database.version_stats()
-            assert stats["read_only_aborts"] == 0
-            assert stats["pinned_snapshots"] == 0
+            metric = database.telemetry.registry.value
+            assert metric("storage_read_only_aborts_total") == 0
+            assert metric("storage_pinned_snapshots") == 0
 
 
 class TestYcsbGenerator:
