@@ -14,16 +14,19 @@ Each case is run twice:
 
 * ``recorded`` — history recorder attached, every root traced: the
   digest covers results, commit TIDs, per-container redo logs, the
-  recorded operation stream, the Chrome trace export, the virtual end
-  time and the CC stats;
+  recorded operation stream, the Chrome trace export's spans, the
+  virtual end time and the CC stats;
 * ``plain`` — no recorder, default telemetry (the path benchmarks
   run): the same minus the operation stream and the trace.
 
-The scheduler's event count, ``scheduler.events_dispatched``, is
-pinned beside the digests as an exact ``events`` number per case (the
-trace export's ``scheduler_events_dispatched_total`` is checked equal
-to it and left out of the digest): a change that merges hops adjacent
-in virtual time moves that number alone.
+The trace export's ``metrics`` block (the registry snapshot) has its
+own ``metrics`` digest, so adding or deleting a catalog metric moves
+that digest alone and no history digest.  The scheduler's event
+count, ``scheduler.events_dispatched``, is pinned beside the digests
+as an exact ``events`` number per case (the snapshot's
+``scheduler_events_dispatched_total`` is checked equal to it and left
+out of the digest): a change that merges hops adjacent in virtual
+time moves that number alone.
 
 Any change to virtual costs, event order, TID assignment, validation
 order or log contents changes a digest.  A change that is *meant* to
@@ -226,9 +229,11 @@ def observe(workload: str, scheme: str, seed: int,
         seen["events"] = [repr(event)
                           for event in recorder.history.events]
         trace = database.telemetry.export_chrome()
-        assert trace["metrics"].pop("scheduler_events_dispatched_total") \
+        metrics = trace.pop("metrics")
+        assert metrics.pop("scheduler_events_dispatched_total") \
             == seen["events_dispatched"]
         seen["trace"] = trace
+        seen["metrics"] = metrics
     database.close()
     return seen
 
@@ -250,8 +255,10 @@ def compute(workload: str, scheme: str, seed: int) -> dict[str, str]:
         assert plain[field] == recorded[field], field
     events = plain.pop("events_dispatched")
     del recorded["events_dispatched"]
+    metrics = recorded.pop("metrics")
     commits = sum(1 for r in plain["results"] if r[0])
-    return {"recorded": digest(recorded), "plain": digest(plain),
+    return {"recorded": digest(recorded), "metrics": digest(metrics),
+            "plain": digest(plain),
             "commits": commits, "roots": len(plain["results"]),
             "events": events}
 
