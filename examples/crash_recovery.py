@@ -106,7 +106,8 @@ def main():
     print(f"   crash image: "
           f"{sum(len(r) for r in image.logs.values())} durable "
           f"records, {unflushed} unflushed (lost with the epoch), "
-          f"{len(image.acked_tids)} acked commits to account for")
+          f"{len(image.acked_sites)} acked commit sites to account "
+          f"for")
 
     print("4. parallel partitioned recovery onto "
           "shared-everything-with-affinity")

@@ -60,9 +60,8 @@ class RunSummary:
     #: mean of per-epoch throughputs (txn/sec) and its std deviation
     throughput_tps: float = 0.0
     throughput_std: float = 0.0
-    #: mean of per-epoch mean latencies (microseconds) and its std
+    #: mean of per-epoch mean latencies (microseconds)
     latency_us: float = 0.0
-    latency_std: float = 0.0
     p50_us: float = 0.0
     p99_us: float = 0.0
     #: average latency breakdown by cost-model category (microseconds)
@@ -126,7 +125,6 @@ def summarize(stats: Iterable[TxnStats], window_start: float,
     summary.throughput_tps = mean(tputs)
     summary.throughput_std = stddev(tputs)
     summary.latency_us = mean(lats)
-    summary.latency_std = stddev(lats)
     all_lats = [s.latency for s in committed]
     summary.p50_us = percentile(all_lats, 50)
     summary.p99_us = percentile(all_lats, 99)

@@ -34,14 +34,12 @@ TxnFactory = Callable[["Worker"], TxnSpec | None]
 class Worker:
     """One closed-loop load generator."""
 
-    __slots__ = ("worker_id", "database", "txn_factory",
-                 "deadline", "rng", "stats", "issued", "busy_time",
-                 "_issue_start")
+    __slots__ = ("database", "txn_factory", "deadline", "rng", "stats",
+                 "issued", "busy_time", "_issue_start")
 
     def __init__(self, worker_id: int, database: ReactorDatabase,
                  txn_factory: TxnFactory, deadline: float,
                  seed: int = 42) -> None:
-        self.worker_id = worker_id
         self.database = database
         self.txn_factory = txn_factory
         #: Virtual time after which no new transactions are issued.

@@ -27,9 +27,10 @@ protocol every scheme implements and the machinery they share:
 The table that maps a ``cc_scheme`` deployment string to a
 per-container manager is :func:`repro.concurrency.create_cc_scheme`'s.
 
-Every data operation returns the number of records *examined* along
-with its result, so the execution runtime can charge simulated CPU
-proportional to real work done.
+A scan returns the number of records it *examined* along with its
+rows (:class:`ScanResult`), so the execution runtime can charge
+simulated CPU proportional to real work done; a point operation
+examines one record per key and returns only its result.
 """
 
 from __future__ import annotations
@@ -303,8 +304,8 @@ class CCSession:
     # Transactional data operations (the record manager interface)
     # ------------------------------------------------------------------
 
-    def read(self, table: Table, pk: tuple) -> tuple[Row | None, int]:
-        """Point read by primary key; returns (row or None, examined)."""
+    def read(self, table: Table, pk: tuple) -> Row | None:
+        """Point read by primary key; ``None`` when absent."""
         if self._hooks_begin_op:
             self._begin_op()
         writes = self._writes
@@ -312,31 +313,30 @@ class CCSession:
             intent = writes.get((id(table), pk))
             if intent is not None:
                 if intent.kind == DELETE:
-                    return None, 1
+                    return None
                 assert intent.new_value is not None
-                return dict(intent.new_value), 1
+                return dict(intent.new_value)
         record = table.records.get(pk)
         if record is None or record.deleted:
             # A miss is also a predicate read: guard against a phantom
             # insert of this key by validating the table structure.
             self._register_node(table)
-            return None, 1
+            return None
         if self._hooks_register_read:
             self._register_read(record)
         elif record not in self._reads:
             self._reads[record] = record.tid
-        return dict(record.value), 1
+        return dict(record.value)
 
     def multi_read(self, table: Table,
-                   pks: Iterable[tuple]) -> tuple[list[Row | None], int]:
+                   pks: Iterable[tuple]) -> list[Row | None]:
         """Vectorized point reads: one overlay/version walk per batch.
 
         Semantically identical to ``[read(table, pk) for pk in pks]``
         — same footprint registration (scheme hooks included), same
-        overlay visibility, same examined count — but with method
-        lookups hoisted out of the loop and results preallocated.
-        Returns ``(rows aligned with pks, examined)``; missing keys
-        yield ``None`` in place.
+        overlay visibility — but with method lookups hoisted out of
+        the loop and results preallocated.  Returns rows aligned with
+        ``pks``; missing keys yield ``None`` in place.
         """
         if self._hooks_begin_op:
             self._begin_op()
@@ -379,9 +379,9 @@ class CCSession:
                 else:
                     register_read(record)
                     out[i] = dict(record.value)
-        return out, len(pks)
+        return out
 
-    def insert(self, table: Table, row: Mapping[str, Any]) -> int:
+    def insert(self, table: Table, row: Mapping[str, Any]) -> None:
         """Buffer an insert; duplicate keys visible to this transaction
         raise immediately (concurrent duplicates surface at commit)."""
         if self._hooks_begin_op:
@@ -396,14 +396,13 @@ class CCSession:
                 # delete + insert collapses to an update of the record.
                 self._set_intent(WriteIntent(
                     UPDATE, table, pk, intent.record, validated))
-                return 1
+                return
             raise DuplicateKeyError(
                 f"duplicate key {pk!r} in {table.name!r} (own write)"
             )
         if table.get_record(pk) is not None:
             raise self._committed_duplicate(table, pk)
         self._set_intent(WriteIntent(INSERT, table, pk, None, validated))
-        return 1
 
     def _committed_duplicate(self, table: Table,
                              pk: tuple) -> ReactorError:
@@ -411,8 +410,8 @@ class CCSession:
         return DuplicateKeyError(f"duplicate key {pk!r} in {table.name!r}")
 
     def update(self, table: Table, pk: tuple,
-               assignments: Mapping[str, Any]) -> tuple[Row, int]:
-        """Read-modify-write one row; returns (new image, examined).
+               assignments: Mapping[str, Any]) -> Row:
+        """Read-modify-write one row; returns the new image.
 
         The read is inlined: the overlay or committed image is copied
         once into the new intent (which owns that dict until it is
@@ -440,7 +439,7 @@ class CCSession:
                 new_value.update(assignments)
                 self._set_intent(WriteIntent(
                     intent.kind, table, pk, intent.record, new_value))
-                return dict(new_value), 1
+                return dict(new_value)
         record = table.records.get(pk)
         if record is None or record.deleted:
             # Same phantom guard a read miss registers.
@@ -458,10 +457,10 @@ class CCSession:
             UPDATE, table, pk, record, new_value))
         # The intent owns ``new_value`` from here to installation (it
         # becomes the committed image as is); the caller gets a copy.
-        return dict(new_value), 1
+        return dict(new_value)
 
-    def delete(self, table: Table, pk: tuple) -> int:
-        """Buffer a delete; returns records examined."""
+    def delete(self, table: Table, pk: tuple) -> None:
+        """Buffer a delete."""
         if self._hooks_begin_op:
             self._begin_op()
         if self.read_only:
@@ -470,14 +469,14 @@ class CCSession:
         if intent is not None:
             if intent.kind == INSERT:
                 self._drop_intent(table, pk)
-                return 1
+                return
             if intent.kind == DELETE:
                 raise RecordNotFound(
                     f"delete of missing key {pk!r} in {table.name!r}"
                 )
             self._set_intent(WriteIntent(
                 DELETE, table, pk, intent.record, None))
-            return 1
+            return
         record = table.get_record(pk)
         if record is None:
             self._register_node(table)
@@ -486,7 +485,6 @@ class CCSession:
             )
         self._register_read(record)
         self._set_intent(WriteIntent(DELETE, table, pk, record, None))
-        return 1
 
     def scan(self, table: Table, predicate: Predicate = ALWAYS,
              index: str | None = None, low: tuple | None = None,

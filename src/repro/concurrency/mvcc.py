@@ -87,7 +87,7 @@ class SnapshotSession(CCSession):
         self.snapshot_read_count += 1
         if self.observer is not None:
             self.observer(self, table, pk, observed_tid)
-        return image, 1
+        return image
 
     def multi_read(self, table: Table, pks):
         """Vectorized snapshot point reads: one chain walk per key,
@@ -109,7 +109,7 @@ class SnapshotSession(CCSession):
                 observer(self, table, pk, observed_tid)
             out[i] = image
         self.snapshot_read_count += len(pks)
-        return out, len(pks)
+        return out
 
     def scan(self, table: Table, predicate: Predicate = ALWAYS,
              index: str | None = None, low: tuple | None = None,
@@ -211,7 +211,7 @@ class SnapshotSession(CCSession):
             f"{table.name!r}"
         )
 
-    def insert(self, table: Table, row: Mapping[str, Any]) -> int:
+    def insert(self, table: Table, row: Mapping[str, Any]) -> None:
         self._refuse_write("insert", table)
         raise AssertionError("unreachable")
 
@@ -220,7 +220,7 @@ class SnapshotSession(CCSession):
         self._refuse_write("update", table)
         raise AssertionError("unreachable")
 
-    def delete(self, table: Table, pk: tuple) -> int:
+    def delete(self, table: Table, pk: tuple) -> None:
         self._refuse_write("delete", table)
         raise AssertionError("unreachable")
 

@@ -131,10 +131,10 @@ class ReactorContext:
     # Every operation below is one call into the session: the table
     # is one probe of the reactor's own relations (a miss raises the
     # catalog's typed error), the session is the frame's, scalar keys
-    # are wrapped in place, and the simulated CPU
-    # (unit cost x records examined x the frame's cold-access factor)
-    # accrues on the task for the executor to charge at the next
-    # suspension point.
+    # are wrapped in place, and the simulated CPU (unit cost x records
+    # examined x the frame's cold-access factor; a point operation
+    # examines one record per key) accrues on the task for the
+    # executor to charge at the next suspension point.
 
     def _open_session(self) -> Any:
         # Cached for the context's lifetime (one frame): the session
@@ -151,10 +151,8 @@ class ReactorContext:
         """Point read by primary key; ``None`` when absent."""
         table = self._tables[table_name]
         session = self._session_cache or self._open_session()
-        row, examined = session.read(
-            table, pk if isinstance(pk, tuple) else (pk,))
-        self._task.pending_charge += self._costs.read_cost * \
-            (examined if examined > 1 else 1) * self._factor
+        row = session.read(table, pk if isinstance(pk, tuple) else (pk,))
+        self._task.pending_charge += self._costs.read_cost * self._factor
         return row
 
     def multi_lookup(self, table_name: str,
@@ -170,9 +168,9 @@ class ReactorContext:
         table = self._tables[table_name]
         session = self._session_cache or self._open_session()
         keys = [pk if isinstance(pk, tuple) else (pk,) for pk in pks]
-        rows, examined = session.multi_read(table, keys)
+        rows = session.multi_read(table, keys)
         self._task.pending_charge += self._costs.read_cost * \
-            (examined if examined > 1 else 1) * self._factor
+            max(len(keys), 1) * self._factor
         return rows
 
     def select(self, table_name: str, where: Predicate = ALWAYS,
@@ -185,17 +183,15 @@ class ReactorContext:
         result = session.scan(
             table, where, index=index, low=low, high=high,
             reverse=reverse, limit=limit)
-        examined = result.examined
         self._task.pending_charge += self._costs.scan_row_cost * \
-            (examined if examined > 1 else 1) * self._factor
+            max(result.examined, 1) * self._factor
         return result.rows
 
     def insert(self, table_name: str, row: Mapping[str, Any]) -> None:
         table = self._tables[table_name]
         session = self._session_cache or self._open_session()
-        examined = session.insert(table, row)
-        self._task.pending_charge += \
-            self._costs.insert_cost * examined * self._factor
+        session.insert(table, row)
+        self._task.pending_charge += self._costs.insert_cost * self._factor
 
     def update(self, table_name: str, pk: Any,
                values: Mapping[str, Any]) -> Row:
@@ -203,16 +199,13 @@ class ReactorContext:
         image.  Raises :class:`~repro.errors.RecordNotFound` if absent."""
         table = self._tables[table_name]
         session = self._session_cache or self._open_session()
-        new_row, examined = session.update(
+        new_row = session.update(
             table, pk if isinstance(pk, tuple) else (pk,), values)
-        self._task.pending_charge += self._costs.write_cost * \
-            (examined if examined > 1 else 1) * self._factor
+        self._task.pending_charge += self._costs.write_cost * self._factor
         return new_row
 
     def delete(self, table_name: str, pk: Any) -> None:
         table = self._tables[table_name]
         session = self._session_cache or self._open_session()
-        examined = session.delete(
-            table, pk if isinstance(pk, tuple) else (pk,))
-        self._task.pending_charge += \
-            self._costs.delete_cost * examined * self._factor
+        session.delete(table, pk if isinstance(pk, tuple) else (pk,))
+        self._task.pending_charge += self._costs.delete_cost * self._factor

@@ -95,8 +95,8 @@ class Reactor:
     """A named reactor instance with private relational state.
 
     Placement attributes (``container``, ``pinned_executor``) are
-    assigned by the deployment at bootstrap; ``last_core`` tracks which
-    simulated core most recently touched this reactor's data, driving
+    assigned by the deployment at bootstrap; ``core_heat`` tracks how
+    recently each simulated core touched this reactor's data, driving
     the cache-affinity cost model (``docs/architecture.md``,
     ``repro.sim``).
 
@@ -107,14 +107,15 @@ class Reactor:
     many times the logical reactor has been re-homed, ``migrating``
     marks the serving instance while its migration drains, and a
     ``retired`` instance points at its successor through
-    ``migrated_to`` so stragglers holding a stale reference can be
-    forwarded.
+    ``migrated_to`` (the migration certificate reads both).  No task
+    can reach a retired instance: the drain barrier and the parked
+    queue keep every request on the instance that serves it.
     """
 
     __slots__ = ("name", "rtype", "catalog", "container",
-                 "pinned_executor", "affinity_executor", "last_core",
-                 "core_heat", "_active_subtxn", "epoch", "migrating",
-                 "retired", "migrated_to", "inflight_roots")
+                 "pinned_executor", "affinity_executor", "core_heat",
+                 "_active_subtxn", "epoch", "migrating", "retired",
+                 "migrated_to", "inflight_roots")
 
     #: Cache-warmth retained per intervening transaction on another
     #: core: with round-robin over k executors a reactor returns to a
@@ -133,7 +134,6 @@ class Reactor:
         #: Preferred executor for *root* transactions under affinity
         #: routing (sub-calls in shared-everything stay inline).
         self.affinity_executor: Any = None
-        self.last_core: int | None = None
         #: core id -> warmth in [0, 1]; decays as other cores touch
         #: this reactor's data.
         self.core_heat: dict[int, float] = {}
@@ -172,13 +172,11 @@ class Reactor:
             for core in list(self.core_heat):
                 self.core_heat[core] *= self.HEAT_DECAY
         self.core_heat[core_id] = 1.0
-        self.last_core = core_id
         return warmth
 
     def mark_cold(self) -> None:
         """Forget all cache warmth (testing / cache-flush modeling)."""
         self.core_heat.clear()
-        self.last_core = None
 
     # -- dynamic intra-transaction safety (Section 2.2.4) --------------
 

@@ -115,15 +115,12 @@ class CrashImage:
     mode: str
     manifest: CheckpointManifest
     logs: dict[int, list[bytes]]
-    durable_tids: dict[int, int] = field(default_factory=dict)
     flushed_counts: dict[int, int] = field(default_factory=dict)
     truncated_through: dict[int, int] = field(default_factory=dict)
     #: Commit sites — ``(container id, append position)`` pairs —
     #: of transactions acknowledged to clients before the crash.
     #: (Positions, not TIDs: TIDs are only unique per container.)
     acked_sites: list[tuple[int, int]] = field(default_factory=list)
-    #: Commit TIDs acknowledged before the crash (reporting only).
-    acked_tids: list[int] = field(default_factory=list)
     #: Sites dropped for cross-container epoch consistency.
     torn_sites: list[tuple[int, int]] = field(default_factory=list)
     #: Per-container TIDs of the dropped sites (reporting only).
@@ -159,11 +156,8 @@ class DurabilityManager:
         #: container id -> the commit TIDs of ``installed``, position
         #: for position.
         self.installed_tids: dict[int, list[int]] = {}
-        #: Commit TIDs reported committed to clients (the executor
-        #: notes them at root completion).  A *set* of numbers — TIDs
-        #: can collide across containers, so ``acked_count`` (roots)
-        #: is the accurate tally.
-        self.acked_tids: set[int] = set()
+        #: Roots reported committed to clients (the executor notes
+        #: them at root completion).
         self.acked_count = 0
         #: Acked commit sites as ``(cid, append position)`` — the
         #: collision-free identity (TIDs are per-container sequences,
@@ -327,8 +321,6 @@ class DurabilityManager:
         sites = self._sites.pop(root.txn_id, None)
         if sites:
             self.acked_sites.extend(sites)
-        if root.commit_tid:
-            self.acked_tids.add(root.commit_tid)
 
     def note_unacked(self, root: Any) -> None:
         """The root completed without a commit acknowledgement
@@ -489,13 +481,10 @@ class DurabilityManager:
             manifest=CheckpointManifest.from_json(
                 self.manifest.to_json()),
             logs=durable,
-            durable_tids={cid: f.durable_tid
-                          for cid, f in self.flushers.items()},
             flushed_counts=flushed,
             truncated_through={cid: log.truncated_through
                                for cid, log in self.logs.items()},
             acked_sites=list(self.acked_sites),
-            acked_tids=sorted(self.acked_tids),
             torn_sites=torn_sites,
             torn_tids=torn_tids,
         )
@@ -557,7 +546,6 @@ class RecoveryReport:
     partitions: int
     rows_loaded: int
     entries_replayed: int
-    parallel: bool
     #: executor core id -> virtual CPU charged for recovery work.
     per_executor_us: dict[int, float] = field(default_factory=dict)
 
@@ -644,7 +632,6 @@ def recover(deployment: DeploymentConfig,
         partitions=len(names),
         rows_loaded=counters["rows"],
         entries_replayed=counters["entries"],
-        parallel=parallel,
         per_executor_us=busy,
     )
 

@@ -368,8 +368,9 @@ def certify_migration(database: Any) -> dict[str, Any]:
     certificate asserts, from observable state only:
 
     1. **routing** — the reactor resolves to its destination
-       container, the source instance is retired and forwards to the
-       successor, and the routing epoch advanced by exactly one;
+       container, the source instance is retired and names the
+       successor (``migrated_to``), and the routing epoch advanced by
+       exactly one;
     2. **source quiescence** — the source container's redo log gained
        no entry for the reactor after the snapshot watermark: the
        drain barrier really ended all writes at the old home (no

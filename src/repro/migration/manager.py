@@ -22,10 +22,12 @@ container to another while the system keeps serving traffic:
    recovery and replication use, priced by the ``mig_*`` cost
    parameters of :mod:`repro.sim.costs`;
 4. **flip** — the routing entry swaps to the successor in a single
-   scheduler event (the source is ``retired`` and forwards
-   stragglers), replication re-homes the reactor's replica shards, and
-   the history recorder (when attached) aliases the successor so
-   serializability audits span the migration;
+   scheduler event (the source is ``retired``; no request can still
+   reach it, since its queued roots were swept, its late arrivals
+   parked and its sub-calls drained), replication re-homes the
+   reactor's replica shards, and the history recorder (when
+   attached) aliases the successor so serializability audits span
+   the migration;
 5. **replay** — the parked work is re-submitted at the destination in
    arrival order.
 
@@ -569,8 +571,7 @@ class MigrationManager:
             if name in self.active:
                 continue
             reactor = self.database.reactor(name)
-            if reactor.migrating or reactor.retired or \
-                    reactor.container.failed:
+            if reactor.migrating or reactor.container.failed:
                 continue
             names.append(name)
         return sorted(names)

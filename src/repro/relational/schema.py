@@ -109,8 +109,6 @@ class TableSchema:
     indexes: tuple[IndexSpec, ...] = field(default_factory=tuple)
     # Compiled once, here, from the declaration above: everything row
     # and assignment validation would otherwise re-derive per call.
-    column_names: tuple[str, ...] = field(init=False, repr=False,
-                                          compare=False)
     _by_name: dict[str, Column] = field(init=False, repr=False,
                                         compare=False)
     _pk_of: Any = field(init=False, repr=False, compare=False)
@@ -140,7 +138,6 @@ class TableSchema:
                         f"{col!r}"
                     )
         compiled = object.__setattr__
-        compiled(self, "column_names", tuple(names))
         compiled(self, "_by_name", {c.name: c for c in self.columns})
         compiled(self, "_pk_of", itemgetter(*self.primary_key))
 

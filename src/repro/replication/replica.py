@@ -37,7 +37,6 @@ class ReplicaContainer(Container):
         super().__init__(primary.container_id, database, concurrency)
         #: Globally unique replica index (for routing/debug).
         self.replica_id = replica_id
-        self.primary = primary
         self.role = ROLE_REPLICA
         #: Redo records applied so far, sealed, in arrival order — by
         #: construction a prefix of the primary's shipped sequence

@@ -93,8 +93,7 @@ class Task:
         self.result_future = result_future
         self.on_root_done = on_root_done
         self.frames: list[Frame] = []
-        #: The executor running it, set when it starts (forwarding
-        #: may re-target a queued task).
+        #: The executor running it, set when it starts.
         self.executor: TransactionExecutor | None = None
         #: Simulated CPU accrued by data operations since last flush.
         self.pending_charge = 0.0
@@ -237,12 +236,6 @@ class TransactionExecutor:
     # ------------------------------------------------------------------
 
     def _start(self, task: Task) -> None:
-        if task.reactor.retired and self._forward_stale(task):
-            # The reactor migrated away while this request waited in a
-            # queue the migration sweep did not cover; it was handed to
-            # the successor's executor instead of running here.
-            self._release()
-            return
         self.requests_served += 1
         root = task.root
         reactor = task.reactor
@@ -279,34 +272,6 @@ class TransactionExecutor:
                        self._step, task, _NOTHING, None)
         else:
             self._step(task, _NOTHING, None)
-
-    def _forward_stale(self, task: Task) -> bool:
-        """Re-target a queued task whose reactor was retired by an
-        online migration; returns ``True`` when it was re-submitted to
-        another executor (and must not start here)."""
-        reactor = task.reactor
-        while reactor.retired and reactor.migrated_to is not None:
-            reactor = reactor.migrated_to
-        task.reactor = reactor
-        database = self.container.database
-        is_root = task.subtxn_id == 0
-        if reactor.migrating:
-            # The successor is itself mid-migration (back-to-back):
-            # the request belongs in that migration's parked queue.
-            migration = database.migration
-            if is_root:
-                migration.park_root(reactor.name, task)
-            else:
-                migration.park_subcall(reactor.name, task)
-            return True
-        if is_root:
-            target = database._route_root(reactor)
-        else:
-            target = self._sub_call_target(reactor)
-        if target is not self:
-            target.submit(task)
-            return True
-        return False
 
     def _push_frame(self, task: Task, reactor: Any, subtxn_id: int,
                     entered: bool, proc_name: str, args: tuple,

@@ -520,16 +520,13 @@ class ThreadsBackend:
     # Quiesce
     # ------------------------------------------------------------------
 
-    def run(self, until: float | None = None,
-            max_events: int | None = None) -> None:
+    def run(self, until: float | None = None) -> None:
         """Block until the system quiesces.
 
         Quiescence means no queued or in-flight callbacks and no armed
         timers (with ``until``: none due at or before ``until`` — the
         same inclusive boundary contract as the sim scheduler; later
-        timers stay armed).  ``max_events`` is accepted for interface
-        compatibility but unenforced — wall-clock runs are bounded by
-        real time, not event counts.
+        timers stay armed).
         """
         if self._running:
             raise SimulationError("backend run() is not re-entrant")

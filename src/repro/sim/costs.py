@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 class CostParameters:
     """All virtual-time costs, in microseconds.
 
-    Instances are immutable; use :meth:`scaled` or ``dataclasses.replace``
-    to derive variants (e.g., for ablations that equalize ``cs``/``cr``).
+    Instances are immutable; use ``dataclasses.replace`` to derive
+    variants (e.g., for ablations that equalize ``cs``/``cr``).
     """
 
     # Cross-executor communication (the paper's Cs / Cr).
@@ -77,7 +77,7 @@ class CostParameters:
     # threshold that flushes an epoch early.  The interval and byte
     # threshold are flush-*policy* knobs expressed in the cost set so
     # deployments tune them alongside the prices they amortize; they
-    # are not CPU costs and are left out of :meth:`scaled`.
+    # are not CPU costs, so :meth:`container_scaled` leaves them be.
     fsync_cost: float = 30.0
     flush_interval_us: float = 50.0
     flush_batch_bytes: int = 32768
@@ -105,33 +105,6 @@ class CostParameters:
 
     # Computational kernels (sim_risk, stock replenishment delays).
     rand_cost: float = 0.006
-
-    def scaled(self, factor: float) -> "CostParameters":
-        """Uniformly scale all CPU/communication costs by ``factor``.
-
-        Used to derive slower-clock machine profiles from a reference
-        profile.  The scaling applies to every cost except
-        ``cold_access_factor`` (a ratio), the flush-policy knobs
-        ``flush_interval_us`` / ``flush_batch_bytes`` (cadence choices,
-        not CPU costs), and ``rand_cost`` consumers can scale
-        separately.
-        """
-        fields = {
-            name: getattr(self, name) * factor
-            for name in (
-                "cs", "cr", "cr_ready", "transport_delay", "client_send",
-                "executor_wake", "client_receive", "input_gen", "read_cost",
-                "write_cost", "insert_cost", "delete_cost", "scan_row_cost",
-                "proc_base_cost", "occ_validate_per_read",
-                "occ_install_per_write", "occ_commit_base",
-                "tpc_prepare_per_container", "abort_cost", "rand_cost",
-                "repl_ship_delay", "repl_apply_per_write",
-                "repl_ack_delay", "fsync_cost", "recovery_load_per_row",
-                "recovery_replay_per_entry", "mig_copy_base",
-                "mig_copy_per_row", "mig_flip_cost", "mig_replay_per_txn",
-            )
-        }
-        return replace(self, **fields)
 
     def container_scaled(self, factor: float) -> "CostParameters":
         """Scale only the costs one container pays *locally* — CPU,

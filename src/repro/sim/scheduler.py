@@ -143,9 +143,8 @@ class SimScheduler:
         """Schedule ``fn(*args)`` at the current time (after this event)."""
         return Event(self, self.clock.now, fn, args)
 
-    def run(self, until: float | None = None,
-            max_events: int | None = None) -> None:
-        """Dispatch events until the queue drains or a bound is reached.
+    def run(self, until: float | None = None) -> None:
+        """Dispatch events until the queue drains or ``until`` passes.
 
         Args:
             until: stop once the next event is strictly later than this
@@ -156,13 +155,11 @@ class SimScheduler:
                 before the call returns: both backends share this
                 quiesce contract, so "ran to ``until``" means every
                 event due by then was dispatched.
-            max_events: safety valve against runaway simulations.
         """
         if self._running:
             raise SimulationError("scheduler is not re-entrant")
         self._running = True
         try:
-            dispatched = 0
             queue = self._queue
             clock = self.clock
             while queue:
@@ -185,12 +182,6 @@ class SimScheduler:
                     clock.now = time
                 event.fn(*event.args)
                 self._dispatched += 1
-                dispatched += 1
-                if max_events is not None and dispatched >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; "
-                        "possible livelock in the simulation"
-                    )
             if until is not None and clock.now < until:
                 clock.advance_to(until)
         finally:

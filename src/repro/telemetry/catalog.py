@@ -162,15 +162,4 @@ CATALOG: dict[str, tuple[str, str]] = {
 }
 
 
-def kind_of(name: str) -> str | None:
-    entry = CATALOG.get(name)
-    return entry[0] if entry else None
-
-
-def help_of(name: str) -> str:
-    entry = CATALOG.get(name)
-    return entry[1] if entry else ""
-
-
-__all__ = ["CATALOG", "COUNTER", "GAUGE", "HISTOGRAM", "kind_of",
-           "help_of"]
+__all__ = ["CATALOG", "COUNTER", "GAUGE", "HISTOGRAM"]

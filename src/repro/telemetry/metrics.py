@@ -40,13 +40,11 @@ def _label_key(labels: dict[str, Any]) -> LabelKey:
 class Counter:
     """A monotonically increasing event count."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("value",)
 
     kind = COUNTER
 
-    def __init__(self, name: str, labels: LabelKey) -> None:
-        self.name = name
-        self.labels = labels
+    def __init__(self) -> None:
         self.value = 0
 
     def inc(self, n: int = 1) -> None:
@@ -59,16 +57,13 @@ class Counter:
 class Gauge:
     """A point-in-time level; optionally collector-backed."""
 
-    __slots__ = ("name", "labels", "value", "fn")
+    __slots__ = ("value", "fn")
 
     kind = GAUGE
 
-    def __init__(self, name: str, labels: LabelKey,
-                 fn: Callable[[], Any] | None = None) -> None:
-        self.name = name
-        self.labels = labels
+    def __init__(self) -> None:
         self.value: float = 0
-        self.fn = fn
+        self.fn: Callable[[], Any] | None = None
 
     def set(self, value: float) -> None:
         self.value = value
@@ -82,14 +77,11 @@ class Gauge:
 class Histogram:
     """Log-bucketed distribution with exact count/sum/min/max."""
 
-    __slots__ = ("name", "labels", "buckets", "count", "total",
-                 "min", "max")
+    __slots__ = ("buckets", "count", "total", "min", "max")
 
     kind = HISTOGRAM
 
-    def __init__(self, name: str, labels: LabelKey) -> None:
-        self.name = name
-        self.labels = labels
+    def __init__(self) -> None:
         #: one slot per bound plus the overflow bucket.
         self.buckets = [0] * (len(BUCKET_BOUNDS) + 1)
         self.count = 0
@@ -146,36 +138,36 @@ class MetricsRegistry:
 
     # -- registration ---------------------------------------------------
 
-    def _get(self, name: str, kind: str, labels: dict[str, Any],
-             factory) -> Any:
+    def _get(self, name: str, labels: dict[str, Any], factory) -> Any:
         cataloged = CATALOG.get(name)
         if cataloged is None:
             raise SimulationError(
                 f"metric {name!r} is not in the telemetry catalog "
                 f"(repro.telemetry.catalog)")
-        if cataloged[0] != kind:
+        if cataloged[0] != factory.kind:
             raise SimulationError(
-                f"metric {name!r} is a {cataloged[0]}, not a {kind}")
+                f"metric {name!r} is a {cataloged[0]}, "
+                f"not a {factory.kind}")
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = self._metrics[key] = factory(name, key[1])
+            metric = self._metrics[key] = factory()
         return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get(name, COUNTER, labels, Counter)
+        return self._get(name, labels, Counter)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get(name, GAUGE, labels, Gauge)
+        return self._get(name, labels, Gauge)
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self._get(name, HISTOGRAM, labels, Histogram)
+        return self._get(name, labels, Histogram)
 
     def gauge_fn(self, name: str, fn: Callable[[], Any],
                  **labels: Any) -> Gauge:
         """Register (or re-point — registration is idempotent, which
         failover/promotion relies on) a collector-backed gauge."""
-        gauge = self._get(name, GAUGE, labels, Gauge)
+        gauge = self._get(name, labels, Gauge)
         gauge.fn = fn
         return gauge
 
@@ -200,37 +192,6 @@ class MetricsRegistry:
                 key = name
             out[key] = metric.current()
         return out
-
-    def render_prometheus(self) -> str:
-        """Prometheus text-exposition snapshot of every metric."""
-        by_name: dict[str, list[tuple[LabelKey, Any]]] = {}
-        for (name, labels), metric in self._metrics.items():
-            by_name.setdefault(name, []).append((labels, metric))
-        lines: list[str] = []
-        for name in sorted(by_name):
-            kind, help_text = CATALOG[name]
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} "
-                         f"{'summary' if kind == HISTOGRAM else kind}")
-            for labels, metric in sorted(by_name[name],
-                                         key=lambda pair: pair[0]):
-                rendered = ",".join(f'{k}="{v}"' for k, v in labels)
-                if kind == HISTOGRAM:
-                    summary = metric.summary()
-                    for quantile in ("p50", "p99", "p999"):
-                        q_labels = rendered + ("," if rendered else "") \
-                            + f'quantile="{quantile[1:]}"'
-                        lines.append(f"{name}{{{q_labels}}} "
-                                     f"{summary[quantile]}")
-                    suffix = f"{{{rendered}}}" if rendered else ""
-                    lines.append(f"{name}_sum{suffix} "
-                                 f"{summary['sum']}")
-                    lines.append(f"{name}_count{suffix} "
-                                 f"{summary['count']}")
-                else:
-                    suffix = f"{{{rendered}}}" if rendered else ""
-                    lines.append(f"{name}{suffix} {metric.current()}")
-        return "\n".join(lines) + "\n"
 
 
 __all__ = ["MetricsRegistry", "Counter", "Gauge", "Histogram",

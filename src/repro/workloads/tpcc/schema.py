@@ -9,8 +9,7 @@ Cardinalities are governed by :class:`TpccScale`.  The default is
 scaled down from the full specification (100k items, 3k customers per
 district) to keep pure-Python simulations tractable; transaction
 *logic* is unaffected — contention lives in the warehouse and district
-hot rows, whose counts are per spec.  ``TpccScale.full_spec()`` builds
-the real sizes.
+hot rows, whose counts are per spec.
 """
 
 from __future__ import annotations
@@ -39,12 +38,6 @@ class TpccScale:
     undelivered_fraction: float = 0.3
     #: distinct customer last names (spec derives ~1000 from C_LAST)
     last_names: int = 20
-
-    @staticmethod
-    def full_spec() -> "TpccScale":
-        return TpccScale(districts=10, customers_per_district=3000,
-                         items=100_000, orders_per_district=3000,
-                         undelivered_fraction=0.3, last_names=1000)
 
     def __post_init__(self) -> None:
         if self.districts < 1 or self.customers_per_district < 1:

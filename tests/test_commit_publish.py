@@ -173,7 +173,7 @@ def test_an_inline_flush_still_acknowledges(mode, interval):
     interval (group) can land inside publish.  The commit's ack must
     still resolve: its waiter joins the epoch before the flush
     starts."""
-    costs = XEON_E3_1276.costs.scaled(0.5)
+    costs = replace(XEON_E3_1276.costs, fsync_cost=15.0)
     if interval is not None:
         costs = replace(costs, flush_interval_us=interval)
     assert costs.fsync_cost <= INLINE_DELAY_US

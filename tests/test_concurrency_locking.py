@@ -91,8 +91,8 @@ class TestSharedExclusive:
     def test_two_readers_coexist(self, table, nowait):
         s1 = nowait.begin_session(1)
         s2 = nowait.begin_session(2)
-        assert s1.read(table, (1,))[0]["v"] == 1.0
-        assert s2.read(table, (1,))[0]["v"] == 1.0
+        assert s1.read(table, (1,))["v"] == 1.0
+        assert s2.read(table, (1,))["v"] == 1.0
         assert commit(nowait, s1).committed
         assert commit(nowait, s2).committed
 
@@ -166,7 +166,7 @@ class TestPhantomProtection:
 
     def test_read_miss_guards_against_insert(self, table, nowait):
         s1 = nowait.begin_session(1)
-        assert s1.read(table, (100,))[0] is None  # S structure lock
+        assert s1.read(table, (100,)) is None  # S structure lock
         s2 = nowait.begin_session(2)
         with pytest.raises(LockConflictAbort):
             s2.insert(table, {"id": 100, "v": 1.0, "w": 0.0})
@@ -278,7 +278,7 @@ class TestStatsAndValidation:
     def test_read_your_writes_under_2pl(self, table, nowait):
         s1 = nowait.begin_session(1)
         s1.update(table, (1,), {"v": 99.0})
-        assert s1.read(table, (1,))[0]["v"] == 99.0
+        assert s1.read(table, (1,))["v"] == 99.0
         s1.insert(table, {"id": 100, "v": 50.0, "w": 0.0})
         values = sorted(r["v"] for r in s1.scan(table,
                                                 col("v") > 10.0).rows)
@@ -338,9 +338,9 @@ class TestPlaceholderReclamation:
         assert record is placeholder and record.prev is None
         assert storage.stats.versions_created == 0
         stale = SnapshotSession(12, 0, snapshot_tid=old_tid)
-        assert stale.read(table, (1000,))[0] is None
+        assert stale.read(table, (1000,)) is None
         current = SnapshotSession(13, 0, snapshot_tid=record.tid)
-        assert current.read(table, (1000,))[0]["v"] == 1.0
+        assert current.read(table, (1000,))["v"] == 1.0
 
     def test_occ_aborted_insert_leaves_no_tombstone(self, table):
         from repro.concurrency.occ import ConcurrencyManager

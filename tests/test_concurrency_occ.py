@@ -72,9 +72,9 @@ class TestIntentImagesAreBornValidated:
     def test_update_returns_a_copy_of_the_intent_image(self, table,
                                                        manager):
         s = manager.begin_session(1)
-        returned, __ = s.update(table, (1,), {"v": 10.0})
+        returned = s.update(table, (1,), {"v": 10.0})
         returned["v"] = "scribbled on by the procedure"
-        merged, __ = s.update(table, (1,), {"v": 11.0})
+        merged = s.update(table, (1,), {"v": 11.0})
         merged["v"] = "and again"
         assert commit(manager, s).committed
         assert table.get_record((1,)).value == {"id": 1, "v": 11.0}
@@ -93,20 +93,20 @@ class TestReadYourWrites:
     def test_read_sees_own_update(self, table, manager):
         s = manager.begin_session(1)
         s.update(table, (1,), {"v": 99.0})
-        row, __ = s.read(table, (1,))
+        row = s.read(table, (1,))
         assert row["v"] == 99.0
         assert table.get_record((1,)).value["v"] == 1.0  # not yet
 
     def test_read_sees_own_insert(self, table, manager):
         s = manager.begin_session(1)
         s.insert(table, {"id": 100, "v": 1.0})
-        row, __ = s.read(table, (100,))
+        row = s.read(table, (100,))
         assert row["v"] == 1.0
 
     def test_read_sees_own_delete(self, table, manager):
         s = manager.begin_session(1)
         s.delete(table, (1,))
-        row, __ = s.read(table, (1,))
+        row = s.read(table, (1,))
         assert row is None
 
     def test_scan_applies_overlay(self, table, manager):
@@ -122,7 +122,7 @@ class TestReadYourWrites:
         s = manager.begin_session(1)
         s.insert(table, {"id": 100, "v": 1.0})
         s.delete(table, (100,))
-        assert s.read(table, (100,))[0] is None
+        assert s.read(table, (100,)) is None
         assert s.write_count == 0
 
     def test_delete_then_insert_becomes_update(self, table, manager):
@@ -228,7 +228,7 @@ class TestValidation:
 
     def test_read_miss_guards_against_insert(self, table, manager):
         s1 = manager.begin_session(1)
-        assert s1.read(table, (100,))[0] is None
+        assert s1.read(table, (100,)) is None
         s1.update(table, (0,), {"v": 5.0})
         s2 = manager.begin_session(2)
         s2.insert(table, {"id": 100, "v": 1.0})
@@ -424,16 +424,15 @@ class TestMultiReadEquivalence:
         scalar.update(table, (3,), {"v": 33.0})
         scalar.delete(table, (4,))
         scalar.insert(table, {"id": 100, "v": 50.0})
-        scalar_rows = [scalar.read(table, pk)[0] for pk in pks]
+        scalar_rows = [scalar.read(table, pk) for pk in pks]
 
         vector = manager.begin_session(2)
         vector.update(table, (3,), {"v": 33.0})
         vector.delete(table, (4,))
         vector.insert(table, {"id": 100, "v": 50.0})
-        vector_rows, examined = vector.multi_read(table, pks)
+        vector_rows = vector.multi_read(table, pks)
 
         assert vector_rows == scalar_rows
-        assert examined == len(pks)
         # Identical validation footprint: same observed records, same
         # node checks for the misses.
         assert set(vector._reads) == set(scalar._reads)
@@ -442,7 +441,7 @@ class TestMultiReadEquivalence:
     def test_footprint_validates_like_scalar_reads(self, table):
         manager = ConcurrencyManager(0, EpochManager())
         session = manager.begin_session(1)
-        rows, __ = session.multi_read(table, [(0,), (1,), (2,)])
+        rows = session.multi_read(table, [(0,), (1,), (2,)])
         assert [r["v"] for r in rows] == [0.0, 1.0, 2.0]
 
         # A conflicting install invalidates the batched read set just
@@ -462,14 +461,13 @@ class TestMultiReadEquivalence:
 
         pks = [(0,), (2,), (99,)]
         scalar = SnapshotSession(10, 0, snapshot_tid=tid)
-        scalar_rows = [scalar.read(table, pk)[0] for pk in pks]
+        scalar_rows = [scalar.read(table, pk) for pk in pks]
 
         vector = SnapshotSession(11, 0, snapshot_tid=tid)
-        vector_rows, examined = vector.multi_read(table, pks)
+        vector_rows = vector.multi_read(table, pks)
 
         assert vector_rows == scalar_rows
         assert vector_rows[1]["v"] == 77.0
-        assert examined == len(pks)
         assert vector.snapshot_read_count == scalar.snapshot_read_count
 
     def test_stale_snapshot_ignores_newer_versions_batched(self, table):
@@ -486,5 +484,5 @@ class TestMultiReadEquivalence:
         assert coordinator.commit([(manager, writer)], 2.0).committed
 
         stale = SnapshotSession(12, 0, snapshot_tid=old_tid)
-        rows, __ = stale.multi_read(table, [(2,)])
+        rows = stale.multi_read(table, [(2,)])
         assert rows[0]["v"] == 2.0

@@ -193,7 +193,7 @@ def test_scan_sees_own_update_moved_into_probed_key():
     table.load_row({"id": 0, "a": 0, "b": 0, "c": 0})
     table.load_row({"id": 1, "a": 1, "b": 2, "c": 0})
     session = CCSession(1, 0)
-    moved = session.update(table, (0,), {"a": 1, "b": 2})[0]
+    moved = session.update(table, (0,), {"a": 1, "b": 2})
     both = [moved, {"id": 1, "a": 1, "b": 2, "c": 0}]
     assert session.scan(table, col("a") == 1).rows == both
     assert session.scan(table, index="by_a", low=(1,),

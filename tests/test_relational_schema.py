@@ -80,9 +80,6 @@ class TestSchemaDefinition:
         with pytest.raises(SchemaError):
             schema.column("missing")
 
-    def test_column_names(self):
-        assert sample_schema().column_names == (
-            "id", "name", "balance", "active")
 
 
 class TestRowValidation:

@@ -71,12 +71,6 @@ class TestCostParameters:
         costs = CostParameters()
         assert costs.cr > costs.cs  # the paper's Cs/Cr asymmetry
 
-    def test_scaled(self):
-        costs = CostParameters().scaled(2.0)
-        assert costs.cs == pytest.approx(CostParameters().cs * 2)
-        assert costs.cold_access_factor == \
-            CostParameters().cold_access_factor
-
     def test_symmetric_ablation(self):
         costs = CostParameters().with_symmetric_communication()
         assert costs.cr == costs.cs

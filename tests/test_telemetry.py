@@ -147,20 +147,6 @@ class TestMetricsRegistry:
     def test_value_of_unregistered_is_zero(self):
         assert MetricsRegistry().value("txn_commits_total") == 0
 
-    def test_render_prometheus(self):
-        registry = MetricsRegistry()
-        registry.counter("txn_commits_total").inc(3)
-        registry.histogram("txn_commit_latency_us").observe(10.0)
-        registry.gauge("log_fsyncs_total", container=0).set(2)
-        text = registry.render_prometheus()
-        assert "# HELP txn_commits_total" in text
-        assert "# TYPE txn_commits_total counter" in text
-        assert "txn_commits_total 3" in text
-        assert "# TYPE txn_commit_latency_us summary" in text
-        assert 'txn_commit_latency_us{quantile="99"}' in text
-        assert "txn_commit_latency_us_count 1" in text
-        assert 'log_fsyncs_total{container="0"} 2' in text
-
     def test_no_dead_catalog_entries(self):
         """Every cataloged metric outside the serving and chaos layers
         is registered by a durable, sync-replicated database that ran
@@ -420,10 +406,3 @@ class TestExport:
         assert payload["metadata"]["dropped_spans"] == 0
         assert payload["displayTimeUnit"] == "ms"
         assert "txn_commits_total" in payload["metrics"]
-
-    def test_prometheus_from_a_database(self):
-        database = build_db()
-        drive(database)
-        text = database.telemetry.registry.render_prometheus()
-        assert "# TYPE txn_commit_latency_us summary" in text
-        assert "scheduler_events_dispatched_total" in text
