@@ -16,6 +16,7 @@ import pytest
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import ExplicitPlacement, shared_nothing
 from repro.core.reactor import ReactorType
+from repro.durability import enable_durability
 from repro.errors import MigrationError
 from repro.formal.audit import (
     attach_recorder,
@@ -183,6 +184,23 @@ class TestBasicMigration:
         report = certify_migration(db)
         assert not report["ok"]
         assert not report["migrations"][-1]["state_ok"]
+
+    def test_checkpoint_keeps_the_destination_log_replayable(self):
+        """A checkpoint after a completed migration truncates the
+        destination log no further than the migration's watermark, so
+        the certificate still replays snapshot + log to live state."""
+        db = ReactorDatabase(shared_nothing(2), _declarations(2))
+        _load(db, 2)
+        durability = enable_durability(db)
+        db.run("m0", "bump")
+        db.migrate("m0", 1)
+        db.scheduler.run()
+        for __ in range(3):
+            db.run("m0", "bump")
+        durability.incremental_checkpoint()
+        entry = certify_migration(db)["migrations"][-1]
+        assert entry["log_checked"] is True
+        assert entry["state_ok"] is True
 
 
 # ----------------------------------------------------------------------

@@ -412,6 +412,26 @@ class TestFailover:
         with pytest.raises(TransactionAbort, match="failed"):
             database.run(victim, "deposit_checking", 1.0)
 
+    def test_failed_container_refuses_sub_calls(self):
+        """A sub-call into a killed container is refused at submit: the
+        root aborts naming the container, which serves nothing."""
+        database = replicated_bank(mode="sync")
+        database.replication.kill_primary(1)
+        home = {}
+        for i in range(N):
+            name = sb.reactor_name(i)
+            home.setdefault(
+                database.reactor(name).container.container_id, name)
+        dead = database.containers[1].executors
+
+        def served():
+            return [executor.requests_served for executor in dead]
+
+        before = served()
+        with pytest.raises(TransactionAbort, match="container 1 failed"):
+            database.run(home[0], "transfer", home[0], home[1], 2.0)
+        assert served() == before
+
     def test_mid_run_kill_sync_loses_no_reported_commit(self):
         """The acceptance scenario, deterministically scaled down:
         concurrent workers, primary killed mid-measurement, every
@@ -439,8 +459,10 @@ class TestFailover:
                 if s.committed and s.writes > 0
                 and s.commit_tid not in surviving]
         assert lost == []
+        # The kill lands mid-commit: the failed-participant branch of
+        # the commit books the one failover abort.
         assert database.telemetry.registry.value(
-            "replication_failover_aborts_total") >= 0
+            "replication_failover_aborts_total") >= 1
 
     def test_recovery_onto_replicated_deployment_seeds_replicas(self):
         """recover() may target any deployment — including one with
