@@ -15,8 +15,8 @@ quantities and deterministic counters — no wall clock, no hostnames —
 so two runs of ``run_campaign`` with the same arguments serialize to
 identical JSON.  Campaign counters go through a
 :class:`~repro.telemetry.metrics.MetricsRegistry` under the
-``chaos_*`` catalog names, so ``tools/check_trace.py`` and the
-Prometheus renderer accept them like any other series.
+``chaos_*`` catalog names, so ``tools/check_trace.py`` accepts them
+like any other series.
 """
 
 from __future__ import annotations

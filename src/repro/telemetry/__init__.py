@@ -12,8 +12,8 @@ One facade (:class:`~repro.telemetry.facade.Telemetry`, attached as
   gauges (including collector-backed gauges that read live state), and
   log-bucketed histograms, every name validated against the catalog
   (:mod:`repro.telemetry.catalog`);
-* **exporters** (:mod:`repro.telemetry.export`) — Chrome trace-event
-  JSON (Perfetto-loadable) and a Prometheus-style text snapshot.
+* **the exporter** (:mod:`repro.telemetry.export`) — Chrome trace-event
+  JSON (Perfetto-loadable) with the metrics snapshot embedded.
 
 Everything is driven by the virtual clock and allocates nothing when
 disabled, so the simulator's determinism and hot-path speed survive.

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON and Prometheus-style text.
+"""The exporter: Chrome trace-event JSON with the metrics snapshot.
 
 The Chrome format (loadable at https://ui.perfetto.dev) gets one
 process per track — transactions, per-container log devices,
