@@ -80,6 +80,13 @@ class TestSchemaDefinition:
         with pytest.raises(SchemaError):
             schema.column("missing")
 
+    def test_column_names(self):
+        schema = sample_schema()
+        declared = ("id", "name", "balance", "active")
+        assert tuple(c.name for c in schema.columns) == declared
+        row = schema.validate_row(
+            {"balance": 2.0, "name": "a", "id": 1})
+        assert tuple(row) == declared
 
 
 class TestRowValidation:

@@ -71,6 +71,17 @@ class TestCostParameters:
         costs = CostParameters()
         assert costs.cr > costs.cs  # the paper's Cs/Cr asymmetry
 
+    def test_scaled(self):
+        base = CostParameters()
+        costs = base.container_scaled(2.0)
+        assert costs.cs == pytest.approx(base.cs * 2)
+        assert costs.fsync_cost == pytest.approx(base.fsync_cost * 2)
+        # Network delays, ratios and flush-policy knobs stay put.
+        assert costs.transport_delay == base.transport_delay
+        assert costs.repl_ship_delay == base.repl_ship_delay
+        assert costs.cold_access_factor == base.cold_access_factor
+        assert costs.flush_interval_us == base.flush_interval_us
+
     def test_symmetric_ablation(self):
         costs = CostParameters().with_symmetric_communication()
         assert costs.cr == costs.cs
