@@ -54,7 +54,7 @@ def main():
     print(f"   {committed}/{len(outcomes)} transfers committed "
           f"({len(outcomes) - committed} aborted around the crash)")
 
-    event = database.replication.stats.failovers[0]
+    event = database.replication.failovers[0]
     print(f"3. container {event.container_id} failed; replica "
           f"{event.replica_id} promoted after applying "
           f"{event.applied_records} redo records")

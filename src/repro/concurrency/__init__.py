@@ -51,8 +51,6 @@ from repro.concurrency.tid import (
     EpochManager,
     TidGenerator,
     make_tid,
-    tid_epoch,
-    tid_seq,
 )
 from repro.errors import DeploymentError
 
@@ -102,7 +100,5 @@ __all__ = [
     "TidGenerator",
     "create_cc_scheme",
     "make_tid",
-    "tid_epoch",
-    "tid_seq",
     "EPOCH_PERIOD_US",
 ]

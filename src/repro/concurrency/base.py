@@ -137,6 +137,18 @@ class ScanResult:
 _CANDIDATE_ORDER = object()
 
 
+#: Abort reasons in ``abort_counts()["by_reason"]`` order, each with
+#: the :class:`CCStats` field that counts it.
+ABORT_REASONS = {
+    "validation_failure": "validation_failures",
+    "lock_conflict": "lock_conflicts",
+    "deadlock_avoidance": "deadlock_avoidance",
+    "wound": "wounds",
+    "user": "user_aborts",
+    "dangerous_structure": "dangerous_structure_aborts",
+}
+
+
 @dataclass(slots=True)
 class CCStats:
     """Shared per-container counters, one set per scheme instance.
@@ -169,14 +181,8 @@ class CCStats:
 
     def abort_reasons(self) -> dict[str, int]:
         """Abort events keyed by reason (the per-reason breakdown)."""
-        return {
-            "validation_failure": self.validation_failures,
-            "lock_conflict": self.lock_conflicts,
-            "deadlock_avoidance": self.deadlock_avoidance,
-            "wound": self.wounds,
-            "user": self.user_aborts,
-            "dangerous_structure": self.dangerous_structure_aborts,
-        }
+        return {reason: getattr(self, name)
+                for reason, name in ABORT_REASONS.items()}
 
 
 class CCSession:

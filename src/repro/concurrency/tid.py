@@ -26,14 +26,6 @@ def make_tid(epoch: int, seq: int) -> int:
     return (epoch << SEQ_BITS) | seq
 
 
-def tid_epoch(tid: int) -> int:
-    return tid >> SEQ_BITS
-
-
-def tid_seq(tid: int) -> int:
-    return tid & SEQ_MASK
-
-
 class EpochManager:
     """Advances the global epoch with virtual time."""
 

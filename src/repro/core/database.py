@@ -39,7 +39,7 @@ from repro.runtime.transaction import RootTransaction, TxnStats
 from repro.sim.scheduler import SimScheduler
 from repro.storage.store import StorageCoordinator
 from repro.telemetry import Telemetry
-from repro.telemetry.facade import ABORT_REASONS
+from repro.concurrency.base import ABORT_REASONS
 
 class ReactorDatabase:
     """An instantiated reactor database on a simulated machine."""
@@ -79,7 +79,7 @@ class ReactorDatabase:
         self.migration: Any = None
         #: The unified telemetry facade (metrics registry + span
         #: tracer + exporters).  Created before ``_build`` so every
-        #: manager can register its collectors during construction.
+        #: manager can take its metrics from the registry when built.
         self.telemetry = Telemetry(self, deployment.telemetry)
         self._build(reactors)
 
@@ -255,7 +255,7 @@ class ReactorDatabase:
         root.finished = True
         reason = f"container {container.container_id} failed"
         if self.replication is not None:
-            self.replication.stats.failover_aborts += 1
+            self.replication.failover_aborts.value += 1
         self.telemetry.note_root_done(root, False, reason,
                                       self.scheduler.now)
         if on_done is not None:
@@ -324,18 +324,6 @@ class ReactorDatabase:
             root.snapshot_tid = snapshot_tid
         return container.concurrency.begin_snapshot_session(
             root.txn_id, root.snapshot_tid)
-
-    def gc_versions(self) -> int:
-        """Explicit storage GC sweep: prune every version chain below
-        the current watermark (everything, when no snapshot reader is
-        in flight).  Install paths already prune incrementally; the
-        sweep reclaims chains of records that are never written
-        again.  Returns the number of versions dropped."""
-        dropped = 0
-        for table in self._all_tables():
-            dropped += table.gc_versions(
-                self.storage.keep_watermark(table.versioning_scope))
-        return dropped
 
     def _all_tables(self):
         for reactor in self._reactors.values():

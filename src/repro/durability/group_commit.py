@@ -31,31 +31,12 @@ of the new spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.durability.config import ASYNC, SYNC
 from repro.durability.wal import RedoRecord
 from repro.runtime.futures import SimFuture
 from repro.telemetry.spans import TRACK_LOG
-
-
-@dataclass(slots=True)
-class FlushStats:
-    """Per-container flush-pipeline counters."""
-
-    fsyncs: int = 0
-    records_flushed: int = 0
-    bytes_flushed: int = 0
-    early_flushes: int = 0
-    #: Virtual time the log device spent busy (fsync_cost per flush).
-    device_busy_us: float = 0.0
-
-    @property
-    def records_per_fsync(self) -> float:
-        if not self.fsyncs:
-            return 0.0
-        return self.records_flushed / self.fsyncs
 
 
 class FlushEpoch:
@@ -85,17 +66,34 @@ class LogFlusher:
         self.scheduler = scheduler
         self.costs = costs
         self.mode = mode
-        self.stats = FlushStats()
         #: The database's :class:`~repro.telemetry.facade.Telemetry`:
-        #: flush histograms plus ``log:epoch`` spans on the log track.
+        #: the ``log_*`` metrics plus ``log:epoch`` spans on the log
+        #: track.
         self.telemetry = telemetry
         #: Future type matching the execution backend: thread-safe on
         #: wall-clock backends, the plain single-threaded future on sim.
         self._future_cls = scheduler.future_class
-        self._records_hist = telemetry.registry.histogram(
-            "log_flush_records")
-        self._bytes_hist = telemetry.registry.histogram(
-            "log_flush_bytes")
+        registry = telemetry.registry
+        self._records_hist = registry.histogram("log_flush_records")
+        self._bytes_hist = registry.histogram("log_flush_bytes")
+        # Per-container series: a flusher rebuilt for the container
+        # (promotion) gets the same counters and continues them.
+        self._fsyncs = registry.counter(
+            "log_fsyncs_total", container=container_id)
+        self._records_flushed = registry.counter(
+            "log_records_flushed_total", container=container_id)
+        self._bytes_flushed = registry.counter(
+            "log_bytes_flushed_total", container=container_id)
+        self._early_flushes = registry.counter(
+            "log_early_flushes_total", container=container_id)
+        #: Virtual time the log device spent busy (fsync_cost per
+        #: flush).
+        self._busy_us = registry.counter(
+            "log_device_busy_us", container=container_id)
+        registry.gauge_fn("log_durable_tid", lambda: self.durable_tid,
+                          container=container_id)
+        registry.gauge_fn("log_unflushed_records",
+                          self.unflushed_records, container=container_id)
         #: Virtual time the serial log device frees up.
         self.disk_free_at = 0.0
         #: Appended records made durable so far — always a prefix of
@@ -146,7 +144,7 @@ class LogFlusher:
             epoch.event.cancel()
             epoch.event = self.scheduler.soon(self._flush_epoch, epoch)
             epoch.closed = True
-            self.stats.early_flushes += 1
+            self._early_flushes.value += 1
         return future
 
     def _waiter(self, epoch: FlushEpoch) -> SimFuture:
@@ -179,14 +177,14 @@ class LogFlusher:
         start = max(self.scheduler.now, self.disk_free_at)
         done = start + self.costs.fsync_cost
         self.disk_free_at = done
-        self.stats.fsyncs += 1
-        self.stats.device_busy_us += self.costs.fsync_cost
+        self._fsyncs.value += 1
+        self._busy_us.value += self.costs.fsync_cost
         self.scheduler.at(done, self._epoch_durable, epoch)
 
     def _epoch_durable(self, epoch: FlushEpoch) -> None:
         self.flushed_records += len(epoch.tids)
-        self.stats.records_flushed += len(epoch.tids)
-        self.stats.bytes_flushed += epoch.bytes
+        self._records_flushed.value += len(epoch.tids)
+        self._bytes_flushed.value += epoch.bytes
         self._records_hist.observe(len(epoch.tids))
         self._bytes_hist.observe(epoch.bytes)
         if self.telemetry.system_tracing:
@@ -221,17 +219,20 @@ class LogFlusher:
         return self.appended_records - self.flushed_records
 
     def stats_dict(self) -> dict[str, Any]:
+        fsyncs = self._fsyncs.value
+        records = self._records_flushed.value
         return {
             "mode": self.mode,
-            "fsyncs": self.stats.fsyncs,
-            "records_flushed": self.stats.records_flushed,
-            "bytes_flushed": self.stats.bytes_flushed,
-            "early_flushes": self.stats.early_flushes,
-            "records_per_fsync": round(self.stats.records_per_fsync, 3),
-            "device_busy_us": round(self.stats.device_busy_us, 3),
+            "fsyncs": fsyncs,
+            "records_flushed": records,
+            "bytes_flushed": self._bytes_flushed.value,
+            "early_flushes": self._early_flushes.value,
+            "records_per_fsync":
+                round(records / fsyncs, 3) if fsyncs else 0.0,
+            "device_busy_us": self._busy_us.current(),
             "durable_tid": self.durable_tid,
             "unflushed_records": self.unflushed_records(),
         }
 
 
-__all__ = ["LogFlusher", "FlushEpoch", "FlushStats"]
+__all__ = ["LogFlusher", "FlushEpoch"]

@@ -156,9 +156,6 @@ class DurabilityManager:
         #: container id -> the commit TIDs of ``installed``, position
         #: for position.
         self.installed_tids: dict[int, list[int]] = {}
-        #: Roots reported committed to clients (the executor notes
-        #: them at root completion).
-        self.acked_count = 0
         #: Acked commit sites as ``(cid, append position)`` — the
         #: collision-free identity (TIDs are per-container sequences,
         #: so the same number can name unrelated commits on two
@@ -178,14 +175,21 @@ class DurabilityManager:
         #: checkpoint segment (fed by :meth:`publish` and explicit
         #: bulk-load notes).
         self._dirty: dict[str, dict[str, set[tuple]]] = {}
-        self.checkpoints_taken = 0
-        self.records_truncated = 0
+        registry = database.telemetry.registry
+        #: Roots reported committed to clients (the executor notes
+        #: them at root completion).
+        self._acked = registry.counter("durability_acked_commits_total")
+        self._checkpoints = registry.counter(
+            "durability_checkpoints_total")
+        self._truncated = registry.counter(
+            "durability_records_truncated_total")
+        registry.gauge_fn("durability_checkpoint_segments",
+                          lambda: len(self.manifest.segments))
         #: Deliberate-bug toggle (chaos self-test only): acknowledge
         #: group/sync commits without waiting for their epoch flush —
         #: the classic ack-before-flush bug crash certification must
         #: catch as acked-commit loss.
         self.chaos_ack_bypass = False
-        database.telemetry.register_durability(self)
         for container in database.containers:
             log = RedoLog(container.container_id)
             container.concurrency.redo_log = log
@@ -199,21 +203,17 @@ class DurabilityManager:
         self.logs[container_id] = log
         self.installed.setdefault(container_id, [])
         self.installed_tids.setdefault(container_id, [])
-        telemetry = self.database.telemetry
-        flusher = LogFlusher(container_id, self.database.scheduler,
-                             self.database.costs, self.mode,
-                             telemetry=telemetry)
-        self.flushers[container_id] = flusher
-        # Idempotent: a promotion re-attaches the same container
-        # label and the gauges re-point to the new flusher.
-        telemetry.register_flusher(flusher)
+        self.flushers[container_id] = LogFlusher(
+            container_id, self.database.scheduler, self.database.costs,
+            self.mode, telemetry=self.database.telemetry)
 
     def on_log_replaced(self, container_id: int,
                         log: RedoLog) -> None:
         """A replication promotion re-anchored a container's log on
         the survivor's applied prefix: adopt it.  The seeded prefix is
         durable by construction (the replica had materialized it), so
-        the new flusher starts fully flushed.  Stored commit sites on
+        the new flusher starts fully flushed; its ``log_*`` counters
+        are the container's, and continue.  Stored commit sites on
         this container are remapped by TID into the new sequence
         (unique per container); sites the survivor never applied —
         the async lag-window loss replication's own certificate
@@ -317,7 +317,7 @@ class DurabilityManager:
 
     def note_acked(self, root: Any) -> None:
         """The executor reported this commit to the client."""
-        self.acked_count += 1
+        self._acked.value += 1
         sites = self._sites.pop(root.txn_id, None)
         if sites:
             self.acked_sites.extend(sites)
@@ -390,8 +390,8 @@ class DurabilityManager:
                 container_id,
                 segment.tid_watermarks.get(container_id, 0))
             segment.truncate_tids[container_id] = safe
-            self.records_truncated += log.truncate_through(safe)
-        self.checkpoints_taken += 1
+            self._truncated.value += log.truncate_through(safe)
+        self._checkpoints.value += 1
         return segment
 
     def safe_truncation_tid(self, container_id: int,
@@ -499,15 +499,12 @@ class DurabilityManager:
             yield from map(unseal, log.records)
 
     def stats_dict(self) -> dict[str, Any]:
-        value = self.database.telemetry.registry.value
         return {
             "mode": self.mode,
-            "acked_commits": value("durability_acked_commits_total"),
-            "checkpoints_taken": value("durability_checkpoints_total"),
-            "checkpoint_segments":
-                value("durability_checkpoint_segments"),
-            "records_truncated":
-                value("durability_records_truncated_total"),
+            "acked_commits": self._acked.value,
+            "checkpoints_taken": self._checkpoints.value,
+            "checkpoint_segments": len(self.manifest.segments),
+            "records_truncated": self._truncated.value,
             "flushers": {cid: flusher.stats_dict()
                          for cid, flusher in
                          sorted(self.flushers.items())},

@@ -17,6 +17,7 @@ from repro.bench.report import print_table
 from repro.costmodel import (
     Calibration,
     calibrate_from_summary,
+    destinations,
     multi_transfer,
     predict_observable_breakdown,
 )
@@ -49,14 +50,6 @@ def _observe(variant: str, size: int, n_txns: int,
     observed = dict(summary.breakdown)
     observed["total"] = summary.latency_us
     return summary, observed
-
-
-def _comm_pairs(calibration: Calibration, size: int):
-    """Destination i is remote unless it lands on the source container
-    (i mod 7 == 0 under the Figure 5 destination spread)."""
-    flags = [(i % 7) != 0 for i in range(size)]
-    return [(calibration.cs, calibration.cr) if remote else (0.0, 0.0)
-            for remote in flags]
 
 
 QUICK = dict(sizes=(1, 4, 7), n_txns=60, customers_per_container=60)
@@ -96,9 +89,12 @@ def run(sizes: tuple[int, ...] = (1, 4, 7),
         for size in sizes:
             __, observed = _observe(variant, size, n_txns,
                                     customers_per_container)
+            # Destination i is remote unless it lands on the source
+            # container (i mod 7 == 0 under the Figure 5 spread).
+            remote = [(i % 7) != 0 for i in range(size)]
             spec = multi_transfer(variant, calibration,
-                                  _comm_pairs(calibration, size))
-            remote_dsts = sum(1 for i in range(size) if i % 7 != 0)
+                                  destinations(calibration, size, remote))
+            remote_dsts = sum(remote)
             commit = calibration.commit_input_gen \
                 + commit_slope * remote_dsts
             predicted = predict_observable_breakdown(

@@ -6,7 +6,7 @@ serialization-graph acyclicity checks under both conflict notions.
 Property-based tests verify the theorem on randomized histories.
 
 Public exports: history building blocks (:class:`Op`, ``read`` /
-``snapshot_read`` / ``write`` / ``commit`` / ``abort``,
+``write`` / ``commit`` / ``abort``,
 :class:`ReactorHistory`,
 :class:`ClassicHistory`, ``project``), the serializability checks
 (``is_serializable_reactor`` / ``is_serializable_classic`` /
@@ -35,7 +35,6 @@ from repro.formal.ops import (
     abort,
     commit,
     read,
-    snapshot_read,
     write,
 )
 from repro.formal.projection import (
@@ -56,7 +55,6 @@ __all__ = [
     "Op",
     "Terminal",
     "read",
-    "snapshot_read",
     "write",
     "commit",
     "abort",

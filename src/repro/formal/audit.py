@@ -340,7 +340,7 @@ def certify_replication(database: Any) -> dict[str, Any]:
             check(cid, promoted, promoted.applied_records, shipped,
                   role="primary")
 
-    for event in manager.stats.failovers:
+    for event in manager.failovers:
         entry = {
             "container_id": event.container_id,
             "replica_id": event.replica_id,
@@ -390,14 +390,14 @@ def certify_migration(database: Any) -> dict[str, Any]:
     """
     manager = database.migration
     report: dict[str, Any] = {
-        "enabled": bool(manager.stats.events),
+        "enabled": bool(manager.events),
         "ok": True,
         "migrations": [],
     }
-    completed = [m for m in manager.stats.events if m.state == "done"]
+    completed = [m for m in manager.events if m.state == "done"]
     last_for = {m.reactor_name: m for m in completed}
 
-    for migration in manager.stats.events:
+    for migration in manager.events:
         entry: dict[str, Any] = {
             "reactor": migration.reactor_name,
             "src": migration.src_cid,

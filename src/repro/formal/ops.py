@@ -74,13 +74,6 @@ def write(txn: int, sub: int, reactor: int, item: str,
     return Op(WRITE, txn, sub, reactor, item, tid)
 
 
-def snapshot_read(txn: int, reactor: int, item: str, tid: int,
-                  snapshot: int) -> Op:
-    """A read served at snapshot TID ``snapshot`` that observed the
-    version written at ``tid`` (0: no version at or below it)."""
-    return Op(READ, txn, 0, reactor, item, tid, snapshot)
-
-
 def commit(txn: int) -> Terminal:
     return Terminal(COMMIT, txn)
 

@@ -14,15 +14,14 @@ The mechanics are constants of :mod:`repro.migration.manager`, not
 deployment options.
 
 Public exports: :class:`MigrationManager` and its :class:`Migration`
-handle / :class:`MigrationStats` counters.  The usual entry points are
-``db.migrate(reactor, dst)`` and ``db.rebalance()``; the counters are
-the ``migration_*`` metrics of ``db.telemetry.registry`` and each
+handle.  The usual entry points are ``db.migrate(reactor, dst)`` and
+``db.rebalance()``; the manager books its counters as the
+``migration_*`` metrics of ``db.telemetry.registry``, and each
 finished migration is a :class:`Migration` in
-``db.migration.stats.events``.  Black-box certification of completed
+``db.migration.events``.  Black-box certification of completed
 migrations lives in :func:`repro.formal.audit.certify_migration`.
 """
 
-from repro.migration.manager import Migration, MigrationManager, \
-    MigrationStats
+from repro.migration.manager import Migration, MigrationManager
 
-__all__ = ["MigrationManager", "Migration", "MigrationStats"]
+__all__ = ["MigrationManager", "Migration"]

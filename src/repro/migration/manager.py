@@ -112,28 +112,13 @@ class Migration:
         return self.state == DONE
 
 
-@dataclass
-class MigrationStats:
-    """What the ``migration_*`` registry gauges read, plus every
-    completed migration (read as objects: ``stats.events``)."""
-
-    started: int = 0
-    completed: int = 0
-    cancelled: int = 0
-    rows_copied: int = 0
-    roots_parked: int = 0
-    subcalls_parked: int = 0
-    rebalance_checks: int = 0
-    rebalance_moves: int = 0
-    events: list[Migration] = field(default_factory=list)
-
-
 class MigrationManager:
     """Owns the online migrations and load accounting of one database."""
 
     def __init__(self, database: Any) -> None:
         self.database = database
-        self.stats = MigrationStats()
+        #: Every finished migration, completed or cancelled, in order.
+        self.events: list[Migration] = []
         #: reactor name -> in-progress Migration.
         self.active: dict[str, Migration] = {}
         #: reactor name -> last completed Migration; the previous one
@@ -148,7 +133,18 @@ class MigrationManager:
         #: them — a lost-work bug the campaign's liveness check (every
         #: submitted root reports an outcome) must catch.
         self.chaos_drop_parked = False
-        database.telemetry.register_migration(self)
+        counter = database.telemetry.registry.counter
+        self._started = counter("migration_started_total")
+        self._completed = counter("migration_completed_total")
+        self._cancelled = counter("migration_cancelled_total")
+        self._rows_copied = counter("migration_rows_copied_total")
+        self._roots_parked = counter("migration_roots_parked_total")
+        self._subcalls_parked = counter(
+            "migration_subcalls_parked_total")
+        self._rebalance_checks = counter(
+            "migration_rebalance_checks_total")
+        self._rebalance_moves = counter(
+            "migration_rebalance_moves_total")
 
     # ------------------------------------------------------------------
     # Load accounting (called from ReactorDatabase.submit)
@@ -170,7 +166,7 @@ class MigrationManager:
     def park_root(self, reactor_name: str, task: Any) -> None:
         migration = self.active[reactor_name]
         migration.parked_roots.append(task)
-        self.stats.roots_parked += 1
+        self._roots_parked.value += 1
         trace = task.root.trace
         if trace is not None:
             trace.open_child("park", "migration:parked",
@@ -180,7 +176,7 @@ class MigrationManager:
     def park_subcall(self, reactor_name: str, task: Any) -> None:
         migration = self.active[reactor_name]
         migration.parked_subcalls.append(task)
-        self.stats.subcalls_parked += 1
+        self._subcalls_parked.value += 1
         trace = task.root.trace
         if trace is not None:
             trace.open_child(("park", task.subtxn_id),
@@ -239,7 +235,7 @@ class MigrationManager:
             on_done=on_done,
         )
         self.active[reactor_name] = migration
-        self.stats.started += 1
+        self._started.value += 1
         reactor.migrating = True
 
         # Sweep queued-but-unstarted roots targeting the reactor out of
@@ -249,7 +245,7 @@ class MigrationManager:
         # (extending the drain barrier by one transaction).
         swept = src.take_queued_roots(reactor)
         migration.parked_roots.extend(swept)
-        self.stats.roots_parked += len(swept)
+        self._roots_parked.value += len(swept)
 
         database.scheduler.soon(self._poll_drain, migration)
         return migration
@@ -451,9 +447,9 @@ class MigrationManager:
         migration.flipped_at = database.scheduler.now
         migration.state = DONE
         del self.active[old.name]
-        self.stats.completed += 1
-        self.stats.rows_copied += migration.rows_copied
-        self.stats.events.append(migration)
+        self._completed.value += 1
+        self._rows_copied.value += migration.rows_copied
+        self.events.append(migration)
         telemetry = database.telemetry
         if telemetry.system_tracing:
             # The two phases on the migration track: the drain barrier
@@ -538,8 +534,8 @@ class MigrationManager:
         migration.reason = reason
         migration.source.migrating = False
         self.active.pop(migration.reactor_name, None)
-        self.stats.cancelled += 1
-        self.stats.events.append(migration)
+        self._cancelled.value += 1
+        self.events.append(migration)
         # Parked work is not lost: replay it against current routing
         # (a promoted replica, or an abort report if the home is dead).
         for task in migration.parked_roots:
@@ -596,7 +592,7 @@ class MigrationManager:
         at most ``MAX_MOVES_PER_CHECK`` of them.  Returns the
         migrations started."""
         database = self.database
-        self.stats.rebalance_checks += 1
+        self._rebalance_checks.value += 1
         n_containers = len(database.containers)
         loads = self.container_loads()
         total = sum(loads)
@@ -653,6 +649,6 @@ class MigrationManager:
             moves.append(self.migrate(name, dst_cid))
             loads[src_cid] -= count
             loads[dst_cid] += count
-            self.stats.rebalance_moves += 1
+            self._rebalance_moves.value += 1
         self.reset_load_window()
         return moves

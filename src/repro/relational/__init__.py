@@ -12,7 +12,7 @@ Public exports: schema builders (``make_schema``, the ``*_col``
 helpers, :class:`TableSchema`, :class:`IndexSpec`), the storage
 objects (:class:`Catalog`, :class:`Table`) and the predicate algebra
 (``col``, :class:`Comparison`, :class:`Between`, :class:`InSet`,
-:class:`Lambda`, :data:`ALWAYS`) that ``ctx.select``'s ``where``
+:data:`ALWAYS`) that ``ctx.select``'s ``where``
 argument takes.
 """
 
@@ -22,7 +22,6 @@ from repro.relational.predicate import (
     Between,
     Comparison,
     InSet,
-    Lambda,
     Predicate,
     col,
 )
@@ -31,7 +30,6 @@ from repro.relational.schema import (
     ColumnType,
     IndexSpec,
     TableSchema,
-    bool_col,
     column,
     float_col,
     int_col,
@@ -51,13 +49,11 @@ __all__ = [
     "int_col",
     "float_col",
     "str_col",
-    "bool_col",
     "make_schema",
     "Predicate",
     "Comparison",
     "Between",
     "InSet",
-    "Lambda",
     "ALWAYS",
     "col",
 ]

@@ -205,29 +205,6 @@ class Not(Predicate):
         return f"(NOT {self.inner!r})"
 
 
-class Lambda(Predicate):
-    """Escape hatch: arbitrary row -> bool function.
-
-    Lambda predicates cannot use indexes and always force a scan.
-    """
-
-    __slots__ = ("fn", "_columns")
-
-    def __init__(self, fn: Callable[[Mapping[str, Any]], bool],
-                 columns: set[str] | None = None) -> None:
-        self.fn = fn
-        self._columns = columns or set()
-
-    def matches(self, row: Mapping[str, Any]) -> bool:
-        return bool(self.fn(row))
-
-    def columns(self) -> set[str]:
-        return set(self._columns)
-
-    def __repr__(self) -> str:
-        return f"Lambda({getattr(self.fn, '__name__', 'fn')})"
-
-
 class ColumnRef:
     """Column reference supporting operator-overloaded comparisons."""
 

@@ -220,10 +220,6 @@ def str_col(name: str, nullable: bool = False) -> Column:
     return Column(name, ColumnType.STR, nullable)
 
 
-def bool_col(name: str, nullable: bool = False) -> Column:
-    return Column(name, ColumnType.BOOL, nullable)
-
-
 def make_schema(name: str, columns: Iterable[Column],
                 primary_key: Iterable[str],
                 indexes: Iterable[IndexSpec] = ()) -> TableSchema:

@@ -11,12 +11,12 @@ when its container fails.  Application code never changes.
 Public exports: :class:`ReplicationConfig` (with
 :data:`NO_REPLICATION` and the ``SYNC`` / ``ASYNC`` / ``NONE`` mode
 constants), :class:`ReplicationManager` with its
-:class:`ReplicationStats` / :class:`FailoverEvent`, and
-:class:`ReplicaContainer` with the ``ROLE_PRIMARY`` /
-``ROLE_REPLICA`` role markers.  The counters are the
-``replication_*`` metrics of ``db.telemetry.registry`` (the apply lag
-is the ``replication_lag_us`` histogram); each promotion is a
-:class:`FailoverEvent` in ``db.replication.stats.failovers``.
+:class:`FailoverEvent`, and :class:`ReplicaContainer` with the
+``ROLE_PRIMARY`` / ``ROLE_REPLICA`` role markers.  The manager books
+its counters as the ``replication_*`` metrics of
+``db.telemetry.registry`` (the apply lag is the ``replication_lag_us``
+histogram); each promotion is a :class:`FailoverEvent` in
+``db.replication.failovers``.
 
 Only the config is imported eagerly: :mod:`repro.core.deployment`
 imports this package while :mod:`repro.core.database` (which the
@@ -36,7 +36,6 @@ from repro.replication.config import (
 __all__ = [
     "ReplicationConfig",
     "ReplicationManager",
-    "ReplicationStats",
     "ReplicaContainer",
     "FailoverEvent",
     "REPLICATION_MODES",
@@ -50,7 +49,6 @@ __all__ = [
 
 _LAZY = {
     "ReplicationManager": "repro.replication.manager",
-    "ReplicationStats": "repro.replication.manager",
     "FailoverEvent": "repro.replication.manager",
     "ReplicaContainer": "repro.replication.replica",
     "ROLE_PRIMARY": "repro.replication.replica",

@@ -62,23 +62,6 @@ class FailoverEvent:
     atomicity_breaks: list[int] = field(default_factory=list)
 
 
-@dataclass
-class ReplicationStats:
-    """What the ``replication_*`` registry gauges read, plus the
-    failover records (read as objects: ``stats.failovers``).  The
-    apply lag lives only in the ``replication_lag_us`` histogram."""
-
-    records_shipped: int = 0
-    records_applied: int = 0
-    acked_records: int = 0
-    sync_commit_waits: int = 0
-    sync_ack_wait_us: float = 0.0
-    reads_routed_to_replicas: int = 0
-    #: Commits/roots aborted because a participant container failed.
-    failover_aborts: int = 0
-    failovers: list[FailoverEvent] = field(default_factory=list)
-
-
 class ReplicationManager:
     """Owns the replicas of one database and drives log shipping."""
 
@@ -88,7 +71,8 @@ class ReplicationManager:
                 "ReplicationManager needs an enabled ReplicationConfig")
         self.database = database
         self.config = config
-        self.stats = ReplicationStats()
+        #: One record per promotion, in order.
+        self.failovers: list[FailoverEvent] = []
         #: container id -> replicas still in the "replica" role.
         self.replicas: dict[int, list[ReplicaContainer]] = {}
         #: container id -> commit TIDs acknowledged by all replicas
@@ -122,12 +106,26 @@ class ReplicationManager:
 
         self.durability = enable_durability(database)
         self._telemetry = database.telemetry
+        registry = self._telemetry.registry
         #: Sampled only here, on channel-shipped applies: kill-drain
         #: and promotion catch-up applies have no ship latency and
         #: must not deflate the mean.
-        self._lag_hist = self._telemetry.registry.histogram(
-            "replication_lag_us")
-        self._telemetry.register_replication(self)
+        self._lag_hist = registry.histogram("replication_lag_us")
+        self._shipped = registry.counter(
+            "replication_records_shipped_total")
+        self._applied = registry.counter(
+            "replication_records_applied_total")
+        self._acked = registry.counter("replication_acked_records_total")
+        self._sync_waits = registry.counter(
+            "replication_sync_commit_waits_total")
+        self._sync_wait_us = registry.counter(
+            "replication_sync_ack_wait_us")
+        self._routed = registry.counter("replication_reads_routed_total")
+        #: Commits/roots aborted because a participant container
+        #: failed; booked here and by the executor and
+        #: :meth:`~repro.core.database.ReactorDatabase.refuse_root`.
+        self.failover_aborts = registry.counter(
+            "replication_failover_aborts_total")
         self._build_replicas()
 
     # ------------------------------------------------------------------
@@ -173,7 +171,7 @@ class ReplicationManager:
         pairs to their containers' replicas; return the sync-ack delay
         the executor must wait before reporting completion (0.0 in
         async mode, or when no participant has a replica)."""
-        self.stats.records_shipped += len(records)
+        self._shipped.value += len(records)
         scheduler = self.database.scheduler
         costs = self.database.costs
         sync = self.config.mode == "sync"
@@ -211,8 +209,8 @@ class ReplicationManager:
                 scheduler.at(ack_at, self._record_ack, cid, epoch,
                              record.commit_tid)
         if sync and ack_delay > 0.0:
-            self.stats.sync_commit_waits += 1
-            self.stats.sync_ack_wait_us += ack_delay
+            self._sync_waits.value += 1
+            self._sync_wait_us.value += ack_delay
         return ack_delay
 
     def _apply(self, cid: int, epoch: int, replica: ReplicaContainer,
@@ -224,7 +222,7 @@ class ReplicationManager:
             return
         replica.apply_record(record)
         lag = self.database.scheduler.now - commit_time
-        self.stats.records_applied += 1
+        self._applied.value += 1
         self._lag_hist.observe(lag)
         telemetry = self._telemetry
         if telemetry.system_tracing:
@@ -243,7 +241,7 @@ class ReplicationManager:
         if epoch != self.ship_epoch[cid]:
             return
         self.acked_tids[cid].add(commit_tid)
-        self.stats.acked_records += 1
+        self._acked.value += 1
 
     def on_bulk_load(self, reactor_name: str, table_name: str,
                      rows: list[dict[str, Any]]) -> None:
@@ -346,7 +344,7 @@ class ReplicationManager:
             return None
         shadow = replica.shadow(reactor.name)
         if shadow is not None:
-            self.stats.reads_routed_to_replicas += 1
+            self._routed.value += 1
         return shadow
 
     # ------------------------------------------------------------------
@@ -395,7 +393,7 @@ class ReplicationManager:
                     len(replica.applied_records):]
                 for sealed in behind:
                     replica.apply_record(unseal(sealed))
-                    self.stats.records_applied += 1
+                    self._applied.value += 1
         # Disconnect the replicas: in-flight apply/ack events shipped
         # by the dead primary are dropped when they fire (they are
         # duplicates after a sync drain, losses under async), and the
@@ -475,7 +473,7 @@ class ReplicationManager:
             behind = target.applied_records[len(sibling.applied_records):]
             for sealed in behind:
                 sibling.apply_record(unseal(sealed))
-                self.stats.records_applied += 1
+                self._applied.value += 1
 
         # The survivor's TID generator only ever saw the TIDs it
         # applied; a lagging replica is behind the dead primary's
@@ -525,7 +523,7 @@ class ReplicationManager:
         # next install would GC versions they can still reach.
         database.storage.rescope(target)
 
-        self.stats.failovers.append(FailoverEvent(
+        self.failovers.append(FailoverEvent(
             container_id=cid,
             replica_id=target.replica_id,
             at_us=scheduler.now,

@@ -696,7 +696,7 @@ class TransactionExecutor:
                 # reported.
                 coordinator.abort(participants, reason=None)
                 if database.replication is not None:
-                    database.replication.stats.failover_aborts += 1
+                    database.replication.failover_aborts.value += 1
                 committed, reason = False, "container failed"
                 break
         else:
@@ -815,7 +815,7 @@ class TransactionExecutor:
             if replication is None or \
                     not replication.commit_survived(task.root):
                 if replication is not None:
-                    replication.stats.failover_aborts += 1
+                    replication.failover_aborts.value += 1
                 self._complete_root(
                     task, False,
                     "container failed before replication ack", None)

@@ -2,11 +2,14 @@
 tracer of a database.
 
 The facade is created *before* the database builds its containers, so
-every manager can register its collectors during construction; the
-database calls :meth:`Telemetry.attach_collectors` at the end of
-``_build`` for the core surfaces (CC, storage, executors, scheduler).
-All collector registration is idempotent — replication promotion and
-log replacement just re-register and the gauges re-point.
+every manager it builds — log flushers, durability, replication,
+migration — takes its own counters and gauges from the registry in its
+constructor and books them where the work happens; the facade knows
+none of them.  The database calls :meth:`Telemetry.attach_collectors`
+at the end of ``_build`` for the core surfaces (CC, storage,
+executors, scheduler).  Registration is idempotent per name and
+labels, so a promoted container's rebuilt log flusher continues its
+container's counters.
 
 Hot-path contract: an unsampled root allocates nothing — it carries
 ``trace = None`` — and the collector gauges (pure pull) cost nothing
@@ -15,19 +18,13 @@ until read.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
+from repro.concurrency.base import ABORT_REASONS
 from repro.telemetry import export as _export
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import TraceHandle, Tracer
-
-#: Abort reasons, in the legacy ``abort_counts()["by_reason"]`` order
-#: (mirrors :meth:`repro.concurrency.base.CCStats.abort_reasons`).
-ABORT_REASONS = ("validation_failure", "lock_conflict",
-                 "deadlock_avoidance", "wound", "user",
-                 "dangerous_structure")
-
 
 class Telemetry:
     """One database's metrics registry, span tracer and exporters."""
@@ -123,7 +120,15 @@ class Telemetry:
     def attach_collectors(self) -> None:
         """Register the core collector-backed gauges (CC, storage,
         executors, scheduler).  Called at the end of the database
-        build; safe to call again."""
+        build; safe to call again.
+
+        :class:`~repro.concurrency.base.CCStats` and
+        :class:`~repro.storage.store.VersionStats` stay plain
+        counters read through collectors, unlike the managers' booked
+        counters: they belong to the standalone CC and storage engines,
+        which unit tests build and read without a database, and a CC
+        count is per container, summed here over primaries and replica
+        shadows."""
         registry = self.registry
         database = self.database
         merged = self.merged_cc_stats
@@ -169,88 +174,6 @@ class Telemetry:
                               (lambda e=executor: round(e.busy_time, 3)),
                               core=core)
 
-    def register_flusher(self, flusher: Any) -> None:
-        """Per-container log-device gauges.  Re-registered when a
-        promotion replaces a container's log (same label, new
-        flusher)."""
-        registry = self.registry
-        cid = flusher.container_id
-
-        def field(getter: Callable[[Any], Any]) -> Callable[[], Any]:
-            return lambda: getter(flusher)
-
-        registry.gauge_fn("log_fsyncs_total",
-                          field(lambda f: f.stats.fsyncs),
-                          container=cid)
-        registry.gauge_fn("log_records_flushed_total",
-                          field(lambda f: f.stats.records_flushed),
-                          container=cid)
-        registry.gauge_fn("log_bytes_flushed_total",
-                          field(lambda f: f.stats.bytes_flushed),
-                          container=cid)
-        registry.gauge_fn("log_early_flushes_total",
-                          field(lambda f: f.stats.early_flushes),
-                          container=cid)
-        registry.gauge_fn("log_device_busy_us",
-                          field(lambda f: round(f.stats.device_busy_us,
-                                                3)),
-                          container=cid)
-        registry.gauge_fn("log_durable_tid",
-                          field(lambda f: f.durable_tid),
-                          container=cid)
-        registry.gauge_fn("log_unflushed_records",
-                          field(lambda f: f.unflushed_records()),
-                          container=cid)
-
-    def register_durability(self, manager: Any) -> None:
-        registry = self.registry
-        registry.gauge_fn("durability_acked_commits_total",
-                          lambda: manager.acked_count)
-        registry.gauge_fn("durability_checkpoints_total",
-                          lambda: manager.checkpoints_taken)
-        registry.gauge_fn("durability_checkpoint_segments",
-                          lambda: len(manager.manifest.segments))
-        registry.gauge_fn("durability_records_truncated_total",
-                          lambda: manager.records_truncated)
-
-    def register_replication(self, manager: Any) -> None:
-        registry = self.registry
-        stats = manager.stats
-        registry.gauge_fn("replication_records_shipped_total",
-                          lambda: stats.records_shipped)
-        registry.gauge_fn("replication_records_applied_total",
-                          lambda: stats.records_applied)
-        registry.gauge_fn("replication_acked_records_total",
-                          lambda: stats.acked_records)
-        registry.gauge_fn("replication_sync_commit_waits_total",
-                          lambda: stats.sync_commit_waits)
-        registry.gauge_fn("replication_sync_ack_wait_us",
-                          lambda: round(stats.sync_ack_wait_us, 3))
-        registry.gauge_fn("replication_reads_routed_total",
-                          lambda: stats.reads_routed_to_replicas)
-        registry.gauge_fn("replication_failover_aborts_total",
-                          lambda: stats.failover_aborts)
-
-    def register_migration(self, manager: Any) -> None:
-        registry = self.registry
-        stats = manager.stats
-        registry.gauge_fn("migration_started_total",
-                          lambda: stats.started)
-        registry.gauge_fn("migration_completed_total",
-                          lambda: stats.completed)
-        registry.gauge_fn("migration_cancelled_total",
-                          lambda: stats.cancelled)
-        registry.gauge_fn("migration_rows_copied_total",
-                          lambda: stats.rows_copied)
-        registry.gauge_fn("migration_roots_parked_total",
-                          lambda: stats.roots_parked)
-        registry.gauge_fn("migration_subcalls_parked_total",
-                          lambda: stats.subcalls_parked)
-        registry.gauge_fn("migration_rebalance_checks_total",
-                          lambda: stats.rebalance_checks)
-        registry.gauge_fn("migration_rebalance_moves_total",
-                          lambda: stats.rebalance_moves)
-
     # -- exports --------------------------------------------------------
 
     def export_chrome(self) -> dict[str, Any]:
@@ -282,4 +205,4 @@ class Telemetry:
         return out
 
 
-__all__ = ["Telemetry", "ABORT_REASONS"]
+__all__ = ["Telemetry"]

@@ -1,13 +1,15 @@
 """Counters, gauges, and log-bucketed histograms with a registry.
 
 The registry is the one read surface for every counter
-(``registry.value(name, **labels)``): instrumented code owns counters
-and histograms directly (hot-path observes are one ``bisect`` plus two
-adds), while per-manager stat objects are exposed through
-*collector-backed gauges* — a callable registered once that reads the
-live value on demand, so no state is double-booked and
-promotion/failover (which swaps the underlying objects) just
-re-registers the collector.
+(``registry.value(name, **labels)``) and the one place a manager's
+count is booked: the owner takes its counters and histograms from the
+registry when it is built and books into them directly
+(``counter.value += n``; a histogram observe is one ``bisect`` plus
+two adds).  Registration is idempotent per ``(name, labels)``, so a
+manager rebuilt for the same labels — a promoted container's log
+flusher — continues the same series.  A level, or a count kept by a
+standalone engine, is a *collector-backed gauge*: a callable that
+reads the live value on demand.
 
 Histogram buckets are fixed log-spaced powers of two covering 1 µs to
 ~17 minutes of virtual time, so percentile reports are deterministic
@@ -50,8 +52,10 @@ class Counter:
     def inc(self, n: int = 1) -> None:
         self.value += n
 
-    def current(self) -> int:
-        return self.value
+    def current(self) -> float:
+        # A float count (virtual microseconds) reads to three
+        # decimals, like the histogram summaries.
+        return round(self.value, 3)
 
 
 class Gauge:
@@ -139,15 +143,14 @@ class MetricsRegistry:
     # -- registration ---------------------------------------------------
 
     def _get(self, name: str, labels: dict[str, Any], factory) -> Any:
-        cataloged = CATALOG.get(name)
-        if cataloged is None:
+        kind = CATALOG.get(name)
+        if kind is None:
             raise SimulationError(
                 f"metric {name!r} is not in the telemetry catalog "
                 f"(repro.telemetry.catalog)")
-        if cataloged[0] != factory.kind:
+        if kind != factory.kind:
             raise SimulationError(
-                f"metric {name!r} is a {cataloged[0]}, "
-                f"not a {factory.kind}")
+                f"metric {name!r} is a {kind}, not a {factory.kind}")
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
@@ -166,7 +169,7 @@ class MetricsRegistry:
     def gauge_fn(self, name: str, fn: Callable[[], Any],
                  **labels: Any) -> Gauge:
         """Register (or re-point — registration is idempotent, which
-        failover/promotion relies on) a collector-backed gauge."""
+        promotion relies on) a collector-backed gauge."""
         gauge = self._get(name, labels, Gauge)
         gauge.fn = fn
         return gauge

@@ -4,19 +4,19 @@ import pytest
 
 from repro.concurrency.tid import (
     EPOCH_PERIOD_US,
+    SEQ_BITS,
+    SEQ_MASK,
     EpochManager,
     TidGenerator,
     make_tid,
-    tid_epoch,
-    tid_seq,
 )
 
 
 class TestTidEncoding:
     def test_roundtrip(self):
         tid = make_tid(3, 77)
-        assert tid_epoch(tid) == 3
-        assert tid_seq(tid) == 77
+        assert tid >> SEQ_BITS == 3
+        assert tid & SEQ_MASK == 77
 
     def test_epoch_dominates_ordering(self):
         assert make_tid(2, 1) > make_tid(1, 999_999)
@@ -65,7 +65,7 @@ class TestTidGenerator:
         epochs = EpochManager(period_us=100.0)
         gen = TidGenerator(epochs)
         tid = gen.next_tid(1000.0)
-        assert tid_epoch(tid) >= 11
+        assert tid >> SEQ_BITS >= 11
 
     def test_advance_to_syncs_counters(self):
         epochs = EpochManager()

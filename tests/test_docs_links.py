@@ -5,8 +5,8 @@ markdown link in the repository must resolve to an existing file,
 every backticked ``repro.…`` name in the docs, the README and the
 source docstrings must import, every backticked call in the docs must
 name something defined, every repository path (and cited test) the
-docs name must exist, and the core documents the README promises
-must exist.
+docs name must exist, the metric table must match the catalog, and
+the core documents the README promises must exist.
 """
 
 from __future__ import annotations
@@ -171,3 +171,30 @@ def test_checker_detects_invalid_deployments(tmp_path):
     assert [(f.name, e.split(":")[0]) for f, e in invalid] == [
         ("a.md", "typo")]
     assert "unknown cc_scheme 'clairvoyant'" in invalid[0][1]
+
+
+def test_metric_table_matches_the_catalog():
+    checker = _load_checker()
+    assert checker.metric_table_drift(REPO_ROOT) == []
+
+
+def test_checker_detects_metric_table_drift(tmp_path):
+    """A row for a metric the catalog lacks and a row with the wrong
+    kind are each flagged; a missing row is too."""
+    checker = _load_checker()
+    real = (REPO_ROOT / "docs" / "observability.md").read_text()
+    edited = real.replace(
+        "| `log_fsyncs_total` | counter |",
+        "| `log_fsyncs_total` | gauge |").replace(
+        "| `txn_aborts_total` | counter | Root transactions reported "
+        "aborted. |\n", "").replace(
+        "| metric | kind | meaning |\n|---|---|---|\n",
+        "| metric | kind | meaning |\n|---|---|---|\n"
+        "| `log_flushes_total` | counter | Gone. |\n")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "observability.md").write_text(edited)
+    assert checker.metric_table_drift(tmp_path) == [
+        ("log_flushes_total", "counter", None),
+        ("log_fsyncs_total", "gauge", "counter"),
+        ("txn_aborts_total", None, "counter"),
+    ]

@@ -135,7 +135,7 @@ class TestBasicMigration:
         db.scheduler.run()
         assert db.telemetry.registry.value(
             "migration_completed_total") == 1
-        (event,) = db.migration.stats.events
+        (event,) = db.migration.events
         assert event.rows_copied == 1
         assert event.src_cid == 0 and event.dst_cid == 1
         assert event.state == "done"

@@ -27,11 +27,11 @@ from repro.formal import (
     is_serializable_reactor,
     project,
     read,
-    snapshot_read,
     write,
 )
 from repro.formal.audit import certify_snapshot_isolation
 from repro.formal.history import conflict_edges
+from repro.formal.ops import READ, Op
 
 N_TXNS = 4
 N_REACTORS = 3
@@ -180,12 +180,19 @@ def snapshot_runs(draw):
             observed = max(t for t in versions[item] if t <= snapshot)
             history.insert(
                 draw(st.integers(min_value=0, max_value=len(history))),
-                snapshot_read(txn, 0, item, observed, snapshot))
+                _snapshot_read(txn, 0, item, observed, snapshot))
             placed_blocks[snapshot].append(read(txn, 0, 0, item))
     txns = {op.txn for op in history}
     terminals = [commit(txn) for txn in sorted(txns)]
     placed = [op for block in placed_blocks for op in block]
     return history_of(history + terminals), history_of(placed + terminals)
+
+
+def _snapshot_read(txn: int, reactor: int, item: str, tid: int,
+                   snapshot: int) -> Op:
+    """A read served at snapshot TID ``snapshot`` that observed the
+    version written at ``tid`` (0: no version at or below it)."""
+    return Op(READ, txn, 0, reactor, item, tid, snapshot)
 
 
 def _recorded(history) -> SimpleNamespace:
@@ -218,8 +225,8 @@ def test_a_stale_snapshot_read_is_rejected(run, data):
         return
     index = data.draw(st.sampled_from(stale))
     op = history.events[index]
-    history.events[index] = snapshot_read(op.txn, op.reactor, op.item,
-                                          0, op.snapshot)
+    history.events[index] = _snapshot_read(op.txn, op.reactor, op.item,
+                                           0, op.snapshot)
     report = certify_snapshot_isolation(_recorded(history))
     assert [v["kind"] for v in report["violations"]] == ["stale-read"]
 
@@ -228,7 +235,7 @@ def test_a_fractured_snapshot_is_a_cycle():
     """A reader that saw writer 1's x but not its y read no prefix."""
     history = history_of([
         write(1, 0, 0, "x", 1), write(1, 0, 0, "y", 1), commit(1),
-        snapshot_read(2, 0, "x", 1, 1), snapshot_read(2, 0, "y", 0, 1),
+        _snapshot_read(2, 0, "x", 1, 1), _snapshot_read(2, 0, "y", 0, 1),
         commit(2),
     ])
     assert not is_serializable_reactor(history)

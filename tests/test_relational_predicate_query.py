@@ -4,7 +4,7 @@ import operator
 
 import pytest
 
-from repro.relational.predicate import ALWAYS, And, Comparison, Lambda, col
+from repro.relational.predicate import ALWAYS, And, Comparison, col
 
 ROWS = [
     {"provider": "visa", "value": 10.0, "settled": "N"},
@@ -52,12 +52,6 @@ class TestPredicates:
 
     def test_always(self):
         assert ALWAYS.matches({})
-
-    def test_lambda(self):
-        pred = Lambda(lambda r: r["value"] > 6, columns={"value"})
-        assert pred.matches(ROWS[0])
-        assert not pred.matches(ROWS[2])
-        assert pred.columns() == {"value"}
 
     @pytest.mark.parametrize("op", ["==", "!=", "<", "<=", ">", ">="])
     def test_comparison_agrees_with_python_operator(self, op):
@@ -132,17 +126,6 @@ class TestPredicates:
             "(((a == 1) AND (NOT (b IN [1, 2]))) OR (0 <= c <= 9))"
         assert repr(ALWAYS) == "TRUE"
         assert repr(col("x")) == "col('x')"
-
-    def test_lambda_result_is_a_bool(self):
-        pred = Lambda(lambda r: r.get("v"))
-        assert pred.matches({"v": "yes"}) is True
-        assert pred.matches({"v": 0}) is False
-
-    def test_lambda_columns_are_a_copy(self):
-        pred = Lambda(lambda r: True, columns={"v"})
-        pred.columns().add("w")
-        assert pred.columns() == {"v"}
-        assert Lambda(lambda r: True).columns() == set()
 
     def test_column_refs_hash_by_name(self):
         assert hash(col("a")) == hash(col("a"))

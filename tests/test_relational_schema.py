@@ -10,7 +10,6 @@ from repro.relational.schema import (
     int_col,
     make_schema,
     str_col,
-    bool_col,
     column,
 )
 
@@ -19,7 +18,7 @@ def sample_schema(**kwargs):
     return make_schema(
         "accounts",
         [int_col("id"), str_col("name"), float_col("balance"),
-         bool_col("active", nullable=True)],
+         column("active", "bool", nullable=True)],
         ["id"],
         **kwargs,
     )

@@ -5,7 +5,7 @@ import pytest
 from repro.bench.harness import run_measurement
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import DeploymentConfig, shared_nothing
-from repro.durability import enable_durability
+from repro.durability import DurabilityConfig, enable_durability
 from repro.errors import (
     DeploymentError,
     ReplicationError,
@@ -401,6 +401,32 @@ class TestFailover:
         database.scheduler.run()
         assert database.abort_counts()["validations"] >= \
             validations_before
+
+    def test_promotion_continues_log_counters(self):
+        """The promoted container's rebuilt log flusher continues its
+        container's ``log_*`` counts instead of a series from 0."""
+        database = ReactorDatabase(
+            shared_nothing(2,
+                           replication=ReplicationConfig(
+                               replicas_per_container=1, mode="sync"),
+                           durability=DurabilityConfig(enabled=True,
+                                                       mode="group")),
+            sb.declarations(N))
+        sb.load(database, N)
+        run_transfers(database, 10)
+        database.scheduler.run()
+        metric = database.telemetry.registry.value
+        names = ("log_records_flushed_total", "log_fsyncs_total")
+        before = {name: metric(name, container=0) for name in names}
+        flusher_before = database.durability_stats()["flushers"][0]
+        assert before["log_records_flushed_total"] > 0
+        database.replication.kill_and_promote(0)
+        database.scheduler.run()
+        for name in names:
+            assert metric(name, container=0) >= before[name], name
+        flusher_after = database.durability_stats()["flushers"][0]
+        for key in ("fsyncs", "records_flushed", "bytes_flushed"):
+            assert flusher_after[key] >= flusher_before[key], key
 
     def test_failed_container_refuses_new_roots(self):
         database = replicated_bank(mode="sync")

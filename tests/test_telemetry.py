@@ -24,7 +24,7 @@ from repro.replication.config import ReplicationConfig
 from repro.telemetry import MetricsRegistry, TelemetryConfig
 from repro.telemetry.catalog import CATALOG
 from repro.telemetry.config import full_tracing
-from repro.telemetry.facade import ABORT_REASONS
+from repro.concurrency.base import ABORT_REASONS
 from repro.workloads import smallbank as sb
 
 TOOLS = Path(__file__).parent.parent / "tools"
@@ -138,8 +138,8 @@ class TestMetricsRegistry:
 
     def test_snapshot_label_rendering(self):
         registry = MetricsRegistry()
-        registry.gauge("log_fsyncs_total", container=0).set(5)
-        registry.gauge("log_fsyncs_total", container=1).set(9)
+        registry.counter("log_fsyncs_total", container=0).value = 5
+        registry.counter("log_fsyncs_total", container=1).value = 9
         snap = registry.snapshot()
         assert snap['log_fsyncs_total{container="0"}'] == 5
         assert snap['log_fsyncs_total{container="1"}'] == 9

@@ -103,7 +103,8 @@ def test_every_request_is_answered_and_every_ack_is_durable():
         committed = sum(1 for outcome in outcomes if outcome.committed)
         assert committed > REQUESTS // 2
         durability = database.durability
-        assert durability.acked_count == committed
+        assert database.telemetry.registry.value(
+            "durability_acked_commits_total") == committed
         # Acknowledged means flushed: the record of every commit a
         # client was answered for lies inside its log's durable prefix.
         assert durability.acked_sites
@@ -132,8 +133,8 @@ def test_a_flush_timer_bounced_at_the_depth_bound_can_be_cancelled():
     backend = ThreadsBackend()
     backend.attach(1)
     try:
-        flusher = LogFlusher(0, backend, costs, "group",
-                             Telemetry(None, TelemetryConfig()))
+        telemetry = Telemetry(None, TelemetryConfig())
+        flusher = LogFlusher(0, backend, costs, "group", telemetry)
         acks = []
 
         def append_two_at_the_depth_bound():
@@ -149,8 +150,10 @@ def test_a_flush_timer_bounced_at_the_depth_bound_can_be_cancelled():
         backend.soon(append_two_at_the_depth_bound)
         backend.run()
         assert len(acks) == 2 and all(ack.resolved for ack in acks)
-        assert flusher.stats.early_flushes == 1
-        assert flusher.stats.fsyncs == 1  # the bounced timer never ran
+        metric = telemetry.registry.value
+        assert metric("log_early_flushes_total", container=0) == 1
+        # The bounced timer never ran.
+        assert metric("log_fsyncs_total", container=0) == 1
         assert flusher.durable_tid == 2
     finally:
         backend.shutdown()

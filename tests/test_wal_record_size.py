@@ -96,7 +96,9 @@ def test_batch_bytes_threshold_is_exact():
     # same size.
     for tid in range(1000, 1000 + appends - 1):
         flusher.on_append(log.append(tid, [entry]))
-    assert flusher.stats.early_flushes == 0
+    early = database.telemetry.registry.counter(
+        "log_early_flushes_total", container=0)
+    assert early.value == 0
     flusher.on_append(log.append(1000 + appends - 1, [entry]))
-    assert flusher.stats.early_flushes == 1
+    assert early.value == 1
     database.close()

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Fail on broken intra-repository markdown links, stale ``repro``
-names, cited paths that do not exist and deployment examples that do
-not load.
+names, cited paths that do not exist, deployment examples that do not
+load and a metric table that drifted from the catalog.
 
-Four checks:
+Five checks:
 
 * **Links.**  Scans every ``*.md`` file in the repository (skipping
   ``.git`` and generated ``benchmarks/results``) for inline markdown
@@ -31,6 +31,10 @@ Four checks:
   ``docs/*.md`` and ``README.md`` that is an object with top-level
   ``name`` and ``containers`` must load through
   ``repro.core.deployment.DeploymentConfig.from_dict``.
+* **Metric table.**  The ``(name, kind)`` rows of the metric table in
+  ``docs/observability.md`` (its "Metric catalog" section) must be
+  exactly ``repro.telemetry.catalog.CATALOG``: a stale row, a missing
+  row and a wrong kind each fail.
 
 Used by the CI ``docs-check`` job and by ``tests/test_docs_links.py``,
 so a renamed or deleted file, test, module, attribute or config value
@@ -76,6 +80,9 @@ SOURCE_DIRS = ("src", "tools", "benchmarks", "examples")
 CITED_PATH = re.compile(
     r"`((?:benchmarks|tools|tests|src|docs|examples)/[^`\s:]*)"
     r"((?:::\w+)*)")
+
+#: A metric table row: the backticked name, then the kind.
+METRIC_ROW = re.compile(r"^\| `([^`]+)` \| ([^|]*?) \|", re.MULTILINE)
 
 #: The body of a fenced ``json`` code block.
 JSON_BLOCK = re.compile(r"^```json[ \t]*\n(.*?)^```",
@@ -282,6 +289,21 @@ def invalid_deployments(root: Path) -> list[tuple[Path, str]]:
     return invalid
 
 
+def metric_table_drift(root: Path
+                       ) -> list[tuple[str, str | None, str | None]]:
+    """Every ``(name, documented kind, cataloged kind)`` where the
+    metric table of ``docs/observability.md`` and the catalog
+    disagree; ``None`` is a missing row on that side."""
+    from repro.telemetry.catalog import CATALOG
+
+    text = (root / "docs" / "observability.md").read_text()
+    section = text.partition("## Metric catalog")[2].partition("\n## ")[0]
+    documented = dict(METRIC_ROW.findall(section))
+    return [(name, documented.get(name), CATALOG.get(name))
+            for name in sorted(documented.keys() | CATALOG.keys())
+            if documented.get(name) != CATALOG.get(name)]
+
+
 def main() -> int:
     root = REPO_ROOT
     files = markdown_files(root)
@@ -297,11 +319,16 @@ def main() -> int:
     invalid = invalid_deployments(root)
     for path, error in invalid:
         print(f"INVALID: {path.relative_to(root)} -> {error}")
+    drift = metric_table_drift(root)
+    for name, documented, cataloged in drift:
+        print(f"DRIFT: docs/observability.md -> {name}: documented "
+              f"{documented}, cataloged {cataloged}")
     print(f"checked {len(files)} markdown files, "
           f"{len(broken)} broken links, {len(stale)} stale names, "
           f"{len(missing)} missing paths, "
-          f"{len(invalid)} invalid deployment examples")
-    return 1 if broken or stale or missing or invalid else 0
+          f"{len(invalid)} invalid deployment examples, "
+          f"{len(drift)} metric table rows off the catalog")
+    return 1 if broken or stale or missing or invalid or drift else 0
 
 
 if __name__ == "__main__":
