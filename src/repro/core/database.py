@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.concurrency import create_cc_scheme
+from repro.concurrency.base import ABORT_REASONS
 from repro.concurrency.tid import EpochManager
 from repro.core.deployment import ROUND_ROBIN, DeploymentConfig
 from repro.core.reactor import Reactor, ReactorType
@@ -39,7 +40,6 @@ from repro.runtime.transaction import RootTransaction, TxnStats
 from repro.sim.scheduler import SimScheduler
 from repro.storage.store import StorageCoordinator
 from repro.telemetry import Telemetry
-from repro.concurrency.base import ABORT_REASONS
 
 class ReactorDatabase:
     """An instantiated reactor database on a simulated machine."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.concurrency.base import ABORT_REASONS
+from repro.concurrency.base import ABORT_REASONS, CCStats
 from repro.telemetry import export as _export
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.metrics import MetricsRegistry
@@ -105,7 +105,6 @@ class Telemetry:
         """CC stats merged across primaries and replica shadows (reads
         ``database.containers`` live, so promotion — which swaps
         containers and merges stats into the target — stays exact)."""
-        from repro.concurrency.base import CCStats
         merged = CCStats()
         database = self.database
         for container in database.containers:

@@ -5,9 +5,10 @@ under ``src/repro`` must be named — by a ``Name``, an ``Attribute``
 or a keyword argument — somewhere in ``src/``, ``benchmarks/``,
 ``tools/`` or ``examples/``.  The definition itself does not count,
 and neither does an import: a name a package ``__init__`` only
-re-exports is used by nothing.  A name only the tests call is a second surface that
-nothing in the system needs; delete it, or, when it is how a test
-probes the system, add it to :data:`TEST_PROBES` with the reason.
+re-exports is used by nothing.  A name only the tests call is a
+second surface that nothing in the system needs; delete it, or, when
+it is how a test probes the system, add it to :data:`TEST_PROBES`
+with the reason.
 
 Exempt by rule: dunders (the interpreter calls them), reactor
 procedures (``@<type>.procedure``; reached by name through

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import drain_telemetry_summaries, run_measurement
+from repro.concurrency.base import ABORT_REASONS
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
 from repro.durability.config import DurabilityConfig
@@ -24,7 +25,6 @@ from repro.replication.config import ReplicationConfig
 from repro.telemetry import MetricsRegistry, TelemetryConfig
 from repro.telemetry.catalog import CATALOG
 from repro.telemetry.config import full_tracing
-from repro.concurrency.base import ABORT_REASONS
 from repro.workloads import smallbank as sb
 
 TOOLS = Path(__file__).parent.parent / "tools"
