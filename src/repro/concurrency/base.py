@@ -179,11 +179,6 @@ class CCStats:
             setattr(self, spec.name,
                     getattr(self, spec.name) + getattr(other, spec.name))
 
-    def abort_reasons(self) -> dict[str, int]:
-        """Abort events keyed by reason (the per-reason breakdown)."""
-        return {reason: getattr(self, name)
-                for reason, name in ABORT_REASONS.items()}
-
 
 class CCSession:
     """Read/write sets of one root transaction within one container.

@@ -2,7 +2,7 @@
 
 Everything below this package fronts a
 :class:`~repro.core.database.ReactorDatabase` to *remote* clients over
-asyncio TCP, so transactions originate outside the process — the
+TCP, so transactions originate outside the process — the
 black-box setting the snapshot-isolation checking literature assumes,
 and the boundary ROADMAP item 1 asks for on the path to "millions of
 clients".
@@ -10,7 +10,8 @@ clients".
 * :mod:`repro.serving.protocol` — length-prefixed frames, typed
   request/response/error messages, version + codec negotiation
   (msgpack when available, JSON always);
-* :mod:`repro.serving.server` — the asyncio TCP server: session
+* :mod:`repro.serving.server` — the TCP server, on a selector loop of
+  its own (no asyncio): session
   multiplexing (many logical sessions per connection, out-of-order
   responses matched by request id) and wire-level admission control
   (bounded in-flight requests; excess load is shed with a typed

@@ -1,34 +1,51 @@
-"""The asyncio TCP server fronting a :class:`ReactorDatabase`.
+"""The TCP server fronting a :class:`ReactorDatabase`, on a loop it owns.
 
 One :class:`ReactorServer` serves one database on either execution
-backend.  Every connection is an :class:`asyncio.Protocol`: its
-``data_received`` callback runs handshake -> decode -> submit inline on
-the event-loop thread — no task, stream or future per connection.
+backend from one thread, which runs the server's own event loop
+(:class:`_Loop`): a ``selectors.DefaultSelector``, a socketpair that
+wakes it from other threads, and a ready list of callbacks.  Every
+connection is a :class:`_Connection` over a non-blocking
+:class:`_SocketTransport`; its ``data_received`` callback runs
+handshake -> decode -> submit inline on the loop thread — no task,
+stream or future per connection.  One loop iteration is one
+``select()`` (it blocks unless a callback is ready), one read of at
+most :data:`READ_SIZE` bytes from each readable connection, then the
+callbacks those reads queued.
 
 * ``sim`` — the discrete-event scheduler has no thread of its own, so
-  a submitted request schedules one *pump* callback (``call_soon``,
+  a submitted request queues one *pump* callback (``call_soon``,
   guarded by a flag) that drives ``scheduler.run()`` to quiescence on
-  the event-loop thread.  The pump runs after every connection
-  readable in that loop iteration has decoded and submitted its whole
-  burst, so requests that arrive coalesced (one TCP segment, several
-  frames) genuinely overlap in virtual time — a burst behaves like a
-  burst, not like a sequence of solo transactions.
+  the loop thread.  The pump runs after every connection readable in
+  that ``select()`` has decoded and submitted its whole burst, so
+  requests that arrive coalesced (one TCP segment, several frames)
+  genuinely overlap in virtual time — a burst behaves like a burst,
+  not like a sequence of solo transactions.
 * ``threads`` — the backend's own worker threads execute transactions;
-  completions are queued on a deque and drained on the event loop, one
-  ``call_soon_threadsafe`` per burst.  No pump, no polling.
+  completions are queued on a deque and drained on the loop, one
+  ``call_soon_threadsafe`` — one wake-up byte — per burst.  No pump,
+  no polling.
 
 Answers are written per *burst*, not per message: ``_Connection.send``
-encodes a frame into the connection's outbox, and every event-loop
-callback that can answer — ``data_received`` (refusals, ``hello_ok``),
-the sim pump, the threads drain — ends by writing each answered
-connection once (``ReactorServer._flush``), as does anything that
-closes a connection, before it closes.  Between callbacks every outbox
-is empty; per connection, bytes leave in the order they were sent.
+encodes a frame into the connection's outbox, and every loop callback
+that can answer — ``data_received`` (refusals, ``hello_ok``), the sim
+pump, the threads drain — ends by writing each answered connection
+once (``ReactorServer._flush``), as does anything that closes a
+connection, before it closes.  Between callbacks every outbox is
+empty; per connection, bytes leave in the order they were sent.
 
-Flow control: a peer that does not read its answers fills the
-transport's write buffer; past its high-water mark the server stops
-reading *that* connection until the buffer drains, so the bytes held
-for it stay bounded and other connections are unaffected.
+Flow control: a transport's ``write`` sends what the kernel takes at
+once and buffers only the rest.  A peer that does not read its answers
+fills that buffer; past :data:`HIGH_WATER` bytes the server stops
+reading *that* connection until the buffer drains to
+:data:`LOW_WATER`, so the bytes held for it stay bounded and other
+connections are unaffected.
+
+Faults: an exception out of a connection's ``data_received`` aborts
+that connection only; one out of any loop callback is handed to
+``threading.excepthook`` (a traceback on stderr by default), and the
+loop keeps serving either way.  A peer's EOF or reset ends its
+connection with one ``connection_lost``; a failed ``accept`` is
+skipped.
 
 Admission control happens *at the wire*, and only there: the server
 bounds its in-flight request count (``max_inflight``) and answers
@@ -51,11 +68,13 @@ submit-to-completion window.
 
 from __future__ import annotations
 
-import asyncio
+import selectors
+import socket
 import threading
 from collections import deque
 from functools import partial
-from typing import Any
+from time import monotonic
+from typing import Any, Callable
 
 from repro.core.database import ReactorDatabase
 from repro.errors import UnknownProcedureError
@@ -69,16 +88,255 @@ DEFAULT_MAX_INFLIGHT = 256
 #: actual hint scales with how far past the bound the server is.
 RETRY_AFTER_US = 1_000.0
 
+#: Most bytes one read takes from a readable connection.
+READ_SIZE = 256 * 1024
+#: A connection stops being read while more than ``HIGH_WATER`` answer
+#: bytes wait for its peer, and is read again at ``LOW_WATER``.
+HIGH_WATER = 64 * 1024
+LOW_WATER = 16 * 1024
 
-class _Connection(asyncio.Protocol):
-    """One accepted socket: negotiated codec, decoder, sessions."""
+_READ = selectors.EVENT_READ
+_WRITE = selectors.EVENT_WRITE
+
+
+def _report(error: BaseException) -> None:
+    """Hand an exception nobody called for to the thread's own
+    uncaught-exception hook, without ending the loop."""
+    threading.excepthook(threading.ExceptHookArgs(
+        (type(error), error, error.__traceback__,
+         threading.current_thread())))
+
+
+class _Loop:
+    """One thread's event loop: a selector whose keys carry their
+    handler, a ready list of callbacks, and a socketpair that wakes
+    ``select`` from other threads.  Only the loop thread touches the
+    selector; ``call_soon_threadsafe`` is how other threads get in."""
+
+    __slots__ = ("selector", "_ready", "_wake_in", "_wake_out",
+                 "_stopping")
+
+    time = staticmethod(monotonic)
+
+    def __init__(self) -> None:
+        self.selector = selectors.DefaultSelector()
+        self._ready: deque[tuple[Callable, tuple]] = deque()
+        self._wake_in, self._wake_out = socket.socketpair()
+        self._wake_in.setblocking(False)
+        self._wake_out.setblocking(False)
+        self.selector.register(self._wake_in, _READ, self._woken)
+        self._stopping = False
+
+    def call_soon(self, fn: Callable, *args: Any) -> None:
+        self._ready.append((fn, args))
+
+    def call_soon_threadsafe(self, fn: Callable, *args: Any) -> None:
+        """Queue first, then wake: a ``select`` that began before the
+        append returns on the byte."""
+        self._ready.append((fn, args))
+        try:
+            self._wake_out.send(b"\0")
+        except OSError:
+            pass  # a full pipe is a wake-up already; a closed one, no loop
+
+    def _woken(self, mask: int) -> None:
+        try:
+            self._wake_in.recv(4096)
+        except OSError:
+            pass
+
+    def stop(self) -> None:
+        self._stopping = True
+
+    def run(self) -> None:
+        """Serve until :meth:`stop`; then run what stopping queued (the
+        ``connection_lost`` calls) and close."""
+        select = self.selector.select
+        ready = self._ready
+        try:
+            while not self._stopping:
+                for key, mask in select(0 if ready else None):
+                    try:
+                        key.data(mask)
+                    except Exception as error:  # noqa: BLE001
+                        _report(error)
+                self._run_ready()
+            self._run_ready()
+        finally:
+            self.selector.close()
+            self._wake_in.close()
+            self._wake_out.close()
+
+    def _run_ready(self) -> None:
+        """What is queued now, not what that queues: a callback queued
+        from here waits for the next ``select``."""
+        ready = self._ready
+        for __ in range(len(ready)):
+            fn, args = ready.popleft()
+            try:
+                fn(*args)
+            except Exception as error:  # noqa: BLE001 - fault barrier
+                _report(error)
+
+
+class _SocketTransport:
+    """One accepted non-blocking socket under a :class:`_Loop`: the
+    calls a :class:`_Connection` makes on it, and the callbacks it
+    makes on the connection (see the module docstring)."""
+
+    __slots__ = ("_loop", "_sock", "_protocol", "_buffer", "_events",
+                 "_reading", "_closing", "_writing_paused")
+
+    def __init__(self, loop: _Loop, sock: socket.socket,
+                 protocol_: "_Connection") -> None:
+        self._loop = loop
+        self._sock: socket.socket | None = sock
+        self._protocol = protocol_
+        #: What the kernel has not taken yet, in write order.
+        self._buffer = bytearray()
+        #: The selector events registered for ``sock`` (0: none).
+        self._events = 0
+        self._reading = True
+        self._closing = False
+        self._writing_paused = False
+        self._set_events(_READ)
+
+    def _set_events(self, events: int) -> None:
+        old = self._events
+        if events == old:
+            return
+        selector = self._loop.selector
+        if not old:
+            selector.register(self._sock, events, self._on_events)
+        elif not events:
+            selector.unregister(self._sock)
+        else:
+            selector.modify(self._sock, events, self._on_events)
+        self._events = events
+
+    def _on_events(self, mask: int) -> None:
+        if mask & _WRITE and self._buffer:
+            self._write_ready()
+        if mask & _READ and self._reading:
+            self._read_ready()
+
+    def _read_ready(self) -> None:
+        try:
+            data = self._sock.recv(READ_SIZE)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as error:  # ECONNRESET and kin
+            self._finish(error)
+            return
+        if not data:  # EOF: what is already buffered still goes out
+            self.close()
+            return
+        try:
+            self._protocol.data_received(data)
+        except Exception as error:  # noqa: BLE001 - a fatal protocol
+            # error costs its own connection, not the loop.
+            self._finish(error)
+            _report(error)
+
+    def _write_ready(self) -> None:
+        buffer = self._buffer
+        try:
+            sent = self._sock.send(buffer)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as error:
+            self._finish(error)
+            return
+        del buffer[:sent]
+        if self._writing_paused and len(buffer) <= LOW_WATER:
+            self._writing_paused = False
+            self._protocol.resume_writing()
+        if not buffer:
+            if self._closing:
+                self._finish(None)
+            else:
+                self._set_events(self._events & ~_WRITE)
+
+    def write(self, data: bytes) -> None:
+        """Send now; buffer only what the kernel did not take."""
+        if not data or self._sock is None:
+            return
+        if not self._buffer:
+            try:
+                sent = self._sock.send(data)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError as error:
+                self._finish(error)
+                return
+            if sent == len(data):
+                return
+            data = memoryview(data)[sent:]
+            self._set_events(self._events | _WRITE)
+        self._buffer += data
+        if not self._writing_paused and len(self._buffer) > HIGH_WATER:
+            self._writing_paused = True
+            self._protocol.pause_writing()
+
+    def get_write_buffer_size(self) -> int:
+        return len(self._buffer)
+
+    def pause_reading(self) -> None:
+        if self._reading:
+            self._reading = False
+            self._set_events(self._events & ~_READ)
+
+    def resume_reading(self) -> None:
+        if not self._reading and not self._closing:
+            self._reading = True
+            self._set_events(self._events | _READ)
+
+    def is_reading(self) -> bool:
+        return self._reading
+
+    def is_closing(self) -> bool:
+        return self._closing
+
+    def close(self) -> None:
+        """Stop reading; the FIN follows the last buffered byte."""
+        if self._closing:
+            return
+        self._closing = True
+        self.pause_reading()
+        if not self._buffer:
+            self._finish(None)
+
+    def abort(self) -> None:
+        """Close now, dropping whatever was not sent."""
+        self._finish(None)
+
+    def _finish(self, error: Exception | None) -> None:
+        """Release the socket and queue the one ``connection_lost``."""
+        sock = self._sock
+        if sock is None:
+            return
+        self._sock = None
+        self._closing = True
+        self._reading = False
+        self._buffer.clear()
+        if self._events:
+            self._loop.selector.unregister(sock)
+            self._events = 0
+        sock.close()
+        self._loop.call_soon(self._protocol.connection_lost, error)
+
+
+class _Connection:
+    """One accepted socket: negotiated codec, decoder, sessions.  Its
+    transport calls ``data_received``, ``pause_writing``,
+    ``resume_writing`` and ``connection_lost``."""
 
     __slots__ = ("server", "transport", "codec", "decoder", "sessions",
                  "outbox")
 
     def __init__(self, server: "ReactorServer") -> None:
         self.server = server
-        self.transport: asyncio.Transport | None = None
+        self.transport: _SocketTransport | None = None
         #: ``None`` until the JSON hello exchange has picked one.
         self.codec: str | None = None
         self.decoder = protocol.FrameDecoder("json")
@@ -86,7 +344,7 @@ class _Connection(asyncio.Protocol):
         #: Encoded answers since the last flush point, in send order.
         self.outbox: list[bytes] = []
 
-    def connection_made(self, transport: asyncio.Transport) -> None:
+    def connection_made(self, transport: _SocketTransport) -> None:
         self.transport = transport
         server = self.server
         server.connections.add(self)
@@ -162,7 +420,7 @@ class _Connection(asyncio.Protocol):
 
 
 class ReactorServer:
-    """Serve one database over asyncio TCP (see module docstring)."""
+    """Serve one database over TCP (see module docstring)."""
 
     def __init__(self, database: ReactorDatabase,
                  host: str = "127.0.0.1", port: int = 0,
@@ -174,22 +432,22 @@ class ReactorServer:
         self.inflight = 0
         #: (host, port) actually bound, known after :meth:`start`.
         self.address: tuple[str, int] | None = None
-        #: Live connections (event-loop thread only).
+        #: Live connections (loop thread only).
         self.connections: set[_Connection] = set()
-        self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
+        self._listener: socket.socket | None = None
+        self._loop: _Loop | None = None
         self._is_sim = database.scheduler.is_virtual
         #: What a root's ``on_done`` calls, on whichever thread ran it.
         self._finish = self._complete if self._is_sim \
             else self._on_worker_done
         #: sim: is a ``_pump_once`` already scheduled?
         self._pump_scheduled = False
-        #: threads: completions waiting for the event loop, and whether
-        #: a ``_drain_completions`` wake-up is already on its way.
+        #: threads: completions waiting for the loop, and whether a
+        #: ``_drain_completions`` wake-up is already on its way.
         self._completions: deque[tuple] = deque()
         self._drain_scheduled = False
-        #: Connections with a non-empty outbox; empty between
-        #: event-loop callbacks (see :meth:`_flush`).
+        #: Connections with a non-empty outbox; empty between loop
+        #: callbacks (see :meth:`_flush`).
         self._unflushed: list[_Connection] = []
         registry = database.telemetry.registry
         self._accepted = registry.counter("serving_accepted_total")
@@ -204,24 +462,49 @@ class ReactorServer:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> tuple[str, int]:
-        """Bind and start accepting; returns the bound address."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await self._loop.create_server(
-            lambda: _Connection(self), self.host, self.port)
-        sockname = self._server.sockets[0].getsockname()
+    def start(self) -> tuple[str, int]:
+        """Bind and listen; returns the bound address.  :meth:`run`
+        serves."""
+        listener = socket.create_server((self.host, self.port),
+                                        backlog=100)
+        listener.setblocking(False)
+        self._listener = listener
+        self._loop = _Loop()
+        self._loop.selector.register(listener, _READ, self._accept)
+        sockname = listener.getsockname()
         self.address = (sockname[0], sockname[1])
         return self.address
 
-    async def stop(self) -> None:
+    def run(self) -> None:
+        """Serve on the calling thread until :meth:`stop`."""
+        self._loop.run()
+
+    def stop(self) -> None:
+        """From any thread: end :meth:`run` (see :meth:`_shut_down`)."""
+        self._loop.call_soon_threadsafe(self._shut_down)
+
+    def _shut_down(self) -> None:
         """Stop accepting and drop every live connection (unflushed
         answers with them: a peer that never reads must not be able to
         hold ``stop`` up)."""
-        if self._server is not None:
-            self._server.close()
+        listener = self._listener
+        if listener is not None:
+            self._listener = None
+            self._loop.selector.unregister(listener)
+            listener.close()
             for conn in list(self.connections):
                 conn.transport.abort()
-            await self._server.wait_closed()
+        self._loop.stop()
+
+    def _accept(self, mask: int) -> None:
+        try:
+            sock, __ = self._listener.accept()
+        except OSError:  # EAGAIN, ECONNABORTED, EMFILE ...: skip it
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Connection(self)
+        conn.connection_made(_SocketTransport(self._loop, sock, conn))
 
     # ------------------------------------------------------------------
     # Backend hand-offs
@@ -240,10 +523,7 @@ class ReactorServer:
         self._completions.append(completion)
         if not self._drain_scheduled:
             self._drain_scheduled = True
-            try:
-                self._loop.call_soon_threadsafe(self._drain_completions)
-            except RuntimeError:
-                pass  # the loop closed under us: nobody left to tell
+            self._loop.call_soon_threadsafe(self._drain_completions)
 
     def _drain_completions(self) -> None:
         self._drain_scheduled = False
@@ -295,7 +575,7 @@ class ReactorServer:
         loop = self._loop
         t_wire = loop.time()
         self.inflight += 1
-        self._accepted.inc()
+        self._accepted.value += 1
         t_submit = database.scheduler.now
         state = (conn, rid, session, t_wire, t_submit)
         try:
@@ -351,32 +631,26 @@ class ReactorServer:
 # ----------------------------------------------------------------------
 
 class ServerThread:
-    """Run a :class:`ReactorServer` on a dedicated event-loop thread.
+    """Run a :class:`ReactorServer` on a dedicated loop thread.
 
     The synchronous world (pytest, benchmark scripts, the CI smoke
     job) starts the server, reads ``host``/``port``, points a
     :class:`~repro.client.TcpClient` at it, and calls :meth:`stop`
-    when done.  The hosted event loop owns the database while serving
-    — don't drive the scheduler from another thread concurrently.
+    when done.  The loop thread owns the database while serving —
+    don't drive the scheduler from another thread concurrently.
     """
 
     def __init__(self, database: ReactorDatabase, **kwargs: Any) -> None:
         self.server = ReactorServer(database, **kwargs)
         self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._ready = threading.Event()
-        self._stop_event: asyncio.Event | None = None
-        self._startup_error: BaseException | None = None
 
     def start(self) -> tuple[str, int]:
+        """Bind here (a bind error raises here), serve on the thread."""
+        address = self.server.start()
         self._thread = threading.Thread(
-            target=self._run, name="repro-serving", daemon=True)
+            target=self.server.run, name="repro-serving", daemon=True)
         self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise RuntimeError("serving thread failed to start")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self.server.address
+        return address
 
     @property
     def host(self) -> str:
@@ -387,35 +661,16 @@ class ServerThread:
         return self.server.address[1]
 
     def stop(self) -> None:
-        loop = self._loop
-        if loop is not None and not loop.is_closed() and \
-                self._stop_event is not None:
-            loop.call_soon_threadsafe(self._stop_event.set)
         if self._thread is not None:
+            self.server.stop()
             self._thread.join(timeout=30.0)
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            await self.server.start()
-        except BaseException as error:  # noqa: BLE001
-            self._startup_error = error
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop_event.wait()
-        await self.server.stop()
 
 
 def serve_in_thread(database: ReactorDatabase,
                     **kwargs: Any) -> ServerThread:
-    """Start serving ``database`` on a background event-loop thread;
-    returns the started :class:`ServerThread` (read ``host``/``port``,
-    call ``stop()``)."""
+    """Start serving ``database`` on a background loop thread; returns
+    the started :class:`ServerThread` (read ``host``/``port``, call
+    ``stop()``)."""
     thread = ServerThread(database, **kwargs)
     thread.start()
     return thread

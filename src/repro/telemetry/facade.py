@@ -18,7 +18,7 @@ until read.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from repro.concurrency.base import ABORT_REASONS, CCStats
 from repro.telemetry import export as _export
@@ -70,10 +70,10 @@ class Telemetry:
         root that never ran) land here."""
         latency = now - root.start_time
         if committed:
-            self._commits.inc()
+            self._commits.value += 1
             self._commit_hist.observe(latency)
         else:
-            self._aborts.inc()
+            self._aborts.value += 1
             self._abort_hist.observe(latency)
         trace = root.trace
         if trace is not None:
@@ -101,20 +101,19 @@ class Telemetry:
 
     # -- collectors -----------------------------------------------------
 
-    def merged_cc_stats(self) -> Any:
-        """CC stats merged across primaries and replica shadows (reads
-        ``database.containers`` live, so promotion — which swaps
-        containers and merges stats into the target — stays exact)."""
-        merged = CCStats()
+    def _cc_stats(self) -> Iterator[CCStats]:
+        """Every live CC stats source: primaries, then replica shadows
+        (read from ``database.containers`` at each call, so promotion
+        — which swaps containers and moves the dead primary's counts
+        into the survivor — stays exact)."""
         database = self.database
         for container in database.containers:
-            merged.merge(container.concurrency.stats)
+            yield container.concurrency.stats
         replication = database.replication
         if replication is not None:
             for group in replication.replicas.values():
                 for replica in group:
-                    merged.merge(replica.concurrency.stats)
-        return merged
+                    yield replica.concurrency.stats
 
     def attach_collectors(self) -> None:
         """Register the core collector-backed gauges (CC, storage,
@@ -130,16 +129,18 @@ class Telemetry:
         shadows."""
         registry = self.registry
         database = self.database
-        merged = self.merged_cc_stats
-        registry.gauge_fn("cc_validations_total",
-                          lambda: merged().validations)
+        sources = self._cc_stats
+
+        def cc_sum(field: str) -> Callable[[], int]:
+            return lambda: sum(getattr(stats, field)
+                               for stats in sources())
+
+        registry.gauge_fn("cc_validations_total", cc_sum("validations"))
         registry.gauge_fn("cc_validation_failures_total",
-                          lambda: merged().validation_failures)
-        for reason in ABORT_REASONS:
-            registry.gauge_fn(
-                "cc_aborts_total",
-                (lambda r=reason: merged().abort_reasons()[r]),
-                reason=reason)
+                          cc_sum("validation_failures"))
+        for reason, field in ABORT_REASONS.items():
+            registry.gauge_fn("cc_aborts_total", cc_sum(field),
+                              reason=reason)
         storage = database.storage
         registry.gauge_fn(
             "storage_live_versions",

@@ -2,10 +2,14 @@
 
 The ``bank`` fixture family gives most runtime/core tests a realistic
 multi-reactor application without each test redefining schemas and
-procedures.
+procedures.  ``leaks`` records what a served test's threads let
+escape.
 """
 
 from __future__ import annotations
+
+import logging
+import threading
 
 import pytest
 
@@ -119,3 +123,35 @@ def bank_any(request):
             shared_everything_without_affinity(3)),
     }
     return builders[request.param]()
+
+
+class Leaks:
+    """What escaped a test's fault barriers: WARNING-or-worse records
+    on any logger, and exceptions that reached
+    ``threading.excepthook`` — a thread that died of one, or the
+    server loop reporting one it survived."""
+
+    def __init__(self, caplog) -> None:
+        self._caplog = caplog
+        #: ``threading.ExceptHookArgs``, in the order they arrived.
+        self.exceptions: list = []
+
+    @property
+    def warnings(self) -> list[logging.LogRecord]:
+        return [record for record in self._caplog.records
+                if record.levelno >= logging.WARNING]
+
+    def __call__(self) -> list[str]:
+        """Everything that escaped so far, printable."""
+        return [f"{r.name}: {r.getMessage()}" for r in self.warnings] + [
+            f"{args.thread.name if args.thread else '?'}: "
+            f"{args.exc_value!r}" for args in self.exceptions]
+
+
+@pytest.fixture
+def leaks(caplog, monkeypatch) -> Leaks:
+    recorder = Leaks(caplog)
+    caplog.set_level(logging.WARNING)
+    monkeypatch.setattr(threading, "excepthook",
+                        recorder.exceptions.append)
+    return recorder

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.client import (
     Client,
     LocalClient,
@@ -30,6 +35,20 @@ def database():
     sb.load(db, N_CUSTOMERS)
     yield db
     db.close()
+
+
+def test_importing_client_and_serving_leaves_the_asyncio_stack_out():
+    """An embedded ``LocalClient`` user and a served process alike: in
+    a fresh interpreter, importing the client and the server loads no
+    asyncio, ssl, concurrent.futures or logging."""
+    heavy = ("asyncio", "ssl", "concurrent.futures", "logging")
+    code = ("import sys, repro, repro.client, repro.serving; "
+            f"print(*[m for m in {heavy!r} if m in sys.modules])")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert loaded.stdout.split() == []
 
 
 def test_both_implementations_satisfy_protocol(database):

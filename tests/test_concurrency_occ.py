@@ -4,6 +4,7 @@ and multi-key reads against scalar reads."""
 import pytest
 
 from repro.concurrency import coordinator, create_cc_scheme
+from repro.concurrency.base import ABORT_REASONS
 from repro.concurrency.mvcc import SnapshotSession
 from repro.concurrency.occ import ConcurrencyManager
 from repro.concurrency.tid import EpochManager
@@ -390,7 +391,8 @@ class TestCoordinator:
             rivals = 1 if scheme == "occ" and cid == failing else 0
             assert manager.stats.validations == \
                 rivals + (1 if cid <= failing else 0)
-            assert sum(manager.stats.abort_reasons().values()) == \
+            assert sum(getattr(manager.stats, name)
+                       for name in ABORT_REASONS.values()) == \
                 (1 if cid == failing else 0)
 
         assert coordinator.commit(writer(2), 3.0).committed

@@ -12,9 +12,8 @@ with the reason.
 
 Exempt by rule: dunders (the interpreter calls them), reactor
 procedures (``@<type>.procedure``; reached by name through
-``submit``), ``ast.NodeVisitor`` ``visit_*`` methods, the chaos
-injector's ``_do_*`` handlers (dispatched by fault kind) and the
-``asyncio.Protocol`` callbacks (the event loop calls them).
+``submit``), ``ast.NodeVisitor`` ``visit_*`` methods and the chaos
+injector's ``_do_*`` handlers (dispatched by fault kind).
 """
 
 from __future__ import annotations
@@ -49,11 +48,9 @@ TEST_PROBES = {
     "theorem_2_7_holds": "checks the paper's Theorem 2.7 (reactor vs "
                          "projected classic serializability)",
     "gc_versions": "sweeps a table's version chains below a watermark",
-}
-
-PROTOCOL_CALLBACKS = {
-    "connection_made", "connection_lost", "data_received",
-    "eof_received", "pause_writing", "resume_writing",
+    "is_reading": "sees the server stop reading a slow reader",
+    "get_write_buffer_size": "reads the answer bytes held for a slow "
+                             "reader",
 }
 
 
@@ -101,8 +98,7 @@ def _exempt(node) -> bool:
     name = node.name
     return (name.startswith("__") and name.endswith("__")
             or _is_procedure(node)
-            or name.startswith(("visit_", "_do_"))
-            or name in PROTOCOL_CALLBACKS)
+            or name.startswith(("visit_", "_do_")))
 
 
 def test_every_definition_is_named_outside_the_tests():

@@ -10,7 +10,6 @@ originate, not what they do.
 from __future__ import annotations
 
 import json
-import logging
 import socket
 import struct
 
@@ -288,10 +287,11 @@ def fine(ctx):
 
 @pytest.mark.parametrize("backend", ["sim", "threads"])
 def test_unencodable_result_is_answered_committed_without_it(
-        backend, caplog):
+        backend, leaks):
     """A procedure that commits and returns what the codec cannot
     carry: every request of the burst is still answered — ``committed``
-    with ``result=None`` — and nothing escapes into the event loop."""
+    with ``result=None`` — and nothing escapes into the server loop:
+    no warning is logged and no thread reports an exception."""
     database = ReactorDatabase(shared_nothing(1, backend=backend),
                                [("a", AWKWARD)])
     server = serve_in_thread(database)
@@ -299,14 +299,13 @@ def test_unencodable_result_is_answered_committed_without_it(
                        codecs=("json",)).connect()
     procs = ["fine", "a_set", "a_tuple_keyed_dict", "a_cycle", "fine"]
     try:
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
-            outcomes = [s.wait(10.0) for s in client.submit_many(
-                [("a", proc, ()) for proc in procs])]
+        outcomes = [s.wait(10.0) for s in client.submit_many(
+            [("a", proc, ()) for proc in procs])]
     finally:
         client.close()
         server.stop()
         database.close()
-    assert [r for r in caplog.records if r.name == "asyncio"] == []
+    assert leaks() == []
     assert all(o.committed for o in outcomes), outcomes
     assert [o.result for o in outcomes] == \
         [[1, 2], None, None, None, [1, 2]]
@@ -460,13 +459,12 @@ def test_undecodable_frame_answered_then_closed():
     assert answer["code"] == protocol.ERR_BAD_REQUEST
 
 
-def test_deeply_nested_frame_answered_then_closed(caplog):
+def test_deeply_nested_frame_answered_then_closed(leaks):
     """Nesting past the scanner's depth guard is one more undecodable
     frame — a typed answer and a clean close — not a ``RecursionError``
-    for asyncio to log as a fatal protocol error."""
-    with caplog.at_level(logging.WARNING, logger="asyncio"):
-        answer = _answer_to_undecodable(b"[" * 100_000)
+    for the server loop to report as a fatal protocol error."""
+    answer = _answer_to_undecodable(b"[" * 100_000)
     assert answer["type"] == "error"
     assert answer["code"] == protocol.ERR_BAD_REQUEST
     assert "undecodable json payload" in answer["detail"]
-    assert [r for r in caplog.records if r.name == "asyncio"] == []
+    assert leaks() == []

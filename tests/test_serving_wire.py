@@ -1,7 +1,7 @@
 """The two ends of the wire under bursts, slow peers, threads and death.
 
-What the blocking-socket ``TcpClient`` and the callback
-(``asyncio.Protocol``) server must keep doing — a coalesced burst
+What the blocking-socket ``TcpClient`` and the callback server (its
+own selector loop) must keep doing — a coalesced burst
 overlaps in virtual time, a peer that does not read is paused without
 hurting others, concurrent submitters never interleave frames — and the
 typed, bounded behaviour when either side goes away first.
@@ -9,7 +9,6 @@ typed, bounded behaviour when either side goes away first.
 
 from __future__ import annotations
 
-import logging
 import socket
 import sys
 import threading
@@ -294,6 +293,53 @@ def test_concurrent_submitters_never_interleave_frames(served):
     assert callback_threads == {"repro-tcp-client"}
 
 
+def test_threads_completions_all_reach_the_loop_under_contention():
+    """threads backend, more worker and submitter threads than cores,
+    a short switch interval: the drain flag and its one wake-up byte
+    per drain strand no completion — every submission resolves, the
+    server ends with nothing in flight, and the money added is exactly
+    the committed deposits'."""
+    deployment = shared_nothing(
+        4, mpl=4, cc_scheme="occ",
+        placement=RangePlacement(N_CUSTOMERS // 4), backend="threads")
+    database = ReactorDatabase(deployment, sb.declarations(N_CUSTOMERS))
+    sb.load(database, N_CUSTOMERS)
+    before = sb.total_money(database, N_CUSTOMERS)
+    server = serve_in_thread(database, max_inflight=10_000)
+    client = TcpClient(server.host, server.port).connect()
+    n_threads, per_thread = 4, 150
+    submitted: list[list] = [[] for __ in range(n_threads)]
+
+    def worker(index: int) -> None:
+        for i in range(per_thread):
+            submitted[index].append(client.submit(
+                sb.reactor_name((index + i) % N_CUSTOMERS),
+                "deposit_checking", 1.0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        outcomes = [s.wait(BOUND_S) for subs in submitted for s in subs]
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+        server.stop()
+    assert len(outcomes) == n_threads * per_thread
+    assert all(o.error_code is None for o in outcomes), outcomes
+    assert server.server.inflight == 0
+    committed = sum(o.committed for o in outcomes)
+    assert committed > 0
+    assert sb.total_money(database, N_CUSTOMERS) == before + committed
+    database.close()
+
+
 # ----------------------------------------------------------------------
 # Either side goes away first
 # ----------------------------------------------------------------------
@@ -302,10 +348,10 @@ def settled(outcome) -> bool:
     return outcome.committed or outcome.error_code == "connection"
 
 
-def test_server_stop_with_connected_clients_is_quiet_and_bounded(caplog):
-    """``stop()`` drops live connections itself, idle or busy: nothing
-    lands on the asyncio logger, and what a client had pending resolves
-    as ``connection``."""
+def test_server_stop_with_connected_clients_is_quiet_and_bounded(leaks):
+    """``stop()`` drops live connections itself, idle or busy: no
+    warning is logged and no thread reports an exception, and what a
+    client had pending resolves as ``connection``."""
     database = make_database()
     server = serve_in_thread(database)
     idle = TcpClient(server.host, server.port).connect()
@@ -315,13 +361,42 @@ def test_server_stop_with_connected_clients_is_quiet_and_bounded(caplog):
     pending = busy.submit_many(
         [(sb.reactor_name(i % N_CUSTOMERS), "deposit_checking", (1.0,))
          for i in range(32)])
-    with caplog.at_level(logging.WARNING, logger="asyncio"):
-        assert elapsed(server.stop) < BOUND_S
-    assert [r for r in caplog.records if r.name == "asyncio"] == []
+    assert elapsed(server.stop) < BOUND_S
     assert all(settled(s.wait(BOUND_S)) for s in pending)
     for client in (idle, busy):
         assert elapsed(client.close) < BOUND_S
+    assert leaks() == []
     database.close()
+
+
+def test_a_raising_handler_costs_its_own_connection_only(
+        served, leaks, monkeypatch):
+    """A bug past ``_handle_message``'s own fault barrier: the
+    connection it came on is closed, unanswered, the exception reaches
+    ``threading.excepthook`` once, and the loop keeps answering another
+    connection."""
+    handle = served.server._handle_message
+
+    def buggy(conn, message):
+        if message.get("reactor") == "boom":
+            raise RuntimeError("handler bug")
+        handle(conn, message)
+
+    monkeypatch.setattr(served.server, "_handle_message", buggy)
+    other = TcpClient(served.host, served.port).connect()
+    try:
+        with raw_connection(served) as sock:
+            sock.sendall(protocol.encode_frame(
+                protocol.request(1, 0, "boom", "p", ())))
+            assert sock.recv(4096) == b""
+        assert other.submit(sb.reactor_name(0), "balance") \
+            .wait(BOUND_S).committed
+    finally:
+        other.close()
+    assert [type(args.exc_value) for args in leaks.exceptions] == \
+        [RuntimeError]
+    assert leaks.exceptions[0].thread.name == "repro-serving"
+    assert leaks.warnings == []
 
 
 def test_submit_after_the_server_has_gone_is_typed_and_leaks_nothing():

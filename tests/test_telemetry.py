@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import drain_telemetry_summaries, run_measurement
-from repro.concurrency.base import ABORT_REASONS
+from repro.concurrency.base import ABORT_REASONS, CCStats
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
 from repro.durability.config import DurabilityConfig
@@ -164,6 +164,51 @@ class TestMetricsRegistry:
         expected = {name for name in CATALOG
                     if not name.startswith(("serving_", "chaos_"))}
         assert expected - registered == set()
+
+    def test_cc_gauges_sum_their_own_field_without_merging(
+            self, monkeypatch):
+        """Four containers, one ``sync`` replica each: every ``cc_*``
+        gauge reads what one merged ``CCStats`` over all eight sources
+        would, and neither ``snapshot()`` nor ``abort_counts()`` merges
+        anything to get there."""
+        deployment = shared_nothing(
+            4, mpl=4, placement=RangePlacement(N // 4),
+            replication=ReplicationConfig(1, "sync"))
+        database = ReactorDatabase(deployment, sb.declarations(N))
+        sb.load(database, N)
+        drive(database)
+        sources = [c.concurrency.stats for c in database.containers] + [
+            replica.concurrency.stats
+            for group in database.replication.replicas.values()
+            for replica in group]
+        assert len(sources) == 8
+        merged = CCStats()
+        for stats in sources:
+            merged.merge(stats)
+        assert merged.validations > 0
+        merges = []
+        merge = CCStats.merge
+        monkeypatch.setattr(
+            CCStats, "merge",
+            lambda self, other: merges.append(1) or merge(self, other))
+        registry = database.telemetry.registry
+        snapshot = registry.snapshot()
+        aborts = database.abort_counts()
+        assert merges == []
+        assert snapshot["cc_validations_total"] == merged.validations
+        assert snapshot["cc_validation_failures_total"] == \
+            merged.validation_failures
+        by_reason = {reason: getattr(merged, field)
+                     for reason, field in ABORT_REASONS.items()}
+        assert {reason: snapshot[f'cc_aborts_total{{reason="{reason}"}}']
+                for reason in ABORT_REASONS} == by_reason
+        assert aborts == {
+            "scheme": "occ",
+            "validations": merged.validations,
+            "validation_failures": merged.validation_failures,
+            "by_reason": by_reason,
+            "total_aborts": sum(by_reason.values()),
+        }
 
 
 # ----------------------------------------------------------------------
