@@ -11,12 +11,11 @@ clients".
   request/response/error messages, version + codec negotiation
   (msgpack when available, JSON always);
 * :mod:`repro.serving.server` — the TCP server, on a selector loop of
-  its own (no asyncio): session
-  multiplexing (many logical sessions per connection, out-of-order
-  responses matched by request id) and wire-level admission control
-  (bounded in-flight requests; excess load is shed with a typed
-  ``overloaded`` response carrying a retry-after hint, never parked
-  unboundedly).
+  its own (no asyncio): session multiplexing (many logical sessions
+  per connection, out-of-order responses matched by request id) and
+  wire-level admission control (bounded in-flight requests; excess
+  load is shed with a typed ``overloaded`` response carrying a
+  retry-after hint, never parked unboundedly).
 
 The client half of the wire lives in :mod:`repro.client`
 (:class:`~repro.client.TcpClient`); see ``docs/serving.md`` for the
