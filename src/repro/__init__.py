@@ -40,19 +40,45 @@ factories, :class:`~repro.replication.config.ReplicationConfig`,
 :class:`~repro.errors.UserAbort`) and the two machine profiles.
 """
 
-from repro.core import (
-    DeploymentConfig,
-    ReactorContext,
-    ReactorDatabase,
-    ReactorType,
-    shared_everything_with_affinity,
-    shared_everything_without_affinity,
-    shared_nothing,
-)
-from repro.durability.config import DurabilityConfig
+from importlib import import_module
+from typing import Any
+
 from repro.errors import ReactorError, TransactionAbort, UserAbort
-from repro.replication import ReplicationConfig
-from repro.sim import OPTERON_6274, XEON_E3_1276
+
+#: Engine-backed exports, imported on first attribute access (PEP 562),
+#: so a process that only imports a light module under ``repro`` (the
+#: TCP client, the wire protocol) never loads the engine.
+_LAZY = {
+    "ReactorType": "repro.core",
+    "ReactorDatabase": "repro.core",
+    "ReactorContext": "repro.core",
+    "DeploymentConfig": "repro.core",
+    "shared_everything_without_affinity": "repro.core",
+    "shared_everything_with_affinity": "repro.core",
+    "shared_nothing": "repro.core",
+    "ReplicationConfig": "repro.replication",
+    "DurabilityConfig": "repro.durability.config",
+    "XEON_E3_1276": "repro.sim",
+    "OPTERON_6274": "repro.sim",
+}
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(globals(), _LAZY, name)
+
+
+def lazy_export(namespace: dict[str, Any], table: dict[str, str],
+                name: str) -> Any:
+    """Resolve ``name`` from the module ``table`` maps it to, and keep
+    it in ``namespace`` (a package's globals) so the next access is a
+    plain lookup: the body of a package's PEP 562 ``__getattr__``."""
+    module = table.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {namespace['__name__']!r} has no attribute {name!r}")
+    value = namespace[name] = getattr(import_module(module), name)
+    return value
+
 
 __version__ = "1.0.0"
 

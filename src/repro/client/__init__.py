@@ -6,9 +6,20 @@ public), :class:`TcpClient` speaks the :mod:`repro.serving` wire
 protocol to a served database.
 """
 
+from typing import Any
+
+from repro import lazy_export
 from repro.client.base import Client, Outcome, Spec, Submission
-from repro.client.local import LocalClient
 from repro.client.tcp import ClientSession, TcpClient
+
+#: ``LocalClient`` wraps the engine, so it is imported on first access:
+#: a ``TcpClient``-only process never loads it.
+_LAZY = {"LocalClient": "repro.client.local"}
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(globals(), _LAZY, name)
+
 
 __all__ = [
     "Client",

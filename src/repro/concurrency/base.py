@@ -677,7 +677,7 @@ class ConcurrencyControl:
         self.stats = CCStats()
         #: Optional redo log (see repro.durability): when set, every
         #: installed write is logged with its commit TID, through the
-        #: log's ``make_entry`` / ``append``.
+        #: log's ``append_runs``.
         self.redo_log: Any = None
         #: Set when this manager's container failed (replication
         #: failover): sessions created here must abort at commit —
@@ -727,25 +727,29 @@ class ConcurrencyControl:
         One pass over the ordered write set, one call per write: each
         intent goes straight to its table's install (the GC watermark
         resolved per table, not per write) and, when a redo log is
-        attached, is logged as an entry *sharing* the image just
-        installed (:class:`repro.durability.wal.RedoEntry`).  Under a
-        real scheme an install can only succeed — validation (inside
-        the commit's ``guarded`` call) or locking guarantees
-        exclusivity — so failures propagate as bugs.
+        attached, joins the commit's *value runs* — one per stretch of
+        writes to one table of one kind, the image's values read in
+        schema column order (``TableSchema.values_of``) — which the
+        log seals once (:meth:`repro.durability.wal.RedoLog.
+        append_runs`), keeping the installed images for the live
+        record's entries.  Under a real scheme an install can only
+        succeed — validation (inside the commit's ``guarded`` call) or
+        locking guarantees exclusivity — so failures propagate as
+        bugs.
         """
         count = 0
         redo_log = self.redo_log
         if redo_log is None:
-            log_entries = make_entry = None
+            runs = images = None
         else:
-            log_entries, make_entry = [], redo_log.make_entry
+            runs, images = [], []
         table = None
         for intent in session.sorted_intents():
+            kind = intent.kind
             if intent.table is not table:
                 table = intent.table
                 watermark = table.keep_watermark()
-                reactor, name = table.owner or "", table.name
-            kind = intent.kind
+                run_kind = None
             try:
                 if kind == UPDATE:
                     table.install_update(intent.record, intent.new_value,
@@ -763,11 +767,20 @@ class ConcurrencyControl:
                 session._drop_intent(table, intent.pk)
                 continue
             count += 1
-            if log_entries is not None:
-                log_entries.append(make_entry(
-                    (reactor, name, kind, intent.pk, intent.new_value)))
-        record = redo_log.append(commit_tid, log_entries) \
-            if log_entries else None
+            if runs is not None:
+                if kind is not run_kind:
+                    run_kind = kind
+                    schema = table.schema
+                    run = [table.owner or "", table.name, kind,
+                           () if kind == DELETE else schema.column_names]
+                    runs.append(run)
+                    values_of = schema.values_of
+                image = intent.new_value
+                run += (intent.pk,
+                        None if image is None else values_of(image))
+                images.append(image)
+        record = redo_log.append_runs(commit_tid, runs, images) \
+            if runs else None
         session.release_locks()
         session.finished = True
         # The root keeps its sessions (stats are read after it

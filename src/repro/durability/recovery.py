@@ -13,8 +13,9 @@ The :class:`DurabilityManager` owns one database's durability state:
   images against — filled by :meth:`DurabilityManager.publish`, which
   the executor calls once per commit after every participant
   installed, with the records the commit appended;
-* dirty-key tracking (from the same published records) feeding
-  *incremental checkpoints*: a chained
+* *incremental checkpoints*, whose dirty keys are derived from the
+  append sequence recorded since the previous segment (plus explicit
+  bulk-load notes), so a commit books nothing for them: a chained
   :class:`~repro.durability.checkpoint.CheckpointManifest` whose
   segments carry only the keys written since the previous segment, and
   whose WAL-truncation watermark respects pinned MVCC snapshots,
@@ -81,6 +82,7 @@ from repro.durability.wal import (
     RedoRecord,
     apply_entry_to,
     unseal,
+    written_keys,
 )
 from repro.errors import SimulationError
 from repro.runtime.futures import SimFuture
@@ -171,10 +173,14 @@ class DurabilityManager:
         #: The incremental-checkpoint chain.
         self.manifest = CheckpointManifest()
         self._segment_seq = 0
-        #: reactor -> table -> dirty primary keys since the last
-        #: checkpoint segment (fed by :meth:`publish` and explicit
-        #: bulk-load notes).
+        #: reactor -> table -> primary keys dirtied since the last
+        #: checkpoint segment that ``installed`` no longer shows from
+        #: ``_dirty_from`` on: explicit bulk-load notes, and the
+        #: pending keys of a sequence a promotion replaced.
         self._dirty: dict[str, dict[str, set[tuple]]] = {}
+        #: container id -> position in ``installed`` from which the
+        #: next segment derives its dirty keys.
+        self._dirty_from: dict[int, int] = {}
         registry = database.telemetry.registry
         #: Roots reported committed to clients (the executor notes
         #: them at root completion).
@@ -203,6 +209,7 @@ class DurabilityManager:
         self.logs[container_id] = log
         self.installed.setdefault(container_id, [])
         self.installed_tids.setdefault(container_id, [])
+        self._dirty_from.setdefault(container_id, 0)
         self.flushers[container_id] = LogFlusher(
             container_id, self.database.scheduler, self.database.costs,
             self.mode, telemetry=self.database.telemetry)
@@ -220,15 +227,17 @@ class DurabilityManager:
         reports — are dropped here.
         """
         old_tids = self.installed_tids.get(container_id, [])
+        # The replaced sequence's pending keys stay dirty; the new one
+        # is dirty from its start.
+        self._collect_dirty(container_id)
         self._attach_log(container_id, log)
         self.installed[container_id] = list(log.records)
         self.installed_tids[container_id] = list(log.tids)
+        self._dirty_from[container_id] = 0
         flusher = self.flushers[container_id]
         flusher.appended_records = flusher.flushed_records = \
             len(log.records)
         flusher.durable_tid = max(log.tids, default=0)
-        for sealed in log.records:
-            self._note_dirty(unseal(sealed))
         position_of = {tid: pos for pos, tid in enumerate(log.tids)}
 
         def remap(sites: Iterable[tuple[int, int]]
@@ -252,14 +261,20 @@ class DurabilityManager:
         self._sites = {txn: remap(sites)
                        for txn, sites in self._sites.items()}
 
-    def _note_dirty(self, record: RedoRecord) -> None:
+    def _collect_dirty(self, container_id: int) -> None:
+        """Fold the keys the container's append sequence wrote since
+        ``_dirty_from`` into ``_dirty``, and move the mark to its
+        end."""
+        installed = self.installed[container_id]
         dirty = self._dirty
-        for reactor, table, __, pk, __ in record.entries:
-            try:
-                dirty[reactor][table].add(pk)
-            except KeyError:  # first write there since the checkpoint
-                dirty.setdefault(reactor, {}) \
-                    .setdefault(table, set()).add(pk)
+        for sealed in installed[self._dirty_from[container_id]:]:
+            for reactor, table, pk in written_keys(sealed):
+                try:
+                    dirty[reactor][table].add(pk)
+                except KeyError:  # first write there since the segment
+                    dirty.setdefault(reactor, {}) \
+                        .setdefault(table, set()).add(pk)
+        self._dirty_from[container_id] = len(installed)
 
     def note_bulk_load(self, reactor_name: str, table_name: str,
                        pks: Iterable[tuple]) -> None:
@@ -286,8 +301,9 @@ class DurabilityManager:
 
         ``records`` are the commit's ``(container id, record)`` pairs
         in participant order, handed over once every participant has
-        installed.  Each joins its container's append sequence, the
-        dirty-key tracker and its flush epoch, and its position in
+        installed.  Each joins its container's append sequence (which
+        the next checkpoint segment reads its dirty keys from) and its
+        flush epoch, and its position in
         that sequence is the commit's *site* there — the identity
         crash certification checks acknowledged commits by.
         """
@@ -298,7 +314,6 @@ class DurabilityManager:
             sites.append((cid, len(tids)))
             self.installed[cid].append(record.sealed)
             tids.append(record.commit_tid)
-            self._note_dirty(record)
             future = self.flushers[cid].on_append(record)
             if future is not None and not future.resolved:
                 futures.append(future)
@@ -345,7 +360,8 @@ class DurabilityManager:
 
         The first segment snapshots everything (:func:`take_checkpoint`,
         renumbered into this chain); later segments carry only the
-        keys dirtied since the previous one.  Requires quiescence — at
+        keys dirtied since the previous one: those the append sequence
+        wrote since then, and bulk-loaded ones.  Requires quiescence — at
         a drained scheduler every pending flush has landed, so a
         segment never persists state ahead of the log (checkpoints
         cannot resurrect unflushed commits).  Covered log prefixes are
@@ -364,6 +380,8 @@ class DurabilityManager:
                 parent_seq=parent.seq,
                 taken_at_us=database.scheduler.now,
                 tid_watermarks=last_tids(database))
+            for container_id in self.installed:
+                self._collect_dirty(container_id)
             for reactor_name, tables in sorted(self._dirty.items()):
                 reactor = database.reactor(reactor_name)
                 for table_name, pks in sorted(tables.items()):
@@ -385,6 +403,8 @@ class DurabilityManager:
                             reactor_name, {})[table_name] = deleted
         self.manifest.segments.append(segment)
         self._dirty = {}
+        for container_id, installed in self.installed.items():
+            self._dirty_from[container_id] = len(installed)
         for container_id, log in self.logs.items():
             safe = self.safe_truncation_tid(
                 container_id,

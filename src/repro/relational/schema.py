@@ -112,6 +112,12 @@ class TableSchema:
     _by_name: dict[str, Column] = field(init=False, repr=False,
                                         compare=False)
     _pk_of: Any = field(init=False, repr=False, compare=False)
+    #: Column names in declaration order, and a getter reading a row's
+    #: values in that order as a tuple: what the install loop seals a
+    #: redo value run from (:class:`repro.durability.wal.RedoRecord`).
+    column_names: tuple[str, ...] = field(init=False, repr=False,
+                                          compare=False)
+    values_of: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
@@ -140,6 +146,12 @@ class TableSchema:
         compiled = object.__setattr__
         compiled(self, "_by_name", {c.name: c for c in self.columns})
         compiled(self, "_pk_of", itemgetter(*self.primary_key))
+        compiled(self, "column_names", tuple(names))
+        if len(names) > 1:
+            compiled(self, "values_of", itemgetter(*names))
+        else:
+            only = names[0]
+            compiled(self, "values_of", lambda row: (row[only],))
 
     def column(self, name: str) -> Column:
         try:

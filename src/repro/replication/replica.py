@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.concurrency.base import ConcurrencyControl
 from repro.core.reactor import Reactor
-from repro.durability.wal import RedoRecord, apply_record_to
+from repro.durability.wal import RedoRecord, apply_entry_to
 from repro.runtime.container import Container
 
 ROLE_REPLICA = "replica"
@@ -116,20 +116,12 @@ class ReplicaContainer(Container):
         fence (the record itself still joins ``applied_records``, so
         the prefix invariant the audit certifies is untouched).
         """
-        if self.reactor_fences:
-            position = len(self.applied_records)
-            kept = tuple(
-                entry for entry in record.entries
-                if position >= self.reactor_fences.get(
-                    entry.reactor, 0))
-            if len(kept) != len(record.entries):
-                apply_record_to(
-                    self._table_for,
-                    RedoRecord(record.commit_tid, kept))
-            else:
-                apply_record_to(self._table_for, record)
-        else:
-            apply_record_to(self._table_for, record)
+        fences = self.reactor_fences
+        position = len(self.applied_records)
+        for entry in record.entries:
+            if not fences or position >= fences.get(entry.reactor, 0):
+                apply_entry_to(self._table_for(entry.reactor, entry.table),
+                               entry, record.commit_tid)
         self.applied_records.append(record.sealed)
         self.applied_tids.add(record.commit_tid)
         if record.commit_tid > self.applied_tid:

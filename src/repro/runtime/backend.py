@@ -59,10 +59,14 @@ in :class:`~repro.core.deployment.DeploymentConfig`);
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import DeploymentError
-from repro.sim.scheduler import SimScheduler
+
+if TYPE_CHECKING:  # sim.scheduler imports runtime.futures, so loading
+    # it here would make ``import repro.sim`` a cycle through this
+    # package's __init__.
+    from repro.sim.scheduler import SimScheduler
 
 
 def create_backend(deployment: Any) -> SimScheduler:
@@ -70,6 +74,8 @@ def create_backend(deployment: Any) -> SimScheduler:
     (a full ``DeploymentConfig`` or any config-shaped stand-in)."""
     name = deployment.backend
     if name == "sim":
+        from repro.sim.scheduler import SimScheduler
+
         return SimScheduler()
     if name == "threads":
         from repro.runtime.threads import ThreadsBackend

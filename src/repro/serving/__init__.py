@@ -22,6 +22,9 @@ The client half of the wire lives in :mod:`repro.client`
 protocol spec and methodology notes.
 """
 
+from typing import Any
+
+from repro import lazy_export
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -29,7 +32,16 @@ from repro.serving.protocol import (
     TornFrameError,
     WireProtocolError,
 )
-from repro.serving.server import ReactorServer, ServerThread, serve_in_thread
+
+#: The server fronts the engine, so it is imported on first access: a
+#: client process that needs only the protocol never loads it.
+_LAZY = dict.fromkeys(("ReactorServer", "ServerThread", "serve_in_thread"),
+                      "repro.serving.server")
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(globals(), _LAZY, name)
+
 
 __all__ = [
     "PROTOCOL_VERSION",

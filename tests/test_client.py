@@ -51,6 +51,35 @@ def test_importing_client_and_serving_leaves_the_asyncio_stack_out():
     assert loaded.stdout.split() == []
 
 
+def test_a_tcp_client_only_process_loads_no_engine():
+    """``repro``, ``repro.client`` and ``repro.serving`` resolve their
+    engine-backed exports on first access, so a process that only
+    speaks the wire imports no core, runtime or server module."""
+    engine = ("repro.core", "repro.runtime", "repro.serving.server")
+    code = ("import sys, repro.client.tcp; "
+            "from repro.client import TcpClient; "
+            f"print(*[m for m in sys.modules if m.startswith({engine!r})])")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert loaded.stdout.split() == []
+
+
+def test_lazy_exports_resolve_every_spelling():
+    from repro import ReactorDatabase as top_level
+    from repro.client.local import LocalClient as direct
+    from repro.serving import serve_in_thread
+    from repro.serving.server import serve_in_thread as from_server
+
+    assert top_level is ReactorDatabase and LocalClient is direct
+    assert serve_in_thread is from_server
+    assert repro.DurabilityConfig is repro.durability.config \
+        .DurabilityConfig
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        repro.nope  # noqa: B018
+
+
 def test_both_implementations_satisfy_protocol(database):
     assert isinstance(LocalClient(database), Client)
     assert isinstance(TcpClient("127.0.0.1", 1), Client)

@@ -97,7 +97,13 @@ gone, and one ``publish`` per writing commit (0.7875) and one
 ``LogFlusher._waiter`` per record (1.0, the ack future joining its
 epoch before any flush can start) came in.  Handing the executor the
 flush futures to join, instead of a joint future, reads 10.3625: the
-joint future's countdown closure (0.425 per record) is gone.
+joint future's countdown closure (0.425 per record) is gone.  Sealing
+each commit's share as value runs in the install loop reads 9.3625:
+the per-commit dirty-key booking (``_note_dirty``, 1.0 per record; a
+checkpoint now derives its dirty keys from the append sequence) and
+the ``sealed`` property's body (1.0) are gone, ``RedoLog.append``
+became ``append_runs`` and ``_record`` (1.0, the live record around
+the sealed bytes) came in.
 
 The fifth row is the scan path: ``call`` events under ``concurrency/``
 and ``relational/`` made inside ``CCSession.scan`` (its own call not
@@ -172,7 +178,7 @@ CUSTOMERS = 100
 SMALLBANK_CEILING = 114.945
 NOOP_CEILING = 55.255
 THREADS_HANDOFF_CEILING = 11.12
-LOG_DURABILITY_CEILING = 10.3625
+LOG_DURABILITY_CEILING = 9.3625
 SCAN_PATH_CEILING = 37.66
 COMMIT_PATH_CEILING = 53.52
 

@@ -8,7 +8,11 @@ values of ``test_wal_record_size.py``; NaN never equals itself, so
 records are compared by ``repr``, which also tells ``-0.0`` from
 ``0.0`` and ``True`` from ``1``.  The census at the end is why the log
 is sealed: a collector pass walks every tracked object, and a sealed
-log leaves it none.
+log leaves it none.  The install-path tests hold the commit's own
+sealing (value runs built in the install loop, no entry per write)
+to the bytes ``RedoRecord(tid, entries)`` writes, to the one
+assumption that layout makes (an installed image keeps its schema's
+column order), and to its size.
 """
 
 import gc
@@ -112,8 +116,9 @@ def test_sealed_bytes_ignore_sharing_and_interning():
     assert as_v4[0] != as_v4[1]
 
 
-def _tpcc_slice():
-    """A replicated group-commit TPC-C database after 120 roots."""
+def _tpcc_slice(replicated=True, roots=120, live=None):
+    """A group-commit TPC-C database (replicated, by default) after
+    ``roots`` roots; ``live`` collects the records commits publish."""
     scale = tpcc.TpccScale(districts=3, customers_per_district=20,
                            items=50, orders_per_district=10,
                            last_names=5)
@@ -121,20 +126,104 @@ def _tpcc_slice():
         "shared-nothing-async", 2, mpl=4,
         durability=DurabilityConfig(enabled=True, mode="group"),
         replication=ReplicationConfig(replicas_per_container=1,
-                                      mode="sync"))
+                                      mode="sync")
+        if replicated else None)
     database = ReactorDatabase(deployment, tpcc.declarations(2))
     tpcc.load(database, 2, scale)
+    if live is not None:
+        publish = database.durability.publish
+
+        def capture(root, records):
+            live.extend(record for __, record in records)
+            return publish(root, records)
+
+        database.durability.publish = capture
     workload = tpcc.TpccWorkload(n_warehouses=2, scale=scale,
                                  remote_item_prob=0.2, seed=5)
     worker = SimpleNamespace(rng=random.Random("sealed/tpcc"))
     factories = [workload.factory_for(w) for w in range(2)]
-    for i in range(120):
+    for i in range(roots):
         reactor, proc, args = factories[i % 2](worker)
         database.submit(reactor, proc, *args)
         if i % 8 == 7:
             database.scheduler.run()
     database.scheduler.run()
     return database
+
+
+def test_install_path_seals_what_entries_seal():
+    database = _tpcc_slice(replicated=False)
+    installed = [sealed for records in
+                 database.durability.installed.values()
+                 for sealed in records]
+    assert len(installed) > 100
+    for sealed in installed:
+        decoded = unseal(sealed)
+        assert RedoRecord(decoded.commit_tid, decoded.entries).sealed \
+            == sealed
+    database.close()
+
+
+def test_installed_images_keep_their_schema_column_order():
+    """The one assumption of the value-run layout: ``values`` are read
+    in schema column order and rebuilt under the run's column names,
+    so an installed image whose keys were in another order would
+    decode with its columns permuted."""
+    live = []
+    database = _tpcc_slice(replicated=False, live=live)
+    seen = 0
+    for record in live:
+        for entry in record.entries:
+            if entry.row is not None:
+                schema = database.reactor(entry.reactor) \
+                    .table(entry.table).schema
+                assert tuple(entry.row) == schema.column_names
+                seen += 1
+    assert seen > 100
+    for name in database.reactor_names():
+        for table in database.reactor(name).catalog:
+            for record in table.all_records():
+                if not record.deleted:
+                    assert tuple(record.value) == \
+                        table.schema.column_names
+    database.close()
+
+
+def test_a_new_order_record_is_at_most_55_percent_of_per_row_dicts():
+    """What the value runs save over sealing every image as a dict:
+    each column name once per run instead of once per row."""
+    live = []
+    database = _tpcc_slice(replicated=False, roots=24, live=live)
+    (record, *__) = [r for r in live
+                     if any(e.table == "order_line" for e in r.entries)]
+    as_dicts = marshal.dumps(
+        (record.commit_tid, tuple(map(tuple, record.entries))), 2)
+    assert len(record.sealed) <= 0.55 * len(as_dicts), \
+        (len(record.sealed), len(as_dicts))
+    database.close()
+
+
+def test_no_redo_entry_is_built_on_the_commit_path():
+    """Sealing needs no entry per write: an unreplicated, unrecorded
+    group-commit run builds none, however it is spelled."""
+    made = []
+    constructors = {RedoEntry.__new__.__code__,
+                    RedoEntry._make.__func__.__code__}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in constructors:
+            made.append(frame.f_code)
+
+    sys.setprofile(count)
+    try:
+        database = _tpcc_slice(replicated=False, roots=64)
+    finally:
+        sys.setprofile(None)
+    commits = database.durability.stats_dict()["acked_commits"]
+    assert commits > 40
+    assert sum(map(len, database.durability.installed.values())) > 40
+    assert len(made) / commits == 0
+    database.close()
 
 
 def test_no_live_record_survives_a_slice():
