@@ -215,15 +215,14 @@ class RedoLog:
 
     def append(self, commit_tid: int,
                entries: Iterable[RedoEntry]) -> RedoRecord | None:
-        """Seal and append one commit's entries; returns the record
-        (``None``, appending nothing, when there are none)."""
+        """:meth:`append_runs` for writes given as entries (how a log
+        is built by hand); ``None``, appending nothing, when there are
+        none."""
         entries = tuple(entries)
         if not entries:
             return None
-        record = RedoRecord(commit_tid, entries)
-        self.records.append(record.sealed)
-        self.tids.append(commit_tid)
-        return record
+        return self.append_runs(commit_tid, _runs_of(entries),
+                                [entry.row for entry in entries])
 
     def truncate_through(self, tid: int) -> int:
         """Drop records with commit TID <= ``tid`` (post-checkpoint

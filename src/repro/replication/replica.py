@@ -119,7 +119,7 @@ class ReplicaContainer(Container):
         fences = self.reactor_fences
         position = len(self.applied_records)
         for entry in record.entries:
-            if not fences or position >= fences.get(entry.reactor, 0):
+            if position >= fences.get(entry.reactor, 0):
                 apply_entry_to(self._table_for(entry.reactor, entry.table),
                                entry, record.commit_tid)
         self.applied_records.append(record.sealed)
