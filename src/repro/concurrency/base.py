@@ -730,12 +730,12 @@ class ConcurrencyControl:
         attached, joins the commit's *value runs* — one per stretch of
         writes to one table of one kind, the image's values read in
         schema column order (``TableSchema.values_of``) — which the
-        log seals once (:meth:`repro.durability.wal.RedoLog.
-        append_runs`), keeping the installed images for the live
-        record's entries.  Under a real scheme an install can only
-        succeed — validation (inside the commit's ``guarded`` call) or
-        locking guarantees exclusivity — so failures propagate as
-        bugs.
+        log's ``append_runs`` seals once, keeping the installed images
+        for the live record's entries
+        (:class:`repro.durability.wal.RedoRecord`).  Under a real
+        scheme an install can only succeed — validation (inside the
+        commit's ``guarded`` call) or locking guarantees exclusivity —
+        so failures propagate as bugs.
         """
         count = 0
         redo_log = self.redo_log

@@ -100,8 +100,6 @@ class RedoRecord:
         return self.commit_tid == other.commit_tid and \
             self.entries == other.entries
 
-    __hash__ = None  # type: ignore[assignment]  # entries hold dicts
-
     def __repr__(self) -> str:
         return (f"RedoRecord(commit_tid={self.commit_tid!r}, "
                 f"entries={self.entries!r})")
