@@ -174,9 +174,9 @@ class DurabilityManager:
         self.manifest = CheckpointManifest()
         self._segment_seq = 0
         #: reactor -> table -> primary keys dirtied since the last
-        #: checkpoint segment that ``installed`` no longer shows from
-        #: ``_dirty_from`` on: explicit bulk-load notes, and the
-        #: pending keys of a sequence a promotion replaced.
+        #: checkpoint segment: bulk-load notes, which bypass the log,
+        #: and (at checkpoint time) the keys ``installed`` shows from
+        #: ``_dirty_from`` on.
         self._dirty: dict[str, dict[str, set[tuple]]] = {}
         #: container id -> position in ``installed`` from which the
         #: next segment derives its dirty keys.
@@ -217,7 +217,8 @@ class DurabilityManager:
     def on_log_replaced(self, container_id: int,
                         log: RedoLog) -> None:
         """A replication promotion re-anchored a container's log on
-        the survivor's applied prefix: adopt it.  The seeded prefix is
+        the survivor's applied prefix: adopt it, dirty from its start
+        for the next checkpoint segment.  The seeded prefix is
         durable by construction (the replica had materialized it), so
         the new flusher starts fully flushed; its ``log_*`` counters
         are the container's, and continue.  Stored commit sites on
@@ -227,12 +228,14 @@ class DurabilityManager:
         reports — are dropped here.
         """
         old_tids = self.installed_tids.get(container_id, [])
-        # The replaced sequence's pending keys stay dirty; the new one
-        # is dirty from its start.
-        self._collect_dirty(container_id)
         self._attach_log(container_id, log)
         self.installed[container_id] = list(log.records)
         self.installed_tids[container_id] = list(log.tids)
+        # The next segment reads the whole new sequence for dirty
+        # keys.  What the old one wrote since the last segment and the
+        # survivor never applied left the live state with it: the
+        # last segment was taken quiescent, when every shipped record
+        # had been applied.
         self._dirty_from[container_id] = 0
         flusher = self.flushers[container_id]
         flusher.appended_records = flusher.flushed_records = \

@@ -344,6 +344,27 @@ class TestKillAtArbitraryEpoch:
 
 
 class TestIncrementalCheckpoints:
+    @pytest.mark.parametrize("mode", ("sync", "async"))
+    def test_a_promotion_keeps_every_dirty_key(self, mode):
+        """Dirty keys are read off the append sequence at checkpoint
+        time, and a promotion replaces container 0's sequence with the
+        survivor's (dirty from its start): the chain alone, no log
+        tail, still materializes the live state."""
+        database = fresh_bank(replication=ReplicationConfig(
+            replicas_per_container=1, mode=mode))
+        manager = database.durability
+        run_some_transfers(database, count=8, seed=1)
+        manager.incremental_checkpoint()
+        run_some_transfers(database, count=8, seed=2)
+        database.replication.kill_and_promote(0)
+        database.scheduler.run()
+        run_some_transfers(database, count=8, seed=3)
+        segment = manager.incremental_checkpoint()
+        assert segment.kind == "incremental"
+        recovered = recover(shared_nothing(4), sb.declarations(N),
+                            manager.manifest, []).database
+        assert state_of(recovered) == state_of(database)
+
     def test_first_segment_is_full_then_deltas(self):
         database = fresh_bank()
         run_some_transfers(database, count=5, seed=1)
