@@ -36,6 +36,7 @@ examines one record per key and returns only its result.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Any, Iterable, Mapping
 
 from repro.errors import (
@@ -57,17 +58,13 @@ INSERT = "insert"
 UPDATE = "update"
 DELETE = "delete"
 
-def _intent_order_key(intent: "WriteIntent") -> tuple[str, str]:
-    """Deterministic global order for write intents: the order
-    validation checks them, installation applies them and the redo
-    log records them.
-
-    ``repr(pk)`` (not the raw tuple) keeps heterogeneous key types
-    comparable *and* is what every committed history was produced
-    under — changing it would reorder the redo log and break
-    byte-identical replay.
-    """
-    return (intent.table.name, repr(intent.pk))
+#: The canonical write-set order — the order validation checks intents,
+#: installation applies them and the redo log records them: table
+#: name, then its reactor (two reactors' same-named tables stay apart),
+#: then primary key.  Primary-key columns are typed and non-null, so
+#: one table's keys always compare; the key is read in C, with no
+#: Python call per intent.
+_INTENT_ORDER = attrgetter("table.name", "table.owner", "pk")
 
 
 def require_hash_equality(index_name: str, low: tuple | None,
@@ -632,7 +629,8 @@ class CCSession:
     # ------------------------------------------------------------------
 
     def sorted_intents(self) -> list[WriteIntent]:
-        """Write intents in deterministic global order.
+        """Write intents in the canonical order (:data:`_INTENT_ORDER`),
+        whatever order they were buffered in.
 
         Memoized: validation and installation both walk this list,
         and commit runs them back-to-back on an unchanged write set.
@@ -642,7 +640,7 @@ class CCSession:
         if cached is None:
             cached = list(self._writes.values())
             if len(cached) > 1:
-                cached.sort(key=_intent_order_key)
+                cached.sort(key=_INTENT_ORDER)
             self._sorted_intents = cached
         return cached
 
@@ -755,8 +753,8 @@ class ConcurrencyControl:
                     table.install_update(intent.record, intent.new_value,
                                          commit_tid, watermark)
                 elif kind == INSERT:
-                    table.install_insert(intent.new_value, commit_tid,
-                                         watermark)
+                    table.install_insert(intent.pk, intent.new_value,
+                                         commit_tid, watermark)
                 else:
                     table.install_delete(intent.record, commit_tid,
                                          watermark)

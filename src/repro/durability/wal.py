@@ -263,12 +263,12 @@ def apply_entry_to(table: Any, entry: RedoEntry, commit_tid: int) -> None:
             table.install_delete(existing, commit_tid)
     elif entry.kind == INSERT and existing is None:
         assert entry.row is not None
-        table.install_insert(entry.row, commit_tid)
+        table.install_insert(entry.pk, entry.row, commit_tid)
     else:
         # UPDATE, or an INSERT whose key already exists: install
         # the after-image over whatever is there.
         assert entry.row is not None
         if existing is None:
-            table.install_insert(entry.row, commit_tid)
+            table.install_insert(entry.pk, entry.row, commit_tid)
         else:
             table.install_update(existing, entry.row, commit_tid)

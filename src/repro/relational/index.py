@@ -4,11 +4,15 @@ Two index kinds back declarative queries inside a reactor:
 
 * :class:`HashIndex` — equality lookups, ``dict`` of key tuple to the
   set of primary keys.
-* :class:`OrderedIndex` — range scans, a sorted list of
-  ``(key_tuple, primary_key)`` pairs maintained with ``bisect``.  This
-  stands in for the Masstree nodes of Silo; its ``structure_version``
-  counter provides conservative phantom protection (scans validate
-  that no insert/delete changed the index since they ran; see
+* :class:`OrderedIndex` — range scans over sorted
+  ``(key_tuple, primary_key)`` pairs, held as a list of sorted chunks
+  of about :attr:`OrderedIndex.CHUNK` entries plus the list of each
+  chunk's last entry (the sorted-list-of-lists design), so an insert
+  or a remove moves O(chunk) entries, not O(n), and costs the same
+  however long the table has grown.  This stands in for the Masstree
+  nodes of Silo; its ``structure_version`` counter provides
+  conservative phantom protection (scans validate that no
+  insert/delete changed the index since they ran; see
   ``docs/architecture.md``, ``repro.relational``).
 """
 
@@ -100,12 +104,23 @@ class HashIndex(_IndexBase):
 
 
 class OrderedIndex(_IndexBase):
-    """Sorted index supporting range scans over the key columns."""
+    """Sorted index supporting range scans over the key columns.
+
+    ``_chunks`` is the sorted entry sequence cut into sorted lists, and
+    ``_maxes[i]`` is ``_chunks[i][-1]``: a bisect over ``_maxes`` finds
+    the chunk, a second bisect the place in it.  A chunk splits in two
+    when it reaches twice :attr:`CHUNK` entries, and an emptied chunk
+    is dropped, so no chunk is ever empty.
+    """
+
+    #: Entries a chunk settles to; it splits at twice this.
+    CHUNK = 512
 
     def __init__(self, spec: IndexSpec,
                  primary_key: tuple[str, ...] = ()) -> None:
         super().__init__(spec)
-        self._entries: list[tuple[tuple, tuple]] = []
+        self._chunks: list[list[tuple[tuple, tuple]]] = []
+        self._maxes: list[tuple[tuple, tuple]] = []
         #: The key columns lead the table's primary key, so the
         #: ``(key, pk)`` entry order is primary-key order.
         self.pk_ordered = \
@@ -113,24 +128,48 @@ class OrderedIndex(_IndexBase):
 
     def insert(self, key: tuple, pk: tuple) -> None:
         entry = (key, pk)
-        pos = bisect.bisect_left(self._entries, entry)
-        if self.spec.unique:
-            if pos < len(self._entries) and self._entries[pos][0] == key:
-                raise DuplicateKeyError(
-                    f"unique index {self.name!r} violated for key {key!r}"
-                )
-            if pos > 0 and self._entries[pos - 1][0] == key:
-                raise DuplicateKeyError(
-                    f"unique index {self.name!r} violated for key {key!r}"
-                )
-        self._entries.insert(pos, entry)
+        maxes = self._maxes
+        if not maxes:
+            self._chunks.append([entry])
+            maxes.append(entry)
+            self.structure_version += 1
+            return
+        # The last chunk takes whatever sorts after every max.
+        i = bisect.bisect_left(maxes, entry, 0, len(maxes) - 1)
+        chunk = self._chunks[i]
+        pos = bisect.bisect_left(chunk, entry)
+        if self.spec.unique and (
+                pos < len(chunk) and chunk[pos][0] == key
+                or pos and chunk[pos - 1][0] == key
+                or not pos and i and maxes[i - 1][0] == key):
+            raise DuplicateKeyError(
+                f"unique index {self.name!r} violated for key {key!r}"
+            )
+        chunk.insert(pos, entry)
+        if pos == len(chunk) - 1:
+            maxes[i] = entry
+        if len(chunk) >= 2 * self.CHUNK:
+            half = chunk[self.CHUNK:]
+            del chunk[self.CHUNK:]
+            self._chunks.insert(i + 1, half)
+            maxes[i] = chunk[-1]
+            maxes.insert(i + 1, half[-1])
         self.structure_version += 1
 
     def remove(self, key: tuple, pk: tuple) -> None:
         entry = (key, pk)
-        pos = bisect.bisect_left(self._entries, entry)
-        if pos < len(self._entries) and self._entries[pos] == entry:
-            self._entries.pop(pos)
+        maxes = self._maxes
+        i = bisect.bisect_left(maxes, entry)
+        if i < len(maxes):
+            chunk = self._chunks[i]
+            pos = bisect.bisect_left(chunk, entry)
+            if chunk[pos] == entry:
+                del chunk[pos]
+                if not chunk:
+                    del self._chunks[i]
+                    del maxes[i]
+                elif pos == len(chunk):
+                    maxes[i] = chunk[-1]
         self.structure_version += 1
 
     def lookup(self, key: tuple) -> frozenset[tuple]:
@@ -158,15 +197,39 @@ class OrderedIndex(_IndexBase):
                        high: tuple | None) -> list[tuple[tuple, tuple]]:
         # An entry (key, pk) sorts at or after (low,) iff
         # key[:len(low)] >= low, and before (high + (_AFTER,),) iff
-        # key[:len(high)] <= high: both bounds are C bisects.
-        entries = self._entries
-        lo_pos = 0 if low is None else bisect.bisect_left(entries, (low,))
-        hi_pos = len(entries) if high is None else \
-            bisect.bisect_left(entries, (high + (_AFTER,),))
-        return entries[lo_pos:hi_pos]
+        # key[:len(high)] <= high: each bound is a C bisect over the
+        # chunk maxes (the last chunk takes what sorts after all of
+        # them) and one in its chunk.
+        maxes = self._maxes
+        if not maxes:
+            return []
+        chunks = self._chunks
+        last = len(maxes) - 1
+        if low is None:
+            lo_chunk = lo_pos = 0
+        else:
+            probe = (low,)
+            lo_chunk = bisect.bisect_left(maxes, probe, 0, last)
+            lo_pos = bisect.bisect_left(chunks[lo_chunk], probe)
+        if high is None:
+            hi_chunk = last
+            hi_pos = len(chunks[last])
+        else:
+            probe = (high + (_AFTER,),)
+            hi_chunk = bisect.bisect_left(maxes, probe, 0, last)
+            hi_pos = bisect.bisect_left(chunks[hi_chunk], probe)
+        if lo_chunk == hi_chunk:
+            return chunks[lo_chunk][lo_pos:hi_pos]
+        if lo_chunk > hi_chunk:
+            return []
+        out = chunks[lo_chunk][lo_pos:]
+        for chunk in chunks[lo_chunk + 1:hi_chunk]:
+            out += chunk
+        out += chunks[hi_chunk][:hi_pos]
+        return out
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._chunks))
 
 
 def build_index(spec: IndexSpec, primary_key: tuple[str, ...]

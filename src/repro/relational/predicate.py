@@ -14,6 +14,7 @@ so a scan can probe a hash index instead of walking the whole table.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Mapping
 
 
@@ -61,16 +62,16 @@ ALWAYS = TruePredicate()
 class Comparison(Predicate):
     """column <op> literal."""
 
-    _OPS: dict[str, Callable[[Any, Any], bool]] = {
-        "==": lambda a, b: a == b,
-        "!=": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
+    _OPS: dict[str, Callable[[Any, Any], Any]] = {
+        "==": operator.eq,
+        "!=": operator.ne,
+        "<": operator.lt,
+        "<=": operator.le,
+        ">": operator.gt,
+        ">=": operator.ge,
     }
 
-    __slots__ = ("column", "op", "value")
+    __slots__ = ("column", "op", "value", "_test")
 
     def __init__(self, column: str, op: str, value: Any) -> None:
         if op not in self._OPS:
@@ -78,12 +79,15 @@ class Comparison(Predicate):
         self.column = column
         self.op = op
         self.value = value
+        #: The ``operator`` function of ``op``, bound once here: a row
+        #: test is one C call.
+        self._test = self._OPS[op]
 
     def matches(self, row: Mapping[str, Any]) -> bool:
         actual = row.get(self.column)
         if actual is None:
             return False
-        return self._OPS[self.op](actual, self.value)
+        return self._test(actual, self.value)
 
     def equality_bindings(self) -> dict[str, Any]:
         if self.op == "==":
@@ -152,7 +156,10 @@ class And(Predicate):
         self.parts = tuple(flat)
 
     def matches(self, row: Mapping[str, Any]) -> bool:
-        return all(p.matches(row) for p in self.parts)
+        for part in self.parts:
+            if not part.matches(row):
+                return False
+        return True
 
     def equality_bindings(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
@@ -177,7 +184,10 @@ class Or(Predicate):
         self.parts = tuple(parts)
 
     def matches(self, row: Mapping[str, Any]) -> bool:
-        return any(p.matches(row) for p in self.parts)
+        for part in self.parts:
+            if part.matches(row):
+                return True
+        return False
 
     def columns(self) -> set[str]:
         out: set[str] = set()

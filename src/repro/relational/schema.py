@@ -125,12 +125,19 @@ class TableSchema:
             raise SchemaError(f"duplicate column names in {self.name!r}")
         if not self.primary_key:
             raise SchemaError(f"table {self.name!r} needs a primary key")
-        known = set(names)
+        by_name = {c.name: c for c in self.columns}
         for pk_col in self.primary_key:
-            if pk_col not in known:
+            if pk_col not in by_name:
                 raise SchemaError(
                     f"primary key column {pk_col!r} not in table "
                     f"{self.name!r}"
+                )
+            # Keys of one table always compare: the canonical
+            # write-set order sorts on them.
+            if by_name[pk_col].nullable:
+                raise SchemaError(
+                    f"primary key column {pk_col!r} of table "
+                    f"{self.name!r} cannot be nullable"
                 )
         index_names = set()
         for spec in self.indexes:
@@ -138,13 +145,13 @@ class TableSchema:
                 raise SchemaError(f"duplicate index name {spec.name!r}")
             index_names.add(spec.name)
             for col in spec.columns:
-                if col not in known:
+                if col not in by_name:
                     raise SchemaError(
                         f"index {spec.name!r} references unknown column "
                         f"{col!r}"
                     )
         compiled = object.__setattr__
-        compiled(self, "_by_name", {c.name: c for c in self.columns})
+        compiled(self, "_by_name", by_name)
         compiled(self, "_pk_of", itemgetter(*self.primary_key))
         compiled(self, "column_names", tuple(names))
         if len(names) > 1:

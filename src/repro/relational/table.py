@@ -225,27 +225,35 @@ class Table:
     # chain behind the head there is nothing to retain, prune or
     # count: the head is overwritten here, with no call into it.
 
-    def install_insert(self, row: dict[str, Any], tid: int,
+    def install_insert(self, pk: tuple, row: dict[str, Any], tid: int,
                        watermark: int | None = _RESOLVE
                        ) -> VersionedRecord:
-        """Create a new committed record (or revive a tombstone).
+        """Create a new committed record (or revive a tombstone) for
+        ``row`` under its primary key ``pk``, which the caller already
+        holds (a write intent and a redo entry carry it).
 
         All-or-nothing: uniqueness (primary key and unique secondary
         indexes) is checked before any structure is mutated, so a
-        refused insert leaves the table exactly as it was.  A pristine
+        refused insert leaves the table exactly as it was.  Each index
+        key is computed once, for the check and the insert.  A pristine
         placeholder (TID 0, no chain: see :meth:`ensure_placeholder`)
         is revived in place even while a snapshot is pinned — every
         snapshot already resolves it to "no row", so a tombstone pushed
         onto its chain could never be read.
         """
-        pk = self.schema.primary_key_of(row)
         record = self.records.get(pk)
         if record is not None and not record.deleted:
             raise DuplicateKeyError(
                 f"duplicate primary key {pk!r} in table {self.name!r}"
             )
-        for index in self.indexes.values():
-            index.check_insert(index.key_of(row))
+        indexes = self.indexes
+        if indexes:
+            keys = []
+            for index in indexes.values():
+                key = index.key_of(row)
+                if index.spec.unique:
+                    index.check_insert(key)
+                keys.append(key)
         if record is not None:
             if watermark is _RESOLVE:
                 watermark = self.keep_watermark()
@@ -262,8 +270,9 @@ class Table:
             record = VersionedRecord(pk, row, tid)
             self.records[pk] = record
         self.structure_version += 1
-        for index in self.indexes.values():
-            index.insert(index.key_of(row), pk)
+        if indexes:
+            for index, key in zip(indexes.values(), keys):
+                index.insert(key, pk)
         return record
 
     def install_update(self, record: VersionedRecord,
@@ -345,7 +354,9 @@ class Table:
 
         Validates (and thereby copies) ``row``: bulk loading is the
         one path that hands the table input nobody has checked."""
-        self.install_insert(self.schema.validate_row(row), tid)
+        schema = self.schema
+        row = schema.validate_row(row)
+        self.install_insert(schema.primary_key_of(row), row, tid)
 
     def rows(self) -> list[dict[str, Any]]:
         """Snapshot of all committed rows (testing/inspection)."""

@@ -52,8 +52,11 @@ are gone with their ``_kick`` / ``post`` / event constructor calls,
 and so are the envelope's constructor and the ``is_root`` property
 calls.  Booking the commit and abort counters in place
 (``counter.value += 1``, not ``counter.inc()``) reads 115.945 ->
-114.945 and 56.255 -> 55.255.  The ceilings are the exact counts of this tree on 3.11 (3.12+ inlines one
-comprehension and reads 1.00 lower); they only ever go down.  Raise
+114.945 and 56.255 -> 55.255.  Sorting the write set on a C key
+(``_INTENT_ORDER``, an ``attrgetter``) instead of a Python key
+function per intent reads 114.945 -> 114.51 (the multi-write
+transactions' sort keys).  The ceilings are the exact counts of this
+tree on 3.11 (3.12+ inlines one comprehension and reads 1.00 lower); they only ever go down.  Raise
 one only with the number that justifies it in the PR description;
 ``python tests/test_point_path_budget.py 40`` prints the per-function
 table to find where new calls came from.
@@ -123,6 +126,11 @@ scan (TPC-C, occ/11)    63.59   37.66
 ``_in_range``, its ``Table.index`` lookup and the predicate match of
 an own write outside the range; 1.03 Python bisects.  New: 0.41
 ``_After.__gt__``, when a bisect step meets a key equal to ``high``.)
+A ``Comparison`` that binds its ``operator`` function at construction
+and ``And`` / ``Or`` as plain loops read 37.66 -> 29.38: 3.31 lambda
+calls (one per row tested) and 4.97 generator steps of ``all`` /
+``any`` are gone.  The chunked ordered index adds no call: with one
+chunk its bisects over the chunk maxes have nothing to compare.
 
 The sixth row is the commit path: ``call`` events under
 ``concurrency/``, ``relational/`` and ``storage/`` made inside
@@ -147,7 +155,11 @@ insert now builds its record at install, 3.59, instead of a
 placeholder at validation, 5.03; 1.11 ``max_observed_tid``; 0.86
 ``reclaim_placeholders``; 0.16 ``release_locks``, which a refused
 validation called on itself; 0.07 ``sorted_intents`` of read-only
-participants.)
+participants.)  Dropping the Python sort key ``_intent_order_key``
+(11.95, one ``repr(pk)`` per intent) for a C ``attrgetter``, passing
+``install_insert`` the intent's pk (3.59 ``primary_key_of`` calls) and
+checking only unique indexes before an insert (3.14 ``check_insert``
+calls) read 53.52 -> 34.84.
 """
 
 from __future__ import annotations
@@ -175,12 +187,12 @@ SRC_ROOT = str(Path(repro.__file__).resolve().parent)
 N_TXNS = 200
 CUSTOMERS = 100
 
-SMALLBANK_CEILING = 114.945
+SMALLBANK_CEILING = 114.51
 NOOP_CEILING = 55.255
 THREADS_HANDOFF_CEILING = 11.12
 LOG_DURABILITY_CEILING = 9.3625
-SCAN_PATH_CEILING = 37.66
-COMMIT_PATH_CEILING = 53.52
+SCAN_PATH_CEILING = 29.38
+COMMIT_PATH_CEILING = 34.84
 
 JSON_ROOT = os.path.dirname(json.__file__) + os.sep
 DURABILITY_ROOT = SRC_ROOT + os.sep + "durability" + os.sep

@@ -4,6 +4,10 @@ Invariants checked on randomized inputs:
 
 * ordered-index ranges and lookups agree with a naive prefix filter
   over three-column keys and bounds of one to three columns;
+* an ordered index with chunks of a few entries — so runs cross many
+  splits and emptied chunks — agrees with a plain sorted list through
+  random inserts, removes and unique violations, in ``range``,
+  ``lookup``, ``reverse`` and ``len``;
 * a session's predicate scan (random ``And`` / ``Or`` / ``Not`` /
   ``Between`` / ``InSet`` trees, full walk or hash probe, with and
   without the session's own writes) agrees with a naive filter over
@@ -34,6 +38,7 @@ from repro.concurrency.base import CCSession
 from repro.concurrency.mvcc import SnapshotSession
 from repro.concurrency.occ import ConcurrencyManager
 from repro.concurrency.tid import EpochManager
+from repro.errors import DuplicateKeyError
 from repro.relational.index import OrderedIndex, make_spec
 from repro.relational.predicate import (
     ALWAYS,
@@ -90,6 +95,73 @@ def test_ordered_index_range_matches_naive_filter(entries, low, high,
     for key in (probe, probe[:2], probe[:1]):
         assert index.lookup(key) == {
             (i,) for i, k in enumerate(entries) if k[: len(key)] == key}
+
+
+class _TinyChunks(OrderedIndex):
+    """Splits at four entries: a few dozen inserts cross many chunk
+    boundaries."""
+
+    CHUNK = 2
+
+
+#: (verb, key, pk): inserts over a small key and pk domain, removes of
+#: a drawn entry, and ``pop`` — remove the model's ``pk % len``-th
+#: entry, so removes hit often.
+index_ops = st.lists(st.tuples(
+    st.sampled_from(["insert", "insert", "insert", "remove", "pop"]),
+    keys, st.integers(0, 5)), max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_ops, st.booleans(),
+       st.lists(st.tuples(bounds, bounds), max_size=4), keys)
+# A unique key that ends one chunk, inserted again under a larger pk:
+# its place is the start of the next chunk.
+@example(
+    [("insert", (0, 0, k), 0) for k in range(4)]
+    + [("insert", (0, 0, 1), 5)], True, [((0, 0, 1), (0, 0, 2))],
+    (0, 0, 1))
+def test_chunked_ordered_index_matches_a_sorted_list(ops, unique,
+                                                     queries, probe):
+    """Inserts, removes and unique violations across chunk splits and
+    emptied chunks leave the index equal to a plain sorted list of
+    ``(key, pk)`` entries, with neighbours checked across chunk
+    boundaries."""
+    index = _TinyChunks(make_spec("i", ["a", "b", "c"], ordered=True,
+                                  unique=unique))
+    model: list[tuple] = []
+    for verb, key, pk in ops:
+        if verb == "pop":
+            if not model:
+                continue
+            entry = model[pk % len(model)]
+            verb = "remove"
+        else:
+            entry = (key, (pk,))
+        if verb == "remove":
+            index.remove(*entry)
+            if entry in model:
+                model.remove(entry)
+        elif unique and any(k == entry[0] for k, __ in model):
+            with pytest.raises(DuplicateKeyError):
+                index.insert(*entry)
+        elif entry not in model:
+            index.insert(*entry)
+            model.append(entry)
+            model.sort()
+        chunks = index._chunks
+        assert all(0 < len(chunk) < 2 * index.CHUNK for chunk in chunks)
+        assert index._maxes == [chunk[-1] for chunk in chunks]
+        assert [e for chunk in chunks for e in chunk] == model
+    assert len(index) == len(model)
+    for low, high in queries + [(None, None)]:
+        expected = [pk for key, pk in model
+                    if _in_prefix_range(key, low, high)]
+        assert index.range(low, high) == expected
+        assert index.range(low, high, reverse=True) == expected[::-1]
+    for key in (probe, probe[:2], probe[:1]):
+        assert index.lookup(key) == {
+            pk for k, pk in model if k[: len(key)] == key}
 
 
 # Predicate scans through the record manager -------------------------
@@ -342,7 +414,7 @@ def test_table_and_indexes_stay_consistent(operations):
         if op == "insert":
             if pk in shadow:
                 continue
-            table.install_insert(row, tid)
+            table.install_insert(pk, row, tid)
             shadow[pk] = row
         elif op == "update":
             record = table.get_record(pk)
@@ -422,7 +494,7 @@ def test_snapshot_scans_see_their_pinned_cut(operations):
         row = {"id": id_, "grp": grp, "v": v}
         if op == "insert" and pk not in shadow:
             tid += 1
-            table.install_insert(row, tid)
+            table.install_insert(pk, row, tid)
             shadow[pk] = row
         elif op == "update" and pk in shadow:
             tid += 1  # re-keys both indexed columns

@@ -107,7 +107,7 @@ class TestTable:
     def test_insert_and_get(self):
         table = Table(order_schema())
         record = table.install_insert(
-            {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
+            (1, 1), {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
             tid=1)
         assert table.get_record((1, 1)) is record
         assert len(table) == 1
@@ -115,14 +115,14 @@ class TestTable:
     def test_duplicate_insert_rejected(self):
         table = Table(order_schema())
         row = {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0}
-        table.install_insert(row, tid=1)
+        table.install_insert((1, 1), row, tid=1)
         with pytest.raises(DuplicateKeyError):
-            table.install_insert(row, tid=2)
+            table.install_insert((1, 1), row, tid=2)
 
     def test_update_maintains_indexes(self):
         table = Table(order_schema())
         record = table.install_insert(
-            {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
+            (1, 1), {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
             tid=1)
         table.install_update(record, dict(record.value, status="done"),
                              tid=2)
@@ -133,7 +133,7 @@ class TestTable:
     def test_delete_tombstones(self):
         table = Table(order_schema())
         record = table.install_insert(
-            {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
+            (1, 1), {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
             tid=1)
         table.install_delete(record, tid=2)
         assert table.get_record((1, 1)) is None
@@ -143,11 +143,11 @@ class TestTable:
     def test_insert_revives_tombstone(self):
         table = Table(order_schema())
         record = table.install_insert(
-            {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
+            (1, 1), {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
             tid=1)
         table.install_delete(record, tid=2)
         revived = table.install_insert(
-            {"d_id": 1, "o_id": 1, "status": "back", "amount": 1.0},
+            (1, 1), {"d_id": 1, "o_id": 1, "status": "back", "amount": 1.0},
             tid=3)
         assert revived is record
         assert table.get_record((1, 1)).value["status"] == "back"
@@ -156,7 +156,7 @@ class TestTable:
         table = Table(order_schema())
         v0 = table.structure_version
         record = table.install_insert(
-            {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
+            (1, 1), {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
             tid=1)
         v1 = table.structure_version
         assert v1 > v0
@@ -170,6 +170,7 @@ class TestTable:
         table = Table(order_schema())
         for o in (3, 1, 2):
             table.install_insert(
+                (1, o),
                 {"d_id": 1, "o_id": o, "status": "new", "amount": 0.0},
                 tid=1)
         record = table.get_record((1, 2))
@@ -203,7 +204,7 @@ class TestTable:
         assert table.get_record((9, 9)) is None
         assert table.ensure_placeholder((9, 9)) is placeholder
         row = {"d_id": 9, "o_id": 9, "status": "new", "amount": 1.0}
-        assert table.install_insert(row, tid=3) is placeholder
+        assert table.install_insert((9, 9), row, tid=3) is placeholder
         assert table.get_record((9, 9)) is placeholder
         assert (placeholder.tid, placeholder.prev) == (3, None)
 
@@ -215,7 +216,7 @@ class TestTable:
     def test_rows_snapshot(self):
         table = Table(order_schema())
         table.install_insert(
-            {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
+            (1, 1), {"d_id": 1, "o_id": 1, "status": "new", "amount": 5.0},
             tid=1)
         rows = table.rows()
         rows[0]["amount"] = 999.0

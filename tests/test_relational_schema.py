@@ -64,6 +64,15 @@ class TestSchemaDefinition:
         with pytest.raises(SchemaError):
             make_schema("t", [int_col("a")], ["b"])
 
+    def test_primary_key_columns_are_not_nullable(self):
+        # One table's keys must always compare: the canonical
+        # write-set order sorts on them.
+        with pytest.raises(SchemaError, match="cannot be nullable"):
+            make_schema("t", [int_col("a"), int_col("b", nullable=True)],
+                        ["a", "b"])
+        make_schema("t", [int_col("a"), int_col("b", nullable=True)],
+                    ["a"])
+
     def test_index_column_must_exist(self):
         with pytest.raises(SchemaError):
             sample_schema(indexes=[IndexSpec("bad", ("missing",))])

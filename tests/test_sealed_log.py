@@ -12,7 +12,8 @@ log leaves it none.  The install-path tests hold the commit's own
 sealing (value runs built in the install loop, no entry per write)
 to the bytes ``RedoRecord(tid, entries)`` writes, to the one
 assumption that layout makes (an installed image keeps its schema's
-column order), and to its size.
+column order), to its size, and to the canonical write-set order: one
+write set seals to the same bytes whatever order it was buffered in.
 """
 
 import gc
@@ -25,15 +26,21 @@ from types import SimpleNamespace
 from hypothesis import example, given, settings
 
 from repro import DurabilityConfig
+from repro.concurrency import coordinator
+from repro.concurrency.occ import ConcurrencyManager
+from repro.concurrency.tid import EpochManager
 from repro.core.database import ReactorDatabase
 from repro.durability.wal import (
     DELETE,
     INSERT,
     RedoEntry,
+    RedoLog,
     RedoRecord,
     unseal,
 )
 from repro.experiments.common import tpcc_deployment
+from repro.relational.schema import int_col, make_schema, str_col
+from repro.relational.table import Table
 from repro.replication import ReplicationConfig
 from repro.workloads import tpcc
 from test_wal_record_size import _BACKWARD, _FORWARD, records
@@ -201,6 +208,71 @@ def test_a_new_order_record_is_at_most_55_percent_of_per_row_dicts():
     assert len(record.sealed) <= 0.55 * len(as_dicts), \
         (len(record.sealed), len(as_dicts))
     database.close()
+
+
+#: One write set over two reactors' same-named tables and a second
+#: table of each, one key written in both reactors: (verb, reactor,
+#: table, pk).
+_WRITES = [
+    ("insert", "r1", "t", (9,)),
+    ("update", "r0", "t", (2,)),
+    ("delete", "r0", "u", ("b",)),
+    ("insert", "r0", "u", ("z",)),
+    ("update", "r1", "t", (0,)),
+    ("update", "r0", "t", (1,)),
+    ("delete", "r1", "t", (3,)),
+    ("update", "r1", "u", ("a",)),
+    ("insert", "r0", "t", (10,)),
+    ("update", "r1", "t", (2,)),
+]
+
+
+def _seal_write_set(writes):
+    """The sealed redo record of ``writes``, buffered in their order
+    by one OCC session over freshly loaded tables."""
+    schemas = {
+        "t": make_schema("t", [int_col("id"), int_col("v")], ["id"]),
+        "u": make_schema("u", [str_col("k"), int_col("v")], ["k"]),
+    }
+    tables = {}
+    for reactor in ("r1", "r0"):
+        for name, schema in schemas.items():
+            table = Table(schema)
+            table.owner = reactor
+            for i, key in enumerate("abcd"):
+                table.load_row({schema.primary_key[0]:
+                                i if name == "t" else key, "v": i})
+            tables[reactor, name] = table
+    manager = ConcurrencyManager(0, EpochManager())
+    manager.redo_log = RedoLog(0)
+    session = manager.begin_session(1)
+    for verb, reactor, name, pk in writes:
+        table = tables[reactor, name]
+        if verb == "insert":
+            session.insert(table, {table.schema.primary_key[0]: pk[0],
+                                   "v": 99})
+        elif verb == "update":
+            session.update(table, pk, {"v": -1})
+        else:
+            session.delete(table, pk)
+    assert coordinator.commit([(manager, session)], 1.0).committed
+    (sealed,) = manager.redo_log.records
+    return sealed
+
+
+def test_a_write_set_seals_alike_in_any_buffered_order():
+    """The redo order is canonical — table, then reactor, then primary
+    key — not the order the procedure happened to write in."""
+    forward = _seal_write_set(_WRITES)
+    assert _seal_write_set(_WRITES[::-1]) == forward
+    shuffled = list(_WRITES)
+    random.Random("sealed/order").shuffle(shuffled)
+    assert shuffled != _WRITES
+    assert _seal_write_set(shuffled) == forward
+    order = [(e.table, e.reactor, e.pk)
+             for e in unseal(forward).entries]
+    assert order == sorted((name, reactor, pk)
+                           for __, reactor, name, pk in _WRITES)
 
 
 def test_no_redo_entry_is_built_on_the_commit_path():
