@@ -18,7 +18,7 @@ Two index kinds back declarative queries inside a reactor:
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
@@ -135,9 +135,9 @@ class OrderedIndex(_IndexBase):
             self.structure_version += 1
             return
         # The last chunk takes whatever sorts after every max.
-        i = bisect.bisect_left(maxes, entry, 0, len(maxes) - 1)
+        i = bisect_left(maxes, entry, 0, len(maxes) - 1)
         chunk = self._chunks[i]
-        pos = bisect.bisect_left(chunk, entry)
+        pos = bisect_left(chunk, entry)
         if self.spec.unique and (
                 pos < len(chunk) and chunk[pos][0] == key
                 or pos and chunk[pos - 1][0] == key
@@ -159,10 +159,10 @@ class OrderedIndex(_IndexBase):
     def remove(self, key: tuple, pk: tuple) -> None:
         entry = (key, pk)
         maxes = self._maxes
-        i = bisect.bisect_left(maxes, entry)
+        i = bisect_left(maxes, entry)
         if i < len(maxes):
             chunk = self._chunks[i]
-            pos = bisect.bisect_left(chunk, entry)
+            pos = bisect_left(chunk, entry)
             if chunk[pos] == entry:
                 del chunk[pos]
                 if not chunk:
@@ -209,15 +209,15 @@ class OrderedIndex(_IndexBase):
             lo_chunk = lo_pos = 0
         else:
             probe = (low,)
-            lo_chunk = bisect.bisect_left(maxes, probe, 0, last)
-            lo_pos = bisect.bisect_left(chunks[lo_chunk], probe)
+            lo_chunk = bisect_left(maxes, probe, 0, last)
+            lo_pos = bisect_left(chunks[lo_chunk], probe)
         if high is None:
             hi_chunk = last
             hi_pos = len(chunks[last])
         else:
             probe = (high + (_AFTER,),)
-            hi_chunk = bisect.bisect_left(maxes, probe, 0, last)
-            hi_pos = bisect.bisect_left(chunks[hi_chunk], probe)
+            hi_chunk = bisect_left(maxes, probe, 0, last)
+            hi_pos = bisect_left(chunks[hi_chunk], probe)
         if lo_chunk == hi_chunk:
             return chunks[lo_chunk][lo_pos:hi_pos]
         if lo_chunk > hi_chunk:
