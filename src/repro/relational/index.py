@@ -108,7 +108,9 @@ class OrderedIndex(_IndexBase):
 
     ``_chunks`` is the sorted entry sequence cut into sorted lists, and
     ``_maxes[i]`` is ``_chunks[i][-1]``: a bisect over ``_maxes`` finds
-    the chunk, a second bisect the place in it.  A chunk splits in two
+    the chunk, a second bisect the place in it, and an entry after
+    every other one (a bulk load in key order) is appended to the last
+    chunk with no bisect.  A chunk splits in two
     when it reaches twice :attr:`CHUNK` entries, and an emptied chunk
     is dropped, so no chunk is ever empty.
     """
@@ -134,10 +136,15 @@ class OrderedIndex(_IndexBase):
             maxes.append(entry)
             self.structure_version += 1
             return
-        # The last chunk takes whatever sorts after every max.
-        i = bisect_left(maxes, entry, 0, len(maxes) - 1)
-        chunk = self._chunks[i]
-        pos = bisect_left(chunk, entry)
+        if entry > maxes[-1]:
+            # An append (a bulk load, a growing key): the last chunk.
+            i = len(maxes) - 1
+            chunk = self._chunks[i]
+            pos = len(chunk)
+        else:
+            i = bisect_left(maxes, entry)
+            chunk = self._chunks[i]
+            pos = bisect_left(chunk, entry)
         if self.spec.unique and (
                 pos < len(chunk) and chunk[pos][0] == key
                 or pos and chunk[pos - 1][0] == key
