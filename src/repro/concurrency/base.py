@@ -508,7 +508,8 @@ class CCSession:
         examined = len(candidates)
         writes = self._writes
         register_read = self._register_read
-        matches = predicate.matches
+        # A scan with no predicate keeps every row: no call per row.
+        matches = None if predicate is ALWAYS else predicate.matches
         # Footprint registration inlined when the scheme uses the base
         # implementation (OCC, none); locking schemes hook per-read lock
         # acquisition into _register_read and keep the dispatch.
@@ -526,7 +527,7 @@ class CCSession:
                 else:
                     register_read(record)
                 image = dict(record.value)
-                if matches(image):
+                if matches is None or matches(image):
                     append(image)
         else:
             table_id = id(table)
@@ -545,7 +546,7 @@ class CCSession:
                 else:
                     register_read(record)
                 image = dict(record.value)
-                if matches(image):
+                if matches is None or matches(image):
                     hits[pk] = image
             # Every own insert or update of this table is matched on
             # its new image, against the probed key or range and then
@@ -568,7 +569,7 @@ class CCSession:
                     elif low is not None and key[:len(low)] < low or \
                             high is not None and key[:len(high)] > high:
                         continue
-                if matches(value):
+                if matches is None or matches(value):
                     pk = intent.pk
                     hits[pk] = dict(value)
                     kept = True
@@ -607,18 +608,23 @@ class CCSession:
             self._register_node(idx)
             if isinstance(idx, OrderedIndex):
                 pks = idx.range(low, high)
-                out_order = _CANDIDATE_ORDER if idx.pk_ordered else pks
+                if idx.pk_ordered:
+                    # A range over a primary-key prefix is already in
+                    # primary-key order.
+                    return table.records_for_pks(pks), idx, \
+                        _CANDIDATE_ORDER
+                out_order = pks
             else:
                 require_hash_equality(index, low, high)
                 pks = idx.lookup(low)
                 out_order = _CANDIDATE_ORDER
-            return table.records_for_pks(pks), idx, out_order
+            return table.records_for_pks(sorted(pks)), idx, out_order
 
         probe = equality_probe(table, predicate)
         if probe is not None:
             idx, key = probe
             self._register_node(idx)
-            return table.records_for_pks(idx.lookup(key)), None, \
+            return table.records_for_pks(sorted(idx.lookup(key))), None, \
                 _CANDIDATE_ORDER
 
         self._register_node(table)

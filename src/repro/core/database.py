@@ -65,6 +65,11 @@ class ReactorDatabase:
         self._reactors: dict[str, Reactor] = {}
         self._txn_counter = 0
         self._root_route_counter = 0
+        #: txn id -> every root submitted and not yet settled (run,
+        #: parked or queued): online migration's drain barrier scans
+        #: it.  ``_submit`` adds a root; the executor's ``_settle`` and
+        #: :meth:`refuse_root` remove it, so it is empty at quiescence.
+        self.unsettled_roots: dict[int, RootTransaction] = {}
         #: Optional operation-level history capture for
         #: serializability audits (see repro.formal.audit).
         self.history_recorder: Any = None
@@ -229,6 +234,7 @@ class ReactorDatabase:
             start_time=now,
         )
         root.read_only = bool(read_only)
+        self.unsettled_roots[root.txn_id] = root
         self.telemetry.trace_root(root, now)
         task = Task(root, reactor, proc_name, args, kwargs,
                     on_root_done=on_done)
@@ -253,6 +259,7 @@ class ReactorDatabase:
         scheduled with ``soon``, at the instant the refusal is
         decided."""
         root.finished = True
+        del self.unsettled_roots[root.txn_id]
         reason = f"container {container.container_id} failed"
         if self.replication is not None:
             self.replication.failover_aborts.value += 1

@@ -94,6 +94,13 @@ class ReactorType:
 class Reactor:
     """A named reactor instance with private relational state.
 
+    A reactor is one application entity (one SmallBank customer, one
+    TPC-C warehouse), so everything it keeps is paid once per entity:
+    at rest it holds its rows, its placement and its routing epoch,
+    and nothing per transaction.  The dangerous-structure registry of
+    Section 2.2.4 and online migration's drain barrier live on the
+    :class:`~repro.runtime.transaction.RootTransaction` instead.
+
     Placement attributes (``container``, ``pinned_executor``) are
     assigned by the deployment at bootstrap; ``core_heat`` tracks how
     recently each simulated core touched this reactor's data, driving
@@ -114,8 +121,7 @@ class Reactor:
 
     __slots__ = ("name", "rtype", "catalog", "container",
                  "pinned_executor", "affinity_executor", "core_heat",
-                 "_active_subtxn", "epoch", "migrating", "retired",
-                 "migrated_to", "inflight_roots")
+                 "epoch", "migrating", "retired", "migrated_to")
 
     #: Cache-warmth retained per intervening transaction on another
     #: core: with round-robin over k executors a reactor returns to a
@@ -134,12 +140,12 @@ class Reactor:
         #: Preferred executor for *root* transactions under affinity
         #: routing (sub-calls in shared-everything stay inline).
         self.affinity_executor: Any = None
-        #: core id -> warmth in [0, 1]; decays as other cores touch
-        #: this reactor's data.
-        self.core_heat: dict[int, float] = {}
-        # root txn id -> sub-transaction id currently active here;
-        # enforces the dynamic safety condition of Section 2.2.4.
-        self._active_subtxn: dict[int, int] = {}
+        #: Cache warmth, in three states: ``None`` (cold on every
+        #: core), a core id (the one core that touched it, fully
+        #: warm), or a ``core id -> warmth in [0, 1]`` dict once a
+        #: second core touched it.  Most reactors are only ever served
+        #: by one core, so they never pay for the dict.
+        self.core_heat: int | dict[int, float] | None = None
         #: Routing epoch: 0 at bootstrap, +1 per completed migration of
         #: the logical reactor this instance continues.
         self.epoch = 0
@@ -149,15 +155,6 @@ class Reactor:
         #: instance; ``migrated_to`` is the successor at the new home.
         self.retired = False
         self.migrated_to: Any = None
-        #: Root txn ids that touched this instance and have not yet
-        #: completed — the drain barrier of online migration.  A dict
-        #: used as a set (``[txn_id] = None``, ``pop(txn_id, None)``):
-        #: an empty dict is 64 B, an empty set 216 B, once per reactor.
-        #: Entries arrive on the reactor's container thread and leave
-        #: on the root's home thread, so it stays one dict (single
-        #: operations are atomic on free-threaded builds), never a
-        #: counter.
-        self.inflight_roots: dict[int, None] = {}
 
     def touch(self, core_id: int) -> float:
         """Record a transaction touching this reactor from ``core_id``.
@@ -167,38 +164,24 @@ class Reactor:
         0.0 fully cold.  Other cores' warmth decays by
         :data:`HEAT_DECAY`; the touching core becomes fully warm.
         """
-        warmth = self.core_heat.get(core_id, 0.0)
-        if self.core_heat:
-            for core in list(self.core_heat):
-                self.core_heat[core] *= self.HEAT_DECAY
-        self.core_heat[core_id] = 1.0
-        return warmth
+        heat = self.core_heat
+        if isinstance(heat, dict):
+            warmth = heat.get(core_id, 0.0)
+            for core in heat:
+                heat[core] *= self.HEAT_DECAY
+            heat[core_id] = 1.0
+            return warmth
+        if heat == core_id:
+            return 1.0
+        # Cold, or a second core: the first one, fully warm until
+        # now, decays once (1.0 * HEAT_DECAY, as the dict would).
+        self.core_heat = core_id if heat is None else \
+            {heat: self.HEAT_DECAY, core_id: 1.0}
+        return 0.0
 
     def mark_cold(self) -> None:
         """Forget all cache warmth (testing / cache-flush modeling)."""
-        self.core_heat.clear()
-
-    # -- dynamic intra-transaction safety (Section 2.2.4) --------------
-
-    def try_enter(self, root_id: int, subtxn_id: int) -> bool:
-        """Register a sub-transaction as active on this reactor.
-
-        Returns ``False`` when a *different* sub-transaction of the same
-        root transaction is already active — the dangerous structure the
-        runtime must abort.
-        """
-        current = self._active_subtxn.get(root_id)
-        if current is not None and current != subtxn_id:
-            return False
-        self._active_subtxn[root_id] = subtxn_id
-        return True
-
-    def exit(self, root_id: int, subtxn_id: int) -> None:
-        if self._active_subtxn.get(root_id) == subtxn_id:
-            del self._active_subtxn[root_id]
-
-    def active_count(self) -> int:
-        return len(self._active_subtxn)
+        self.core_heat = None
 
     def table(self, name: str):
         return self.catalog.table(name)

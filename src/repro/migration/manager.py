@@ -272,14 +272,14 @@ class MigrationManager:
                                  self._poll_drain, migration)
 
     def _drained(self, migration: Migration, reactor: Reactor) -> bool:
-        if reactor.inflight_roots:
-            return False
-        # Sub-transactions register on the reactor at *dispatch* time
-        # (Section 2.2.4), so active_count() also covers sub-calls
-        # still in transport flight toward the source — invisible to
-        # both the in-flight set and the executor queues.
-        if reactor.active_count():
-            return False
+        # No unsettled root may have touched the source instance, nor
+        # hold a sub-transaction on it: those register at *dispatch*
+        # time (Section 2.2.4), so the second test also covers
+        # sub-calls still in transport flight toward the source —
+        # invisible to the touch lists and the executor queues.
+        for root in self.database.unsettled_roots.values():
+            if root.touched(reactor) or reactor in root.active_subtxns:
+                return False
         src = self.database.containers[migration.src_cid]
         return not src.has_queued_work_for(reactor)
 

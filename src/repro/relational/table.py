@@ -160,9 +160,9 @@ class Table:
             ) from None
 
     def records_for_pks(self, pks: Any) -> list[VersionedRecord]:
-        """Live records for an iterable of primary keys (sorted)."""
+        """Live records for an iterable of primary keys, in its order."""
         get = self.records.get
-        return [record for pk in sorted(pks)
+        return [record for pk in pks
                 if (record := get(pk)) is not None
                 and not record.deleted]
 

@@ -243,8 +243,10 @@ class TransactionExecutor:
 
         # Dynamic intra-transaction safety (Section 2.2.4): refuse a
         # sub-transaction when another sub-transaction of the same root
-        # is active on this reactor.
-        if not reactor.try_enter(root.txn_id, task.subtxn_id):
+        # is active on this reactor.  Check and register are one
+        # setdefault (see RootTransaction.active_subtxns).
+        if root.active_subtxns.setdefault(reactor, task.subtxn_id) \
+                != task.subtxn_id:
             abort = DangerousStructureAbort(
                 f"sub-transaction {task.subtxn_id} of txn "
                 f"{root.txn_id} raced another sub-transaction on "
@@ -296,9 +298,8 @@ class TransactionExecutor:
             factor = 1.0 + (self.costs.cold_access_factor - 1.0) * \
                 (1.0 - warmth)
             root.touched_reactors[reactor.name] = factor
-            # Online migration drains on this map: the reactor cannot
-            # be copied away while a root that touched it is in flight.
-            reactor.inflight_roots[root.txn_id] = None
+            # Online migration drains on these: the reactor cannot be
+            # copied away while an unsettled root touched it.
             root.reactor_refs.append(reactor)
 
     # ------------------------------------------------------------------
@@ -447,12 +448,12 @@ class TransactionExecutor:
         # destination container after the routing flip, so the
         # transaction spans the migration and commits through 2PC like
         # any cross-container one.
-        parked = reactor.migrating and \
-            root.txn_id not in reactor.inflight_roots
+        parked = reactor.migrating and not root.touched(reactor)
         target = None if parked else self._sub_call_target(reactor)
         if target is self:
             subtxn_id = root.next_subtxn_id()
-            if not reactor.try_enter(root.txn_id, subtxn_id):
+            if root.active_subtxns.setdefault(reactor, subtxn_id) \
+                    != subtxn_id:
                 self._step(task, None, DangerousStructureAbort(
                     f"inline sub-transaction on reactor {reactor.name!r} "
                     f"raced txn {root.txn_id}"
@@ -469,8 +470,12 @@ class TransactionExecutor:
         # asynchronous sub-transaction racing the same reactor within
         # this root is refused even if their executions would not
         # physically overlap; a parked one enters it when it replays.
+        # This runs on the *caller's* container, so under threads two
+        # containers may enter one reactor for one root at once: the
+        # setdefault lets exactly one of them in.
         subtxn_id = root.next_subtxn_id()
-        if not parked and not reactor.try_enter(root.txn_id, subtxn_id):
+        if not parked and root.active_subtxns.setdefault(
+                reactor, subtxn_id) != subtxn_id:
             self._step(task, None, DangerousStructureAbort(
                 f"asynchronous sub-transactions of txn {root.txn_id} "
                 f"race on reactor {reactor.name!r}"
@@ -587,7 +592,8 @@ class TransactionExecutor:
     def _frame_done(self, task: Task, result: Any) -> None:
         frame = task.frames.pop()
         if frame.entered:
-            frame.reactor.exit(task.root.txn_id, frame.subtxn_id)
+            # An entered frame owns its reactor's entry.
+            del task.root.active_subtxns[frame.reactor]
         if task.frames:
             # Inline child finished: resolve its future and hand it to
             # the parent synchronously.
@@ -608,7 +614,7 @@ class TransactionExecutor:
     def _frame_aborted(self, task: Task, abort: TransactionAbort) -> None:
         frame = task.frames.pop()
         if frame.entered:
-            frame.reactor.exit(task.root.txn_id, frame.subtxn_id)
+            del task.root.active_subtxns[frame.reactor]
         if task.frames:
             if frame.inline_future is not None:
                 frame.inline_future.consumed = True
@@ -861,9 +867,8 @@ class TransactionExecutor:
         ``scheduler.guarded`` (a plain call on sim, the state lock on
         threads)."""
         root.finished = True
-        for reactor in root.reactor_refs:
-            reactor.inflight_roots.pop(root.txn_id, None)
         database = self.container.database
+        del database.unsettled_roots[root.txn_id]
         database.telemetry.note_root_done(root, committed, reason,
                                           self.scheduler.now)
         if database.durability is not None:

@@ -3,7 +3,9 @@
 A :class:`RootTransaction` tracks everything the runtime needs about
 one top-level procedure invocation: per-container CC sessions,
 sub-transaction numbering, cache-warmth of touched reactors, the
-latency breakdown by cost-model category, and the commit outcome.
+sub-transaction active on each reactor, the latency breakdown by
+cost-model category, and the commit outcome.  A reactor keeps none of
+this: what one transaction needs lives and dies with the transaction.
 
 Latency breakdown categories follow Figure 6 of the paper:
 
@@ -67,8 +69,8 @@ class RootTransaction:
         "sessions", "_subtxn_counter", "touched_reactors",
         "breakdown", "remote_calls", "finished",
         "user_abort", "effect_seq", "commit_tid",
-        "doomed", "read_only", "reactor_refs", "snapshot_tid",
-        "trace", "__weakref__",
+        "doomed", "read_only", "reactor_refs", "active_subtxns",
+        "snapshot_tid", "trace", "__weakref__",
     )
 
     def __init__(self, txn_id: int, procedure: str, reactor_name: str,
@@ -85,9 +87,16 @@ class RootTransaction:
         #: up to cold_access_factor when fully cold).
         self.touched_reactors: dict[str, float] = {}
         #: The reactor *instances* behind ``touched_reactors``: online
-        #: migration drains on per-instance in-flight root sets, which
-        #: the executor clears through these references at completion.
+        #: migration drains until no unsettled root touched the source
+        #: instance (:meth:`touched`).
         self.reactor_refs: list[Any] = []
+        #: Reactor instance -> the sub-transaction of this root active
+        #: on it: the dynamic safety condition of Section 2.2.4.  A
+        #: sub-transaction enters with ``setdefault(reactor, subtxn_id)``
+        #: and is refused when another one's id comes back; the check
+        #: and the register are one call because under ``threads`` two
+        #: containers can enter the same reactor for one root at once.
+        self.active_subtxns: dict[Any, int] = {}
         self.breakdown: dict[str, float] = dict(_NO_CHARGES)
         self.remote_calls = 0
         self.finished = False
@@ -112,6 +121,10 @@ class RootTransaction:
         #: Monotonic effect counter of the root task; used to classify
         #: future waits as sync vs async execution.
         self.effect_seq = 0
+
+    def touched(self, reactor: Any) -> bool:
+        """Did this root touch the reactor *instance* ``reactor``?"""
+        return reactor in self.reactor_refs
 
     def next_subtxn_id(self) -> int:
         self._subtxn_counter += 1

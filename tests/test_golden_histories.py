@@ -215,6 +215,9 @@ def observe(workload: str, scheme: str, seed: int,
         submit_next()
     database.scheduler.run()
     assert None not in results
+    # Every completion path settled its root: none is left to hold a
+    # migration's drain barrier.
+    assert not database.unsettled_roots
 
     seen = {
         "results": results,

@@ -269,10 +269,10 @@ class TestInflightCrossContainer:
 
     def test_subcall_in_transport_flight_blocks_drain(self):
         """A sub-call dispatched toward the source but still paying
-        transport delay is invisible to the in-flight set and the
-        executor queues — the drain barrier must still wait for it
-        (it registered on the reactor at dispatch, Section 2.2.4), or
-        its commit would land in the source copy after the snapshot
+        transport delay has not touched the source and is in no
+        executor queue — the drain barrier must still wait for it (its
+        root registered it on the reactor at dispatch, Section 2.2.4),
+        or its commit would land in the source copy after the snapshot
         and be lost at the flip."""
         db = ReactorDatabase(shared_nothing(3), _declarations(3))
         _load(db, 3)
@@ -291,7 +291,7 @@ class TestInflightCrossContainer:
             db.scheduler.run(until=t)
         assert root.remote_calls == 1
         target = db.reactor("m1")
-        assert root.txn_id not in target.inflight_roots
+        assert not root.touched(target)
         migration = db.migrate("m1", 2)
         db.scheduler.run()
         assert migration.done

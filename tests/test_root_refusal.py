@@ -6,7 +6,8 @@ container, a root parked by a migration that replays onto a
 destination that failed in the meantime, and a root still queued on a
 container when it is killed.  Each reports through
 ``ReactorDatabase.refuse_root``: ``on_done`` fires once, uncommitted,
-and the root counts as one abort and as one failover abort.
+the root counts as one abort and as one failover abort, and it leaves
+the database's unsettled-root registry.
 """
 
 from __future__ import annotations
@@ -84,3 +85,4 @@ def test_a_failure_refusal_is_reported_once(site):
     assert reason.endswith(" failed")
     assert moved == (1, 1)
     assert root.finished
+    assert not database.unsettled_roots

@@ -187,8 +187,8 @@ class TestCacheAffinity:
         database.reactor("acct0").mark_cold()
         database.run("acct0", "get_balance")
         executor = database.reactor("acct0").pinned_executor
-        assert database.reactor("acct0").core_heat[
-            executor.core_id] == 1.0
+        # touch() reports the core's warmth before this touch.
+        assert database.reactor("acct0").touch(executor.core_id) == 1.0
 
     def test_heat_decays_with_other_cores(self):
         database = make_bank(shared_nothing(2))
